@@ -11,10 +11,11 @@ use cloud_sim::interference::InterferenceProfile;
 use cloud_sim::node::NodeType;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{print_header, run_campaign};
 use meterstick_metrics::stats::Percentiles;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
+
+use crate::{run_campaign, Cli};
 
 fn variant(name: &str) -> Environment {
     let dedicated = InterferenceProfile::dedicated();
@@ -50,11 +51,7 @@ fn variant(name: &str) -> Environment {
     env
 }
 
-fn main() {
-    print_header(
-        "Ablation",
-        "Cloud interference model components (Players workload, 8 iterations each)",
-    );
+pub fn run(cli: &Cli) {
     let variants = [
         "none (dedicated)",
         "placement only",
@@ -74,7 +71,7 @@ fn main() {
             .environments([variant(name)])
             .duration_secs(15)
             .iterations(8);
-        let results = run_campaign(&campaign);
+        let results = run_campaign(cli, &campaign);
         let isr = results.isr_values(ServerFlavor::Vanilla);
         let ticks = results.pooled_tick_times(ServerFlavor::Vanilla);
         let isr_p = Percentiles::of(&isr);

@@ -1,19 +1,20 @@
 //! Ablation: which PaperMC optimization buys what?
 //!
-//! DESIGN.md calls out the Paper flavor's optimizations (asynchronous chat,
-//! asynchronous environment processing, the rewritten entity handler, TNT
-//! and redstone optimizations) as design choices worth isolating. This
-//! binary starts from the Vanilla profile and enables one optimization at a
-//! time on the TNT and Farm workloads, reporting mean tick time and ISR.
+//! The Paper flavor's optimizations (asynchronous chat, asynchronous
+//! environment processing, the rewritten entity handler, TNT and redstone
+//! optimizations) are design choices worth isolating. This entry starts
+//! from the Vanilla profile and enables one optimization at a time on the
+//! TNT and Farm workloads, reporting mean tick time and ISR.
 
 use cloud_sim::environment::Environment;
 use meterstick::report::render_table;
-use meterstick_bench::{duration_from_args, print_header};
 use meterstick_metrics::trace::TickTrace;
 use meterstick_workloads::{WorkloadKind, WorkloadSpec};
 use mlg_bots::PlayerEmulation;
 use mlg_protocol::netsim::LinkConfig;
 use mlg_server::{FlavorProfile, GameServer, ServerConfig, ServerFlavor};
+
+use crate::Cli;
 
 fn profile_variant(name: &str) -> FlavorProfile {
     let vanilla = ServerFlavor::Vanilla.profile();
@@ -89,12 +90,8 @@ fn run_with_profile(
     )
 }
 
-fn main() {
-    print_header(
-        "Ablation",
-        "PaperMC optimizations enabled one at a time (AWS, TNT and Farm workloads)",
-    );
-    let duration = duration_from_args();
+pub fn run(cli: &Cli) {
+    let duration = cli.duration_secs();
     let variants = [
         "vanilla",
         "async chat",

@@ -7,15 +7,12 @@
 use cloud_sim::environment::Environment;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{print_header, run_campaign};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "Calibration",
-        "Tick-time regimes per workload, flavor and environment",
-    );
+use crate::{run_campaign, Cli};
+
+pub fn run(cli: &Cli) {
     let environments = vec![Environment::das5(2), Environment::aws_default()];
     let flavors = [ServerFlavor::Vanilla, ServerFlavor::Paper];
     // The whole grid — 2 environments × 5 workloads × 2 flavors — is one
@@ -26,7 +23,7 @@ fn main() {
         .environments(environments.iter().cloned())
         .duration_secs(20)
         .iterations(1);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
 
     let mut rows = Vec::new();
     for environment in &environments {

@@ -27,10 +27,11 @@ use std::time::{Duration, Instant};
 use cloud_sim::environment::Environment;
 use meterstick::campaign::{CampaignPlan, IterationJob};
 use meterstick::{Campaign, IterationResult, NullSink, ResultSink, TickSample};
-use meterstick_bench::print_header;
 use meterstick_daemon::{http, AlertEngine, Daemon, DaemonConfig};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
+
+use crate::Cli;
 
 /// Soak length in ticks (20 Hz × 500 virtual seconds).
 const SOAK_TICKS: u64 = 10_000;
@@ -196,11 +197,7 @@ fn overload_over_http() {
     );
 }
 
-fn main() {
-    print_header(
-        "daemon-smoke",
-        "Resident daemon: soak, live metrics, alert on overload",
-    );
+pub fn run(_cli: &Cli) {
     soak();
     overload_over_http();
     println!("daemon smoke: OK");

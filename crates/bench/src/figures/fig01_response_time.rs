@@ -4,29 +4,18 @@
 //! the vanilla server's response time on an AWS node ranges from good
 //! (< 60 ms) to unplayable (> 118 ms) once a resource-farm world is loaded.
 
-use cloud_sim::environment::Environment;
 use meterstick::report::{ascii_boxplot, render_table};
-use meterstick_bench::{duration_from_args, print_header, run};
 use meterstick_metrics::response::{NOTICEABLE_DELAY_MS, UNPLAYABLE_MS};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "Figure 1",
-        "Minecraft response time in the AWS cloud (Control vs Farm)",
-    );
-    let duration = duration_from_args();
+use crate::{run_on_aws, Cli};
+
+pub fn run(cli: &Cli) {
     let mut rows = Vec::new();
     let mut gauges = Vec::new();
     for workload in [WorkloadKind::Control, WorkloadKind::Farm] {
-        let results = run(
-            workload,
-            &[ServerFlavor::Vanilla],
-            Environment::aws_default(),
-            duration,
-            1,
-        );
+        let results = run_on_aws(cli, workload, ServerFlavor::Vanilla);
         let it = &results.iterations()[0];
         let r = it.response;
         rows.push(vec![

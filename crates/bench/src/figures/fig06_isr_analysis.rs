@@ -5,14 +5,13 @@
 //! distributions but an order of magnitude apart in ISR.
 
 use meterstick::report::render_table;
-use meterstick_bench::print_header;
 use meterstick_metrics::isr::{
     analytical_isr, instability_ratio, synthetic_outlier_trace, IsrParams,
 };
 
-fn main() {
-    print_header("Figure 6", "Numerical analysis of the Instability Ratio");
+use crate::Cli;
 
+pub fn run(_cli: &Cli) {
     // Panel (a): ISR vs λ for three outlier scales.
     println!("\n(a) ISR for varying outlier period λ (analytical vs trace-based):");
     let mut rows = Vec::new();

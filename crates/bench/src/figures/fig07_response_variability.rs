@@ -5,25 +5,20 @@
 //! TNT workloads. PaperMC is omitted exactly as in the paper: its
 //! asynchronous chat thread answers the probe without waiting for the tick.
 
-use cloud_sim::environment::Environment;
 use meterstick::report::{ascii_boxplot, render_table};
-use meterstick_bench::{duration_from_args, print_header, run};
 use meterstick_metrics::response::UNPLAYABLE_MS;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "Figure 7 (MF1)",
-        "Response-time variability for Minecraft and Forge on AWS",
-    );
-    let duration = duration_from_args();
+use crate::{run_on_aws, Cli};
+
+pub fn run(cli: &Cli) {
     let flavors = [ServerFlavor::Vanilla, ServerFlavor::Forge];
     let mut rows = Vec::new();
     let mut gauges = Vec::new();
     for workload in [WorkloadKind::Control, WorkloadKind::Farm, WorkloadKind::Tnt] {
         for flavor in flavors {
-            let results = run(workload, &[flavor], Environment::aws_default(), duration, 1);
+            let results = run_on_aws(cli, workload, flavor);
             let it = &results.iterations()[0];
             let r = it.response;
             rows.push(vec![

@@ -8,25 +8,27 @@
 //! The whole figure is one factorial campaign — 5 workloads × 3 flavors ×
 //! 3 environments in a single `Campaign::run` call.
 
+use cloud_sim::environment::Environment;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{duration_from_args, figure8_environments, print_header, run_campaign};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "Figure 8 (MF2)",
-        "ISR per MLG and workload on AWS and DAS-5",
-    );
-    let environments = figure8_environments();
+use crate::{run_campaign, Cli};
+
+pub fn run(cli: &Cli) {
+    let environments = [
+        Environment::aws_default(),
+        Environment::das5(2),
+        Environment::das5(16),
+    ];
     let campaign = Campaign::new()
         .workloads(WorkloadKind::all())
         .flavors(ServerFlavor::all())
         .environments(environments.iter().cloned())
-        .duration_secs(duration_from_args())
+        .duration_secs(cli.duration_secs())
         .iterations(1);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
 
     for environment in &environments {
         println!("\n--- {} ---", environment.label());

@@ -7,12 +7,12 @@
 use cloud_sim::environment::Environment;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{duration_from_args, print_header, run_campaign};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header("Figure 9 (MF2)", "Tick time over time on AWS");
+use crate::{run_campaign, Cli};
+
+pub fn run(cli: &Cli) {
     let environment = Environment::aws_default();
     let workloads = [
         WorkloadKind::Control,
@@ -25,9 +25,9 @@ fn main() {
         .workloads(workloads)
         .flavors(ServerFlavor::all())
         .environments([environment.clone()])
-        .duration_secs(duration_from_args())
+        .duration_secs(cli.duration_secs())
         .iterations(1);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
 
     for workload in workloads {
         println!("\n--- {workload} workload (overloaded above 50 ms) ---");

@@ -7,19 +7,15 @@
 use cloud_sim::environment::Environment;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{print_header, run_campaign};
 use meterstick_metrics::stats::Percentiles;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "Figure 10 (MF3)",
-        "Tick time and ISR distribution across iterations of the Players workload",
-    );
-    let full = std::env::args().any(|a| a == "--full");
-    let iterations = if full { 50 } else { 10 };
-    let duration = if full { 60 } else { 20 };
+use crate::{run_campaign, Cli};
+
+pub fn run(cli: &Cli) {
+    let iterations = if cli.full { 50 } else { 10 };
+    let duration = if cli.full { 60 } else { 20 };
     let environments = vec![
         Environment::das5(2),
         Environment::azure_default(),
@@ -32,7 +28,7 @@ fn main() {
         .environments(environments.iter().cloned())
         .duration_secs(duration)
         .iterations(iterations);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
 
     let mut isr_rows = Vec::new();
     let mut tick_rows = Vec::new();

@@ -9,18 +9,15 @@ use cloud_sim::environment::Environment;
 use cloud_sim::node::NodeType;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{duration_from_args, print_header, run_campaign};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "Figure 12 (MF5)",
-        "TNT workload on AWS node sizes L / XL / 2XL",
-    );
+use crate::{run_campaign, Cli};
+
+pub fn run(cli: &Cli) {
     // The node-size effect only shows once the post-detonation chain reaction
     // has run for a while, so this figure always uses the paper's 60 s.
-    let duration = duration_from_args().max(60);
+    let duration = cli.duration_secs().max(60);
     let nodes = [
         ("L (t3.large)", NodeType::aws_t3_large()),
         ("XL (t3.xlarge)", NodeType::aws_t3_xlarge()),
@@ -33,7 +30,7 @@ fn main() {
         .aws_node_sizes(nodes.iter().map(|(_, node)| node.clone()))
         .duration_secs(duration)
         .iterations(1);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
 
     let mut rows = Vec::new();
     for (label, node) in nodes {

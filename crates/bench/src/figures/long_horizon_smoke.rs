@@ -5,7 +5,7 @@
 //! with `Campaign::metrics_window` enabled: ticks fold into one-minute
 //! window summaries (1 200 ticks each) with at most the trailing hour (60
 //! windows) retained, instead of materializing a ~288 000-record trace.
-//! The binary asserts the memory bounds — retained windows and retained
+//! The entry asserts the memory bounds — retained windows and retained
 //! trace records never exceed their caps while the closed-window counter
 //! proves every executed tick was folded — and prints the retained tail so
 //! the diurnal drift is visible: the run starts Thursday 16:00 and crosses
@@ -18,9 +18,10 @@ use cloud_sim::environment::Environment;
 use cloud_sim::node::NodeType;
 use cloud_sim::temporal::StartTime;
 use meterstick::campaign::Campaign;
-use meterstick_bench::{print_header, run_campaign, tick_threads_from_args};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
+
+use crate::{run_campaign, Cli};
 
 /// Simulated horizon: four hours of wall-clock at 20 Hz.
 const HORIZON_SECS: u64 = 4 * 3600;
@@ -29,22 +30,18 @@ const WINDOW_TICKS: u32 = 1_200;
 /// Retained window summaries: the trailing simulated hour.
 const MAX_WINDOWS: u32 = 60;
 
-fn main() {
-    print_header(
-        "long-horizon-smoke",
-        "4 simulated hours through the windowed aggregator (flat memory)",
-    );
+pub fn run(cli: &Cli) {
     let campaign = Campaign::new()
         .workloads([WorkloadKind::Control])
         .flavors([ServerFlavor::Vanilla])
         .environments([Environment::aws_diurnal(NodeType::aws_t3_xlarge())])
-        .tick_threads([tick_threads_from_args()])
+        .tick_threads([cli.tick_threads])
         .start_times([StartTime::from_day_hour_minute(3, 16, 0)])
         .metrics_window(WINDOW_TICKS, MAX_WINDOWS)
         .duration_secs(HORIZON_SECS)
         .seed(20_260_807)
         .iterations(1);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
     let it = &results.iterations()[0];
     let windowed = it
         .windowed

@@ -1,7 +1,7 @@
 //! Sharded-tick determinism probe: runs the Folia-like sharded flavor over
 //! every workload and prints one summary row per cell.
 //!
-//! The point of this binary is the `--tick-threads N` flag: running it
+//! The point of this entry is the `--tick-threads N` flag: running it
 //! twice with different settings and diffing the `--csv` outputs must
 //! produce **zero differences** — the sharded tick pipeline is bit-identical
 //! at any worker-thread count. CI does exactly that.
@@ -10,16 +10,13 @@ use cloud_sim::environment::Environment;
 use cloud_sim::node::NodeType;
 use cloud_sim::temporal::StartTime;
 use meterstick::campaign::Campaign;
-use meterstick_bench::{duration_from_args, print_header, run_campaigns, tick_threads_from_args};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "sharded-determinism",
-        "Sharded tick pipeline: thread-count invariance probe",
-    );
-    let threads = tick_threads_from_args();
+use crate::{run_campaigns, Cli};
+
+pub fn run(cli: &Cli) {
+    let threads = cli.tick_threads;
     let campaign = Campaign::new()
         .workloads([
             WorkloadKind::Control,
@@ -58,7 +55,7 @@ fn main() {
         // one-tick-lagged queue must replay identically at any thread
         // count).
         .eager_lighting([true, false])
-        .duration_secs(duration_from_args().min(10))
+        .duration_secs(cli.duration_secs().min(10))
         .iterations(1);
     // Temporal twin: the diurnal tenancy process layered over AWS, swept
     // across an off-peak and a peak start of the simulated week. The rows
@@ -75,9 +72,9 @@ fn main() {
             StartTime::from_day_hour_minute(0, 4, 0),
             StartTime::from_day_hour_minute(4, 20, 30),
         ])
-        .duration_secs(duration_from_args().min(10))
+        .duration_secs(cli.duration_secs().min(10))
         .iterations(1);
-    let all_results = run_campaigns(&[&campaign, &temporal]);
+    let all_results = run_campaigns(cli, &[&campaign, &temporal]);
     println!("tick_threads = {threads}");
     println!(
         "{:<10} {:<10} {:>6} {:>10} {:>9}",

@@ -16,43 +16,34 @@
 //! steady redstone-farm load sits close enough to the 50 ms budget that
 //! the diurnal pressure swing moves nodes across it.
 //!
-//! Flags: the shared set (`--full`, `--sequential`, `--progress`,
-//! `--csv PATH`, `--tick-threads N`) plus `--start-time LIST` to replace
-//! the default off-peak/peak pair.
+//! `--start-time LIST` replaces the default off-peak/peak pair.
 
 use cloud_sim::environment::Environment;
 use cloud_sim::node::NodeType;
 use cloud_sim::temporal::StartTime;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{
-    duration_from_args, print_header, run_campaign, start_times_from_args, tick_threads_from_args,
-};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
+
+use crate::{run_campaign, Cli};
 
 /// Pinned base seed: the off-peak/peak adequacy flip below is asserted with
 /// exactly this seed by `tests/end_to_end.rs`.
 const SWEEP_SEED: u64 = 20_260_807;
 
-fn main() {
-    print_header(
-        "start-time-sweep",
-        "Farm node sizing across the simulated week (diurnal tenancy)",
-    );
+pub fn run(cli: &Cli) {
     // The tenancy population only matters once the farm's steady load has
     // ramped up, so this sweep always uses the paper's 60 s iterations.
-    let duration = duration_from_args().max(60);
-    let starts = if std::env::args().any(|a| a == "--start-time") {
-        start_times_from_args()
-    } else {
+    let duration = cli.duration_secs().max(60);
+    let starts = cli.start_times.clone().unwrap_or_else(|| {
         vec![
             // Monday 04:00: weekday trough of the tenancy intensity curve.
             StartTime::from_day_hour_minute(0, 4, 0),
             // Friday 20:30: inside the evening peak window.
             StartTime::from_day_hour_minute(4, 20, 30),
         ]
-    };
+    });
     let nodes = [
         ("L (t3.large)", NodeType::aws_t3_large()),
         ("XL (t3.xlarge)", NodeType::aws_t3_xlarge()),
@@ -66,12 +57,12 @@ fn main() {
                 .iter()
                 .map(|(_, node)| Environment::aws_diurnal(node.clone())),
         )
-        .tick_threads([tick_threads_from_args()])
+        .tick_threads([cli.tick_threads])
         .start_times(starts.iter().copied())
         .duration_secs(duration)
         .seed(SWEEP_SEED)
         .iterations(1);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
 
     let budget_ms = 50.0;
     let mut rows = Vec::new();

@@ -1,13 +1,12 @@
 //! Tables 2 and 3: the workload worlds and the Farm world's constructs.
 
 use meterstick::report::render_table;
-use meterstick_bench::print_header;
 use meterstick_workloads::catalog::{table2_worlds, table3_constructs};
 use meterstick_workloads::WorkloadSpec;
 
-fn main() {
-    print_header("Tables 2 & 3", "Workload worlds and Farm constructs");
+use crate::Cli;
 
+pub fn run(_cli: &Cli) {
     println!("\nTable 2: Minecraft worlds used as workload starting points");
     let rows: Vec<Vec<String>> = table2_worlds()
         .iter()

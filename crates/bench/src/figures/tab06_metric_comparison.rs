@@ -5,13 +5,12 @@
 //! with identical value distributions but different orderings.
 
 use meterstick::report::render_table;
-use meterstick_bench::print_header;
 use meterstick_metrics::compare::{allan_variance, rfc3550_jitter, std_dev, table6};
 use meterstick_metrics::isr::{instability_ratio, IsrParams};
 
-fn main() {
-    print_header("Table 6", "ISR vs existing variability metrics");
+use crate::Cli;
 
+pub fn run(_cli: &Cli) {
     println!("\nProperty matrix:");
     let rows: Vec<Vec<String>> = table6()
         .iter()

@@ -2,10 +2,10 @@
 
 use cloud_sim::recommendations::{summarize, table7_recommendations};
 use meterstick::report::render_table;
-use meterstick_bench::print_header;
 
-fn main() {
-    print_header("Table 7", "Hosting-provider hardware recommendations");
+use crate::Cli;
+
+pub fn run(_cli: &Cli) {
     let recs = table7_recommendations();
     let rows: Vec<Vec<String>> = recs
         .iter()

@@ -7,25 +7,22 @@
 use cloud_sim::environment::Environment;
 use meterstick::campaign::Campaign;
 use meterstick::report::render_table;
-use meterstick_bench::{duration_from_args, print_header, run_campaign};
 use meterstick_workloads::WorkloadKind;
 use mlg_protocol::TrafficCategory;
 use mlg_server::ServerFlavor;
 
-fn main() {
-    print_header(
-        "Table 8 (MF4)",
-        "Entity-related share of clientbound messages and bytes on AWS",
-    );
+use crate::{run_campaign, Cli};
+
+pub fn run(cli: &Cli) {
     let environment = Environment::aws_default();
     let workloads = [WorkloadKind::Control, WorkloadKind::Farm, WorkloadKind::Tnt];
     let campaign = Campaign::new()
         .workloads(workloads)
         .flavors(ServerFlavor::all())
         .environments([environment.clone()])
-        .duration_secs(duration_from_args())
+        .duration_secs(cli.duration_secs())
         .iterations(1);
-    let results = run_campaign(&campaign);
+    let results = run_campaign(cli, &campaign);
 
     let mut rows = Vec::new();
     for flavor in ServerFlavor::all() {

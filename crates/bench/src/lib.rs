@@ -1,10 +1,12 @@
-//! Shared helpers for the Meterstick benchmark harness binaries.
+//! The Meterstick benchmark harness front-end: one binary, one parsed
+//! command line, one table of figures.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the experiment index); the helpers here keep their
-//! output format consistent and their run times reasonable. All experiment
-//! execution goes through [`Campaign`] plans; every binary therefore
-//! understands the same execution flags:
+//! `meterstick-bench <name> [flags]` regenerates one table or figure of
+//! the paper, or runs one ablation or probe; [`FIGURES`] is the index.
+//! Each entry is a plain `fn(&Cli)`, so a scorecard can call the same
+//! functions in-process. All experiment execution goes through
+//! [`Campaign`] plans, and the command line is parsed once, by
+//! [`Cli::parse`], into the flags every entry shares:
 //!
 //! * `--full` — use the paper's 60-second iterations instead of the quick
 //!   default;
@@ -21,6 +23,12 @@
 //!   which iterations start (`fri-20:30` labels or plain minutes since
 //!   Monday 00:00). A seed-excluded sweep axis: only environments with a
 //!   non-flat temporal profile react to it.
+//!
+//! Anything else on the command line — an unknown figure, an unknown or
+//! misspelt flag, a flag without its value — is an error, never ignored.
+//!
+//! This crate measures no host time: the repository's one host-time
+//! instrument is `benchmark/` (`bash benchmark/run.sh`).
 
 #![forbid(unsafe_code)]
 
@@ -34,68 +42,168 @@ use meterstick::sink::{CsvSink, NullSink, ProgressSink, TeeSink};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-/// Duration (virtual seconds) used by the figure-regeneration binaries.
-///
-/// The paper uses 60-second iterations; the default here is shorter so every
-/// figure regenerates in seconds of wall-clock time. Pass `--full` to any
-/// binary to use the paper's 60-second iterations.
-pub const QUICK_DURATION_SECS: u64 = 30;
+mod figures;
 
-/// Returns the iteration duration to use, honouring a `--full` CLI flag.
-#[must_use]
-pub fn duration_from_args() -> u64 {
-    if std::env::args().any(|a| a == "--full") {
-        60
-    } else {
-        QUICK_DURATION_SECS
+pub use figures::{Figure, FIGURES};
+
+/// The parsed command line: the flags shared by every [`FIGURES`] entry.
+#[derive(Debug, PartialEq)]
+pub struct Cli {
+    /// `--full`: the paper's 60-second iterations.
+    pub full: bool,
+    /// `--sequential`: [`SequentialExecutor`] instead of the default
+    /// [`ParallelExecutor`].
+    pub sequential: bool,
+    /// `--progress`: one progress line per finished iteration on stderr.
+    pub progress: bool,
+    /// `--csv PATH`: stream one CSV row per finished iteration into `PATH`.
+    pub csv: Option<String>,
+    /// `--tick-threads N`: tick-pipeline worker threads (default 1, the
+    /// sequential reference path).
+    pub tick_threads: u32,
+    /// `--start-time LIST`: the simulated-week start times, `None` when
+    /// the flag is absent (most entries then start Monday 00:00;
+    /// `start_time_sweep` substitutes its off-peak/peak pair).
+    pub start_times: Option<Vec<StartTime>>,
+}
+
+impl Default for Cli {
+    fn default() -> Self {
+        Cli {
+            full: false,
+            sequential: false,
+            progress: false,
+            csv: None,
+            tick_threads: 1,
+            start_times: None,
+        }
     }
 }
 
-/// The executor selected by the CLI flags: the thread-based
-/// [`ParallelExecutor`] by default, [`SequentialExecutor`] with
-/// `--sequential`.
-#[must_use]
-pub fn executor_from_args() -> Box<dyn Executor> {
-    if std::env::args().any(|a| a == "--sequential") {
-        Box::new(SequentialExecutor)
-    } else {
-        Box::new(ParallelExecutor::default())
+impl Cli {
+    /// Parses `<figure> [flags]` — the process arguments without the
+    /// program name — into the selected [`FIGURES`] entry and its flags.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending token for an unknown figure
+    /// name, an unknown flag, or a flag whose value is missing or
+    /// malformed; returns the usage listing when no figure is named.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(&'static Figure, Cli), String> {
+        let mut args = args.into_iter();
+        let name = args.next().ok_or_else(usage)?;
+        let figure = FIGURES
+            .iter()
+            .find(|(known, _, _)| *known == name)
+            .ok_or_else(|| format!("unknown figure {name:?}\n{}", usage()))?;
+        let mut cli = Cli::default();
+        while let Some(flag) = args.next() {
+            // A flag-like value means the real one was forgotten; fail
+            // before the (potentially long) campaign runs.
+            let mut value = |what: &str| {
+                args.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} requires {what}"))
+            };
+            match flag.as_str() {
+                "--full" => cli.full = true,
+                "--sequential" => cli.sequential = true,
+                "--progress" => cli.progress = true,
+                "--csv" => cli.csv = Some(value("a file path")?),
+                "--tick-threads" => {
+                    let raw = value("a thread count")?;
+                    cli.tick_threads = raw
+                        .parse()
+                        .map_err(|_| format!("--tick-threads: {raw:?} is not a thread count"))?;
+                }
+                "--start-time" => {
+                    let raw = value("a comma-separated list like fri-20:30,mon-04:00")?;
+                    cli.start_times = Some(parse_start_times(&raw)?);
+                }
+                _ => return Err(format!("unknown flag {flag:?}\n{USAGE}")),
+            }
+        }
+        Ok((figure, cli))
+    }
+
+    /// The iteration duration in virtual seconds: the paper's 60 with
+    /// `--full`, otherwise 30 so every figure regenerates in seconds of
+    /// wall-clock time.
+    #[must_use]
+    pub fn duration_secs(&self) -> u64 {
+        if self.full {
+            60
+        } else {
+            30
+        }
+    }
+
+    fn executor(&self) -> Box<dyn Executor> {
+        if self.sequential {
+            Box::new(SequentialExecutor)
+        } else {
+            Box::new(ParallelExecutor::default())
+        }
     }
 }
 
-/// Runs a campaign with the executor and streaming sinks selected by the
-/// CLI flags (see the crate docs for the flag list).
+fn parse_start_times(raw: &str) -> Result<Vec<StartTime>, String> {
+    raw.split(',')
+        .map(|item| {
+            let item = item.trim();
+            StartTime::parse(item)
+                .or_else(|| item.parse::<u32>().ok().map(StartTime::from_minutes))
+                .ok_or_else(|| {
+                    format!(
+                        "--start-time: cannot parse {item:?} \
+                         (expected day-hh:mm like fri-20:30, or minutes)"
+                    )
+                })
+        })
+        .collect()
+}
+
+const USAGE: &str = "usage: meterstick-bench <figure> [--full] [--sequential] [--progress] \
+                     [--csv PATH] [--tick-threads N] [--start-time LIST]";
+
+fn usage() -> String {
+    let mut text = format!("{USAGE}\n\nfigures:\n");
+    for (name, title, _) in FIGURES {
+        text.push_str(&format!("  {name:<27} {title}\n"));
+    }
+    text
+}
+
+/// Runs a campaign with the executor and streaming sinks selected on the
+/// command line (see the crate docs for the flag list).
 ///
 /// # Panics
 ///
 /// Panics with a readable message when the campaign configuration is
-/// invalid or `--csv PATH` cannot be created — these binaries have no
+/// invalid or `--csv PATH` cannot be created — figure entries have no
 /// caller to propagate errors to.
 #[must_use]
-pub fn run_campaign(campaign: &Campaign) -> CampaignResults {
-    run_campaigns(&[campaign])
+pub fn run_campaign(cli: &Cli, campaign: &Campaign) -> CampaignResults {
+    run_campaigns(cli, &[campaign])
         .pop()
         .expect("one campaign in, one result set out")
 }
 
-/// Runs several campaigns back to back through the *same* CLI-selected
-/// sinks, so a `--csv PATH` stream holds every campaign's rows under a
-/// single header. Used by probes that pair a stationary pass with a
-/// temporal one.
+/// Runs several campaigns back to back through the *same* sinks, so a
+/// `--csv PATH` stream holds every campaign's rows under a single header.
+/// Used by probes that pair a stationary pass with a temporal one.
 ///
 /// # Panics
 ///
 /// Panics with a readable message when a campaign configuration is invalid
-/// or `--csv PATH` cannot be created — these binaries have no caller to
+/// or `--csv PATH` cannot be created — figure entries have no caller to
 /// propagate errors to.
 #[must_use]
-pub fn run_campaigns(campaigns: &[&Campaign]) -> Vec<CampaignResults> {
-    let executor = executor_from_args();
-    let mut progress = std::env::args()
-        .any(|a| a == "--progress")
-        .then(|| ProgressSink::new(std::io::stderr()));
-    let mut csv = csv_path_from_args().map(|path| {
-        let file = File::create(&path)
+pub fn run_campaigns(cli: &Cli, campaigns: &[&Campaign]) -> Vec<CampaignResults> {
+    let executor = cli.executor();
+    let mut progress = cli.progress.then(|| ProgressSink::new(std::io::stderr()));
+    let mut csv = cli.csv.as_ref().map(|path| {
+        let file = File::create(path)
             .unwrap_or_else(|err| panic!("cannot create --csv file {path:?}: {err}"));
         CsvSink::new(file)
     });
@@ -119,113 +227,140 @@ pub fn run_campaigns(campaigns: &[&Campaign]) -> Vec<CampaignResults> {
     all
 }
 
-fn csv_path_from_args() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--csv" {
-            // A missing or flag-like value is a mistyped invocation; fail
-            // before the (potentially long) campaign runs rather than
-            // silently producing no CSV.
-            let path = args.next().filter(|p| !p.starts_with("--"));
-            return Some(path.unwrap_or_else(|| panic!("--csv requires a file path argument")));
-        }
-    }
-    None
-}
-
-/// The tick-pipeline worker thread count selected by `--tick-threads N`
-/// (default 1, the sequential reference path).
-///
-/// # Panics
-///
-/// Panics when the flag is present without a valid number.
+/// Runs one iteration of one workload on one flavor in the default AWS
+/// environment and returns the results. Seeds are fixed so figures are
+/// reproducible run-to-run.
 #[must_use]
-pub fn tick_threads_from_args() -> u32 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--tick-threads" {
-            let value = args.next().and_then(|v| v.parse().ok());
-            return value.unwrap_or_else(|| panic!("--tick-threads requires a thread count"));
-        }
-    }
-    1
-}
-
-/// The simulated-week start times selected by `--start-time LIST`
-/// (comma-separated `day-hh:mm` labels like `fri-20:30`, or plain integer
-/// minutes since Monday 00:00). Defaults to `[StartTime::MONDAY_MIDNIGHT]`
-/// when the flag is absent.
-///
-/// # Panics
-///
-/// Panics when the flag is present without a parsable value.
-#[must_use]
-pub fn start_times_from_args() -> Vec<StartTime> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--start-time" {
-            let raw = args
-                .next()
-                .filter(|v| !v.starts_with("--"))
-                .unwrap_or_else(|| {
-                    panic!("--start-time requires a comma-separated list like fri-20:30,mon-04:00")
-                });
-            return raw
-                .split(',')
-                .map(|item| {
-                    let item = item.trim();
-                    StartTime::parse(item)
-                        .or_else(|| item.parse::<u32>().ok().map(StartTime::from_minutes))
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "--start-time: cannot parse {item:?} \
-                                 (expected day-hh:mm like fri-20:30, or minutes)"
-                            )
-                        })
-                })
-                .collect();
-        }
-    }
-    vec![StartTime::MONDAY_MIDNIGHT]
-}
-
-/// Runs one workload for one flavor set in one environment and returns the
-/// results. Seeds are fixed so figures are reproducible run-to-run.
-#[must_use]
-pub fn run(
-    workload: WorkloadKind,
-    flavors: &[ServerFlavor],
-    environment: Environment,
-    duration_secs: u64,
-    iterations: u32,
-) -> CampaignResults {
+pub fn run_on_aws(cli: &Cli, workload: WorkloadKind, flavor: ServerFlavor) -> CampaignResults {
+    let start_times = cli.start_times.clone();
     let campaign = Campaign::new()
         .workloads([workload])
-        .flavors(flavors.iter().copied())
-        .environments([environment])
-        .tick_threads([tick_threads_from_args()])
-        .start_times(start_times_from_args())
-        .duration_secs(duration_secs)
-        .iterations(iterations);
-    run_campaign(&campaign)
+        .flavors([flavor])
+        .environments([Environment::aws_default()])
+        .tick_threads([cli.tick_threads])
+        .start_times(start_times.unwrap_or_else(|| vec![StartTime::MONDAY_MIDNIGHT]))
+        .duration_secs(cli.duration_secs())
+        .iterations(1);
+    run_campaign(cli, &campaign)
 }
 
-/// The three standard environments of the paper's Figure 8: AWS 2-core,
-/// DAS-5 2-core and DAS-5 16-core.
-#[must_use]
-pub fn figure8_environments() -> Vec<Environment> {
-    vec![
-        Environment::aws_default(),
-        Environment::das5(2),
-        Environment::das5(16),
-    ]
-}
-
-/// Prints a section header for a figure/table binary.
-pub fn print_header(id: &str, title: &str) {
+/// Prints the section header of a [`FIGURES`] entry, given its title.
+pub fn print_header(title: &str) {
     println!("==============================================================");
-    println!("{id}: {title}");
+    println!("{title}");
     println!("(reproduction; shapes comparable to the paper, absolute numbers");
-    println!(" depend on the simulated substrate — see EXPERIMENTS.md)");
+    println!(" depend on the simulated substrate — see docs/ARCHITECTURE.md)");
     println!("==============================================================");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(&'static Figure, Cli), String> {
+        Cli::parse(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn every_flag_round_trips() {
+        let (figure, cli) = parse(&["fig01_response_time"]).unwrap();
+        assert_eq!(figure.0, "fig01_response_time");
+        assert_eq!(cli, Cli::default());
+        assert_eq!(cli.duration_secs(), 30);
+
+        let (figure, cli) = parse(&[
+            "sharded_determinism",
+            "--full",
+            "--sequential",
+            "--progress",
+            "--csv",
+            "/tmp/out.csv",
+            "--tick-threads",
+            "8",
+            "--start-time",
+            "fri-20:30, 240",
+        ])
+        .unwrap();
+        assert_eq!(figure.0, "sharded_determinism");
+        let starts = vec![
+            StartTime::from_day_hour_minute(4, 20, 30),
+            StartTime::from_minutes(240),
+        ];
+        assert_eq!(
+            cli,
+            Cli {
+                full: true,
+                sequential: true,
+                progress: true,
+                csv: Some("/tmp/out.csv".into()),
+                tick_threads: 8,
+                start_times: Some(starts),
+            }
+        );
+        assert_eq!(cli.duration_secs(), 60);
+    }
+
+    #[test]
+    fn mistyped_invocations_are_errors_naming_the_token() {
+        for (args, token) in [
+            (
+                &["sharded_determinism", "--tick-thread", "4"][..],
+                "--tick-thread",
+            ),
+            (&["fig01_response_time", "--csv"][..], "--csv"),
+            (&["fig01_response_time", "--csv", "--full"][..], "--csv"),
+            (
+                &["start_time_sweep", "--start-time", "someday-25:00"][..],
+                "someday-25:00",
+            ),
+            (
+                &["sharded_determinism", "--tick-threads", "four"][..],
+                "four",
+            ),
+            (
+                &["sharded_determinism", "--tick-threads"][..],
+                "--tick-threads",
+            ),
+            (&["nope"][..], "nope"),
+            (&["--sequential"][..], "--sequential"),
+        ] {
+            let err = parse(args).expect_err("must not parse");
+            assert!(err.contains(token), "{args:?}: {err}");
+        }
+        // No figure at all: the usage text, listing every entry.
+        let usage = parse(&[]).expect_err("a figure name is required");
+        for (name, _, _) in FIGURES {
+            assert!(usage.contains(name), "usage must list {name}");
+        }
+    }
+
+    #[test]
+    fn figures_table_is_the_nineteen_former_binaries() {
+        let mut names: Vec<&str> = FIGURES.iter().map(|(name, _, _)| *name).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "ablation_cloud_model",
+                "ablation_paper_opts",
+                "calibrate",
+                "daemon_smoke",
+                "fig01_response_time",
+                "fig06_isr_analysis",
+                "fig07_response_variability",
+                "fig08_isr_workloads",
+                "fig09_tick_timeseries",
+                "fig10_cloud_variability",
+                "fig11_tick_distribution",
+                "fig12_node_sizes",
+                "long_horizon_smoke",
+                "sharded_determinism",
+                "start_time_sweep",
+                "tab02_worlds",
+                "tab06_metric_comparison",
+                "tab07_recommendations",
+                "tab08_entity_messages",
+            ]
+        );
+    }
 }

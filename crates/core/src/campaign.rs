@@ -47,8 +47,10 @@ use crate::deployment::DeploymentPlan;
 use crate::error::BenchmarkError;
 use crate::executor::{Executor, SequentialExecutor};
 use crate::experiment::execute_iteration;
-use crate::results::{ExperimentResults, IterationResult};
+use crate::results::IterationResult;
 use crate::sink::{NullSink, ResultSink};
+
+pub use crate::results::{CampaignResults, CellSummary};
 
 /// Position of a cell in the campaign's factorial grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,189 +154,6 @@ impl CampaignPlan {
     #[must_use]
     pub fn deployment(&self) -> &DeploymentPlan {
         &self.deployment
-    }
-}
-
-/// Aggregate results of a campaign run, in plan order.
-///
-/// Wraps [`ExperimentResults`] and adds campaign-level grouping views; all
-/// per-flavor accessors of the wrapped type are re-exposed so existing
-/// reporting code keeps working.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignResults {
-    results: ExperimentResults,
-    coords: Vec<CellCoord>,
-}
-
-/// Per-cell aggregate produced by [`CampaignResults::cell_summaries`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellSummary {
-    /// The cell's workload.
-    pub workload: WorkloadKind,
-    /// The cell's server flavor.
-    pub flavor: ServerFlavor,
-    /// The cell's environment label.
-    pub environment: String,
-    /// Number of iterations recorded for the cell.
-    pub iterations: usize,
-    /// Number of crashed iterations.
-    pub crashes: usize,
-    /// Mean Instability Ratio over the cell's iterations.
-    pub mean_isr: f64,
-}
-
-impl CampaignResults {
-    pub(crate) fn from_ordered(plan: &CampaignPlan, iterations: Vec<IterationResult>) -> Self {
-        let coords = plan.jobs().iter().map(|job| job.coord).collect();
-        let mut results = ExperimentResults::new();
-        results.extend(iterations);
-        CampaignResults { results, coords }
-    }
-
-    /// The grid coordinate of each result, parallel to [`Self::iterations`].
-    ///
-    /// This is the authoritative cell identity: unlike environment *labels*,
-    /// coordinates distinguish two environments that happen to share a label
-    /// (e.g. two "AWS 2-core" variants with different interference
-    /// profiles).
-    #[must_use]
-    pub fn coords(&self) -> &[CellCoord] {
-        &self.coords
-    }
-
-    /// Results of one exact grid cell, identified by coordinate.
-    #[must_use]
-    pub fn for_coord(&self, coord: CellCoord) -> Vec<&IterationResult> {
-        self.iterations()
-            .iter()
-            .zip(&self.coords)
-            .filter(|(_, c)| **c == coord)
-            .map(|(r, _)| r)
-            .collect()
-    }
-
-    /// All iteration results in plan order.
-    #[must_use]
-    pub fn iterations(&self) -> &[IterationResult] {
-        self.results.iterations()
-    }
-
-    /// Results of one flavor across every cell.
-    #[must_use]
-    pub fn for_flavor(&self, flavor: ServerFlavor) -> Vec<&IterationResult> {
-        self.results.for_flavor(flavor)
-    }
-
-    /// Results of one workload across every cell.
-    #[must_use]
-    pub fn for_workload(&self, workload: WorkloadKind) -> Vec<&IterationResult> {
-        self.iterations()
-            .iter()
-            .filter(|r| r.workload == workload)
-            .collect()
-    }
-
-    /// Results of one environment (by label) across every cell.
-    ///
-    /// Environments with identical labels are pooled; use
-    /// [`Self::for_coord`] when a campaign contains same-label variants.
-    #[must_use]
-    pub fn for_environment(&self, label: &str) -> Vec<&IterationResult> {
-        self.iterations()
-            .iter()
-            .filter(|r| r.environment == label)
-            .collect()
-    }
-
-    /// Results of one exact grid cell, identified by (workload, flavor,
-    /// environment label).
-    ///
-    /// Environments with identical labels are pooled; use
-    /// [`Self::for_coord`] when a campaign contains same-label variants.
-    #[must_use]
-    pub fn for_cell(
-        &self,
-        workload: WorkloadKind,
-        flavor: ServerFlavor,
-        environment: &str,
-    ) -> Vec<&IterationResult> {
-        self.iterations()
-            .iter()
-            .filter(|r| {
-                r.workload == workload && r.flavor == flavor && r.environment == environment
-            })
-            .collect()
-    }
-
-    /// The ISR values of every iteration of one flavor.
-    #[must_use]
-    pub fn isr_values(&self, flavor: ServerFlavor) -> Vec<f64> {
-        self.results.isr_values(flavor)
-    }
-
-    /// All tick busy times of one flavor, pooled across iterations.
-    #[must_use]
-    pub fn pooled_tick_times(&self, flavor: ServerFlavor) -> Vec<f64> {
-        self.results.pooled_tick_times(flavor)
-    }
-
-    /// All response-time samples of one flavor, pooled across iterations.
-    #[must_use]
-    pub fn pooled_response_times(&self, flavor: ServerFlavor) -> Vec<f64> {
-        self.results.pooled_response_times(flavor)
-    }
-
-    /// Number of crashed iterations of one flavor.
-    #[must_use]
-    pub fn crash_count(&self, flavor: ServerFlavor) -> usize {
-        self.results.crash_count(flavor)
-    }
-
-    /// One aggregate row per grid cell, in plan order.
-    ///
-    /// Cells are grouped by grid *coordinate*, so two environments sharing
-    /// a label still produce separate rows.
-    #[must_use]
-    pub fn cell_summaries(&self) -> Vec<CellSummary> {
-        let mut seen: Vec<CellCoord> = Vec::new();
-        let mut summaries: Vec<CellSummary> = Vec::new();
-        for (it, coord) in self.iterations().iter().zip(&self.coords) {
-            match seen.iter().position(|c| c == coord) {
-                Some(idx) => {
-                    let cell = &mut summaries[idx];
-                    cell.iterations += 1;
-                    cell.crashes += usize::from(it.crashed());
-                    cell.mean_isr += it.instability_ratio;
-                }
-                None => {
-                    seen.push(*coord);
-                    summaries.push(CellSummary {
-                        workload: it.workload,
-                        flavor: it.flavor,
-                        environment: it.environment.clone(),
-                        iterations: 1,
-                        crashes: usize::from(it.crashed()),
-                        mean_isr: it.instability_ratio,
-                    });
-                }
-            }
-        }
-        for cell in &mut summaries {
-            cell.mean_isr /= cell.iterations as f64;
-        }
-        summaries
-    }
-
-    /// Borrow the wrapped flat result set.
-    #[must_use]
-    pub fn as_experiment_results(&self) -> &ExperimentResults {
-        &self.results
-    }
-
-    /// Convert into the wrapped flat result set.
-    #[must_use]
-    pub fn into_experiment_results(self) -> ExperimentResults {
-        self.results
     }
 }
 
@@ -575,8 +394,9 @@ impl Campaign {
         self
     }
 
-    /// Number of grid cells (workloads × environments × flavors ×
-    /// tick-thread settings).
+    /// Number of grid cells: the product of the seven sweep axes
+    /// (workloads × environments × flavors × tick-thread settings ×
+    /// shard-rebalance settings × lighting modes × start times).
     #[must_use]
     pub fn cell_count(&self) -> usize {
         self.workloads.len()

@@ -96,5 +96,5 @@ pub use config::BenchmarkConfig;
 pub use error::BenchmarkError;
 pub use executor::{Executor, ParallelExecutor, SequentialExecutor};
 pub use experiment::{execute_iteration_observed, NoopTickObserver, TickObserver};
-pub use results::{ExperimentResults, IterationResult};
+pub use results::IterationResult;
 pub use sink::{CsvSink, JsonlSink, NullSink, ProgressSink, ResultSink, TickSample};

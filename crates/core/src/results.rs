@@ -10,6 +10,8 @@ use meterstick_workloads::WorkloadKind;
 use mlg_protocol::TrafficSummary;
 use mlg_server::{ServerFlavor, TickStageBreakdown};
 
+use crate::campaign::{CampaignPlan, CellCoord};
+
 /// Everything recorded for one iteration of one flavor under one workload.
 #[derive(Debug, Clone)]
 pub struct IterationResult {
@@ -80,31 +82,66 @@ impl IterationResult {
     }
 }
 
-/// All iterations of one benchmark run.
+/// Aggregate results of a campaign run, in plan order, with per-flavor,
+/// per-workload and per-cell grouping views.
 #[derive(Debug, Clone, Default)]
-pub struct ExperimentResults {
+pub struct CampaignResults {
     iterations: Vec<IterationResult>,
+    coords: Vec<CellCoord>,
 }
 
-impl ExperimentResults {
-    /// Creates an empty result set.
+/// Per-cell aggregate produced by [`CampaignResults::cell_summaries`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellSummary {
+    /// The cell's workload.
+    pub workload: WorkloadKind,
+    /// The cell's server flavor.
+    pub flavor: ServerFlavor,
+    /// The cell's environment label.
+    pub environment: String,
+    /// Number of iterations recorded for the cell.
+    pub iterations: usize,
+    /// Number of crashed iterations.
+    pub crashes: usize,
+    /// Mean Instability Ratio over the cell's iterations.
+    pub mean_isr: f64,
+}
+
+impl CampaignResults {
+    pub(crate) fn from_ordered(plan: &CampaignPlan, iterations: Vec<IterationResult>) -> Self {
+        let coords = plan.jobs().iter().map(|job| job.coord).collect();
+        CampaignResults { iterations, coords }
+    }
+
+    /// The grid coordinate of each result, parallel to [`Self::iterations`].
+    ///
+    /// This is the authoritative cell identity: unlike environment *labels*,
+    /// coordinates distinguish two environments that happen to share a label
+    /// (e.g. two "AWS 2-core" variants with different interference
+    /// profiles).
     #[must_use]
-    pub fn new() -> Self {
-        ExperimentResults::default()
+    pub fn coords(&self) -> &[CellCoord] {
+        &self.coords
     }
 
-    /// Adds one iteration result.
-    pub fn push(&mut self, result: IterationResult) {
-        self.iterations.push(result);
+    /// Results of one exact grid cell, identified by coordinate.
+    #[must_use]
+    pub fn for_coord(&self, coord: CellCoord) -> Vec<&IterationResult> {
+        self.iterations()
+            .iter()
+            .zip(&self.coords)
+            .filter(|(_, c)| **c == coord)
+            .map(|(r, _)| r)
+            .collect()
     }
 
-    /// All iteration results in execution order.
+    /// All iteration results in plan order.
     #[must_use]
     pub fn iterations(&self) -> &[IterationResult] {
         &self.iterations
     }
 
-    /// Iteration results for one flavor.
+    /// Results of one flavor across every cell.
     #[must_use]
     pub fn for_flavor(&self, flavor: ServerFlavor) -> Vec<&IterationResult> {
         self.iterations
@@ -113,16 +150,32 @@ impl ExperimentResults {
             .collect()
     }
 
-    /// Iteration results for one flavor and workload.
+    /// Results of one workload across every cell.
     #[must_use]
-    pub fn for_flavor_and_workload(
-        &self,
-        flavor: ServerFlavor,
-        workload: WorkloadKind,
-    ) -> Vec<&IterationResult> {
-        self.iterations
+    pub fn for_workload(&self, workload: WorkloadKind) -> Vec<&IterationResult> {
+        self.iterations()
             .iter()
-            .filter(|r| r.flavor == flavor && r.workload == workload)
+            .filter(|r| r.workload == workload)
+            .collect()
+    }
+
+    /// Results of one exact grid cell, identified by (workload, flavor,
+    /// environment label).
+    ///
+    /// Environments with identical labels are pooled; use
+    /// [`Self::for_coord`] when a campaign contains same-label variants.
+    #[must_use]
+    pub fn for_cell(
+        &self,
+        workload: WorkloadKind,
+        flavor: ServerFlavor,
+        environment: &str,
+    ) -> Vec<&IterationResult> {
+        self.iterations()
+            .iter()
+            .filter(|r| {
+                r.workload == workload && r.flavor == flavor && r.environment == environment
+            })
             .collect()
     }
 
@@ -144,16 +197,7 @@ impl ExperimentResults {
             .collect()
     }
 
-    /// All response-time samples of one flavor, pooled across iterations.
-    #[must_use]
-    pub fn pooled_response_times(&self, flavor: ServerFlavor) -> Vec<f64> {
-        self.for_flavor(flavor)
-            .iter()
-            .flat_map(|r| r.response_samples.clone())
-            .collect()
-    }
-
-    /// Number of iterations that ended in a crash, per flavor.
+    /// Number of crashed iterations of one flavor.
     #[must_use]
     pub fn crash_count(&self, flavor: ServerFlavor) -> usize {
         self.for_flavor(flavor)
@@ -162,15 +206,39 @@ impl ExperimentResults {
             .count()
     }
 
-    /// Merges another result set into this one.
-    pub fn merge(&mut self, other: ExperimentResults) {
-        self.iterations.extend(other.iterations);
-    }
-}
-
-impl Extend<IterationResult> for ExperimentResults {
-    fn extend<T: IntoIterator<Item = IterationResult>>(&mut self, iter: T) {
-        self.iterations.extend(iter);
+    /// One aggregate row per grid cell, in plan order.
+    ///
+    /// Cells are grouped by grid *coordinate*, so two environments sharing
+    /// a label still produce separate rows.
+    #[must_use]
+    pub fn cell_summaries(&self) -> Vec<CellSummary> {
+        let mut seen: Vec<CellCoord> = Vec::new();
+        let mut summaries: Vec<CellSummary> = Vec::new();
+        for (it, coord) in self.iterations().iter().zip(&self.coords) {
+            match seen.iter().position(|c| c == coord) {
+                Some(idx) => {
+                    let cell = &mut summaries[idx];
+                    cell.iterations += 1;
+                    cell.crashes += usize::from(it.crashed());
+                    cell.mean_isr += it.instability_ratio;
+                }
+                None => {
+                    seen.push(*coord);
+                    summaries.push(CellSummary {
+                        workload: it.workload,
+                        flavor: it.flavor,
+                        environment: it.environment.clone(),
+                        iterations: 1,
+                        crashes: usize::from(it.crashed()),
+                        mean_isr: it.instability_ratio,
+                    });
+                }
+            }
+        }
+        for cell in &mut summaries {
+            cell.mean_isr /= cell.iterations as f64;
+        }
+        summaries
     }
 }
 
@@ -214,32 +282,28 @@ mod tests {
         }
     }
 
+    /// A result set over hand-built iterations. The flavor- and
+    /// label-keyed views under test never read the coordinates.
+    fn results(iterations: Vec<IterationResult>) -> CampaignResults {
+        CampaignResults {
+            iterations,
+            coords: Vec::new(),
+        }
+    }
+
     #[test]
     fn grouping_by_flavor_and_workload() {
-        let mut results = ExperimentResults::new();
-        results.push(iteration(
-            ServerFlavor::Vanilla,
-            WorkloadKind::Control,
-            0.01,
-            false,
-        ));
-        results.push(iteration(
-            ServerFlavor::Vanilla,
-            WorkloadKind::Tnt,
-            0.2,
-            false,
-        ));
-        results.push(iteration(
-            ServerFlavor::Paper,
-            WorkloadKind::Tnt,
-            0.05,
-            false,
-        ));
+        let results = results(vec![
+            iteration(ServerFlavor::Vanilla, WorkloadKind::Control, 0.01, false),
+            iteration(ServerFlavor::Vanilla, WorkloadKind::Tnt, 0.2, false),
+            iteration(ServerFlavor::Paper, WorkloadKind::Tnt, 0.05, false),
+        ]);
         assert_eq!(results.iterations().len(), 3);
         assert_eq!(results.for_flavor(ServerFlavor::Vanilla).len(), 2);
+        assert_eq!(results.for_workload(WorkloadKind::Tnt).len(), 2);
         assert_eq!(
             results
-                .for_flavor_and_workload(ServerFlavor::Vanilla, WorkloadKind::Tnt)
+                .for_cell(WorkloadKind::Tnt, ServerFlavor::Vanilla, "AWS 2-core")
                 .len(),
             1
         );
@@ -248,38 +312,19 @@ mod tests {
 
     #[test]
     fn pooled_views_concatenate_iterations() {
-        let mut results = ExperimentResults::new();
-        results.push(iteration(
-            ServerFlavor::Forge,
-            WorkloadKind::Players,
-            0.01,
-            false,
-        ));
-        results.push(iteration(
-            ServerFlavor::Forge,
-            WorkloadKind::Players,
-            0.02,
-            false,
-        ));
+        let results = results(vec![
+            iteration(ServerFlavor::Forge, WorkloadKind::Players, 0.01, false),
+            iteration(ServerFlavor::Forge, WorkloadKind::Players, 0.02, false),
+        ]);
         assert_eq!(results.pooled_tick_times(ServerFlavor::Forge).len(), 20);
-        assert_eq!(results.pooled_response_times(ServerFlavor::Forge).len(), 4);
     }
 
     #[test]
     fn crash_counting() {
-        let mut results = ExperimentResults::new();
-        results.push(iteration(
-            ServerFlavor::Vanilla,
-            WorkloadKind::Lag,
-            0.9,
-            true,
-        ));
-        results.push(iteration(
-            ServerFlavor::Vanilla,
-            WorkloadKind::Lag,
-            0.9,
-            false,
-        ));
+        let results = results(vec![
+            iteration(ServerFlavor::Vanilla, WorkloadKind::Lag, 0.9, true),
+            iteration(ServerFlavor::Vanilla, WorkloadKind::Lag, 0.9, false),
+        ]);
         assert_eq!(results.crash_count(ServerFlavor::Vanilla), 1);
         assert!(results.iterations()[0].crashed());
     }

@@ -186,7 +186,7 @@ mod tests {
         let root = classify("crates/core/src/lib.rs").unwrap();
         assert!(root.is_crate_root);
 
-        let bin = classify("crates/bench/src/bin/calibrate.rs").unwrap();
+        let bin = classify("crates/bench/src/main.rs").unwrap();
         assert_eq!(bin.kind, TargetKind::Bin);
 
         let umbrella = classify("src/lib.rs").unwrap();

@@ -254,7 +254,7 @@ impl std::fmt::Display for ServerFlavor {
 ///
 /// The profile can also be constructed directly (rather than through
 /// [`ServerFlavor::profile`]) to run ablation studies on individual
-/// optimizations, as `meterstick-bench`'s `ablation_paper_opts` binary does.
+/// optimizations, as `meterstick-bench ablation_paper_opts` does.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlavorProfile {
     /// Which flavor this profile belongs to.

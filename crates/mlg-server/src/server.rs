@@ -148,10 +148,8 @@ pub struct GameServer {
     /// The server's persistent tick worker pool: `tick_threads - 1` parked
     /// workers spawned once here and reused by every parallel phase of
     /// every tick (the pipeline holds a shared handle). `None` when
-    /// `tick_threads <= 1` (phases run inline) or when a bench/test
-    /// explicitly disabled it via [`GameServer::set_worker_pool_enabled`]
-    /// to measure the per-phase scoped-thread fallback. Dropped — and its
-    /// workers joined — with the server.
+    /// `tick_threads <= 1` (phases run inline). Dropped — and its workers
+    /// joined — with the server.
     pool: Option<Arc<TickWorkerPool>>,
     world: World,
     terrain: TerrainSimulator,
@@ -340,37 +338,6 @@ impl GameServer {
     #[must_use]
     pub fn pipeline(&self) -> &TickPipeline {
         &self.pipeline
-    }
-
-    /// Enables or disables the persistent tick worker pool.
-    ///
-    /// A bench/ablation/test hook, not a modeled-architecture knob: with the
-    /// pool disabled every parallel phase falls back to per-phase scoped
-    /// threads (the pre-pool execution model), which produces **bit-identical
-    /// results** — the `worker_pool` bench group and the
-    /// `pool_reuse_is_bit_identical` test both rely on exactly that. Pool
-    /// state is execution infrastructure, like `tick_threads`. Re-enabling
-    /// spawns a fresh pool sized from the config; a no-op for
-    /// `tick_threads <= 1`, which never uses a pool.
-    pub fn set_worker_pool_enabled(&mut self, enabled: bool) {
-        if enabled {
-            if self.pool.is_none() && self.config.tick_threads > 1 {
-                self.pool = Some(Arc::new(TickWorkerPool::new(self.config.tick_threads)));
-            }
-            if let Some(pool) = &self.pool {
-                self.pipeline.attach_pool(Arc::clone(pool));
-            }
-        } else {
-            self.pipeline.detach_pool();
-            self.pool = None;
-        }
-    }
-
-    /// Whether the persistent worker pool is attached and in use (always
-    /// `false` for `tick_threads <= 1`).
-    #[must_use]
-    pub fn worker_pool_enabled(&self) -> bool {
-        self.pipeline.has_pool()
     }
 
     /// Read access to the world (for workload validation and tests).

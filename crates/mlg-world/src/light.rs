@@ -147,14 +147,6 @@ pub fn sky_light_at<W: BlockReader>(world: &mut W, pos: BlockPos) -> u8 {
     light as u8
 }
 
-/// Recomputes lighting after a change at `pos` and returns the work report.
-///
-/// Convenience wrapper over [`relight_after_change_with`] that allocates a
-/// fresh [`FloodScratch`]; hot paths hold a reusable scratch instead.
-pub fn relight_after_change<W: BlockReader>(world: &mut W, pos: BlockPos) -> LightReport {
-    relight_after_change_with(world, pos, &mut FloodScratch::new())
-}
-
 /// Recomputes lighting after a change at `pos` using caller-provided scratch
 /// state, and returns the work report.
 ///
@@ -245,7 +237,8 @@ mod tests {
     #[test]
     fn relight_in_open_air_floods_widely() {
         let mut w = world();
-        let report = relight_after_change(&mut w, BlockPos::new(0, 90, 0));
+        let report =
+            relight_after_change_with(&mut w, BlockPos::new(0, 90, 0), &mut FloodScratch::new());
         assert!(
             report.flood_positions > 100,
             "open air flood should visit many positions"
@@ -257,15 +250,18 @@ mod tests {
     fn relight_underground_is_cheap() {
         let mut w = world();
         // Fully enclosed in stone: the flood cannot expand.
-        let report = relight_after_change(&mut w, BlockPos::new(0, 30, 0));
+        let report =
+            relight_after_change_with(&mut w, BlockPos::new(0, 30, 0), &mut FloodScratch::new());
         assert_eq!(report.flood_positions, 1);
     }
 
     #[test]
     fn surface_change_costs_less_than_open_air() {
         let mut w = world();
-        let surface = relight_after_change(&mut w, BlockPos::new(0, 61, 0));
-        let open_air = relight_after_change(&mut w, BlockPos::new(0, 100, 0));
+        let surface =
+            relight_after_change_with(&mut w, BlockPos::new(0, 61, 0), &mut FloodScratch::new());
+        let open_air =
+            relight_after_change_with(&mut w, BlockPos::new(0, 100, 0), &mut FloodScratch::new());
         assert!(surface.flood_positions < open_air.flood_positions);
     }
 
@@ -289,7 +285,7 @@ mod tests {
             BlockPos::new(0, 90, 0),
         ] {
             let reused = relight_after_change_with(&mut w, pos, &mut scratch);
-            let fresh = relight_after_change(&mut w, pos);
+            let fresh = relight_after_change_with(&mut w, pos, &mut FloodScratch::new());
             assert_eq!(reused, fresh, "scratch reuse diverged at {pos:?}");
         }
     }

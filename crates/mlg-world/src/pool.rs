@@ -284,8 +284,8 @@ impl Eq for PoolHandle {}
 
 /// How one parallel tick phase executes: on the persistent pool, or on
 /// per-phase scoped threads (the fallback for `tick_threads <= 1` and for
-/// pool-less pipelines, and the baseline the `worker_pool` bench group
-/// compares against).
+/// pool-less pipelines, and the reference the pool's unit tests compare
+/// against).
 ///
 /// Obtained from `TickPipeline::scope()`; both variants expose the same
 /// task-list API and produce bit-identical results for the same inputs.

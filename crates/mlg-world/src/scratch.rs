@@ -4,16 +4,15 @@
 //! the pending/next-round cascade queues, the per-shard routing batches, the
 //! relight position list, the relight miss-tracking buffers and a flood
 //! scratch. Allocating them per tick (or worse, per cascade round) puts
-//! allocator traffic on the hot path and — per the noise-floor methodology
-//! in `docs/ARCHITECTURE.md` — adds wall-clock jitter that is pure harness
-//! overhead, not modeled work.
+//! allocator traffic on the hot path and adds wall-clock jitter that is
+//! pure harness overhead, not modeled work.
 //!
 //! [`TickScratch`] owns all of them. The server constructs one per
 //! `GameServer` and threads it through `TerrainSimulator::tick_with` /
 //! `tick_sharded_with` and the relight passes, so a steady-state tick
 //! recycles capacity instead of allocating. The buffers carry **no state**
-//! across ticks — every consumer clears what it uses before use — so the
-//! `_with` variants are bit-identical to their allocate-fresh wrappers.
+//! across ticks — every consumer clears what it uses before use — so a
+//! recycled scratch is bit-identical to a fresh one.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -62,10 +61,6 @@ pub(crate) struct LightPassScratch {
 }
 
 impl LightPassScratch {
-    pub(crate) fn new() -> Self {
-        LightPassScratch::default()
-    }
-
     pub(crate) fn clear(&mut self) {
         self.miss_index.clear();
         self.misses.clear();

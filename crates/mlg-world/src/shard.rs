@@ -44,9 +44,8 @@
 //! * [`run_tasks`] — the *scoped* worker fan-out (crossbeam scoped threads
 //!   and channels): spawns fresh threads for one phase and joins them at
 //!   the end. Since the persistent [`TickWorkerPool`](crate::pool) landed this
-//!   is the fallback path — used when no pool is attached or
-//!   `tick_threads <= 1` — and the baseline the `worker_pool` bench group
-//!   measures the pool against. Production tick phases go through
+//!   is the fallback path, used when no pool is attached or
+//!   `tick_threads <= 1`. Production tick phases go through
 //!   [`TickPipeline::scope`], which dispatches onto the server's
 //!   long-lived pool and avoids the per-phase spawn/join tax.
 //!
@@ -679,14 +678,6 @@ impl TickPipeline {
     /// right after building the pipeline.
     pub fn attach_pool(&mut self, pool: Arc<TickWorkerPool>) {
         self.pool = PoolHandle::attached(pool);
-    }
-
-    /// Detaches the worker pool, reverting every phase to per-phase scoped
-    /// threads. A bench/ablation hook: the `worker_pool` bench group uses
-    /// it to measure exactly the substrate overhead the pool removes, and
-    /// the determinism suite uses it to pin pool-vs-scoped bit-equality.
-    pub fn detach_pool(&mut self) {
-        self.pool = PoolHandle::detached();
     }
 
     /// Returns `true` when a persistent worker pool is attached (and would

@@ -6,7 +6,7 @@
 //! Simulation applies its simulation rules to the new state. […] These rules
 //! trigger in a loop, where each iteration informs the adjacent terrain."
 //!
-//! [`TerrainSimulator::tick`] drains the world's update queues, dispatches
+//! [`TerrainSimulator::tick_with`] drains the world's update queues, dispatches
 //! each update to the appropriate rule module (physics, fluid, redstone,
 //! growth), performs lighting recomputation for the blocks that changed, and
 //! returns a [`TerrainTickReport`] describing how much work was done plus any
@@ -206,17 +206,11 @@ impl TerrainSimulator {
         TerrainSimulator::default()
     }
 
-    /// Runs one tick of terrain simulation over the world.
+    /// Runs one tick of terrain simulation over the world, recycling the
+    /// caller's scratch buffers (the server owns one [`TickScratch`] for
+    /// its whole life).
     ///
     /// Returns the work report and the events other subsystems must handle.
-    /// Allocates fresh scratch buffers; the server's tick loop uses
-    /// [`TerrainSimulator::tick_with`] to recycle them instead.
-    pub fn tick(&self, world: &mut World) -> (TerrainTickReport, Vec<TerrainEvent>) {
-        self.tick_with(world, &mut TickScratch::new())
-    }
-
-    /// Runs one tick of terrain simulation using caller-provided scratch
-    /// buffers. Bit-identical to [`TerrainSimulator::tick`].
     pub fn tick_with(
         &self,
         world: &mut World,
@@ -311,7 +305,10 @@ impl TerrainSimulator {
         }
     }
 
-    /// Runs one tick of terrain simulation through the sharded pipeline.
+    /// Runs one tick of terrain simulation through the sharded pipeline,
+    /// recycling the caller's scratch buffers (cascade queues, shard
+    /// batches, relight buffers) so steady-state ticks reuse queue capacity
+    /// instead of allocating per round.
     ///
     /// The tick is decomposed into deterministic phases:
     ///
@@ -332,7 +329,7 @@ impl TerrainSimulator {
     ///    classified serially; relighting is a read-only pass over a frozen
     ///    world snapshot and fans out across the worker pool (per-change
     ///    relights are independent, so any partition sums identically).
-    ///    One deliberate difference from [`TerrainSimulator::tick`]: the
+    ///    One deliberate difference from [`TerrainSimulator::tick_with`]: the
     ///    frozen snapshot reads unloaded chunks as air, while the serial
     ///    path lazily *generates* chunks its light floods wander into — so
     ///    for changes near the edge of the loaded area the two paths can
@@ -347,15 +344,6 @@ impl TerrainSimulator {
     /// modeled-architecture change (like Folia's region count) and is
     /// allowed to change scheduling, exactly as the serial-vs-sharded
     /// comparison in the paper's sense would.
-    pub fn tick_sharded(&self, world: &mut World, pipeline: &TickPipeline) -> ShardedTerrainTick {
-        self.tick_sharded_with(world, pipeline, &mut TickScratch::new())
-    }
-
-    /// Runs one sharded tick using caller-provided scratch buffers (cascade
-    /// queues, shard batches, relight buffers). Bit-identical to
-    /// [`TerrainSimulator::tick_sharded`]; the server's tick loop uses this
-    /// variant so steady-state ticks recycle queue capacity instead of
-    /// allocating per round.
     pub fn tick_sharded_with(
         &self,
         world: &mut World,
@@ -652,7 +640,7 @@ impl TerrainSimulator {
 /// floor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedTerrainTick {
-    /// The merged work report (same semantics as [`TerrainSimulator::tick`]).
+    /// The merged work report (same semantics as [`TerrainSimulator::tick_with`]).
     pub report: TerrainTickReport,
     /// Events for other subsystems, in canonical shard-then-serial order.
     pub events: Vec<TerrainEvent>,
@@ -727,19 +715,9 @@ struct LightSliceTask {
 /// `&mut World`) and are restored before returning, so persistent pool
 /// workers can read them without borrowing the world. The frozen snapshot
 /// reads unloaded chunks as air instead of generating them — see
-/// [`TerrainSimulator::tick_sharded`] for why that is a deliberate
-/// difference from the eager serial path.
-#[must_use]
-pub fn relight_positions_frozen(
-    world: &mut World,
-    positions: &[BlockPos],
-    scope: &PoolScope<'_>,
-) -> u64 {
-    relight_misses_frozen(world, positions, scope, &mut LightPassScratch::new())
-}
-
-/// [`relight_positions_frozen`] with caller-provided scratch buffers
-/// (the server's per-tick arena). Bit-identical to the allocating wrapper.
+/// [`TerrainSimulator::tick_sharded_with`] for why that is a deliberate
+/// difference from the eager serial path. Scratch buffers come from the
+/// caller (the server's per-tick arena).
 #[must_use]
 pub fn relight_positions_frozen_with(
     world: &mut World,
@@ -750,7 +728,7 @@ pub fn relight_positions_frozen_with(
     relight_misses_frozen(world, positions, scope, &mut scratch.light)
 }
 
-/// [`relight_positions_frozen`] with caller-provided miss-tracking scratch.
+/// [`relight_positions_frozen_with`] on the miss-tracking scratch alone.
 ///
 /// The pass consults the world's relight cache first: a position whose
 /// 17×17-column flood window is untouched since its last computation (no
@@ -910,7 +888,7 @@ mod tests {
         w.ensure_area(ChunkPos::new(0, 0), 1);
         w.advance_tick();
         let sim = TerrainSimulator::new();
-        let (report, events) = sim.tick(&mut w);
+        let (report, events) = sim.tick_with(&mut w, &mut TickScratch::new());
         assert_eq!(report.neighbor_updates, 0);
         assert_eq!(report.scheduled_updates, 0);
         assert!(events.is_empty());
@@ -924,7 +902,7 @@ mod tests {
         let sim = TerrainSimulator::new();
         w.set_block(BlockPos::new(4, 80, 4), Block::simple(BlockKind::Sand));
         w.advance_tick();
-        let (report, _) = sim.tick(&mut w);
+        let (report, _) = sim.tick_with(&mut w, &mut TickScratch::new());
         assert!(report.neighbor_updates >= 7);
         // The sand fell: one removal at the origin and one addition below.
         assert!(report.blocks_added >= 1);
@@ -940,7 +918,7 @@ mod tests {
         w.set_block_silent(pos, Block::simple(BlockKind::Tnt));
         w.schedule_tick(pos, 1);
         w.advance_tick();
-        let (_, events) = sim.tick(&mut w);
+        let (_, events) = sim.tick_with(&mut w, &mut TickScratch::new());
         assert_eq!(events, vec![TerrainEvent::TntIgnited { pos }]);
         assert_eq!(w.block(pos), Block::AIR);
     }
@@ -960,7 +938,7 @@ mod tests {
         let mut per_tick_updates = Vec::new();
         for _ in 0..8 {
             w.advance_tick();
-            let (report, _) = sim.tick(&mut w);
+            let (report, _) = sim.tick_with(&mut w, &mut TickScratch::new());
             per_tick_updates.push(report.total_updates());
         }
         let busy_ticks = per_tick_updates.iter().filter(|&&u| u > 0).count();
@@ -1012,7 +990,7 @@ mod tests {
             w.set_block(pos, Block::simple(BlockKind::Water));
         }
         w.advance_tick();
-        let (report, _) = sim.tick(&mut w);
+        let (report, _) = sim.tick_with(&mut w, &mut TickScratch::new());
         assert!(report.update_budget_exhausted);
         assert!(report.neighbor_updates <= 10);
     }
@@ -1103,7 +1081,7 @@ mod tests {
         let mut events = Vec::new();
         for _ in 0..ticks {
             w.advance_tick();
-            let out = sim.tick_sharded(&mut w, pipeline);
+            let out = sim.tick_sharded_with(&mut w, pipeline, &mut TickScratch::new());
             assert_eq!(out.per_shard_work.len(), pipeline.shards() as usize);
             reports.push(out.report);
             events.extend(out.events);
@@ -1132,7 +1110,7 @@ mod tests {
         let mut serial_work = 0u64;
         for _ in 0..8 {
             w.advance_tick();
-            let out = sim.tick_sharded(&mut w, &pipeline);
+            let out = sim.tick_sharded_with(&mut w, &pipeline, &mut TickScratch::new());
             parallel_work += out.per_shard_work.iter().sum::<u64>();
             serial_work += out.serial_work;
         }
@@ -1154,8 +1132,9 @@ mod tests {
         for _ in 0..8 {
             legacy.advance_tick();
             sharded.advance_tick();
-            let (legacy_report, legacy_events) = sim.tick(&mut legacy);
-            let out = sim.tick_sharded(&mut sharded, &pipeline);
+            let (legacy_report, legacy_events) =
+                sim.tick_with(&mut legacy, &mut TickScratch::new());
+            let out = sim.tick_sharded_with(&mut sharded, &pipeline, &mut TickScratch::new());
             assert_eq!(legacy_report, out.report);
             assert_eq!(legacy_events, out.events);
         }
@@ -1174,7 +1153,10 @@ mod tests {
             let mut reports = Vec::new();
             for _ in 0..14 {
                 w.advance_tick();
-                reports.push(sim.tick_sharded(&mut w, &pipeline).report);
+                reports.push(
+                    sim.tick_sharded_with(&mut w, &pipeline, &mut TickScratch::new())
+                        .report,
+                );
             }
             (reports, world_digest(&w))
         };
@@ -1235,7 +1217,7 @@ mod tests {
                     assert_ne!(before, after, "the fused chunk must change shards");
                 }
                 w.advance_tick();
-                let out = sim.tick_sharded(&mut w, &pipeline);
+                let out = sim.tick_sharded_with(&mut w, &pipeline, &mut TickScratch::new());
                 truncated |= out.report.update_budget_exhausted;
                 for event in out.events {
                     if let TerrainEvent::TntIgnited { pos } = event {
@@ -1271,7 +1253,7 @@ mod tests {
         };
         w.set_block(BlockPos::new(4, 61, 4), Block::simple(BlockKind::Stone));
         w.advance_tick();
-        let (report, _) = sim.tick(&mut w);
+        let (report, _) = sim.tick_with(&mut w, &mut TickScratch::new());
         assert_eq!(report.light_positions, 0);
     }
 }

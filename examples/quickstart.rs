@@ -93,6 +93,6 @@ fn main() {
             &rows
         )
     );
-    println!("Next steps: see the binaries in crates/bench/src/bin/ for every figure and");
-    println!("table of the paper, e.g. `cargo run --release -p meterstick-bench --bin fig08_isr_workloads`.");
+    println!("Next steps: `cargo run --release -p meterstick-bench` lists every figure and");
+    println!("table of the paper; e.g. `cargo run --release -p meterstick-bench -- fig08_isr_workloads`.");
 }

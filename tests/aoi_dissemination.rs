@@ -4,7 +4,8 @@
 //! through a per-recipient distance filter — byte-exact per connection —
 //! while cutting the modeled dissemination volume by a large factor on a
 //! scattered population (the Horde workload's regime). The wall-clock side
-//! of the same claim lives in the `entity_scaling` bench group.
+//! of the same claim is the `sharded_horde` workload of `benchmark/` and
+//! its `mlg_server.multicast_many_us.2000` probe.
 
 use cloud_sim::environment::Environment;
 use meterstick_workloads::{WorkloadKind, WorkloadSpec};

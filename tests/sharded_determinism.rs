@@ -108,7 +108,7 @@ fn rebalancing_campaigns_are_bit_identical_at_1_4_and_8_threads() {
 /// A clustered-TNT hotspot server over the shared
 /// [`meterstick_workloads::tnt::clustered_hotspot_world`] scene — the shape
 /// static stripes cannot split (one stripe owns the whole hotspot) but 2D
-/// regions can. The `tick_hotpaths` bench measures the identical scene.
+/// regions can.
 fn clustered_tnt_server(rebalance: bool, threads: u32) -> GameServer {
     let world = meterstick_workloads::tnt::clustered_hotspot_world(7);
     let (sx, sy, sz) = meterstick_workloads::tnt::CLUSTERED_HOTSPOT_SPAWN;
@@ -126,17 +126,17 @@ fn clustered_tnt_server(rebalance: bool, threads: u32) -> GameServer {
 /// its pool reused across two back-to-back probe runs (a second TNT hotspot
 /// is rebuilt and re-ignited mid-run, so the pool sees two full cascade
 /// bursts plus the adaptive rebalancer splitting and merging between them),
-/// must produce tick summaries bit-identical to the per-phase fresh-scope
-/// fallback — at 1, 4 and 8 tick threads alike.
+/// must produce tick summaries bit-identical to the 1-thread run, which
+/// executes every phase inline and never engages a pool — at 4 and 8 tick
+/// threads alike.
 #[test]
 fn pool_reuse_is_bit_identical() {
-    let run = |pooled: bool, threads: u32| -> Vec<mlg_server::TickSummary> {
+    let run = |threads: u32| -> Vec<mlg_server::TickSummary> {
         let mut server = clustered_tnt_server(true, threads);
-        server.set_worker_pool_enabled(pooled);
         assert_eq!(
-            server.worker_pool_enabled(),
-            pooled && threads > 1,
-            "pool attachment must follow the hook (and never engage at 1 thread)"
+            server.pipeline().has_pool(),
+            threads > 1,
+            "the pool must engage above 1 thread and never at 1"
         );
         let mut engine = Environment::das5(8).instantiate(1).engine;
         let mut summaries: Vec<_> = (0..60).map(|_| server.run_tick(&mut engine)).collect();
@@ -151,19 +151,14 @@ fn pool_reuse_is_bit_identical() {
         summaries
     };
 
-    let fresh_scopes = run(false, 1);
-    for threads in [1u32, 4, 8] {
+    let inline = run(1);
+    for threads in [4u32, 8] {
         assert_eq!(
-            run(true, threads),
-            fresh_scopes,
-            "threads={threads}: persistent pool diverged from the fresh-scope path"
+            run(threads),
+            inline,
+            "threads={threads}: persistent pool diverged from the inline path"
         );
     }
-    assert_eq!(
-        run(false, 8),
-        fresh_scopes,
-        "fresh-scope path diverged across thread counts"
-    );
 }
 
 #[test]
@@ -336,8 +331,8 @@ fn horde_campaign_csv_is_bit_identical_at_1_4_and_8_threads() {
     // cell. The CSV — `dissemination_bytes` column included — must not
     // depend on the worker-thread count. Scale is reduced via the bot
     // override to keep the unoptimized test build fast; the
-    // `sharded_determinism` bench binary runs the full 5,000-bot swarm in
-    // release mode and CI diffs its CSVs the same way.
+    // `meterstick-bench sharded_determinism` probe runs the full 5,000-bot
+    // swarm in release mode and CI diffs its CSVs the same way.
     let run_csv = |threads: u32| {
         let campaign = Campaign::new()
             .workloads([WorkloadKind::Horde])
