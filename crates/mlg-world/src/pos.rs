@@ -172,18 +172,19 @@ impl ChunkPos {
         self.x.abs_diff(other.x).max(self.z.abs_diff(other.z))
     }
 
-    /// Returns all chunk positions within `radius` (Chebyshev) of this one,
-    /// including this one.
+    /// Iterates all chunk positions within `radius` (Chebyshev) of this one,
+    /// including this one, `x`-major: the order in which a view square is
+    /// generated and streamed.
+    pub fn square(self, radius: u32) -> impl ExactSizeIterator<Item = ChunkPos> {
+        let r = radius as i32;
+        let side = 2 * r + 1;
+        (0..side * side).map(move |i| ChunkPos::new(self.x - r + i / side, self.z - r + i % side))
+    }
+
+    /// Returns [`ChunkPos::square`] collected into a `Vec`.
     #[must_use]
     pub fn within_radius(self, radius: u32) -> Vec<ChunkPos> {
-        let r = radius as i32;
-        let mut out = Vec::with_capacity(((2 * r + 1) * (2 * r + 1)) as usize);
-        for dx in -r..=r {
-            for dz in -r..=r {
-                out.push(ChunkPos::new(self.x + dx, self.z + dz));
-            }
-        }
-        out
+        self.square(radius).collect()
     }
 }
 

@@ -417,42 +417,32 @@ impl World {
         self.stores = snapshot.stores;
     }
 
+    /// The one generate-if-absent: returns the chunk at `pos` and whether
+    /// this call had to generate it (counted into this tick's generations).
+    fn load_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
+        let store = &mut self.stores[self.shard_map.shard_of_chunk(pos)];
+        let loaded = store.index.get(&pos).copied();
+        let slot = loaded.unwrap_or_else(|| {
+            store.insert(self.generator.generate(pos));
+            self.chunks_generated_this_tick += 1;
+            store.chunks.len() - 1
+        });
+        (&mut store.chunks[slot], loaded.is_none())
+    }
+
     /// Ensures the chunk at `pos` is loaded, generating it if needed, and
     /// returns a reference to it.
     pub fn ensure_chunk(&mut self, pos: ChunkPos) -> &Chunk {
-        let shard = self.shard_map.shard_of_chunk(pos);
-        if !self.stores[shard].contains(pos) {
-            let chunk = self.generator.generate(pos);
-            self.stores[shard].insert(chunk);
-            self.chunks_generated_this_tick += 1;
-        }
-        self.stores[shard].get(pos).expect("chunk just ensured")
-    }
-
-    fn ensure_chunk_mut(&mut self, pos: ChunkPos) -> &mut Chunk {
-        let shard = self.shard_map.shard_of_chunk(pos);
-        if !self.stores[shard].contains(pos) {
-            let chunk = self.generator.generate(pos);
-            self.stores[shard].insert(chunk);
-            self.chunks_generated_this_tick += 1;
-        }
-        self.stores[shard].get_mut(pos).expect("chunk just ensured")
+        self.load_chunk(pos).0
     }
 
     /// Ensures every chunk within `radius` (Chebyshev, in chunks) of `center`
     /// is loaded. Returns how many chunks were newly generated.
     pub fn ensure_area(&mut self, center: ChunkPos, radius: u32) -> usize {
-        let mut generated = 0;
-        for pos in center.within_radius(radius) {
-            let shard = self.shard_map.shard_of_chunk(pos);
-            if !self.stores[shard].contains(pos) {
-                let chunk = self.generator.generate(pos);
-                self.stores[shard].insert(chunk);
-                self.chunks_generated_this_tick += 1;
-                generated += 1;
-            }
-        }
-        generated
+        center
+            .square(radius)
+            .filter(|&pos| self.load_chunk(pos).1)
+            .count()
     }
 
     /// Returns the chunk at `pos` if it is already loaded.
@@ -535,7 +525,7 @@ impl World {
         }
         let chunk_pos = pos.chunk();
         let (lx, y, lz) = pos.local();
-        self.ensure_chunk_mut(chunk_pos).set_block(lx, y, lz, block)
+        self.load_chunk(chunk_pos).0.set_block(lx, y, lz, block)
     }
 
     /// Fills an entire region with the given block (silently, without
@@ -858,8 +848,22 @@ mod tests {
         let generated = w.ensure_area(ChunkPos::new(0, 0), 2);
         assert_eq!(generated, 25);
         assert_eq!(w.loaded_chunk_count(), 25);
+        // Chunks enter the store in `within_radius` order.
+        let loaded: Vec<ChunkPos> = w.iter_chunks().map(Chunk::pos).collect();
+        assert_eq!(loaded, ChunkPos::new(0, 0).within_radius(2));
         // Already loaded: generating again is a no-op.
         assert_eq!(w.ensure_area(ChunkPos::new(0, 0), 2), 0);
+        // The return value and the per-tick counter (both feed the modeled
+        // join spike) count exactly the chunks each call had to generate,
+        // whichever entry point reached them.
+        assert_eq!(w.ensure_area(ChunkPos::new(2, 0), 2), 10);
+        assert_eq!(w.chunks_generated_this_tick(), 35);
+        w.ensure_chunk(ChunkPos::new(9, 9));
+        w.ensure_chunk(ChunkPos::new(9, 9));
+        w.set_block_silent(BlockPos::new(-200, 70, 5), Block::simple(BlockKind::Stone));
+        let _ = w.block(BlockPos::new(-200, 71, 5));
+        assert_eq!(w.chunks_generated_this_tick(), 37);
+        assert_eq!(w.loaded_chunk_count(), 37);
     }
 
     #[test]

@@ -39,3 +39,24 @@ fn paper_workload_worlds_compress_at_least_4x() {
         "aggregate palette ratio {aggregate:.2}x is below the pinned 4x regression floor"
     );
 }
+
+#[test]
+fn built_workload_worlds_keep_their_packed_footprint() {
+    // Generated chunks are packed once, straight at the compacted width. A
+    // builder that packed wider, or kept a palette entry nothing references,
+    // would read back block-for-block the same yet move these byte counts.
+    let pinned = [
+        (WorkloadKind::Control, 1_026_336),
+        (WorkloadKind::Farm, 1_037_652),
+        (WorkloadKind::Tnt, 1_013_970),
+        (WorkloadKind::Lag, 1_014_150),
+        (WorkloadKind::Players, 1_026_336),
+        (WorkloadKind::Crowd, 1_026_336),
+        (WorkloadKind::Horde, 1_026_336),
+    ];
+    assert_eq!(pinned.map(|(kind, _)| kind), WorkloadKind::extended());
+    for (kind, bytes) in pinned {
+        let built = WorkloadSpec::new(kind).build(392_114_485);
+        assert_eq!(built.world.chunk_storage_bytes(), bytes, "{kind}");
+    }
+}
