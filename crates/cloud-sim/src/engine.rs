@@ -15,79 +15,18 @@ use serde::{Deserialize, Serialize};
 use crate::interference::{BurstCredits, InterferenceState};
 use crate::node::NodeType;
 
-/// One tick's worth of compute demand, in abstract work units.
-///
-/// The split models three execution classes:
-///
-/// * `main_thread` — strictly serial game-loop work (Amdahl's serial
-///   fraction);
-/// * `parallelizable` — work the server's architecture can fan out across
-///   up to `parallel_width` cores *within* the game loop (sharded tick
-///   regions, parallel JVM GC, chunk encoding), barriering back before the
-///   tick ends. `max_shard` is the largest single indivisible share of it
-///   (the busiest tick shard), a load-balance floor no core count can beat.
-///   Both reflect the server's *current* shard partition: under adaptive
-///   rebalancing the width follows the post-rebalance leaf count and the
-///   floor shrinks as hotspot regions split — which is exactly the lever
-///   that lets added vCPUs keep helping under clustered workloads;
-/// * `offloadable` — asynchronous work overlapped with the game loop on
-///   spare cores (async chat, async environment processing).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TickWork {
-    /// Work that must execute on the main game-loop thread.
-    pub main_thread: u64,
-    /// Work that the server flavor can execute on auxiliary threads
-    /// concurrently with the main thread (e.g. async chat, async lighting).
-    pub offloadable: u64,
-    /// Work divisible across cores within the game loop (Amdahl's parallel
-    /// fraction).
-    pub parallelizable: u64,
-    /// Maximum number of workers `parallelizable` can usefully spread over
-    /// (e.g. the tick shard count; `u32::MAX` for freely divisible work
-    /// like parallel GC).
-    pub parallel_width: u32,
-    /// The largest indivisible share of `parallelizable` (the busiest
-    /// shard's work); the parallel phase can never finish faster than this.
-    pub max_shard: u64,
-}
-
-impl Default for TickWork {
-    fn default() -> Self {
-        TickWork {
-            main_thread: 0,
-            offloadable: 0,
-            parallelizable: 0,
-            parallel_width: 1,
-            max_shard: 0,
-        }
-    }
-}
-
-impl TickWork {
-    /// Work bound entirely to the main game-loop thread (no parallel or
-    /// offloaded component).
-    #[must_use]
-    pub fn serial(main_thread: u64) -> Self {
-        TickWork {
-            main_thread,
-            ..TickWork::default()
-        }
-    }
-
-    /// Total work units regardless of placement.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.main_thread + self.offloadable + self.parallelizable
-    }
-}
-
 /// One stage of a tick's compute demand in the stage-parallel tick graph.
 ///
 /// A tick is a sequence of stages (player handler, terrain, entities,
 /// lighting, dissemination, …), each declaring its own serial/parallel
-/// split: `main_thread` work runs on the game-loop thread, `parallelizable`
-/// work fans out over up to `parallel_width` cores with a load-balance
-/// floor at `max_shard` (the busiest shard's indivisible share). Stages
+/// split: `main_thread` work runs on the game-loop thread (Amdahl's serial
+/// fraction), `parallelizable` work fans out over up to `parallel_width`
+/// cores (sharded tick regions, parallel JVM GC, chunk encoding) with a
+/// load-balance floor at `max_shard` (the busiest shard's indivisible
+/// share). Width and floor reflect the server's *current* shard partition:
+/// under adaptive rebalancing the width follows the post-rebalance leaf
+/// count and the floor shrinks as hotspot regions split — the lever that
+/// lets added vCPUs keep helping under clustered workloads. Stages
 /// barrier in order — the tick's critical path is the sum of per-stage
 /// Amdahl critical paths — which is exactly how a sharded game loop with
 /// per-stage fork/join behaves. Offloadable (asynchronous) work is not per
@@ -147,7 +86,7 @@ pub struct StagedTickExecution {
     /// the stage critical paths (0 when it fit into idle-core slack).
     pub offload_overflow_ms: f64,
     /// The whole-tick execution record (busy time, interference,
-    /// utilization), identical in meaning to [`ComputeEngine::execute_tick`].
+    /// utilization).
     pub execution: TickExecution,
 }
 
@@ -203,24 +142,6 @@ impl ComputeEngine {
         self.credits.exhausted()
     }
 
-    /// Executes one tick of `work` and returns its duration and bookkeeping.
-    ///
-    /// `tick_budget_ms` is the nominal tick length (50 ms); it is used for
-    /// credit accrual (idle time between ticks earns credits back).
-    ///
-    /// Equivalent to [`ComputeEngine::execute_stages`] with the whole tick
-    /// folded into a single stage.
-    pub fn execute_tick(&mut self, work: TickWork, tick_budget_ms: f64) -> TickExecution {
-        let stage = StageWork {
-            main_thread: work.main_thread,
-            parallelizable: work.parallelizable,
-            parallel_width: work.parallel_width,
-            max_shard: work.max_shard,
-        };
-        self.execute_stages(&[stage], work.offloadable, tick_budget_ms)
-            .execution
-    }
-
     /// Executes one tick decomposed into an ordered stage graph and returns
     /// per-stage critical-path milliseconds alongside the whole-tick record.
     ///
@@ -233,6 +154,9 @@ impl ComputeEngine {
     /// cross-tick-pipelined lighting pass, async chat); it stretches the
     /// tick only when it exceeds that slack. Capacity is conserved: the
     /// model never uses more core-milliseconds than the node has.
+    ///
+    /// `tick_budget_ms` is the nominal tick length (50 ms); it is used for
+    /// credit accrual (idle time between ticks earns credits back).
     pub fn execute_stages(
         &mut self,
         stages: &[StageWork],
@@ -310,6 +234,17 @@ impl ComputeEngine {
     }
 }
 
+/// One single-stage tick at the 50 ms budget — the shape most engine and
+/// environment properties are stated over.
+#[cfg(test)]
+pub(crate) fn execute_one(
+    engine: &mut ComputeEngine,
+    stage: StageWork,
+    offloadable: u64,
+) -> TickExecution {
+    engine.execute_stages(&[stage], offloadable, 50.0).execution
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,91 +257,59 @@ mod tests {
         )
     }
 
+    /// Busy time of one single-stage tick on a fresh, interference-free node.
+    fn quiet_busy_ms(node: NodeType, stage: StageWork, offloadable: u64) -> f64 {
+        execute_one(&mut quiet_engine(node), stage, offloadable).busy_ms
+    }
+
     #[test]
     fn light_work_finishes_well_under_budget() {
         let mut engine = quiet_engine(NodeType::das5(2));
-        let exec = engine.execute_tick(
-            TickWork {
-                main_thread: 10_000,
-                offloadable: 0,
-                ..TickWork::default()
-            },
-            50.0,
-        );
+        let exec = execute_one(&mut engine, StageWork::serial(10_000), 0);
         assert!(exec.busy_ms < 5.0, "light tick took {} ms", exec.busy_ms);
         assert!(exec.cpu_utilization < 0.5);
     }
 
     #[test]
     fn heavy_work_overloads_a_small_node() {
-        let mut engine = quiet_engine(NodeType::das5(2));
-        let exec = engine.execute_tick(
-            TickWork {
-                main_thread: 1_000_000,
-                offloadable: 0,
-                ..TickWork::default()
-            },
-            50.0,
-        );
-        assert!(exec.busy_ms > 50.0, "heavy tick took {} ms", exec.busy_ms);
+        let busy = quiet_busy_ms(NodeType::das5(2), StageWork::serial(1_000_000), 0);
+        assert!(busy > 50.0, "heavy tick took {busy} ms");
     }
 
     #[test]
     fn offloadable_work_benefits_from_extra_cores() {
-        let work = TickWork {
-            main_thread: 100_000,
-            offloadable: 300_000,
-            ..TickWork::default()
-        };
-        let mut two_core = quiet_engine(NodeType::das5(2));
-        let mut eight_core = quiet_engine(NodeType::das5(8));
-        let t2 = two_core.execute_tick(work, 50.0).busy_ms;
-        let t8 = eight_core.execute_tick(work, 50.0).busy_ms;
+        let stage = StageWork::serial(100_000);
+        let t2 = quiet_busy_ms(NodeType::das5(2), stage, 300_000);
+        let t8 = quiet_busy_ms(NodeType::das5(8), stage, 300_000);
         assert!(t8 < t2, "8-core ({t8} ms) should beat 2-core ({t2} ms)");
     }
 
     #[test]
     fn single_core_pays_for_offloadable_work_serially() {
-        let work = TickWork {
-            main_thread: 50_000,
-            offloadable: 50_000,
-            ..TickWork::default()
-        };
-        let mut one_core = quiet_engine(NodeType::das5(1));
-        let mut two_core = quiet_engine(NodeType::das5(2));
-        let t1 = one_core.execute_tick(work, 50.0).busy_ms;
-        let t2 = two_core.execute_tick(work, 50.0).busy_ms;
+        let stage = StageWork::serial(50_000);
+        let t1 = quiet_busy_ms(NodeType::das5(1), stage, 50_000);
+        let t2 = quiet_busy_ms(NodeType::das5(2), stage, 50_000);
         assert!(t1 > t2);
     }
 
     #[test]
     fn main_thread_work_does_not_scale_with_cores() {
-        let work = TickWork {
-            main_thread: 400_000,
-            offloadable: 0,
-            ..TickWork::default()
-        };
-        let mut two_core = quiet_engine(NodeType::das5(2));
-        let mut sixteen_core = quiet_engine(NodeType::das5(16));
-        let t2 = two_core.execute_tick(work, 50.0).busy_ms;
-        let t16 = sixteen_core.execute_tick(work, 50.0).busy_ms;
+        let stage = StageWork::serial(400_000);
+        let t2 = quiet_busy_ms(NodeType::das5(2), stage, 0);
+        let t16 = quiet_busy_ms(NodeType::das5(16), stage, 0);
         // Identical clock: the main thread is the bottleneck on both.
         assert!((t2 - t16).abs() / t2 < 0.05);
     }
 
     #[test]
     fn parallelizable_work_scales_with_vcpus_amdahl_style() {
-        let work = TickWork {
+        let stage = StageWork {
             main_thread: 100_000,
             parallelizable: 400_000,
             parallel_width: u32::MAX,
-            ..TickWork::default()
+            ..StageWork::default()
         };
-        let t = |cores: u32| {
-            quiet_engine(NodeType::das5(cores))
-                .execute_tick(work, 50.0)
-                .busy_ms
-        };
+        let t = |cores: u32| quiet_busy_ms(NodeType::das5(cores), stage, 0);
         let (t1, t2, t8) = (t(1), t(2), t(8));
         assert!(t2 < t1 * 0.7, "2 cores ({t2} ms) must beat 1 ({t1} ms)");
         assert!(t8 < t2 * 0.6, "8 cores ({t8} ms) must beat 2 ({t2} ms)");
@@ -417,36 +320,32 @@ mod tests {
 
     #[test]
     fn parallel_width_caps_the_useful_core_count() {
-        let work = TickWork {
+        let stage = StageWork {
             main_thread: 10_000,
             parallelizable: 800_000,
             parallel_width: 4,
-            ..TickWork::default()
+            ..StageWork::default()
         };
-        let mut four = quiet_engine(NodeType::das5(4));
-        let mut sixteen = quiet_engine(NodeType::das5(16));
-        let t4 = four.execute_tick(work, 50.0).busy_ms;
-        let t16 = sixteen.execute_tick(work, 50.0).busy_ms;
+        let t4 = quiet_busy_ms(NodeType::das5(4), stage, 0);
+        let t16 = quiet_busy_ms(NodeType::das5(16), stage, 0);
         // Only 4 shards: extra cores beyond 4 buy nothing.
         assert!((t4 - t16).abs() / t4 < 0.05);
     }
 
     #[test]
     fn busiest_shard_floors_the_parallel_phase() {
-        let balanced = TickWork {
+        let balanced = StageWork {
             parallelizable: 400_000,
             parallel_width: 4,
             max_shard: 100_000,
-            ..TickWork::default()
+            ..StageWork::default()
         };
-        let skewed = TickWork {
+        let skewed = StageWork {
             max_shard: 390_000,
             ..balanced
         };
-        let mut engine = quiet_engine(NodeType::das5(4));
-        let t_balanced = engine.execute_tick(balanced, 50.0).busy_ms;
-        let mut engine = quiet_engine(NodeType::das5(4));
-        let t_skewed = engine.execute_tick(skewed, 50.0).busy_ms;
+        let t_balanced = quiet_busy_ms(NodeType::das5(4), balanced, 0);
+        let t_skewed = quiet_busy_ms(NodeType::das5(4), skewed, 0);
         assert!(
             t_skewed > t_balanced * 3.0,
             "one hot shard ({t_skewed} ms) must dominate a balanced split ({t_balanced} ms)"
@@ -460,22 +359,19 @@ mod tests {
         // the load (high max_shard, few useful shards); post-rebalance the
         // hot region has split (wider partition, lower floor). The engine
         // must turn that into a shorter tick on an 8-core node.
-        let pre = TickWork {
+        let pre = StageWork {
             main_thread: 20_000,
             parallelizable: 800_000,
             parallel_width: 4,
             max_shard: 600_000,
-            ..TickWork::default()
         };
-        let post = TickWork {
+        let post = StageWork {
             parallel_width: 7,
             max_shard: 200_000,
             ..pre
         };
-        let mut engine = quiet_engine(NodeType::das5(8));
-        let t_pre = engine.execute_tick(pre, 50.0).busy_ms;
-        let mut engine = quiet_engine(NodeType::das5(8));
-        let t_post = engine.execute_tick(post, 50.0).busy_ms;
+        let t_pre = quiet_busy_ms(NodeType::das5(8), pre, 0);
+        let t_post = quiet_busy_ms(NodeType::das5(8), post, 0);
         assert!(
             t_post < t_pre * 0.5,
             "post-rebalance ({t_post} ms) should be far faster than the hotspotted partition ({t_pre} ms)"
@@ -487,15 +383,14 @@ mod tests {
         // 2 cores, no serial work: 200k parallel + 100k offload units must
         // take at least 300k/(2 cores) of single-core time — the model may
         // not conjure a third core out of the overlap.
-        let work = TickWork {
+        let stage = StageWork {
             parallelizable: 200_000,
             parallel_width: u32::MAX,
-            offloadable: 100_000,
-            ..TickWork::default()
+            ..StageWork::default()
         };
         let node = NodeType::das5(2);
-        let floor_ms = work.total() as f64 / (2.0 * node.work_units_per_core_ms());
-        let busy = quiet_engine(node).execute_tick(work, 50.0).busy_ms;
+        let floor_ms = 300_000.0 / (2.0 * node.work_units_per_core_ms());
+        let busy = quiet_busy_ms(node, stage, 100_000);
         assert!(
             busy >= floor_ms * 0.999,
             "busy {busy} ms beats the 2-core capacity floor {floor_ms} ms"
@@ -504,19 +399,14 @@ mod tests {
 
     #[test]
     fn serial_constructor_matches_plain_main_thread_work() {
-        let mut a = quiet_engine(NodeType::das5(2));
-        let mut b = quiet_engine(NodeType::das5(2));
-        let from_ctor = a.execute_tick(TickWork::serial(250_000), 50.0).busy_ms;
-        let from_literal = b
-            .execute_tick(
-                TickWork {
-                    main_thread: 250_000,
-                    ..TickWork::default()
-                },
-                50.0,
-            )
-            .busy_ms;
-        assert_eq!(from_ctor, from_literal);
+        let literal = StageWork {
+            main_thread: 250_000,
+            ..StageWork::default()
+        };
+        assert_eq!(
+            quiet_busy_ms(NodeType::das5(2), StageWork::serial(250_000), 0),
+            quiet_busy_ms(NodeType::das5(2), literal, 0)
+        );
     }
 
     #[test]
@@ -528,15 +418,11 @@ mod tests {
         );
         // ~42 ms of busy time per 50 ms tick: above the 60%-of-one-core
         // baseline that a t3.large can sustain without spending credits.
-        let work = TickWork {
-            main_thread: 250_000,
-            offloadable: 0,
-            ..TickWork::default()
-        };
-        let first = engine.execute_tick(work, 50.0).busy_ms;
+        let stage = StageWork::serial(250_000);
+        let first = execute_one(&mut engine, stage, 0).busy_ms;
         let mut throttled_time = None;
         for _ in 0..40_000 {
-            let exec = engine.execute_tick(work, 50.0);
+            let exec = execute_one(&mut engine, stage, 0);
             if exec.throttle_multiplier > 1.0 {
                 throttled_time = Some(exec.busy_ms);
                 break;
@@ -547,33 +433,6 @@ mod tests {
         assert!(
             throttled > first * 2.0,
             "throttled tick ({throttled} ms) should be much slower than unthrottled ({first} ms)"
-        );
-    }
-
-    #[test]
-    fn staged_execution_matches_the_single_stage_tick() {
-        let work = TickWork {
-            main_thread: 120_000,
-            parallelizable: 300_000,
-            parallel_width: 4,
-            max_shard: 90_000,
-            offloadable: 40_000,
-        };
-        let stage = StageWork {
-            main_thread: work.main_thread,
-            parallelizable: work.parallelizable,
-            parallel_width: work.parallel_width,
-            max_shard: work.max_shard,
-        };
-        let mut a = quiet_engine(NodeType::das5(4));
-        let mut b = quiet_engine(NodeType::das5(4));
-        let single = a.execute_tick(work, 50.0);
-        let staged = b.execute_stages(&[stage], work.offloadable, 50.0);
-        assert_eq!(single, staged.execution);
-        assert_eq!(staged.stage_ms.len(), 1);
-        assert!(
-            (staged.stage_ms[0] + staged.offload_overflow_ms - single.busy_ms).abs() < 1e-12,
-            "stage breakdown must account for the whole tick"
         );
     }
 
@@ -596,25 +455,21 @@ mod tests {
                 max_shard: 190_000,
             },
         ];
-        let merged = TickWork {
+        let merged = StageWork {
             main_thread: 100_000,
             parallelizable: 400_000,
             parallel_width: 4,
             max_shard: 190_000,
-            offloadable: 0,
         };
-        let mut a = quiet_engine(NodeType::das5(4));
-        let mut b = quiet_engine(NodeType::das5(4));
-        let staged = a.execute_stages(&stages, 0, 50.0);
-        let single = b.execute_tick(merged, 50.0);
+        let staged = quiet_engine(NodeType::das5(4)).execute_stages(&stages, 0, 50.0);
+        let single = quiet_busy_ms(NodeType::das5(4), merged, 0);
         let sum: f64 = staged.stage_ms.iter().sum();
         assert!((sum - staged.execution.busy_ms).abs() < 1e-12);
         assert!(
-            staged.execution.busy_ms > single.busy_ms,
+            staged.execution.busy_ms > single,
             "a floor binding inside one stage must cost more than the same \
-             floor over the merged tick (staged {} ms vs merged {} ms)",
-            staged.execution.busy_ms,
-            single.busy_ms
+             floor over the merged tick (staged {} ms vs merged {single} ms)",
+            staged.execution.busy_ms
         );
     }
 
@@ -668,14 +523,7 @@ mod tests {
     fn cpu_utilization_is_bounded() {
         let mut engine = quiet_engine(NodeType::das5(2));
         for main in [1_000u64, 100_000, 10_000_000] {
-            let exec = engine.execute_tick(
-                TickWork {
-                    main_thread: main,
-                    offloadable: main,
-                    ..TickWork::default()
-                },
-                50.0,
-            );
+            let exec = execute_one(&mut engine, StageWork::serial(main), main);
             assert!(exec.cpu_utilization >= 0.0 && exec.cpu_utilization <= 1.0);
         }
     }
@@ -685,13 +533,8 @@ mod tests {
         let node = NodeType::aws_t3_large();
         let mut engine =
             ComputeEngine::new(node, InterferenceState::new(InterferenceProfile::aws(), 9));
-        let work = TickWork {
-            main_thread: 60_000,
-            offloadable: 0,
-            ..TickWork::default()
-        };
         let times: Vec<f64> = (0..2_000)
-            .map(|_| engine.execute_tick(work, 50.0).busy_ms)
+            .map(|_| execute_one(&mut engine, StageWork::serial(60_000), 0).busy_ms)
             .collect();
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = times.iter().cloned().fold(0.0, f64::max);

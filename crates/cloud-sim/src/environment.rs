@@ -168,7 +168,7 @@ pub struct EnvironmentInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::TickWork;
+    use crate::engine::{execute_one, StageWork};
 
     #[test]
     fn presets_have_expected_nodes() {
@@ -189,16 +189,12 @@ mod tests {
         let env = Environment::aws_default();
         let mut a = env.instantiate(1);
         let mut b = env.instantiate(2);
-        let work = TickWork {
-            main_thread: 60_000,
-            offloadable: 0,
-            ..TickWork::default()
-        };
+        let work = StageWork::serial(60_000);
         let ta: f64 = (0..200)
-            .map(|_| a.engine.execute_tick(work, 50.0).busy_ms)
+            .map(|_| execute_one(&mut a.engine, work, 0).busy_ms)
             .sum();
         let tb: f64 = (0..200)
-            .map(|_| b.engine.execute_tick(work, 50.0).busy_ms)
+            .map(|_| execute_one(&mut b.engine, work, 0).busy_ms)
             .sum();
         assert!(
             (ta - tb).abs() > 1e-6,
@@ -209,16 +205,12 @@ mod tests {
     #[test]
     fn das5_iterations_are_nearly_identical() {
         let env = Environment::das5(2);
-        let work = TickWork {
-            main_thread: 60_000,
-            offloadable: 0,
-            ..TickWork::default()
-        };
+        let work = StageWork::serial(60_000);
         let mut totals = Vec::new();
         for seed in 0..5 {
             let mut inst = env.instantiate(seed);
             let total: f64 = (0..200)
-                .map(|_| inst.engine.execute_tick(work, 50.0).busy_ms)
+                .map(|_| execute_one(&mut inst.engine, work, 0).busy_ms)
                 .sum();
             totals.push(total);
         }
@@ -232,17 +224,13 @@ mod tests {
 
     #[test]
     fn cloud_iterations_spread_more_than_das5() {
-        let work = TickWork {
-            main_thread: 80_000,
-            offloadable: 0,
-            ..TickWork::default()
-        };
+        let work = StageWork::serial(80_000);
         let spread = |env: &Environment| {
             let mut totals = Vec::new();
             for seed in 0..10 {
                 let mut inst = env.instantiate(seed * 7 + 1);
                 let total: f64 = (0..300)
-                    .map(|_| inst.engine.execute_tick(work, 50.0).busy_ms)
+                    .map(|_| execute_one(&mut inst.engine, work, 0).busy_ms)
                     .sum();
                 totals.push(total);
             }

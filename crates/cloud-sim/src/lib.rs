@@ -37,7 +37,7 @@ pub mod node;
 pub mod recommendations;
 pub mod temporal;
 
-pub use engine::{ComputeEngine, TickWork};
+pub use engine::ComputeEngine;
 pub use environment::{Environment, EnvironmentInstance, Provider};
 pub use interference::{InterferenceProfile, InterferenceState};
 pub use node::NodeType;

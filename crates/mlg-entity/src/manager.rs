@@ -64,31 +64,6 @@ pub struct EntityTickReport {
     pub moved: Vec<(EntityId, Vec3)>,
 }
 
-impl EntityTickReport {
-    /// Abstract work units represented by this report, before server-flavor
-    /// or environment scaling.
-    ///
-    /// The per-entity weight is deliberately the largest contributor: the
-    /// paper's MF4 finding is that entity processing dominates non-idle tick
-    /// time, and real per-mob costs (collision sweeps, sensors, AI goal
-    /// selection) are far larger than the handful of block reads the
-    /// simulation performs explicitly.
-    #[must_use]
-    pub fn base_work_units(&self) -> u64 {
-        self.entities_processed * 350
-            + self.physics_blocks_checked * 3
-            + self.path_nodes_expanded * 10
-            + self.proximity_candidates * 4
-            + self.spawn_positions_scanned * 30
-            + self.items_merged * 15
-            + self.items_collected * 15
-            + self.explosions * 800
-            + self.blocks_destroyed * 35
-            + self.spawned.len() as u64 * 60
-            + self.removed.len() as u64 * 10
-    }
-}
-
 /// Owns and simulates all entities of one server instance.
 pub struct EntityManager {
     store: EntityStore,
@@ -751,13 +726,18 @@ mod tests {
 
     #[test]
     fn work_units_reflect_activity() {
-        let report = EntityTickReport {
-            entities_processed: 10,
-            explosions: 1,
-            ..EntityTickReport::default()
-        };
-        assert!(report.base_work_units() >= 10 * 20 + 500);
-        assert_eq!(EntityTickReport::default().base_work_units(), 0);
+        // The report only counts; pricing lives in the server's cost model.
+        let mut m = manager();
+        let mut w = world();
+        assert_eq!(m.tick(&mut w, &[]), EntityTickReport::default());
+        for i in 0..10 {
+            m.spawn(EntityKind::Cow, Vec3::new(i as f64, 65.0, 0.5));
+        }
+        let charge = m.spawn(EntityKind::PrimedTnt, Vec3::new(8.5, 61.0, 8.5));
+        m.modify(charge, |e| e.fuse = 0);
+        let report = m.tick(&mut w, &[]);
+        assert_eq!(report.entities_processed, 11);
+        assert_eq!(report.explosions, 1);
     }
 
     /// A cross-stripe entity population: cows, zombies, items and fused

@@ -43,8 +43,8 @@
 //! * **Execution substrate**: the parallel phase dispatches through
 //!   `TickPipeline::scope()` — the server's persistent
 //!   [`TickWorkerPool`](mlg_world::pool::TickWorkerPool) when one is
-//!   attached, fresh scoped threads otherwise — and both substrates
-//!   produce identical output by the rules above.
+//!   attached, inline at one thread — with identical output by the rules
+//!   above.
 
 use std::sync::Arc;
 
@@ -55,6 +55,7 @@ use mlg_world::shard::{ShardMap, ShardWorld, TerrainView, TickPipeline};
 use mlg_world::world::BlockChange;
 use mlg_world::{Block, BlockPos, World};
 
+use crate::cost;
 use crate::player::ConnectedPlayer;
 
 /// A chat message accepted during the player stage, waiting to be broadcast.
@@ -91,16 +92,6 @@ pub struct PlayerStageReport {
 }
 
 impl PlayerStageReport {
-    /// Abstract work units represented by this stage, before flavor scaling.
-    #[must_use]
-    pub fn base_work_units(&self) -> u64 {
-        self.actions_processed * 8
-            + self.movements * 30
-            + (self.blocks_placed + self.blocks_dug) * 60
-            + self.chat_messages * 25
-            + self.blocks_read * 2
-    }
-
     /// Folds another report into this one: counters sum, and the other
     /// report's pending chat is appended in order. The sharded player stage
     /// merges per-shard reports in canonical shard order, so the combined
@@ -367,7 +358,7 @@ pub fn process_players_sharded(
     let mut merged: Vec<(usize, ConnectedPlayer)> = Vec::with_capacity(total);
     for task in tasks {
         world.put_shard_store(task.shard, task.store);
-        stage.per_shard_work[task.shard] = task.report.base_work_units();
+        stage.per_shard_work[task.shard] = cost::player_base_work(&task.report);
         stage.report.merge(task.report);
         world.append_changes(task.changes);
         for pos in task.outbound {
@@ -539,11 +530,11 @@ mod tests {
     #[test]
     fn work_units_scale_with_actions() {
         let mut report = PlayerStageReport::default();
-        assert_eq!(report.base_work_units(), 0);
+        assert_eq!(cost::player_base_work(&report), 0);
         report.actions_processed = 10;
         report.movements = 8;
         report.blocks_placed = 2;
-        assert!(report.base_work_units() > 300);
+        assert_eq!(cost::player_base_work(&report), 10 * 8 + 8 * 30 + 2 * 60);
     }
 
     #[test]

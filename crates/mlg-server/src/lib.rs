@@ -15,12 +15,16 @@
 //!
 //! # The tick stage graph
 //!
-//! [`server::GameServer::run_tick`] executes an explicit **stage graph**:
-//! pipelined lighting → player handler → terrain simulation → entity
-//! simulation → state-update dissemination → work accounting → overload
-//! handling. For flavors with `tick_shards > 1` *every* stage declares its
-//! shard-parallel and serial-tail work against the **sharded tick
-//! pipeline** (`mlg_world::shard`):
+//! [`server::GameServer::run_tick`] is a driver over an explicit **stage
+//! graph**, one private method per stage in `server.rs`: pipelined lighting
+//! (`stage_pipelined_lighting`) → player handler (`stage_players`, over
+//! [`handler`]) → terrain simulation (`stage_terrain`) → entity simulation
+//! (`stage_entities`) → state-update dissemination (`stage_dissemination`,
+//! over the private `dissemination` module) → work accounting (the private
+//! `cost` module) → clock, keep-alive and overload handling
+//! (`end_of_tick`). For flavors with `tick_shards > 1` *every* stage
+//! declares its shard-parallel and serial-tail work against the **sharded
+//! tick pipeline** (`mlg_world::shard`):
 //!
 //! * the **player handler** batches connected players by the shard owning
 //!   their chunk and processes interior batches concurrently against
@@ -58,24 +62,28 @@
 //! world's global queue, so a chunk migrating between shards keeps its
 //! fuses tick-exact (there is a regression test pinning this).
 //!
-//! The server runs entirely in virtual time: each stage's work is
-//! accumulated in abstract work units and handed to the `cloud-sim`
-//! compute engine as one `StageWork` record per stage — serial main-thread
-//! work plus a parallelizable share with a per-stage width (the shard
-//! count) and a per-stage load-balance floor (that stage's busiest shard)
-//! — folded into one Amdahl critical path, with asynchronously
-//! *offloadable* work (async chat, the pipelined lighting pass) overlapped
-//! on spare cores. Per-stage fractions come from
-//! [`FlavorProfile::stage_parallel`]; the resulting per-stage busy-time
-//! breakdown is exposed as [`TickStageBreakdown`] on every summary and as
-//! `stage_*_ms` columns in campaign CSVs, so variability can be attributed
-//! to stages the way the paper's Figure 11 attributes it to work classes.
+//! The server runs entirely in virtual time. The stages only *count* what
+//! they did; the private `cost` module (`src/cost.rs`) is the one place
+//! those counters are priced into abstract work units — every weight of the
+//! model is declared there — and split, as a pure function of the counters
+//! and the flavor profile, into one `StageWork` record per stage for the
+//! `cloud-sim` compute engine: serial main-thread work plus a
+//! parallelizable share with a per-stage width (the shard count) and a
+//! per-stage load-balance floor (that stage's busiest shard) — folded into
+//! one Amdahl critical path, with asynchronously *offloadable* work (async
+//! chat, the pipelined lighting pass) overlapped on spare cores. Per-stage
+//! fractions come from [`FlavorProfile::stage_parallel`]; the resulting
+//! per-stage busy-time breakdown is exposed as [`TickStageBreakdown`] on
+//! every summary and as `stage_*_ms` columns in campaign CSVs, so
+//! variability can be attributed to stages the way the paper's Figure 11
+//! attributes it to work classes.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod externalizer;
+mod cost;
+mod dissemination;
 pub mod flavor;
 pub mod handler;
 pub mod player;

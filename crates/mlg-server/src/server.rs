@@ -1,25 +1,31 @@
 //! The game server and its 20 Hz game loop.
+//!
+//! [`GameServer::run_tick`] is a driver over the stage graph: one private
+//! `stage_*` method per simulation stage (this file), packet assembly and
+//! interest sets in `dissemination.rs`, the work→time cost model in
+//! `cost.rs`.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cloud_sim::engine::{ComputeEngine, StageWork};
+use cloud_sim::engine::ComputeEngine;
 use meterstick_metrics::distribution::TickDistribution;
 use meterstick_metrics::trace::TickRecord;
-use mlg_entity::{EntityId, EntityKind, EntityManager, Vec3};
+use mlg_entity::{EntityId, EntityKind, EntityManager, EntityTickReport, Vec3};
 use mlg_protocol::{ClientboundPacket, ServerboundPacket, TrafficAccountant, TrafficSummary};
 use mlg_world::pool::TickWorkerPool;
-use mlg_world::shard::{ShardLoadReport, TickPipeline};
+use mlg_world::shard::TickPipeline;
 use mlg_world::sim::{self, TerrainEvent};
-use mlg_world::{BlockKind, BlockPos, TerrainSimulator, TickScratch, World};
+use mlg_world::{BlockKind, BlockPos, TerrainSimulator, TerrainTickReport, TickScratch, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::ServerConfig;
+use crate::cost::{self, TickCounters};
+use crate::dissemination::{self, TickUpdates};
 use crate::flavor::FlavorProfile;
 use crate::handler::{self, PlayerStageReport};
 use crate::player::{ConnectedPlayer, PlayerId};
-use crate::queues::{NetworkingQueues, PacketRecipients};
+use crate::queues::NetworkingQueues;
 
 /// Why and when a server run aborted.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,11 +198,18 @@ pub struct GameServer {
     scratch: TickScratch,
 }
 
-/// Base cost, in work units, of keeping one player connected for one tick:
-/// visibility-set maintenance, entity tracking, packet compression and
-/// connection upkeep. This is what makes the 25-player Players workload
-/// meaningfully heavier than a single observer.
-const PER_PLAYER_TICK_WORK: u64 = 3_000;
+/// What the player-handler stage hands the rest of the tick.
+struct PlayerStage {
+    report: PlayerStageReport,
+    /// Work units per shard (sharded pipelines only).
+    shard_work: Option<Vec<u64>>,
+    bytes_received: u64,
+    /// Positions relit eagerly for the stage's block edits.
+    relit_positions: u64,
+}
+
+/// An entity spawned from a terrain event, as dissemination announces it.
+type EventSpawn = (EntityId, EntityKind, Vec3);
 
 /// Ticks between minor garbage-collection pauses of the simulated JVM.
 const MINOR_GC_INTERVAL_TICKS: u64 = 180;
@@ -221,36 +234,23 @@ impl GameServer {
     /// of the Meterstick workload worlds), with players spawning at
     /// `spawn_point`.
     #[must_use]
-    pub fn new(config: ServerConfig, mut world: World, spawn_point: Vec3) -> Self {
+    pub fn new(config: ServerConfig, world: World, spawn_point: Vec3) -> Self {
         let profile = config.flavor.profile();
         // One persistent worker pool per server: spawned here, shared with
         // the pipeline, shut down (workers joined) when the server drops.
         let pool =
             (config.tick_threads > 1).then(|| Arc::new(TickWorkerPool::new(config.tick_threads)));
-        let mut pipeline = build_pipeline(&profile, &config, &world);
-        if let Some(pool) = &pool {
-            pipeline.attach_pool(Arc::clone(pool));
-        }
-        if pipeline.is_sharded() {
-            world.reshard(pipeline.shard_map().clone());
-        }
         let mut entities = EntityManager::new(config.seed ^ 0xE47);
         entities.natural_spawning = config.natural_spawning;
-        entities.max_tnt_per_tick = profile.max_tnt_per_tick;
-        let eager_lighting = config.eager_lighting.unwrap_or(profile.eager_lighting);
-        let aoi_dissemination = config
-            .aoi_dissemination
-            .unwrap_or(profile.aoi_dissemination);
         let terrain = TerrainSimulator {
             random_ticks_per_chunk: config.random_ticks_per_chunk,
-            eager_lighting,
             ..TerrainSimulator::default()
         };
         let gc_seed = config.seed ^ 0x6C;
-        GameServer {
+        let mut server = GameServer {
             config,
             profile,
-            pipeline,
+            pipeline: TickPipeline::serial(),
             pool,
             world,
             terrain,
@@ -268,12 +268,14 @@ impl GameServer {
             gc_rng: StdRng::seed_from_u64(gc_seed),
             next_minor_gc_tick: MINOR_GC_INTERVAL_TICKS,
             next_major_gc_tick: MAJOR_GC_INTERVAL_TICKS,
-            eager_lighting,
-            aoi_dissemination,
+            eager_lighting: true,
+            aoi_dissemination: false,
             pending_relight: Vec::new(),
             broadcast_buf: Vec::new(),
             scratch: TickScratch::new(),
-        }
+        };
+        server.apply_profile(profile);
+        server
     }
 
     /// The server configuration.
@@ -291,7 +293,14 @@ impl GameServer {
     /// Overrides the flavor profile (used by ablation benchmarks to toggle
     /// individual optimizations).
     pub fn set_profile(&mut self, profile: FlavorProfile) {
-        self.entities.max_tnt_per_tick = profile.max_tnt_per_tick;
+        self.apply_profile(profile);
+    }
+
+    /// Resolves `profile` against the [`ServerConfig`] overrides and pushes
+    /// the result into every subsystem: the tick pipeline (with the
+    /// server's pool attached and the world resharded to match), the
+    /// lighting and dissemination modes, and the entity manager's TNT cap.
+    fn apply_profile(&mut self, profile: FlavorProfile) {
         self.pipeline = build_pipeline(&profile, &self.config, &self.world);
         if let Some(pool) = &self.pool {
             self.pipeline.attach_pool(Arc::clone(pool));
@@ -305,6 +314,7 @@ impl GameServer {
             .aoi_dissemination
             .unwrap_or(profile.aoi_dissemination);
         self.terrain.eager_lighting = self.eager_lighting;
+        self.entities.max_tnt_per_tick = profile.max_tnt_per_tick;
         if self.eager_lighting {
             // An eager server never runs the pipelined stage; drop any
             // queue carried over from a previous profile.
@@ -497,35 +507,6 @@ impl GameServer {
         self.entities.spawn(kind, pos)
     }
 
-    fn handle_terrain_events(
-        &mut self,
-        events: Vec<TerrainEvent>,
-    ) -> Vec<(EntityId, EntityKind, Vec3)> {
-        let mut spawned = Vec::new();
-        for event in events {
-            match event {
-                TerrainEvent::TntIgnited { pos } => {
-                    let p = Vec3::from_block_center(pos);
-                    let id = self.entities.spawn(EntityKind::PrimedTnt, p);
-                    spawned.push((id, EntityKind::PrimedTnt, p));
-                }
-                TerrainEvent::BlockHarvested { pos, kind } => {
-                    let p = Vec3::from_block_center(pos);
-                    let id = self.entities.spawn(EntityKind::Item(kind), p);
-                    spawned.push((id, EntityKind::Item(kind), p));
-                }
-                TerrainEvent::ItemDispensed { pos } => {
-                    let p = Vec3::from_block_center(pos.up());
-                    let id = self
-                        .entities
-                        .spawn(EntityKind::Item(BlockKind::Cobblestone), p);
-                    spawned.push((id, EntityKind::Item(BlockKind::Cobblestone), p));
-                }
-            }
-        }
-        spawned
-    }
-
     /// Runs one game tick, converting its work into time on the given compute
     /// engine, and returns the tick summary.
     ///
@@ -533,99 +514,192 @@ impl GameServer {
     /// server has already crashed.
     pub fn run_tick(&mut self, engine: &mut ComputeEngine) -> TickSummary {
         let start_ms = self.clock_ms;
-        if let Some(crash) = &self.crash {
-            return TickSummary {
-                record: TickRecord {
-                    index: self.tick_index,
-                    start_ms,
-                    busy_ms: 0.0,
-                    period_ms: self.config.tick_budget_ms,
-                    distribution: TickDistribution::default(),
-                },
-                start_ms,
-                end_ms: start_ms + self.config.tick_budget_ms,
-                entity_count: self.entities.count(),
-                player_count: 0,
-                packets_emitted: 0,
-                bytes_received: 0,
-                cpu_utilization: 0.0,
-                async_chat: self.profile.async_chat,
-                max_shard_work: 0,
-                stages: TickStageBreakdown::default(),
-                crash: Some(crash.clone()),
-            };
+        if let Some(crash) = self.crash.clone() {
+            return self.crashed_summary(crash);
         }
-
         self.tick_index += 1;
         self.world.advance_tick();
 
-        // --- Stage 0: pipelined lighting ---------------------------------
-        // Under pipelined lighting (`eager_lighting = false`) the previous
-        // tick queued its terrain-change positions; relight them now over a
-        // frozen snapshot of the world at tick start. In the compute model
-        // this work is fully offloadable — it overlaps this tick's player
-        // stage on idle cores — which is the cross-tick pipelining win.
-        let pipelined_light_positions = if self.eager_lighting || self.pending_relight.is_empty() {
-            0
-        } else {
-            let mut positions = std::mem::take(&mut self.pending_relight);
-            let visited = sim::relight_positions_frozen_with(
-                &mut self.world,
-                &positions,
-                &self.pipeline.scope(),
-                &mut self.scratch,
-            );
-            // Hand the (cleared) queue back so its capacity survives to the
-            // next tick instead of re-growing from empty.
-            positions.clear();
-            self.pending_relight = positions;
-            visited
-        };
+        // Stages 0-4: simulate and disseminate. Each stage returns the
+        // counters (and, when sharded, the per-shard loads) it produced.
+        let pipelined_relit = self.stage_pipelined_lighting();
+        let players = self.stage_players();
+        let (terrain, event_spawns, terrain_shard_work) = self.stage_terrain();
+        let (entities, entity_shard_work) = self.stage_entities();
+        let recipients = self.player_count() as u64;
+        let packets_emitted =
+            self.stage_dissemination(recipients, &players.report, &event_spawns, &entities);
 
-        // --- Stage 1: player handler -------------------------------------
-        // Sharded pipelines batch players by owning shard and process the
-        // interior batches in parallel (boundary players escalate to a
-        // serial tail — see `handler::process_players_sharded`); serial
-        // flavors keep the classic per-player loop. Either way the queues
-        // are drained once, in player order.
-        let mut bytes_received = 0u64;
-        let (player_report, player_shard_work) = if self.pipeline.is_sharded() {
-            let players = std::mem::take(&mut self.players);
-            let mut actions: Vec<Vec<ServerboundPacket>> = Vec::with_capacity(players.len());
-            for player in &players {
-                if player.disconnected {
-                    actions.push(Vec::new());
-                    continue;
-                }
-                let queue = self.queues.drain_incoming(player.id);
-                bytes_received += queue
-                    .iter()
-                    .map(|a| mlg_protocol::codec::serverbound_wire_size(a) as u64)
-                    .sum::<u64>();
-                actions.push(queue);
+        // Stage 5: work accounting. The cost model is a pure function of
+        // the counters; the stateful inputs (GC schedule, join backlog) are
+        // resolved here and passed as numbers.
+        let counters = TickCounters {
+            player: &players.report,
+            terrain: &terrain,
+            entity: &entities,
+            // Only one of the two relight passes runs in a given mode.
+            relit_positions: pipelined_relit + players.relit_positions,
+            join_chunks: std::mem::take(&mut self.pending_join_chunks),
+            recipients,
+            packets_emitted,
+            gc_work: self.scheduled_gc_work(),
+        };
+        let stage_width = if self.pipeline.is_sharded() {
+            self.pipeline.shards()
+        } else {
+            // JVM-runtime parallelism is not bound to tick shards.
+            u32::MAX
+        };
+        let shard_loads = match (&players.shard_work, &terrain_shard_work, &entity_shard_work) {
+            (Some(player), Some(terrain), Some(entity)) => {
+                Some([player.as_slice(), terrain.as_slice(), entity.as_slice()])
             }
+            _ => None,
+        };
+        let cost = cost::tick_cost(
+            &counters,
+            &self.profile,
+            self.eager_lighting,
+            stage_width,
+            shard_loads,
+        );
+        // Adaptive rebalancing: apply this tick's merged load report to the
+        // partition (a pure function of the report, so bit-identical at any
+        // thread count). The world is resharded lazily by the next tick's
+        // sharded player/terrain phases.
+        if let Some(report) = &cost.load_report {
+            self.pipeline.apply_load_report(report);
+        }
+        let staged =
+            engine.execute_stages(&cost.stages, cost.offloadable, self.config.tick_budget_ms);
+        let busy_ms = staged.execution.busy_ms;
+
+        // Stage 6: tick-time distribution, then the end-of-tick bookkeeping.
+        let distribution = cost.distribution(busy_ms, self.config.tick_budget_ms);
+        let period_ms = busy_ms.max(self.config.tick_budget_ms);
+        let crash = self.end_of_tick(busy_ms, period_ms);
+        TickSummary {
+            record: TickRecord {
+                index: self.tick_index,
+                start_ms,
+                busy_ms,
+                period_ms,
+                distribution,
+            },
+            start_ms,
+            end_ms: self.clock_ms,
+            entity_count: self.entities.count(),
+            player_count: self.player_count(),
+            packets_emitted,
+            bytes_received: players.bytes_received,
+            cpu_utilization: staged.execution.cpu_utilization,
+            async_chat: self.profile.async_chat,
+            max_shard_work: cost.max_shard_work,
+            stages: TickStageBreakdown {
+                player_ms: staged.stage_ms[0],
+                terrain_ms: staged.stage_ms[1],
+                entity_ms: staged.stage_ms[2],
+                lighting_ms: staged.stage_ms[3],
+                dissemination_ms: staged.stage_ms[4],
+                other_ms: staged.stage_ms[5] + staged.offload_overflow_ms,
+            },
+            crash,
+        }
+    }
+
+    /// The do-nothing summary a crashed server keeps reporting.
+    fn crashed_summary(&self, crash: ServerCrash) -> TickSummary {
+        let start_ms = self.clock_ms;
+        TickSummary {
+            record: TickRecord {
+                index: self.tick_index,
+                start_ms,
+                busy_ms: 0.0,
+                period_ms: self.config.tick_budget_ms,
+                distribution: TickDistribution::default(),
+            },
+            start_ms,
+            end_ms: start_ms + self.config.tick_budget_ms,
+            entity_count: self.entities.count(),
+            player_count: 0,
+            packets_emitted: 0,
+            bytes_received: 0,
+            cpu_utilization: 0.0,
+            async_chat: self.profile.async_chat,
+            max_shard_work: 0,
+            stages: TickStageBreakdown::default(),
+            crash: Some(crash),
+        }
+    }
+
+    /// Relights `positions` over a frozen snapshot of the world, fanned
+    /// over the tick pipeline; returns the positions visited.
+    fn relight_frozen(&mut self, positions: &[BlockPos]) -> u64 {
+        sim::relight_positions_frozen_with(
+            &mut self.world,
+            positions,
+            &self.pipeline.scope(),
+            &mut self.scratch,
+        )
+    }
+
+    /// Stage 0: pipelined lighting. Under pipelined lighting
+    /// (`eager_lighting = false`) the previous tick queued its
+    /// terrain-change positions; relight them now over a frozen snapshot of
+    /// the world at tick start. In the compute model this work is fully
+    /// offloadable — it overlaps this tick's player stage on idle cores —
+    /// which is the cross-tick pipelining win. Returns the positions relit.
+    fn stage_pipelined_lighting(&mut self) -> u64 {
+        if self.eager_lighting || self.pending_relight.is_empty() {
+            return 0;
+        }
+        let mut positions = std::mem::take(&mut self.pending_relight);
+        let visited = self.relight_frozen(&positions);
+        // Hand the (cleared) queue back so its capacity survives to the
+        // next tick instead of re-growing from empty.
+        positions.clear();
+        self.pending_relight = positions;
+        visited
+    }
+
+    /// Stage 1: player handler. Sharded pipelines batch players by owning
+    /// shard and process the interior batches in parallel (boundary players
+    /// escalate to a serial tail — see `handler::process_players_sharded`);
+    /// serial flavors keep the classic per-player loop. Either way the
+    /// queues are drained once, in player order.
+    fn stage_players(&mut self) -> PlayerStage {
+        let mut bytes_received = 0u64;
+        let mut drain = |queues: &mut NetworkingQueues, id: PlayerId| {
+            let actions = queues.drain_incoming(id);
+            bytes_received += actions
+                .iter()
+                .map(|a| mlg_protocol::codec::serverbound_wire_size(a) as u64)
+                .sum::<u64>();
+            actions
+        };
+        let (report, shard_work) = if self.pipeline.is_sharded() {
+            let players = std::mem::take(&mut self.players);
+            let actions = players
+                .iter()
+                .map(|player| {
+                    if player.disconnected {
+                        Vec::new()
+                    } else {
+                        drain(&mut self.queues, player.id)
+                    }
+                })
+                .collect();
             let (players, stage) =
                 handler::process_players_sharded(&mut self.world, players, actions, &self.pipeline);
             self.players = players;
             (stage.report, Some(stage.per_shard_work))
         } else {
             let mut report = PlayerStageReport::default();
-            // Index connected players once: iterating ids and re-scanning
-            // the player list per id was O(P²) per tick.
-            let connected: Vec<usize> = self
-                .players
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.disconnected)
-                .map(|(index, _)| index)
-                .collect();
-            for index in connected {
-                let id = self.players[index].id;
-                let actions = self.queues.drain_incoming(id);
-                bytes_received += actions
-                    .iter()
-                    .map(|a| mlg_protocol::codec::serverbound_wire_size(a) as u64)
-                    .sum::<u64>();
+            for index in 0..self.players.len() {
+                if self.players[index].disconnected {
+                    continue;
+                }
+                let actions = drain(&mut self.queues, self.players[index].id);
                 handler::process_player_actions(
                     &mut self.world,
                     &mut self.players[index],
@@ -642,30 +716,30 @@ impl GameServer {
         // snapshot under eager lighting, queued for the next tick's
         // pipelined stage otherwise. The change log is empty at tick start
         // (stage 4 drains it), so everything in it here came from stage 1.
-        let player_light_positions = if self.world.changes().is_empty() {
+        let edits = self.world.changes().iter().map(|change| change.pos);
+        let relit_positions = if self.world.changes().is_empty() {
             0
         } else if self.eager_lighting {
-            let positions: Vec<BlockPos> = self
-                .world
-                .changes()
-                .iter()
-                .map(|change| change.pos)
-                .collect();
-            sim::relight_positions_frozen_with(
-                &mut self.world,
-                &positions,
-                &self.pipeline.scope(),
-                &mut self.scratch,
-            )
+            let positions: Vec<BlockPos> = edits.collect();
+            self.relight_frozen(&positions)
         } else {
-            self.pending_relight
-                .extend(self.world.changes().iter().map(|change| change.pos));
+            self.pending_relight.extend(edits);
             0
         };
+        PlayerStage {
+            report,
+            shard_work,
+            bytes_received,
+            relit_positions,
+        }
+    }
 
-        // --- Stage 2: terrain simulation ----------------------------------
+    /// Stage 2: terrain simulation. Returns the stage report, the entities
+    /// spawned from its events and, for sharded pipelines, the updates
+    /// processed per shard.
+    fn stage_terrain(&mut self) -> (TerrainTickReport, Vec<EventSpawn>, Option<Vec<u64>>) {
         let relight_from = self.world.changes().len();
-        let (terrain_report, terrain_events, terrain_shard_work) = if self.pipeline.is_sharded() {
+        let (report, events, shard_work) = if self.pipeline.is_sharded() {
             let out =
                 self.terrain
                     .tick_sharded_with(&mut self.world, &self.pipeline, &mut self.scratch);
@@ -685,252 +759,96 @@ impl GameServer {
                     .map(|change| change.pos),
             );
         }
-        let event_spawns = self.handle_terrain_events(terrain_events);
+        let event_spawns = events
+            .into_iter()
+            .map(|event| {
+                let (kind, pos) = match event {
+                    TerrainEvent::TntIgnited { pos } => (EntityKind::PrimedTnt, pos),
+                    TerrainEvent::BlockHarvested { pos, kind } => (EntityKind::Item(kind), pos),
+                    TerrainEvent::ItemDispensed { pos } => {
+                        (EntityKind::Item(BlockKind::Cobblestone), pos.up())
+                    }
+                };
+                let at = Vec3::from_block_center(pos);
+                (self.entities.spawn(kind, at), kind, at)
+            })
+            .collect();
+        (report, event_spawns, shard_work)
+    }
 
-        // --- Stage 3: entity simulation -----------------------------------
+    /// Stage 3: entity simulation. Returns the stage report and, for
+    /// sharded pipelines, the entities processed per shard.
+    fn stage_entities(&mut self) -> (EntityTickReport, Option<Vec<u64>>) {
         let player_positions = handler::player_positions(&self.players);
-        let (entity_report, entity_shard_work) = if self.pipeline.is_sharded() {
+        if self.pipeline.is_sharded() {
             let (report, per_shard) =
                 self.entities
                     .tick_batched(&mut self.world, &player_positions, &self.pipeline);
             (report, Some(per_shard))
         } else {
-            let report = self.entities.tick(&mut self.world, &player_positions);
-            (report, None)
-        };
+            (self.entities.tick(&mut self.world, &player_positions), None)
+        }
+    }
 
-        // --- Stage 4: state-update dissemination --------------------------
-        // Every broadcast of this tick is assembled into one reused,
-        // pre-sized buffer — in canonical order — and flushed with a single
-        // batched `broadcast_many` + `record_many` pair instead of a
-        // per-packet traversal of the connection map.
-        let mut packets_emitted = 0u64;
-        let recipients = self.player_count() as u64;
+    /// Stage 4: state-update dissemination (see `dissemination.rs`).
+    /// Drains the world's change log and returns the packets queued.
+    fn stage_dissemination(
+        &mut self,
+        recipients: u64,
+        player_report: &PlayerStageReport,
+        event_spawns: &[EventSpawn],
+        entities: &EntityTickReport,
+    ) -> u64 {
         let changes = self.world.drain_changes();
         let mut packets = std::mem::take(&mut self.broadcast_buf);
         packets.clear();
+        let mut packets_emitted = 0;
         if recipients > 0 {
-            packets.reserve(
-                recipients as usize
-                    + changes.len()
-                    + event_spawns.len()
-                    + entity_report.spawned.len()
-                    + entity_report.moved.len()
-                    + entity_report.removed.len()
-                    + player_report.pending_chat.len()
-                    + 2,
+            let updates = TickUpdates {
+                changes: &changes,
+                event_spawns,
+                entities,
+                chat: &player_report.pending_chat,
+            };
+            let sharded = self.pipeline.is_sharded();
+            dissemination::assemble(
+                &mut packets,
+                &self.players,
+                sharded.then(|| self.pipeline.shard_map()),
+                &updates,
+                self.spawn_point,
+                self.tick_index,
             );
-            // Player position synchronisation: every connected player's
-            // position is broadcast each tick (entity-related traffic, which
-            // is why Table 8 shows entity messages dominating even the
-            // Control workload). Sharded pipelines assemble these per shard
-            // — canonical shard order, player order within a shard —
-            // mirroring how the player stage batches its work.
-            if self.pipeline.is_sharded() {
-                let map = self.pipeline.shard_map();
-                let mut keyed: Vec<(usize, usize)> = self
-                    .players
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, pl)| !pl.disconnected)
-                    .map(|(index, pl)| (map.shard_of_chunk(pl.chunk()), index))
-                    .collect();
-                keyed.sort_unstable();
-                for (_, index) in keyed {
-                    let pl = &self.players[index];
-                    packets.push(ClientboundPacket::EntityMove {
-                        id: pl.entity_id,
-                        pos: pl.pos,
-                    });
-                }
-            } else {
-                for pl in self.players.iter().filter(|pl| !pl.disconnected) {
-                    packets.push(ClientboundPacket::EntityMove {
-                        id: pl.entity_id,
-                        pos: pl.pos,
-                    });
-                }
-            }
-            for change in &changes {
-                packets.push(ClientboundPacket::BlockChange {
-                    pos: change.pos,
-                    block: change.new,
-                });
-            }
-            for (id, kind, pos) in &event_spawns {
-                packets.push(ClientboundPacket::EntitySpawn {
-                    id: *id,
-                    kind_id: entity_kind_id(*kind),
-                    pos: *pos,
-                });
-            }
-            for (id, kind) in &entity_report.spawned {
-                packets.push(ClientboundPacket::EntitySpawn {
-                    id: *id,
-                    kind_id: entity_kind_id(*kind),
-                    pos: self.spawn_point,
-                });
-            }
-            for (id, pos) in &entity_report.moved {
-                packets.push(ClientboundPacket::EntityMove { id: *id, pos: *pos });
-            }
-            for id in &entity_report.removed {
-                packets.push(ClientboundPacket::EntityDestroy { id: *id });
-            }
-            for chat in &player_report.pending_chat {
-                packets.push(ClientboundPacket::Chat {
-                    message: format!("<{}> {}", chat.sender, chat.message),
-                    echo_of_ms: chat.sent_at_ms,
-                });
-            }
-            if self.tick_index.is_multiple_of(20) {
-                packets.push(ClientboundPacket::TimeUpdate {
-                    world_age_ticks: self.tick_index,
-                });
-            }
-            if self.tick_index.is_multiple_of(100) {
-                packets.push(ClientboundPacket::KeepAlive {
-                    id: self.tick_index,
-                });
-            }
-            if self.aoi_dissemination {
-                // Area-of-interest dissemination: positioned packets reach
-                // only the players whose view distance covers the event, so
-                // the stage's cost scales with the summed interest-set
-                // sizes (Σ|AoI|) instead of packets × players. Packets
-                // without a position anchor (chat, time, keep-alives,
-                // entity removal) stay global. Interest sets are computed
-                // by hashing viewers into a coarse grid of radius-sized
-                // cells and distance-testing the 3×3 cell neighborhood of
-                // each packet's anchor, so a scaled population never pays a
-                // full viewer scan per packet. Viewers land in the buckets
-                // in ascending connection order (players are appended with
-                // monotonically increasing ids) and cells are scanned in a
-                // fixed order, keeping every interest set deterministic.
-                let radius = f64::from(self.config.view_distance) * 16.0;
-                let radius_sq = radius * radius;
-                let cell = radius.max(1.0);
-                let viewers: Vec<(PlayerId, Vec3)> = self
-                    .players
-                    .iter()
-                    .filter(|pl| !pl.disconnected)
-                    .map(|pl| (pl.id, pl.pos))
-                    .collect();
-                let mut buckets: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
-                for (index, (_, pos)) in viewers.iter().enumerate() {
-                    let key = ((pos.x / cell).floor() as i64, (pos.z / cell).floor() as i64);
-                    buckets.entry(key).or_default().push(index);
-                }
-                let interest: Vec<Option<Vec<PlayerId>>> = packets
-                    .iter()
-                    .map(|packet| {
-                        packet_position(packet).map(|pos| {
-                            let cx = (pos.x / cell).floor() as i64;
-                            let cz = (pos.z / cell).floor() as i64;
-                            let mut set = Vec::new();
-                            for dx in -1..=1 {
-                                for dz in -1..=1 {
-                                    let Some(bucket) = buckets.get(&(cx + dx, cz + dz)) else {
-                                        continue;
-                                    };
-                                    for &viewer in bucket {
-                                        let (id, viewer_pos) = viewers[viewer];
-                                        let ddx = viewer_pos.x - pos.x;
-                                        let ddz = viewer_pos.z - pos.z;
-                                        if ddx * ddx + ddz * ddz <= radius_sq {
-                                            set.push(id);
-                                        }
-                                    }
-                                }
-                            }
-                            set
-                        })
-                    })
-                    .collect();
-                packets_emitted =
-                    self.queues
-                        .multicast_many(&packets, |index| match &interest[index] {
-                            None => PacketRecipients::All,
-                            Some(set) => PacketRecipients::Only(set),
-                        });
-                // Per-packet recipient counts feed the accountant so the
-                // traffic metrics reflect delivered bytes, not assembled
-                // ones. When every viewer is in range of everything this
-                // degenerates to exactly `record_many(&packets, recipients)`.
-                for (packet, list) in packets.iter().zip(&interest) {
-                    let count = match list {
-                        None => recipients,
-                        Some(set) => set.len() as u64,
-                    };
-                    if count > 0 {
-                        self.traffic.record(packet, count);
-                    }
-                }
+            packets_emitted = if self.aoi_dissemination {
+                dissemination::multicast_by_interest(
+                    &mut self.queues,
+                    &mut self.traffic,
+                    &packets,
+                    &self.players,
+                    f64::from(self.config.view_distance) * 16.0,
+                )
             } else {
                 self.traffic.record_many(&packets, recipients);
-                packets_emitted = self.queues.broadcast_many(&packets);
-            }
+                self.queues.broadcast_many(&packets)
+            };
         }
         self.broadcast_buf = packets;
+        packets_emitted
+    }
 
-        // --- Stage 5: work accounting and time conversion ------------------
-        // Each stage of the tick graph declares its own serial/parallel
-        // split (per-stage fractions from the flavor profile, per-stage
-        // load-balance floors from the merged shard work); the engine folds
-        // the records into one Amdahl critical path.
-        let p = &self.profile;
-        let player_work = player_report.base_work_units();
-        let add_remove_work = terrain_report.blocks_added * 25
-            + terrain_report.blocks_removed * 25
-            + terrain_report.blocks_updated * 10;
-        let update_work_raw = terrain_report.neighbor_updates * 12
-            + terrain_report.scheduled_updates * 14
-            + terrain_report.random_ticks * 4
-            + terrain_report.fluid_spreads * 18
-            + terrain_report.redstone_propagations * 16
-            + terrain_report.growths * 20
-            + terrain_report.blocks_scanned;
-        let update_work = (update_work_raw as f64 * p.redstone_multiplier) as u64;
-        // Under pipelined lighting this tick pays for the *previous* tick's
-        // relight set (consumed by stage 0); the terrain stage reported no
-        // light positions of its own.
-        let light_positions = if self.eager_lighting {
-            terrain_report.light_positions + player_light_positions
-        } else {
-            pipelined_light_positions
-        };
-        let light_work = (light_positions as f64 * 2.0 * p.lighting_multiplier) as u64;
-        let chunk_work = (terrain_report.chunks_generated + self.pending_join_chunks) * 4_000;
-        self.pending_join_chunks = 0;
-
-        let explosion_component =
-            entity_report.explosions * 500 + entity_report.blocks_destroyed * 30;
-        let entity_base = entity_report.base_work_units();
-        let entity_work = ((entity_base.saturating_sub(explosion_component)) as f64
-            * p.entity_multiplier
-            + explosion_component as f64 * p.explosion_multiplier) as u64;
-
-        let chat_work = player_report.chat_messages * 25 * recipients.max(1);
-        let packet_work = packets_emitted * 3;
-        let connection_work = recipients * PER_PLAYER_TICK_WORK;
-        let overhead_work = 2_000u64;
-
-        // Simulated JVM garbage collection: periodic pauses whose length
-        // grows with the live heap (entities and loaded chunks). Minor
-        // collections stay within the tick budget; major collections are the
-        // occasional large outliers that even self-hosted deployments show.
-        let mut gc_work = 0u64;
+    /// Work of the simulated JVM collections due this tick (0 on most
+    /// ticks), advancing the seeded GC schedule.
+    fn scheduled_gc_work(&mut self) -> u64 {
+        let entities = self.entities.count() as u64;
+        let chunks = self.world.loaded_chunk_count() as u64;
+        let mut gc_work = 0;
         if self.tick_index >= self.next_minor_gc_tick {
-            gc_work += 80_000
-                + self.entities.count() as u64 * 60
-                + self.world.loaded_chunk_count() as u64 * 150;
+            gc_work += cost::gc_pause_work(false, entities, chunks);
             self.next_minor_gc_tick =
                 self.tick_index + MINOR_GC_INTERVAL_TICKS + self.gc_rng.gen_range(0..60);
         }
         if self.tick_index >= self.next_major_gc_tick {
-            gc_work += 600_000
-                + self.entities.count() as u64 * 400
-                + self.world.loaded_chunk_count() as u64 * 800;
+            gc_work += cost::gc_pause_work(true, entities, chunks);
             self.next_major_gc_tick =
                 self.tick_index + MAJOR_GC_INTERVAL_TICKS + self.gc_rng.gen_range(0..200);
             // Piggyback real substrate maintenance on the simulated major
@@ -939,289 +857,45 @@ impl GameServer {
             // the modeled cost stream is unaffected.
             self.world.compact_chunk_storage();
         }
+        gc_work
+    }
 
-        let total_work = ((player_work
-            + add_remove_work
-            + update_work
-            + light_work
-            + chunk_work
-            + entity_work
-            + chat_work
-            + packet_work
-            + connection_work
-            + gc_work
-            + overhead_work) as f64
-            * p.overhead_multiplier) as u64;
-
-        // Asynchronously offloadable work, attributed per stage so serial
-        // residues can be computed below: a flavor-dependent fraction of the
-        // terrain/lighting/dissemination stages, chat wholesale under async
-        // chat, and — the cross-tick pipelining win — the *whole* lighting
-        // pass when it runs pipelined (stage 0 overlapped it with this
-        // tick's player stage on idle cores).
-        let offload_f = p.offload_fraction.clamp(0.0, 1.0);
-        let off_terrain = (offload_f * (update_work + chunk_work) as f64) as u64;
-        let off_light = if self.eager_lighting {
-            (offload_f * light_work as f64) as u64
-        } else {
-            light_work
-        };
-        let off_dissemination =
-            (offload_f * packet_work as f64) as u64 + if p.async_chat { chat_work } else { 0 };
-        let offloadable = (off_terrain + off_light + off_dissemination).min(total_work);
-
-        // Per-stage parallelizable shares: each stage fans its fraction out
-        // over the tick shards (or plain JVM-runtime parallelism for serial
-        // flavors — GC is always freely parallel on top). The light/chunk/
-        // packet share already counted as offloadable is excluded so no
-        // component is classified off the main thread twice. Redstone/
-        // block-update cascades stay serial — they are dependency chains
-        // even under sharding.
-        let sp = p.stage_parallel;
-        let player_pool = player_work + connection_work;
-        let terrain_pool = add_remove_work + update_work + chunk_work;
-        let dissemination_pool = packet_work + chat_work;
-        let mut par_player = (sp.player * player_pool as f64) as u64;
-        let mut par_terrain = (sp.terrain * (1.0 - offload_f) * chunk_work as f64) as u64;
-        let mut par_entity = (sp.entity * entity_work as f64) as u64;
-        let mut par_light = if self.eager_lighting {
-            (sp.lighting * (1.0 - offload_f) * light_work as f64) as u64
-        } else {
-            0
-        };
-        let mut par_dissemination =
-            (sp.dissemination * (1.0 - offload_f) * packet_work as f64) as u64;
-        let mut par_gc = gc_work;
-        // Keep offload + parallel within the (overhead-scaled) total; the
-        // clamp order is fixed so the split stays deterministic.
-        let mut parallel_budget = total_work.saturating_sub(offloadable);
-        for share in [
-            &mut par_player,
-            &mut par_terrain,
-            &mut par_entity,
-            &mut par_light,
-            &mut par_dissemination,
-            &mut par_gc,
-        ] {
-            *share = (*share).min(parallel_budget);
-            parallel_budget -= *share;
-        }
-        let parallelizable =
-            par_player + par_terrain + par_entity + par_light + par_dissemination + par_gc;
-        let main_total = total_work - offloadable - parallelizable;
-
-        // Attribute the remaining main-thread work to stages in proportion
-        // to their serial residues (work not offloaded and not parallel).
-        // The engine only sums the serial parts, so the attribution shapes
-        // the per-stage breakdown without changing busy time.
-        let serial_player = player_pool.saturating_sub(par_player);
-        let serial_terrain = terrain_pool.saturating_sub(off_terrain + par_terrain);
-        let serial_entity = entity_work.saturating_sub(par_entity);
-        let serial_light = light_work.saturating_sub(off_light + par_light);
-        let serial_dissemination =
-            dissemination_pool.saturating_sub(off_dissemination + par_dissemination);
-        let serial_other = overhead_work + gc_work.saturating_sub(par_gc);
-        let serial_total = (serial_player
-            + serial_terrain
-            + serial_entity
-            + serial_light
-            + serial_dissemination
-            + serial_other)
-            .max(1);
-        let attribute =
-            |units: u64| (main_total as f64 * units as f64 / serial_total as f64) as u64;
-        let main_player = attribute(serial_player);
-        let main_terrain = attribute(serial_terrain);
-        let main_entity = attribute(serial_entity);
-        let main_light = attribute(serial_light);
-        let main_dissemination = attribute(serial_dissemination);
-        let main_other = main_total
-            - (main_player + main_terrain + main_entity + main_light + main_dissemination);
-
-        let stage_width = if self.pipeline.is_sharded() {
-            self.pipeline.shards()
-        } else {
-            // JVM-runtime parallelism is not bound to tick shards.
-            u32::MAX
-        };
-        // Per-stage load-balance floors: the busiest shard's measured share
-        // of that stage's parallel work (zero when nothing sharded ran).
-        let stage_floor = |par: u64, loads: Option<&Vec<u64>>| -> u64 {
-            let Some(loads) = loads else { return 0 };
-            let total: u64 = loads.iter().sum();
-            if total == 0 {
-                return 0;
-            }
-            let max = loads.iter().copied().max().unwrap_or(0);
-            ((par as u128 * u128::from(max) / u128::from(total)) as u64).min(par)
-        };
-        let floor_player = stage_floor(par_player, player_shard_work.as_ref());
-        let floor_terrain = stage_floor(par_terrain, terrain_shard_work.as_ref());
-        let floor_entity = stage_floor(par_entity, entity_shard_work.as_ref());
-        let max_shard = floor_player + floor_terrain + floor_entity;
-
-        // The same merged per-shard loads — player stage included — drive
-        // adaptive rebalancing, so the compute model and the partition
-        // always see identical hotspots.
-        let load_report = match (&terrain_shard_work, &entity_shard_work) {
-            (Some(terrain), Some(entities)) => {
-                let mut report = ShardLoadReport::from_stage_work(terrain, entities);
-                if let Some(player) = &player_shard_work {
-                    report.fold_player_work(player);
-                }
-                Some(report)
-            }
-            _ => None,
-        };
-
-        // Adaptive rebalancing: apply this tick's merged load report to the
-        // partition (a pure function of the report, so bit-identical at any
-        // thread count). The world is resharded lazily by the next tick's
-        // sharded player/terrain phases.
-        if self.pipeline.rebalance_enabled() {
-            if let Some(report) = &load_report {
-                self.pipeline.apply_load_report(report);
-            }
-        }
-
-        let stage_records = [
-            StageWork {
-                main_thread: main_player,
-                parallelizable: par_player,
-                parallel_width: stage_width,
-                max_shard: floor_player,
-            },
-            StageWork {
-                main_thread: main_terrain,
-                parallelizable: par_terrain,
-                parallel_width: stage_width,
-                max_shard: floor_terrain,
-            },
-            StageWork {
-                main_thread: main_entity,
-                parallelizable: par_entity,
-                parallel_width: stage_width,
-                max_shard: floor_entity,
-            },
-            StageWork {
-                main_thread: main_light,
-                parallelizable: par_light,
-                parallel_width: stage_width,
-                max_shard: 0,
-            },
-            StageWork {
-                main_thread: main_dissemination,
-                parallelizable: par_dissemination,
-                parallel_width: stage_width,
-                max_shard: 0,
-            },
-            StageWork {
-                main_thread: main_other,
-                parallelizable: par_gc,
-                // Parallel GC is freely divisible across however many
-                // vCPUs exist, not bound to tick shards.
-                parallel_width: u32::MAX,
-                max_shard: 0,
-            },
-        ];
-        let staged = engine.execute_stages(&stage_records, offloadable, self.config.tick_budget_ms);
-        let stages = TickStageBreakdown {
-            player_ms: staged.stage_ms[0],
-            terrain_ms: staged.stage_ms[1],
-            entity_ms: staged.stage_ms[2],
-            lighting_ms: staged.stage_ms[3],
-            dissemination_ms: staged.stage_ms[4],
-            other_ms: staged.stage_ms[5] + staged.offload_overflow_ms,
-        };
-        let execution = staged.execution;
-        let busy_ms = execution.busy_ms;
-
-        // --- Stage 6: tick-time distribution -------------------------------
-        let busy_components = [
-            ((player_work + connection_work) as f64, 0usize), // Players
-            (add_remove_work as f64, 1),                      // BlockAddRemove
-            (update_work as f64, 2),                          // BlockUpdate
-            (entity_work as f64, 3),                          // Entities
-            (
-                (light_work + chunk_work + chat_work + packet_work + gc_work + overhead_work)
-                    as f64,
-                4,
-            ), // Other
-        ];
-        let component_total: f64 = busy_components.iter().map(|(w, _)| w).sum::<f64>().max(1.0);
-        let mut distribution = TickDistribution::default();
-        for (work, slot) in busy_components {
-            let ms = busy_ms * work / component_total;
-            match slot {
-                0 => distribution.players_ms = ms,
-                1 => distribution.block_add_remove_ms = ms,
-                2 => distribution.block_update_ms = ms,
-                3 => distribution.entities_ms = ms,
-                _ => distribution.other_ms = ms,
-            }
-        }
-        distribution.wait_before_ms = 0.1;
-        distribution.wait_after_ms = (self.config.tick_budget_ms - busy_ms).max(0.0);
-
-        // --- Stage 7: clock advance and overload handling ------------------
-        let period_ms = busy_ms.max(self.config.tick_budget_ms);
+    /// Stage 7: clock advance, keep-alive bookkeeping and overload handling.
+    /// Returns the crash record if this tick killed the server.
+    ///
+    /// Crash semantics: clients time out when the server cannot serve them
+    /// a keep-alive within the timeout window. Keep-alives go out every 100
+    /// ticks, so sustained overload stretches the interval between them
+    /// until it exceeds the timeout — the mechanism by which the Lag
+    /// workload crashes every MLG on AWS in the paper (MF2). A single
+    /// monster tick longer than the window has the same effect.
+    fn end_of_tick(&mut self, busy_ms: f64, period_ms: f64) -> Option<ServerCrash> {
         self.clock_ms += period_ms;
         let end_ms = self.clock_ms;
         for player in self.players.iter_mut().filter(|pl| !pl.disconnected) {
             player.last_served_ms = end_ms;
         }
-
-        // Crash semantics: clients time out when the server cannot serve them
-        // a keep-alive within the timeout window. Keep-alives go out every
-        // 100 ticks, so sustained overload stretches the interval between
-        // them until it exceeds the timeout — the mechanism by which the Lag
-        // workload crashes every MLG on AWS in the paper (MF2). A single
-        // monster tick longer than the window has the same effect.
         self.ms_since_keepalive += period_ms;
         if self.tick_index.is_multiple_of(100) {
             self.ms_since_keepalive = 0.0;
         }
         let stalled = busy_ms > self.config.keepalive_timeout_ms
             || self.ms_since_keepalive > self.config.keepalive_timeout_ms;
-        let mut crash = None;
-        if stalled && self.player_count() > 0 {
-            for player in self.players.iter_mut() {
-                player.disconnected = true;
-            }
-            let c = ServerCrash {
-                reason: format!(
-                    "tick {} stalled for {:.0} ms; all client connections timed out",
-                    self.tick_index, busy_ms
-                ),
-                at_tick: self.tick_index,
-                at_ms: end_ms,
-            };
-            self.crash = Some(c.clone());
-            crash = Some(c);
+        if !stalled || self.player_count() == 0 {
+            return None;
         }
-
-        let record = TickRecord {
-            index: self.tick_index,
-            start_ms,
-            busy_ms,
-            period_ms,
-            distribution,
-        };
-
-        TickSummary {
-            record,
-            start_ms,
-            end_ms,
-            entity_count: self.entities.count(),
-            player_count: self.player_count(),
-            packets_emitted,
-            bytes_received,
-            cpu_utilization: execution.cpu_utilization,
-            async_chat: self.profile.async_chat,
-            max_shard_work: max_shard,
-            stages,
-            crash,
+        for player in &mut self.players {
+            player.disconnected = true;
         }
+        self.crash = Some(ServerCrash {
+            reason: format!(
+                "tick {} stalled for {:.0} ms; all client connections timed out",
+                self.tick_index, busy_ms
+            ),
+            at_tick: self.tick_index,
+            at_ms: end_ms,
+        });
+        self.crash.clone()
     }
 }
 
@@ -1239,39 +913,6 @@ fn build_pipeline(profile: &FlavorProfile, config: &ServerConfig, world: &World)
         )
     } else {
         TickPipeline::new(profile.tick_shards, config.tick_threads)
-    }
-}
-
-/// The world position a broadcast packet's relevance is anchored to, if
-/// any. Positioned packets are subject to area-of-interest filtering;
-/// packets with no anchor are global. `EntityDestroy` carries no position
-/// on the wire, so removals are disseminated globally — clients must be
-/// able to drop entities they stopped seeing move.
-fn packet_position(packet: &ClientboundPacket) -> Option<Vec3> {
-    match packet {
-        ClientboundPacket::EntityMove { pos, .. } | ClientboundPacket::EntitySpawn { pos, .. } => {
-            Some(*pos)
-        }
-        ClientboundPacket::BlockChange { pos, .. } => Some(Vec3::new(
-            f64::from(pos.x) + 0.5,
-            f64::from(pos.y) + 0.5,
-            f64::from(pos.z) + 0.5,
-        )),
-        _ => None,
-    }
-}
-
-fn entity_kind_id(kind: EntityKind) -> u16 {
-    match kind {
-        EntityKind::Item(_) => 0,
-        EntityKind::PrimedTnt => 1,
-        EntityKind::FallingBlock(_) => 2,
-        EntityKind::Zombie => 3,
-        EntityKind::Skeleton => 4,
-        EntityKind::Cow => 5,
-        EntityKind::Villager => 6,
-        EntityKind::ExperienceOrb => 7,
-        _ => u16::MAX,
     }
 }
 

@@ -9,9 +9,11 @@
 //! constructs* such as resource farms and lag machines.
 //!
 //! The crate is deliberately independent from wall-clock time: every
-//! simulation step reports how much abstract *work* it performed
-//! ([`sim::TerrainTickReport`]), which the deployment-environment simulator
-//! (`cloud-sim`) later converts into milliseconds.
+//! simulation step reports *counters* of what it did
+//! ([`sim::TerrainTickReport`]). It attaches no cost to them — the server's
+//! cost model (`mlg-server/src/cost.rs`) prices the counters into work
+//! units, which the deployment-environment simulator (`cloud-sim`) converts
+//! into milliseconds.
 //!
 //! The [`shard`] module partitions the loaded world for the sharded tick
 //! pipeline: either static 4-chunk x-stripes or an adaptive 2D region
@@ -21,10 +23,10 @@
 //! pipeline bit-identical at any worker-thread count. The [`pool`] module
 //! provides the execution substrate: a persistent [`TickWorkerPool`] of
 //! parked workers, spawned once per server and reused by every parallel
-//! phase of every tick (per-phase scoped threads remain as the fallback
-//! and bench baseline). The system-wide map — stage graph, determinism
-//! contract, cost model, measured pool-vs-scoped numbers — lives in
-//! `docs/ARCHITECTURE.md` at the repository root.
+//! phase of every tick — the only fan-out implementation on the tick path
+//! (a pool-less pipeline runs the same code on a short-lived pool). The
+//! system-wide map — stage graph, determinism contract, cost model — lives
+//! in `docs/ARCHITECTURE.md` at the repository root.
 //!
 //! # Example
 //!
@@ -67,7 +69,7 @@ pub use pool::{PoolScope, TickWorkerPool};
 pub use pos::{BlockPos, ChunkPos};
 pub use region::Region;
 pub use scratch::TickScratch;
-pub use shard::{BlockReader, FrozenWorld, ShardLoadReport, ShardMap, TerrainView, TickPipeline};
+pub use shard::{BlockReader, ShardLoadReport, ShardMap, TerrainView, TickPipeline};
 pub use sim::{ShardedTerrainTick, TerrainSimulator, TerrainTickReport};
 pub use update::{BlockUpdate, UpdateKind};
 pub use world::{World, WorldSnapshot};

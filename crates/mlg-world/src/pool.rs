@@ -5,7 +5,7 @@
 //!
 //! Through PR 4 every parallel phase of every tick — terrain cascade
 //! rounds, random ticks, frozen relighting, the sharded player handler,
-//! batched entities — opened a fresh `crossbeam::thread::scope`, spawning
+//! batched entities — opened a fresh thread scope, spawning
 //! and joining OS threads once *per phase per tick*. That substrate tax is
 //! pure runtime-environment overhead in the sense of Reichelt et al.
 //! (arXiv:2411.05491): it inflates wall-clock measurements without touching
@@ -29,8 +29,8 @@
 //! Jobs are claimed from one shared injector queue — there are no
 //! per-worker deques and no work stealing. Claiming order is racy, but
 //! every task is self-contained and results are re-ordered by index, so the
-//! output is **bit-identical for any executor count** — including the pool
-//! vs the scoped fallback vs fully inline execution. The determinism
+//! output is **bit-identical for any executor count** — the server's pool,
+//! a short-lived [`PoolScope::scoped`] pool, or fully inline. The determinism
 //! contract of the sharded tick pipeline (canonical shard merge order; see
 //! [`crate::shard`]) is therefore unaffected by who executes the tasks.
 //!
@@ -50,15 +50,13 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use crate::shard;
-
 /// A unit of work enqueued on the pool: fully owned, so it can outlive any
 /// borrow of the tick's state.
 type Job = Box<dyn FnOnce() + Send>;
 
 /// Extracts a human-readable message from a panic payload so worker panics
 /// can be re-raised on the calling thread.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -72,8 +70,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// reused by every parallel phase of every tick; `tick_threads - 1` threads
 /// are spawned, because the thread calling [`TickWorkerPool::scope`] always
 /// executes jobs too. The pool is execution infrastructure only: results
-/// are bit-identical whether a phase runs here, on fresh scoped threads, or
-/// inline on one thread.
+/// are bit-identical whether a phase runs here or inline on one thread.
 pub struct TickWorkerPool {
     /// Job injector; `None` only during `Drop`, which hangs the channel up
     /// to release the parked workers before joining them.
@@ -150,10 +147,7 @@ impl TickWorkerPool {
     {
         let total = tasks.len();
         if total <= 1 || self.executors <= 1 {
-            for (index, task) in tasks.iter_mut().enumerate() {
-                f(index, task, &ctx);
-            }
-            return (tasks, ctx);
+            return run_inline(tasks, ctx, f);
         }
 
         let shared = Arc::new((ctx, f));
@@ -218,6 +212,14 @@ impl TickWorkerPool {
     }
 }
 
+/// Runs every task on the calling thread, in input order.
+fn run_inline<T, C>(mut tasks: Vec<T>, ctx: C, f: impl Fn(usize, &mut T, &C)) -> (Vec<T>, C) {
+    for (index, task) in tasks.iter_mut().enumerate() {
+        f(index, task, &ctx);
+    }
+    (tasks, ctx)
+}
+
 impl Drop for TickWorkerPool {
     fn drop(&mut self) {
         // Hang up the injector so parked workers observe the disconnect…
@@ -249,7 +251,7 @@ impl PoolHandle {
         PoolHandle(Some(pool))
     }
 
-    /// A handle with no pool (phases fall back to scoped threads).
+    /// A handle with no pool (phases fall back to [`PoolScope::scoped`]).
     #[must_use]
     pub fn detached() -> Self {
         PoolHandle(None)
@@ -282,10 +284,9 @@ impl PartialEq for PoolHandle {
 
 impl Eq for PoolHandle {}
 
-/// How one parallel tick phase executes: on the persistent pool, or on
-/// per-phase scoped threads (the fallback for `tick_threads <= 1` and for
-/// pool-less pipelines, and the reference the pool's unit tests compare
-/// against).
+/// How one parallel tick phase executes: on the server's persistent pool,
+/// or — for `tick_threads <= 1` and pool-less pipelines — through
+/// [`PoolScope::scoped`].
 ///
 /// Obtained from `TickPipeline::scope()`; both variants expose the same
 /// task-list API and produce bit-identical results for the same inputs.
@@ -301,9 +302,12 @@ enum ScopeKind<'a> {
 }
 
 impl<'a> PoolScope<'a> {
-    /// A scope that opens a fresh `crossbeam::thread::scope` per call (or
-    /// runs inline for `threads <= 1`) — the pre-pool execution model, kept
-    /// as the fallback path and the bench baseline.
+    /// A scope with no pool behind it: each call runs inline for
+    /// `threads <= 1` — no pool, no channel, no allocation, which is what
+    /// serial flavors pay on every relight — and on a short-lived
+    /// [`TickWorkerPool`] of `threads` executors otherwise. The second case
+    /// pays thread spawn/join per call; production servers never reach it
+    /// (they attach a persistent pool whenever `tick_threads > 1`).
     #[must_use]
     pub fn scoped(threads: u32) -> Self {
         PoolScope {
@@ -320,12 +324,6 @@ impl<'a> PoolScope<'a> {
             ScopeKind::Pool(pool) => pool.executors(),
             ScopeKind::Scoped { threads } => threads,
         }
-    }
-
-    /// Returns `true` when this scope dispatches onto a persistent pool.
-    #[must_use]
-    pub fn is_pooled(&self) -> bool {
-        matches!(self.kind, ScopeKind::Pool(_))
     }
 
     /// Runs independent tasks and returns them in input order — the
@@ -369,10 +367,10 @@ impl<'a> PoolScope<'a> {
     {
         match self.kind {
             ScopeKind::Pool(pool) => pool.run(tasks, ctx, f),
-            ScopeKind::Scoped { threads } => {
-                let tasks = shard::run_tasks(tasks, threads, |index, task| f(index, task, &ctx));
-                (tasks, ctx)
+            ScopeKind::Scoped { threads } if threads > 1 && tasks.len() > 1 => {
+                TickWorkerPool::new(threads).run(tasks, ctx, f)
             }
+            ScopeKind::Scoped { .. } => run_inline(tasks, ctx, f),
         }
     }
 }
@@ -396,11 +394,11 @@ mod tests {
         let inline = PoolScope::scoped(1)
             .run_tasks_ctx(input.clone(), 7u64, scramble)
             .0;
-        let scoped = PoolScope::scoped(8)
-            .run_tasks_ctx(input.clone(), 7u64, scramble)
-            .0;
-        assert_eq!(inline, scoped);
         for executors in [2u32, 4, 8] {
+            let scoped = PoolScope::scoped(executors)
+                .run_tasks_ctx(input.clone(), 7u64, scramble)
+                .0;
+            assert_eq!(inline, scoped, "scoped({executors}) diverged");
             let pool = TickWorkerPool::new(executors);
             let pooled = pool.scope().run_tasks_ctx(input.clone(), 7u64, scramble).0;
             assert_eq!(inline, pooled, "{executors} executors diverged");
@@ -442,14 +440,10 @@ mod tests {
     #[test]
     fn empty_and_single_inputs_run_inline() {
         let pool = TickWorkerPool::new(4);
-        assert!(pool
-            .scope()
-            .run_tasks(Vec::<u64>::new(), |_, _| {})
-            .is_empty());
-        assert_eq!(
-            pool.scope().run_tasks(vec![41u64], |_, t| *t += 1),
-            vec![42]
-        );
+        for scope in [pool.scope(), PoolScope::scoped(4)] {
+            assert!(scope.run_tasks(Vec::<u64>::new(), |_, _| {}).is_empty());
+            assert_eq!(scope.run_tasks(vec![41u64], |_, t| *t += 1), vec![42]);
+        }
     }
 
     #[test]
@@ -465,10 +459,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "tick worker panicked")]
     fn pool_propagates_job_panics() {
+        let boom = |_, t: &mut u32| assert!(*t != 2, "boom");
+        // A scoped fan-out re-raises on the caller like the pool does…
+        let scoped = catch_unwind(|| PoolScope::scoped(2).run_tasks(vec![0u32, 1, 2, 3], boom));
+        let message = panic_message(scoped.expect_err("scoped(2) must re-raise the panic"));
+        assert!(message.contains("tick worker panicked: boom"), "{message}");
+        // …and the pool's own panic is the one `should_panic` observes.
         let pool = TickWorkerPool::new(2);
-        let _ = pool.scope().run_tasks(vec![0u32, 1, 2, 3], |_, t| {
-            assert!(*t != 2, "boom");
-        });
+        let _ = pool.scope().run_tasks(vec![0u32, 1, 2, 3], boom);
     }
 
     #[test]

@@ -39,22 +39,19 @@
 //!   is bit-identical at any thread count by construction.
 //! * [`BlockReader`] / [`TerrainView`] — the world-access traits the
 //!   simulation rules are generic over, so the same rule code runs against
-//!   the full [`World`], a read-only [`FrozenWorld`] snapshot, or a
+//!   the full [`World`], a read-only [`FrozenChunks`] snapshot, or a
 //!   mutable single-shard view during the parallel phase.
-//! * [`run_tasks`] — the *scoped* worker fan-out (crossbeam scoped threads
-//!   and channels): spawns fresh threads for one phase and joins them at
-//!   the end. Since the persistent [`TickWorkerPool`](crate::pool) landed this
-//!   is the fallback path, used when no pool is attached or
-//!   `tick_threads <= 1`. Production tick phases go through
-//!   [`TickPipeline::scope`], which dispatches onto the server's
-//!   long-lived pool and avoids the per-phase spawn/join tax.
+//!
+//! The fan-out itself is not here: every parallel phase goes through
+//! [`TickPipeline::scope`], which hands out the server's persistent
+//! [`TickWorkerPool`](crate::pool) — the one fan-out implementation on the
+//! tick path (see [`crate::pool`]).
 //!
 //! # Determinism contract
 //!
 //! Every consumer of this module relies on the same three rules, which
 //! together make the whole tick path **bit-identical at any worker-thread
-//! count**, pool or scoped, rebalance on or off, lighting eager or
-//! pipelined:
+//! count**, rebalance on or off, lighting eager or pipelined:
 //!
 //! 1. **Pure partitioning.** Chunk→shard assignment is a pure function of
 //!    the chunk coordinates and the map structure; adaptive maps evolve
@@ -62,7 +59,7 @@
 //!    previous tick's *merged* load report.
 //! 2. **Canonical merge order.** Parallel phases merge their per-shard
 //!    results in ascending shard order, always, regardless of completion
-//!    order; [`run_tasks`] and the pool both return tasks in input order.
+//!    order; the pool returns tasks in input order.
 //! 3. **Serial-tail escalation.** Work that could observe another shard —
 //!    boundary-chunk updates, cross-shard player actions, world-mutating
 //!    entity effects — never runs in the parallel phase at all; it is
@@ -70,7 +67,6 @@
 //!    deterministic (ascending position/index) order of its own.
 
 use std::collections::{HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
 
@@ -107,16 +103,6 @@ const SPLIT_LOAD_FACTOR: u64 = 2;
 /// this factor. Together with [`SPLIT_LOAD_FACTOR`] this leaves a wide dead
 /// band (½× … 2× mean) so the partition cannot oscillate between ticks.
 const MERGE_LOAD_DIVISOR: u64 = 2;
-
-/// Work weight of one terrain update when folding stage counters into a
-/// [`ShardLoadReport`] (matches the scheduled-update weight of the terrain
-/// work model).
-pub const TERRAIN_LOAD_WEIGHT: u64 = 14;
-
-/// Work weight of one processed entity when folding stage counters into a
-/// [`ShardLoadReport`] (matches the per-entity weight of the entity work
-/// model — MF4: entity processing dominates non-idle tick time).
-pub const ENTITY_LOAD_WEIGHT: u64 = 350;
 
 /// One node of the region quadtree: a square of chunks, either a leaf (one
 /// shard) or split into four equal quadrants. `leaves` caches the subtree's
@@ -269,10 +255,10 @@ enum Partition {
 
 /// Per-shard load observed during one tick, used to drive rebalancing.
 ///
-/// The report is assembled from the pipeline's *merged* per-shard counters
-/// (which are bit-identical at any thread count), so every consumer — the
-/// compute model's busiest-shard floor and the quadtree rebalancer — sees
-/// the same numbers regardless of execution parallelism.
+/// The server's cost model prices the pipeline's *merged* per-shard
+/// counters (which are bit-identical at any thread count) into one load per
+/// shard, so the rebalancer sees the same numbers regardless of execution
+/// parallelism. This crate only counts; it attaches no weights.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardLoadReport {
     loads: Vec<u64>,
@@ -285,64 +271,10 @@ impl ShardLoadReport {
         ShardLoadReport { loads }
     }
 
-    /// Folds the terrain stage's per-shard update counts and the entity
-    /// stage's per-shard entity counts into one weighted load per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two slices disagree on the shard count.
-    #[must_use]
-    pub fn from_stage_work(terrain_updates: &[u64], entities: &[u64]) -> Self {
-        assert_eq!(
-            terrain_updates.len(),
-            entities.len(),
-            "terrain and entity stages must report the same shard count"
-        );
-        ShardLoadReport {
-            loads: terrain_updates
-                .iter()
-                .zip(entities)
-                .map(|(t, e)| t * TERRAIN_LOAD_WEIGHT + e * ENTITY_LOAD_WEIGHT)
-                .collect(),
-        }
-    }
-
-    /// Folds the player-handler stage's per-shard work units into the
-    /// report. Player work arrives already in work units (the stage's
-    /// `base_work_units`), so no extra weight applies — a shard crowded
-    /// with acting players counts as hot exactly like one crowded with
-    /// entities, and the rebalancer splits it the same way.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slice disagrees with the report's shard count.
-    pub fn fold_player_work(&mut self, player_units: &[u64]) {
-        assert_eq!(
-            player_units.len(),
-            self.loads.len(),
-            "player stage must report the same shard count"
-        );
-        for (load, units) in self.loads.iter_mut().zip(player_units) {
-            *load += units;
-        }
-    }
-
     /// The per-shard loads (index = shard index).
     #[must_use]
     pub fn loads(&self) -> &[u64] {
         &self.loads
-    }
-
-    /// Sum of all shard loads.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.loads.iter().sum()
-    }
-
-    /// The busiest shard's load (0 for an empty report).
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.loads.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -360,13 +292,6 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// Creates a static stripe map over `count` shards (clamped to at least
-    /// 1). Alias of [`ShardMap::stripes`], kept for the PR 2 call sites.
-    #[must_use]
-    pub fn new(count: u32) -> Self {
-        ShardMap::stripes(count)
-    }
-
     /// Creates a static stripe map over `count` shards (clamped to at least
     /// 1).
     #[must_use]
@@ -673,8 +598,8 @@ impl TickPipeline {
     }
 
     /// Attaches a persistent worker pool: subsequent [`TickPipeline::scope`]
-    /// calls dispatch parallel phases onto it instead of opening fresh
-    /// thread scopes. The server layer attaches its per-server pool here
+    /// calls dispatch parallel phases onto it instead of onto a short-lived
+    /// pool per phase. The server layer attaches its per-server pool here
     /// right after building the pipeline.
     pub fn attach_pool(&mut self, pool: Arc<TickWorkerPool>) {
         self.pool = PoolHandle::attached(pool);
@@ -688,10 +613,10 @@ impl TickPipeline {
     }
 
     /// The execution scope for this tick's parallel phases: the attached
-    /// persistent pool when there is one and `threads > 1`, otherwise the
-    /// scoped fallback (which runs inline for `threads <= 1`). Both
-    /// variants produce bit-identical results; only wall-clock substrate
-    /// cost differs.
+    /// persistent pool when there is one and `threads > 1`, otherwise
+    /// [`PoolScope::scoped`] (inline for `threads <= 1`, a short-lived pool
+    /// per phase for a pool-less multi-thread pipeline). Results are
+    /// bit-identical either way; only wall-clock substrate cost differs.
     #[must_use]
     pub fn scope(&self) -> PoolScope<'_> {
         match self.pool.get() {
@@ -748,7 +673,7 @@ impl TickPipeline {
 ///
 /// `&mut self` because the canonical implementation ([`World`]) lazily
 /// generates missing chunks on read. Snapshot implementations
-/// ([`FrozenWorld`]) simply read unloaded positions as air.
+/// ([`FrozenChunks`]) simply read unloaded positions as air.
 pub trait BlockReader {
     /// Returns the block at `pos`.
     fn block(&mut self, pos: BlockPos) -> Block;
@@ -817,41 +742,13 @@ impl TerrainView for World {
     }
 }
 
-/// A read-only snapshot view of a world.
-///
-/// Unloaded positions read as air instead of being generated, so a frozen
-/// view can be shared (`Copy`) across worker threads during read-only
-/// pipeline phases (entity physics, lighting).
-#[derive(Debug, Clone, Copy)]
-pub struct FrozenWorld<'a>(pub &'a World);
-
-impl BlockReader for FrozenWorld<'_> {
-    fn block(&mut self, pos: BlockPos) -> Block {
-        self.0.block_if_loaded(pos)
-    }
-
-    fn column_top(&mut self, x: i32, z: i32) -> Option<i32> {
-        // Unloaded chunks read as air, so a missing chunk is an all-air
-        // column — exactly what `Some(-1)` means.
-        let probe = BlockPos::new(x, 0, z);
-        let (lx, _, lz) = probe.local();
-        Some(
-            self.0
-                .chunk_if_loaded(probe.chunk())
-                .and_then(|c| c.height_at(lx, lz))
-                .unwrap_or(-1),
-        )
-    }
-}
-
-/// A read-only view over an owned [`WorldSnapshot`], the persistent-pool
-/// counterpart of [`FrozenWorld`].
+/// A read-only view over an owned [`WorldSnapshot`].
 ///
 /// Pool workers cannot borrow the world itself, so the frozen phases
 /// (relighting, the per-entity phase) move the world's chunks into a
 /// [`WorldSnapshot`] inside the shared phase context and read them through
-/// this adapter; semantics are identical to [`FrozenWorld`] — unloaded
-/// positions are air, nothing is generated.
+/// this adapter. Unloaded positions read as air instead of being
+/// generated, so the view can be shared (`Copy`) across worker threads.
 #[derive(Debug, Clone, Copy)]
 pub struct FrozenChunks<'a>(pub &'a WorldSnapshot);
 
@@ -1057,96 +954,13 @@ impl TerrainView for ShardWorld<'_> {
     }
 }
 
-/// Runs independent tasks on freshly spawned scoped worker threads and
-/// returns them in input order.
-///
-/// This is the *scoped fallback* behind [`PoolScope`]: it spawns and joins
-/// `min(threads, tasks)` OS threads per call, which the persistent
-/// [`TickWorkerPool`] exists to avoid on the per-tick hot path. Tasks are claimed from a shared queue, so placement
-/// is load-balanced, but because each task is self-contained and results
-/// are re-ordered by index, the output is identical for every `threads`
-/// value — including 1, which runs everything inline on the calling
-/// thread.
-///
-/// # Panics
-///
-/// Propagates the first panic raised inside `f`.
-pub fn run_tasks<T, F>(mut tasks: Vec<T>, threads: u32, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = (threads as usize).min(tasks.len());
-    if workers <= 1 {
-        for (index, task) in tasks.iter_mut().enumerate() {
-            f(index, task);
-        }
-        return tasks;
-    }
-
-    type TaskResult<T> = (usize, Result<T, String>);
-    let total = tasks.len();
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    let (result_tx, result_rx) = crossbeam::channel::unbounded::<TaskResult<T>>();
-    // Every job is enqueued before the first worker starts, so an Empty
-    // try_recv unambiguously means the queue is drained.
-    for job in tasks.drain(..).enumerate() {
-        let _ = job_tx.send(job);
-    }
-    drop(job_tx);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok((index, mut task)) = job_rx.try_recv() {
-                    // A panicking task must still produce a result message,
-                    // otherwise the collector below would wait forever.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        f(index, &mut task);
-                        task
-                    }))
-                    .map_err(crate::pool::panic_message);
-                    let _ = result_tx.send((index, outcome));
-                }
-            });
-        }
-        drop(result_tx);
-
-        let mut slots: Vec<Option<T>> = Vec::new();
-        slots.resize_with(total, || None);
-        let mut first_panic: Option<String> = None;
-        for _ in 0..total {
-            let (index, outcome) = result_rx.recv().expect("worker sends one result per task");
-            match outcome {
-                Ok(task) => slots[index] = Some(task),
-                Err(message) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(message);
-                    }
-                }
-            }
-        }
-        if let Some(message) = first_panic {
-            panic!("shard worker panicked: {message}");
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every task completed"))
-            .collect()
-    })
-    .expect("scoped worker pool")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn shard_of_chunk_is_stripe_round_robin() {
-        let map = ShardMap::new(4);
+        let map = ShardMap::stripes(4);
         // Chunks 0..4 share stripe 0, 4..8 stripe 1, etc.
         assert_eq!(map.shard_of_chunk(ChunkPos::new(0, 0)), 0);
         assert_eq!(map.shard_of_chunk(ChunkPos::new(3, 7)), 0);
@@ -1162,7 +976,7 @@ mod tests {
 
     #[test]
     fn single_shard_owns_everything_and_is_always_interior() {
-        let map = ShardMap::new(1);
+        let map = ShardMap::stripes(1);
         for x in -40..40 {
             let chunk = ChunkPos::new(x, x / 3);
             assert_eq!(map.shard_of_chunk(chunk), 0);
@@ -1172,7 +986,7 @@ mod tests {
 
     #[test]
     fn stripe_edges_are_boundary_chunks() {
-        let map = ShardMap::new(2);
+        let map = ShardMap::stripes(2);
         // x = 0 has a left neighbour in the previous stripe.
         assert_eq!(map.interior_shard(ChunkPos::new(0, 0)), None);
         assert_eq!(map.interior_shard(ChunkPos::new(3, 0)), None);
@@ -1184,7 +998,7 @@ mod tests {
 
     #[test]
     fn block_and_chunk_mapping_agree() {
-        let map = ShardMap::new(3);
+        let map = ShardMap::stripes(3);
         for &(x, z) in &[(0, 0), (63, 10), (-17, 5), (128, -4)] {
             let pos = BlockPos::new(x, 64, z);
             assert_eq!(map.shard_of_block(pos), map.shard_of_chunk(pos.chunk()));
@@ -1339,21 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn load_report_folds_stage_counters_with_model_weights() {
-        let report = ShardLoadReport::from_stage_work(&[10, 0, 2], &[1, 3, 0]);
-        assert_eq!(
-            report.loads(),
-            &[
-                10 * TERRAIN_LOAD_WEIGHT + ENTITY_LOAD_WEIGHT,
-                3 * ENTITY_LOAD_WEIGHT,
-                2 * TERRAIN_LOAD_WEIGHT
-            ]
-        );
-        assert_eq!(report.total(), report.loads().iter().sum::<u64>());
-        assert_eq!(report.max(), 3 * ENTITY_LOAD_WEIGHT);
-    }
-
-    #[test]
     fn adaptive_pipeline_pre_splits_toward_the_target() {
         let bounds = Some((ChunkPos::new(-16, -16), ChunkPos::new(15, 15)));
         let p = TickPipeline::adaptive(bounds, 8, 2);
@@ -1401,37 +1200,5 @@ mod tests {
             let area: i64 = rects.iter().map(|r| i64::from(r.2) * i64::from(r.2)).sum();
             assert_eq!(area, 32 * 32, "leaves must tile the root");
         }
-    }
-
-    #[test]
-    fn run_tasks_is_thread_count_invariant() {
-        let work = |_, task: &mut u64| {
-            // Uneven per-task cost so scheduling actually varies.
-            let mut acc = *task;
-            for i in 0..(*task % 7) * 1_000 {
-                acc = acc.wrapping_mul(31).wrapping_add(i);
-            }
-            *task = acc;
-        };
-        let input: Vec<u64> = (0..37).collect();
-        let serial = run_tasks(input.clone(), 1, work);
-        for threads in [2, 4, 8] {
-            assert_eq!(run_tasks(input.clone(), threads, work), serial);
-        }
-    }
-
-    #[test]
-    fn run_tasks_handles_empty_and_single_inputs() {
-        let bump = |_, t: &mut i32| *t += 1;
-        assert!(run_tasks(Vec::<i32>::new(), 4, bump).is_empty());
-        assert_eq!(run_tasks(vec![41], 4, bump), vec![42]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard worker panicked")]
-    fn run_tasks_propagates_worker_panics() {
-        let _ = run_tasks(vec![0u32, 1, 2, 3], 2, |_, t| {
-            assert!(*t != 2, "boom");
-        });
     }
 }

@@ -90,28 +90,6 @@ impl TerrainTickReport {
         self.neighbor_updates + self.scheduled_updates + self.random_ticks
     }
 
-    /// Abstract work units represented by this report, before any
-    /// server-flavor or environment scaling.
-    ///
-    /// The weights reflect the relative cost of each operation class in real
-    /// MLG servers: block updates and light floods are cheap individually,
-    /// chunk generation is expensive, and raw scans are nearly free.
-    #[must_use]
-    pub fn base_work_units(&self) -> u64 {
-        self.neighbor_updates * 12
-            + self.scheduled_updates * 14
-            + self.random_ticks * 4
-            + self.blocks_added * 25
-            + self.blocks_removed * 25
-            + self.blocks_updated * 10
-            + self.light_positions * 2
-            + self.fluid_spreads * 18
-            + self.redstone_propagations * 16
-            + self.growths * 20
-            + self.blocks_scanned
-            + self.chunks_generated * 4_000
-    }
-
     /// Merges another report into this one (summing every counter).
     pub fn merge(&mut self, other: &TerrainTickReport) {
         self.neighbor_updates += other.neighbor_updates;
@@ -1017,15 +995,17 @@ mod tests {
 
     #[test]
     fn work_units_scale_with_activity() {
+        // The report only counts; pricing lives in the server's cost model.
         let quiet = TerrainTickReport::default();
         let busy = TerrainTickReport {
             neighbor_updates: 100,
-            blocks_added: 20,
+            scheduled_updates: 7,
+            random_ticks: 5,
             light_positions: 500,
             ..TerrainTickReport::default()
         };
-        assert_eq!(quiet.base_work_units(), 0);
-        assert!(busy.base_work_units() > 1000);
+        assert_eq!(quiet.total_updates(), 0);
+        assert_eq!(busy.total_updates(), 112);
     }
 
     /// Builds a world with activity spanning several shard stripes: falling

@@ -255,7 +255,7 @@ impl World {
     #[must_use]
     pub fn new(generator: Box<dyn ChunkGenerator>, seed: u64) -> Self {
         World {
-            shard_map: ShardMap::new(1),
+            shard_map: ShardMap::stripes(1),
             stores: vec![ShardStore::default()],
             generator: Arc::from(generator),
             updates: UpdateQueue::new(),
@@ -911,7 +911,7 @@ mod tests {
     fn random_tick_positions_are_shard_partition_independent() {
         let mut flat = World::new(Box::new(FlatGenerator::grassland()), 4242);
         let mut sharded = World::new(Box::new(FlatGenerator::grassland()), 4242);
-        sharded.reshard(ShardMap::new(4));
+        sharded.reshard(ShardMap::stripes(4));
         flat.ensure_area(ChunkPos::new(0, 0), 3);
         sharded.ensure_area(ChunkPos::new(0, 0), 3);
         assert_eq!(
@@ -942,7 +942,7 @@ mod tests {
         w.set_block(pos, Block::simple(BlockKind::Tnt));
         let chunks_before = w.loaded_chunk_count();
         let non_air_before = w.total_non_air_blocks();
-        w.reshard(ShardMap::new(4));
+        w.reshard(ShardMap::stripes(4));
         assert_eq!(w.loaded_chunk_count(), chunks_before);
         assert_eq!(w.total_non_air_blocks(), non_air_before);
         assert_eq!(w.block(pos).kind(), BlockKind::Tnt);
@@ -959,7 +959,7 @@ mod tests {
     fn take_and_put_shard_store_round_trips() {
         let mut w = world();
         w.ensure_area(ChunkPos::new(0, 0), 2);
-        w.reshard(ShardMap::new(2));
+        w.reshard(ShardMap::stripes(2));
         let before = w.loaded_chunk_count();
         let store = w.take_shard_store(1);
         assert!(w.loaded_chunk_count() < before || store.is_empty());

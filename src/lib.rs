@@ -6,10 +6,9 @@
 //!
 //! For the system-wide map — the campaign layer, the tick stage graph and
 //! its determinism contract, the quadtree rebalancer, the stage-Amdahl
-//! cost model and the persistent tick worker pool, with measured
-//! scoped-vs-pool substrate numbers — read the architecture book at
-//! `docs/ARCHITECTURE.md` in the repository root, then drill into the
-//! per-crate rustdoc it links.
+//! cost model (`mlg-server/src/cost.rs`) and the persistent tick worker
+//! pool — read the architecture book at `docs/ARCHITECTURE.md` in the
+//! repository root, then drill into the per-crate rustdoc it links.
 //!
 //! The benchmark is driven through the **`Campaign` API** in the
 //! `meterstick` crate (`crates/core`): a campaign declares a full factorial
