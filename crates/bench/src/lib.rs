@@ -112,9 +112,15 @@ impl Cli {
                 "--csv" => cli.csv = Some(value("a file path")?),
                 "--tick-threads" => {
                     let raw = value("a thread count")?;
+                    // 0 is rejected here: `Campaign::tick_threads` would clamp
+                    // it to 1 while probes print the unclamped flag.
                     cli.tick_threads = raw
                         .parse()
-                        .map_err(|_| format!("--tick-threads: {raw:?} is not a thread count"))?;
+                        .ok()
+                        .filter(|&threads: &u32| threads >= 1)
+                        .ok_or_else(|| {
+                            format!("--tick-threads: {raw:?} is not a thread count (1 or more)")
+                        })?;
                 }
                 "--start-time" => {
                     let raw = value("a comma-separated list like fri-20:30,mon-04:00")?;
@@ -320,6 +326,10 @@ mod tests {
             (
                 &["sharded_determinism", "--tick-threads"][..],
                 "--tick-threads",
+            ),
+            (
+                &["sharded_determinism", "--tick-threads", "0"][..],
+                "--tick-threads: \"0\"",
             ),
             (&["nope"][..], "nope"),
             (&["--sequential"][..], "--sequential"),

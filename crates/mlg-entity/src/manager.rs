@@ -15,6 +15,11 @@
 //! touching the index, so every proximity query in a tick sees the same
 //! tick-start snapshot regardless of processing order — a load-bearing
 //! piece of the bit-identity contract.
+//!
+//! [`EntityManager::tick_batched`] is the sharded variant: its per-entity
+//! phase is a frozen phase (`World::run_frozen_phase`; see
+//! `docs/ARCHITECTURE.md`, "The two shard-phase protocols") and everything
+//! that writes the world runs in a serial tail after the canonical merge.
 
 use std::collections::HashSet;
 
@@ -22,7 +27,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mlg_world::shard::{FrozenChunks, TickPipeline};
-use mlg_world::world::WorldSnapshot;
 use mlg_world::{BlockPos, World};
 
 use crate::ai;
@@ -196,8 +200,7 @@ impl EntityManager {
         self.prepare_grid();
 
         // Entities spawned during the tick occupy rows past this bound and
-        // are first processed next tick — the same visibility rule the old
-        // id-snapshot loop enforced.
+        // are first processed next tick.
         let rows_at_start = self.store.rows();
         let mut exploded: Vec<(EntityId, Vec3)> = Vec::new();
         let mut chain_ignitions: Vec<mlg_world::BlockPos> = Vec::new();
@@ -258,9 +261,10 @@ impl EntityManager {
     /// Entities are batched by owning shard (the shard of the chunk their
     /// position falls in) and the per-entity phase — aging, movement
     /// physics, AI, fuse countdown, proximity queries — fans out across the
-    /// worker pool. That phase reads the terrain through a frozen snapshot
-    /// and mutates only the entities of its own batch, so batches are fully
-    /// independent; results merge in canonical shard order. World-mutating
+    /// worker pool as a frozen phase (`World::run_frozen_phase`): it reads
+    /// the terrain without generating or writing and mutates only the
+    /// entities of its own batch, so batches are fully independent;
+    /// results merge in canonical shard order. World-mutating
     /// effects (TNT detonations) and cross-entity phases (knockback, item
     /// merging, hopper collection, despawning, natural spawning) run in a
     /// serial phase afterwards, in the same canonical order.
@@ -316,58 +320,20 @@ impl EntityManager {
             tasks[shard].batch.push(entity);
         }
 
-        // The per-entity phase reads terrain through an owned chunk
-        // snapshot (moved out of the world, not copied) so it can run on
-        // the persistent worker pool, whose jobs cannot borrow the tick's
-        // stack; the spatial grid rides along the same way and both move
-        // back as soon as the phase completes.
+        // The spatial grid rides along in the phase context (pool jobs
+        // cannot borrow `self`) and moves back as soon as the phase ends.
         let ctx = EntityPhaseCtx {
-            snapshot: world.snapshot_chunks(),
             grid: std::mem::take(&mut self.grid),
             allowed: tnt_allowed,
             players: players.to_vec(),
             tick_seed,
         };
-        let (returned, ctx) =
-            pipeline
-                .scope()
-                .run_tasks_ctx(tasks, ctx, |_, task, ctx: &EntityPhaseCtx| {
-                    let mut rng = StdRng::seed_from_u64(
-                        ctx.tick_seed ^ (task.shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    let mut frozen = FrozenChunks(&ctx.snapshot);
-                    for entity in &mut task.batch {
-                        task.processed += 1;
-                        entity.age += 1;
-                        let before_pos = entity.pos;
-                        let move_out = physics::step(&mut frozen, entity);
-                        task.physics_blocks_checked += u64::from(move_out.blocks_checked);
-                        match entity.kind {
-                            EntityKind::PrimedTnt if ctx.allowed.contains(&entity.id) => {
-                                if entity.fuse > 0 {
-                                    entity.fuse -= 1;
-                                } else {
-                                    // World mutation is deferred to the serial
-                                    // phase; only mark the detonation here.
-                                    task.detonations.push((entity.id, entity.pos));
-                                }
-                            }
-                            kind if kind.is_mob() => {
-                                let ai_out =
-                                    ai::decide(&mut frozen, entity, &ctx.players, &mut rng);
-                                task.path_nodes_expanded += u64::from(ai_out.path_nodes_expanded);
-                            }
-                            _ => {}
-                        }
-                        let examined = ctx.grid.proximity_examined(entity.pos, 1.0);
-                        task.proximity_candidates += u64::from(examined);
-                        if entity.pos.distance_squared(before_pos) > 1e-8 {
-                            task.moved.push((entity.id, entity.pos));
-                        }
-                    }
-                });
-        tasks = returned;
-        world.restore_chunks(ctx.snapshot);
+        let (mut tasks, ctx) = world.run_frozen_phase(
+            &pipeline.scope(),
+            tasks,
+            ctx,
+            |frozen, task: &mut EntityShardTask, ctx: &EntityPhaseCtx| task.simulate(frozen, ctx),
+        );
         self.grid = ctx.grid;
 
         // Merge in canonical shard order, writing each batch straight back
@@ -415,8 +381,8 @@ impl EntityManager {
         // order. Each entity's velocity update is independent, but spawn
         // order keeps the traversal canonical (and any future non-commutative
         // effect deterministic by construction). The knockback is applied
-        // unconditionally (it is zero outside the blast radius) so the
-        // float operations match the original map-based loop bit-for-bit.
+        // unconditionally (it is zero outside the blast radius): the goldens
+        // pin that float operation sequence on every velocity.
         for (id, blast_pos) in &exploded {
             self.remove(*id);
             report.removed.push(*id);
@@ -540,15 +506,51 @@ impl EntityShardTask {
             proximity_candidates: 0,
         }
     }
+
+    /// The per-entity phase over this shard's batch: aging, movement
+    /// physics, fuse countdown or AI, proximity — against frozen terrain
+    /// and the tick-start grid, touching nothing outside the task.
+    fn simulate(&mut self, mut frozen: FrozenChunks<'_>, ctx: &EntityPhaseCtx) {
+        let mut rng = StdRng::seed_from_u64(
+            ctx.tick_seed ^ (self.shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
+        for entity in &mut self.batch {
+            self.processed += 1;
+            entity.age += 1;
+            let before_pos = entity.pos;
+            let move_out = physics::step(&mut frozen, entity);
+            self.physics_blocks_checked += u64::from(move_out.blocks_checked);
+            match entity.kind {
+                EntityKind::PrimedTnt if ctx.allowed.contains(&entity.id) => {
+                    if entity.fuse > 0 {
+                        entity.fuse -= 1;
+                    } else {
+                        // World mutation is deferred to the serial phase;
+                        // only mark the detonation here.
+                        self.detonations.push((entity.id, entity.pos));
+                    }
+                }
+                kind if kind.is_mob() => {
+                    let ai_out = ai::decide(&mut frozen, entity, &ctx.players, &mut rng);
+                    self.path_nodes_expanded += u64::from(ai_out.path_nodes_expanded);
+                }
+                _ => {}
+            }
+            let examined = ctx.grid.proximity_examined(entity.pos, 1.0);
+            self.proximity_candidates += u64::from(examined);
+            if entity.pos.distance_squared(before_pos) > 1e-8 {
+                self.moved.push((entity.id, entity.pos));
+            }
+        }
+    }
 }
 
-/// Shared context of the parallel per-entity phase: the world's chunks
-/// (moved, not copied), the tick's spatial grid, the TNT batching
-/// allowance, player positions and the tick's RNG seed — everything the
-/// shard workers read, owned so the phase can run on the persistent worker
-/// pool. The snapshot and grid move back into place when the phase ends.
+/// Shared context of the parallel per-entity phase: the tick's spatial
+/// grid, the TNT batching allowance, player positions and the tick's RNG
+/// seed — everything the shard workers read besides the frozen terrain,
+/// owned so the phase can run on the persistent worker pool. The grid moves
+/// back into place when the phase ends.
 struct EntityPhaseCtx {
-    snapshot: WorldSnapshot,
     grid: SpatialGrid,
     allowed: HashSet<EntityId>,
     players: Vec<Vec3>,

@@ -10,24 +10,24 @@
 //!
 //! For sharded tick pipelines the stage runs shard-parallel:
 //! [`process_players_sharded`] batches connected players by the shard that
-//! owns their chunk, processes each shard's batch concurrently against a
-//! per-shard [`ShardWorld`] view (side effects — block changes, neighbour
-//! updates, scheduled ticks — are buffered and merged in canonical shard
-//! order), and escalates *boundary players* to a serial tail:
-//! players standing on a shard-boundary chunk, or whose action queue
-//! touches terrain outside their shard's interior (a cross-shard block
-//! placement or dig), run after the parallel phase against the full world.
-//! Batching and the merge order depend only on the shard map and the
-//! player list — never on scheduling — so the stage's output (the merged
+//! owns their chunk, processes the batches in one owned phase
+//! ([`World::run_owned_phase`]: each worker sees its shard through a
+//! [`ShardWorld`](mlg_world::shard::ShardWorld) view, and the buffered side
+//! effects merge in canonical shard order), and escalates *boundary
+//! players* to a serial tail: players standing on a shard-boundary chunk,
+//! or whose action queue touches terrain outside their shard's interior (a
+//! cross-shard block placement or dig), run after the parallel phase
+//! against the full world. The stage's output (the merged
 //! [`PlayerStageReport`], including the `pending_chat` broadcast order, the
 //! players' positions and every world side effect) is **bit-identical at
 //! any worker-thread count**.
 //!
 //! # Determinism contract
 //!
-//! The stage follows the three pipeline-wide rules spelled out in
-//! [`mlg_world::shard`] (pure partitioning, canonical merge order,
-//! serial-tail escalation). Concretely, for the player stage:
+//! The stage follows the three pipeline-wide rules of
+//! `docs/ARCHITECTURE.md`, "The determinism contract" (pure partitioning,
+//! canonical merge order, serial-tail escalation). What is specific to the
+//! player stage:
 //!
 //! * **Escalation rules** ([`player_shard_assignment`]): a player runs in
 //!   the parallel phase only when its own chunk is *interior* to one shard
@@ -40,19 +40,10 @@
 //!   players in ascending player-index order inside each batch; the serial
 //!   tail runs last, in ascending index order; the returned player vector
 //!   restores the original indexing exactly.
-//! * **Execution substrate**: the parallel phase dispatches through
-//!   `TickPipeline::scope()` — the server's persistent
-//!   [`TickWorkerPool`](mlg_world::pool::TickWorkerPool) when one is
-//!   attached, inline at one thread — with identical output by the rules
-//!   above.
-
-use std::sync::Arc;
 
 use mlg_entity::Vec3;
 use mlg_protocol::ServerboundPacket;
-use mlg_world::generation::ChunkGenerator;
-use mlg_world::shard::{ShardMap, ShardWorld, TerrainView, TickPipeline};
-use mlg_world::world::BlockChange;
+use mlg_world::shard::{ShardMap, TerrainView, TickPipeline};
 use mlg_world::{Block, BlockPos, World};
 
 use crate::cost;
@@ -116,7 +107,8 @@ impl PlayerStageReport {
 ///
 /// Generic over [`TerrainView`] so the same code runs against the full
 /// [`World`] (the serial loop and the sharded stage's escalation tail) and
-/// against a [`ShardWorld`] view during the parallel phase.
+/// against a [`ShardWorld`](mlg_world::shard::ShardWorld) view during the
+/// parallel phase.
 pub fn process_player_actions<W: TerrainView>(
     world: &mut W,
     player: &mut ConnectedPlayer,
@@ -228,25 +220,15 @@ pub fn player_shard_assignment(
     Some(owner)
 }
 
-struct PlayerShardTask {
-    shard: usize,
-    store: mlg_world::world::ShardStore,
-    /// `(players-vec index, player, drained action queue)`, ascending index.
-    players: Vec<(usize, ConnectedPlayer, Vec<ServerboundPacket>)>,
-    report: PlayerStageReport,
-    changes: Vec<BlockChange>,
-    outbound: Vec<BlockPos>,
-    scheduled: Vec<(BlockPos, u64)>,
-    chunks_generated: u32,
-}
+/// One player's slot in the stage: `(players-vec index, player, drained
+/// action queue)`.
+type QueuedPlayer = (usize, ConnectedPlayer, Vec<ServerboundPacket>);
 
-/// Shared context of the parallel player phase: owned copies of the shard
-/// map and a generator handle, so the phase can execute on the persistent
-/// worker pool (whose jobs cannot borrow the tick's stack).
-struct PlayerPhaseCtx {
-    map: ShardMap,
-    generator: Arc<dyn ChunkGenerator>,
-    tick: u64,
+/// One shard's share of the parallel player phase: its interior players in
+/// ascending index order, and the report their actions fold into.
+struct PlayerShardTask {
+    players: Vec<QueuedPlayer>,
+    report: PlayerStageReport,
 }
 
 /// Runs the sharded player stage: batches `players` by owning shard,
@@ -275,17 +257,14 @@ pub fn process_players_sharded(
         actions.len(),
         "one action queue per player slot"
     );
-    let map = pipeline.shard_map().clone();
+    let map = pipeline.shard_map();
     world.reshard(map.clone());
-    let shard_count = map.count();
-    let tick = world.current_tick();
     let total = players.len();
 
     // Classification: interior batches per shard, escalated tail, and
     // parked (disconnected) players that only need their slots back.
-    let mut batches: Vec<Vec<(usize, ConnectedPlayer, Vec<ServerboundPacket>)>> =
-        vec![Vec::new(); shard_count];
-    let mut serial: Vec<(usize, ConnectedPlayer, Vec<ServerboundPacket>)> = Vec::new();
+    let mut batches: Vec<Vec<QueuedPlayer>> = vec![Vec::new(); map.count()];
+    let mut serial: Vec<QueuedPlayer> = Vec::new();
     let mut parked: Vec<(usize, ConnectedPlayer)> = Vec::new();
     for (index, player) in players.into_iter().enumerate() {
         if player.disconnected {
@@ -293,84 +272,48 @@ pub fn process_players_sharded(
             continue;
         }
         let queue = std::mem::take(&mut actions[index]);
-        match player_shard_assignment(&map, &player, &queue) {
+        match player_shard_assignment(map, &player, &queue) {
             Some(shard) => batches[shard].push((index, player, queue)),
             None => serial.push((index, player, queue)),
         }
     }
-    let escalated_players = serial.len() as u64;
-
-    // Parallel phase: one task per shard with players, fanned over the
-    // worker pool. Local neighbour pushes are deferred (`defer_local_pushes`)
-    // so every cascade seed reaches the world's global queue through the
-    // canonical merge below — the terrain stage, not the player stage, runs
-    // the cascade.
-    let mut tasks: Vec<PlayerShardTask> = Vec::new();
-    for (s, batch) in batches.into_iter().enumerate() {
-        if batch.is_empty() {
-            continue;
-        }
-        tasks.push(PlayerShardTask {
-            shard: s,
-            store: world.take_shard_store(s),
-            players: batch,
-            report: PlayerStageReport::default(),
-            changes: Vec::new(),
-            outbound: Vec::new(),
-            scheduled: Vec::new(),
-            chunks_generated: 0,
-        });
-    }
-    if !tasks.is_empty() {
-        let ctx = PlayerPhaseCtx {
-            map,
-            generator: world.generator_arc(),
-            tick,
-        };
-        tasks = pipeline
-            .scope()
-            .run_tasks_ctx(tasks, ctx, |_, task, ctx: &PlayerPhaseCtx| {
-                let store = std::mem::take(&mut task.store);
-                let mut view =
-                    ShardWorld::new(task.shard, &ctx.map, store, &*ctx.generator, ctx.tick, true);
-                for (_, player, queue) in &mut task.players {
-                    process_player_actions(
-                        &mut view,
-                        player,
-                        std::mem::take(queue),
-                        &mut task.report,
-                    );
-                }
-                task.chunks_generated = view.chunks_generated;
-                task.changes = std::mem::take(&mut view.changes);
-                task.outbound = std::mem::take(&mut view.outbound);
-                task.scheduled = std::mem::take(&mut view.scheduled);
-                task.store = view.into_store();
-            })
-            .0;
-    }
-
-    // Merge, in canonical (ascending shard) order.
     let mut stage = ShardedPlayerStage {
-        per_shard_work: vec![0u64; shard_count],
+        per_shard_work: vec![0u64; map.count()],
+        escalated_players: serial.len() as u64,
         ..ShardedPlayerStage::default()
     };
+
+    // Parallel phase: an owned phase over the shards that have players.
+    // Every neighbour push is deferred, so each cascade seed reaches the
+    // world's global queue through the merge below — the terrain stage, not
+    // the player stage, runs the cascade.
+    let work: Vec<(usize, PlayerShardTask)> = (batches.into_iter().enumerate())
+        .filter(|(_, batch)| !batch.is_empty())
+        .map(|(shard, players)| {
+            let report = PlayerStageReport::default();
+            (shard, PlayerShardTask { players, report })
+        })
+        .collect();
+    let (results, ()) = world.run_owned_phase(
+        &pipeline.scope(),
+        true,
+        work,
+        (),
+        |view, task: &mut PlayerShardTask, ()| {
+            for (_, player, queue) in &mut task.players {
+                process_player_actions(view, player, std::mem::take(queue), &mut task.report);
+            }
+        },
+    );
     let mut merged: Vec<(usize, ConnectedPlayer)> = Vec::with_capacity(total);
-    for task in tasks {
-        world.put_shard_store(task.shard, task.store);
-        stage.per_shard_work[task.shard] = cost::player_base_work(&task.report);
+    for (shard, task, outbound) in results {
+        stage.per_shard_work[shard] = cost::player_base_work(&task.report);
         stage.report.merge(task.report);
-        world.append_changes(task.changes);
-        for pos in task.outbound {
+        for pos in outbound {
             world.push_neighbor_update(pos);
         }
-        for (pos, due) in task.scheduled {
-            world.schedule_tick_at(pos, due);
-        }
-        world.note_chunks_generated(task.chunks_generated);
         merged.extend(task.players.into_iter().map(|(i, p, _)| (i, p)));
     }
-    stage.escalated_players = escalated_players;
 
     // Serial tail: escalated players against the full world, in ascending
     // player order, after every parallel batch has merged.
@@ -619,71 +562,157 @@ mod tests {
         assert_eq!(player_shard_assignment(&map, &edge, &[]), None);
     }
 
+    /// Everything the player stage leaves in a world, in a comparable form.
+    fn stage_footprint(w: &mut World) -> impl PartialEq + std::fmt::Debug {
+        let order: Vec<mlg_world::ChunkPos> = w.iter_chunks().map(|c| c.pos()).collect();
+        let queued: Vec<_> = std::iter::from_fn(|| w.updates_mut().pop_immediate()).collect();
+        (
+            w.drain_changes(),
+            queued,
+            order,
+            w.chunks_generated_this_tick(),
+            w.total_non_air_blocks(),
+        )
+    }
+
+    /// The oracle of the sharded stage: on inputs whose canonical merge
+    /// order equals player order, `process_players_sharded` must leave the
+    /// players, the report and the world exactly as the serial
+    /// `process_player_actions` loop does. Returns the sharded result.
+    fn assert_stage_matches_the_serial_loop(
+        pipeline: &mlg_world::shard::TickPipeline,
+        players: Vec<ConnectedPlayer>,
+        actions: Vec<Vec<ServerboundPacket>>,
+    ) -> ShardedPlayerStage {
+        let build_world = || {
+            let mut w = world();
+            w.ensure_area(mlg_world::ChunkPos::new(3, 0), 4);
+            w.reshard(pipeline.shard_map().clone());
+            w.advance_tick();
+            w
+        };
+        let mut serial_world = build_world();
+        let mut serial_players = players.clone();
+        let mut serial_report = PlayerStageReport::default();
+        for (player, queue) in serial_players.iter_mut().zip(actions.clone()) {
+            if !player.disconnected {
+                process_player_actions(&mut serial_world, player, queue, &mut serial_report);
+            }
+        }
+
+        let mut sharded_world = build_world();
+        let (sharded_players, stage) =
+            process_players_sharded(&mut sharded_world, players, actions, pipeline);
+
+        assert_eq!(stage.report, serial_report);
+        assert_eq!(sharded_players, serial_players);
+        assert_eq!(
+            stage_footprint(&mut sharded_world),
+            stage_footprint(&mut serial_world)
+        );
+        stage
+    }
+
     #[test]
     fn sharded_stage_matches_the_serial_loop_for_interior_players() {
         use mlg_world::shard::TickPipeline;
 
-        // Two players in different stripes placing blocks and chatting:
-        // the sharded stage must produce the same world writes and the
-        // same per-player state as the serial loop (chat merge order is
-        // canonical shard order, which here equals player order).
-        let build_players = || {
-            let mut a = player();
-            a.pos = Vec3::new(24.5, 61.0, 8.5); // shard 0 interior
-            let mut b = player();
-            b.id = PlayerId(2);
-            b.name = "bot-2".into();
-            b.pos = Vec3::new(88.5, 61.0, 8.5); // chunk (5, 0): shard 1 interior
-            vec![a, b]
-        };
-        let actions = || {
+        // Two players in different stripes placing blocks and chatting
+        // (chat merge order is canonical shard order, which here equals
+        // player order).
+        let mut a = player();
+        a.pos = Vec3::new(24.5, 61.0, 8.5); // shard 0 interior
+        let mut b = player();
+        b.id = PlayerId(2);
+        b.name = "bot-2".into();
+        b.pos = Vec3::new(88.5, 61.0, 8.5); // chunk (5, 0): shard 1 interior
+        let actions = vec![
             vec![
-                vec![
-                    ServerboundPacket::BlockPlace {
-                        pos: BlockPos::new(26, 61, 9),
-                        block: Block::simple(BlockKind::Planks),
-                    },
-                    ServerboundPacket::Chat {
-                        message: "from-a".into(),
-                        sent_at_ms: 1.0,
-                    },
-                ],
-                vec![
-                    ServerboundPacket::BlockDig {
-                        pos: BlockPos::new(90, 60, 9),
-                    },
-                    ServerboundPacket::Chat {
-                        message: "from-b".into(),
-                        sent_at_ms: 2.0,
-                    },
-                ],
-            ]
-        };
-
-        let mut serial_world = world();
-        serial_world.ensure_area(mlg_world::ChunkPos::new(3, 0), 4);
-        let mut serial_players = build_players();
-        let mut serial_report = PlayerStageReport::default();
-        for (player, queue) in serial_players.iter_mut().zip(actions()) {
-            process_player_actions(&mut serial_world, player, queue, &mut serial_report);
-        }
-
-        let pipeline = TickPipeline::new(2, 4);
-        let mut sharded_world = world();
-        sharded_world.ensure_area(mlg_world::ChunkPos::new(3, 0), 4);
-        sharded_world.reshard(pipeline.shard_map().clone());
-        let (sharded_players, stage) =
-            process_players_sharded(&mut sharded_world, build_players(), actions(), &pipeline);
-
+                ServerboundPacket::BlockPlace {
+                    pos: BlockPos::new(26, 61, 9),
+                    block: Block::simple(BlockKind::Planks),
+                },
+                ServerboundPacket::Chat {
+                    message: "from-a".into(),
+                    sent_at_ms: 1.0,
+                },
+            ],
+            vec![
+                ServerboundPacket::BlockDig {
+                    pos: BlockPos::new(90, 60, 9),
+                },
+                ServerboundPacket::Chat {
+                    message: "from-b".into(),
+                    sent_at_ms: 2.0,
+                },
+            ],
+        ];
+        let stage =
+            assert_stage_matches_the_serial_loop(&TickPipeline::new(2, 4), vec![a, b], actions);
         assert_eq!(stage.escalated_players, 0);
-        assert_eq!(stage.report, serial_report);
-        assert_eq!(sharded_players, serial_players);
-        assert_eq!(
-            sharded_world.block(BlockPos::new(26, 61, 9)).kind(),
-            BlockKind::Planks
-        );
-        assert_eq!(sharded_world.block(BlockPos::new(90, 60, 9)), Block::AIR);
+        assert_eq!(stage.report.blocks_placed + stage.report.blocks_dug, 2);
         assert!(stage.per_shard_work[0] > 0 && stage.per_shard_work[1] > 0);
+    }
+
+    proptest::proptest! {
+        /// The player-stage half of the whole-tick oracle: on a one-shard
+        /// map every player is interior and the canonical merge order is
+        /// player order, so random crowds with random action queues —
+        /// moves, edits on and far off the loaded area, chat, parked
+        /// slots — must match the serial loop exactly.
+        #[test]
+        fn single_shard_stage_matches_the_serial_loop_on_random_queues(seed in proptest::prelude::any::<u64>()) {
+            use mlg_world::shard::TickPipeline;
+
+            let mut s = seed | 1;
+            let mut next = move |bound: u64| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s % bound
+            };
+            let mut players = Vec::new();
+            let mut actions = Vec::new();
+            for n in 0..1 + next(6) {
+                let mut p = player();
+                p.id = PlayerId(n as u32 + 1);
+                p.name = format!("bot-{}", n + 1);
+                p.pos = Vec3::new(next(96) as f64 + 0.5, 61.0, next(48) as f64 + 0.5);
+                p.disconnected = next(8) == 0;
+                let mut queue = Vec::new();
+                for _ in 0..if p.disconnected { 0 } else { next(7) } {
+                    // One edit in eight lands far outside the loaded area,
+                    // so workers generate chunks too.
+                    let reach = if next(8) == 0 { 400 } else { 6 };
+                    let target = BlockPos::new(
+                        p.pos.x as i32 + next(reach) as i32,
+                        59 + next(4) as i32,
+                        p.pos.z as i32 + next(reach) as i32,
+                    );
+                    queue.push(match next(5) {
+                        0 => ServerboundPacket::PlayerMove {
+                            pos: Vec3::from_block_center(target),
+                            on_ground: true,
+                        },
+                        1 => ServerboundPacket::BlockPlace {
+                            pos: target,
+                            block: Block::simple(BlockKind::Sand),
+                        },
+                        2 => ServerboundPacket::BlockDig { pos: target },
+                        3 => ServerboundPacket::Chat {
+                            message: format!("m{}", next(100)),
+                            sent_at_ms: next(1000) as f64,
+                        },
+                        _ => ServerboundPacket::KeepAlive { id: next(100) },
+                    });
+                }
+                players.push(p);
+                actions.push(queue);
+            }
+            let pipeline = TickPipeline::new(1, 1 + next(4) as u32);
+            let stage = assert_stage_matches_the_serial_loop(&pipeline, players, actions);
+            assert_eq!(stage.escalated_players, 0);
+        }
     }
 
     #[test]

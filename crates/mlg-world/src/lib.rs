@@ -72,7 +72,7 @@ pub use scratch::TickScratch;
 pub use shard::{BlockReader, ShardLoadReport, ShardMap, TerrainView, TickPipeline};
 pub use sim::{ShardedTerrainTick, TerrainSimulator, TerrainTickReport};
 pub use update::{BlockUpdate, UpdateKind};
-pub use world::{World, WorldSnapshot};
+pub use world::World;
 
 /// The fixed duration of one game tick at the intended 20 Hz rate, in
 /// milliseconds.

@@ -3,18 +3,17 @@
 //!
 //! # Why a persistent pool
 //!
-//! Through PR 4 every parallel phase of every tick — terrain cascade
-//! rounds, random ticks, frozen relighting, the sharded player handler,
-//! batched entities — opened a fresh thread scope, spawning
-//! and joining OS threads once *per phase per tick*. That substrate tax is
-//! pure runtime-environment overhead in the sense of Reichelt et al.
-//! (arXiv:2411.05491): it inflates wall-clock measurements without touching
-//! the modeled work, so benchmark deltas between architectures get polluted
-//! by thread spawn/join noise. [`TickWorkerPool`] replaces the per-phase
-//! scopes with `tick_threads - 1` workers spawned once per server and
-//! parked between phases (a blocking `crossbeam::channel` receive), plus
-//! the calling thread itself, which always participates as the final
-//! executor.
+//! A tick has many parallel phases — terrain cascade rounds, random ticks,
+//! frozen relighting, the sharded player handler, batched entities — and a
+//! thread scope per phase would spawn and join OS threads once *per phase
+//! per tick*. That substrate tax is pure runtime-environment overhead in
+//! the sense of Reichelt et al. (arXiv:2411.05491): it inflates wall-clock
+//! measurements without touching the modeled work, so benchmark deltas
+//! between architectures get polluted by thread spawn/join noise.
+//! [`TickWorkerPool`] instead keeps `tick_threads - 1` workers, spawned
+//! once per server and parked between phases (a blocking
+//! `crossbeam::channel` receive), plus the calling thread itself, which
+//! always participates as the final executor.
 //!
 //! # Design: owned jobs, no work stealing
 //!
@@ -22,9 +21,9 @@
 //! tick's state the way scoped threads can — everything a phase needs is
 //! packaged into an owned *context* value ([`PoolScope::run_tasks_ctx`])
 //! that is shared behind an `Arc` for the duration of the phase and handed
-//! back to the caller afterwards. The world's chunks move into such a
-//! context wholesale via [`World::snapshot_chunks`] (pointer moves, not
-//! copies), which is how the frozen phases read terrain from pool workers.
+//! back to the caller afterwards. How the world's chunks travel in such
+//! tasks and contexts is the business of the two shard-phase protocols in
+//! [`crate::shard`], the pool's only callers on the tick path.
 //!
 //! Jobs are claimed from one shared injector queue — there are no
 //! per-worker deques and no work stealing. Claiming order is racy, but
@@ -32,7 +31,7 @@
 //! output is **bit-identical for any executor count** — the server's pool,
 //! a short-lived [`PoolScope::scoped`] pool, or fully inline. The determinism
 //! contract of the sharded tick pipeline (canonical shard merge order; see
-//! [`crate::shard`]) is therefore unaffected by who executes the tasks.
+//! `docs/ARCHITECTURE.md`) is therefore unaffected by who executes the tasks.
 //!
 //! # Shutdown
 //!
@@ -41,8 +40,6 @@
 //! construction) and exit, and `Drop` joins them. `GameServer` owns one
 //! pool per server instance, so a server going away reliably reclaims its
 //! threads.
-//!
-//! [`World::snapshot_chunks`]: crate::world::World::snapshot_chunks
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -346,7 +343,7 @@ impl<'a> PoolScope<'a> {
     /// `(tasks, context)`, tasks in input order.
     ///
     /// The context carries everything the phase needs beyond the per-task
-    /// state — the shard map, a generator handle, a chunk snapshot, RNG
+    /// state — the shard map, a generator handle, the frozen chunks, RNG
     /// seeds — *by value*, because persistent pool workers cannot borrow
     /// the caller's stack. It is returned so callers can move expensive
     /// state (e.g. the world's chunks) back out; on the pool path the pool

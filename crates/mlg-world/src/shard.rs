@@ -9,7 +9,7 @@
 //!   in one of two modes:
 //!   - **static stripes** ([`ShardMap::stripes`]): chunks are grouped into
 //!     contiguous stripes of [`SHARD_STRIPE_CHUNKS`] columns along the x
-//!     axis, assigned to shards round-robin (the PR 2 partition);
+//!     axis, assigned to shards round-robin;
 //!   - **adaptive 2D regions** ([`ShardMap::regions_over`]): a region
 //!     quadtree over the chunk plane whose leaves are the shards, in
 //!     canonical pre-order (NW, NE, SW, SE) leaf order. Leaves are square,
@@ -39,32 +39,25 @@
 //!   is bit-identical at any thread count by construction.
 //! * [`BlockReader`] / [`TerrainView`] — the world-access traits the
 //!   simulation rules are generic over, so the same rule code runs against
-//!   the full [`World`], a read-only [`FrozenChunks`] snapshot, or a
-//!   mutable single-shard view during the parallel phase.
-//!
-//! The fan-out itself is not here: every parallel phase goes through
-//! [`TickPipeline::scope`], which hands out the server's persistent
-//! [`TickWorkerPool`](crate::pool) — the one fan-out implementation on the
-//! tick path (see [`crate::pool`]).
+//!   the full [`World`], a read-only [`FrozenChunks`] view, or a mutable
+//!   single-shard [`ShardWorld`] view during a parallel phase.
+//! * [`World::run_owned_phase`] / [`World::run_frozen_phase`] — the two
+//!   shard-phase protocols: the only code that moves chunk stores out of
+//!   the world, hands them to workers and merges the results back. Every
+//!   parallel phase of the tick path is a call to one of them, on the
+//!   scope [`TickPipeline::scope`] hands out (the server's persistent
+//!   [`TickWorkerPool`](crate::pool), the one fan-out implementation).
 //!
 //! # Determinism contract
 //!
-//! Every consumer of this module relies on the same three rules, which
-//! together make the whole tick path **bit-identical at any worker-thread
-//! count**, rebalance on or off, lighting eager or pipelined:
-//!
-//! 1. **Pure partitioning.** Chunk→shard assignment is a pure function of
-//!    the chunk coordinates and the map structure; adaptive maps evolve
-//!    only through [`ShardMap::rebalanced`], itself a pure function of the
-//!    previous tick's *merged* load report.
-//! 2. **Canonical merge order.** Parallel phases merge their per-shard
-//!    results in ascending shard order, always, regardless of completion
-//!    order; the pool returns tasks in input order.
-//! 3. **Serial-tail escalation.** Work that could observe another shard —
-//!    boundary-chunk updates, cross-shard player actions, world-mutating
-//!    entity effects — never runs in the parallel phase at all; it is
-//!    escalated to a serial tail that runs after the canonical merge, in a
-//!    deterministic (ascending position/index) order of its own.
+//! The three rules that make the whole tick path **bit-identical at any
+//! worker-thread count** — pure partitioning, canonical (ascending shard)
+//! merge order, serial-tail escalation — and the two protocols that
+//! implement the second are written down once, in `docs/ARCHITECTURE.md`
+//! ("The determinism contract", "The two shard-phase protocols"). This
+//! module owns rules 1 and 2: [`ShardMap`] is the pure partition and
+//! [`World::run_owned_phase`] is the merge order; rule 3, deciding what
+//! may enter a parallel phase at all, is each stage's routing step.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -247,7 +240,7 @@ impl QuadNode {
 /// The two partition modes a [`ShardMap`] can be in.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 enum Partition {
-    /// Static round-robin x-stripes (the PR 2 partition).
+    /// Static round-robin x-stripes.
     Stripes { count: u32 },
     /// Adaptive 2D quadtree regions.
     Regions { root: QuadNode },
@@ -697,8 +690,9 @@ pub trait BlockReader {
 /// The world-access surface the terrain-simulation rules are written
 /// against: block reads and writes plus delayed-update scheduling.
 ///
-/// Implemented by [`World`] (the legacy serial path) and by the pipeline's
-/// per-shard views, so one copy of the rule code serves both paths.
+/// Implemented by [`World`] (the serial tick and every serial tail) and by
+/// the per-shard [`ShardWorld`] view, so one copy of the rule code serves
+/// both.
 pub trait TerrainView: BlockReader {
     /// Returns the block at `pos` without generating missing chunks.
     fn block_if_loaded(&self, pos: BlockPos) -> Block;
@@ -742,15 +736,13 @@ impl TerrainView for World {
     }
 }
 
-/// A read-only view over an owned [`WorldSnapshot`].
+/// A read-only view of every chunk of the world during a frozen phase
+/// ([`World::run_frozen_phase`]).
 ///
-/// Pool workers cannot borrow the world itself, so the frozen phases
-/// (relighting, the per-entity phase) move the world's chunks into a
-/// [`WorldSnapshot`] inside the shared phase context and read them through
-/// this adapter. Unloaded positions read as air instead of being
-/// generated, so the view can be shared (`Copy`) across worker threads.
+/// Unloaded positions read as air instead of being generated, so the view
+/// can be shared (`Copy`) across worker threads.
 #[derive(Debug, Clone, Copy)]
-pub struct FrozenChunks<'a>(pub &'a WorldSnapshot);
+pub struct FrozenChunks<'a>(&'a WorldSnapshot);
 
 impl BlockReader for FrozenChunks<'_> {
     fn block(&mut self, pos: BlockPos) -> Block {
@@ -769,105 +761,76 @@ impl BlockReader for FrozenChunks<'_> {
     }
 }
 
-/// A mutable view over exactly one shard's chunks, used by shard workers
-/// during the parallel phase of the sharded terrain tick.
+/// One shard's chunks while they are out of the world, plus every side
+/// effect buffered against them: what travels to a worker and back in an
+/// owned phase.
+#[derive(Default)]
+struct OwnedShard {
+    store: ShardStore,
+    /// Chunks lazily generated by the view during the phase.
+    chunks_generated: u32,
+    /// Block changes recorded by the view, in application order.
+    changes: Vec<BlockChange>,
+    /// Neighbour updates that left the shard interior (or all updates, when
+    /// `defer_local_pushes` is set), in emission order.
+    outbound: Vec<BlockPos>,
+    /// Scheduled ticks requested by rules, as (position, absolute due tick).
+    scheduled: Vec<(BlockPos, u64)>,
+}
+
+/// A mutable view over exactly one shard's chunks, handed to shard workers
+/// by [`World::run_owned_phase`].
 ///
 /// The view owns the shard's [`ShardStore`] for the duration of the phase
 /// and buffers every side effect that crosses the shard boundary or must be
 /// ordered globally — block changes, outbound neighbour updates, scheduled
-/// ticks — for the serial merge phase to apply in canonical shard order.
+/// ticks — for the phase's merge to apply in canonical shard order.
 /// Reads and writes outside the shard are a modeling-invariant violation
 /// (interior classification guarantees rules never reach that far) and
 /// panic loudly rather than silently corrupting determinism.
 pub struct ShardWorld<'a> {
     shard: usize,
     map: &'a ShardMap,
-    store: ShardStore,
     generator: &'a dyn ChunkGenerator,
     tick: u64,
     /// When set, even in-shard interior neighbour pushes are buffered into
-    /// `outbound` instead of the local queue — used by the random-tick
-    /// phase, whose cascades must carry over to the *next* tick exactly
-    /// like the serial path's.
+    /// `outbound` instead of the local queue — used by phases whose
+    /// cascades must reach the world's global queue (random ticks, whose
+    /// cascades carry over to the *next* tick; the player stage, which
+    /// leaves the cascade to the terrain stage).
     defer_local_pushes: bool,
-    /// Chunks lazily generated by this view during the phase.
-    pub chunks_generated: u32,
-    /// Block changes recorded by this view, in application order.
-    pub changes: Vec<BlockChange>,
-    /// Neighbour updates that left the shard interior (or all updates, when
-    /// `defer_local_pushes` is set), in emission order.
-    pub outbound: Vec<BlockPos>,
-    /// Scheduled ticks requested by rules, as (position, absolute due tick).
-    pub scheduled: Vec<(BlockPos, u64)>,
+    owned: OwnedShard,
     queue: VecDeque<BlockUpdate>,
     queued: HashSet<BlockPos>,
 }
 
-impl<'a> ShardWorld<'a> {
-    /// Creates a view over `store` for `shard`, at game tick `tick`.
-    #[must_use]
-    pub fn new(
-        shard: usize,
-        map: &'a ShardMap,
-        store: ShardStore,
-        generator: &'a dyn ChunkGenerator,
-        tick: u64,
-        defer_local_pushes: bool,
-    ) -> Self {
-        ShardWorld {
-            shard,
-            map,
-            store,
-            generator,
-            tick,
-            defer_local_pushes,
-            chunks_generated: 0,
-            changes: Vec::new(),
-            outbound: Vec::new(),
-            scheduled: Vec::new(),
-            queue: VecDeque::new(),
-            queued: HashSet::new(),
-        }
-    }
-
-    /// The shard this view owns.
-    #[must_use]
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
+impl ShardWorld<'_> {
     /// Seeds the local work queue with an update routed to this shard
     /// (coalescing duplicates, like the global update queue does).
-    pub fn push_local(&mut self, update: BlockUpdate) {
+    pub(crate) fn push_local(&mut self, update: BlockUpdate) {
         if self.queued.insert(update.pos) {
             self.queue.push_back(update);
         }
     }
 
     /// Pops the next local update, if any.
-    pub fn pop_local(&mut self) -> Option<BlockUpdate> {
+    pub(crate) fn pop_local(&mut self) -> Option<BlockUpdate> {
         let update = self.queue.pop_front()?;
         self.queued.remove(&update.pos);
         Some(update)
     }
 
     /// Drains whatever is left in the local queue (budget exhaustion).
-    pub fn drain_local(&mut self) -> Vec<BlockUpdate> {
+    pub(crate) fn drain_local(&mut self) -> Vec<BlockUpdate> {
         self.queued.clear();
         self.queue.drain(..).collect()
-    }
-
-    /// Consumes the view and returns the shard store.
-    #[must_use]
-    pub fn into_store(self) -> ShardStore {
-        self.store
     }
 
     fn route_push(&mut self, pos: BlockPos) {
         if !self.defer_local_pushes && self.map.interior_shard(pos.chunk()) == Some(self.shard) {
             self.push_local(BlockUpdate::neighbor(pos));
         } else {
-            self.outbound.push(pos);
+            self.owned.outbound.push(pos);
         }
     }
 
@@ -878,11 +841,12 @@ impl<'a> ShardWorld<'a> {
             "shard {} touched foreign chunk {chunk_pos} — interior classification is broken",
             self.shard
         );
-        if !self.store.contains(chunk_pos) {
-            self.store.insert(self.generator.generate(chunk_pos));
-            self.chunks_generated += 1;
+        let owned = &mut self.owned;
+        if !owned.store.contains(chunk_pos) {
+            owned.store.insert(self.generator.generate(chunk_pos));
+            owned.chunks_generated += 1;
         }
-        self.store.get_mut(chunk_pos).expect("chunk just ensured")
+        owned.store.get_mut(chunk_pos).expect("chunk just ensured")
     }
 }
 
@@ -899,7 +863,7 @@ impl BlockReader for ShardWorld<'_> {
         let probe = BlockPos::new(x, 0, z);
         let chunk_pos = probe.chunk();
         // Only in-shard columns have a cheap answer; a foreign-column scan
-        // would panic in `block` exactly as it did before this fast path.
+        // panics in `block`, which is where the violation belongs.
         if self.map.shard_of_chunk(chunk_pos) != self.shard {
             return None;
         }
@@ -918,7 +882,8 @@ impl TerrainView for ShardWorld<'_> {
             return Block::AIR;
         }
         let (lx, y, lz) = pos.local();
-        self.store
+        self.owned
+            .store
             .get(pos.chunk())
             .map_or(Block::AIR, |c| c.block(lx, y, lz))
     }
@@ -932,7 +897,7 @@ impl TerrainView for ShardWorld<'_> {
             .owned_chunk_mut(pos.chunk())
             .set_block(lx, y, lz, block);
         if old != block {
-            self.changes.push(BlockChange {
+            self.owned.changes.push(BlockChange {
                 pos,
                 old,
                 new: block,
@@ -946,11 +911,172 @@ impl TerrainView for ShardWorld<'_> {
     }
 
     fn schedule_tick(&mut self, pos: BlockPos, delay_ticks: u64) {
-        self.scheduled.push((pos, self.tick + delay_ticks.max(1)));
+        self.owned
+            .scheduled
+            .push((pos, self.tick + delay_ticks.max(1)));
     }
 
     fn current_tick(&self) -> u64 {
         self.tick
+    }
+}
+
+/// One shard's job in an owned phase: the caller's payload next to the
+/// shard's chunks.
+struct OwnedShardJob<P> {
+    shard: usize,
+    payload: P,
+    owned: OwnedShard,
+}
+
+/// What every worker of an owned phase reads: the world-side inputs of a
+/// [`ShardWorld`] (owned, because pool jobs cannot borrow the world) next
+/// to the caller's own context.
+struct OwnedPhaseCtx<C> {
+    map: Arc<ShardMap>,
+    generator: Arc<dyn ChunkGenerator>,
+    tick: u64,
+    defer_local_pushes: bool,
+    caller: C,
+}
+
+/// The two shard-phase protocols: the only code that moves chunk stores
+/// out of a [`World`] and back. See `docs/ARCHITECTURE.md`, "The two
+/// shard-phase protocols".
+impl World {
+    /// Runs one **owned phase**: every shard listed in `work` leaves the
+    /// world, `f` mutates it through a [`ShardWorld`] view on `scope`, and
+    /// the buffered effects merge back in ascending shard order — chunk
+    /// store, block changes, scheduled ticks, generated-chunk count, shard
+    /// by shard. That order is the determinism contract; completion order
+    /// never shows.
+    ///
+    /// `work` pairs a shard index with the caller's payload for it, in
+    /// strictly ascending shard order; shards not listed stay in the world
+    /// untouched. The phase is confined to `f`: it sees its own shard's
+    /// view, its own payload and the shared `ctx`, nothing else. Returns
+    /// `(shard, payload, outbound)` per listed shard, in the same order,
+    /// plus `ctx`: `outbound` holds the neighbour updates that left the
+    /// shard interior (with `defer_local_pushes`, all of them) in emission
+    /// order, and routing them — the next cascade round, or
+    /// [`World::push_neighbor_update`] — is the one decision left to the
+    /// caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `work` is not in strictly ascending shard order.
+    /// Propagates a panic raised inside `f` (from a fanned-out job as
+    /// `tick worker panicked: …`); the stores of the listed shards are
+    /// lost with it, so the world must not be used afterwards.
+    pub fn run_owned_phase<P, C, F>(
+        &mut self,
+        scope: &PoolScope<'_>,
+        defer_local_pushes: bool,
+        work: Vec<(usize, P)>,
+        ctx: C,
+        f: F,
+    ) -> (Vec<(usize, P, Vec<BlockPos>)>, C)
+    where
+        P: Send + 'static,
+        C: Send + Sync + 'static,
+        F: Fn(&mut ShardWorld<'_>, &mut P, &C) + Send + Sync + 'static,
+    {
+        // A repeated shard would have its store taken twice and the first
+        // copy overwritten on the way back.
+        assert!(
+            work.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "owned-phase work must list each shard once, in ascending order"
+        );
+        if work.is_empty() {
+            return (Vec::new(), ctx);
+        }
+        let jobs: Vec<OwnedShardJob<P>> = work
+            .into_iter()
+            .map(|(shard, payload)| OwnedShardJob {
+                shard,
+                payload,
+                owned: OwnedShard {
+                    store: self.take_shard_store(shard),
+                    ..OwnedShard::default()
+                },
+            })
+            .collect();
+        let phase = OwnedPhaseCtx {
+            map: self.shard_map_arc(),
+            generator: self.generator_arc(),
+            tick: self.current_tick(),
+            defer_local_pushes,
+            caller: ctx,
+        };
+        let (jobs, phase) = scope.run_tasks_ctx(
+            jobs,
+            phase,
+            move |_, job: &mut OwnedShardJob<P>, phase: &OwnedPhaseCtx<C>| {
+                let mut view = ShardWorld {
+                    shard: job.shard,
+                    map: &phase.map,
+                    generator: &*phase.generator,
+                    tick: phase.tick,
+                    defer_local_pushes: phase.defer_local_pushes,
+                    owned: std::mem::take(&mut job.owned),
+                    queue: VecDeque::new(),
+                    queued: HashSet::new(),
+                };
+                f(&mut view, &mut job.payload, &phase.caller);
+                job.owned = view.owned;
+            },
+        );
+        let mut results = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let OwnedShard {
+                store,
+                chunks_generated,
+                changes,
+                outbound,
+                scheduled,
+            } = job.owned;
+            self.put_shard_store(job.shard, store);
+            self.append_changes(changes);
+            for (pos, due) in scheduled {
+                self.schedule_tick_at(pos, due);
+            }
+            self.note_chunks_generated(chunks_generated);
+            results.push((job.shard, job.payload, outbound));
+        }
+        (results, phase.caller)
+    }
+
+    /// Runs one **frozen phase**: every chunk leaves the world, `f` reads
+    /// them through a [`FrozenChunks`] view on `scope` — unloaded
+    /// positions are air, nothing is generated, nothing is written — and
+    /// the chunks are back in place when this returns. Returns the tasks
+    /// in input order plus `ctx`.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic raised inside `f`; the chunks are lost with it.
+    pub fn run_frozen_phase<T, C, F>(
+        &mut self,
+        scope: &PoolScope<'_>,
+        tasks: Vec<T>,
+        ctx: C,
+        f: F,
+    ) -> (Vec<T>, C)
+    where
+        T: Send + 'static,
+        C: Send + Sync + 'static,
+        F: Fn(FrozenChunks<'_>, &mut T, &C) + Send + Sync + 'static,
+    {
+        let phase = (self.snapshot_chunks(), ctx);
+        let (tasks, (snapshot, ctx)) = scope.run_tasks_ctx(
+            tasks,
+            phase,
+            move |_, task: &mut T, (snapshot, ctx): &(WorldSnapshot, C)| {
+                f(FrozenChunks(snapshot), task, ctx);
+            },
+        );
+        self.restore_chunks(snapshot);
+        (tasks, ctx)
     }
 }
 
@@ -1200,5 +1326,238 @@ mod tests {
             let area: i64 = rects.iter().map(|r| i64::from(r.2) * i64::from(r.2)).sum();
             assert_eq!(area, 32 * 32, "leaves must tile the root");
         }
+    }
+
+    use crate::block::BlockKind;
+    use crate::generation::FlatGenerator;
+
+    /// A flat world over chunks x 1..=14, z -2..=2, partitioned into the
+    /// four stripes 0..=3, 4..=7, 8..=11, 12..=15 (interior columns x = 1,
+    /// 2, 5, 6, 9, 10, 13, 14), with this tick's generation count at zero.
+    fn striped_world() -> World {
+        let mut w = World::new(Box::new(FlatGenerator::grassland()), 5);
+        for x in 1..=14 {
+            for z in -2..=2 {
+                w.ensure_chunk(ChunkPos::new(x, z));
+            }
+        }
+        w.reshard(ShardMap::stripes(4));
+        w.advance_tick();
+        w
+    }
+
+    fn chunk_order(w: &World) -> Vec<ChunkPos> {
+        w.iter_chunks().map(crate::chunk::Chunk::pos).collect()
+    }
+
+    /// A block in the interior column `stripe * 4 + 1`, in chunk row `cz`.
+    fn interior_block(stripe: i32, cz: i32, dy: i32) -> BlockPos {
+        BlockPos::new((stripe * 4 + 1) * 16 + 8, 70 + dy, cz * 16 + 8)
+    }
+
+    #[test]
+    fn owned_phase_returns_every_chunk_once_and_counts_worker_generation() {
+        let mut w = striped_world();
+        let loaded = w.loaded_chunk_count();
+        // Shards 0 and 1 each also write into one unloaded chunk of their
+        // own interior (row 9); shard 2 stays on loaded terrain.
+        let work: Vec<(usize, (Vec<BlockPos>, u32))> = (0..3)
+            .map(|s| {
+                let mut writes = vec![interior_block(s, 0, 0)];
+                if s < 2 {
+                    writes.push(interior_block(s, 9, 0));
+                }
+                (s as usize, (writes, 0))
+            })
+            .collect();
+        let (results, ()) = w.run_owned_phase(
+            &PoolScope::scoped(4),
+            false,
+            work,
+            (),
+            |view, (writes, generated): &mut (Vec<BlockPos>, u32), ()| {
+                for &pos in writes.iter() {
+                    view.set_block(pos, Block::simple(BlockKind::Planks));
+                }
+                *generated = view.owned.chunks_generated;
+            },
+        );
+        let generated: u32 = results.iter().map(|(_, payload, _)| payload.1).sum();
+        assert_eq!(generated, 2);
+        assert_eq!(w.chunks_generated_this_tick(), generated);
+        let mut positions = chunk_order(&w);
+        assert_eq!(positions.len(), loaded + 2);
+        positions.sort();
+        positions.dedup();
+        assert_eq!(positions.len(), loaded + 2, "a chunk came back twice");
+        for shard in 0..4 {
+            for pos in w.shard_store(shard).positions() {
+                assert_eq!(w.shard_map().shard_of_chunk(pos), shard);
+            }
+        }
+        assert_eq!(w.count_kind(BlockKind::Planks), 5);
+    }
+
+    /// Everything an owned phase leaves behind, in a comparable form.
+    type PhaseFootprint = (
+        Vec<(usize, Vec<BlockPos>)>,
+        u64,
+        Vec<BlockChange>,
+        Vec<BlockUpdate>,
+        Vec<BlockUpdate>,
+    );
+
+    fn owned_phase_footprint(width: u32) -> PhaseFootprint {
+        let mut w = striped_world();
+        // Lower shards get more writes, so on a wide scope the higher
+        // shards tend to finish first.
+        let work: Vec<(usize, Vec<BlockPos>)> = (0..4)
+            .map(|s| {
+                let writes = (0..(8 - 2 * s)).map(|dy| interior_block(s, 0, dy));
+                // Local x = 0 of the interior column: its west neighbour
+                // lies in the stripe's boundary column, so it goes outbound.
+                let edge = BlockPos::new((s * 4 + 1) * 16, 70, 8);
+                (s as usize, writes.chain([edge]).collect())
+            })
+            .collect();
+        let (results, ()) = w.run_owned_phase(
+            &PoolScope::scoped(width),
+            false,
+            work,
+            (),
+            |view, writes: &mut Vec<BlockPos>, ()| {
+                for &pos in writes.iter() {
+                    view.set_block(pos, Block::simple(BlockKind::Stone));
+                    view.schedule_tick(pos, 2);
+                }
+            },
+        );
+        let outbound: Vec<(usize, Vec<BlockPos>)> = results
+            .into_iter()
+            .map(|(shard, _, outbound)| (shard, outbound))
+            .collect();
+        for pos in outbound.iter().flat_map(|(_, positions)| positions) {
+            w.push_neighbor_update(*pos);
+        }
+        let immediate = std::iter::from_fn(|| w.updates_mut().pop_immediate()).collect();
+        let due = w.updates_mut().pop_due(u64::MAX);
+        (
+            outbound,
+            w.total_non_air_blocks(),
+            w.drain_changes(),
+            immediate,
+            due,
+        )
+    }
+
+    #[test]
+    fn owned_phase_merges_in_ascending_shard_order_at_any_scope_width() {
+        let reference = owned_phase_footprint(1);
+        let (outbound, _, changes, immediate, due) = &reference;
+        let map = ShardMap::stripes(4);
+        let ascending =
+            |shards: Vec<usize>| shards.windows(2).all(|pair| pair[0] <= pair[1]) && shards[0] == 0;
+        assert!(ascending(
+            outbound.iter().map(|(shard, _)| *shard).collect()
+        ));
+        assert!(outbound.iter().all(|(_, positions)| !positions.is_empty()));
+        assert!(ascending(
+            changes.iter().map(|c| map.shard_of_block(c.pos)).collect()
+        ));
+        assert!(ascending(
+            due.iter().map(|u| map.shard_of_block(u.pos)).collect()
+        ));
+        assert_eq!(changes.len(), due.len());
+        assert!(!immediate.is_empty());
+        for width in [4, 8] {
+            assert_eq!(owned_phase_footprint(width), reference, "width {width}");
+        }
+    }
+
+    #[test]
+    fn owned_phase_takes_only_the_listed_shards() {
+        let mut w = striped_world();
+        let before = chunk_order(&w);
+        let (results, ctx) = w.run_owned_phase(
+            &PoolScope::scoped(4),
+            true,
+            vec![(1, Vec::new()), (3, Vec::new())],
+            7u8,
+            |view, visits: &mut Vec<(usize, usize)>, _: &u8| {
+                visits.push((view.shard, view.owned.store.len()));
+            },
+        );
+        assert_eq!(ctx, 7);
+        // One visit per listed shard, each seeing exactly its own chunks.
+        let chunks = |shard: usize| w.shard_store(shard).len();
+        assert_eq!(
+            results,
+            vec![
+                (1, vec![(1, chunks(1))], Vec::new()),
+                (3, vec![(3, chunks(3))], Vec::new())
+            ]
+        );
+        assert_eq!(chunk_order(&w), before);
+        assert!(w.changes().is_empty() && w.updates().is_empty());
+
+        let nothing: Vec<(usize, ())> = Vec::new();
+        let (results, ()) =
+            w.run_owned_phase(&PoolScope::scoped(4), true, nothing, (), |_, _, _| {
+                unreachable!("no shard listed");
+            });
+        assert!(results.is_empty());
+        assert_eq!(chunk_order(&w), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick worker panicked: shard 2 went wrong")]
+    fn owned_phase_surfaces_a_panicking_job() {
+        let mut w = striped_world();
+        let work = (0..4).map(|s| (s, ())).collect();
+        let _ = w.run_owned_phase(&PoolScope::scoped(4), false, work, (), |view, (), ()| {
+            assert!(view.shard != 2, "shard 2 went wrong");
+        });
+    }
+
+    #[test]
+    fn frozen_phase_restores_the_chunks_after_empty_and_full_runs() {
+        let mut w = striped_world();
+        let before = (chunk_order(&w), w.total_non_air_blocks());
+        let read = |mut frozen: FrozenChunks<'_>, task: &mut (BlockPos, Block, Option<i32>)| {
+            task.1 = frozen.block(task.0);
+            task.2 = frozen.column_top(task.0.x, task.0.z);
+        };
+
+        let (tasks, ctx) = w.run_frozen_phase(
+            &PoolScope::scoped(4),
+            Vec::new(),
+            3u8,
+            move |frozen, task, _| read(frozen, task),
+        );
+        assert!(tasks.is_empty());
+        assert_eq!(ctx, 3);
+        assert_eq!((chunk_order(&w), w.total_non_air_blocks()), before);
+
+        // Loaded surface positions across all four shards, plus one
+        // unloaded position that must read as air without being generated.
+        let mut tasks: Vec<(BlockPos, Block, Option<i32>)> = (0..4)
+            .map(|s| (interior_block(s, 0, -10), Block::AIR, None))
+            .collect();
+        tasks.push((
+            interior_block(0, 40, -10),
+            Block::simple(BlockKind::Stone),
+            None,
+        ));
+        let (tasks, ()) =
+            w.run_frozen_phase(&PoolScope::scoped(4), tasks, (), move |frozen, task, ()| {
+                read(frozen, task);
+            });
+        for (_, block, top) in &tasks[..4] {
+            assert_eq!((block.kind(), *top), (BlockKind::Grass, Some(60)));
+        }
+        assert_eq!((tasks[4].1, tasks[4].2), (Block::AIR, Some(-1)));
+        assert_eq!((chunk_order(&w), w.total_non_air_blocks()), before);
+        assert_eq!(w.chunks_generated_this_tick(), 0);
+        assert_eq!(w.block(interior_block(2, 0, -10)).kind(), BlockKind::Grass);
     }
 }

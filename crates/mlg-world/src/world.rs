@@ -3,8 +3,10 @@
 //!
 //! Chunk storage is physically partitioned by a [`ShardMap`] so the sharded
 //! tick pipeline can hand each worker exclusive ownership of one shard's
-//! chunks ([`World::take_shard_store`] / [`World::put_shard_store`])
-//! without per-tick repartitioning. A freshly created world has a single
+//! chunks without per-tick repartitioning. The hand-off itself — stores
+//! leaving the world and coming back — is crate-private and driven only by
+//! [`World::run_owned_phase`] and [`World::run_frozen_phase`] in
+//! [`crate::shard`]. A freshly created world has a single
 //! shard — the classic layout — and [`World::reshard`] repartitions it when
 //! a server with a sharded tick pipeline adopts it. Chunk iteration is in
 //! deterministic (shard-major, insertion) order, never hash order, so
@@ -116,26 +118,25 @@ impl ShardStore {
     }
 }
 
-/// An owned snapshot of every chunk in the world, taken by
-/// [`World::snapshot_chunks`] and returned by [`World::restore_chunks`].
+/// Every chunk of the world, moved out for the duration of a frozen phase
+/// ([`World::run_frozen_phase`]) and read through
+/// [`FrozenChunks`](crate::shard::FrozenChunks).
 ///
-/// The snapshot is *moved*, not copied: it holds the world's actual
-/// [`ShardStore`]s plus the shard map they are partitioned by, so the
-/// read-only tick phases can share it across persistent pool workers
-/// (wrapped in an `Arc` inside the phase context) while the world sits
-/// empty. Reads behave exactly like [`World::block_if_loaded`] — unloaded
-/// positions are air, nothing is generated — which is the contract the
-/// frozen lighting and entity phases are specified against.
+/// It holds the world's actual [`ShardStore`]s plus the shard map they are
+/// partitioned by — nothing is copied. Reads behave exactly like
+/// [`World::block_if_loaded`] — unloaded positions are air, nothing is
+/// generated — which is the contract the frozen lighting and entity phases
+/// are specified against.
 #[derive(Debug)]
-pub struct WorldSnapshot {
-    map: ShardMap,
+pub(crate) struct WorldSnapshot {
+    map: Arc<ShardMap>,
     stores: Vec<ShardStore>,
 }
 
 impl WorldSnapshot {
     /// Returns the block at `pos`, reading unloaded positions as air.
     #[must_use]
-    pub fn block_if_loaded(&self, pos: BlockPos) -> Block {
+    pub(crate) fn block_if_loaded(&self, pos: BlockPos) -> Block {
         if pos.y < 0 || pos.y >= WORLD_HEIGHT as i32 {
             return Block::AIR;
         }
@@ -149,7 +150,7 @@ impl WorldSnapshot {
     /// taken. Gives frozen readers heightmap access for the sky-light
     /// short-circuit.
     #[must_use]
-    pub fn chunk_if_loaded(&self, pos: ChunkPos) -> Option<&Chunk> {
+    pub(crate) fn chunk_if_loaded(&self, pos: ChunkPos) -> Option<&Chunk> {
         self.stores[self.map.shard_of_chunk(pos)].get(pos)
     }
 }
@@ -191,9 +192,9 @@ struct RelightCache {
     queue: VecDeque<(BlockPos, bool)>,
     /// Monotone pass counter; incremented by [`World::begin_relight_pass`].
     pass: u64,
-    /// Entry cap; reaching it evicts the oldest-inserted entry instead of
-    /// (as before this was bounded) clearing the whole cache, so a working
-    /// set near the cap keeps its hit rate. Configurable for tests only.
+    /// Entry cap; reaching it evicts the oldest-inserted entry rather than
+    /// clearing the whole cache, so a working set near the cap keeps its
+    /// hit rate. Configurable for tests only.
     cap: usize,
 }
 
@@ -219,7 +220,10 @@ const RELIGHT_CACHE_CAP: usize = 1 << 16;
 /// goes through [`World::set_block`] (or the silent variant used by workload
 /// builders) so that neighbour updates and change tracking stay consistent.
 pub struct World {
-    shard_map: ShardMap,
+    /// Shared with the phase contexts and chunk snapshots of
+    /// [`crate::shard`], which must own a handle for the same reason as
+    /// `generator` below; replaced, never mutated, by [`World::reshard`].
+    shard_map: Arc<ShardMap>,
     stores: Vec<ShardStore>,
     /// `Arc` rather than `Box` so tick-phase contexts can own a handle and
     /// run on the persistent worker pool (whose jobs cannot borrow the
@@ -255,7 +259,7 @@ impl World {
     #[must_use]
     pub fn new(generator: Box<dyn ChunkGenerator>, seed: u64) -> Self {
         World {
-            shard_map: ShardMap::stripes(1),
+            shard_map: Arc::new(ShardMap::stripes(1)),
             stores: vec![ShardStore::default()],
             generator: Arc::from(generator),
             updates: UpdateQueue::new(),
@@ -285,7 +289,7 @@ impl World {
     /// sharded tick pipeline adopts a world; a no-op when the map is
     /// unchanged.
     pub fn reshard(&mut self, map: ShardMap) {
-        if map == self.shard_map {
+        if map == *self.shard_map {
             return;
         }
         let mut stores: Vec<ShardStore> = Vec::new();
@@ -295,21 +299,23 @@ impl World {
                 stores[map.shard_of_chunk(chunk.pos())].insert(chunk);
             }
         }
-        self.shard_map = map;
+        self.shard_map = Arc::new(map);
         self.stores = stores;
     }
 
+    /// An owning handle to the shard map, for phase contexts.
+    pub(crate) fn shard_map_arc(&self) -> Arc<ShardMap> {
+        Arc::clone(&self.shard_map)
+    }
+
     /// Moves one shard's chunk store out of the world, leaving an empty
-    /// store in its place. Used by the sharded tick pipeline to give a
-    /// worker exclusive ownership of the shard's chunks; the caller must
-    /// return the store with [`World::put_shard_store`] before the world is
-    /// used as a whole again.
-    pub fn take_shard_store(&mut self, shard: usize) -> ShardStore {
+    /// store in its place, until [`World::put_shard_store`] returns it.
+    pub(crate) fn take_shard_store(&mut self, shard: usize) -> ShardStore {
         std::mem::take(&mut self.stores[shard])
     }
 
     /// Returns a shard's chunk store taken with [`World::take_shard_store`].
-    pub fn put_shard_store(&mut self, shard: usize, store: ShardStore) {
+    pub(crate) fn put_shard_store(&mut self, shard: usize, store: ShardStore) {
         self.stores[shard] = store;
     }
 
@@ -366,54 +372,31 @@ impl World {
 
     /// Adds externally performed chunk generations (from shard workers) to
     /// this tick's generation counter.
-    pub fn note_chunks_generated(&mut self, generated: u32) {
+    pub(crate) fn note_chunks_generated(&mut self, generated: u32) {
         self.chunks_generated_this_tick += generated;
-    }
-
-    /// The terrain generator, shareable across shard workers.
-    #[must_use]
-    pub fn generator(&self) -> &dyn ChunkGenerator {
-        self.generator.as_ref()
     }
 
     /// An owning handle to the terrain generator, for tick-phase contexts
     /// that must outlive any borrow of the world (persistent-pool jobs).
-    #[must_use]
-    pub fn generator_arc(&self) -> Arc<dyn ChunkGenerator> {
+    pub(crate) fn generator_arc(&self) -> Arc<dyn ChunkGenerator> {
         Arc::clone(&self.generator)
     }
 
     /// Moves every shard's chunk store out of the world into an owned
-    /// [`WorldSnapshot`], leaving empty stores behind.
-    ///
-    /// This is how the read-only tick phases (frozen relighting, the
-    /// per-entity phase) share the world with the persistent worker pool
-    /// without borrowing it: the snapshot owns the chunks for the duration
-    /// of the phase and [`World::restore_chunks`] moves them back — two
-    /// pointer-level moves, no chunk data is copied. While the snapshot is
-    /// out, the world reads as empty; callers must not touch terrain until
-    /// they restore it.
-    #[must_use]
-    pub fn snapshot_chunks(&mut self) -> WorldSnapshot {
+    /// [`WorldSnapshot`], leaving empty stores behind — pointer-level
+    /// moves, no chunk data is copied. Until [`World::restore_chunks`] the
+    /// world reads as empty.
+    pub(crate) fn snapshot_chunks(&mut self) -> WorldSnapshot {
         let mut empty: Vec<ShardStore> = Vec::new();
         empty.resize_with(self.stores.len(), ShardStore::default);
         WorldSnapshot {
-            map: self.shard_map.clone(),
+            map: Arc::clone(&self.shard_map),
             stores: std::mem::replace(&mut self.stores, empty),
         }
     }
 
     /// Returns the chunk stores taken by [`World::snapshot_chunks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the world was resharded while the snapshot was out (the
-    /// snapshot's stores would no longer match the partition).
-    pub fn restore_chunks(&mut self, snapshot: WorldSnapshot) {
-        assert_eq!(
-            snapshot.map, self.shard_map,
-            "world was repartitioned while its chunk snapshot was out"
-        );
+    pub(crate) fn restore_chunks(&mut self, snapshot: WorldSnapshot) {
         self.stores = snapshot.stores;
     }
 
@@ -722,7 +705,7 @@ impl World {
 
     /// Appends externally recorded block changes (from shard workers) to the
     /// change log, in the order given.
-    pub fn append_changes(&mut self, changes: impl IntoIterator<Item = BlockChange>) {
+    pub(crate) fn append_changes(&mut self, changes: impl IntoIterator<Item = BlockChange>) {
         self.changes.extend(changes);
     }
 
