@@ -3,8 +3,10 @@
 //! The encoding is a compact, varint-based format in the spirit of the
 //! Minecraft protocol. Its purpose in Meterstick is to give every packet a
 //! concrete wire size so network I/O metrics (Table 5) and the byte-share
-//! column of Table 8 can be measured, and to exercise a realistic
-//! encode/decode code path in the benchmark's hot loop.
+//! column of Table 8 can be measured. Each layout is written once, as a
+//! function over any [`BufMut`]: `encode_*` runs it into a [`BytesMut`], the
+//! `*_wire_size` functions run it into a sink that only counts, so sizing a
+//! packet — what the tick path does — allocates and copies nothing.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -42,7 +44,7 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_varint(buf: &mut BytesMut, mut value: u64) {
+fn put_varint(buf: &mut impl BufMut, mut value: u64) {
     loop {
         let byte = (value & 0x7F) as u8;
         value >>= 7;
@@ -69,7 +71,7 @@ fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
     Err(DecodeError::VarintTooLong)
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
+fn put_string(buf: &mut impl BufMut, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.put_slice(s.as_bytes());
 }
@@ -83,7 +85,7 @@ fn get_string(buf: &mut Bytes) -> Result<String, DecodeError> {
     String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::InvalidString)
 }
 
-fn put_block_pos(buf: &mut BytesMut, pos: BlockPos) {
+fn put_block_pos(buf: &mut impl BufMut, pos: BlockPos) {
     buf.put_i32(pos.x);
     buf.put_i32(pos.y);
     buf.put_i32(pos.z);
@@ -96,7 +98,7 @@ fn get_block_pos(buf: &mut Bytes) -> Result<BlockPos, DecodeError> {
     Ok(BlockPos::new(buf.get_i32(), buf.get_i32(), buf.get_i32()))
 }
 
-fn put_vec3(buf: &mut BytesMut, v: Vec3) {
+fn put_vec3(buf: &mut impl BufMut, v: Vec3) {
     buf.put_f64(v.x);
     buf.put_f64(v.y);
     buf.put_f64(v.z);
@@ -109,7 +111,7 @@ fn get_vec3(buf: &mut Bytes) -> Result<Vec3, DecodeError> {
     Ok(Vec3::new(buf.get_f64(), buf.get_f64(), buf.get_f64()))
 }
 
-fn put_block(buf: &mut BytesMut, block: Block) {
+fn put_block(buf: &mut impl BufMut, block: Block) {
     buf.put_u16(block.kind().protocol_id());
     buf.put_u8(block.state());
 }
@@ -125,32 +127,49 @@ fn get_block(buf: &mut Bytes) -> Result<Block, DecodeError> {
     Ok(Block::with_state(kind, state))
 }
 
-/// Encodes a serverbound packet into bytes.
-#[must_use]
-pub fn encode_serverbound(packet: &ServerboundPacket) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+/// The [`BufMut`] the `*_wire_size` functions write a layout into: it keeps
+/// the number of bytes and none of their values.
+struct ByteCount(usize);
+
+impl BufMut for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// The wire layout of a serverbound packet.
+fn write_serverbound(buf: &mut impl BufMut, packet: &ServerboundPacket) {
     buf.put_u8(packet.packet_id());
     match packet {
-        ServerboundPacket::Login { username } => put_string(&mut buf, username),
+        ServerboundPacket::Login { username } => put_string(buf, username),
         ServerboundPacket::PlayerMove { pos, on_ground } => {
-            put_vec3(&mut buf, *pos);
+            put_vec3(buf, *pos);
             buf.put_u8(u8::from(*on_ground));
         }
         ServerboundPacket::BlockPlace { pos, block } => {
-            put_block_pos(&mut buf, *pos);
-            put_block(&mut buf, *block);
+            put_block_pos(buf, *pos);
+            put_block(buf, *block);
         }
-        ServerboundPacket::BlockDig { pos } => put_block_pos(&mut buf, *pos),
+        ServerboundPacket::BlockDig { pos } => put_block_pos(buf, *pos),
         ServerboundPacket::Chat {
             message,
             sent_at_ms,
         } => {
-            put_string(&mut buf, message);
+            put_string(buf, message);
             buf.put_f64(*sent_at_ms);
         }
-        ServerboundPacket::KeepAlive { id } => put_varint(&mut buf, *id),
+        ServerboundPacket::KeepAlive { id } => put_varint(buf, *id),
         ServerboundPacket::Disconnect => {}
     }
+}
+
+/// Encodes a serverbound packet into bytes.
+#[must_use]
+pub fn encode_serverbound(packet: &ServerboundPacket) -> Bytes {
+    let size = serverbound_wire_size(packet);
+    let mut buf = BytesMut::with_capacity(size);
+    write_serverbound(&mut buf, packet);
+    debug_assert_eq!(buf.len(), size);
     buf.freeze()
 }
 
@@ -201,15 +220,13 @@ pub fn decode_serverbound(mut data: Bytes) -> Result<ServerboundPacket, DecodeEr
     }
 }
 
-/// Encodes a clientbound packet into bytes.
-#[must_use]
-pub fn encode_clientbound(packet: &ClientboundPacket) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+/// The wire layout of a clientbound packet.
+fn write_clientbound(buf: &mut impl BufMut, packet: &ClientboundPacket) {
     buf.put_u8(packet.packet_id());
     match packet {
         ClientboundPacket::LoginAccepted { player_id, spawn } => {
-            put_varint(&mut buf, player_id.0);
-            put_vec3(&mut buf, *spawn);
+            put_varint(buf, player_id.0);
+            put_vec3(buf, *spawn);
         }
         ClientboundPacket::ChunkData { pos, payload_bytes } => {
             buf.put_i32(pos.x);
@@ -219,30 +236,46 @@ pub fn encode_clientbound(packet: &ClientboundPacket) -> Bytes {
             // accounts for the bytes without materializing them.
         }
         ClientboundPacket::BlockChange { pos, block } => {
-            put_block_pos(&mut buf, *pos);
-            put_block(&mut buf, *block);
+            put_block_pos(buf, *pos);
+            put_block(buf, *block);
         }
         ClientboundPacket::EntitySpawn { id, kind_id, pos } => {
-            put_varint(&mut buf, id.0);
+            put_varint(buf, id.0);
             buf.put_u16(*kind_id);
-            put_vec3(&mut buf, *pos);
+            put_vec3(buf, *pos);
         }
         ClientboundPacket::EntityMove { id, pos } => {
-            put_varint(&mut buf, id.0);
-            put_vec3(&mut buf, *pos);
+            put_varint(buf, id.0);
+            put_vec3(buf, *pos);
         }
-        ClientboundPacket::EntityDestroy { id } => put_varint(&mut buf, id.0),
+        ClientboundPacket::EntityDestroy { id } => put_varint(buf, id.0),
         ClientboundPacket::Chat {
             message,
             echo_of_ms,
         } => {
-            put_string(&mut buf, message);
+            put_string(buf, message);
             buf.put_f64(*echo_of_ms);
         }
-        ClientboundPacket::KeepAlive { id } => put_varint(&mut buf, *id),
-        ClientboundPacket::TimeUpdate { world_age_ticks } => put_varint(&mut buf, *world_age_ticks),
-        ClientboundPacket::Disconnect { reason } => put_string(&mut buf, reason),
+        ClientboundPacket::KeepAlive { id } => put_varint(buf, *id),
+        ClientboundPacket::TimeUpdate { world_age_ticks } => put_varint(buf, *world_age_ticks),
+        ClientboundPacket::Disconnect { reason } => put_string(buf, reason),
     }
+}
+
+/// Number of bytes [`encode_clientbound`] produces for `packet`.
+fn clientbound_encoded_len(packet: &ClientboundPacket) -> usize {
+    let mut count = ByteCount(0);
+    write_clientbound(&mut count, packet);
+    count.0
+}
+
+/// Encodes a clientbound packet into bytes.
+#[must_use]
+pub fn encode_clientbound(packet: &ClientboundPacket) -> Bytes {
+    let size = clientbound_encoded_len(packet);
+    let mut buf = BytesMut::with_capacity(size);
+    write_clientbound(&mut buf, packet);
+    debug_assert_eq!(buf.len(), size);
     buf.freeze()
 }
 
@@ -317,7 +350,7 @@ pub fn decode_clientbound(mut data: Bytes) -> Result<ClientboundPacket, DecodeEr
 /// including the notional chunk payload for [`ClientboundPacket::ChunkData`].
 #[must_use]
 pub fn clientbound_wire_size(packet: &ClientboundPacket) -> usize {
-    let header = encode_clientbound(packet).len();
+    let header = clientbound_encoded_len(packet);
     match packet {
         ClientboundPacket::ChunkData { payload_bytes, .. } => header + *payload_bytes as usize,
         _ => header,
@@ -327,7 +360,9 @@ pub fn clientbound_wire_size(packet: &ClientboundPacket) -> usize {
 /// Returns the wire size in bytes of a serverbound packet.
 #[must_use]
 pub fn serverbound_wire_size(packet: &ServerboundPacket) -> usize {
-    encode_serverbound(packet).len()
+    let mut count = ByteCount(0);
+    write_serverbound(&mut count, packet);
+    count.0
 }
 
 #[cfg(test)]

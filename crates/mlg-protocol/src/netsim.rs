@@ -77,7 +77,10 @@ pub struct NetworkLink<T> {
     queue: VecDeque<InFlight<T>>,
     rng: StdRng,
     last_delivery_ms: f64,
-    /// Total packets ever sent through the link.
+    /// Total [`NetworkLink::send`] calls ever made on the link. That is a
+    /// packet count only where a payload is one packet (a bot's uplink); a
+    /// bot's downlink sends one delivery record per tick, so there it counts
+    /// ticks that delivered something, not packets.
     pub packets_sent: u64,
     /// Total payload bytes ever sent through the link.
     pub bytes_sent: u64,
@@ -124,14 +127,10 @@ impl<T> NetworkLink<T> {
 
     /// Returns every payload whose delivery time has passed at `now_ms`.
     pub fn poll(&mut self, now_ms: f64) -> Vec<T> {
+        let due = |p: &InFlight<T>| p.deliver_at_ms <= now_ms;
         let mut delivered = Vec::new();
-        while let Some(front) = self.queue.front() {
-            if front.deliver_at_ms <= now_ms {
-                let item = self.queue.pop_front().expect("front exists");
-                delivered.push(item.payload);
-            } else {
-                break;
-            }
+        while self.queue.front().is_some_and(due) {
+            delivered.extend(self.queue.pop_front().map(|p| p.payload));
         }
         delivered
     }

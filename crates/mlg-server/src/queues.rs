@@ -201,12 +201,21 @@ impl NetworkingQueues {
         count
     }
 
-    /// Drains all pending clientbound packets for `player`.
+    /// Drains all pending clientbound packets for `player`, in queue order,
+    /// handing each to the caller without collecting them first. The queue
+    /// is empty once the iterator is dropped, consumed or not; an unknown
+    /// connection yields nothing.
+    pub fn stream_outgoing(
+        &mut self,
+        player: PlayerId,
+    ) -> impl Iterator<Item = ClientboundPacket> + '_ {
+        let queue = self.connections.get_mut(&player);
+        queue.map(|c| c.outgoing.drain(..)).into_iter().flatten()
+    }
+
+    /// [`NetworkingQueues::stream_outgoing`], collected.
     pub fn drain_outgoing(&mut self, player: PlayerId) -> Vec<ClientboundPacket> {
-        self.connections
-            .get_mut(&player)
-            .map(|c| c.outgoing.drain(..).collect())
-            .unwrap_or_default()
+        self.stream_outgoing(player).collect()
     }
 
     /// Iterates over connected player ids.
@@ -279,6 +288,32 @@ mod tests {
         // An unknown connection drops the run without pulling from it.
         run.extend_outgoing(PlayerId(2), std::iter::repeat_with(|| unreachable!()));
         assert_eq!(run.total_buffered(), 0);
+    }
+
+    #[test]
+    fn streaming_drain_equals_drain_outgoing() {
+        let packets: Vec<_> = (0..40)
+            .map(|id| ClientboundPacket::KeepAlive { id })
+            .collect();
+        let (mut streamed, mut collected) = (NetworkingQueues::new(), NetworkingQueues::new());
+        for q in [&mut streamed, &mut collected] {
+            q.add_connection(PlayerId(1));
+            q.extend_outgoing(PlayerId(1), packets.iter().cloned());
+        }
+        let stream: Vec<_> = streamed.stream_outgoing(PlayerId(1)).collect();
+        assert_eq!(stream, packets, "same packets, in queue order");
+        assert_eq!(collected.drain_outgoing(PlayerId(1)), packets);
+        assert_eq!(streamed.total_buffered(), 0);
+        assert_eq!(collected.total_buffered(), 0);
+        // A stream dropped part-way (or untouched) still empties the queue.
+        streamed.extend_outgoing(PlayerId(1), packets.iter().cloned());
+        assert_eq!(
+            streamed.stream_outgoing(PlayerId(1)).next(),
+            Some(packets[0].clone())
+        );
+        assert_eq!(streamed.total_buffered(), 0);
+        assert_eq!(streamed.stream_outgoing(PlayerId(9)).count(), 0);
+        assert!(collected.drain_outgoing(PlayerId(9)).is_empty());
     }
 
     #[test]

@@ -473,9 +473,13 @@ impl GameServer {
         self.queues.push_incoming(player, packet);
     }
 
-    /// Drains the clientbound packets queued for `player`.
-    pub fn drain_outgoing(&mut self, player: PlayerId) -> Vec<ClientboundPacket> {
-        self.queues.drain_outgoing(player)
+    /// Drains the clientbound packets queued for `player`
+    /// ([`NetworkingQueues::stream_outgoing`]).
+    pub fn stream_outgoing(
+        &mut self,
+        player: PlayerId,
+    ) -> impl Iterator<Item = ClientboundPacket> + '_ {
+        self.queues.stream_outgoing(player)
     }
 
     /// Schedules every TNT block currently loaded in the world to ignite
@@ -965,7 +969,7 @@ mod tests {
         }
         let baseline = s.run_tick(&mut e).record.busy_ms;
         let id = s.connect_player("probe");
-        let join_packets = s.drain_outgoing(id);
+        let join_packets: Vec<_> = s.stream_outgoing(id).collect();
         assert!(
             join_packets
                 .iter()
@@ -1013,7 +1017,8 @@ mod tests {
                     payload_bytes: terrain.generate(chunk).network_size_bytes() as u32,
                 });
             }
-            assert_eq!(s.drain_outgoing(id), expected, "{name}'s join stream");
+            let joined: Vec<_> = s.stream_outgoing(id).collect();
+            assert_eq!(joined, expected, "{name}'s join stream");
         };
         let counters = |s: &GameServer| {
             let terrain = s.traffic_summary().category(TrafficCategory::Terrain);
@@ -1042,7 +1047,7 @@ mod tests {
         let mut s = server(ServerFlavor::Vanilla);
         let mut e = engine();
         let id = s.connect_player("probe");
-        s.drain_outgoing(id);
+        drop(s.stream_outgoing(id));
         s.enqueue_packet(
             id,
             ServerboundPacket::Chat {
@@ -1051,7 +1056,7 @@ mod tests {
             },
         );
         s.run_tick(&mut e);
-        let packets = s.drain_outgoing(id);
+        let packets: Vec<_> = s.stream_outgoing(id).collect();
         let echo = packets.iter().find_map(|p| match p {
             ClientboundPacket::Chat { echo_of_ms, .. } => Some(*echo_of_ms),
             _ => None,
@@ -1065,8 +1070,8 @@ mod tests {
         let mut e = engine();
         let a = s.connect_player("alice");
         let b = s.connect_player("bob");
-        s.drain_outgoing(a);
-        s.drain_outgoing(b);
+        drop(s.stream_outgoing(a));
+        drop(s.stream_outgoing(b));
         s.enqueue_packet(
             a,
             ServerboundPacket::BlockPlace {
@@ -1075,7 +1080,7 @@ mod tests {
             },
         );
         s.run_tick(&mut e);
-        let to_bob = s.drain_outgoing(b);
+        let to_bob: Vec<_> = s.stream_outgoing(b).collect();
         assert!(
             to_bob
                 .iter()

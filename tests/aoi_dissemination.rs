@@ -80,7 +80,9 @@ fn aoi_delivery_equals_distance_filtered_broadcast() {
     // Join-time chunk streaming is identical on both servers; clear it so
     // the comparison below covers exactly the tick dissemination stage.
     for (id, _) in &players_a {
-        assert_eq!(filtered.drain_outgoing(*id), broadcast.drain_outgoing(*id));
+        assert!(filtered
+            .stream_outgoing(*id)
+            .eq(broadcast.stream_outgoing(*id)));
     }
 
     let radius = f64::from(filtered.config().view_distance) * 16.0;
@@ -90,9 +92,8 @@ fn aoi_delivery_equals_distance_filtered_broadcast() {
         filtered.run_tick(&mut engine_a);
         broadcast.run_tick(&mut engine_b);
         for (id, player_pos) in &players_a {
-            let full = broadcast.drain_outgoing(*id);
-            let expected: Vec<_> = full
-                .into_iter()
+            let expected: Vec<_> = broadcast
+                .stream_outgoing(*id)
                 .filter(|packet| {
                     reference_position(packet).is_none_or(|pos| {
                         let dx = pos.x - player_pos.x;
@@ -102,7 +103,7 @@ fn aoi_delivery_equals_distance_filtered_broadcast() {
                 })
                 .collect();
             assert_eq!(
-                filtered.drain_outgoing(*id),
+                filtered.stream_outgoing(*id).collect::<Vec<_>>(),
                 expected,
                 "tick {tick}: player {id:?} AoI stream is not the distance-filtered broadcast"
             );

@@ -9,10 +9,132 @@ use meterstick_metrics::isr::{analytical_isr, instability_ratio, IsrParams};
 use meterstick_metrics::stats::{percentile, BoxplotSummary, Percentiles};
 use mlg_entity::{EntityId, Vec3};
 use mlg_protocol::codec::{
-    decode_clientbound, decode_serverbound, encode_clientbound, encode_serverbound,
+    clientbound_wire_size, decode_clientbound, decode_serverbound, encode_clientbound,
+    encode_serverbound, serverbound_wire_size, DecodeError,
 };
 use mlg_protocol::{ClientboundPacket, ServerboundPacket};
 use mlg_world::{Block, BlockKind, BlockPos, Chunk, ChunkPos, Region};
+
+/// A varint operand: every width boundary the codec crosses, the
+/// `0x4000_0000 | id` entity ids the server gives players, or any `u64`.
+fn varint_operand(word: u64) -> u64 {
+    const EDGES: [u64; 7] = [0, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+    match word % 9 {
+        edge @ 0..=6 => EDGES[edge as usize],
+        7 => 0x4000_0000 | ((word >> 8) % 4_096),
+        _ => word,
+    }
+}
+
+/// Empty, ASCII or multi-byte text of at most 300 bytes.
+fn packet_text(ascii: &str, word: u64) -> String {
+    match word % 3 {
+        0 => String::new(),
+        1 => ascii.to_owned(),
+        _ => ascii
+            .bytes()
+            .take(75)
+            .map(|b| ['é', '→', '𝄞', 'a'][usize::from(b) % 4])
+            .collect(),
+    }
+}
+
+fn packet_vec3(word: u64) -> Vec3 {
+    let axis = |shift: u32| f64::from((word >> shift) as i32) / 8.0;
+    Vec3::new(axis(0), axis(16), axis(32))
+}
+
+fn packet_block_pos(word: u64) -> BlockPos {
+    BlockPos::new(word as i32, (word >> 24) as i32, (word >> 32) as i32)
+}
+
+fn packet_block(word: u64) -> Block {
+    Block::with_state(BlockKind::all()[(word % 36) as usize], (word >> 8) as u8)
+}
+
+/// The clientbound packet of variant `variant` (of 10) with fields drawn
+/// from `word` and `text`.
+fn clientbound_case(variant: usize, word: u64, text: String) -> ClientboundPacket {
+    let id = EntityId(varint_operand(word));
+    let pos = packet_vec3(word.rotate_left(17));
+    match variant {
+        0 => ClientboundPacket::LoginAccepted {
+            player_id: id,
+            spawn: pos,
+        },
+        1 => ClientboundPacket::ChunkData {
+            pos: ChunkPos::new(word as i32, (word >> 32) as i32),
+            payload_bytes: [0, u32::MAX, (word >> 7) as u32][(word % 3) as usize],
+        },
+        2 => ClientboundPacket::BlockChange {
+            pos: packet_block_pos(word),
+            block: packet_block(word),
+        },
+        3 => ClientboundPacket::EntitySpawn {
+            id,
+            kind_id: (word >> 48) as u16,
+            pos,
+        },
+        4 => ClientboundPacket::EntityMove { id, pos },
+        5 => ClientboundPacket::EntityDestroy { id },
+        6 => ClientboundPacket::Chat {
+            message: text,
+            echo_of_ms: pos.x,
+        },
+        7 => ClientboundPacket::KeepAlive { id: id.0 },
+        8 => ClientboundPacket::TimeUpdate {
+            world_age_ticks: id.0,
+        },
+        _ => ClientboundPacket::Disconnect { reason: text },
+    }
+}
+
+/// The serverbound packet of variant `variant` (of 7), drawn like
+/// [`clientbound_case`].
+fn serverbound_case(variant: usize, word: u64, text: String) -> ServerboundPacket {
+    match variant {
+        0 => ServerboundPacket::Login { username: text },
+        1 => ServerboundPacket::PlayerMove {
+            pos: packet_vec3(word),
+            on_ground: word & 1 == 1,
+        },
+        2 => ServerboundPacket::BlockPlace {
+            pos: packet_block_pos(word),
+            block: packet_block(word),
+        },
+        3 => ServerboundPacket::BlockDig {
+            pos: packet_block_pos(word),
+        },
+        4 => ServerboundPacket::Chat {
+            message: text,
+            sent_at_ms: packet_vec3(word).x,
+        },
+        5 => ServerboundPacket::KeepAlive {
+            id: varint_operand(word),
+        },
+        _ => ServerboundPacket::Disconnect,
+    }
+}
+
+/// `encoded` is `size` bytes, decodes to `packet`, and no strict prefix of
+/// it decodes to anything.
+fn check_encoding<P: PartialEq + std::fmt::Debug>(
+    packet: &P,
+    size: usize,
+    encoded: bytes::Bytes,
+    decode: fn(bytes::Bytes) -> Result<P, DecodeError>,
+) {
+    assert_eq!(size, encoded.len(), "{packet:?}");
+    for cut in 0..encoded.len() {
+        let prefix = decode(encoded.slice(0..cut));
+        assert_eq!(
+            prefix,
+            Err(DecodeError::UnexpectedEnd),
+            "{packet:?} cut at {cut}"
+        );
+    }
+    assert_eq!(decode(encoded).as_ref(), Ok(packet));
+}
 
 proptest! {
     // ------------------------------------------------------------------ ISR
@@ -196,6 +318,46 @@ proptest! {
         };
         let decoded = decode_clientbound(encode_clientbound(&packet)).unwrap();
         prop_assert_eq!(decoded, packet);
+    }
+
+    #[test]
+    fn wire_size_is_the_encoded_length_and_every_packet_roundtrips(
+        word in any::<u64>(),
+        ascii in ".{0,300}",
+    ) {
+        // Sizing runs the layout into a counting sink, encoding runs the same
+        // layout into a buffer: the two must agree on every variant, and a
+        // chunk's notional payload is counted on top of its header. No strict
+        // prefix of an encoding is a packet.
+        let text = packet_text(&ascii, word >> 3);
+        for variant in 0..10 {
+            let packet = clientbound_case(variant, word, text.clone());
+            let payload = match packet {
+                ClientboundPacket::ChunkData { payload_bytes, .. } => payload_bytes as usize,
+                _ => 0,
+            };
+            let header = clientbound_wire_size(&packet) - payload;
+            check_encoding(&packet, header, encode_clientbound(&packet), decode_clientbound);
+        }
+        for variant in 0..7 {
+            let packet = serverbound_case(variant, word, text.clone());
+            let size = serverbound_wire_size(&packet);
+            check_encoding(&packet, size, encode_serverbound(&packet), decode_serverbound);
+        }
+    }
+
+    #[test]
+    fn decoding_arbitrary_bytes_never_panics(
+        id in any::<u8>(),
+        body in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // Whatever arrives, the decoders answer `Ok` or `Err`. Two cases in
+        // three start with a known packet id, so the field parsers see the
+        // garbage instead of the id check rejecting it.
+        let first = [id % 7, 0x80 | (id % 10), id][usize::from(id) % 3];
+        let data: Vec<u8> = std::iter::once(first).chain(body).collect();
+        let _ = decode_clientbound(data.clone().into());
+        let _ = decode_serverbound(data.into());
     }
 
     // ------------------------------------------------------------ controller
