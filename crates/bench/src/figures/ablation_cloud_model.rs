@@ -15,7 +15,7 @@ use meterstick_metrics::stats::Percentiles;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-use crate::{run_campaign, Cli};
+use crate::{run_campaigns, Cli};
 
 fn variant(name: &str) -> Environment {
     let dedicated = InterferenceProfile::dedicated();
@@ -62,16 +62,17 @@ pub fn run(cli: &Cli) {
     ];
     // Every variant produces the same "AWS 2-core" label, so each gets its
     // own single-environment campaign instead of one shared environment
-    // dimension.
-    let mut rows = Vec::new();
-    for name in variants {
-        let campaign = Campaign::new()
+    // dimension; one `run_campaigns` call keeps them in one `--csv` file.
+    let campaigns = variants.map(|name| {
+        Campaign::new()
             .workloads([WorkloadKind::Players])
             .flavors([ServerFlavor::Vanilla])
             .environments([variant(name)])
             .duration_secs(15)
-            .iterations(8);
-        let results = run_campaign(cli, &campaign);
+            .iterations(8)
+    });
+    let mut rows = Vec::new();
+    for (name, results) in variants.into_iter().zip(run_campaigns(cli, &campaigns)) {
         let isr = results.isr_values(ServerFlavor::Vanilla);
         let ticks = results.pooled_tick_times(ServerFlavor::Vanilla);
         let isr_p = Percentiles::of(&isr);

@@ -9,13 +9,14 @@ use meterstick_metrics::response::{NOTICEABLE_DELAY_MS, UNPLAYABLE_MS};
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-use crate::{run_on_aws, Cli};
+use crate::{aws_cell, run_campaigns, Cli};
 
 pub fn run(cli: &Cli) {
     let mut rows = Vec::new();
     let mut gauges = Vec::new();
-    for workload in [WorkloadKind::Control, WorkloadKind::Farm] {
-        let results = run_on_aws(cli, workload, ServerFlavor::Vanilla);
+    let workloads = [WorkloadKind::Control, WorkloadKind::Farm];
+    let cells = workloads.map(|workload| aws_cell(cli, workload, ServerFlavor::Vanilla));
+    for (workload, results) in workloads.into_iter().zip(run_campaigns(cli, &cells)) {
         let it = &results.iterations()[0];
         let r = it.response;
         rows.push(vec![

@@ -10,30 +10,32 @@ use meterstick_metrics::response::UNPLAYABLE_MS;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
-use crate::{run_on_aws, Cli};
+use crate::{aws_cell, run_campaigns, Cli};
 
 pub fn run(cli: &Cli) {
-    let flavors = [ServerFlavor::Vanilla, ServerFlavor::Forge];
+    let (mut cells, mut campaigns) = (Vec::new(), Vec::new());
+    for workload in [WorkloadKind::Control, WorkloadKind::Farm, WorkloadKind::Tnt] {
+        for flavor in [ServerFlavor::Vanilla, ServerFlavor::Forge] {
+            cells.push((workload, flavor));
+            campaigns.push(aws_cell(cli, workload, flavor));
+        }
+    }
     let mut rows = Vec::new();
     let mut gauges = Vec::new();
-    for workload in [WorkloadKind::Control, WorkloadKind::Farm, WorkloadKind::Tnt] {
-        for flavor in flavors {
-            let results = run_on_aws(cli, workload, flavor);
-            let it = &results.iterations()[0];
-            let r = it.response;
-            rows.push(vec![
-                workload.to_string(),
-                flavor.to_string(),
-                format!("{:.1}", r.percentiles.p5),
-                format!("{:.1}", r.percentiles.p50),
-                format!("{:.1}", r.percentiles.mean),
-                format!("{:.1}", r.percentiles.p95),
-                format!("{:.1}", r.percentiles.max),
-                format!("{:.1}x", r.max_over_mean),
-                format!("{:.1}x", r.max_over_unplayable),
-            ]);
-            gauges.push((format!("{workload}/{flavor}"), r.boxplot));
-        }
+    for ((workload, flavor), results) in cells.into_iter().zip(run_campaigns(cli, &campaigns)) {
+        let r = results.iterations()[0].response;
+        rows.push(vec![
+            workload.to_string(),
+            flavor.to_string(),
+            format!("{:.1}", r.percentiles.p5),
+            format!("{:.1}", r.percentiles.p50),
+            format!("{:.1}", r.percentiles.mean),
+            format!("{:.1}", r.percentiles.p95),
+            format!("{:.1}", r.percentiles.max),
+            format!("{:.1}x", r.max_over_mean),
+            format!("{:.1}x", r.max_over_unplayable),
+        ]);
+        gauges.push((format!("{workload}/{flavor}"), r.boxplot));
     }
     println!(
         "{}",

@@ -2,8 +2,8 @@
 //!
 //! Runs the TNT workload on t3.large (L), t3.xlarge (XL) and t3.2xlarge
 //! (2XL) nodes for every flavor, showing that the hosting providers'
-//! recommended 2-vCPU size is insufficient. The node-size axis is expressed
-//! with `Campaign::aws_node_sizes`, so the whole figure is one campaign.
+//! recommended 2-vCPU size is insufficient. The node sizes are the
+//! campaign's environment axis, so the whole figure is one campaign.
 
 use cloud_sim::environment::Environment;
 use cloud_sim::node::NodeType;
@@ -26,8 +26,7 @@ pub fn run(cli: &Cli) {
     let campaign = Campaign::new()
         .workloads([WorkloadKind::Tnt])
         .flavors(ServerFlavor::all())
-        .environments([])
-        .aws_node_sizes(nodes.iter().map(|(_, node)| node.clone()))
+        .environments(nodes.iter().map(|(_, node)| Environment::aws(node.clone())))
         .duration_secs(duration)
         .iterations(1);
     let results = run_campaign(cli, &campaign);

@@ -35,7 +35,6 @@ pub fn run(cli: &Cli) {
         .workloads([WorkloadKind::Control])
         .flavors([ServerFlavor::Vanilla])
         .environments([Environment::aws_diurnal(NodeType::aws_t3_xlarge())])
-        .tick_threads([cli.tick_threads])
         .start_times([StartTime::from_day_hour_minute(3, 16, 0)])
         .metrics_window(WINDOW_TICKS, MAX_WINDOWS)
         .duration_secs(HORIZON_SECS)

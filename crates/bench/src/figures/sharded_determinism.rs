@@ -16,7 +16,6 @@ use mlg_server::ServerFlavor;
 use crate::{run_campaigns, Cli};
 
 pub fn run(cli: &Cli) {
-    let threads = cli.tick_threads;
     let campaign = Campaign::new()
         .workloads([
             WorkloadKind::Control,
@@ -44,7 +43,6 @@ pub fn run(cli: &Cli) {
         // them here would just run identical cells twice per thread count.
         .flavors([ServerFlavor::Folia])
         .environments([Environment::das5(4)])
-        .tick_threads([threads])
         // Both partition architectures are pinned: the static stripes and
         // the adaptive quadtree (whose split/merge decisions derive from
         // merged load reports and must replay identically at any thread
@@ -67,15 +65,14 @@ pub fn run(cli: &Cli) {
         .workloads([WorkloadKind::Tnt, WorkloadKind::Lag])
         .flavors([ServerFlavor::Folia])
         .environments([Environment::aws_diurnal(NodeType::aws_t3_large())])
-        .tick_threads([threads])
         .start_times([
             StartTime::from_day_hour_minute(0, 4, 0),
             StartTime::from_day_hour_minute(4, 20, 30),
         ])
         .duration_secs(cli.duration_secs().min(10))
         .iterations(1);
-    let all_results = run_campaigns(cli, &[&campaign, &temporal]);
-    println!("tick_threads = {threads}");
+    let all_results = run_campaigns(cli, &[campaign, temporal]);
+    println!("tick_threads = {}", cli.tick_threads);
     println!(
         "{:<10} {:<10} {:>6} {:>10} {:>9}",
         "workload", "flavor", "iters", "mean ISR", "crashes"

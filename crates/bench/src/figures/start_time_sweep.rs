@@ -21,7 +21,7 @@
 use cloud_sim::environment::Environment;
 use cloud_sim::node::NodeType;
 use cloud_sim::temporal::StartTime;
-use meterstick::campaign::Campaign;
+use meterstick::campaign::{Axis, Campaign, CellCoord};
 use meterstick::report::render_table;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
@@ -57,7 +57,6 @@ pub fn run(cli: &Cli) {
                 .iter()
                 .map(|(_, node)| Environment::aws_diurnal(node.clone())),
         )
-        .tick_threads([cli.tick_threads])
         .start_times(starts.iter().copied())
         .duration_secs(duration)
         .seed(SWEEP_SEED)
@@ -69,13 +68,10 @@ pub fn run(cli: &Cli) {
     for (s_idx, start) in starts.iter().enumerate() {
         let mut cheapest: Option<&str> = None;
         for (n_idx, (label, _)) in nodes.iter().enumerate() {
-            let it = results
-                .iterations()
-                .iter()
-                .zip(results.coords())
-                .find(|(_, c)| c.environment == n_idx && c.start_time == s_idx)
-                .map(|(r, _)| r)
-                .expect("one iteration per node × start cell");
+            let mut cell = CellCoord::default();
+            cell[Axis::Environment] = n_idx;
+            cell[Axis::StartTime] = s_idx;
+            let it = results.for_coord(cell)[0];
             let p = it.tick_percentiles();
             let adequate = p.mean <= budget_ms && !it.crashed();
             if adequate && cheapest.is_none() {

@@ -17,8 +17,9 @@
 //! * `--csv PATH` — stream one CSV summary row per finished iteration into
 //!   `PATH` as results complete;
 //! * `--tick-threads N` — worker threads for the server's sharded tick
-//!   pipeline (results are bit-identical at any value; CI diffs the CSVs
-//!   of two settings to prove it);
+//!   pipeline, applied to every campaign by [`run_campaigns`] (results are
+//!   bit-identical at any value; CI diffs the CSVs of two settings to
+//!   prove it);
 //! * `--start-time LIST` — comma-separated points of the simulated week at
 //!   which iterations start (`fri-20:30` labels or plain minutes since
 //!   Monday 00:00). A seed-excluded sweep axis: only environments with a
@@ -112,8 +113,8 @@ impl Cli {
                 "--csv" => cli.csv = Some(value("a file path")?),
                 "--tick-threads" => {
                     let raw = value("a thread count")?;
-                    // 0 is rejected here: `Campaign::tick_threads` would clamp
-                    // it to 1 while probes print the unclamped flag.
+                    // 0 is rejected here, before any campaign runs, rather than
+                    // as the plan error `Campaign::tick_threads([0])` produces.
                     cli.tick_threads = raw
                         .parse()
                         .ok()
@@ -180,8 +181,8 @@ fn usage() -> String {
     text
 }
 
-/// Runs a campaign with the executor and streaming sinks selected on the
-/// command line (see the crate docs for the flag list).
+/// Runs a campaign with the executor, tick threads and streaming sinks
+/// selected on the command line (see the crate docs for the flag list).
 ///
 /// # Panics
 ///
@@ -190,14 +191,22 @@ fn usage() -> String {
 /// caller to propagate errors to.
 #[must_use]
 pub fn run_campaign(cli: &Cli, campaign: &Campaign) -> CampaignResults {
-    run_campaigns(cli, &[campaign])
+    run_campaigns(cli, std::slice::from_ref(campaign))
         .pop()
         .expect("one campaign in, one result set out")
 }
 
+/// The campaign as the command line wants it run: `--tick-threads` is
+/// execution infrastructure, so it applies to every entry's campaigns here
+/// rather than being plumbed through each one.
+fn with_cli_axes(cli: &Cli, campaign: &Campaign) -> Campaign {
+    campaign.clone().tick_threads([cli.tick_threads])
+}
+
 /// Runs several campaigns back to back through the *same* sinks, so a
 /// `--csv PATH` stream holds every campaign's rows under a single header.
-/// Used by probes that pair a stationary pass with a temporal one.
+/// Used by probes that pair a stationary pass with a temporal one and by
+/// figures whose cells are separate single-cell campaigns.
 ///
 /// # Panics
 ///
@@ -205,7 +214,7 @@ pub fn run_campaign(cli: &Cli, campaign: &Campaign) -> CampaignResults {
 /// or `--csv PATH` cannot be created — figure entries have no caller to
 /// propagate errors to.
 #[must_use]
-pub fn run_campaigns(cli: &Cli, campaigns: &[&Campaign]) -> Vec<CampaignResults> {
+pub fn run_campaigns(cli: &Cli, campaigns: &[Campaign]) -> Vec<CampaignResults> {
     let executor = cli.executor();
     let mut progress = cli.progress.then(|| ProgressSink::new(std::io::stderr()));
     let mut csv = cli.csv.as_ref().map(|path| {
@@ -216,6 +225,7 @@ pub fn run_campaigns(cli: &Cli, campaigns: &[&Campaign]) -> Vec<CampaignResults>
 
     let mut all = Vec::with_capacity(campaigns.len());
     for campaign in campaigns {
+        let campaign = with_cli_axes(cli, campaign);
         let result = match (&mut progress, &mut csv) {
             (Some(progress), Some(csv)) => {
                 let mut tee = TeeSink::new(progress, csv);
@@ -233,21 +243,19 @@ pub fn run_campaigns(cli: &Cli, campaigns: &[&Campaign]) -> Vec<CampaignResults>
     all
 }
 
-/// Runs one iteration of one workload on one flavor in the default AWS
-/// environment and returns the results. Seeds are fixed so figures are
-/// reproducible run-to-run.
+/// The single-cell campaign of one workload on one flavor in the default
+/// AWS environment, one iteration. Seeds are fixed so figures are
+/// reproducible run-to-run; figures with several such cells hand them all
+/// to one [`run_campaigns`] call.
 #[must_use]
-pub fn run_on_aws(cli: &Cli, workload: WorkloadKind, flavor: ServerFlavor) -> CampaignResults {
+pub fn aws_cell(cli: &Cli, workload: WorkloadKind, flavor: ServerFlavor) -> Campaign {
     let start_times = cli.start_times.clone();
-    let campaign = Campaign::new()
+    Campaign::new()
         .workloads([workload])
         .flavors([flavor])
         .environments([Environment::aws_default()])
-        .tick_threads([cli.tick_threads])
         .start_times(start_times.unwrap_or_else(|| vec![StartTime::MONDAY_MIDNIGHT]))
         .duration_secs(cli.duration_secs())
-        .iterations(1);
-    run_campaign(cli, &campaign)
 }
 
 /// Prints the section header of a [`FIGURES`] entry, given its title.
@@ -342,6 +350,45 @@ mod tests {
         for (name, _, _) in FIGURES {
             assert!(usage.contains(name), "usage must list {name}");
         }
+    }
+
+    #[test]
+    fn csv_keeps_every_cell_of_a_multi_campaign_figure() {
+        // fig01 runs two single-cell campaigns; both rows must survive.
+        let path = std::env::temp_dir().join(format!("fig01-{}.csv", std::process::id()));
+        let (figure, mut cli) = parse(&["fig01_response_time", "--sequential"]).unwrap();
+        cli.csv = Some(path.to_string_lossy().into_owned());
+        (figure.2)(&cli);
+        let csv = std::fs::read_to_string(&path).expect("the figure wrote its --csv file");
+        let _ = std::fs::remove_file(&path);
+        let workloads: Vec<&str> = csv.lines().map(|l| l.split(',').next().unwrap()).collect();
+        assert_eq!(workloads, ["workload", "Control", "Farm"], "{csv}");
+    }
+
+    #[test]
+    fn tick_threads_flag_reaches_campaigns_that_never_mention_it() {
+        // fig08's grid: like most entries it says nothing about tick
+        // threads; `run_campaigns` runs what `with_cli_axes` returns.
+        let campaign = Campaign::new()
+            .workloads(WorkloadKind::all())
+            .flavors(ServerFlavor::all())
+            .environments([
+                Environment::aws_default(),
+                Environment::das5(2),
+                Environment::das5(16),
+            ]);
+        let cli = Cli {
+            tick_threads: 4,
+            ..Cli::default()
+        };
+        let plan = with_cli_axes(&cli, &campaign).plan().unwrap();
+        assert_eq!(plan.jobs().len(), 45);
+        assert!(plan.jobs().iter().all(|job| job.config.tick_threads == 4));
+        let untouched = campaign.plan().unwrap();
+        assert!(untouched
+            .jobs()
+            .iter()
+            .all(|job| job.config.tick_threads == 1));
     }
 
     #[test]

@@ -6,9 +6,16 @@ use cloud_sim::environment::Environment;
 use cloud_sim::temporal::StartTime;
 use meterstick_workloads::{WorkloadKind, WorkloadSpec};
 use mlg_protocol::netsim::LinkConfig;
-use mlg_server::ServerFlavor;
+use mlg_server::{ServerConfig, ServerFlavor};
 
-/// Full configuration of one Meterstick benchmark run.
+/// The plain per-job record of one Meterstick benchmark run: what
+/// [`Campaign::plan`](crate::campaign::Campaign::plan) writes into every
+/// [`IterationJob`](crate::campaign::IterationJob) and what
+/// [`execute_iteration_observed`](crate::experiment::execute_iteration_observed)
+/// reads. It is not a builder — experiments are composed with
+/// [`Campaign`](crate::campaign::Campaign), which also owns the
+/// campaign-level parameters of Table 4 (the "Servers" list and
+/// "Iterations").
 ///
 /// The fields mirror the configurable parameters of Table 4. Parameters that
 /// only exist for real-machine deployments (node IP addresses, SSH keys, JMX
@@ -16,22 +23,19 @@ use mlg_server::ServerFlavor;
 /// validates them but does not open network connections.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkConfig {
-    /// The systems under test (Table 4 "Servers", typical value V, F, P).
-    pub flavors: Vec<ServerFlavor>,
     /// The workload world (Table 4 "World").
     pub workload: WorkloadSpec,
     /// The deployment environment the server node runs in.
     pub environment: Environment,
     /// Length of one iteration, in (virtual) seconds (Table 4 "Duration").
     pub duration_secs: u64,
-    /// Number of iterations (Table 4 "Iterations").
-    pub iterations: u32,
     /// Number of emulated players; `None` uses the workload's own player
     /// configuration (Table 4 "Number of Bots", typical value 25).
     pub bots_override: Option<u32>,
     /// Network link between the player-emulation node and the server node.
     pub link: LinkConfig,
-    /// Base random seed; every iteration derives its own seed from it.
+    /// Base random seed: seeds the workload world directly, and every job
+    /// seed derives from it (see [`Axis`](crate::campaign::Axis)).
     pub base_seed: u64,
     /// Simulated node addresses (Table 4 "IPs"); informational only.
     pub node_ips: Vec<String>,
@@ -88,16 +92,14 @@ pub struct MetricsWindow {
 }
 
 impl BenchmarkConfig {
-    /// Creates a configuration for one workload with the paper's defaults:
-    /// all three flavors, AWS `t3.large`, 60-second iterations, 1 iteration.
+    /// Creates a configuration for one workload with the paper's defaults
+    /// (Table 4): AWS `t3.large`, 60-second iterations, datacenter link.
     #[must_use]
     pub fn new(workload: WorkloadKind) -> Self {
         BenchmarkConfig {
-            flavors: ServerFlavor::all().to_vec(),
             workload: WorkloadSpec::new(workload),
             environment: Environment::aws_default(),
             duration_secs: 60,
-            iterations: 1,
             bots_override: None,
             link: LinkConfig::datacenter(),
             base_seed: 392_114_485,
@@ -115,107 +117,23 @@ impl BenchmarkConfig {
         }
     }
 
-    /// Replaces the set of flavors to benchmark.
-    #[must_use]
-    pub fn with_flavors(mut self, flavors: Vec<ServerFlavor>) -> Self {
-        self.flavors = flavors;
-        self
-    }
-
-    /// Replaces the deployment environment.
-    #[must_use]
-    pub fn with_environment(mut self, environment: Environment) -> Self {
-        self.environment = environment;
-        self
-    }
-
-    /// Sets the iteration duration in seconds.
-    #[must_use]
-    pub fn with_duration_secs(mut self, secs: u64) -> Self {
-        self.duration_secs = secs.max(1);
-        self
-    }
-
-    /// Sets the number of iterations.
-    #[must_use]
-    pub fn with_iterations(mut self, iterations: u32) -> Self {
-        self.iterations = iterations.max(1);
-        self
-    }
-
-    /// Overrides the number of bots.
-    #[must_use]
-    pub fn with_bots(mut self, bots: u32) -> Self {
-        self.bots_override = Some(bots);
-        self
-    }
-
-    /// Sets the workload scale knob.
-    #[must_use]
-    pub fn with_scale(mut self, scale: u32) -> Self {
-        self.workload = WorkloadSpec::with_scale(self.workload.kind, scale);
-        self
-    }
-
-    /// Sets the base seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Sets the tick-pipeline worker thread count.
-    #[must_use]
-    pub fn with_tick_threads(mut self, threads: u32) -> Self {
-        self.tick_threads = threads.max(1);
-        self
-    }
-
-    /// Sets the shard-rebalancing override (`None` = flavor default).
-    #[must_use]
-    pub fn with_shard_rebalance(mut self, rebalance: Option<bool>) -> Self {
-        self.shard_rebalance = rebalance;
-        self
-    }
-
-    /// Sets the eager-lighting override (`None` = flavor default;
-    /// `Some(false)` = cross-tick pipelined lighting).
-    #[must_use]
-    pub fn with_eager_lighting(mut self, eager: Option<bool>) -> Self {
-        self.eager_lighting = eager;
-        self
-    }
-
-    /// Sets the start time within the simulated week.
-    #[must_use]
-    pub fn with_start_time(mut self, start_time: StartTime) -> Self {
-        self.start_time = start_time;
-        self
-    }
-
-    /// Enables windowed (long-horizon) metric aggregation.
-    #[must_use]
-    pub fn with_metrics_window(mut self, window_ticks: u32, max_windows: u32) -> Self {
-        self.metrics_window = Some(MetricsWindow {
-            window_ticks: window_ticks.max(1),
-            max_windows: max_windows.max(1),
-        });
-        self
-    }
-
     /// Number of game ticks one iteration spans at 20 Hz.
     #[must_use]
     pub fn ticks_per_iteration(&self) -> u64 {
         self.duration_secs * 20
     }
 
-    /// The seed used for iteration `iteration` of flavor index `flavor_idx`.
+    /// The server configuration this job runs `flavor` under: the flavor's
+    /// defaults plus the job's world seed, tick threads, architecture
+    /// overrides and start time.
     #[must_use]
-    pub fn iteration_seed(&self, flavor_idx: usize, iteration: u32) -> u64 {
-        self.base_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(flavor_idx as u64 * 1_000_003)
-            .wrapping_add(u64::from(iteration) * 7_919)
+    pub fn server_config(&self, flavor: ServerFlavor) -> ServerConfig {
+        ServerConfig::for_flavor(flavor)
+            .with_seed(self.base_seed)
+            .with_tick_threads(self.tick_threads)
+            .with_shard_rebalance(self.shard_rebalance)
+            .with_eager_lighting(self.eager_lighting)
+            .with_start_time_minute(self.start_time.minute_of_week())
     }
 }
 
@@ -226,37 +144,31 @@ mod tests {
     #[test]
     fn defaults_match_table4() {
         let c = BenchmarkConfig::new(WorkloadKind::Control);
-        assert_eq!(c.flavors.len(), 3);
         assert_eq!(c.duration_secs, 60);
-        assert_eq!(c.iterations, 1);
         assert_eq!(c.ram_gb, 4.0);
         assert_eq!(c.ticks_per_iteration(), 1_200);
+        assert_eq!(c.tick_threads, 1);
+        assert_eq!(c.start_time, StartTime::default());
     }
 
     #[test]
-    fn builders_compose() {
-        let c = BenchmarkConfig::new(WorkloadKind::Players)
-            .with_duration_secs(0)
-            .with_iterations(0)
-            .with_bots(25)
-            .with_scale(2)
-            .with_seed(7);
-        assert_eq!(c.duration_secs, 1, "duration is clamped");
-        assert_eq!(c.iterations, 1, "iterations are clamped");
-        assert_eq!(c.bots_override, Some(25));
-        assert_eq!(c.workload.scale, 2);
-        assert_eq!(c.base_seed, 7);
-    }
-
-    #[test]
-    fn iteration_seeds_are_distinct() {
-        let c = BenchmarkConfig::new(WorkloadKind::Control);
-        let mut seeds = std::collections::HashSet::new();
-        for flavor in 0..3 {
-            for iteration in 0..50 {
-                seeds.insert(c.iteration_seed(flavor, iteration));
-            }
-        }
-        assert_eq!(seeds.len(), 150);
+    fn server_config_carries_the_job_knobs() {
+        let mut c = BenchmarkConfig::new(WorkloadKind::Control);
+        c.base_seed = 7;
+        c.tick_threads = 4;
+        c.shard_rebalance = Some(true);
+        c.eager_lighting = Some(false);
+        c.start_time = StartTime::from_day_hour_minute(4, 20, 30);
+        let expected = ServerConfig::for_flavor(ServerFlavor::Folia)
+            .with_seed(7)
+            .with_tick_threads(4)
+            .with_shard_rebalance(Some(true))
+            .with_eager_lighting(Some(false))
+            .with_start_time_minute(c.start_time.minute_of_week());
+        assert_eq!(c.server_config(ServerFlavor::Folia), expected);
+        assert_ne!(
+            c.server_config(ServerFlavor::Folia),
+            ServerConfig::for_flavor(ServerFlavor::Folia)
+        );
     }
 }

@@ -2,10 +2,7 @@
 //!
 //! Everything reachable from [`crate::campaign::Campaign::run`] reports
 //! invalid configuration and execution failures through [`BenchmarkError`]
-//! instead of panicking; the legacy `expect`-on-[`DeploymentPlan`] path
-//! died with the removed `ExperimentRunner` shim.
-//!
-//! [`DeploymentPlan`]: crate::deployment::DeploymentPlan
+//! instead of panicking.
 
 use crate::deployment::DeploymentError;
 
@@ -17,8 +14,8 @@ pub enum BenchmarkError {
     /// One of the sweep dimensions is empty, so the factorial plan would
     /// contain no jobs.
     EmptyDimension {
-        /// Which dimension was empty: `"workloads"`, `"flavors"`,
-        /// `"environments"` or `"iterations"`.
+        /// Which dimension was empty: an
+        /// [`Axis::name`](crate::campaign::Axis::name) or `"iterations"`.
         dimension: &'static str,
     },
     /// A scalar configuration parameter is out of its valid range.

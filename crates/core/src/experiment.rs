@@ -3,19 +3,15 @@
 //! One *iteration* follows the Meterstick procedure (Figure 5): deploy,
 //! start the server, start metric logging, connect the player emulation,
 //! run for the configured duration, then collect metrics. The free function
-//! [`execute_iteration`] is the single implementation of that procedure;
-//! [`IterationJob::run`](crate::campaign::IterationJob::run) calls it for
-//! every job of a campaign plan.
+//! [`execute_iteration_observed`] is the single implementation of that
+//! procedure; [`IterationJob::run`](crate::campaign::IterationJob::run)
+//! calls it for every job of a campaign plan.
 //!
 //! All sweep composition lives in [`Campaign`](crate::campaign::Campaign):
 //! a campaign covers multiple workloads, environments and tick-thread
 //! settings, returns `Result` instead of panicking on bad deployment
 //! configuration, and can execute on any
-//! [`Executor`](crate::executor::Executor). (The deprecated
-//! `ExperimentRunner` shim that used to live here has been removed; build a
-//! single-cell campaign with [`Campaign::from_config`] instead.)
-//!
-//! [`Campaign::from_config`]: crate::campaign::Campaign::from_config
+//! [`Executor`](crate::executor::Executor).
 
 use std::collections::VecDeque;
 
@@ -23,19 +19,19 @@ use cloud_sim::metrics_collector::{SystemMetricsCollector, TickObservation};
 use meterstick_metrics::response::ResponseTimeSummary;
 use meterstick_metrics::trace::{TickRecord, TickTrace};
 use meterstick_metrics::windowed::WindowedAggregator;
-use meterstick_workloads::BuiltWorkload;
+use meterstick_workloads::{BuiltWorkload, WorkloadKind};
 use mlg_bots::PlayerEmulation;
-use mlg_server::{GameServer, ServerConfig, ServerFlavor, TickStageBreakdown};
+use mlg_server::{GameServer, ServerFlavor, TickStageBreakdown, TickSummary};
 
-use crate::config::BenchmarkConfig;
+use crate::config::{BenchmarkConfig, MetricsWindow};
 use crate::results::IterationResult;
 use crate::sink::TickSample;
 
 /// Per-tick hook threaded through an iteration's tick loop by
 /// [`execute_iteration_observed`].
 ///
-/// The batch path uses [`NoopTickObserver`] (the loop inlines to exactly
-/// the unobserved code). The benchmark daemon's observer is where
+/// The batch path ([`IterationJob::run`](crate::campaign::IterationJob::run))
+/// uses [`NoopTickObserver`]. The benchmark daemon's observer is where
 /// pause/resume blocking and live sink fan-out live — keeping that code in
 /// the daemon crate means this crate stays inside the tick determinism
 /// contract (no wall-clock reads here).
@@ -53,32 +49,22 @@ pub trait TickObserver {
     }
 }
 
-/// The do-nothing observer behind [`execute_iteration`].
+/// The do-nothing observer of the batch path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopTickObserver;
 
 impl TickObserver for NoopTickObserver {}
 
 /// Runs a single iteration of a single flavor under `config`, with the
-/// environment and bot randomness derived from `seed`.
+/// environment and bot randomness derived from `seed` and a per-tick
+/// [`TickObserver`] threaded through the loop.
 ///
 /// The workload world is built once per iteration from `config.base_seed`
 /// (identical across iterations by design — only the environment and bot
-/// behaviour vary) and handed to the server directly.
-#[must_use]
-pub fn execute_iteration(
-    config: &BenchmarkConfig,
-    flavor: ServerFlavor,
-    iteration: u32,
-    seed: u64,
-) -> IterationResult {
-    execute_iteration_observed(config, flavor, iteration, seed, &mut NoopTickObserver)
-}
-
-/// [`execute_iteration`] with a per-tick [`TickObserver`] threaded through
-/// the loop. The observer cannot change what is simulated — it sees each
-/// tick after the fact and may only stop the run — so an observed iteration
-/// replays bit-identically to an unobserved one up to the abort point.
+/// behaviour vary) and handed to the server directly. The observer cannot
+/// change what is simulated — it sees each tick after the fact and may only
+/// stop the run — so an observed iteration replays bit-identically to an
+/// unobserved one up to the abort point.
 #[must_use]
 pub fn execute_iteration_observed(
     config: &BenchmarkConfig,
@@ -87,49 +73,27 @@ pub fn execute_iteration_observed(
     seed: u64,
     observer: &mut dyn TickObserver,
 ) -> IterationResult {
+    // Deploy: world, server, player emulation, environment.
     let built = config.workload.build(config.base_seed);
-    let workload_kind = built.kind;
+    let workload = built.kind;
     let (mut server, mut emulation) = prepare(config, flavor, built, seed);
     let mut engine = config
         .environment
         .instantiate_at(seed, config.start_time)
         .engine;
 
-    let ticks_planned = config.ticks_per_iteration();
+    // Tick loop. The iteration runs for a fixed span of *virtual time*,
+    // exactly like the paper's fixed wall-clock duration: when the server
+    // is overloaded, fewer ticks fit into the iteration (Na ≤ Ne in the ISR
+    // definition).
     let duration_ms = config.duration_secs as f64 * 1_000.0;
     let budget_ms = server.config().tick_budget_ms;
-    let mut trace = TickTrace::new(budget_ms);
-    let mut collector = SystemMetricsCollector::new(30);
-    let mut crashed = None;
-    let mut ticks_executed = 0;
-    let mut stage_busy = TickStageBreakdown::default();
-    // Long-horizon mode: fold ticks through the bounded streaming
-    // aggregator instead of growing the trace with the horizon. The
-    // retained trace is a ring holding only the final window of records.
-    let mut aggregator = config.metrics_window.map(|w| {
-        WindowedAggregator::new(
-            w.window_ticks.max(1) as usize,
-            w.max_windows.max(1) as usize,
-            budget_ms,
-        )
-    });
-    let trace_cap = config
-        .metrics_window
-        .map(|w| w.window_ticks.max(1) as usize)
-        .unwrap_or(0);
-    let mut trace_tail: VecDeque<TickRecord> = VecDeque::with_capacity(trace_cap);
-
-    // The iteration runs for a fixed span of *virtual time*, exactly like
-    // the paper's fixed wall-clock duration: when the server is
-    // overloaded, fewer ticks fit into the iteration (Na ≤ Ne in the ISR
-    // definition).
-    while server.clock_ms() < duration_ms {
+    let mut recording = Recording::new(config.metrics_window, budget_ms);
+    while server.clock_ms() < duration_ms && recording.crashed.is_none() {
         if observer.should_abort() {
             break;
         }
         let summary = emulation.step(&mut server, &mut engine);
-        ticks_executed += 1;
-        stage_busy.accumulate(&summary.stages);
         observer.on_tick(&TickSample {
             tick: summary.record.index,
             end_ms: summary.end_ms,
@@ -140,61 +104,10 @@ pub fn execute_iteration_observed(
             entity_count: summary.entity_count,
             player_count: summary.player_count,
         });
-        if let Some(agg) = aggregator.as_mut() {
-            agg.push(summary.record.busy_ms);
-            if trace_tail.len() == trace_cap {
-                trace_tail.pop_front();
-            }
-            trace_tail.push_back(summary.record);
-        } else {
-            trace.push(summary.record);
-        }
-        collector.observe_tick(
-            summary.end_ms,
-            TickObservation {
-                cpu_utilization: summary.cpu_utilization,
-                entities: summary.entity_count as u64,
-                loaded_chunks: server.world().loaded_chunk_count() as u64,
-                players: summary.player_count as u32,
-                network_sent_bytes: summary.packets_emitted * 40,
-                network_received_bytes: summary.bytes_received,
-                blocks_written: summary.packets_emitted / 4,
-            },
-        );
-        if let Some(crash) = summary.crash {
-            crashed = Some(crash.reason);
-            break;
-        }
+        recording.push(summary, server.world().loaded_chunk_count());
     }
 
-    let response_samples = emulation.response_samples().to_vec();
-    let (instability_ratio, windowed) = match aggregator {
-        Some(agg) => {
-            for record in trace_tail {
-                trace.push(record);
-            }
-            let report = agg.finish(Some(ticks_planned));
-            (report.instability_ratio, Some(report))
-        }
-        None => (trace.instability_ratio(Some(ticks_planned)), None),
-    };
-    IterationResult {
-        flavor,
-        workload: workload_kind,
-        iteration,
-        environment: config.environment.label(),
-        instability_ratio,
-        response: ResponseTimeSummary::of(&response_samples),
-        response_samples,
-        system_samples: collector.finish(),
-        traffic: server.traffic_summary().clone(),
-        ticks_executed,
-        ticks_planned,
-        crashed,
-        trace,
-        stage_busy,
-        windowed,
-    }
+    recording.fold(config, flavor, workload, iteration, &server, &emulation)
 }
 
 /// Builds the server and player emulation for one iteration, consuming the
@@ -207,12 +120,6 @@ fn prepare(
     built: BuiltWorkload,
     seed: u64,
 ) -> (GameServer, PlayerEmulation) {
-    let server_config = ServerConfig::for_flavor(flavor)
-        .with_seed(config.base_seed)
-        .with_tick_threads(config.tick_threads)
-        .with_shard_rebalance(config.shard_rebalance)
-        .with_eager_lighting(config.eager_lighting)
-        .with_start_time_minute(config.start_time.minute_of_week());
     let bots = config.bots_override.unwrap_or(built.players.bots);
     let mut emulation = PlayerEmulation::new(
         bots,
@@ -228,7 +135,7 @@ fn prepare(
     if built.players.scatter > 0 {
         emulation = emulation.scattered(built.spawn_point, built.players.scatter, seed);
     }
-    let mut server = GameServer::new(server_config, built.world, built.spawn_point);
+    let mut server = GameServer::new(config.server_config(flavor), built.world, built.spawn_point);
     emulation.connect_all(&mut server);
     for (kind, pos) in &built.ambient_entities {
         server.spawn_entity(*kind, *pos);
@@ -239,26 +146,125 @@ fn prepare(
     (server, emulation)
 }
 
+/// Everything the tick loop records about one iteration.
+struct Recording {
+    trace: TickTrace,
+    /// Long-horizon mode: ticks fold through the bounded streaming
+    /// aggregator instead of growing the trace with the horizon, and a
+    /// ring of `window_ticks` records keeps only the final window.
+    window: Option<(WindowedAggregator, VecDeque<TickRecord>, usize)>,
+    collector: SystemMetricsCollector,
+    stage_busy: TickStageBreakdown,
+    ticks_executed: u64,
+    crashed: Option<String>,
+}
+
+impl Recording {
+    fn new(metrics_window: Option<MetricsWindow>, budget_ms: f64) -> Self {
+        let window = metrics_window.map(|w| {
+            let ticks = w.window_ticks.max(1) as usize;
+            let windows = w.max_windows.max(1) as usize;
+            let aggregator = WindowedAggregator::new(ticks, windows, budget_ms);
+            (aggregator, VecDeque::with_capacity(ticks), ticks)
+        });
+        Recording {
+            trace: TickTrace::new(budget_ms),
+            window,
+            collector: SystemMetricsCollector::new(30),
+            stage_busy: TickStageBreakdown::default(),
+            ticks_executed: 0,
+            crashed: None,
+        }
+    }
+
+    /// Records one executed tick.
+    fn push(&mut self, summary: TickSummary, loaded_chunks: usize) {
+        self.ticks_executed += 1;
+        self.stage_busy.accumulate(&summary.stages);
+        self.collector.observe_tick(
+            summary.end_ms,
+            TickObservation {
+                cpu_utilization: summary.cpu_utilization,
+                entities: summary.entity_count as u64,
+                loaded_chunks: loaded_chunks as u64,
+                players: summary.player_count as u32,
+                network_sent_bytes: summary.packets_emitted * 40,
+                network_received_bytes: summary.bytes_received,
+                blocks_written: summary.packets_emitted / 4,
+            },
+        );
+        match &mut self.window {
+            Some((aggregator, tail, cap)) => {
+                aggregator.push(summary.record.busy_ms);
+                if tail.len() == *cap {
+                    tail.pop_front();
+                }
+                tail.push_back(summary.record);
+            }
+            None => self.trace.push(summary.record),
+        }
+        self.crashed = summary.crash.map(|crash| crash.reason);
+    }
+
+    /// Folds the recording into the iteration's result.
+    fn fold(
+        mut self,
+        config: &BenchmarkConfig,
+        flavor: ServerFlavor,
+        workload: WorkloadKind,
+        iteration: u32,
+        server: &GameServer,
+        emulation: &PlayerEmulation,
+    ) -> IterationResult {
+        let ticks_planned = config.ticks_per_iteration();
+        let (instability_ratio, windowed) = match self.window {
+            Some((aggregator, tail, _)) => {
+                for record in tail {
+                    self.trace.push(record);
+                }
+                let report = aggregator.finish(Some(ticks_planned));
+                (report.instability_ratio, Some(report))
+            }
+            None => (self.trace.instability_ratio(Some(ticks_planned)), None),
+        };
+        let response_samples = emulation.response_samples().to_vec();
+        IterationResult {
+            flavor,
+            workload,
+            iteration,
+            environment: config.environment.label(),
+            instability_ratio,
+            response: ResponseTimeSummary::of(&response_samples),
+            response_samples,
+            system_samples: self.collector.finish(),
+            traffic: server.traffic_summary().clone(),
+            ticks_executed: self.ticks_executed,
+            ticks_planned,
+            crashed: self.crashed,
+            trace: self.trace,
+            stage_busy: self.stage_busy,
+            windowed,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
     use cloud_sim::environment::Environment;
-    use meterstick_workloads::WorkloadKind;
 
-    fn quick_config(workload: WorkloadKind) -> BenchmarkConfig {
-        BenchmarkConfig::new(workload)
-            .with_flavors(vec![ServerFlavor::Vanilla])
-            .with_environment(Environment::das5(2))
-            .with_duration_secs(3)
-            .with_iterations(1)
+    fn quick_campaign(workload: WorkloadKind) -> Campaign {
+        Campaign::new()
+            .workloads([workload])
+            .flavors([ServerFlavor::Vanilla])
+            .environments([Environment::das5(2)])
+            .duration_secs(3)
     }
 
     #[test]
     fn control_workload_runs_to_completion() {
-        let results = Campaign::from_config(quick_config(WorkloadKind::Control))
-            .run()
-            .unwrap();
+        let results = quick_campaign(WorkloadKind::Control).run().unwrap();
         assert_eq!(results.iterations().len(), 1);
         let it = &results.iterations()[0];
         // The iteration spans 3 virtual seconds; at 20 Hz that is at most 60
@@ -276,21 +282,23 @@ mod tests {
 
     #[test]
     fn multiple_flavors_and_iterations_multiply_results() {
-        let config = quick_config(WorkloadKind::Control)
-            .with_flavors(vec![ServerFlavor::Vanilla, ServerFlavor::Paper])
-            .with_iterations(2)
-            .with_duration_secs(2);
-        let results = Campaign::from_config(config).run().unwrap();
+        let results = quick_campaign(WorkloadKind::Control)
+            .flavors([ServerFlavor::Vanilla, ServerFlavor::Paper])
+            .iterations(2)
+            .duration_secs(2)
+            .run()
+            .unwrap();
         assert_eq!(results.iterations().len(), 4);
         assert_eq!(results.for_flavor(ServerFlavor::Paper).len(), 2);
     }
 
     #[test]
     fn iterations_differ_on_clouds_but_worlds_are_identical() {
-        let config = quick_config(WorkloadKind::Control)
-            .with_environment(Environment::aws_default())
-            .with_iterations(2);
-        let results = Campaign::from_config(config).run().unwrap();
+        let results = quick_campaign(WorkloadKind::Control)
+            .environments([Environment::aws_default()])
+            .iterations(2)
+            .run()
+            .unwrap();
         let isr: Vec<f64> = results.isr_values(ServerFlavor::Vanilla);
         assert_eq!(isr.len(), 2);
         // Different interference seeds make the two iterations differ.
@@ -301,8 +309,10 @@ mod tests {
 
     #[test]
     fn players_workload_connects_25_bots() {
-        let config = quick_config(WorkloadKind::Players).with_duration_secs(2);
-        let results = Campaign::from_config(config).run().unwrap();
+        let results = quick_campaign(WorkloadKind::Players)
+            .duration_secs(2)
+            .run()
+            .unwrap();
         let it = &results.iterations()[0];
         assert_eq!(it.workload, WorkloadKind::Players);
         // The busiest evidence that 25 bots are connected: entity/player
@@ -312,9 +322,9 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_identical_results_on_das5() {
-        let config = quick_config(WorkloadKind::Control).with_duration_secs(2);
-        let a = Campaign::from_config(config.clone()).run().unwrap();
-        let b = Campaign::from_config(config).run().unwrap();
+        let campaign = quick_campaign(WorkloadKind::Control).duration_secs(2);
+        let a = campaign.run().unwrap();
+        let b = campaign.run().unwrap();
         let ta: Vec<f64> = a.iterations()[0].trace.busy_durations();
         let tb: Vec<f64> = b.iterations()[0].trace.busy_durations();
         assert_eq!(
@@ -326,10 +336,36 @@ mod tests {
     #[test]
     fn execute_iteration_is_callable_directly() {
         // The campaign layer derives seeds per job; direct calls remain
-        // supported for custom harnesses.
-        let config = quick_config(WorkloadKind::Control).with_duration_secs(2);
-        let result = execute_iteration(&config, ServerFlavor::Vanilla, 0, 42);
+        // supported for custom harnesses, on a job's config.
+        let plan = quick_campaign(WorkloadKind::Control)
+            .duration_secs(2)
+            .plan()
+            .unwrap();
+        let config = &plan.jobs()[0].config;
+        let result =
+            execute_iteration_observed(config, ServerFlavor::Vanilla, 0, 42, &mut NoopTickObserver);
         assert!(result.ticks_executed > 0);
         assert!(!result.crashed());
+    }
+
+    #[test]
+    fn windowed_iterations_bound_the_trace_and_cover_the_horizon() {
+        let plain = quick_campaign(WorkloadKind::Control).run().unwrap();
+        let windowed = quick_campaign(WorkloadKind::Control)
+            .metrics_window(20, 2)
+            .run()
+            .unwrap();
+        let (plain, windowed) = (&plain.iterations()[0], &windowed.iterations()[0]);
+        let report = windowed.windowed.as_ref().expect("a windowed report");
+        assert!(plain.windowed.is_none());
+        // Same ticks either way; only what is retained differs.
+        assert_eq!(windowed.ticks_executed, plain.ticks_executed);
+        assert_eq!(report.total_ticks, plain.ticks_executed);
+        assert_eq!(windowed.instability_ratio, plain.instability_ratio);
+        assert_eq!(windowed.stage_busy, plain.stage_busy);
+        // The retained trace is the final window of the full one.
+        assert_eq!(windowed.trace.len(), 20);
+        let full = plain.trace.busy_durations();
+        assert_eq!(windowed.trace.busy_durations(), full[full.len() - 20..]);
     }
 }

@@ -9,15 +9,17 @@
 //!
 //! The crate orchestrates everything the paper's benchmark does:
 //!
-//! * [`campaign`] — factorial benchmark sweeps (workloads × flavors ×
-//!   environments × iterations) expanded into independent, seeded jobs;
+//! * [`campaign`] — the one way to declare an experiment: factorial sweeps
+//!   over the axes of [`campaign::Axis`] (workloads × environments ×
+//!   flavors × …) × iterations, expanded into independent, seeded jobs;
 //! * [`executor`] — pluggable execution strategies: sequential or
 //!   thread-based parallel fan-out with bit-identical results;
 //! * [`sink`] — streaming observers that consume results as they complete
 //!   (CSV rows, progress lines) instead of materializing everything;
 //! * [`error`] — the non-panicking [`BenchmarkError`] every orchestration
 //!   path reports through;
-//! * [`config`] — the per-cell benchmark configuration (Table 4);
+//! * [`config`] — the per-job configuration record a plan produces
+//!   (Table 4);
 //! * [`deployment`] — the deployment component that places workers on nodes
 //!   (Figure 5, component 2);
 //! * [`controller`] — the controller/worker message protocol (Table 1);

@@ -15,7 +15,7 @@ use std::io::Write;
 
 use mlg_server::TickStageBreakdown;
 
-use crate::campaign::{CampaignPlan, IterationJob};
+use crate::campaign::{override_label, CampaignPlan, IterationJob};
 use crate::report::csv_row;
 use crate::results::IterationResult;
 
@@ -91,6 +91,36 @@ pub struct NullSink;
 
 impl ResultSink for NullSink {}
 
+/// The line-at-a-time writer behind [`CsvSink`] and [`JsonlSink`]: write
+/// errors are not propagated into the benchmark run; the first one is
+/// retained and silences every later write.
+#[derive(Debug)]
+struct LineWriter<W: Write> {
+    writer: W,
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> LineWriter<W> {
+    fn new(writer: W) -> Self {
+        LineWriter {
+            writer,
+            error: None,
+        }
+    }
+
+    fn write_line(&mut self, line: &str) {
+        if self.error.is_none() {
+            self.error = writeln!(self.writer, "{line}").err();
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.error.is_none() {
+            self.error = self.writer.flush().err();
+        }
+    }
+}
+
 /// Streams one CSV summary row per iteration into any [`Write`] target.
 ///
 /// The header is written when the campaign starts. Write errors are not
@@ -98,8 +128,7 @@ impl ResultSink for NullSink {}
 /// inspected with [`CsvSink::error`].
 #[derive(Debug)]
 pub struct CsvSink<W: Write> {
-    writer: W,
-    error: Option<std::io::Error>,
+    out: LineWriter<W>,
     header_written: bool,
 }
 
@@ -145,29 +174,19 @@ impl<W: Write> CsvSink<W> {
     /// Creates a sink writing to `writer`.
     pub fn new(writer: W) -> Self {
         CsvSink {
-            writer,
-            error: None,
+            out: LineWriter::new(writer),
             header_written: false,
         }
     }
 
     /// The first write error encountered, if any.
     pub fn error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
+        self.out.error.as_ref()
     }
 
     /// Consumes the sink and returns the writer.
     pub fn into_inner(self) -> W {
-        self.writer
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(err) = writeln!(self.writer, "{line}") {
-            self.error = Some(err);
-        }
+        self.out.writer
     }
 }
 
@@ -176,31 +195,20 @@ impl<W: Write> ResultSink for CsvSink<W> {
         // One header per sink, not per campaign: the same sink may observe
         // several campaigns back to back (e.g. the determinism probe's
         // stationary + temporal passes streaming into one file).
-        if self.header_written {
-            return;
+        if !self.header_written {
+            self.header_written = true;
+            self.out.write_line(&CSV_COLUMNS.join(","));
         }
-        self.header_written = true;
-        let headers: Vec<String> = CSV_COLUMNS.iter().map(|c| (*c).to_string()).collect();
-        let line = csv_row(&headers);
-        self.write_line(&line);
     }
 
     fn on_result(&mut self, job: &IterationJob, result: &IterationResult) {
         let ticks = result.tick_percentiles();
-        let line = csv_row(&[
+        let mut cells = vec![
             result.workload.to_string(),
             result.flavor.to_string(),
             result.environment.clone(),
-            match job.config.shard_rebalance {
-                Some(true) => "on".to_string(),
-                Some(false) => "off".to_string(),
-                None => "default".to_string(),
-            },
-            match job.config.eager_lighting {
-                Some(true) => "eager".to_string(),
-                Some(false) => "pipelined".to_string(),
-                None => "default".to_string(),
-            },
+            override_label(job.config.shard_rebalance, "on", "off", "default").into(),
+            override_label(job.config.eager_lighting, "eager", "pipelined", "default").into(),
             result.iteration.to_string(),
             job.seed.to_string(),
             result.ticks_executed.to_string(),
@@ -210,25 +218,18 @@ impl<W: Write> ResultSink for CsvSink<W> {
             format!("{:.3}", ticks.max),
             format!("{:.3}", result.response.percentiles.p50),
             format!("{:.3}", result.response.percentiles.p95),
-            format!("{:.3}", result.stage_busy.player_ms),
-            format!("{:.3}", result.stage_busy.terrain_ms),
-            format!("{:.3}", result.stage_busy.entity_ms),
-            format!("{:.3}", result.stage_busy.lighting_ms),
-            format!("{:.3}", result.stage_busy.dissemination_ms),
-            format!("{:.3}", result.stage_busy.other_ms),
+        ];
+        cells.extend(result.stage_busy.as_array().map(|ms| format!("{ms:.3}")));
+        cells.extend([
             result.crashed.clone().unwrap_or_default(),
             result.traffic.total_bytes().to_string(),
             job.config.start_time.to_string(),
         ]);
-        self.write_line(&line);
+        self.out.write_line(&csv_row(&cells));
     }
 
     fn on_campaign_end(&mut self) {
-        if self.error.is_none() {
-            if let Err(err) = self.writer.flush() {
-                self.error = Some(err);
-            }
-        }
+        self.out.flush();
     }
 }
 
@@ -282,36 +283,25 @@ impl<W: Write> ResultSink for ProgressSink<W> {
 /// [`CsvSink`]: the first one is inspectable via [`JsonlSink::error`].
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
-    writer: W,
-    error: Option<std::io::Error>,
+    out: LineWriter<W>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Creates a sink writing one JSON object per line to `writer`.
     pub fn new(writer: W) -> Self {
         JsonlSink {
-            writer,
-            error: None,
+            out: LineWriter::new(writer),
         }
     }
 
     /// The first write error encountered, if any.
     pub fn error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
+        self.out.error.as_ref()
     }
 
     /// Consumes the sink and returns the writer.
     pub fn into_inner(self) -> W {
-        self.writer
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(err) = writeln!(self.writer, "{line}") {
-            self.error = Some(err);
-        }
+        self.out.writer
     }
 }
 
@@ -335,33 +325,38 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// Renders one observed tick as the `{"type":"tick",…}` JSON object shared
+/// by [`JsonlSink`] lines and the daemon's SSE tick events.
+#[must_use]
+pub fn tick_json(job: &IterationJob, sample: &TickSample) -> String {
+    let mut object = format!(
+        concat!(
+            "{{\"type\":\"tick\",\"job\":\"{}\",\"tick\":{},\"end_ms\":{:.3},",
+            "\"busy_ms\":{:.3},\"period_ms\":{:.3},\"overloaded\":{}"
+        ),
+        json_escape(&job.label()),
+        sample.tick,
+        sample.end_ms,
+        sample.busy_ms,
+        sample.period_ms,
+        sample.is_overloaded(),
+    );
+    for (stage, ms) in TickStageBreakdown::NAMES
+        .iter()
+        .zip(sample.stages.as_array())
+    {
+        object.push_str(&format!(",\"stage_{stage}_ms\":{ms:.3}"));
+    }
+    object.push_str(&format!(
+        ",\"entities\":{},\"players\":{}}}",
+        sample.entity_count, sample.player_count
+    ));
+    object
+}
+
 impl<W: Write> ResultSink for JsonlSink<W> {
     fn on_tick(&mut self, job: &IterationJob, sample: &TickSample) {
-        let line = format!(
-            concat!(
-                "{{\"type\":\"tick\",\"job\":\"{}\",\"tick\":{},\"end_ms\":{:.3},",
-                "\"busy_ms\":{:.3},\"period_ms\":{:.3},\"overloaded\":{},",
-                "\"stage_player_ms\":{:.3},\"stage_terrain_ms\":{:.3},",
-                "\"stage_entity_ms\":{:.3},\"stage_lighting_ms\":{:.3},",
-                "\"stage_dissemination_ms\":{:.3},\"stage_other_ms\":{:.3},",
-                "\"entities\":{},\"players\":{}}}"
-            ),
-            json_escape(&job.label()),
-            sample.tick,
-            sample.end_ms,
-            sample.busy_ms,
-            sample.period_ms,
-            sample.is_overloaded(),
-            sample.stages.player_ms,
-            sample.stages.terrain_ms,
-            sample.stages.entity_ms,
-            sample.stages.lighting_ms,
-            sample.stages.dissemination_ms,
-            sample.stages.other_ms,
-            sample.entity_count,
-            sample.player_count,
-        );
-        self.write_line(&line);
+        self.out.write_line(&tick_json(job, sample));
     }
 
     fn on_result(&mut self, job: &IterationJob, result: &IterationResult) {
@@ -389,15 +384,11 @@ impl<W: Write> ResultSink for JsonlSink<W> {
             job.config.start_time,
             result.crashed(),
         );
-        self.write_line(&line);
+        self.out.write_line(&line);
     }
 
     fn on_campaign_end(&mut self) {
-        if self.error.is_none() {
-            if let Err(err) = self.writer.flush() {
-                self.error = Some(err);
-            }
-        }
+        self.out.flush();
     }
 }
 
@@ -441,5 +432,140 @@ impl ResultSink for TeeSink<'_> {
 impl std::fmt::Debug for dyn ResultSink + '_ {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("ResultSink")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::Campaign;
+    use cloud_sim::environment::Environment;
+    use meterstick_workloads::WorkloadKind;
+    use mlg_server::ServerFlavor;
+
+    fn one_second_of_control() -> Campaign {
+        Campaign::new()
+            .workloads([WorkloadKind::Control])
+            .flavors([ServerFlavor::Vanilla])
+            .environments([Environment::das5(2)])
+            .duration_secs(1)
+    }
+
+    fn sample() -> TickSample {
+        TickSample {
+            tick: 7,
+            end_ms: 411.5,
+            busy_ms: 61.5,
+            period_ms: 61.5,
+            budget_ms: 50.0,
+            stages: TickStageBreakdown::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 46.5]),
+            entity_count: 12,
+            player_count: 3,
+        }
+    }
+
+    /// Takes `room` lines, then reports a full disk.
+    #[derive(Debug, Default)]
+    struct FullDisk {
+        room: usize,
+        lines: usize,
+        refused: usize,
+        flushes: usize,
+    }
+
+    impl Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.lines == self.room {
+                self.refused += 1;
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.lines += buf.iter().filter(|&&byte| byte == b'\n').count();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stage_columns_follow_the_stage_list() {
+        let first = CSV_COLUMNS
+            .iter()
+            .position(|column| column.starts_with("stage_"))
+            .expect("the CSV has stage columns");
+        for (column, stage) in CSV_COLUMNS[first..].iter().zip(TickStageBreakdown::NAMES) {
+            assert_eq!(*column, format!("stage_{stage}_ms"));
+        }
+    }
+
+    #[test]
+    fn tick_objects_are_pinned_and_shared_with_the_jsonl_sink() {
+        let plan = one_second_of_control().plan().unwrap();
+        let job = &plan.jobs()[0];
+        let expected = concat!(
+            r#"{"type":"tick","job":"Control × Minecraft @ DAS-5 2-core #0","tick":7,"#,
+            r#""end_ms":411.500,"busy_ms":61.500,"period_ms":61.500,"overloaded":true,"#,
+            r#""stage_player_ms":1.000,"stage_terrain_ms":2.000,"stage_entity_ms":3.000,"#,
+            r#""stage_lighting_ms":4.000,"stage_dissemination_ms":5.000,"#,
+            r#""stage_other_ms":46.500,"entities":12,"players":3}"#,
+        );
+        assert_eq!(tick_json(job, &sample()), expected);
+        let mut jsonl = JsonlSink::new(Vec::new());
+        jsonl.on_tick(job, &sample());
+        assert_eq!(jsonl.into_inner(), format!("{expected}\n").into_bytes());
+    }
+
+    #[test]
+    fn one_header_then_one_row_per_result_across_campaigns() {
+        let campaign = one_second_of_control();
+        let mut csv = CsvSink::new(Vec::new());
+        for _ in 0..2 {
+            campaign
+                .run_with(&crate::executor::SequentialExecutor, &mut csv)
+                .unwrap();
+        }
+        let text = String::from_utf8(csv.into_inner()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert_eq!(lines[0], CSV_COLUMNS.join(","));
+        assert_eq!(lines[1], lines[2], "same campaign, same row");
+        assert_eq!(lines[1].split(',').count(), CSV_COLUMNS.len());
+    }
+
+    #[test]
+    fn the_first_write_error_is_kept_and_silences_the_sink() {
+        let campaign = one_second_of_control();
+        let plan = campaign.plan().unwrap();
+        let result = campaign.run().unwrap().iterations()[0].clone();
+        let job = &plan.jobs()[0];
+
+        let mut csv = CsvSink::new(FullDisk::default());
+        csv.on_campaign_start(&plan);
+        let error = csv.error().map(ToString::to_string);
+        assert_eq!(error.as_deref(), Some("disk full"));
+        csv.on_result(job, &result);
+        csv.on_campaign_end();
+        let disk = csv.into_inner();
+        assert_eq!(
+            (disk.refused, disk.flushes),
+            (1, 0),
+            "silent after the error"
+        );
+
+        // A sink that worked for a while fails the same way.
+        let mut jsonl = JsonlSink::new(FullDisk {
+            room: 1,
+            ..FullDisk::default()
+        });
+        jsonl.on_tick(job, &sample());
+        assert!(jsonl.error().is_none());
+        jsonl.on_result(job, &result);
+        assert!(jsonl.error().is_some());
+        jsonl.on_tick(job, &sample());
+        jsonl.on_campaign_end();
+        let disk = jsonl.into_inner();
+        assert_eq!((disk.lines, disk.refused, disk.flushes), (1, 1, 0));
     }
 }

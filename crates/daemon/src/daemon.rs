@@ -16,7 +16,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use meterstick::campaign::{Campaign, IterationJob};
-use meterstick::sink::json_escape;
+use meterstick::sink::{json_escape, tick_json};
 use meterstick::{
     execute_iteration_observed, BenchmarkError, IterationResult, ResultSink, TickObserver,
     TickSample,
@@ -344,33 +344,9 @@ impl TickObserver for DaemonObserver<'_> {
             && total_ticks % self.publish_every == 0
             && self.handle.subscriber_count() > 0
         {
-            self.handle.publish(&tick_event(self.job, sample));
+            self.handle.publish(&tick_json(self.job, sample));
         }
     }
-}
-
-fn tick_event(job: &IterationJob, sample: &TickSample) -> String {
-    format!(
-        concat!(
-            "{{\"type\":\"tick\",\"job\":\"{}\",\"tick\":{},\"end_ms\":{:.3},",
-            "\"busy_ms\":{:.3},\"period_ms\":{:.3},\"overloaded\":{},",
-            "\"stage_player_ms\":{:.3},\"stage_terrain_ms\":{:.3},",
-            "\"stage_entity_ms\":{:.3},\"stage_lighting_ms\":{:.3},",
-            "\"stage_dissemination_ms\":{:.3},\"stage_other_ms\":{:.3}}}"
-        ),
-        json_escape(&job.label()),
-        sample.tick,
-        sample.end_ms,
-        sample.busy_ms,
-        sample.period_ms,
-        sample.is_overloaded(),
-        sample.stages.player_ms,
-        sample.stages.terrain_ms,
-        sample.stages.entity_ms,
-        sample.stages.lighting_ms,
-        sample.stages.dissemination_ms,
-        sample.stages.other_ms,
-    )
 }
 
 /// The resident benchmark daemon.

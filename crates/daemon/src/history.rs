@@ -167,14 +167,7 @@ impl MetricsHistory {
             sums.accumulate(&t.stages);
         }
         let n = self.ticks.len() as f64;
-        TickStageBreakdown {
-            player_ms: sums.player_ms / n,
-            terrain_ms: sums.terrain_ms / n,
-            entity_ms: sums.entity_ms / n,
-            lighting_ms: sums.lighting_ms / n,
-            dissemination_ms: sums.dissemination_ms / n,
-            other_ms: sums.other_ms / n,
-        }
+        TickStageBreakdown::from_array(sums.as_array().map(|ms| ms / n))
     }
 }
 

@@ -23,6 +23,7 @@ use std::thread;
 use std::time::Duration;
 
 use meterstick::sink::json_escape;
+use mlg_server::TickStageBreakdown;
 
 use crate::daemon::DaemonHandle;
 
@@ -272,14 +273,7 @@ pub fn prometheus_text(handle: &DaemonHandle) -> String {
             "# HELP meterstick_stage_busy_ms_mean Mean per-stage busy time over the window.\n",
         );
         out.push_str("# TYPE meterstick_stage_busy_ms_mean gauge\n");
-        for (stage, value) in [
-            ("player", stages.player_ms),
-            ("terrain", stages.terrain_ms),
-            ("entity", stages.entity_ms),
-            ("lighting", stages.lighting_ms),
-            ("dissemination", stages.dissemination_ms),
-            ("other", stages.other_ms),
-        ] {
+        for (stage, value) in TickStageBreakdown::NAMES.iter().zip(stages.as_array()) {
             out.push_str(&format!(
                 "meterstick_stage_busy_ms_mean{{stage=\"{stage}\"}} {value:.6}\n"
             ));

@@ -65,26 +65,57 @@ pub struct TickStageBreakdown {
 }
 
 impl TickStageBreakdown {
+    /// The stage names, in field order: the one list every renderer (CSV
+    /// and JSONL columns, Prometheus labels) loops over, paired with
+    /// [`Self::as_array`].
+    pub const NAMES: [&'static str; 6] = [
+        "player",
+        "terrain",
+        "entity",
+        "lighting",
+        "dissemination",
+        "other",
+    ];
+
+    /// Builds a breakdown from per-stage milliseconds in [`Self::NAMES`]
+    /// order.
+    #[must_use]
+    pub fn from_array(ms: [f64; 6]) -> Self {
+        let [player_ms, terrain_ms, entity_ms, lighting_ms, dissemination_ms, other_ms] = ms;
+        TickStageBreakdown {
+            player_ms,
+            terrain_ms,
+            entity_ms,
+            lighting_ms,
+            dissemination_ms,
+            other_ms,
+        }
+    }
+
+    /// The per-stage milliseconds in [`Self::NAMES`] order.
+    #[must_use]
+    pub fn as_array(&self) -> [f64; 6] {
+        [
+            self.player_ms,
+            self.terrain_ms,
+            self.entity_ms,
+            self.lighting_ms,
+            self.dissemination_ms,
+            self.other_ms,
+        ]
+    }
+
     /// Adds another breakdown's stage times into this one (used to total
     /// per-tick breakdowns over an iteration).
     pub fn accumulate(&mut self, other: &TickStageBreakdown) {
-        self.player_ms += other.player_ms;
-        self.terrain_ms += other.terrain_ms;
-        self.entity_ms += other.entity_ms;
-        self.lighting_ms += other.lighting_ms;
-        self.dissemination_ms += other.dissemination_ms;
-        self.other_ms += other.other_ms;
+        let (sum, add) = (self.as_array(), other.as_array());
+        *self = Self::from_array(std::array::from_fn(|i| sum[i] + add[i]));
     }
 
     /// Sum of all stage contributions (equals the tick's busy time).
     #[must_use]
     pub fn total_ms(&self) -> f64 {
-        self.player_ms
-            + self.terrain_ms
-            + self.entity_ms
-            + self.lighting_ms
-            + self.dissemination_ms
-            + self.other_ms
+        self.as_array().iter().sum()
     }
 }
 
@@ -120,30 +151,6 @@ pub struct TickSummary {
     pub stages: TickStageBreakdown,
     /// Set when the server crashed during this tick.
     pub crash: Option<ServerCrash>,
-}
-
-impl TickSummary {
-    /// The tick's computation time in milliseconds (shorthand for
-    /// `record.busy_ms`; live observers read this every tick).
-    #[must_use]
-    pub fn busy_ms(&self) -> f64 {
-        self.record.busy_ms
-    }
-
-    /// The full tick period in milliseconds (`max(busy, budget)` plus any
-    /// catch-up backlog).
-    #[must_use]
-    pub fn period_ms(&self) -> f64 {
-        self.record.period_ms
-    }
-
-    /// `true` when computation overran `budget_ms` — the per-tick predicate
-    /// the paper's ISR counts and the daemon's tick-overload alert fires
-    /// on.
-    #[must_use]
-    pub fn is_overloaded(&self, budget_ms: f64) -> bool {
-        self.record.busy_ms > budget_ms
-    }
 }
 
 /// The Minecraft-like game server.
@@ -582,6 +589,9 @@ impl GameServer {
         let distribution = cost.distribution(busy_ms, self.config.tick_budget_ms);
         let period_ms = busy_ms.max(self.config.tick_budget_ms);
         let crash = self.end_of_tick(busy_ms, period_ms);
+        let mut stages =
+            TickStageBreakdown::from_array(std::array::from_fn(|i| staged.stage_ms[i]));
+        stages.other_ms += staged.offload_overflow_ms;
         TickSummary {
             record: TickRecord {
                 index: self.tick_index,
@@ -599,14 +609,7 @@ impl GameServer {
             cpu_utilization: staged.execution.cpu_utilization,
             async_chat: self.profile.async_chat,
             max_shard_work: cost.max_shard_work,
-            stages: TickStageBreakdown {
-                player_ms: staged.stage_ms[0],
-                terrain_ms: staged.stage_ms[1],
-                entity_ms: staged.stage_ms[2],
-                lighting_ms: staged.stage_ms[3],
-                dissemination_ms: staged.stage_ms[4],
-                other_ms: staged.stage_ms[5] + staged.offload_overflow_ms,
-            },
+            stages,
             crash,
         }
     }

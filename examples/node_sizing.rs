@@ -30,8 +30,7 @@ fn main() {
     let results = Campaign::new()
         .workloads([WorkloadKind::Tnt])
         .flavors([ServerFlavor::Vanilla])
-        .environments([])
-        .aws_node_sizes(nodes.iter().cloned())
+        .environments(nodes.iter().cloned().map(Environment::aws))
         .duration_secs(30)
         .iterations(1)
         .run()

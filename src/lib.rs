@@ -70,8 +70,7 @@
 //! come from. The player-heavy `WorkloadKind::Crowd` (220 clustered bots
 //! walking and editing terrain; in `extended()`, not the paper's `all()`)
 //! exists to load the player-handler and dissemination stages the way TNT
-//! loads entities. (The legacy `ExperimentRunner` shim has been removed;
-//! use `Campaign::from_config`.)
+//! loads entities.
 //!
 //! The determinism contract the tick graph rests on — no hash-order
 //! iteration on the tick path, no wall-clock reads in modeled time, no

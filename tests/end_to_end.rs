@@ -348,6 +348,10 @@ fn invalid_campaigns_report_errors_instead_of_panicking() {
 
     let mut bad = meterstick::BenchmarkConfig::new(WorkloadKind::Control);
     bad.ssh_keys.clear();
-    let err = Campaign::from_config(bad).run().unwrap_err();
+    let err = Campaign::new()
+        .workloads([WorkloadKind::Control])
+        .template(bad)
+        .run()
+        .unwrap_err();
     assert!(matches!(err, meterstick::BenchmarkError::Deployment(_)));
 }

@@ -1,18 +1,24 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: the ISR metric, coordinate conversions, the protocol codec,
-//! the controller wire format, region geometry and summary statistics.
+//! the controller wire format, region geometry, summary statistics and
+//! campaign planning.
 
 use proptest::prelude::*;
 
+use cloud_sim::environment::Environment;
+use cloud_sim::temporal::StartTime;
+use meterstick::campaign::{Axis, Campaign};
 use meterstick::controller::ControllerMessage;
 use meterstick_metrics::isr::{analytical_isr, instability_ratio, IsrParams};
 use meterstick_metrics::stats::{percentile, BoxplotSummary, Percentiles};
+use meterstick_workloads::{WorkloadKind, WorkloadSpec};
 use mlg_entity::{EntityId, Vec3};
 use mlg_protocol::codec::{
     clientbound_wire_size, decode_clientbound, decode_serverbound, encode_clientbound,
     encode_serverbound, serverbound_wire_size, DecodeError,
 };
 use mlg_protocol::{ClientboundPacket, ServerboundPacket};
+use mlg_server::ServerFlavor;
 use mlg_world::{Block, BlockKind, BlockPos, Chunk, ChunkPos, Region};
 
 /// A varint operand: every width boundary the codec crosses, the
@@ -393,5 +399,66 @@ proptest! {
         // Decoding arbitrary bytes must return an error or a packet, never panic.
         let _ = decode_clientbound(bytes::Bytes::from(bytes.clone()));
         let _ = decode_serverbound(bytes::Bytes::from(bytes));
+    }
+
+    // ------------------------------------------------------------ Campaign
+    #[test]
+    fn plans_visit_every_coordinate_once_in_axis_order(
+        lens in prop::collection::vec(1usize..=3, Axis::ALL.len()),
+        iterations in 1u32..=2,
+        base_seed in any::<u64>(),
+    ) {
+        // Level `i` of every axis is a value that names `i`.
+        let workload = |i: usize| WorkloadSpec::with_scale(WorkloadKind::Control, i as u32 + 1);
+        let environment = |i: usize| Environment::das5(2 + i as u32);
+        let flavor = |i: usize| ServerFlavor::all()[i];
+        let switch = |i: usize| i == 1;
+        let start = |i: usize| StartTime::from_minutes(90 * i as u32);
+        let plan = Campaign::new()
+            .workload_specs((0..lens[0]).map(workload))
+            .environments((0..lens[1]).map(environment))
+            .flavors((0..lens[2]).map(flavor))
+            .tick_threads((0..lens[3]).map(|i| i as u32 + 1))
+            .shard_rebalance((0..lens[4]).map(switch))
+            .eager_lighting((0..lens[5]).map(switch))
+            .start_times((0..lens[6]).map(start))
+            .iterations(iterations)
+            .seed(base_seed)
+            .plan()
+            .expect("every axis has at least one level");
+
+        // In range, strictly ascending and the right number of them: every
+        // (coordinate, iteration) exactly once, in `Axis::ALL` order.
+        let positions: Vec<([usize; 7], u32)> = plan
+            .jobs()
+            .iter()
+            .map(|job| (Axis::ALL.map(|axis| job.coord[axis]), job.iteration))
+            .collect();
+        prop_assert_eq!(positions.len(), lens.iter().product::<usize>() * iterations as usize);
+        prop_assert!(positions.windows(2).all(|pair| pair[0] < pair[1]));
+
+        for (position, job) in plan.jobs().iter().enumerate() {
+            let at = Axis::ALL.map(|axis| job.coord[axis]);
+            prop_assert_eq!(job.index, position);
+            prop_assert!(at.iter().zip(&lens).all(|(at, len)| at < len) && job.iteration < iterations);
+            // The job holds the values its coordinate names.
+            prop_assert_eq!(job.config.workload, workload(at[0]));
+            prop_assert_eq!(&job.config.environment, &environment(at[1]));
+            prop_assert_eq!(job.flavor, flavor(at[2]));
+            prop_assert_eq!(job.config.tick_threads, at[3] as u32 + 1);
+            prop_assert_eq!(job.config.shard_rebalance, Some(switch(at[4])));
+            prop_assert_eq!(job.config.eager_lighting, Some(switch(at[5])));
+            prop_assert_eq!(job.config.start_time, start(at[6]));
+            prop_assert_eq!(job.config.base_seed, base_seed);
+            // The one seed formula: workload, environment, flavor and
+            // iteration only.
+            let seed = base_seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(at[0] as u64 * 15_485_863)
+                .wrapping_add(at[1] as u64 * 32_452_843)
+                .wrapping_add(at[2] as u64 * 1_000_003)
+                .wrapping_add(u64::from(job.iteration) * 7_919);
+            prop_assert_eq!(job.seed, seed);
+        }
     }
 }
