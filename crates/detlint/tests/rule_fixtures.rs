@@ -54,6 +54,32 @@ fn hash_iteration_fires_on_drain_and_keys() {
 }
 
 #[test]
+fn hash_iteration_still_tracks_tables_declared_with_a_fixed_hasher() {
+    // The tick path's lookup-only tables name a third type parameter (the
+    // fixed position hasher). They keep the literal `HashMap<`/`HashSet<`
+    // spelling — no alias — precisely so this rule still sees them: take
+    // the declaration from the real file and iterate it.
+    const DECLARATION: &str = "index: HashMap<ChunkPos, usize, PosHashBuilder>,";
+    assert!(
+        include_str!("../../mlg-world/src/world.rs").contains(DECLARATION),
+        "ShardStore::index is no longer declared as this fixture spells it"
+    );
+    let src = format!(
+        "struct ShardStore {{ {DECLARATION} }}\n\
+         impl ShardStore {{ fn f(&self) {{ for k in self.index.keys() {{ drop(k); }} }} }}\n"
+    );
+    assert_eq!(
+        rules_at(TICK_PATH_FILE, &src),
+        vec![RuleId::NoHashIteration]
+    );
+    let src = "fn f() {\n\
+               let queued: HashSet<BlockPos, PosHashBuilder> = HashSet::default();\n\
+               for p in &queued { drop(p); }\n\
+               }\n";
+    assert_eq!(rules_at(TICK_PATH_FILE, src), vec![RuleId::NoHashIteration]);
+}
+
+#[test]
 fn hash_lookup_without_iteration_is_clean() {
     let src = "use std::collections::HashMap;\n\
                struct S { cells: HashMap<u32, u32> }\n\

@@ -11,7 +11,7 @@ use mlg_world::{BlockPos, BlockReader};
 
 use crate::entity::Entity;
 use crate::math::Vec3;
-use crate::pathfinding::{self, PathResult};
+use crate::pathfinding::{self, PathResult, PathScratch};
 
 /// How far a hostile mob can notice a player, in blocks.
 pub const AGGRO_RANGE: f64 = 16.0;
@@ -37,12 +37,14 @@ pub struct AiOutcome {
 /// towards it when needed, and set the entity's velocity along the path.
 ///
 /// `players` are the positions of currently connected players; hostile mobs
-/// target the nearest one within [`AGGRO_RANGE`].
+/// target the nearest one within [`AGGRO_RANGE`]. `scratch` is the caller's
+/// pathfinding working memory, reused from mob to mob and tick to tick.
 pub fn decide<W: BlockReader, R: Rng>(
     world: &mut W,
     entity: &mut Entity,
     players: &[Vec3],
     rng: &mut R,
+    scratch: &mut PathScratch,
 ) -> AiOutcome {
     let mut outcome = AiOutcome::default();
     if !entity.kind.is_mob() {
@@ -91,7 +93,7 @@ pub fn decide<W: BlockReader, R: Rng>(
         path,
         nodes_expanded,
         reached_goal,
-    } = pathfinding::find_path(world, start, goal, PATH_NODE_BUDGET);
+    } = pathfinding::find_path_with(world, start, goal, PATH_NODE_BUDGET, scratch);
     outcome.pathfinding_performed = true;
     outcome.path_nodes_expanded = nodes_expanded;
 
@@ -153,7 +155,13 @@ mod tests {
         let mut zombie = Entity::new(EntityId(1), EntityKind::Zombie, Vec3::new(0.5, 61.0, 0.5));
         zombie.on_ground = true;
         let players = vec![Vec3::new(8.5, 61.0, 0.5)];
-        let out = decide(&mut w, &mut zombie, &players, &mut rng());
+        let out = decide(
+            &mut w,
+            &mut zombie,
+            &players,
+            &mut rng(),
+            &mut PathScratch::default(),
+        );
         assert!(out.has_target);
         assert!(out.pathfinding_performed);
         assert!(
@@ -168,7 +176,13 @@ mod tests {
         let mut zombie = Entity::new(EntityId(1), EntityKind::Zombie, Vec3::new(0.5, 61.0, 0.5));
         let players = vec![Vec3::new(500.0, 61.0, 0.5)];
         let mut r = StdRng::seed_from_u64(1); // seed chosen so the wander roll fails
-        let out = decide(&mut w, &mut zombie, &players, &mut r);
+        let out = decide(
+            &mut w,
+            &mut zombie,
+            &players,
+            &mut r,
+            &mut PathScratch::default(),
+        );
         assert!(zombie.path_target.is_none() || out.has_target);
         // Whatever happened, the zombie must not be chasing the far player.
         if let Some(t) = zombie.path_target {
@@ -182,9 +196,10 @@ mod tests {
         let mut cow = Entity::new(EntityId(2), EntityKind::Cow, Vec3::new(0.5, 61.0, 0.5));
         cow.on_ground = true;
         let mut r = rng();
+        let mut scratch = PathScratch::default();
         let mut wandered = false;
         for _ in 0..200 {
-            let out = decide(&mut w, &mut cow, &[], &mut r);
+            let out = decide(&mut w, &mut cow, &[], &mut r, &mut scratch);
             if out.has_target {
                 wandered = true;
                 break;
@@ -198,7 +213,13 @@ mod tests {
         let mut w = world();
         let mut cow = Entity::new(EntityId(3), EntityKind::Cow, Vec3::new(0.5, 61.0, 0.5));
         cow.path_target = Some(Vec3::new(0.9, 61.0, 0.5));
-        decide(&mut w, &mut cow, &[], &mut rng());
+        decide(
+            &mut w,
+            &mut cow,
+            &[],
+            &mut rng(),
+            &mut PathScratch::default(),
+        );
         assert!(cow.path_target.is_none());
         assert_eq!(cow.velocity.x, 0.0);
     }
@@ -211,7 +232,13 @@ mod tests {
             EntityKind::Item(mlg_world::BlockKind::Stone),
             Vec3::new(0.5, 61.0, 0.5),
         );
-        let out = decide(&mut w, &mut item, &[], &mut rng());
+        let out = decide(
+            &mut w,
+            &mut item,
+            &[],
+            &mut rng(),
+            &mut PathScratch::default(),
+        );
         assert_eq!(out, AiOutcome::default());
     }
 
@@ -221,7 +248,13 @@ mod tests {
         let mut zombie = Entity::new(EntityId(5), EntityKind::Zombie, Vec3::new(0.5, 61.0, 0.5));
         zombie.on_ground = true;
         let players = vec![Vec3::new(10.5, 61.0, 10.5)];
-        let out = decide(&mut w, &mut zombie, &players, &mut rng());
+        let out = decide(
+            &mut w,
+            &mut zombie,
+            &players,
+            &mut rng(),
+            &mut PathScratch::default(),
+        );
         assert!(out.path_nodes_expanded > 0);
     }
 }

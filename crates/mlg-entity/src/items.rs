@@ -31,8 +31,9 @@ pub struct ItemPassOutcome {
 
 /// Merges nearby identical item entities.
 ///
-/// `entities` is the full entity list; only item-like entities are touched.
-/// Entities whose ids end up in [`ItemPassOutcome::merged_away`] had their
+/// `entities` may be the full entity list or just its item-like members, in
+/// spawn order: only item-like entities are read or touched, so both give
+/// the same outcome. Entities whose ids end up in [`ItemPassOutcome::merged_away`] had their
 /// stack size folded into a surviving entity and must be removed by the
 /// caller.
 pub fn merge_items(entities: &mut [Entity], grid: &SpatialGrid) -> ItemPassOutcome {
@@ -174,6 +175,54 @@ mod tests {
         let grid = grid_for(&entities);
         let outcome = merge_items(&mut entities, &grid);
         assert!(outcome.merged_away.is_empty());
+    }
+
+    #[test]
+    fn merging_is_a_function_of_the_item_like_entities_only() {
+        // The manager hands over item-like rows only. On a crowded mixed
+        // population — items of two kinds, orbs, mobs, TNT, all within
+        // merge range of something — that must give what the full list
+        // gives: same removals in the same order, same candidate count,
+        // same stacks.
+        let mut s = 0x5EED_u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let kinds = [
+            EntityKind::Item(BlockKind::Cobblestone),
+            EntityKind::Cow,
+            EntityKind::Item(BlockKind::Kelp),
+            EntityKind::ExperienceOrb,
+            EntityKind::PrimedTnt,
+            EntityKind::Zombie,
+            EntityKind::Item(BlockKind::Cobblestone),
+        ];
+        let all: Vec<Entity> = (1..=300)
+            .map(|id| {
+                let pos = Vec3::new(
+                    (next() % 80) as f64 / 10.0,
+                    61.0,
+                    (next() % 80) as f64 / 10.0,
+                );
+                Entity::new(EntityId(id), kinds[(next() % 7) as usize], pos)
+            })
+            .collect();
+        let grid = grid_for(&all);
+        let mut full = all.clone();
+        let mut item_like: Vec<Entity> = all
+            .iter()
+            .copied()
+            .filter(|e| e.kind.is_item_like())
+            .collect();
+        let expected = merge_items(&mut full, &grid);
+        let actual = merge_items(&mut item_like, &grid);
+        assert!(!expected.merged_away.is_empty());
+        assert_eq!(actual, expected);
+        full.retain(|e| e.kind.is_item_like());
+        assert_eq!(item_like, full);
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! `docs/ARCHITECTURE.md`, "The two shard-phase protocols") and everything
 //! that writes the world runs in a serial tail after the canonical merge.
 
-use std::collections::HashSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,6 +31,7 @@ use crate::ai;
 use crate::entity::{Entity, EntityId, EntityKind};
 use crate::items;
 use crate::math::Vec3;
+use crate::pathfinding::PathScratch;
 use crate::physics;
 use crate::spatial::SpatialGrid;
 use crate::spawning::Spawner;
@@ -79,6 +78,14 @@ pub struct EntityManager {
     grid_evictions: Vec<(EntityId, Vec3)>,
     spawner: Spawner,
     rng: StdRng,
+    /// Pathfinding working memory of the serial [`EntityManager::tick`].
+    path_scratch: PathScratch,
+    /// The sharded tick's per-shard tasks, kept between ticks for their
+    /// buffers and their own pathfinding working memory.
+    shard_tasks: Vec<EntityShardTask>,
+    /// The sharded tick's copy of the player positions (the phase context
+    /// must own what it shares with the pool), kept for its capacity.
+    phase_players: Vec<Vec3>,
     /// Maximum number of primed TNT entities processed per tick; the PaperMC
     /// flavor lowers this (explosion batching/merging optimization).
     pub max_tnt_per_tick: usize,
@@ -106,6 +113,9 @@ impl EntityManager {
             grid_evictions: Vec::new(),
             spawner: Spawner::new(),
             rng: StdRng::seed_from_u64(seed),
+            path_scratch: PathScratch::default(),
+            shard_tasks: Vec::new(),
+            phase_players: Vec::new(),
             max_tnt_per_tick: usize::MAX,
             natural_spawning: true,
         }
@@ -233,7 +243,13 @@ impl EntityManager {
                     }
                 }
                 kind if kind.is_mob() => {
-                    let ai_out = ai::decide(world, &mut entity, players, &mut self.rng);
+                    let ai_out = ai::decide(
+                        world,
+                        &mut entity,
+                        players,
+                        &mut self.rng,
+                        &mut self.path_scratch,
+                    );
                     report.path_nodes_expanded += u64::from(ai_out.path_nodes_expanded);
                 }
                 _ => {}
@@ -293,13 +309,17 @@ impl EntityManager {
 
         // Explosion batching (PaperMC): the first `max_tnt_per_tick` primed
         // TNT entities in canonical spawn order are processed this tick.
-        let mut tnt_allowed: HashSet<EntityId> = HashSet::new();
+        // Ids rise with the row, so "the first N" is everything up to the
+        // N-th one's id.
+        let mut tnt_cutoff: Option<EntityId> = None;
+        let mut tnt_allowed = 0usize;
         for row in 0..self.store.rows() {
-            if tnt_allowed.len() >= self.max_tnt_per_tick {
+            if tnt_allowed >= self.max_tnt_per_tick {
                 break;
             }
             if self.store.is_live(row) && self.store.kind_at(row) == EntityKind::PrimedTnt {
-                tnt_allowed.insert(self.store.id_at(row));
+                tnt_allowed += 1;
+                tnt_cutoff = Some(self.store.id_at(row));
             }
         }
 
@@ -309,7 +329,11 @@ impl EntityManager {
 
         // Partition entities by owning shard, preserving spawn order; each
         // task remembers its rows for the direct column write-back.
-        let mut tasks: Vec<EntityShardTask> = (0..shard_count).map(EntityShardTask::new).collect();
+        let mut tasks = std::mem::take(&mut self.shard_tasks);
+        tasks.resize_with(shard_count, EntityShardTask::default);
+        for (shard, task) in tasks.iter_mut().enumerate() {
+            task.reset(shard);
+        }
         for row in 0..self.store.rows() {
             if !self.store.is_live(row) {
                 continue;
@@ -322,10 +346,13 @@ impl EntityManager {
 
         // The spatial grid rides along in the phase context (pool jobs
         // cannot borrow `self`) and moves back as soon as the phase ends.
+        let mut phase_players = std::mem::take(&mut self.phase_players);
+        phase_players.clear();
+        phase_players.extend_from_slice(players);
         let ctx = EntityPhaseCtx {
             grid: std::mem::take(&mut self.grid),
-            allowed: tnt_allowed,
-            players: players.to_vec(),
+            tnt_cutoff,
+            players: phase_players,
             tick_seed,
         };
         let (mut tasks, ctx) = world.run_frozen_phase(
@@ -335,6 +362,7 @@ impl EntityManager {
             |frozen, task: &mut EntityShardTask, ctx: &EntityPhaseCtx| task.simulate(frozen, ctx),
         );
         self.grid = ctx.grid;
+        self.phase_players = ctx.players;
 
         // Merge in canonical shard order, writing each batch straight back
         // into its recorded rows.
@@ -352,6 +380,7 @@ impl EntityManager {
                 self.store.write_row(row, &entity);
             }
         }
+        self.shard_tasks = tasks;
 
         // Serial phase: detonations against the real world, in canonical
         // order, then the shared cross-entity tail.
@@ -407,6 +436,40 @@ impl EntityManager {
         }
     }
 
+    /// Item maintenance: merging and hopper collection share one
+    /// materialized pass over the item-like rows, in spawn order (the hopper
+    /// snapshot is the merge list minus the merged-away entities — no
+    /// second copy). Both are functions of item-like entities only, so a
+    /// world without any pays one walk over the kind column.
+    fn maintain_items(&mut self, world: &mut World, report: &mut EntityTickReport) {
+        let mut item_like: Vec<Entity> = (0..self.store.rows())
+            .filter(|&row| self.store.is_live(row) && self.store.kind_at(row).is_item_like())
+            .map(|row| self.store.entity_at(row))
+            .collect();
+        if item_like.is_empty() {
+            return;
+        }
+        let merge_out = items::merge_items(&mut item_like, &self.grid);
+        report.proximity_candidates += u64::from(merge_out.candidates_examined);
+        report.items_merged += merge_out.merged_away.len() as u64;
+        for e in &item_like {
+            self.store.set_stack_size(e.id, e.stack_size);
+        }
+        let mut merged = merge_out.merged_away.clone();
+        merged.sort_unstable();
+        for id in merge_out.merged_away {
+            self.remove(id);
+            report.removed.push(id);
+        }
+        item_like.retain(|e| merged.binary_search(&e.id).is_err());
+        let collect_out = items::collect_into_hoppers(world, &item_like);
+        report.items_collected += collect_out.collected.len() as u64;
+        for id in collect_out.collected {
+            self.remove(id);
+            report.removed.push(id);
+        }
+    }
+
     /// The cross-entity tail every tick variant shares: item merging,
     /// hopper collection, despawning and natural spawning.
     fn maintain_items_and_lifecycle(
@@ -415,29 +478,7 @@ impl EntityManager {
         players: &[Vec3],
         report: &mut EntityTickReport,
     ) {
-        // Item maintenance: merging and hopper collection share one
-        // materialized pass over the live population (the hopper snapshot
-        // is the merge list minus the merged-away entities — no second
-        // full copy).
-        let mut all: Vec<Entity> = self.store.iter_live().collect();
-        let merge_out = items::merge_items(&mut all, &self.grid);
-        report.proximity_candidates += u64::from(merge_out.candidates_examined);
-        report.items_merged += merge_out.merged_away.len() as u64;
-        for e in &all {
-            self.store.set_stack_size(e.id, e.stack_size);
-        }
-        let merged: HashSet<EntityId> = merge_out.merged_away.iter().copied().collect();
-        for id in merge_out.merged_away {
-            self.remove(id);
-            report.removed.push(id);
-        }
-        all.retain(|e| !merged.contains(&e.id));
-        let collect_out = items::collect_into_hoppers(world, &all);
-        report.items_collected += collect_out.collected.len() as u64;
-        for id in collect_out.collected {
-            self.remove(id);
-            report.removed.push(id);
-        }
+        self.maintain_items(world, report);
 
         // Despawning: a dense walk in spawn order so the removal list is
         // deterministic.
@@ -474,7 +515,9 @@ impl EntityManager {
 }
 
 /// Per-shard entity batch processed by one worker during
-/// [`EntityManager::tick_batched`].
+/// [`EntityManager::tick_batched`]. The manager keeps the tasks from tick to
+/// tick: [`EntityShardTask::reset`] empties everything but `path_scratch`.
+#[derive(Default)]
 struct EntityShardTask {
     shard: usize,
     /// Store rows of the shard's entities, parallel to `batch`, for the
@@ -490,21 +533,22 @@ struct EntityShardTask {
     physics_blocks_checked: u64,
     path_nodes_expanded: u64,
     proximity_candidates: u64,
+    /// This shard's pathfinding working memory: capacity only, no state.
+    path_scratch: PathScratch,
 }
 
 impl EntityShardTask {
-    fn new(shard: usize) -> Self {
-        EntityShardTask {
-            shard,
-            rows: Vec::new(),
-            batch: Vec::new(),
-            moved: Vec::new(),
-            detonations: Vec::new(),
-            processed: 0,
-            physics_blocks_checked: 0,
-            path_nodes_expanded: 0,
-            proximity_candidates: 0,
-        }
+    /// Readies the task for a tick as shard `shard`'s, keeping capacity.
+    fn reset(&mut self, shard: usize) {
+        self.shard = shard;
+        self.rows.clear();
+        self.batch.clear();
+        self.moved.clear();
+        self.detonations.clear();
+        self.processed = 0;
+        self.physics_blocks_checked = 0;
+        self.path_nodes_expanded = 0;
+        self.proximity_candidates = 0;
     }
 
     /// The per-entity phase over this shard's batch: aging, movement
@@ -521,7 +565,7 @@ impl EntityShardTask {
             let move_out = physics::step(&mut frozen, entity);
             self.physics_blocks_checked += u64::from(move_out.blocks_checked);
             match entity.kind {
-                EntityKind::PrimedTnt if ctx.allowed.contains(&entity.id) => {
+                EntityKind::PrimedTnt if ctx.tnt_cutoff.is_some_and(|last| entity.id <= last) => {
                     if entity.fuse > 0 {
                         entity.fuse -= 1;
                     } else {
@@ -531,7 +575,13 @@ impl EntityShardTask {
                     }
                 }
                 kind if kind.is_mob() => {
-                    let ai_out = ai::decide(&mut frozen, entity, &ctx.players, &mut rng);
+                    let ai_out = ai::decide(
+                        &mut frozen,
+                        entity,
+                        &ctx.players,
+                        &mut rng,
+                        &mut self.path_scratch,
+                    );
                     self.path_nodes_expanded += u64::from(ai_out.path_nodes_expanded);
                 }
                 _ => {}
@@ -548,11 +598,13 @@ impl EntityShardTask {
 /// Shared context of the parallel per-entity phase: the tick's spatial
 /// grid, the TNT batching allowance, player positions and the tick's RNG
 /// seed — everything the shard workers read besides the frozen terrain,
-/// owned so the phase can run on the persistent worker pool. The grid moves
-/// back into place when the phase ends.
+/// owned so the phase can run on the persistent worker pool. The grid and
+/// the player buffer move back into place when the phase ends.
 struct EntityPhaseCtx {
     grid: SpatialGrid,
-    allowed: HashSet<EntityId>,
+    /// Id of the last primed TNT (in spawn order) this tick may process;
+    /// `None` when it may process none.
+    tnt_cutoff: Option<EntityId>,
     players: Vec<Vec3>,
     tick_seed: u64,
 }
@@ -828,6 +880,46 @@ mod tests {
         }
         let (_, explosions) = first_explosion_report.expect("one TNT must explode");
         assert_eq!(explosions, 1, "the cap limits detonations per tick");
+    }
+
+    #[test]
+    fn batched_tnt_cap_admits_the_first_n_in_spawn_order() {
+        // Five fused-out TNT interleaved with cows over four stripes, cap
+        // 2: each tick detonates exactly the two oldest survivors, wherever
+        // their shards are — the allowance is an id cutoff, so it must
+        // agree with "first N rows" after removals too.
+        let mut m = manager();
+        m.max_tnt_per_tick = 2;
+        let mut w = world();
+        w.ensure_area(mlg_world::ChunkPos::new(3, 0), 5);
+        let mut tnt = Vec::new();
+        for x in [100, 5, 70, 40, 120] {
+            m.spawn(EntityKind::Cow, Vec3::new(f64::from(x) + 3.5, 61.0, 2.5));
+            let id = m.spawn(
+                EntityKind::PrimedTnt,
+                Vec3::new(f64::from(x) + 0.5, 61.0, 8.5),
+            );
+            m.modify(id, |e| e.fuse = 0);
+            tnt.push(id);
+        }
+        let pipeline = TickPipeline::new(4, 2);
+        for expected in tnt.chunks(2) {
+            let (report, _) = m.tick_batched(&mut w, &[], &pipeline);
+            assert_eq!(report.explosions, expected.len() as u64);
+            // Detonations merge in shard order; the *set* is the oldest two.
+            let mut removed = report.removed[..expected.len()].to_vec();
+            removed.sort_unstable();
+            assert_eq!(removed, expected);
+        }
+        let (report, _) = m.tick_batched(&mut w, &[], &pipeline);
+        assert_eq!(report.explosions, 0);
+
+        // A cap of zero admits none.
+        let id = m.spawn(EntityKind::PrimedTnt, Vec3::new(8.5, 61.0, 8.5));
+        m.modify(id, |e| e.fuse = 0);
+        m.max_tnt_per_tick = 0;
+        let (report, _) = m.tick_batched(&mut w, &[], &pipeline);
+        assert_eq!(report.explosions, 0);
     }
 
     #[test]

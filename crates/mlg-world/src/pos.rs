@@ -3,7 +3,10 @@
 //! MLG worlds address individual blocks by integer coordinates and group them
 //! into vertical chunk columns of [`crate::CHUNK_SIZE`]×[`crate::CHUNK_SIZE`]
 //! blocks. This module provides the coordinate types and the conversions
-//! between them.
+//! between them, and [`PosHasher`], the fixed hasher every lookup-only
+//! position-keyed table on the tick path is declared with.
+
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
@@ -200,6 +203,68 @@ impl From<(i32, i32)> for ChunkPos {
     }
 }
 
+/// A fixed multiplicative hasher for tables keyed by positions.
+///
+/// Position keys come from the simulator itself, never from outside the
+/// program, so the per-process random SipHash of the standard tables buys
+/// nothing on the tick path and costs most of every chunk resolution. Each
+/// integer a key writes is folded in with one add and one multiply; the
+/// result is rotated so that both ends of the word the standard table
+/// consumes (low bits pick the bucket, the top seven tag it) come from the
+/// well-mixed high half of the product.
+///
+/// It is for **lookup-only** tables: like any hash, its *order* must never
+/// escape (detlint's `no-hash-iteration` rule), and being fixed it must
+/// not key a table on input from outside the program.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PosHasher(u64);
+
+/// The `BuildHasher` of a [`PosHasher`]-keyed table.
+pub(crate) type PosHashBuilder = std::hash::BuildHasherDefault<PosHasher>;
+
+impl PosHasher {
+    /// An odd multiplier with no short bit pattern; the tests below pin
+    /// its spread on the chunk grids and block neighbourhoods the simulator
+    /// actually builds.
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for PosHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    /// Byte fallback for keys that are not built from the integers below.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_i32(&mut self, i: i32) {
+        self.add(u64::from(i as u32));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +340,90 @@ mod tests {
         for other in &within {
             assert!(c.chebyshev_distance(*other) <= 2);
         }
+    }
+
+    fn hash_of(key: impl std::hash::Hash) -> u64 {
+        use std::hash::BuildHasher;
+        PosHashBuilder::default().hash_one(key)
+    }
+
+    /// Distinct values of the top 16 bits, and the fullest bucket when the
+    /// low bits index a table at the standard map's load (≤ 7/8).
+    fn spread(hashes: &[u64]) -> (usize, u32) {
+        let top: std::collections::BTreeSet<u64> = hashes.iter().map(|h| h >> 48).collect();
+        let buckets = (hashes.len() * 8 / 7).next_power_of_two();
+        let mut load = vec![0u32; buckets];
+        for h in hashes {
+            load[*h as usize & (buckets - 1)] += 1;
+        }
+        (top.len(), load.into_iter().max().unwrap_or(0))
+    }
+
+    #[test]
+    fn pos_hasher_spreads_the_chunk_squares_the_simulator_builds() {
+        // The 64×64-chunk square a Horde world loads (wherever it is
+        // centred) and a 19×19 view square: a fixed multiplier must not
+        // fold a grid onto few buckets. Random hashing would leave ≈ 3,970
+        // of 4,096 keys distinct in the top 16 bits and a fullest bucket
+        // of 5.
+        for (ox, oz) in [(-32, -32), (0, 0), (-5, 100), (1_000, -2_000)] {
+            let hashes: Vec<u64> = ChunkPos::new(ox + 32, oz + 32)
+                .square(32)
+                .filter(|c| c.x < ox + 64 && c.z < oz + 64)
+                .map(hash_of)
+                .collect();
+            assert_eq!(hashes.len(), 4_096);
+            let (distinct_top, fullest) = spread(&hashes);
+            assert!(
+                distinct_top >= 4_000,
+                "square at ({ox}, {oz}): {distinct_top}"
+            );
+            assert!(fullest <= 4, "square at ({ox}, {oz}): bucket of {fullest}");
+        }
+        let view: Vec<u64> = ChunkPos::new(3, -7).square(9).map(hash_of).collect();
+        let (distinct_top, fullest) = spread(&view);
+        assert_eq!(distinct_top, view.len());
+        assert!(fullest <= 4, "view square: bucket of {fullest}");
+    }
+
+    #[test]
+    fn pos_hasher_spreads_block_neighbourhoods_and_compound_keys() {
+        // What a pathfinding search, an update queue or the relight cache
+        // holds: a few thousand blocks around one spot, alone or paired
+        // with a tick number or a flag. No worse than random hashing, whose
+        // fullest bucket at this size is 5 or 6.
+        for (cx, cz) in [(8, 8), (-200, 300)] {
+            let blocks: Vec<BlockPos> = (-25..=25)
+                .flat_map(|dx: i32| (-25..=25).map(move |dz: i32| (dx, dz)))
+                .filter(|(dx, dz)| dx.abs() + dz.abs() <= 30)
+                .flat_map(|(dx, dz)| (59..=63).map(move |y| BlockPos::new(cx + dx, y, cz + dz)))
+                .collect();
+            let plain: Vec<u64> = blocks.iter().map(hash_of).collect();
+            let timed: Vec<u64> = blocks.iter().map(|b| hash_of((*b, 1_234_u64))).collect();
+            let flagged: Vec<u64> = blocks.iter().map(|b| hash_of((*b, true))).collect();
+            for (name, hashes) in [("plain", plain), ("timed", timed), ("flagged", flagged)] {
+                let (distinct_top, fullest) = spread(&hashes);
+                assert!(
+                    distinct_top * 100 >= hashes.len() * 98,
+                    "{name} at ({cx}, {cz}): {distinct_top} of {}",
+                    hashes.len()
+                );
+                assert!(fullest <= 6, "{name} at ({cx}, {cz}): bucket of {fullest}");
+            }
+        }
+        // Keys that differ only in the trailing member must not collide.
+        let p = BlockPos::new(1, 2, 3);
+        assert_ne!(hash_of((p, true)), hash_of((p, false)));
+        assert_ne!(hash_of((p, 7_u64)), hash_of((p, 8_u64)));
+    }
+
+    #[test]
+    fn pos_hasher_byte_fallback_reads_every_byte() {
+        let mut a = PosHasher::default();
+        a.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let mut b = PosHasher::default();
+        b.write(&[1, 2, 3, 4, 5, 6, 7, 8, 10]);
+        assert_ne!(a.finish(), b.finish());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::light::FloodScratch;
-use crate::pos::BlockPos;
+use crate::pos::{BlockPos, PosHashBuilder};
 use crate::update::BlockUpdate;
 
 /// Reusable buffers for one server's tick loop. See the module docs.
@@ -53,7 +53,7 @@ impl TickScratch {
 #[derive(Debug, Default)]
 pub(crate) struct LightPassScratch {
     /// Position → slot in `misses` (probed, never iterated).
-    pub(crate) miss_index: HashMap<BlockPos, usize>,
+    pub(crate) miss_index: HashMap<BlockPos, usize, PosHashBuilder>,
     /// Unique positions that missed the relight cache, in first-seen order.
     pub(crate) misses: Vec<BlockPos>,
     /// How many times each miss position occurred in the pass input.

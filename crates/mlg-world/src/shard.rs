@@ -66,10 +66,10 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 use crate::block::Block;
-use crate::chunk::WORLD_HEIGHT;
+use crate::chunk::{Chunk, WORLD_HEIGHT};
 use crate::generation::ChunkGenerator;
 use crate::pool::{PoolHandle, PoolScope, TickWorkerPool};
-use crate::pos::{BlockPos, ChunkPos};
+use crate::pos::{BlockPos, ChunkPos, PosHashBuilder};
 use crate::update::BlockUpdate;
 use crate::world::{BlockChange, ShardStore, World, WorldSnapshot};
 
@@ -739,22 +739,53 @@ impl TerrainView for World {
 /// A read-only view of every chunk of the world during a frozen phase
 /// ([`World::run_frozen_phase`]).
 ///
-/// Unloaded positions read as air instead of being generated, so the view
-/// can be shared (`Copy`) across worker threads.
-#[derive(Debug, Clone, Copy)]
-pub struct FrozenChunks<'a>(&'a WorldSnapshot);
+/// Unloaded positions read as air instead of being generated, so any number
+/// of views (`Clone`) can read the same snapshot from worker threads. Each
+/// view remembers the last chunk position it resolved — loaded or not —
+/// because consecutive reads of an entity or a light flood stay inside one
+/// chunk column for long runs; nothing moves while the snapshot is borrowed,
+/// so the remembered answer cannot go stale.
+#[derive(Debug, Clone)]
+pub struct FrozenChunks<'a> {
+    snapshot: &'a WorldSnapshot,
+    cursor: Option<(ChunkPos, Option<&'a Chunk>)>,
+}
+
+impl<'a> FrozenChunks<'a> {
+    fn new(snapshot: &'a WorldSnapshot) -> Self {
+        FrozenChunks {
+            snapshot,
+            cursor: None,
+        }
+    }
+
+    fn chunk(&mut self, pos: ChunkPos) -> Option<&'a Chunk> {
+        match self.cursor {
+            Some((at, chunk)) if at == pos => chunk,
+            _ => {
+                let chunk = self.snapshot.chunk_if_loaded(pos);
+                self.cursor = Some((pos, chunk));
+                chunk
+            }
+        }
+    }
+}
 
 impl BlockReader for FrozenChunks<'_> {
     fn block(&mut self, pos: BlockPos) -> Block {
-        self.0.block_if_loaded(pos)
+        if pos.y < 0 || pos.y >= WORLD_HEIGHT as i32 {
+            return Block::AIR;
+        }
+        let (lx, y, lz) = pos.local();
+        self.chunk(pos.chunk())
+            .map_or(Block::AIR, |c| c.block(lx, y, lz))
     }
 
     fn column_top(&mut self, x: i32, z: i32) -> Option<i32> {
         let probe = BlockPos::new(x, 0, z);
         let (lx, _, lz) = probe.local();
         Some(
-            self.0
-                .chunk_if_loaded(probe.chunk())
+            self.chunk(probe.chunk())
                 .and_then(|c| c.height_at(lx, lz))
                 .unwrap_or(-1),
         )
@@ -801,7 +832,7 @@ pub struct ShardWorld<'a> {
     defer_local_pushes: bool,
     owned: OwnedShard,
     queue: VecDeque<BlockUpdate>,
-    queued: HashSet<BlockPos>,
+    queued: HashSet<BlockPos, PosHashBuilder>,
 }
 
 impl ShardWorld<'_> {
@@ -834,7 +865,7 @@ impl ShardWorld<'_> {
         }
     }
 
-    fn owned_chunk_mut(&mut self, chunk_pos: ChunkPos) -> &mut crate::chunk::Chunk {
+    fn owned_chunk_mut(&mut self, chunk_pos: ChunkPos) -> &mut Chunk {
         assert_eq!(
             self.map.shard_of_chunk(chunk_pos),
             self.shard,
@@ -1020,7 +1051,7 @@ impl World {
                     defer_local_pushes: phase.defer_local_pushes,
                     owned: std::mem::take(&mut job.owned),
                     queue: VecDeque::new(),
-                    queued: HashSet::new(),
+                    queued: HashSet::default(),
                 };
                 f(&mut view, &mut job.payload, &phase.caller);
                 job.owned = view.owned;
@@ -1072,7 +1103,7 @@ impl World {
             tasks,
             phase,
             move |_, task: &mut T, (snapshot, ctx): &(WorldSnapshot, C)| {
-                f(FrozenChunks(snapshot), task, ctx);
+                f(FrozenChunks::new(snapshot), task, ctx);
             },
         );
         self.restore_chunks(snapshot);
@@ -1559,5 +1590,136 @@ mod tests {
         assert_eq!((chunk_order(&w), w.total_non_air_blocks()), before);
         assert_eq!(w.chunks_generated_this_tick(), 0);
         assert_eq!(w.block(interior_block(2, 0, -10)).kind(), BlockKind::Grass);
+    }
+
+    /// A world whose every chunk carries its own marker block at local
+    /// (3, 70, 3), so a read resolved to the wrong chunk shows.
+    fn marked_world() -> (World, Vec<BlockPos>) {
+        let kinds = [
+            BlockKind::Stone,
+            BlockKind::Dirt,
+            BlockKind::Cobblestone,
+            BlockKind::Sand,
+            BlockKind::Obsidian,
+        ];
+        let mut w = World::new(Box::new(FlatGenerator::grassland()), 5);
+        let mut markers = Vec::new();
+        for x in 0..12 {
+            for z in -1..=1 {
+                let marker = BlockPos::new(x * 16 + 3, 70, z * 16 + 3);
+                let kind = kinds[(x + 2 * (z + 1)) as usize % kinds.len()];
+                w.set_block_silent(marker, Block::simple(kind));
+                markers.push(marker);
+            }
+        }
+        (w, markers)
+    }
+
+    /// Reads `pos` through the cursor path and requires the cursor-free
+    /// answer.
+    fn assert_reads_true(w: &mut World, pos: BlockPos) {
+        let expected = w.block_if_loaded(pos);
+        assert_eq!(w.block(pos), expected, "read of {pos}");
+        assert_eq!(
+            w.highest_block_y(pos.x, pos.z),
+            Some(if expected.is_air() { 60 } else { 70 }),
+            "column top at {pos}"
+        );
+    }
+
+    #[test]
+    fn chunk_cursor_does_not_survive_a_store_move() {
+        let (mut w, markers) = marked_world();
+        let probe = BlockPos::new(5 * 16 + 3, 70, 3);
+        let neighbour = BlockPos::new(6 * 16 + 3, 70, 3);
+
+        // Resharding, to stripes and on to quadtree regions: the slot the
+        // cursor names now belongs to another chunk, or to none.
+        for map in [
+            ShardMap::stripes(4),
+            ShardMap::regions_over(Some((ChunkPos::new(0, -1), ChunkPos::new(11, 1))))
+                .split_largest_leaf()
+                .expect("a 16-chunk root splits"),
+            ShardMap::stripes(1),
+            ShardMap::stripes(3),
+        ] {
+            assert_reads_true(&mut w, probe);
+            w.reshard(map);
+            assert_reads_true(&mut w, probe);
+            assert_reads_true(&mut w, neighbour);
+            for &marker in &markers {
+                assert_reads_true(&mut w, marker);
+            }
+        }
+
+        // An owned phase takes the probe's store away and brings it back
+        // changed: the worker overwrites the marker.
+        assert_reads_true(&mut w, probe);
+        let shard = w.shard_map().shard_of_block(probe);
+        let tnt = Block::simple(BlockKind::Tnt);
+        let (_, ()) = w.run_owned_phase(
+            &PoolScope::scoped(2),
+            true,
+            vec![(shard, probe)],
+            (),
+            move |view, pos, ()| {
+                view.set_block(*pos, tnt);
+            },
+        );
+        assert_eq!(w.block(probe), tnt);
+        assert_reads_true(&mut w, probe);
+        assert_reads_true(&mut w, neighbour);
+
+        // A frozen phase empties every store and refills it.
+        assert_reads_true(&mut w, neighbour);
+        let (_, ()) = w.run_frozen_phase(&PoolScope::scoped(2), vec![0u8; 3], (), |_, _, ()| {});
+        assert_reads_true(&mut w, neighbour);
+        assert_reads_true(&mut w, probe);
+        for &marker in &markers {
+            assert_reads_true(&mut w, marker);
+        }
+    }
+
+    #[test]
+    fn frozen_view_cursor_answers_like_the_uncached_snapshot() {
+        let (mut w, markers) = marked_world();
+        w.reshard(ShardMap::stripes(4));
+        // Hop between loaded chunks, an unloaded one and back, with runs
+        // inside one chunk in between; remember unloaded answers too.
+        let unloaded = BlockPos::new(40 * 16 + 3, 60, 3);
+        let mut reads: Vec<BlockPos> = Vec::new();
+        for pair in markers.chunks(2) {
+            reads.extend([pair[0], pair[0].up(), unloaded, unloaded.offset(1, 0, 1)]);
+            reads.extend([pair[0], pair[pair.len() - 1], pair[0].offset(0, 500, 0)]);
+        }
+        let expected: Vec<(Block, Option<i32>)> = reads
+            .iter()
+            .map(|&pos| {
+                let loaded = w.chunk_if_loaded(pos.chunk());
+                let (lx, _, lz) = pos.local();
+                (
+                    w.block_if_loaded(pos),
+                    Some(loaded.and_then(|c| c.height_at(lx, lz)).unwrap_or(-1)),
+                )
+            })
+            .collect();
+        let loaded_before = w.loaded_chunk_count();
+        let (tasks, ()) = w.run_frozen_phase(
+            &PoolScope::scoped(2),
+            vec![(reads.clone(), Vec::new()), (reads, Vec::new())],
+            (),
+            |mut frozen, (reads, out): &mut (Vec<BlockPos>, Vec<_>), ()| {
+                for &pos in reads.iter() {
+                    // Alternate the two entry points so each sees the
+                    // other's cursor.
+                    let top = frozen.column_top(pos.x, pos.z);
+                    out.push((frozen.block(pos), top));
+                }
+            },
+        );
+        for (_, actual) in &tasks {
+            assert_eq!(actual, &expected);
+        }
+        assert_eq!(w.loaded_chunk_count(), loaded_before);
     }
 }

@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use crate::pos::BlockPos;
+use crate::pos::{BlockPos, PosHashBuilder};
 
 /// Why a block update was triggered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -83,9 +83,9 @@ impl PartialOrd for ScheduledEntry {
 #[derive(Debug, Default)]
 pub struct UpdateQueue {
     immediate: VecDeque<BlockUpdate>,
-    immediate_set: HashSet<BlockPos>,
+    immediate_set: HashSet<BlockPos, PosHashBuilder>,
     scheduled: BinaryHeap<Reverse<ScheduledEntry>>,
-    scheduled_set: HashSet<(BlockPos, u64)>,
+    scheduled_set: HashSet<(BlockPos, u64), PosHashBuilder>,
     seq: u64,
 }
 

@@ -11,6 +11,22 @@
 //! a server with a sharded tick pipeline adopts it. Chunk iteration is in
 //! deterministic (shard-major, insertion) order, never hash order, so
 //! everything derived from it is reproducible run-to-run.
+//!
+//! Resolving a block's chunk is the most-executed step of the tick path
+//! and none of it is modeled work, so it is kept cheap in two ways that
+//! cannot be observed. The position index of a [`ShardStore`] (like every
+//! other lookup-only position-keyed table here: the update queue's
+//! coalescing sets, the relight cache, the relight miss index) hashes with
+//! the fixed [`PosHasher`](crate::pos::PosHasher) instead of per-process
+//! SipHash — the tables are only ever probed, so their order never
+//! escapes, which detlint's `no-hash-iteration` rule keeps true. And
+//! [`World`] remembers where it last found a chunk — a one-entry
+//! `(position, shard, slot)` cursor in front of the shard map and the
+//! index — because reads come in runs inside one column; the entry is
+//! dropped by the five functions that move stores (`reshard`,
+//! `take_shard_store`, `put_shard_store`, `snapshot_chunks`,
+//! `restore_chunks`) and by nothing else, since chunks are otherwise only
+//! appended.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use crate::block::{Block, BlockKind};
 use crate::chunk::{Chunk, CHUNK_SIZE, WORLD_HEIGHT};
 use crate::generation::ChunkGenerator;
-use crate::pos::{BlockPos, ChunkPos};
+use crate::pos::{BlockPos, ChunkPos, PosHashBuilder};
 use crate::region::Region;
 use crate::shard::ShardMap;
 use crate::update::UpdateQueue;
@@ -52,7 +68,7 @@ pub struct BlockChange {
 #[derive(Debug, Default)]
 pub struct ShardStore {
     chunks: Vec<Chunk>,
-    index: HashMap<ChunkPos, usize>,
+    index: HashMap<ChunkPos, usize, PosHashBuilder>,
 }
 
 impl ShardStore {
@@ -134,21 +150,9 @@ pub(crate) struct WorldSnapshot {
 }
 
 impl WorldSnapshot {
-    /// Returns the block at `pos`, reading unloaded positions as air.
-    #[must_use]
-    pub(crate) fn block_if_loaded(&self, pos: BlockPos) -> Block {
-        if pos.y < 0 || pos.y >= WORLD_HEIGHT as i32 {
-            return Block::AIR;
-        }
-        let (lx, y, lz) = pos.local();
-        self.stores[self.map.shard_of_chunk(pos.chunk())]
-            .get(pos.chunk())
-            .map_or(Block::AIR, |c| c.block(lx, y, lz))
-    }
-
     /// Returns the chunk at `pos`, if it was loaded when the snapshot was
-    /// taken. Gives frozen readers heightmap access for the sky-light
-    /// short-circuit.
+    /// taken: every frozen read — block or heightmap — resolves through
+    /// here.
     #[must_use]
     pub(crate) fn chunk_if_loaded(&self, pos: ChunkPos) -> Option<&Chunk> {
         self.stores[self.map.shard_of_chunk(pos)].get(pos)
@@ -185,7 +189,7 @@ struct RelightEntry {
 /// insertion order: a deterministic FIFO, independent of hash layout.
 #[derive(Debug)]
 struct RelightCache {
-    entries: HashMap<(BlockPos, bool), RelightEntry>,
+    entries: HashMap<(BlockPos, bool), RelightEntry, PosHashBuilder>,
     /// Keys in first-insertion order; exactly the map's key set (an updated
     /// entry keeps its queue position, so `queue.len() == entries.len()`
     /// always holds and evicting the front is O(1)).
@@ -201,7 +205,7 @@ struct RelightCache {
 impl Default for RelightCache {
     fn default() -> Self {
         RelightCache {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             queue: VecDeque::new(),
             pass: 0,
             cap: RELIGHT_CACHE_CAP,
@@ -225,6 +229,12 @@ pub struct World {
     /// `generator` below; replaced, never mutated, by [`World::reshard`].
     shard_map: Arc<ShardMap>,
     stores: Vec<ShardStore>,
+    /// Where [`World::load_chunk`] last found a chunk: `(position, shard,
+    /// slot)`. Slots are stable while a store stays in place (chunks are
+    /// only ever appended), so the entry is cleared exactly where stores
+    /// move: `reshard`, `take_shard_store`, `put_shard_store`,
+    /// `snapshot_chunks` and `restore_chunks`.
+    cursor: Option<(ChunkPos, usize, usize)>,
     /// `Arc` rather than `Box` so tick-phase contexts can own a handle and
     /// run on the persistent worker pool (whose jobs cannot borrow the
     /// world); the world itself never shares mutable generator state — the
@@ -261,6 +271,7 @@ impl World {
         World {
             shard_map: Arc::new(ShardMap::stripes(1)),
             stores: vec![ShardStore::default()],
+            cursor: None,
             generator: Arc::from(generator),
             updates: UpdateQueue::new(),
             changes: Vec::new(),
@@ -301,6 +312,7 @@ impl World {
         }
         self.shard_map = Arc::new(map);
         self.stores = stores;
+        self.cursor = None;
     }
 
     /// An owning handle to the shard map, for phase contexts.
@@ -311,11 +323,13 @@ impl World {
     /// Moves one shard's chunk store out of the world, leaving an empty
     /// store in its place, until [`World::put_shard_store`] returns it.
     pub(crate) fn take_shard_store(&mut self, shard: usize) -> ShardStore {
+        self.cursor = None;
         std::mem::take(&mut self.stores[shard])
     }
 
     /// Returns a shard's chunk store taken with [`World::take_shard_store`].
     pub(crate) fn put_shard_store(&mut self, shard: usize, store: ShardStore) {
+        self.cursor = None;
         self.stores[shard] = store;
     }
 
@@ -389,6 +403,7 @@ impl World {
     pub(crate) fn snapshot_chunks(&mut self) -> WorldSnapshot {
         let mut empty: Vec<ShardStore> = Vec::new();
         empty.resize_with(self.stores.len(), ShardStore::default);
+        self.cursor = None;
         WorldSnapshot {
             map: Arc::clone(&self.shard_map),
             stores: std::mem::replace(&mut self.stores, empty),
@@ -397,19 +412,34 @@ impl World {
 
     /// Returns the chunk stores taken by [`World::snapshot_chunks`].
     pub(crate) fn restore_chunks(&mut self, snapshot: WorldSnapshot) {
+        self.cursor = None;
         self.stores = snapshot.stores;
     }
 
     /// The one generate-if-absent: returns the chunk at `pos` and whether
     /// this call had to generate it (counted into this tick's generations).
+    ///
+    /// Reads come in runs inside one chunk column (an entity's collision
+    /// box, a pathfinding neighbourhood, a spawn candidate's column), so
+    /// the last resolution is kept in `cursor` and a repeat skips the shard
+    /// map and the index.
     fn load_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
-        let store = &mut self.stores[self.shard_map.shard_of_chunk(pos)];
+        if let Some((at, shard, slot)) = self.cursor {
+            if at == pos {
+                let chunk = &mut self.stores[shard].chunks[slot];
+                debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
+                return (chunk, false);
+            }
+        }
+        let shard = self.shard_map.shard_of_chunk(pos);
+        let store = &mut self.stores[shard];
         let loaded = store.index.get(&pos).copied();
         let slot = loaded.unwrap_or_else(|| {
             store.insert(self.generator.generate(pos));
             self.chunks_generated_this_tick += 1;
             store.chunks.len() - 1
         });
+        self.cursor = Some((pos, shard, slot));
         (&mut store.chunks[slot], loaded.is_none())
     }
 
@@ -948,6 +978,38 @@ mod tests {
         assert!(w.loaded_chunk_count() < before || store.is_empty());
         w.put_shard_store(1, store);
         assert_eq!(w.loaded_chunk_count(), before);
+    }
+
+    #[test]
+    fn chunk_cursor_is_dropped_on_both_sides_of_a_store_hand_off() {
+        // While a store is out the world reads as empty (and regenerates
+        // lazily into the placeholder); once it is back the real chunk
+        // answers again. A cursor kept across either edge would index the
+        // wrong store.
+        let mut w = world();
+        w.ensure_area(ChunkPos::new(0, 0), 1);
+        w.reshard(ShardMap::stripes(2));
+        let pos = BlockPos::new(5, 70, 5);
+        let stone = Block::simple(BlockKind::Stone);
+        w.set_block_silent(pos, stone);
+        let shard = w.shard_map().shard_of_block(pos);
+        assert_ne!(
+            w.shard_store(shard).positions().next(),
+            Some(pos.chunk()),
+            "the probe's chunk must not sit in slot 0, where a placeholder puts it"
+        );
+
+        assert_eq!(w.block(pos), stone);
+        let store = w.take_shard_store(shard);
+        assert_eq!(w.block(pos), Block::AIR);
+        w.put_shard_store(shard, store);
+        assert_eq!(w.block(pos), stone);
+
+        let snapshot = w.snapshot_chunks();
+        assert_eq!(w.block(pos), Block::AIR);
+        w.restore_chunks(snapshot);
+        assert_eq!(w.block(pos), stone);
+        assert_eq!(w.block(pos), w.block_if_loaded(pos));
     }
 
     /// Spreads cache keys across far-apart, unloaded chunks so the
