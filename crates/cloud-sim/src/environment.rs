@@ -48,7 +48,7 @@ pub struct Environment {
     pub network_jitter_ms: f64,
     /// Diurnal + day-of-week tenancy curve. Flat by default on every preset
     /// — stationary campaigns stay byte-identical — and opted into via
-    /// [`Environment::with_temporal`] or the `*_diurnal` presets.
+    /// [`Environment::with_temporal`] or [`Environment::aws_diurnal`].
     pub temporal: TemporalProfile,
 }
 
@@ -104,13 +104,6 @@ impl Environment {
             network_jitter_ms: 0.05,
             temporal: TemporalProfile::flat(),
         }
-    }
-
-    /// Azure with the business-hours tenancy curve
-    /// ([`TemporalProfile::azure`]).
-    #[must_use]
-    pub fn azure_diurnal() -> Self {
-        Environment::azure_default().with_temporal(TemporalProfile::azure())
     }
 
     /// Replaces the tenancy curve (builder style).

@@ -139,12 +139,6 @@ impl InterferenceState {
         self.placement_factor
     }
 
-    /// Returns `true` if the node is currently inside a steal episode.
-    #[must_use]
-    pub fn in_steal_episode(&self) -> bool {
-        self.steal_ticks_remaining > 0
-    }
-
     /// Number of noisy neighbours currently resident on the host (always 0
     /// under a flat temporal profile).
     #[must_use]

@@ -187,22 +187,6 @@ impl TemporalProfile {
         }
     }
 
-    /// Business-hours-shaped Azure curve: daytime peak on weekdays, quiet
-    /// weekends (enterprise tenants).
-    #[must_use]
-    pub fn azure() -> Self {
-        TemporalProfile {
-            arrivals_per_hour: 0.3,
-            peak_hours: (8, 18),
-            peak_multiplier: 12.0,
-            weekend_factor: 0.4,
-            residency_ticks: (24_000, 120_000),
-            steal_factor_per_neighbor: 1.5,
-            pressure_per_neighbor: 1.08,
-            max_neighbors: 5,
-        }
-    }
-
     /// Returns `true` for profiles that can never produce a neighbour; flat
     /// profiles short-circuit the tenancy process entirely.
     #[must_use]

@@ -67,7 +67,6 @@ use mlg_protocol::netsim::LinkConfig;
 use mlg_server::ServerFlavor;
 
 use crate::config::{BenchmarkConfig, MetricsWindow};
-use crate::deployment::DeploymentPlan;
 use crate::error::BenchmarkError;
 use crate::executor::{Executor, SequentialExecutor};
 use crate::experiment::{execute_iteration_observed, NoopTickObserver};
@@ -254,12 +253,10 @@ pub(crate) fn override_label<'a>(
     }
 }
 
-/// A validated, fully expanded campaign: the job list plus the deployment
-/// plan shared by every job.
+/// A validated, fully expanded campaign: the job list.
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
     jobs: Vec<IterationJob>,
-    deployment: DeploymentPlan,
 }
 
 impl CampaignPlan {
@@ -268,12 +265,6 @@ impl CampaignPlan {
     #[must_use]
     pub fn jobs(&self) -> &[IterationJob] {
         &self.jobs
-    }
-
-    /// The node/role assignment every job shares.
-    #[must_use]
-    pub fn deployment(&self) -> &DeploymentPlan {
-        &self.deployment
     }
 }
 
@@ -308,8 +299,8 @@ impl CampaignPlan {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    /// Scalar knobs and infrastructure every job shares; its axis-valued
-    /// members are placeholders that `cell_config` overwrites.
+    /// Scalar knobs every job shares; its axis-valued members are
+    /// placeholders that `cell_config` overwrites.
     template: BenchmarkConfig,
     iterations: u32,
     workloads: Vec<WorkloadSpec>,
@@ -469,22 +460,6 @@ impl Campaign {
         self
     }
 
-    /// Adopts the *infrastructure* fields of a configuration template —
-    /// node addresses, SSH keys, JMX ports, RAM, affinity, resume flag —
-    /// leaving every knob with its own builder method (dimensions,
-    /// iterations, duration, seed, bots, link) untouched, so builder-call
-    /// order never matters.
-    #[must_use]
-    pub fn template(mut self, template: BenchmarkConfig) -> Self {
-        self.template.node_ips = template.node_ips;
-        self.template.ssh_keys = template.ssh_keys;
-        self.template.jmx_ports = template.jmx_ports;
-        self.template.ram_gb = template.ram_gb;
-        self.template.affinity_mask = template.affinity_mask;
-        self.template.resume = template.resume;
-        self
-    }
-
     /// Number of values on one sweep axis.
     fn axis_len(&self, axis: Axis) -> usize {
         match axis {
@@ -527,21 +502,14 @@ impl Campaign {
 
     /// Rejects out-of-range scalars.
     fn check_scalars(&self) -> Result<(), BenchmarkError> {
-        let template = &self.template;
-        let (jmx_start, jmx_end) = template.jmx_ports;
-        let (parameter, reason) = if template.duration_secs == 0 {
-            ("duration_secs", "must be at least 1 virtual second".into())
+        let (parameter, reason) = if self.template.duration_secs == 0 {
+            ("duration_secs", "must be at least 1 virtual second")
         } else if self.tick_threads.contains(&0) {
-            ("tick_threads", "must be at least 1 worker thread".into())
-        } else if template.ram_gb <= 0.0 {
-            let reason = format!("must be positive, got {}", template.ram_gb);
-            ("ram_gb", reason)
-        } else if jmx_start > jmx_end {
-            let reason = format!("range start {jmx_start} exceeds end {jmx_end}");
-            ("jmx_ports", reason)
+            ("tick_threads", "must be at least 1 worker thread")
         } else {
             return Ok(());
         };
+        let reason = reason.into();
         Err(BenchmarkError::InvalidParameter { parameter, reason })
     }
 
@@ -551,9 +519,8 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns [`BenchmarkError::EmptyDimension`] when any sweep dimension
-    /// is empty, [`BenchmarkError::InvalidParameter`] for out-of-range
-    /// scalars, and [`BenchmarkError::Deployment`] when the node/key
-    /// configuration is invalid.
+    /// is empty and [`BenchmarkError::InvalidParameter`] for out-of-range
+    /// scalars.
     pub fn plan(&self) -> Result<CampaignPlan, BenchmarkError> {
         let mut lens = CellCoord::default();
         for axis in Axis::ALL {
@@ -568,7 +535,6 @@ impl Campaign {
             return Err(BenchmarkError::EmptyDimension { dimension });
         }
         self.check_scalars()?;
-        let deployment = DeploymentPlan::plan(&self.template)?;
 
         let mut jobs = Vec::with_capacity(self.job_count());
         for cell in 0..self.cell_count() {
@@ -584,7 +550,7 @@ impl Campaign {
                 });
             }
         }
-        Ok(CampaignPlan { jobs, deployment })
+        Ok(CampaignPlan { jobs })
     }
 
     /// Plans and runs the campaign sequentially, collecting every result.
@@ -637,7 +603,6 @@ fn job_seed(base_seed: u64, coord: CellCoord, iteration: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::DeploymentError;
 
     fn quick_campaign() -> Campaign {
         Campaign::new()
@@ -704,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_scalars_and_deployment_are_errors_not_panics() {
+    fn invalid_scalars_are_errors_not_panics() {
         let zero_duration = quick_campaign().duration_secs(0).run();
         assert!(matches!(
             zero_duration.unwrap_err(),
@@ -722,25 +687,69 @@ mod tests {
                 ..
             }
         ));
+    }
 
-        let mut bad_nodes = BenchmarkConfig::new(WorkloadKind::Control);
-        bad_nodes.node_ips = vec!["10.0.0.10".into()];
-        let result = quick_campaign().template(bad_nodes).run();
-        assert_eq!(
-            result.unwrap_err(),
-            BenchmarkError::Deployment(DeploymentError::NotEnoughNodes { provided: 1 })
+    #[test]
+    fn every_campaign_scalar_changes_the_run() {
+        // A scalar knob lives in the config because some observable of the
+        // run depends on it: (knob, how to turn it, what it must move).
+        type Knob = (
+            &'static str,
+            fn(Campaign) -> Campaign,
+            fn(&CampaignResults) -> String,
         );
-
-        let mut bad_ram = BenchmarkConfig::new(WorkloadKind::Control);
-        bad_ram.ram_gb = 0.0;
-        let result = quick_campaign().template(bad_ram).run();
-        assert!(matches!(
-            result.unwrap_err(),
-            BenchmarkError::InvalidParameter {
-                parameter: "ram_gb",
-                ..
-            }
-        ));
+        let knobs: &[Knob] = &[
+            (
+                "duration_secs",
+                |c| c.duration_secs(3),
+                |r| r.iterations()[0].ticks_planned.to_string(),
+            ),
+            (
+                "bots",
+                |c| c.bots(3),
+                |r| r.iterations()[0].traffic.total_bytes().to_string(),
+            ),
+            (
+                "seed",
+                |c| c.seed(7),
+                |r| format!("{:?}", r.iterations()[0].trace.busy_durations()),
+            ),
+            (
+                "link",
+                |c| c.link(LinkConfig::residential()),
+                |r| format!("{:?}", r.iterations()[0].response_samples),
+            ),
+            (
+                "metrics_window",
+                |c| c.metrics_window(10, 2),
+                |r| {
+                    let first = &r.iterations()[0];
+                    // Windowed, and the retained trace bounded to one window.
+                    (first.windowed.is_some() && first.trace.len() <= 10).to_string()
+                },
+            ),
+            (
+                "iterations",
+                |c| c.iterations(2),
+                |r| r.iterations().len().to_string(),
+            ),
+        ];
+        let baseline = || {
+            Campaign::new()
+                .workloads([WorkloadKind::Control])
+                .flavors([ServerFlavor::Vanilla])
+                .environments([Environment::das5(2)])
+                .duration_secs(2)
+        };
+        let base = baseline().run().unwrap();
+        for &(knob, turn, observable) in knobs {
+            let turned = turn(baseline()).run().unwrap();
+            assert_ne!(
+                observable(&base),
+                observable(&turned),
+                "{knob} changed nothing the run reports"
+            );
+        }
     }
 
     #[test]
@@ -808,33 +817,6 @@ mod tests {
             job_seed(base, CellCoord([3, 2, 1, 5, 1, 1, 9]), 7),
             job_seed(base, at(3, 2, 1), 7)
         );
-    }
-
-    #[test]
-    fn template_is_builder_order_independent() {
-        let mut infra = BenchmarkConfig::new(WorkloadKind::Control);
-        infra.node_ips = vec!["10.1.0.1".into(), "10.1.0.2".into()];
-        infra.ram_gb = 8.0;
-        let before = quick_campaign().template(infra.clone());
-        let after = Campaign::new()
-            .template(infra)
-            .workloads([WorkloadKind::Control, WorkloadKind::Players])
-            .flavors([ServerFlavor::Vanilla, ServerFlavor::Paper])
-            .environments([Environment::das5(2)])
-            .iterations(2)
-            .duration_secs(2);
-        let plan_before = before.plan().unwrap();
-        let plan_after = after.plan().unwrap();
-        assert_eq!(plan_before.jobs().len(), plan_after.jobs().len());
-        for (x, y) in plan_before.jobs().iter().zip(plan_after.jobs()) {
-            assert_eq!(x.config, y.config);
-            assert_eq!(x.seed, y.seed);
-        }
-        assert_eq!(plan_before.deployment().server_node(), "10.1.0.1");
-        assert_eq!(plan_before.jobs()[0].config.ram_gb, 8.0);
-        // Scalar knobs set on the campaign survive a later template() call.
-        assert_eq!(plan_before.jobs().len(), 8);
-        assert_eq!(plan_before.jobs()[0].config.duration_secs, 2);
     }
 
     #[test]

@@ -17,10 +17,9 @@ use mlg_server::{ServerConfig, ServerFlavor};
 /// campaign-level parameters of Table 4 (the "Servers" list and
 /// "Iterations").
 ///
-/// The fields mirror the configurable parameters of Table 4. Parameters that
-/// only exist for real-machine deployments (node IP addresses, SSH keys, JMX
-/// URLs and ports) are kept for interface fidelity — the simulated deployment
-/// validates them but does not open network connections.
+/// The fields mirror the configurable parameters of Table 4. The table's
+/// machine parameters (IPs, SSL keys, JMX ports, RAM, affinity, resume)
+/// have no simulated counterpart and are not modelled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkConfig {
     /// The workload world (Table 4 "World").
@@ -37,19 +36,6 @@ pub struct BenchmarkConfig {
     /// Base random seed: seeds the workload world directly, and every job
     /// seed derives from it (see [`Axis`](crate::campaign::Axis)).
     pub base_seed: u64,
-    /// Simulated node addresses (Table 4 "IPs"); informational only.
-    pub node_ips: Vec<String>,
-    /// Simulated SSH key paths (Table 4 "SSL Keys"); informational only.
-    pub ssh_keys: Vec<String>,
-    /// Simulated JMX port range used by the metric externalizer (Table 4).
-    pub jmx_ports: (u16, u16),
-    /// Maximum heap for the game (Table 4 "RAM", GiB).
-    pub ram_gb: f64,
-    /// CPU affinity mask (Table 4 "Affinity"); the simulated equivalent is
-    /// the node's vCPU count, so this is informational only.
-    pub affinity_mask: u64,
-    /// Resume a partially completed experiment (Table 4 "Resume").
-    pub resume: bool,
     /// Worker threads the server's sharded tick pipeline may use. Pure
     /// execution infrastructure: identical results at any value, only
     /// wall-clock time changes (there are tests pinning this).
@@ -103,12 +89,6 @@ impl BenchmarkConfig {
             bots_override: None,
             link: LinkConfig::datacenter(),
             base_seed: 392_114_485,
-            node_ips: vec!["10.0.0.10".into(), "10.0.0.11".into()],
-            ssh_keys: vec!["~/.ssh/id_meterstick".into()],
-            jmx_ports: (25_585, 25_635),
-            ram_gb: 4.0,
-            affinity_mask: 0xFFFF_FFFF,
-            resume: false,
             tick_threads: 1,
             shard_rebalance: None,
             eager_lighting: None,
@@ -145,7 +125,6 @@ mod tests {
     fn defaults_match_table4() {
         let c = BenchmarkConfig::new(WorkloadKind::Control);
         assert_eq!(c.duration_secs, 60);
-        assert_eq!(c.ram_gb, 4.0);
         assert_eq!(c.ticks_per_iteration(), 1_200);
         assert_eq!(c.tick_threads, 1);
         assert_eq!(c.start_time, StartTime::default());

@@ -1,13 +1,16 @@
-//! The controller/worker protocol (Table 1 of the paper).
+//! The controller/worker message vocabulary (Table 1 of the paper).
 //!
 //! Meterstick "follows a Controller/Worker pattern, with the Control Server
-//! as the controller, and the Control Clients as the workers" (Section 3.2).
-//! The reproduction keeps the same protocol even though both sides live in
-//! one process: the [`ControlServer`] drives registered [`ControlClient`]
-//! workers through the message sequence of an iteration over crossbeam
-//! channels, and workers acknowledge with `ok`/`err` exactly as in Table 1.
+//! as the controller, and the Control Clients as the workers" (Section 3.2),
+//! because the real benchmark drives separate machines. In this
+//! reproduction an iteration is a function call
+//! ([`execute_iteration_observed`](crate::experiment::execute_iteration_observed)):
+//! no controller runs and nothing sends these messages. What the module
+//! keeps is Table 1 itself — the messages, their wire spelling, who they
+//! are addressed to and the order an iteration sends them in — and
+//! [`ControllerMessage::parse`], a parse boundary for text from outside the
+//! program.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 
 /// A controller message (Table 1). `Dest` in the table maps to which worker
@@ -168,134 +171,9 @@ impl std::fmt::Display for ParseMessageError {
 
 impl std::error::Error for ParseMessageError {}
 
-/// A worker endpoint: receives controller messages, replies `ok`/`err`.
-pub trait ControlClient {
-    /// The worker's role (decides which messages it receives).
-    fn role(&self) -> WorkerRole;
-
-    /// Handles a message and returns the reply.
-    fn handle(&mut self, message: &ControllerMessage) -> WorkerReply;
-}
-
-struct WorkerHandle {
-    role: WorkerRole,
-    tx: Sender<ControllerMessage>,
-    rx: Receiver<WorkerReply>,
-}
-
-/// The control server: broadcasts controller messages to registered workers
-/// over channels and collects their replies.
-pub struct ControlServer {
-    workers: Vec<WorkerHandle>,
-    log: Vec<String>,
-}
-
-impl Default for ControlServer {
-    fn default() -> Self {
-        ControlServer::new()
-    }
-}
-
-impl ControlServer {
-    /// Creates a controller with no workers.
-    #[must_use]
-    pub fn new() -> Self {
-        ControlServer {
-            workers: Vec::new(),
-            log: Vec::new(),
-        }
-    }
-
-    /// Registers a worker and returns the channel pair its driving loop
-    /// should service: it receives [`ControllerMessage`]s and must send one
-    /// [`WorkerReply`] per message.
-    pub fn register(
-        &mut self,
-        role: WorkerRole,
-    ) -> (Receiver<ControllerMessage>, Sender<WorkerReply>) {
-        let (msg_tx, msg_rx) = unbounded();
-        let (reply_tx, reply_rx) = unbounded();
-        self.workers.push(WorkerHandle {
-            role,
-            tx: msg_tx,
-            rx: reply_rx,
-        });
-        (msg_rx, reply_tx)
-    }
-
-    /// Runs a registered in-process worker inline: drains its pending
-    /// messages through the [`ControlClient`] implementation.
-    pub fn service_inline<C: ControlClient>(
-        rx: &Receiver<ControllerMessage>,
-        tx: &Sender<WorkerReply>,
-        client: &mut C,
-    ) {
-        while let Ok(message) = rx.try_recv() {
-            let reply = client.handle(&message);
-            let _ = tx.send(reply);
-        }
-    }
-
-    /// Sends a message to every worker it is addressed to and returns their
-    /// replies (after the caller has serviced the workers).
-    ///
-    /// For the in-process benchmark the exchange is synchronous: the message
-    /// is queued, the caller services the workers (e.g. via
-    /// [`ControlServer::service_inline`]), then replies are collected with
-    /// [`ControlServer::collect_replies`].
-    pub fn send(&mut self, message: &ControllerMessage) -> usize {
-        self.log.push(message.wire_format());
-        let mut sent = 0;
-        for worker in &self.workers {
-            if message.addressed_to(worker.role) {
-                let _ = worker.tx.send(message.clone());
-                sent += 1;
-            }
-        }
-        sent
-    }
-
-    /// Collects every reply currently available from all workers.
-    pub fn collect_replies(&mut self) -> Vec<WorkerReply> {
-        let mut replies = Vec::new();
-        for worker in &self.workers {
-            while let Ok(reply) = worker.rx.try_recv() {
-                replies.push(reply);
-            }
-        }
-        replies
-    }
-
-    /// The wire-format log of every message sent so far.
-    #[must_use]
-    pub fn message_log(&self) -> &[String] {
-        &self.log
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct EchoWorker {
-        role: WorkerRole,
-        seen: Vec<ControllerMessage>,
-        fail_on_connect: bool,
-    }
-
-    impl ControlClient for EchoWorker {
-        fn role(&self) -> WorkerRole {
-            self.role
-        }
-        fn handle(&mut self, message: &ControllerMessage) -> WorkerReply {
-            self.seen.push(message.clone());
-            if self.fail_on_connect && *message == ControllerMessage::Connect {
-                WorkerReply::Err("connection refused".into())
-            } else {
-                WorkerReply::Ok
-            }
-        }
-    }
 
     #[test]
     fn wire_format_matches_table1() {
@@ -381,49 +259,5 @@ mod tests {
         let pos = |m: &ControllerMessage| seq.iter().position(|x| x == m).unwrap();
         assert!(pos(&ControllerMessage::LogStart) < pos(&ControllerMessage::Connect));
         assert!(pos(&ControllerMessage::LogStop) < pos(&ControllerMessage::StopServer));
-    }
-
-    #[test]
-    fn controller_routes_messages_and_collects_acks() {
-        let mut controller = ControlServer::new();
-        let (server_rx, server_tx) = controller.register(WorkerRole::Server);
-        let (emu_rx, emu_tx) = controller.register(WorkerRole::PlayerEmulation);
-        let mut server_worker = EchoWorker {
-            role: WorkerRole::Server,
-            seen: Vec::new(),
-            fail_on_connect: false,
-        };
-        let mut emu_worker = EchoWorker {
-            role: WorkerRole::PlayerEmulation,
-            seen: Vec::new(),
-            fail_on_connect: false,
-        };
-
-        for message in ControllerMessage::iteration_sequence("forge", "jmx://n:1", 0) {
-            controller.send(&message);
-            ControlServer::service_inline(&server_rx, &server_tx, &mut server_worker);
-            ControlServer::service_inline(&emu_rx, &emu_tx, &mut emu_worker);
-        }
-        let replies = controller.collect_replies();
-        assert!(replies.iter().all(|r| *r == WorkerReply::Ok));
-        // The server worker never received `connect`; the emulation worker did.
-        assert!(!server_worker.seen.contains(&ControllerMessage::Connect));
-        assert!(emu_worker.seen.contains(&ControllerMessage::Connect));
-        assert_eq!(controller.message_log().len(), 9);
-    }
-
-    #[test]
-    fn worker_errors_are_propagated() {
-        let mut controller = ControlServer::new();
-        let (rx, tx) = controller.register(WorkerRole::PlayerEmulation);
-        let mut worker = EchoWorker {
-            role: WorkerRole::PlayerEmulation,
-            seen: Vec::new(),
-            fail_on_connect: true,
-        };
-        controller.send(&ControllerMessage::Connect);
-        ControlServer::service_inline(&rx, &tx, &mut worker);
-        let replies = controller.collect_replies();
-        assert_eq!(replies, vec![WorkerReply::Err("connection refused".into())]);
     }
 }

@@ -4,13 +4,9 @@
 //! invalid configuration and execution failures through [`BenchmarkError`]
 //! instead of panicking.
 
-use crate::deployment::DeploymentError;
-
 /// An error raised while planning or executing a benchmark campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BenchmarkError {
-    /// The deployment configuration (nodes, SSH keys) is invalid.
-    Deployment(DeploymentError),
     /// One of the sweep dimensions is empty, so the factorial plan would
     /// contain no jobs.
     EmptyDimension {
@@ -37,7 +33,6 @@ pub enum BenchmarkError {
 impl std::fmt::Display for BenchmarkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BenchmarkError::Deployment(err) => write!(f, "deployment: {err}"),
             BenchmarkError::EmptyDimension { dimension } => {
                 write!(f, "campaign sweep dimension {dimension:?} is empty")
             }
@@ -51,20 +46,7 @@ impl std::fmt::Display for BenchmarkError {
     }
 }
 
-impl std::error::Error for BenchmarkError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BenchmarkError::Deployment(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<DeploymentError> for BenchmarkError {
-    fn from(err: DeploymentError) -> Self {
-        BenchmarkError::Deployment(err)
-    }
-}
+impl std::error::Error for BenchmarkError {}
 
 #[cfg(test)]
 mod tests {
@@ -76,19 +58,10 @@ mod tests {
             dimension: "workloads",
         };
         assert!(err.to_string().contains("workloads"));
-        let err = BenchmarkError::from(DeploymentError::MissingSshKey);
-        assert!(err.to_string().contains("ssh key"));
         let err = BenchmarkError::InvalidParameter {
             parameter: "duration_secs",
             reason: "must be at least 1".into(),
         };
         assert!(err.to_string().contains("duration_secs"));
-    }
-
-    #[test]
-    fn deployment_errors_keep_their_source() {
-        use std::error::Error;
-        let err = BenchmarkError::from(DeploymentError::MissingSshKey);
-        assert!(err.source().is_some());
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! All sweep composition lives in [`Campaign`](crate::campaign::Campaign):
 //! a campaign covers multiple workloads, environments and tick-thread
-//! settings, returns `Result` instead of panicking on bad deployment
-//! configuration, and can execute on any
+//! settings, returns `Result` instead of panicking on bad configuration,
+//! and can execute on any
 //! [`Executor`](crate::executor::Executor).
 
 use std::collections::VecDeque;

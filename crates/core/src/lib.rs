@@ -20,9 +20,9 @@
 //!   path reports through;
 //! * [`config`] — the per-job configuration record a plan produces
 //!   (Table 4);
-//! * [`deployment`] — the deployment component that places workers on nodes
-//!   (Figure 5, component 2);
-//! * [`controller`] — the controller/worker message protocol (Table 1);
+//! * [`controller`] — the controller/worker message vocabulary of Table 1
+//!   and its parser (no controller runs here: an iteration is a function
+//!   call);
 //! * [`experiment`] — single-iteration execution;
 //! * [`results`] — per-iteration and aggregate results, including the
 //!   Instability Ratio;
@@ -85,7 +85,6 @@
 pub mod campaign;
 pub mod config;
 pub mod controller;
-pub mod deployment;
 pub mod error;
 pub mod executor;
 pub mod experiment;

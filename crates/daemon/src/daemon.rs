@@ -208,7 +208,7 @@ impl DaemonHandle {
         f(&stats)
     }
 
-    fn with_stats_mut<R>(&self, f: impl FnOnce(&mut DaemonStats) -> R) -> R {
+    pub(crate) fn with_stats_mut<R>(&self, f: impl FnOnce(&mut DaemonStats) -> R) -> R {
         let mut stats = self.shared.stats.lock().expect("daemon stats poisoned");
         f(&mut stats)
     }

@@ -15,27 +15,12 @@ use meterstick::TickSample;
 use meterstick_metrics::stats;
 use mlg_server::TickStageBreakdown;
 
-/// The per-tick slice of a [`TickSample`] the history retains.
-#[derive(Debug, Clone, Copy)]
-pub struct TickStat {
-    /// Tick sequence number within its iteration.
-    pub tick: u64,
-    /// Tick computation time, ms.
-    pub busy_ms: f64,
-    /// Full tick period, ms.
-    pub period_ms: f64,
-    /// Whether the tick ran past its budget.
-    pub overloaded: bool,
-    /// Per-stage busy-time breakdown.
-    pub stages: TickStageBreakdown,
-}
-
 /// Bounded rolling window over the observed tick stream, plus cumulative
 /// totals that cost O(1) memory.
 #[derive(Debug)]
 pub struct MetricsHistory {
     window: usize,
-    ticks: VecDeque<TickStat>,
+    ticks: VecDeque<TickSample>,
     total_ticks: u64,
     total_overloaded: u64,
     iterations_completed: u64,
@@ -102,7 +87,7 @@ impl MetricsHistory {
 
     /// The most recently observed tick, if any.
     #[must_use]
-    pub fn latest(&self) -> Option<&TickStat> {
+    pub fn latest(&self) -> Option<&TickSample> {
         self.ticks.back()
     }
 
@@ -112,16 +97,9 @@ impl MetricsHistory {
         if self.ticks.len() == self.window {
             self.ticks.pop_front();
         }
-        let overloaded = sample.is_overloaded();
-        self.ticks.push_back(TickStat {
-            tick: sample.tick,
-            busy_ms: sample.busy_ms,
-            period_ms: sample.period_ms,
-            overloaded,
-            stages: sample.stages,
-        });
+        self.ticks.push_back(*sample);
         self.total_ticks += 1;
-        self.total_overloaded += u64::from(overloaded);
+        self.total_overloaded += u64::from(sample.is_overloaded());
     }
 
     /// Records one completed iteration and its Instability Ratio.
@@ -137,7 +115,7 @@ impl MetricsHistory {
         if self.ticks.is_empty() {
             return 0.0;
         }
-        let over = self.ticks.iter().filter(|t| t.overloaded).count();
+        let over = self.ticks.iter().filter(|t| t.is_overloaded()).count();
         over as f64 / self.ticks.len() as f64
     }
 

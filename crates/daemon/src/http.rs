@@ -32,6 +32,10 @@ use crate::daemon::DaemonHandle;
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// How often an idle SSE stream re-checks for shutdown / emits keepalive.
 const SSE_POLL: Duration = Duration::from_millis(100);
+/// Most bytes of request line plus headers a connection may send before
+/// the blank line; a longer head is answered `431` and closed, so no
+/// client can grow a buffer inside the resident process.
+const MAX_REQUEST_HEAD_BYTES: u64 = 8 * 1024;
 
 /// Starts the HTTP server on `listener` in a background thread; the thread
 /// exits once [`DaemonHandle::request_shutdown`] has been called.
@@ -75,20 +79,33 @@ fn accept_loop(listener: &TcpListener, handle: &DaemonHandle) {
 
 fn handle_connection(stream: TcpStream, handle: &DaemonHandle) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_HEAD_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
     // Drain headers; the routes take no request body or header input.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+    let mut line = String::new();
+    let head_complete = loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            // End of input: the client stopped sending, or the cap cut it off.
+            break reader.get_ref().limit() > 0;
         }
+        if line == "\r\n" || line == "\n" {
+            break true;
+        }
+    };
+    let mut stream = reader.into_inner().into_inner();
+    if !head_complete {
+        return respond(
+            &mut stream,
+            431,
+            "application/json",
+            "{\"error\":\"request head too large\"}",
+        );
     }
-    let mut stream = reader.into_inner();
     match (method.as_str(), path.as_str()) {
         ("GET", "/status") => respond(&mut stream, 200, "application/json", &status_json(handle)),
         ("GET", "/metrics") => respond(
@@ -129,6 +146,7 @@ fn respond(
     let reason = match status {
         200 => "OK",
         404 => "Not Found",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     write!(
@@ -215,78 +233,91 @@ pub fn alerts_json(handle: &DaemonHandle) -> String {
 /// Renders the `/metrics` body in the Prometheus text exposition format.
 #[must_use]
 pub fn prometheus_text(handle: &DaemonHandle) -> String {
-    let paused = u8::from(handle.is_paused());
+    let paused = handle.is_paused();
     handle.with_stats(|stats| {
-        let stages = stats.history.windowed_stage_means();
+        let history = &stats.history;
+        let gauge = |value: f64| format!("{value:.6}");
+        // An unlabelled series is one sample with an empty label set.
+        let one = |value: String| vec![(String::new(), value)];
+        let count = |value: u64| one(value.to_string());
+        let stage_means = history.windowed_stage_means();
+        let per_stage = TickStageBreakdown::NAMES
+            .iter()
+            .zip(stage_means.as_array())
+            .map(|(stage, ms)| (format!("{{stage=\"{stage}\"}}"), gauge(ms)))
+            .collect();
+        // The series table: name, help, type, samples as (labels, value).
+        let series = [
+            (
+                "ticks_total",
+                "Ticks observed since daemon start.",
+                "counter",
+                count(history.total_ticks()),
+            ),
+            (
+                "overloaded_ticks_total",
+                "Ticks over budget since daemon start.",
+                "counter",
+                count(history.total_overloaded()),
+            ),
+            (
+                "iterations_total",
+                "Completed iterations.",
+                "counter",
+                count(history.iterations_completed()),
+            ),
+            (
+                "alerts_fired_total",
+                "Alerts fired since daemon start.",
+                "counter",
+                count(stats.alerts.fired_total()),
+            ),
+            (
+                "window_overload_ratio",
+                "Overloaded fraction of the window.",
+                "gauge",
+                one(gauge(history.windowed_overload_ratio())),
+            ),
+            (
+                "window_busy_ms_mean",
+                "Mean tick busy time over the window.",
+                "gauge",
+                one(gauge(history.windowed_mean_busy_ms())),
+            ),
+            (
+                "window_cov",
+                "Coefficient of variation of windowed busy times.",
+                "gauge",
+                one(gauge(history.windowed_cov())),
+            ),
+            (
+                "stage_busy_ms_mean",
+                "Mean per-stage busy time over the window.",
+                "gauge",
+                per_stage,
+            ),
+            (
+                "last_iteration_isr",
+                "ISR of the last completed iteration.",
+                "gauge",
+                one(gauge(history.last_iteration_isr().unwrap_or(0.0))),
+            ),
+            (
+                "paused",
+                "Whether the tick loop is paused.",
+                "gauge",
+                count(u64::from(paused)),
+            ),
+        ];
         let mut out = String::with_capacity(1_536);
-        out.push_str("# HELP meterstick_ticks_total Ticks observed since daemon start.\n");
-        out.push_str("# TYPE meterstick_ticks_total counter\n");
-        out.push_str(&format!(
-            "meterstick_ticks_total {}\n",
-            stats.history.total_ticks()
-        ));
-        out.push_str(
-            "# HELP meterstick_overloaded_ticks_total Ticks over budget since daemon start.\n",
-        );
-        out.push_str("# TYPE meterstick_overloaded_ticks_total counter\n");
-        out.push_str(&format!(
-            "meterstick_overloaded_ticks_total {}\n",
-            stats.history.total_overloaded()
-        ));
-        out.push_str("# HELP meterstick_iterations_total Completed iterations.\n");
-        out.push_str("# TYPE meterstick_iterations_total counter\n");
-        out.push_str(&format!(
-            "meterstick_iterations_total {}\n",
-            stats.history.iterations_completed()
-        ));
-        out.push_str("# HELP meterstick_alerts_fired_total Alerts fired since daemon start.\n");
-        out.push_str("# TYPE meterstick_alerts_fired_total counter\n");
-        out.push_str(&format!(
-            "meterstick_alerts_fired_total {}\n",
-            stats.alerts.fired_total()
-        ));
-        out.push_str(
-            "# HELP meterstick_window_overload_ratio Overloaded fraction of the window.\n",
-        );
-        out.push_str("# TYPE meterstick_window_overload_ratio gauge\n");
-        out.push_str(&format!(
-            "meterstick_window_overload_ratio {:.6}\n",
-            stats.history.windowed_overload_ratio()
-        ));
-        out.push_str(
-            "# HELP meterstick_window_busy_ms_mean Mean tick busy time over the window.\n",
-        );
-        out.push_str("# TYPE meterstick_window_busy_ms_mean gauge\n");
-        out.push_str(&format!(
-            "meterstick_window_busy_ms_mean {:.6}\n",
-            stats.history.windowed_mean_busy_ms()
-        ));
-        out.push_str(
-            "# HELP meterstick_window_cov Coefficient of variation of windowed busy times.\n",
-        );
-        out.push_str("# TYPE meterstick_window_cov gauge\n");
-        out.push_str(&format!(
-            "meterstick_window_cov {:.6}\n",
-            stats.history.windowed_cov()
-        ));
-        out.push_str(
-            "# HELP meterstick_stage_busy_ms_mean Mean per-stage busy time over the window.\n",
-        );
-        out.push_str("# TYPE meterstick_stage_busy_ms_mean gauge\n");
-        for (stage, value) in TickStageBreakdown::NAMES.iter().zip(stages.as_array()) {
+        for (name, help, kind, samples) in series {
             out.push_str(&format!(
-                "meterstick_stage_busy_ms_mean{{stage=\"{stage}\"}} {value:.6}\n"
+                "# HELP meterstick_{name} {help}\n# TYPE meterstick_{name} {kind}\n"
             ));
+            for (labels, value) in samples {
+                out.push_str(&format!("meterstick_{name}{labels} {value}\n"));
+            }
         }
-        out.push_str("# HELP meterstick_last_iteration_isr ISR of the last completed iteration.\n");
-        out.push_str("# TYPE meterstick_last_iteration_isr gauge\n");
-        out.push_str(&format!(
-            "meterstick_last_iteration_isr {:.6}\n",
-            stats.history.last_iteration_isr().unwrap_or(0.0)
-        ));
-        out.push_str("# HELP meterstick_paused Whether the tick loop is paused.\n");
-        out.push_str("# TYPE meterstick_paused gauge\n");
-        out.push_str(&format!("meterstick_paused {paused}\n"));
         out
     })
 }
@@ -333,4 +364,90 @@ pub fn fetch(
     let (head, body) = text.split_once("\r\n\r\n").unwrap_or((text.as_str(), ""));
     let status = head.lines().next().unwrap_or("").to_string();
     Ok((status, body.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::{Daemon, DaemonConfig};
+    use meterstick::TickSample;
+
+    /// A handle whose history saw six ticks through a four-tick window
+    /// (two of the retained four over budget) and one finished iteration.
+    fn fixed_history_handle() -> DaemonHandle {
+        let handle = Daemon::new(DaemonConfig {
+            window: 4,
+            ..DaemonConfig::default()
+        })
+        .handle();
+        handle.with_stats_mut(|stats| {
+            for (tick, busy_ms) in [10.0, 80.0, 20.0, 60.0, 30.5, 70.25]
+                .into_iter()
+                .enumerate()
+            {
+                stats.history.push(&TickSample {
+                    tick: tick as u64,
+                    end_ms: 0.0,
+                    busy_ms,
+                    period_ms: busy_ms.max(50.0),
+                    budget_ms: 50.0,
+                    stages: TickStageBreakdown::from_array([
+                        busy_ms * 0.5,
+                        busy_ms * 0.25,
+                        busy_ms * 0.125,
+                        busy_ms * 0.0625,
+                        busy_ms * 0.03125,
+                        busy_ms * 0.03125,
+                    ]),
+                    entity_count: 0,
+                    player_count: 0,
+                });
+            }
+            stats.history.record_iteration(0.125);
+        });
+        handle
+    }
+
+    #[test]
+    fn metrics_body_is_pinned_for_a_fixed_history() {
+        let handle = fixed_history_handle();
+        handle.pause();
+        let expected = r#"# HELP meterstick_ticks_total Ticks observed since daemon start.
+# TYPE meterstick_ticks_total counter
+meterstick_ticks_total 6
+# HELP meterstick_overloaded_ticks_total Ticks over budget since daemon start.
+# TYPE meterstick_overloaded_ticks_total counter
+meterstick_overloaded_ticks_total 3
+# HELP meterstick_iterations_total Completed iterations.
+# TYPE meterstick_iterations_total counter
+meterstick_iterations_total 1
+# HELP meterstick_alerts_fired_total Alerts fired since daemon start.
+# TYPE meterstick_alerts_fired_total counter
+meterstick_alerts_fired_total 0
+# HELP meterstick_window_overload_ratio Overloaded fraction of the window.
+# TYPE meterstick_window_overload_ratio gauge
+meterstick_window_overload_ratio 0.500000
+# HELP meterstick_window_busy_ms_mean Mean tick busy time over the window.
+# TYPE meterstick_window_busy_ms_mean gauge
+meterstick_window_busy_ms_mean 45.187500
+# HELP meterstick_window_cov Coefficient of variation of windowed busy times.
+# TYPE meterstick_window_cov gauge
+meterstick_window_cov 0.455909
+# HELP meterstick_stage_busy_ms_mean Mean per-stage busy time over the window.
+# TYPE meterstick_stage_busy_ms_mean gauge
+meterstick_stage_busy_ms_mean{stage="player"} 22.593750
+meterstick_stage_busy_ms_mean{stage="terrain"} 11.296875
+meterstick_stage_busy_ms_mean{stage="entity"} 5.648438
+meterstick_stage_busy_ms_mean{stage="lighting"} 2.824219
+meterstick_stage_busy_ms_mean{stage="dissemination"} 1.412109
+meterstick_stage_busy_ms_mean{stage="other"} 1.412109
+# HELP meterstick_last_iteration_isr ISR of the last completed iteration.
+# TYPE meterstick_last_iteration_isr gauge
+meterstick_last_iteration_isr 0.125000
+# HELP meterstick_paused Whether the tick loop is paused.
+# TYPE meterstick_paused gauge
+meterstick_paused 1
+"#;
+        assert_eq!(prometheus_text(&handle), expected);
+    }
 }

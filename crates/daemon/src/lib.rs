@@ -37,4 +37,4 @@ pub mod http;
 
 pub use alerts::{seeded_rules, Alert, AlertEngine, AlertRule};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, DaemonState, DaemonStats};
-pub use history::{MetricsHistory, TickStat};
+pub use history::MetricsHistory;

@@ -231,3 +231,67 @@ fn http_surface_serves_live_metrics_and_controls_the_loop() {
     server.join().expect("HTTP thread exits after shutdown");
     assert_eq!(sink.ends.load(Ordering::SeqCst), 1);
 }
+
+/// Sends `request` raw and returns whatever the server answers before it
+/// closes the connection. The server may close while the request is still
+/// being written, so write and read errors both count as "closed".
+fn send_raw(addr: std::net::SocketAddr, request: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("daemon accepts");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let _ = stream.write_all(request);
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+            Err(err) => {
+                let kind = err.kind();
+                assert!(
+                    kind != std::io::ErrorKind::WouldBlock && kind != std::io::ErrorKind::TimedOut,
+                    "the server left an oversized request hanging"
+                );
+                break;
+            }
+        }
+    }
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
+#[test]
+fn oversized_request_heads_are_refused_and_the_server_keeps_serving() {
+    let daemon = Daemon::new(DaemonConfig::default());
+    let handle = daemon.handle();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = http::spawn(listener, handle.clone()).expect("server starts");
+
+    // A request line that never ends, and a head that never reaches its
+    // blank line: each is cut off at the server's fixed cap.
+    let endless_line = vec![b'a'; 64 * 1024];
+    let mut endless_headers = b"GET /status HTTP/1.1\r\n".to_vec();
+    for i in 0..10_000 {
+        endless_headers.extend_from_slice(format!("X-Filler-{i}: {i}\r\n").as_bytes());
+    }
+    for request in [endless_line, endless_headers] {
+        let started = std::time::Instant::now();
+        let answer = send_raw(addr, &request);
+        assert!(
+            answer.is_empty() || answer.starts_with("HTTP/1.1 431 "),
+            "{answer}"
+        );
+        // The refusal comes from the cap, not from the server's 500 ms read
+        // timeout running out on a head it would otherwise keep reading.
+        assert!(started.elapsed() < Duration::from_millis(500));
+
+        let (status, body) = http::fetch(addr, "GET", "/status", usize::MAX).unwrap();
+        assert!(status.contains("200"), "{status}");
+        assert!(body.contains("\"state\":\"running\""), "{body}");
+    }
+
+    handle.request_shutdown();
+    server.join().expect("HTTP thread exits after shutdown");
+}

@@ -253,6 +253,7 @@ impl WindowedAggregator {
     pub fn finish(mut self, expected_ticks: Option<u64>) -> WindowedReport {
         let isr = self.instability_ratio(expected_ticks);
         self.close_window();
+        let (mean_ms, cov) = (self.cumulative_mean(), self.cumulative_cov());
         WindowedReport {
             window_ticks: self.window_ticks,
             max_windows: self.max_windows,
@@ -260,23 +261,8 @@ impl WindowedAggregator {
             windows_closed: self.windows_closed,
             total_ticks: self.total_ticks,
             total_overloaded: self.total_overloaded,
-            mean_ms: if self.total_ticks == 0 {
-                0.0
-            } else {
-                self.sum / self.total_ticks as f64
-            },
-            cov: {
-                let mean = if self.total_ticks == 0 {
-                    0.0
-                } else {
-                    self.sum / self.total_ticks as f64
-                };
-                if mean == 0.0 {
-                    0.0
-                } else {
-                    ((self.sum_sq / self.total_ticks as f64 - mean * mean).max(0.0)).sqrt() / mean
-                }
-            },
+            mean_ms,
+            cov,
             instability_ratio: isr,
         }
     }

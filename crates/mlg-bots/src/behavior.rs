@@ -42,16 +42,6 @@ impl Behavior {
         }
     }
 
-    /// The walk-and-build behaviour used by the player-heavy Crowd
-    /// workload.
-    #[must_use]
-    pub fn builder_workload(center: Vec3, area_edge: f64) -> Self {
-        Behavior::Builder {
-            center,
-            half_extent: (area_edge / 2.0).max(1.0),
-        }
-    }
-
     /// Converts a walking behaviour into the equivalent builder behaviour
     /// (idle bots stay idle).
     #[must_use]

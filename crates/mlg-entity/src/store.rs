@@ -319,13 +319,6 @@ impl EntityStore {
         }
         debug_assert_eq!(grid.len(), self.live, "grid out of sync with store");
     }
-
-    /// Marks every row as unindexed (after the grid itself was cleared).
-    pub fn reset_grid_tracking(&mut self) {
-        for flag in &mut self.in_grid {
-            *flag = false;
-        }
-    }
 }
 
 #[cfg(test)]

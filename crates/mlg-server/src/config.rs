@@ -12,8 +12,6 @@ pub struct ServerConfig {
     /// View distance in chunks: how far around each player chunks are loaded
     /// and streamed.
     pub view_distance: u32,
-    /// Maximum number of simultaneously connected players.
-    pub max_players: u32,
     /// Intended tick period, in milliseconds (50 ms at 20 Hz).
     pub tick_budget_ms: f64,
     /// If the server stalls longer than this without serving a client, the
@@ -26,9 +24,6 @@ pub struct ServerConfig {
     pub natural_spawning: bool,
     /// World seed (also seeds entity AI and spawning).
     pub seed: u64,
-    /// JVM-style maximum heap size in GiB; only reflected in the memory
-    /// metric, mirroring the paper's `-Xmx4G` setting (Table 4).
-    pub max_heap_gb: f64,
     /// Worker threads the sharded tick pipeline may use. Pure execution
     /// infrastructure: results are bit-identical at any value (1 = the
     /// sequential reference path); only wall-clock time changes.
@@ -76,13 +71,11 @@ impl Default for ServerConfig {
         ServerConfig {
             flavor: ServerFlavor::Vanilla,
             view_distance: 6,
-            max_players: 100,
             tick_budget_ms: 50.0,
             keepalive_timeout_ms: 30_000.0,
             random_ticks_per_chunk: 3,
             natural_spawning: true,
             seed: 392_114_485,
-            max_heap_gb: 4.0,
             tick_threads: 1,
             shard_rebalance: None,
             eager_lighting: None,
@@ -164,7 +157,6 @@ mod tests {
     fn default_matches_the_paper_setup() {
         let c = ServerConfig::default();
         assert_eq!(c.tick_budget_ms, 50.0);
-        assert_eq!(c.max_heap_gb, 4.0);
         assert_eq!(c.seed, 392_114_485);
         assert_eq!(c.flavor, ServerFlavor::Vanilla);
         assert_eq!(c.tick_threads, 1);

@@ -32,9 +32,10 @@
 //!   over environments and node sizes;
 //! * `examples/farm_stress.rs` — the lower-level substrate API without the
 //!   campaign layer;
-//! * `crates/bench/src/bin/` — one binary per figure/table of the paper,
-//!   all built on campaigns (`--sequential`, `--progress`, `--csv PATH`
-//!   flags select executor and streaming sinks);
+//! * `meterstick-bench <name>` — every figure/table of the paper behind
+//!   one binary, one module each under `crates/bench/src/figures/`, all
+//!   built on campaigns (`--sequential`, `--progress`, `--csv PATH` flags
+//!   select executor and streaming sinks);
 //! * `tests/end_to_end.rs` — the paper's main findings (MF1–MF5) checked
 //!   against the simulation.
 //!

@@ -346,12 +346,16 @@ fn invalid_campaigns_report_errors_instead_of_panicking() {
         }
     );
 
-    let mut bad = meterstick::BenchmarkConfig::new(WorkloadKind::Control);
-    bad.ssh_keys.clear();
     let err = Campaign::new()
         .workloads([WorkloadKind::Control])
-        .template(bad)
+        .duration_secs(0)
         .run()
         .unwrap_err();
-    assert!(matches!(err, meterstick::BenchmarkError::Deployment(_)));
+    assert!(matches!(
+        err,
+        meterstick::BenchmarkError::InvalidParameter {
+            parameter: "duration_secs",
+            ..
+        }
+    ));
 }
