@@ -491,20 +491,23 @@ impl GameServer {
 
     /// Schedules every TNT block currently loaded in the world to ignite
     /// `delay_ticks` from now. Used by the TNT workload ("set to explode
-    /// around 20 seconds after a player connects").
+    /// around 20 seconds after a player connects"). Returns how many were
+    /// scheduled.
+    ///
+    /// Blocks are scheduled chunk by chunk in [`World::iter_chunks`] order
+    /// and, inside a chunk, in ascending `y`, then `z`, then `x`
+    /// ([`mlg_world::Chunk::iter_kind`]). All of them come due on the same
+    /// tick, where scheduling order is the tie-break, so this order decides
+    /// how the chain reaction unfolds and the recorded outputs pin it.
+    /// Chunks that are not loaded are not searched, and a loaded chunk
+    /// without TNT is dismissed on its palette's reference counts alone.
     pub fn schedule_tnt_ignition(&mut self, delay_ticks: u64) -> usize {
         let mut positions = Vec::new();
         for chunk in self.world.iter_chunks() {
             let origin = chunk.pos().origin_block();
-            for (lx, y, lz, block) in chunk.iter_non_air() {
-                if block.kind() == BlockKind::Tnt {
-                    positions.push(mlg_world::BlockPos::new(
-                        origin.x + lx as i32,
-                        y,
-                        origin.z + lz as i32,
-                    ));
-                }
-            }
+            positions.extend(chunk.iter_kind(BlockKind::Tnt).map(|(lx, y, lz, _)| {
+                mlg_world::BlockPos::new(origin.x + lx as i32, y, origin.z + lz as i32)
+            }));
         }
         for &pos in &positions {
             self.world.schedule_tick(pos, delay_ticks);

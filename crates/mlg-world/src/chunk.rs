@@ -320,9 +320,15 @@ impl Chunk {
         self.store.storage_bytes()
     }
 
-    /// Iterates over all non-air blocks as `(local_x, y, local_z, block)`.
-    pub fn iter_non_air(&self) -> impl Iterator<Item = (usize, i32, usize, Block)> + '_ {
-        self.store.iter_non_air().map(|(i, b)| {
+    /// Iterates over the blocks of one kind as `(local_x, y, local_z,
+    /// block)`, in ascending `y`, then `z`, then `x`. A chunk holding no
+    /// block of that kind yields nothing without reading its block storage
+    /// ([`PaletteStore::iter_kind`]).
+    pub fn iter_kind(
+        &self,
+        kind: BlockKind,
+    ) -> impl Iterator<Item = (usize, i32, usize, Block)> + '_ {
+        self.store.iter_kind(kind).map(|(i, b)| {
             let x = i % CHUNK_SIZE;
             let z = (i / CHUNK_SIZE) % CHUNK_SIZE;
             let y = (i / (CHUNK_SIZE * CHUNK_SIZE)) as i32;
@@ -792,14 +798,22 @@ mod tests {
     }
 
     #[test]
-    fn iter_non_air_yields_placed_blocks() {
+    fn iter_kind_yields_placed_blocks() {
         let mut c = chunk();
         c.set_block(1, 2, 3, Block::simple(BlockKind::Stone));
         c.set_block(4, 5, 6, Block::simple(BlockKind::Sand));
-        let blocks: Vec<_> = c.iter_non_air().collect();
-        assert_eq!(blocks.len(), 2);
-        assert!(blocks.contains(&(1, 2, 3, Block::simple(BlockKind::Stone))));
-        assert!(blocks.contains(&(4, 5, 6, Block::simple(BlockKind::Sand))));
+        c.set_block(7, 5, 6, Block::simple(BlockKind::Sand));
+        let stone: Vec<_> = c.iter_kind(BlockKind::Stone).collect();
+        assert_eq!(stone, vec![(1, 2, 3, Block::simple(BlockKind::Stone))]);
+        let sand: Vec<_> = c.iter_kind(BlockKind::Sand).collect();
+        assert_eq!(
+            sand,
+            vec![
+                (4, 5, 6, Block::simple(BlockKind::Sand)),
+                (7, 5, 6, Block::simple(BlockKind::Sand)),
+            ]
+        );
+        assert_eq!(c.iter_kind(BlockKind::Tnt).count(), 0);
     }
 
     #[test]

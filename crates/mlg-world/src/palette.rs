@@ -38,6 +38,24 @@ use crate::chunk::{BLOCKS_PER_CHUNK, LAYER};
 /// repacks the index array at most four times.
 const WIDEN_LADDER: [u8; 5] = [1, 2, 4, 8, 16];
 
+/// `(entries per word, ⌈2³² / entries per word⌉)` for each index width
+/// `bits` (row 0, the unmaterialized store, is never consulted). With the
+/// reciprocal `m`, `(i · m) >> 32 == i / entries_per_word` for every
+/// `i < 65,536`: `m` exceeds `2³² / epw` by less than one, so `i · m / 2³²`
+/// exceeds `i / epw` by less than `2⁻¹⁶` — too little to lift a fractional
+/// part of at most `1 − 1/64` over the next integer. The test
+/// `locate_divides_exactly` checks every width and every such `i`.
+const GEOMETRY: [(u32, u32); 17] = {
+    let mut table = [(0, 0); 17];
+    let mut bits = 1;
+    while bits <= 16 {
+        let epw = 64 / bits as u64;
+        table[bits] = (epw as u32, (1u64 << 32).div_ceil(epw) as u32);
+        bits += 1;
+    }
+    table
+};
+
 /// Narrowest width whose index space addresses `len` palette entries.
 fn minimal_bits(len: usize) -> u8 {
     (1..=16u8)
@@ -172,16 +190,22 @@ impl PaletteStore {
         1usize << self.bits
     }
 
+    /// The `(word, shift)` of entry `i` in the packed layout, without
+    /// dividing by the run-time entries-per-word (see [`GEOMETRY`]).
+    fn locate(&self, i: usize) -> (usize, usize) {
+        debug_assert!(i < 1 << 16);
+        let (epw, reciprocal) = GEOMETRY[self.bits as usize];
+        let word = ((i as u64 * u64::from(reciprocal)) >> 32) as usize;
+        (word, (i - word * epw as usize) * self.bits as usize)
+    }
+
     fn index_at(&self, i: usize) -> usize {
-        let epw = (64 / self.bits) as usize;
-        let shift = (i % epw) * self.bits as usize;
-        ((self.data[i / epw] >> shift) & self.mask()) as usize
+        let (word, shift) = self.locate(i);
+        ((self.data[word] >> shift) & self.mask()) as usize
     }
 
     fn write_index(&mut self, i: usize, idx: usize) {
-        let epw = (64 / self.bits) as usize;
-        let word = i / epw;
-        let shift = (i % epw) * self.bits as usize;
+        let (word, shift) = self.locate(i);
         let mask = self.mask();
         self.data[word] = (self.data[word] & !(mask << shift)) | ((idx as u64) << shift);
     }
@@ -354,8 +378,7 @@ impl PaletteStore {
         // Resolve the palette slot once (this may widen the index array, so
         // the packing geometry below must be read *after* the acquire).
         let new_idx = self.acquire(block);
-        let epw = (64 / self.bits) as usize;
-        let bits = self.bits as usize;
+        let epw = GEOMETRY[self.bits as usize].0 as usize;
         let mask = self.mask();
         // Overwritten-entry count per old palette slot. Stack storage for
         // the narrow widths every generated chunk uses; ≥8-bit palettes
@@ -373,10 +396,9 @@ impl PaletteStore {
             // entry width divides the 256-entry vertical stride, so the
             // in-word shift is the same for the whole run and the word
             // cursor advances by a fixed step — no per-entry division.
-            let shift = (start % epw) * bits;
+            let (mut word, shift) = self.locate(start);
             let step = stride / epw;
             let new_bits = (new_idx as u64) << shift;
-            let mut word = start / epw;
             for _ in 0..count {
                 let old_idx = ((self.data[word] >> shift) & mask) as usize;
                 if old_idx != new_idx {
@@ -388,8 +410,7 @@ impl PaletteStore {
         } else {
             let mut i = start;
             for _ in 0..count {
-                let word = i / epw;
-                let shift = (i % epw) * bits;
+                let (word, shift) = self.locate(i);
                 let old_idx = ((self.data[word] >> shift) & mask) as usize;
                 if old_idx != new_idx {
                     self.data[word] =
@@ -493,44 +514,60 @@ impl PaletteStore {
         self.bits
     }
 
-    /// Iterates `(entry_index, block)` over all non-air entries, skipping
-    /// whole all-air index words.
-    pub fn iter_non_air(&self) -> NonAirEntries<'_> {
-        NonAirEntries { store: self, i: 0 }
+    /// Iterates `(entry_index, block)` over the entries whose kind is
+    /// `kind`, in ascending entry index. The refcounts bound the search: a
+    /// store with no live palette slot of that kind yields nothing without
+    /// reading an index word, and the walk stops at the last match instead
+    /// of the last entry.
+    pub fn iter_kind(&self, kind: BlockKind) -> KindEntries<'_> {
+        let mut live = (0..self.palette.len())
+            .filter(|&slot| self.refs[slot] > 0 && self.palette[slot].kind() == kind);
+        let first = live.next().unwrap_or(0);
+        KindEntries {
+            store: self,
+            kind,
+            slots: first..=live.next_back().unwrap_or(first),
+            i: 0,
+            remaining: self.count_kind(kind),
+        }
     }
 }
 
-/// Iterator over the non-air entries of a [`PaletteStore`].
+/// Iterator over the entries of one [`BlockKind`] in a [`PaletteStore`].
 #[derive(Debug)]
-pub struct NonAirEntries<'a> {
+pub struct KindEntries<'a> {
     store: &'a PaletteStore,
+    kind: BlockKind,
+    /// First to last live palette slot of `kind`: a packed index outside
+    /// this range is rejected without looking at the palette.
+    slots: std::ops::RangeInclusive<usize>,
     i: usize,
+    /// Matching entries not yet yielded, from the slots' refcounts.
+    remaining: usize,
 }
 
-impl Iterator for NonAirEntries<'_> {
+impl Iterator for KindEntries<'_> {
     type Item = (usize, Block);
 
     fn next(&mut self) -> Option<(usize, Block)> {
         let s = self.store;
-        if s.bits == 0 {
-            return None;
-        }
-        let epw = (64 / s.bits) as usize;
-        while self.i < BLOCKS_PER_CHUNK {
-            // An all-zero word is 64/bits consecutive air entries
-            // (palette[0] is pinned to air): skip it in one step.
-            if self.i.is_multiple_of(epw) && s.data[self.i / epw] == 0 {
-                self.i += epw;
-                continue;
-            }
+        while self.remaining > 0 {
             let i = self.i;
             self.i += 1;
-            let idx = s.index_at(i);
-            if idx != 0 {
-                let b = s.palette[idx];
-                if !b.is_air() {
-                    return Some((i, b));
+            // An unmaterialized store has no slots to compare: every entry
+            // is air, which is what was asked for or nothing would remain.
+            let block = if s.bits == 0 {
+                Block::AIR
+            } else {
+                let slot = s.index_at(i);
+                if !self.slots.contains(&slot) {
+                    continue;
                 }
+                s.palette[slot]
+            };
+            if block.kind() == self.kind {
+                self.remaining -= 1;
+                return Some((i, block));
             }
         }
         None
@@ -666,12 +703,15 @@ mod tests {
     }
 
     #[test]
-    fn iter_non_air_skips_air_words_but_finds_everything() {
+    fn iter_kind_finds_every_entry_of_each_kind() {
         let mut s = PaletteStore::new_air();
         s.set(7, Block::simple(BlockKind::Stone));
         s.set(5_000, Block::simple(BlockKind::Sand));
         s.set(BLOCKS_PER_CHUNK - 1, Block::simple(BlockKind::Tnt));
-        let found: Vec<(usize, Block)> = s.iter_non_air().collect();
+        let found: Vec<(usize, Block)> = [BlockKind::Stone, BlockKind::Sand, BlockKind::Tnt]
+            .iter()
+            .flat_map(|&kind| s.iter_kind(kind))
+            .collect();
         assert_eq!(
             found,
             vec![
@@ -680,6 +720,97 @@ mod tests {
                 (BLOCKS_PER_CHUNK - 1, Block::simple(BlockKind::Tnt)),
             ]
         );
+        assert_eq!(s.iter_kind(BlockKind::Dirt).next(), None);
+        assert_eq!(s.iter_kind(BlockKind::Air).count(), BLOCKS_PER_CHUNK - 3);
+    }
+
+    #[test]
+    fn locate_divides_exactly() {
+        for bits in 1..=16u8 {
+            let s = PaletteStore {
+                bits,
+                ..PaletteStore::default()
+            };
+            let epw = 64 / bits as usize;
+            for i in 0..1 << 16 {
+                let want = (i / epw, (i % epw) * bits as usize);
+                assert_eq!(s.locate(i), want, "bits {bits}, entry {i}");
+            }
+        }
+    }
+
+    /// Asserts `iter_kind` equals a `get` scan filtered by kind, in order,
+    /// for every kind there is.
+    fn assert_iter_kind_matches_scan(s: &PaletteStore, ctx: &str) {
+        let dense: Vec<Block> = (0..BLOCKS_PER_CHUNK).map(|i| s.get(i)).collect();
+        for &kind in BlockKind::all() {
+            let want: Vec<(usize, Block)> = dense
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|(_, b)| b.kind() == kind)
+                .collect();
+            let got: Vec<(usize, Block)> = s.iter_kind(kind).collect();
+            assert_eq!(got, want, "{kind:?}: {ctx}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn iter_kind_equals_a_get_scan(seed in proptest::any::<u64>(), distinct in 2usize..30) {
+            // `distinct` values: four states of one kind, then simple kinds.
+            // Past 15 of them the index widens from 4 bits to 8, which the
+            // `gc` below narrows to 5.
+            let blocks: Vec<Block> = (0..4)
+                .map(|state| Block::with_state(BlockKind::RedstoneDust, state))
+                .chain(kinds().into_iter().skip(1))
+                .take(distinct)
+                .collect();
+            let mut s = PaletteStore::new_air();
+            assert_iter_kind_matches_scan(&s, "unmaterialized");
+            let mut x = seed | 1;
+            let mut next = |bound: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % bound as u64) as usize
+            };
+            let span = 1 + next(BLOCKS_PER_CHUNK);
+            for _ in 0..400 {
+                s.set(next(span), blocks[next(blocks.len())]);
+            }
+            // Overwrite every block of one kind: its slots die but stay in
+            // the palette until `gc`.
+            let victim = blocks[next(blocks.len())].kind();
+            for i in 0..span {
+                if s.get(i).kind() == victim {
+                    s.set(i, Block::AIR);
+                }
+            }
+            let ctx = format!("seed {seed}, {distinct} values, victim {victim:?}");
+            assert_eq!(s.iter_kind(victim).next(), None, "dead slot: {ctx}");
+            assert_iter_kind_matches_scan(&s, &ctx);
+            s.gc();
+            assert_iter_kind_matches_scan(&s, &format!("after gc: {ctx}"));
+        }
+    }
+
+    #[test]
+    fn iter_kind_survives_widening_and_narrowing_through_five_bits() {
+        let mut s = PaletteStore::new_air();
+        let blocks = kinds();
+        // Air + 15 values fill the 4-bit index; the 17th value widens it.
+        for (i, b) in blocks.iter().skip(1).take(15).enumerate() {
+            s.set(i * 13, *b);
+        }
+        assert_eq!(s.bits_per_entry(), 4);
+        assert_iter_kind_matches_scan(&s, "4 bits");
+        s.set(999, blocks[16]);
+        assert_eq!(s.bits_per_entry(), 8);
+        assert_iter_kind_matches_scan(&s, "widened");
+        s.gc();
+        assert_eq!(s.bits_per_entry(), 5);
+        assert_iter_kind_matches_scan(&s, "5 bits");
     }
 
     /// Reference model for `fill_strided`: per-entry `set` in ascending

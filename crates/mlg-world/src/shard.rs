@@ -337,6 +337,8 @@ impl ShardMap {
     #[must_use]
     pub fn shard_of_chunk(&self, chunk: ChunkPos) -> usize {
         match &self.partition {
+            // Every serial flavour: one shard owns the plane, no division.
+            Partition::Stripes { count: 1 } => 0,
             Partition::Stripes { count } => chunk
                 .x
                 .div_euclid(SHARD_STRIPE_CHUNKS)

@@ -781,10 +781,9 @@ impl World {
             .sum()
     }
 
-    /// Counts blocks of a given kind across all loaded chunks.
-    ///
-    /// This is a full scan; intended for workload validation and tests, not
-    /// for per-tick use.
+    /// Counts blocks of a given kind across all loaded chunks, from each
+    /// chunk's palette reference counts: O(chunks × palette), no block is
+    /// read.
     #[must_use]
     pub fn count_kind(&self, kind: BlockKind) -> usize {
         self.iter_chunks().map(|c| c.count_kind(kind)).sum()

@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Benchmark trajectory files (BENCH_<pr>.json): write one, or check some.
+
+Write — from two sets of benchmark/out-style result directories
+(SET/seed<k>/<workload>.json, e.g. left by `benchmark/repeat.sh SET`), one
+measured on the parent commit and one on the change, paired seed by seed:
+
+    scripts/bench_trajectory.py --pr 22 --parent /tmp/set-parent \\
+        --change /tmp/set-change --seeds 21,22,23 --change-id <id> > BENCH_22.json
+
+`--change-id` names what the change side ran from; a change measured from an
+uncommitted tree has no commit yet, so name it by its `crates/` tree.
+
+Check — every file has every key the writer emits, no failed operation on
+either side, and only workloads and metrics that BENCHMARK.json declares:
+
+    scripts/bench_trajectory.py --check BENCH_*.json
+
+Run from the repository root (BENCHMARK.json is read from the working
+directory). Standard library only.
+"""
+import argparse
+import json
+import statistics
+import sys
+
+ORDER = "odd seeds ran the parent first, even seeds the change first"
+SIDE_KEYS = ("commit", "threads_available", "attempted", "failed", "host_state_kernel_s")
+ROW_KEYS = ("unit", "better", "bound", "parent", "change", "change_over_parent", "parent_iqr_over_median",
+            "change_wins", "pairs", "every_change_run_beats_every_parent_run")
+QUARTILE_KEYS = ("p25", "p50", "p75", "runs")
+
+
+def quartiles(values):
+    p25, p50, p75 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"p25": p25, "p50": p50, "p75": p75, "runs": values}
+
+
+def write(spec, pr, parent_dir, change_dir, seeds, change_id):
+    def load(set_dir):
+        results = {}
+        for k in seeds:
+            for w in spec["workloads"]:
+                with open(f"{set_dir}/seed{k}/{w['name']}.json") as f:
+                    results[k, w["name"]] = json.load(f)
+        return results
+
+    sides = {"parent": load(parent_dir), "change": load(change_dir)}
+    out = {"pr": pr, "command": f"bash benchmark/run.sh --seed <k>  (run_seconds {spec['run_seconds']}, untraced)",
+           "seeds": seeds, "order": ORDER, "workloads": {}}
+    for side, results in sides.items():
+        runs = list(results.values())
+        out[side] = {
+            "commit": runs[0]["commit"] if side == "parent" else change_id,
+            "threads_available": runs[0]["threads_available"],
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "host_state_kernel_s": {q: statistics.median(r["host_state"][q] for r in runs)
+                                    for q in ("p25", "p50", "p75")},
+        }
+    for w in spec["workloads"]:
+        rows = out["workloads"][w["name"]] = {}
+        for m in spec["end_to_end"]:
+            a, b = ([results[k, w["name"]]["metrics"][m["name"]]["value"] for k in seeds]
+                    for results in sides.values())
+            better = (lambda x, y: x > y) if m["better"] == "higher" else (lambda x, y: x < y)
+            qa, qb = quartiles(a), quartiles(b)
+            rows[m["name"]] = {
+                "unit": m["unit"], "better": m["better"], "bound": m["bound"], "parent": qa, "change": qb,
+                "change_over_parent": qb["p50"] / qa["p50"],
+                "parent_iqr_over_median": (qa["p75"] - qa["p25"]) / qa["p50"],
+                "change_wins": sum(better(y, x) for x, y in zip(a, b)), "pairs": len(seeds),
+                "every_change_run_beats_every_parent_run": all(better(y, x) for x in a for y in b),
+            }
+    json.dump(out, sys.stdout, indent=1)
+    print()
+
+
+def problems(spec, doc):
+    """Everything wrong with one trajectory file, as strings."""
+    found = []
+
+    def need(obj, keys, where):
+        missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+        found.extend(f"{where}: missing key {k!r}" for k in missing)
+        return not missing
+
+    if not need(doc, ("pr", "command", "seeds", "order", "workloads", "parent", "change"), "top level"):
+        return found
+    for side in ("parent", "change"):
+        if need(doc[side], SIDE_KEYS, side) and doc[side]["failed"] != 0:
+            found.append(f"{side}: failed = {doc[side]['failed']}, must be 0")
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    for workload, rows in doc["workloads"].items():
+        if workload not in workloads:
+            found.append(f"workload {workload!r} is not in BENCHMARK.json")
+        for metric, row in rows.items():
+            where = f"{workload}.{metric}"
+            if metric not in metrics:
+                found.append(f"{where}: metric is not an end_to_end metric of BENCHMARK.json")
+            if need(row, ROW_KEYS, where):
+                for side in ("parent", "change"):
+                    if need(row[side], QUARTILE_KEYS, f"{where}.{side}") and len(row[side]["runs"]) != row["pairs"]:
+                        found.append(f"{where}.{side}: {len(row[side]['runs'])} runs for {row['pairs']} pairs")
+    return found
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--check", nargs="+", metavar="FILE", help="trajectory files to check")
+    parser.add_argument("--pr", type=int)
+    parser.add_argument("--parent", metavar="SET_DIR")
+    parser.add_argument("--change", metavar="SET_DIR")
+    parser.add_argument("--seeds", help="comma-separated, in the order the pairs ran")
+    parser.add_argument("--change-id")
+    args = parser.parse_args()
+    with open("BENCHMARK.json") as f:
+        spec = json.load(f)
+    if args.check:
+        bad = 0
+        for path in args.check:
+            with open(path) as f:
+                found = problems(spec, json.load(f))
+            for problem in found:
+                print(f"{path}: {problem}", file=sys.stderr)
+            bad += bool(found)
+        sys.exit(1 if bad else 0)
+    missing = [flag for flag in ("pr", "parent", "change", "seeds", "change_id") if getattr(args, flag) is None]
+    if missing:
+        parser.error("to write a file, also give --" + ", --".join(flag.replace("_", "-") for flag in missing))
+    write(spec, args.pr, args.parent, args.change, [int(s) for s in args.seeds.split(",")], args.change_id)
+
+
+if __name__ == "__main__":
+    main()

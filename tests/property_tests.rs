@@ -250,7 +250,7 @@ proptest! {
         // to a dense Vec<Block> under arbitrary write sequences — including
         // the old-value return of set_block, mid-sequence gc compaction
         // (which re-narrows the bit width), snapshots (clones) and the
-        // non-air iterator. Each u32 packs one write:
+        // by-kind iterator. Each u32 packs one write:
         // x(4) z(4) y(7) kind(6, mod 36) state(2) compact(1).
         let mut chunk = Chunk::empty(ChunkPos::new(0, 0));
         let mut dense = vec![Block::AIR; 16 * 16 * 128];
@@ -282,10 +282,16 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(chunk.iter_non_air().count(), non_air);
-        for (x, y, z, block) in chunk.iter_non_air() {
-            prop_assert_eq!(block, dense[index(x, y, z)]);
+        prop_assert_eq!(chunk.non_air_blocks() as usize, non_air);
+        let mut by_kind = 0usize;
+        for &kind in BlockKind::all().iter().filter(|k| **k != BlockKind::Air) {
+            for (x, y, z, block) in chunk.iter_kind(kind) {
+                prop_assert_eq!(block.kind(), kind);
+                prop_assert_eq!(block, dense[index(x, y, z)]);
+                by_kind += 1;
+            }
         }
+        prop_assert_eq!(by_kind, non_air);
     }
 
     // -------------------------------------------------------------- protocol
