@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mlg_entity::Vec3;
-use mlg_protocol::codec::{clientbound_wire_size, serverbound_wire_size};
+use mlg_protocol::codec::serverbound_wire_size;
 use mlg_protocol::netsim::{LinkConfig, NetworkLink};
 use mlg_protocol::{ClientboundPacket, ServerboundPacket};
 use mlg_server::{GameServer, PlayerId, TickSummary};
@@ -210,16 +210,15 @@ impl PlayerEmulation {
             let Some(id) = conn.bot.player_id else {
                 continue;
             };
+            // Only the prober looks at what it drains; every other bot takes
+            // the queue's totals, which cost it nothing per packet.
             let is_prober = conn.bot.is_prober();
-            let (mut packets, mut bytes) = (0u64, 0usize);
-            // `for_each`, not `for`: the drain then walks the queue's two
-            // slices instead of stepping `next` per copy, a quarter less time
-            // here on a 245-bot crowd.
-            server.stream_outgoing(id).for_each(|packet| {
-                packets += 1;
-                bytes += clientbound_wire_size(&packet);
-                if is_prober {
-                    if let ClientboundPacket::Chat { echo_of_ms, .. } = packet {
+            let (packets, bytes) = server.drain_outgoing_with(id, |run| {
+                if !is_prober {
+                    return;
+                }
+                for packet in run {
+                    if let ClientboundPacket::Chat { echo_of_ms, .. } = *packet {
                         if echo_of_ms > 0.0 {
                             // Round trip: client send time -> availability at
                             // the client, including one more network hop.

@@ -1,12 +1,13 @@
 //! Stage 4 of the tick graph: state-update dissemination.
 //!
 //! Every broadcast of a tick is assembled into one reused, pre-sized buffer
-//! — in canonical order ([`assemble`]) — and flushed either with a single
-//! batched `broadcast_many` + `record_many` pair (classic full broadcast)
-//! or through per-packet areas of interest ([`multicast_by_interest`])
-//! instead of a per-packet traversal of the connection map.
+//! — in canonical order ([`assemble`]) — and handed to the networking
+//! queues either with a single batched `broadcast_many` + `record_many`
+//! pair (classic full broadcast) or through per-packet areas of interest
+//! ([`multicast_by_interest`]). Either way the queues store a packet once,
+//! whatever the number of its recipients.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use mlg_entity::{EntityId, EntityKind, EntityTickReport, Vec3};
 use mlg_protocol::{ClientboundPacket, TrafficAccountant};
@@ -138,77 +139,95 @@ pub(crate) fn multicast_by_interest(
     packets: &[ClientboundPacket],
     players: &[ConnectedPlayer],
     radius: f64,
+    interest: &mut InterestSets,
 ) -> u64 {
-    let viewers: Vec<(PlayerId, Vec3)> = players
-        .iter()
-        .filter(|pl| !pl.disconnected)
-        .map(|pl| (pl.id, pl.pos))
-        .collect();
-    let interest = interest_sets(&viewers, packets, radius);
-    let emitted = queues.multicast_many(packets, |index| match &interest[index] {
+    let viewers = players.iter().filter(|pl| !pl.disconnected);
+    interest.rebuild(viewers.map(|pl| (pl.id, pl.pos)), packets, radius);
+    let emitted = queues.multicast_many(packets, |index| match interest.of(index) {
         None => PacketRecipients::All,
         Some(set) => PacketRecipients::Only(set),
     });
-    for (packet, list) in packets.iter().zip(&interest) {
-        let count = match list {
-            None => viewers.len() as u64,
-            Some(set) => set.len() as u64,
-        };
+    let everyone = interest.viewers.len();
+    for (index, packet) in packets.iter().enumerate() {
+        let count = interest.of(index).map_or(everyone, <[_]>::len);
         if count > 0 {
-            traffic.record(packet, count);
+            traffic.record(packet, count as u64);
         }
     }
     emitted
 }
 
-/// The interest set of every packet: `Some(viewers within `radius` of the
-/// packet's anchor, XZ distance)`, or `None` for packets without a position
-/// anchor (chat, time, keep-alives, entity removal), which stay global.
+/// The interest set of every packet of a tick, in buffers that are reused
+/// from tick to tick: the viewers within `radius` of a packet's anchor (XZ
+/// distance), or none for packets without a position anchor (chat, time,
+/// keep-alives, entity removal), which stay global.
 ///
-/// Viewers are hashed into a coarse grid of radius-sized cells and only the
+/// Viewers are sorted into a coarse grid of radius-sized cells and only the
 /// 3×3 cell neighborhood of each anchor is distance-tested, so a scaled
-/// population never pays a full viewer scan per packet. Viewers land in the
-/// buckets in slice order (ascending connection order — players are
-/// appended with monotonically increasing ids) and cells are scanned in a
-/// fixed order, keeping every interest set deterministic.
-fn interest_sets(
-    viewers: &[(PlayerId, Vec3)],
-    packets: &[ClientboundPacket],
-    radius: f64,
-) -> Vec<Option<Vec<PlayerId>>> {
-    let radius_sq = radius * radius;
-    let cell = radius.max(1.0);
-    let mut buckets: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
-    for (index, (_, pos)) in viewers.iter().enumerate() {
-        let key = ((pos.x / cell).floor() as i64, (pos.z / cell).floor() as i64);
-        buckets.entry(key).or_default().push(index);
-    }
-    packets
-        .iter()
-        .map(|packet| {
-            packet_position(packet).map(|pos| {
-                let cx = (pos.x / cell).floor() as i64;
-                let cz = (pos.z / cell).floor() as i64;
-                let mut set = Vec::new();
+/// population never pays a full viewer scan per packet. Cells are scanned
+/// x-major and the viewers of a cell in slice order (ascending connection
+/// order — players are appended with monotonically increasing ids), keeping
+/// every interest set deterministic.
+#[derive(Debug, Default)]
+pub(crate) struct InterestSets {
+    viewers: Vec<(PlayerId, Vec3)>,
+    /// `(cell, index into viewers)`, sorted: a cell's viewers are one run.
+    by_cell: Vec<((i64, i64), usize)>,
+    /// The interest sets of all anchored packets, back to back.
+    recipients: Vec<PlayerId>,
+    /// Per packet, its span of `recipients`; `None` for a global packet.
+    spans: Vec<Option<Range<usize>>>,
+}
+
+impl InterestSets {
+    fn rebuild(
+        &mut self,
+        viewers: impl Iterator<Item = (PlayerId, Vec3)>,
+        packets: &[ClientboundPacket],
+        radius: f64,
+    ) {
+        let radius_sq = radius * radius;
+        let cell = radius.max(1.0);
+        let cell_of = |pos: Vec3| ((pos.x / cell).floor() as i64, (pos.z / cell).floor() as i64);
+        self.viewers.clear();
+        self.viewers.extend(viewers);
+        self.by_cell.clear();
+        let keyed = self.viewers.iter().enumerate();
+        self.by_cell
+            .extend(keyed.map(|(index, (_, pos))| (cell_of(*pos), index)));
+        self.by_cell.sort_unstable();
+        self.recipients.clear();
+        self.spans.clear();
+        self.spans.reserve(packets.len());
+        for packet in packets {
+            let span = packet_position(packet).map(|pos| {
+                let start = self.recipients.len();
+                let (cx, cz) = cell_of(pos);
                 for dx in -1..=1 {
                     for dz in -1..=1 {
-                        let Some(bucket) = buckets.get(&(cx + dx, cz + dz)) else {
-                            continue;
-                        };
-                        for &viewer in bucket {
-                            let (id, viewer_pos) = viewers[viewer];
+                        let key = (cx + dx, cz + dz);
+                        let first = self.by_cell.partition_point(|(k, _)| *k < key);
+                        let in_cell = self.by_cell[first..].iter().take_while(|(k, _)| *k == key);
+                        for &(_, viewer) in in_cell {
+                            let (id, viewer_pos) = self.viewers[viewer];
                             let ddx = viewer_pos.x - pos.x;
                             let ddz = viewer_pos.z - pos.z;
                             if ddx * ddx + ddz * ddz <= radius_sq {
-                                set.push(id);
+                                self.recipients.push(id);
                             }
                         }
                     }
                 }
-                set
-            })
-        })
-        .collect()
+                start..self.recipients.len()
+            });
+            self.spans.push(span);
+        }
+    }
+
+    /// The interest set of packet `index`, `None` if it goes to everyone.
+    fn of(&self, index: usize) -> Option<&[PlayerId]> {
+        self.spans[index].clone().map(|span| &self.recipients[span])
+    }
 }
 
 /// The world position a broadcast packet's relevance is anchored to, if
@@ -270,14 +289,16 @@ mod tests {
                 block: mlg_world::Block::AIR,
             },
         ];
-        let sets = interest_sets(&viewers, &packets, 32.0);
+        let mut sets = InterestSets::default();
+        sets.rebuild(viewers.iter().copied(), &packets, 32.0);
         // Cells scan x-major, so the viewer in cell (-1, 0) precedes (1, 0).
-        assert_eq!(sets[0], Some(vec![PlayerId(4), PlayerId(1)]));
-        assert_eq!(sets[1], None, "no anchor: the packet stays global");
+        assert_eq!(sets.of(0), Some(&[PlayerId(4), PlayerId(1)][..]));
+        assert_eq!(sets.of(1), None, "no anchor: the packet stays global");
         // Anchored at the block centre (0.5, -32.5): viewer 3 is 31.5 away.
-        assert_eq!(sets[2], Some(vec![PlayerId(3)]));
-        assert!(interest_sets(&[], &packets, 32.0)[0]
-            .as_ref()
-            .is_some_and(Vec::is_empty));
+        assert_eq!(sets.of(2), Some(&[PlayerId(3)][..]));
+        // The buffers are reused: nothing of the last tick's sets survives.
+        sets.rebuild(std::iter::empty(), &packets, 32.0);
+        assert_eq!(sets.of(0), Some(&[][..]));
+        assert_eq!(sets.of(2), Some(&[][..]));
     }
 }

@@ -36,8 +36,10 @@
 //!   serial escalation);
 //! * **dissemination** assembles the tick's broadcasts into one reused,
 //!   pre-sized buffer (player positions grouped per shard in canonical
-//!   order) and flushes it with a single batched
-//!   [`queues::NetworkingQueues::broadcast_many`] call;
+//!   order) and hands it to the networking queues in one
+//!   [`queues::NetworkingQueues::broadcast_many`] call (or
+//!   `multicast_many`, for flavors that filter by area of interest), which
+//!   stores each packet once and queues ranges of that log per connection;
 //! * **lighting** is either recomputed eagerly inside the terrain stage
 //!   (vanilla) or — for [`FlavorProfile::eager_lighting`]` = false`
 //!   flavors (Paper/Folia) — deferred into a **cross-tick pipelined

@@ -4,31 +4,111 @@
 //! buffer between the game clients and the server. When a client sends a
 //! player-action to the server, it is buffered in the incoming network queue
 //! until the next tick."
+//!
+//! A tick's broadcast is stored once. [`NetworkingQueues::broadcast_many`]
+//! and [`NetworkingQueues::multicast_many`] append each packet to one shared
+//! log, beside a running total of wire bytes, and a connection's outgoing
+//! queue holds *ranges of log positions*; only per-connection packets (the
+//! join stream of [`NetworkingQueues::extend_outgoing`]) are owned by the
+//! queue itself. Enqueueing is then one range per connection for a full
+//! broadcast, and draining sums a range's bytes as a difference of two
+//! running totals without looking at its packets. The log is cleared when
+//! the last range that references it is drained — once per tick when every
+//! client reads its queue — so a connection nobody drains pins the packets
+//! of every tick since, once for all connections rather than once each.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
+use mlg_protocol::codec::clientbound_wire_size;
 use mlg_protocol::{ClientboundPacket, ServerboundPacket};
 
 use crate::player::PlayerId;
 
+/// One entry of a connection's outgoing queue.
+#[derive(Debug)]
+enum Queued {
+    /// A packet for this connection only.
+    Owned(ClientboundPacket),
+    /// The packets at these positions of the shared log.
+    Shared(Range<usize>),
+}
+
+// A join reserves 256 entries on each of a Horde's 2,000 connections, so an
+// entry wider than the packet it replaced is megabytes of peak memory.
+const _: () = assert!(size_of::<Queued>() <= size_of::<ClientboundPacket>());
+
+/// The broadcast packets some queue still references, each stored once.
+#[derive(Debug, Default)]
+struct PacketLog {
+    packets: Vec<ClientboundPacket>,
+    /// `bytes_through[i]` is the summed wire size of `packets[..=i]`.
+    bytes_through: Vec<usize>,
+}
+
+impl PacketLog {
+    fn reserve(&mut self, additional: usize) {
+        self.packets.reserve(additional);
+        self.bytes_through.reserve(additional);
+    }
+
+    fn push(&mut self, packet: &ClientboundPacket) {
+        let before = self.bytes_through.last().copied().unwrap_or(0);
+        self.bytes_through
+            .push(before + clientbound_wire_size(packet));
+        self.packets.push(packet.clone());
+    }
+
+    /// Summed wire size of the packets at `range` (which must be non-empty).
+    fn bytes(&self, range: &Range<usize>) -> usize {
+        let before = match range.start {
+            0 => 0,
+            start => self.bytes_through[start - 1],
+        };
+        self.bytes_through[range.end - 1] - before
+    }
+
+    fn clear(&mut self) {
+        self.packets.clear();
+        self.bytes_through.clear();
+    }
+}
+
 /// The incoming and outgoing packet queues of one player connection.
 #[derive(Debug, Default)]
-pub struct ConnectionQueues {
+struct ConnectionQueues {
     incoming: VecDeque<ServerboundPacket>,
-    outgoing: VecDeque<ClientboundPacket>,
+    outgoing: VecDeque<Queued>,
+    /// The newest outgoing entry while it is a shared range: it follows
+    /// everything in `outgoing` and is empty when there is none. It is kept
+    /// here so that growing it by an adjacent range touches only this struct,
+    /// which the connection lookup just loaded — the back of a deque nobody
+    /// wrote since the join is a cache miss per connection.
+    open: Range<usize>,
 }
 
 impl ConnectionQueues {
-    /// Number of buffered serverbound packets.
-    #[must_use]
-    pub fn incoming_len(&self) -> usize {
-        self.incoming.len()
+    /// Queues the log positions `range` behind everything queued so far.
+    /// Returns how many shared entries that added: none when the range
+    /// extends the open one.
+    #[inline]
+    fn push_shared(&mut self, range: Range<usize>) -> usize {
+        if !self.open.is_empty() && self.open.end == range.start {
+            self.open.end = range.end;
+            return 0;
+        }
+        self.close_open();
+        self.open = range;
+        1
     }
 
-    /// Number of buffered clientbound packets.
-    #[must_use]
-    pub fn outgoing_len(&self) -> usize {
-        self.outgoing.len()
+    /// Moves the open range into the queue proper, so that what is pushed
+    /// next lands behind it.
+    fn close_open(&mut self) {
+        if !self.open.is_empty() {
+            let open = std::mem::take(&mut self.open);
+            self.outgoing.push_back(Queued::Shared(open));
+        }
     }
 }
 
@@ -47,6 +127,10 @@ pub enum PacketRecipients<'a> {
 #[derive(Debug, Default)]
 pub struct NetworkingQueues {
     connections: BTreeMap<PlayerId, ConnectionQueues>,
+    log: PacketLog,
+    /// Shared entries queued over all connections; the log is cleared when
+    /// this returns to zero.
+    shared_ranges: usize,
 }
 
 impl NetworkingQueues {
@@ -56,26 +140,10 @@ impl NetworkingQueues {
         NetworkingQueues::default()
     }
 
-    /// Registers a new connection.
+    /// Registers a new connection. It sees what is broadcast from now on,
+    /// not what the log still holds for others.
     pub fn add_connection(&mut self, player: PlayerId) {
         self.connections.entry(player).or_default();
-    }
-
-    /// Removes a connection, dropping any buffered packets.
-    pub fn remove_connection(&mut self, player: PlayerId) {
-        self.connections.remove(&player);
-    }
-
-    /// Returns `true` if the player has a registered connection.
-    #[must_use]
-    pub fn has_connection(&self, player: PlayerId) -> bool {
-        self.connections.contains_key(&player)
-    }
-
-    /// Number of registered connections.
-    #[must_use]
-    pub fn connection_count(&self) -> usize {
-        self.connections.len()
     }
 
     /// Buffers a serverbound packet from `player` into the incoming queue.
@@ -96,18 +164,10 @@ impl NetworkingQueues {
             .unwrap_or_default()
     }
 
-    /// Buffers a clientbound packet for `player`.
-    pub fn push_outgoing(&mut self, player: PlayerId, packet: ClientboundPacket) {
-        if let Some(conn) = self.connections.get_mut(&player) {
-            conn.outgoing.push_back(packet);
-        }
-    }
-
-    /// Buffers a run of clientbound packets for `player`, in iteration
+    /// Buffers a run of clientbound packets for `player` alone, in iteration
     /// order: one connection lookup and one capacity reservation for the
-    /// whole run (a join streams a full view square). Like
-    /// [`NetworkingQueues::push_outgoing`], a run for an unknown connection
-    /// is dropped — without being iterated.
+    /// whole run (a join streams a full view square). A run for an unknown
+    /// connection is dropped — without being iterated.
     ///
     /// The reservation is rounded up to a power of two, the capacity
     /// one-by-one pushes would have doubled their way to. The queue outlives
@@ -121,45 +181,34 @@ impl NetworkingQueues {
         packets: impl IntoIterator<Item = ClientboundPacket>,
     ) {
         if let Some(conn) = self.connections.get_mut(&player) {
+            conn.close_open();
             let packets = packets.into_iter();
             let queued = conn.outgoing.len();
             let capacity = (queued + packets.size_hint().0).next_power_of_two();
             conn.outgoing.reserve(capacity - queued);
-            conn.outgoing.extend(packets);
+            conn.outgoing.extend(packets.map(Queued::Owned));
         }
-    }
-
-    /// Buffers a clientbound packet for every connected player and returns
-    /// how many copies were enqueued.
-    pub fn broadcast(&mut self, packet: &ClientboundPacket) -> u64 {
-        let mut count = 0;
-        for conn in self.connections.values_mut() {
-            conn.outgoing.push_back(packet.clone());
-            count += 1;
-        }
-        count
     }
 
     /// Buffers a batch of clientbound packets for every connected player
     /// and returns how many copies were enqueued in total.
     ///
-    /// The fast path of the dissemination stage: one pass per connection
-    /// (reserving queue capacity up front) instead of one map traversal per
-    /// packet. Each connection receives the packets in slice order, so the
-    /// result is byte-for-byte identical to calling
-    /// [`NetworkingQueues::broadcast`] once per packet — a unit test pins
-    /// the parity.
+    /// The fast path of the dissemination stage: the batch is appended to
+    /// the shared log once and every connection queues its range of
+    /// positions, so the cost is packets + connections, not their product.
+    /// Each connection receives the packets in slice order.
     pub fn broadcast_many(&mut self, packets: &[ClientboundPacket]) -> u64 {
-        if packets.is_empty() {
+        if packets.is_empty() || self.connections.is_empty() {
             return 0;
         }
-        let mut count = 0;
+        let start = self.log.packets.len();
+        self.log.reserve(packets.len());
+        packets.iter().for_each(|packet| self.log.push(packet));
+        let end = self.log.packets.len();
         for conn in self.connections.values_mut() {
-            conn.outgoing.reserve(packets.len());
-            conn.outgoing.extend(packets.iter().cloned());
-            count += packets.len() as u64;
+            self.shared_ranges += conn.push_shared(start..end);
         }
-        count
+        (packets.len() * self.connections.len()) as u64
     }
 
     /// Buffers a batch of clientbound packets, delivering packet `i` to the
@@ -169,67 +218,94 @@ impl NetworkingQueues {
     /// The area-of-interest path of the dissemination stage: packets are
     /// processed in slice order, so each connection still receives its
     /// packets as an in-order subset of the slice and a selector that
-    /// always answers [`PacketRecipients::All`] is byte-for-byte identical
-    /// to [`NetworkingQueues::broadcast_many`] — a unit test pins the
-    /// parity. Cost is Σ|recipient set| (plus one map lookup per listed
-    /// recipient), not `packets × connections`, which is what lets a
-    /// scaled-population workload disseminate through the same call.
-    /// Listed players without a registered connection are skipped.
+    /// always answers [`PacketRecipients::All`] delivers exactly what
+    /// [`NetworkingQueues::broadcast_many`] does. A packet enters the log
+    /// once if anyone receives it, and consecutive packets for one
+    /// connection merge into one queued range. Cost is Σ|recipient set|
+    /// (one map lookup per listed recipient), not `packets × connections`,
+    /// which is what lets a scaled-population workload disseminate through
+    /// the same call. Listed players without a registered connection are
+    /// skipped; a player listed twice receives two copies.
     pub fn multicast_many<'a, F>(&mut self, packets: &[ClientboundPacket], recipients: F) -> u64
     where
         F: Fn(usize) -> PacketRecipients<'a>,
     {
-        let mut count = 0;
+        let (mut count, mut ranges) = (0, 0);
+        self.log.reserve(packets.len());
         for (index, packet) in packets.iter().enumerate() {
+            let at = self.log.packets.len();
+            let mut copies = 0;
             match recipients(index) {
                 PacketRecipients::All => {
                     for conn in self.connections.values_mut() {
-                        conn.outgoing.push_back(packet.clone());
-                        count += 1;
+                        ranges += conn.push_shared(at..at + 1);
+                        copies += 1;
                     }
                 }
                 PacketRecipients::Only(players) => {
                     for player in players {
                         if let Some(conn) = self.connections.get_mut(player) {
-                            conn.outgoing.push_back(packet.clone());
-                            count += 1;
+                            ranges += conn.push_shared(at..at + 1);
+                            copies += 1;
                         }
                     }
                 }
             }
+            if copies > 0 {
+                self.log.push(packet);
+                count += copies;
+            }
         }
+        self.shared_ranges += ranges;
         count
     }
 
-    /// Drains all pending clientbound packets for `player`, in queue order,
-    /// handing each to the caller without collecting them first. The queue
-    /// is empty once the iterator is dropped, consumed or not; an unknown
-    /// connection yields nothing.
-    pub fn stream_outgoing(
+    /// Drains all pending clientbound packets for `player` without taking
+    /// them: `visit` is shown each queue entry's packets, in queue order —
+    /// one packet for an owned entry, a run of the shared log for a range —
+    /// and the `(packets, wire bytes)` drained are returned. A caller that
+    /// only needs the totals passes a visitor that ignores its argument and
+    /// pays per queue entry, not per packet: a range's bytes are a
+    /// difference of two running totals. An unknown connection yields
+    /// `(0, 0)`.
+    pub fn drain_outgoing_with(
         &mut self,
         player: PlayerId,
-    ) -> impl Iterator<Item = ClientboundPacket> + '_ {
-        let queue = self.connections.get_mut(&player);
-        queue.map(|c| c.outgoing.drain(..)).into_iter().flatten()
+        mut visit: impl FnMut(&[ClientboundPacket]),
+    ) -> (u64, usize) {
+        let Some(conn) = self.connections.get_mut(&player) else {
+            return (0, 0);
+        };
+        let (mut packets, mut bytes, mut ranges) = (0, 0, 0);
+        let open = std::mem::take(&mut conn.open);
+        let open = (!open.is_empty()).then_some(Queued::Shared(open));
+        for entry in conn.outgoing.drain(..).chain(open) {
+            match entry {
+                Queued::Owned(packet) => {
+                    packets += 1;
+                    bytes += clientbound_wire_size(&packet);
+                    visit(std::slice::from_ref(&packet));
+                }
+                Queued::Shared(range) => {
+                    ranges += 1;
+                    packets += range.len() as u64;
+                    bytes += self.log.bytes(&range);
+                    visit(&self.log.packets[range]);
+                }
+            }
+        }
+        self.shared_ranges -= ranges;
+        if self.shared_ranges == 0 {
+            self.log.clear();
+        }
+        (packets, bytes)
     }
 
-    /// [`NetworkingQueues::stream_outgoing`], collected.
+    /// [`NetworkingQueues::drain_outgoing_with`], cloning every packet out.
     pub fn drain_outgoing(&mut self, player: PlayerId) -> Vec<ClientboundPacket> {
-        self.stream_outgoing(player).collect()
-    }
-
-    /// Iterates over connected player ids.
-    pub fn players(&self) -> impl Iterator<Item = PlayerId> + '_ {
-        self.connections.keys().copied()
-    }
-
-    /// Total number of buffered packets in both directions (for diagnostics).
-    #[must_use]
-    pub fn total_buffered(&self) -> usize {
-        self.connections
-            .values()
-            .map(|c| c.incoming_len() + c.outgoing_len())
-            .sum()
+        let mut drained = Vec::new();
+        self.drain_outgoing_with(player, |run| drained.extend_from_slice(run));
+        drained
     }
 }
 
@@ -242,6 +318,14 @@ mod tests {
             message: msg.into(),
             sent_at_ms: 0.0,
         }
+    }
+
+    fn keep_alives(ids: Range<u64>) -> Vec<ClientboundPacket> {
+        ids.map(|id| ClientboundPacket::KeepAlive { id }).collect()
+    }
+
+    fn wire_bytes(packets: &[ClientboundPacket]) -> usize {
+        packets.iter().map(clientbound_wire_size).sum()
     }
 
     #[test]
@@ -261,23 +345,28 @@ mod tests {
     fn packets_for_unknown_connections_are_dropped() {
         let mut q = NetworkingQueues::new();
         q.push_incoming(PlayerId(9), chat("lost"));
-        assert_eq!(q.total_buffered(), 0);
         assert!(q.drain_incoming(PlayerId(9)).is_empty());
+        assert_eq!(q.broadcast_many(&keep_alives(0..3)), 0);
+        q.add_connection(PlayerId(1));
+        let unknown = [PlayerId(9)];
+        let sent = q.multicast_many(&keep_alives(0..3), |_| PacketRecipients::Only(&unknown));
+        assert_eq!(sent, 0);
+        assert!(q.log.packets.is_empty(), "nobody to read it: not logged");
+        assert!(q.drain_outgoing(PlayerId(9)).is_empty());
+        assert_eq!(q.drain_outgoing_with(PlayerId(9), |_| ()), (0, 0));
     }
 
     #[test]
     fn extend_outgoing_equals_pushing_one_by_one() {
-        let packets: Vec<_> = (0..170)
-            .map(|id| ClientboundPacket::KeepAlive { id })
-            .collect();
+        let packets = keep_alives(0..170);
         let (mut run, mut single) = (NetworkingQueues::new(), NetworkingQueues::new());
         for q in [&mut run, &mut single] {
             q.add_connection(PlayerId(1));
-            q.push_outgoing(PlayerId(1), ClientboundPacket::KeepAlive { id: 999 });
+            q.extend_outgoing(PlayerId(1), [ClientboundPacket::KeepAlive { id: 999 }]);
         }
         run.extend_outgoing(PlayerId(1), packets.iter().cloned());
         for packet in &packets {
-            single.push_outgoing(PlayerId(1), packet.clone());
+            single.extend_outgoing(PlayerId(1), [packet.clone()]);
         }
         let capacity = |q: &NetworkingQueues| q.connections[&PlayerId(1)].outgoing.capacity();
         assert_eq!(capacity(&run), capacity(&single));
@@ -287,33 +376,58 @@ mod tests {
         );
         // An unknown connection drops the run without pulling from it.
         run.extend_outgoing(PlayerId(2), std::iter::repeat_with(|| unreachable!()));
-        assert_eq!(run.total_buffered(), 0);
+        assert!(run.drain_outgoing(PlayerId(2)).is_empty());
     }
 
     #[test]
-    fn streaming_drain_equals_drain_outgoing() {
-        let packets: Vec<_> = (0..40)
-            .map(|id| ClientboundPacket::KeepAlive { id })
-            .collect();
-        let (mut streamed, mut collected) = (NetworkingQueues::new(), NetworkingQueues::new());
-        for q in [&mut streamed, &mut collected] {
+    fn drain_totals_do_not_depend_on_the_visitor() {
+        // Owned, shared, owned, then two broadcasts that merge into one
+        // range: the prober's path (looks at every packet) and the other
+        // bots' (looks at none) must report the same totals, and the packets
+        // come in queue order.
+        let fill = |q: &mut NetworkingQueues| {
             q.add_connection(PlayerId(1));
-            q.extend_outgoing(PlayerId(1), packets.iter().cloned());
-        }
-        let stream: Vec<_> = streamed.stream_outgoing(PlayerId(1)).collect();
-        assert_eq!(stream, packets, "same packets, in queue order");
-        assert_eq!(collected.drain_outgoing(PlayerId(1)), packets);
-        assert_eq!(streamed.total_buffered(), 0);
-        assert_eq!(collected.total_buffered(), 0);
-        // A stream dropped part-way (or untouched) still empties the queue.
-        streamed.extend_outgoing(PlayerId(1), packets.iter().cloned());
-        assert_eq!(
-            streamed.stream_outgoing(PlayerId(1)).next(),
-            Some(packets[0].clone())
+            q.extend_outgoing(PlayerId(1), keep_alives(0..2));
+            q.broadcast_many(&[ClientboundPacket::Chat {
+                message: "<a> hi".into(),
+                echo_of_ms: 3.5,
+            }]);
+            q.extend_outgoing(PlayerId(1), keep_alives(2..3));
+            q.broadcast_many(&keep_alives(3..5));
+            q.multicast_many(&keep_alives(5..6), |_| PacketRecipients::All);
+        };
+        let (mut looked, mut blind, mut cloned) = (
+            NetworkingQueues::new(),
+            NetworkingQueues::new(),
+            NetworkingQueues::new(),
         );
-        assert_eq!(streamed.total_buffered(), 0);
-        assert_eq!(streamed.stream_outgoing(PlayerId(9)).count(), 0);
-        assert!(collected.drain_outgoing(PlayerId(9)).is_empty());
+        for q in [&mut looked, &mut blind, &mut cloned] {
+            fill(q);
+        }
+
+        let mut seen = Vec::new();
+        let mut runs = Vec::new();
+        let totals = looked.drain_outgoing_with(PlayerId(1), |run| {
+            runs.push(run.len());
+            seen.extend_from_slice(run);
+        });
+        assert_eq!(runs, [1, 1, 1, 1, 3], "one visit per queue entry");
+        let mut expected = keep_alives(0..6);
+        expected.insert(
+            2,
+            ClientboundPacket::Chat {
+                message: "<a> hi".into(),
+                echo_of_ms: 3.5,
+            },
+        );
+        assert_eq!(seen, expected, "owned and shared packets in queue order");
+        assert_eq!(totals, (7, wire_bytes(&expected)));
+        assert_eq!(blind.drain_outgoing_with(PlayerId(1), |_| ()), totals);
+        assert_eq!(cloned.drain_outgoing(PlayerId(1)), expected);
+        for q in [&mut looked, &mut blind, &mut cloned] {
+            assert!(q.log.packets.is_empty() && q.shared_ranges == 0);
+            assert_eq!(q.drain_outgoing_with(PlayerId(1), |_| ()), (0, 0));
+        }
     }
 
     #[test]
@@ -322,8 +436,9 @@ mod tests {
         for i in 0..5 {
             q.add_connection(PlayerId(i));
         }
-        let sent = q.broadcast(&ClientboundPacket::KeepAlive { id: 1 });
+        let sent = q.broadcast_many(&[ClientboundPacket::KeepAlive { id: 1 }]);
         assert_eq!(sent, 5);
+        assert_eq!(q.log.packets.len(), 1, "stored once, not per connection");
         for i in 0..5 {
             assert_eq!(q.drain_outgoing(PlayerId(i)).len(), 1);
         }
@@ -331,8 +446,6 @@ mod tests {
 
     #[test]
     fn broadcast_many_is_byte_identical_to_individual_broadcasts() {
-        use mlg_protocol::codec::clientbound_wire_size;
-
         let packets = vec![
             ClientboundPacket::KeepAlive { id: 1 },
             ClientboundPacket::TimeUpdate {
@@ -355,7 +468,7 @@ mod tests {
         let batched_count = batched.broadcast_many(&packets);
         let mut individual_count = 0;
         for packet in &packets {
-            individual_count += individual.broadcast(packet);
+            individual_count += individual.broadcast_many(std::slice::from_ref(packet));
         }
         assert_eq!(batched_count, individual_count);
         assert_eq!(batched_count, 16);
@@ -427,16 +540,51 @@ mod tests {
         assert_eq!(q.multicast_many(&[], |_| PacketRecipients::All), 0);
     }
 
+    /// The per-copy formulation the log replaced: every delivered packet is
+    /// cloned into its recipient's own queue.
+    #[derive(Default)]
+    struct PerCopyQueues(BTreeMap<PlayerId, VecDeque<ClientboundPacket>>);
+
+    impl PerCopyQueues {
+        fn deliver(&mut self, player: PlayerId, packet: &ClientboundPacket) -> u64 {
+            let queue = self.0.get_mut(&player);
+            queue.map_or(0, |queue| {
+                queue.push_back(packet.clone());
+                1
+            })
+        }
+
+        fn multicast(
+            &mut self,
+            packets: &[ClientboundPacket],
+            selections: &[Option<Vec<PlayerId>>],
+        ) -> u64 {
+            let everyone: Vec<PlayerId> = self.0.keys().copied().collect();
+            let mut sent = 0;
+            for (packet, selection) in packets.iter().zip(selections) {
+                for player in selection.as_ref().unwrap_or(&everyone) {
+                    sent += self.deliver(*player, packet);
+                }
+            }
+            sent
+        }
+
+        fn drain(&mut self, player: PlayerId) -> Vec<ClientboundPacket> {
+            let queue = self.0.get_mut(&player);
+            queue.map(|q| q.drain(..).collect()).unwrap_or_default()
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn multicast_many_equals_filtered_per_recipient_delivery(seed in proptest::prelude::any::<u64>()) {
-            use mlg_protocol::codec::clientbound_wire_size;
-
-            // Random packet batches against random per-packet recipient
-            // sets: the batched multicast must be byte-exactly the same as
-            // delivering each packet to each selected connection one
-            // `push_outgoing` at a time — the reference formulation of
-            // "area-of-interest delivery is a filtered broadcast".
+            // Random interleavings of join streams, broadcasts, multicasts
+            // (empty sets, unregistered players, a player listed twice, `All`
+            // mixed with `Only`), the three ways to drain, late joiners and
+            // connections nobody drains, against per-copy delivery: the same
+            // packets in the same order per connection, the same counts and
+            // the same wire bytes — "area-of-interest delivery is a filtered
+            // broadcast", whatever the queues store.
             let mut s = seed | 1;
             let mut next = move || {
                 s ^= s << 13;
@@ -444,56 +592,124 @@ mod tests {
                 s ^= s << 17;
                 s
             };
-            let player_count = (next() % 7 + 1) as u32;
-            let mut multicast = NetworkingQueues::new();
-            let mut reference = NetworkingQueues::new();
-            for i in 0..player_count {
-                multicast.add_connection(PlayerId(i));
-                reference.add_connection(PlayerId(i));
+            let mut log = NetworkingQueues::new();
+            let mut reference = PerCopyQueues::default();
+            let mut players = (next() % 6 + 1) as u32;
+            for i in 0..players {
+                log.add_connection(PlayerId(i));
+                reference.0.entry(PlayerId(i)).or_default();
             }
-            let packet_count = next() % 24;
-            let packets: Vec<ClientboundPacket> = (0..packet_count)
-                .map(|i| ClientboundPacket::KeepAlive { id: i })
-                .collect();
-            // Per packet: either a global broadcast or a random subset
-            // (possibly empty, possibly listing an unregistered player,
-            // which must be skipped).
-            let selections: Vec<Option<Vec<PlayerId>>> = packets
-                .iter()
-                .map(|_| {
-                    (next() % 4 != 0).then(|| {
-                        (0..=player_count)
-                            .filter(|_| next() % 2 == 0)
-                            .map(PlayerId)
-                            .collect()
+            // Players below this id are never drained before the end.
+            let undrained = (next() % 3) as u32;
+            let mut serial = 0u64;
+            let mut batch = |next: &mut dyn FnMut() -> u64, up_to: u64| -> Vec<ClientboundPacket> {
+                (0..next() % up_to)
+                    .map(|_| {
+                        serial += 1;
+                        match next() % 3 {
+                            0 => ClientboundPacket::KeepAlive { id: serial },
+                            1 => ClientboundPacket::Chat {
+                                message: "x".repeat((next() % 40) as usize),
+                                echo_of_ms: serial as f64,
+                            },
+                            _ => ClientboundPacket::TimeUpdate { world_age_ticks: serial },
+                        }
                     })
-                })
-                .collect();
-
-            let sent = multicast.multicast_many(&packets, |index| match &selections[index] {
-                None => PacketRecipients::All,
-                Some(set) => PacketRecipients::Only(set),
-            });
-            let mut expected_sent = 0u64;
-            for (packet, selection) in packets.iter().zip(&selections) {
-                let all: Vec<PlayerId> = reference.players().collect();
-                for player in selection.as_ref().unwrap_or(&all) {
-                    if reference.has_connection(*player) {
-                        reference.push_outgoing(*player, packet.clone());
-                        expected_sent += 1;
+                    .collect()
+            };
+            for _ in 0..next() % 60 {
+                // One id past the registered ones: an unknown connection.
+                let player = PlayerId((next() % u64::from(players + 1)) as u32);
+                match next() % 8 {
+                    0 => {
+                        let packets = batch(&mut next, 5);
+                        packets.iter().for_each(|packet| { reference.deliver(player, packet); });
+                        log.extend_outgoing(player, packets);
+                    }
+                    1 => {
+                        let packets = batch(&mut next, 12);
+                        let everyone = vec![None; packets.len()];
+                        assert_eq!(log.broadcast_many(&packets), reference.multicast(&packets, &everyone));
+                    }
+                    2 | 3 => {
+                        let packets = batch(&mut next, 24);
+                        let selections: Vec<Option<Vec<PlayerId>>> = packets
+                            .iter()
+                            .map(|_| {
+                                (next() % 4 != 0).then(|| {
+                                    (0..=players)
+                                        .chain(0..=players)
+                                        .filter(|_| next() % 3 == 0)
+                                        .map(PlayerId)
+                                        .collect()
+                                })
+                            })
+                            .collect();
+                        let sent = log.multicast_many(&packets, |index| match &selections[index] {
+                            None => PacketRecipients::All,
+                            Some(set) => PacketRecipients::Only(set),
+                        });
+                        assert_eq!(sent, reference.multicast(&packets, &selections));
+                    }
+                    4 => {
+                        log.add_connection(PlayerId(players));
+                        reference.0.entry(PlayerId(players)).or_default();
+                        players += 1;
+                    }
+                    _ if player.0 < undrained => {}
+                    5 => assert_eq!(log.drain_outgoing(player), reference.drain(player)),
+                    6 => {
+                        let mut seen = Vec::new();
+                        let totals = log.drain_outgoing_with(player, |run| seen.extend_from_slice(run));
+                        assert_eq!(totals, (seen.len() as u64, wire_bytes(&seen)));
+                        assert_eq!(seen, reference.drain(player));
+                    }
+                    _ => {
+                        let expected = reference.drain(player);
+                        let totals = log.drain_outgoing_with(player, |_| ());
+                        assert_eq!(totals, (expected.len() as u64, wire_bytes(&expected)));
                     }
                 }
+                if reference.0.values().all(VecDeque::is_empty) {
+                    assert!(log.log.packets.is_empty(), "every queue is empty, the log is not");
+                }
+                assert_eq!(log.log.packets.is_empty(), log.shared_ranges == 0);
             }
-            assert_eq!(sent, expected_sent);
-            for i in 0..player_count {
-                let a = multicast.drain_outgoing(PlayerId(i));
-                let b = reference.drain_outgoing(PlayerId(i));
-                let a_bytes: usize = a.iter().map(clientbound_wire_size).sum();
-                let b_bytes: usize = b.iter().map(clientbound_wire_size).sum();
-                assert_eq!(a, b, "player {i}: delivery diverged");
-                assert_eq!(a_bytes, b_bytes, "player {i}: wire bytes diverged");
+            for i in 0..=players {
+                assert_eq!(log.drain_outgoing(PlayerId(i)), reference.drain(PlayerId(i)), "player {}", i);
             }
+            assert!(log.log.packets.is_empty() && log.log.bytes_through.is_empty());
         }
+    }
+
+    #[test]
+    fn an_undrained_connection_pins_each_packet_once_until_its_first_drain() {
+        let mut q = NetworkingQueues::new();
+        (0..5).for_each(|i| q.add_connection(PlayerId(i)));
+        for tick in 0..50 {
+            assert_eq!(q.broadcast_many(&keep_alives(tick * 7..tick * 7 + 7)), 35);
+            for i in 1..5 {
+                assert_eq!(q.drain_outgoing_with(PlayerId(i), |_| ()).0, 7);
+            }
+            let held = q.log.packets.len() as u64;
+            assert_eq!(held, (tick + 1) * 7, "7 packets per tick, not 7 × 5");
+        }
+        assert_eq!(q.drain_outgoing(PlayerId(0)), keep_alives(0..350));
+        assert!(q.log.packets.is_empty(), "its first drain releases the log");
+        // The log restarts at position 0 for everyone.
+        q.broadcast_many(&keep_alives(0..2));
+        assert_eq!(q.drain_outgoing(PlayerId(3)), keep_alives(0..2));
+    }
+
+    #[test]
+    fn a_connection_added_mid_run_sees_only_later_broadcasts() {
+        let mut q = NetworkingQueues::new();
+        q.add_connection(PlayerId(0));
+        q.broadcast_many(&keep_alives(0..3));
+        q.add_connection(PlayerId(1));
+        q.broadcast_many(&keep_alives(3..5));
+        assert_eq!(q.drain_outgoing(PlayerId(1)), keep_alives(3..5));
+        assert_eq!(q.drain_outgoing(PlayerId(0)), keep_alives(0..5));
     }
 
     #[test]
@@ -501,18 +717,7 @@ mod tests {
         let mut q = NetworkingQueues::new();
         q.add_connection(PlayerId(1));
         assert_eq!(q.broadcast_many(&[]), 0);
-        assert_eq!(q.total_buffered(), 0);
-    }
-
-    #[test]
-    fn removing_a_connection_drops_its_packets() {
-        let mut q = NetworkingQueues::new();
-        let p = PlayerId(1);
-        q.add_connection(p);
-        q.push_outgoing(p, ClientboundPacket::KeepAlive { id: 1 });
-        q.remove_connection(p);
-        assert!(!q.has_connection(p));
-        assert_eq!(q.connection_count(), 0);
-        assert_eq!(q.total_buffered(), 0);
+        assert_eq!(q.shared_ranges, 0);
+        assert_eq!(q.drain_outgoing_with(PlayerId(1), |_| ()), (0, 0));
     }
 }

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::ServerConfig;
 use crate::cost::{self, TickCounters};
-use crate::dissemination::{self, TickUpdates};
+use crate::dissemination::{self, InterestSets, TickUpdates};
 use crate::flavor::FlavorProfile;
 use crate::handler::{self, PlayerStageReport};
 use crate::player::{ConnectedPlayer, PlayerId};
@@ -195,9 +195,14 @@ pub struct GameServer {
     /// stage (empty under eager lighting).
     pending_relight: Vec<BlockPos>,
     /// Reused dissemination buffer: the tick's broadcast packets are
-    /// assembled here and flushed with one `broadcast_many` call, so the
-    /// hot path allocates no per-packet vectors.
+    /// assembled here and handed to the networking queues in one
+    /// `broadcast_many` or `multicast_many` call, which stores each packet
+    /// once for all its recipients, so the hot path allocates no per-packet
+    /// vectors.
     broadcast_buf: Vec<ClientboundPacket>,
+    /// Reused area-of-interest buffers: the recipients of every packet in
+    /// `broadcast_buf`, for flavors that filter by interest.
+    interest: InterestSets,
     /// Per-tick scratch arena for the terrain/lighting stages: cascade
     /// queues, shard batches, relight buffers and flood state, recycled
     /// across ticks (see `mlg_world::scratch`). Together with
@@ -279,6 +284,7 @@ impl GameServer {
             aoi_dissemination: false,
             pending_relight: Vec::new(),
             broadcast_buf: Vec::new(),
+            interest: InterestSets::default(),
             scratch: TickScratch::new(),
         };
         server.apply_profile(profile);
@@ -480,13 +486,21 @@ impl GameServer {
         self.queues.push_incoming(player, packet);
     }
 
-    /// Drains the clientbound packets queued for `player`
-    /// ([`NetworkingQueues::stream_outgoing`]).
-    pub fn stream_outgoing(
+    /// Drains the clientbound packets queued for `player` without taking
+    /// them, returning the `(packets, wire bytes)` drained
+    /// ([`NetworkingQueues::drain_outgoing_with`]).
+    pub fn drain_outgoing_with(
         &mut self,
         player: PlayerId,
-    ) -> impl Iterator<Item = ClientboundPacket> + '_ {
-        self.queues.stream_outgoing(player)
+        visit: impl FnMut(&[ClientboundPacket]),
+    ) -> (u64, usize) {
+        self.queues.drain_outgoing_with(player, visit)
+    }
+
+    /// Drains the clientbound packets queued for `player`, cloned out of
+    /// the queues ([`NetworkingQueues::drain_outgoing`]).
+    pub fn stream_outgoing(&mut self, player: PlayerId) -> impl Iterator<Item = ClientboundPacket> {
+        self.queues.drain_outgoing(player).into_iter()
     }
 
     /// Schedules every TNT block currently loaded in the world to ignite
@@ -836,6 +850,7 @@ impl GameServer {
                     &packets,
                     &self.players,
                     f64::from(self.config.view_distance) * 16.0,
+                    &mut self.interest,
                 )
             } else {
                 self.traffic.record_many(&packets, recipients);

@@ -16,6 +16,20 @@ either side, and only workloads and metrics that BENCHMARK.json declares:
 
     scripts/bench_trajectory.py --check BENCH_*.json
 
+Given several files, the check also holds them against each other, in `pr`
+order: each file's `parent` medians are compared, per workload and metric,
+with the previous file's `change` medians — the same tree measured in two
+sessions — and a median that is *worse* than the previous file left it by
+more than the metric's `bound` fails the check. Something moved the benchmark
+between two PRs (the box, the toolchain, an unmeasured change) and the newer
+file's ratios cannot be read as a continuation of the older one's.
+
+Medians are compared, never single runs: `peak_rss_mb` on `campaign_sweep`
+and `sharded_horde` is bimodal on both sides of every comparison — about one
+run in ten lands near 12 MiB instead of 9.5, depending on which thread's
+allocator arena the big allocations land in (benchmark/README.md, where the
+`peak_rss_mb` bound is set; visible in BENCH_22.json's parent runs).
+
 Run from the repository root (BENCHMARK.json is read from the working
 directory). Standard library only.
 """
@@ -106,6 +120,22 @@ def problems(spec, doc):
     return found
 
 
+def discontinuities(previous, current):
+    """Where `current`'s parent medians are worse than `previous`'s change medians by more than the bound."""
+    found = []
+    for workload, rows in current["workloads"].items():
+        for metric, row in rows.items():
+            before = previous["workloads"].get(workload, {}).get(metric)
+            if before is None:
+                continue
+            left, now = before["change"]["p50"], row["parent"]["p50"]
+            worse = (left - now if row["better"] == "higher" else now - left) / left
+            if worse > row["bound"]:
+                found.append(f"{workload}.{metric}: parent median {now:.6g} is {worse:.1%} worse than the "
+                             f"{left:.6g} that PR {previous['pr']} left (bound {row['bound']:.0%})")
+    return found
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", nargs="+", metavar="FILE", help="trajectory files to check")
@@ -118,10 +148,19 @@ def main():
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
     if args.check:
-        bad = 0
+        bad, sound = 0, []
         for path in args.check:
             with open(path) as f:
-                found = problems(spec, json.load(f))
+                doc = json.load(f)
+            found = problems(spec, doc)
+            for problem in found:
+                print(f"{path}: {problem}", file=sys.stderr)
+            bad += bool(found)
+            if not found:
+                sound.append((doc["pr"], path, doc))
+        sound.sort(key=lambda entry: entry[0])
+        for (_, _, previous), (_, path, doc) in zip(sound, sound[1:]):
+            found = discontinuities(previous, doc)
             for problem in found:
                 print(f"{path}: {problem}", file=sys.stderr)
             bad += bool(found)
