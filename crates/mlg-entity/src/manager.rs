@@ -67,7 +67,9 @@ pub struct EntityTickReport {
     pub moved: Vec<(EntityId, Vec3)>,
 }
 
-/// Owns and simulates all entities of one server instance.
+/// Owns and simulates all entities of one server instance. Every tick of a
+/// manager must be given the same [`World`]: mob routes are remembered from
+/// tick to tick by that world's terrain epoch.
 pub struct EntityManager {
     store: EntityStore,
     next_id: u64,
@@ -78,7 +80,9 @@ pub struct EntityManager {
     grid_evictions: Vec<(EntityId, Vec3)>,
     spawner: Spawner,
     rng: StdRng,
-    /// Pathfinding working memory of the serial [`EntityManager::tick`].
+    /// Pathfinding working memory of the serial [`EntityManager::tick`]. It
+    /// remembers routes by the world's terrain epoch, which is why a manager
+    /// is ticked against one world for its whole life.
     path_scratch: PathScratch,
     /// The sharded tick's per-shard tasks, kept between ticks for their
     /// buffers and their own pathfinding working memory.
@@ -533,7 +537,8 @@ struct EntityShardTask {
     physics_blocks_checked: u64,
     path_nodes_expanded: u64,
     proximity_candidates: u64,
-    /// This shard's pathfinding working memory: capacity only, no state.
+    /// This shard's pathfinding working memory: capacity, and the routes
+    /// it remembers for whichever mobs the shard holds.
     path_scratch: PathScratch,
 }
 
@@ -666,6 +671,64 @@ mod tests {
         assert!(report.physics_blocks_checked > 0);
         // Falling cows moved.
         assert_eq!(report.moved.len(), 10);
+    }
+
+    #[test]
+    fn an_idle_mob_searches_once_per_block_it_crosses() {
+        // The Control workload under the Vanilla tick, rebuilt from what
+        // this crate can reach: the paper's seed on the noise generator, a
+        // pre-generated spawn area, one observer standing still on dry
+        // land, fourteen passive mobs in a ring around it, natural spawning
+        // on, and the terrain simulation running (its random ticks are what
+        // moves the terrain epoch here).
+        const SEED: u64 = 392_114_485;
+        let mut w = World::new(
+            Box::new(mlg_world::generation::NoiseGenerator::new(SEED)),
+            SEED,
+        );
+        w.ensure_area(mlg_world::ChunkPos::new(0, 0), 4);
+        let stand_on = |w: &mut World, x: f64, z: f64| {
+            let top = w.highest_block_y(x.floor() as i32, z.floor() as i32);
+            Vec3::new(x, f64::from(top.unwrap_or(64)) + 1.0, z)
+        };
+        let observer = (0..48)
+            .find_map(|ring| {
+                let feet = stand_on(&mut w, 8.5 + f64::from(ring), 8.5);
+                w.block(feet.block_pos().down()).is_solid().then_some(feet)
+            })
+            .expect("dry land within 48 blocks of the origin");
+        let mut m = EntityManager::new(SEED ^ 0xE47);
+        for i in 0..14 {
+            let angle = f64::from(i) / 14.0 * std::f64::consts::TAU;
+            let feet = stand_on(
+                &mut w,
+                observer.x + angle.cos() * 12.0,
+                observer.z + angle.sin() * 12.0,
+            );
+            m.spawn(
+                if i % 4 == 0 {
+                    EntityKind::Villager
+                } else {
+                    EntityKind::Cow
+                },
+                feet,
+            );
+        }
+
+        let terrain = mlg_world::TerrainSimulator::new();
+        let mut scratch = mlg_world::TickScratch::default();
+        for _ in 0..400 {
+            w.advance_tick();
+            let _ = terrain.tick_with(&mut w, &mut scratch);
+            w.drain_changes();
+            m.tick(&mut w, &[observer]);
+        }
+        // The run is deterministic, so the counts are exact: of the
+        // decisions that needed a route, one in eight ran a search (a mob
+        // walks a block in about a dozen ticks). The memo is held to 15 %.
+        let (asked, searched) = (m.path_scratch.routes_asked, m.path_scratch.searches_run);
+        assert_eq!((asked, searched), (4_595, 587));
+        assert!(searched * 100 <= asked * 15);
     }
 
     #[test]

@@ -202,10 +202,11 @@ impl Aabb {
         self.min.add(self.max).scale(0.5)
     }
 
-    /// All block positions overlapped by the box.
-    #[must_use]
-    pub fn overlapping_blocks(&self) -> Vec<BlockPos> {
-        let mut out = Vec::new();
+    /// All block positions overlapped by the box, x-major, then y, then z
+    /// (the order collision checks read them in, and stop in at the first
+    /// solid block). A box with no extent along an axis still covers the
+    /// block its minimum falls in.
+    pub fn overlapping_blocks(&self) -> impl Iterator<Item = BlockPos> {
         let (x0, y0, z0) = (
             self.min.x.floor() as i32,
             self.min.y.floor() as i32,
@@ -216,14 +217,10 @@ impl Aabb {
             self.max.y.ceil() as i32 - 1,
             self.max.z.ceil() as i32 - 1,
         );
-        for x in x0..=x1.max(x0) {
-            for y in y0..=y1.max(y0) {
-                for z in z0..=z1.max(z0) {
-                    out.push(BlockPos::new(x, y, z));
-                }
-            }
-        }
-        out
+        (x0..=x1.max(x0)).flat_map(move |x| {
+            (y0..=y1.max(y0))
+                .flat_map(move |y| (z0..=z1.max(z0)).map(move |z| BlockPos::new(x, y, z)))
+        })
     }
 }
 
@@ -302,12 +299,62 @@ mod tests {
     #[test]
     fn overlapping_blocks_cover_the_box() {
         let b = Aabb::from_feet(Vec3::new(0.5, 64.0, 0.5), 0.3, 1.8);
-        let blocks = b.overlapping_blocks();
+        let blocks: Vec<BlockPos> = b.overlapping_blocks().collect();
         assert!(blocks.contains(&BlockPos::new(0, 64, 0)));
         assert!(blocks.contains(&BlockPos::new(0, 65, 0)));
         // A wide box spans multiple columns.
         let wide = Aabb::from_feet(Vec3::new(0.0, 64.0, 0.0), 1.0, 1.0);
-        let wide_blocks = wide.overlapping_blocks();
-        assert!(wide_blocks.len() >= 4);
+        assert!(wide.overlapping_blocks().count() >= 4);
+    }
+
+    /// [`Aabb::overlapping_blocks`] as it was when it returned a `Vec`,
+    /// kept verbatim as the oracle for the iterator.
+    fn reference_overlapping_blocks(aabb: &Aabb) -> Vec<BlockPos> {
+        let mut out = Vec::new();
+        let (x0, y0, z0) = (
+            aabb.min.x.floor() as i32,
+            aabb.min.y.floor() as i32,
+            aabb.min.z.floor() as i32,
+        );
+        let (x1, y1, z1) = (
+            aabb.max.x.ceil() as i32 - 1,
+            aabb.max.y.ceil() as i32 - 1,
+            aabb.max.z.ceil() as i32 - 1,
+        );
+        for x in x0..=x1.max(x0) {
+            for y in y0..=y1.max(y0) {
+                for z in z0..=z1.max(z0) {
+                    out.push(BlockPos::new(x, y, z));
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn overlapping_blocks_iterate_in_the_order_the_vec_held(
+            cx in -40.0_f64..40.0, cy in -40.0_f64..40.0, cz in -40.0_f64..40.0,
+            ex in 0.0_f64..3.5, ey in 0.0_f64..3.5, ez in 0.0_f64..3.5,
+            // Per axis: leave the bounds as drawn, snap the minimum onto an
+            // integer face, snap both (a box between two faces), or
+            // collapse the box to no extent (the `x1.max(x0)` case).
+            sx in 0_u8..4, sy in 0_u8..4, sz in 0_u8..4,
+        ) {
+            let axis = |lo: f64, len: f64, shape: u8| match shape {
+                0 => (lo, lo + len),
+                1 => (lo.floor(), lo.floor() + len),
+                2 => (lo.floor(), lo.floor() + len.ceil()),
+                _ => (lo, lo),
+            };
+            let (x, y, z) = (axis(cx, ex, sx), axis(cy, ey, sy), axis(cz, ez, sz));
+            let aabb = Aabb {
+                min: Vec3::new(x.0, y.0, z.0),
+                max: Vec3::new(x.1, y.1, z.1),
+            };
+            let expected = reference_overlapping_blocks(&aabb);
+            proptest::prop_assert!(!expected.is_empty());
+            proptest::prop_assert_eq!(aabb.overlapping_blocks().collect::<Vec<_>>(), expected);
+        }
     }
 }

@@ -29,11 +29,10 @@ pub struct MoveOutcome {
 
 fn collides<W: BlockReader>(world: &mut W, entity: &Entity, pos: Vec3) -> (bool, u32) {
     let aabb = crate::math::Aabb::from_feet(pos, entity.kind.half_width(), entity.kind.height());
-    let blocks = aabb.overlapping_blocks();
     let mut checked = 0;
-    for bp in &blocks {
+    for bp in aabb.overlapping_blocks() {
         checked += 1;
-        if world.block(*bp).is_solid() {
+        if world.block(bp).is_solid() {
             return (true, checked);
         }
     }

@@ -687,6 +687,22 @@ pub trait BlockReader {
     fn column_top(&mut self, _x: i32, _z: i32) -> Option<i32> {
         None
     }
+
+    /// A version of everything this reader answers, for callers that keep
+    /// an answer computed from terrain (a mob's route) instead of computing
+    /// it again: two reads that report the same `Some` value see the same
+    /// block at every position, and a lazily generating reader has nothing
+    /// left to generate that was read under that value before. `None` — the
+    /// default — promises nothing, and nothing may be kept.
+    ///
+    /// The value names the *kind* of reader as well as the terrain, because
+    /// [`World`] and [`FrozenChunks`] disagree about unloaded chunks
+    /// (generated against air): the lowest bit is clear for the one and set
+    /// for the other above the same [`World::terrain_epoch`], so an answer
+    /// obtained through one never serves the other.
+    fn terrain_epoch(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// The world-access surface the terrain-simulation rules are written
@@ -717,6 +733,10 @@ impl BlockReader for World {
 
     fn column_top(&mut self, x: i32, z: i32) -> Option<i32> {
         World::column_top(self, x, z)
+    }
+
+    fn terrain_epoch(&self) -> Option<u64> {
+        Some(World::terrain_epoch(self) << 1)
     }
 }
 
@@ -791,6 +811,10 @@ impl BlockReader for FrozenChunks<'_> {
                 .and_then(|c| c.height_at(lx, lz))
                 .unwrap_or(-1),
         )
+    }
+
+    fn terrain_epoch(&self) -> Option<u64> {
+        Some(self.snapshot.terrain_epoch() << 1 | 1)
     }
 }
 
@@ -1069,6 +1093,9 @@ impl World {
                 scheduled,
             } = job.owned;
             self.put_shard_store(job.shard, store);
+            // What the worker did to the shard's terrain, counted as the
+            // serial path counts it: one per changed block, one per chunk.
+            self.advance_terrain_epoch(changes.len() as u64 + u64::from(chunks_generated));
             self.append_changes(changes);
             for (pos, due) in scheduled {
                 self.schedule_tick_at(pos, due);

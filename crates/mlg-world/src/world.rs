@@ -147,6 +147,8 @@ impl ShardStore {
 pub(crate) struct WorldSnapshot {
     map: Arc<ShardMap>,
     stores: Vec<ShardStore>,
+    /// [`World::terrain_epoch`] when the snapshot was taken.
+    terrain_epoch: u64,
 }
 
 impl WorldSnapshot {
@@ -156,6 +158,12 @@ impl WorldSnapshot {
     #[must_use]
     pub(crate) fn chunk_if_loaded(&self, pos: ChunkPos) -> Option<&Chunk> {
         self.stores[self.map.shard_of_chunk(pos)].get(pos)
+    }
+
+    /// The terrain version the snapshot holds (see [`World::terrain_epoch`]).
+    #[must_use]
+    pub(crate) fn terrain_epoch(&self) -> u64 {
+        self.terrain_epoch
     }
 }
 
@@ -235,6 +243,8 @@ pub struct World {
     /// move: `reshard`, `take_shard_store`, `put_shard_store`,
     /// `snapshot_chunks` and `restore_chunks`.
     cursor: Option<(ChunkPos, usize, usize)>,
+    /// Version of the stored terrain: see [`World::terrain_epoch`].
+    terrain_epoch: u64,
     /// `Arc` rather than `Box` so tick-phase contexts can own a handle and
     /// run on the persistent worker pool (whose jobs cannot borrow the
     /// world); the world itself never shares mutable generator state — the
@@ -272,6 +282,7 @@ impl World {
             shard_map: Arc::new(ShardMap::stripes(1)),
             stores: vec![ShardStore::default()],
             cursor: None,
+            terrain_epoch: 0,
             generator: Arc::from(generator),
             updates: UpdateQueue::new(),
             changes: Vec::new(),
@@ -337,6 +348,32 @@ impl World {
     #[must_use]
     pub fn shard_store(&self, shard: usize) -> &ShardStore {
         &self.stores[shard]
+    }
+
+    /// The version of the stored terrain: a counter that moves whenever a
+    /// stored block value changes or a chunk enters a store, and at no other
+    /// time. While it stands still every block read answers as it did and
+    /// every chunk a read once generated is still loaded, which is what lets
+    /// a caller keep an answer computed from terrain (a mob's route) instead
+    /// of computing it again.
+    ///
+    /// It moves in exactly three places — the private `place` when the
+    /// value written differs from the one stored, the generate arm of
+    /// `load_chunk`, and the merge of [`World::run_owned_phase`], by the
+    /// changes and generations each shard brings back — and a new way of
+    /// writing terrain must move it too
+    /// (`tests::every_write_path_moves_the_epoch`). Moving stores around
+    /// (`reshard`, either shard phase's hand-off) and repacking a chunk's
+    /// storage leave it alone: no block reads differently afterwards.
+    #[must_use]
+    pub fn terrain_epoch(&self) -> u64 {
+        self.terrain_epoch
+    }
+
+    /// Records `by` terrain edits made to this world's chunks while they
+    /// were out of it (an owned phase's block changes and generations).
+    pub(crate) fn advance_terrain_epoch(&mut self, by: u64) {
+        self.terrain_epoch += by;
     }
 
     /// Returns the current game tick number.
@@ -407,6 +444,7 @@ impl World {
         WorldSnapshot {
             map: Arc::clone(&self.shard_map),
             stores: std::mem::replace(&mut self.stores, empty),
+            terrain_epoch: self.terrain_epoch,
         }
     }
 
@@ -437,6 +475,7 @@ impl World {
         let slot = loaded.unwrap_or_else(|| {
             store.insert(self.generator.generate(pos));
             self.chunks_generated_this_tick += 1;
+            self.terrain_epoch += 1;
             store.chunks.len() - 1
         });
         self.cursor = Some((pos, shard, slot));
@@ -470,10 +509,14 @@ impl World {
         self.stores.iter().flat_map(ShardStore::iter)
     }
 
-    /// Iterates mutably over all loaded chunks (used by the server to clear
-    /// dirty flags after broadcasting chunk data), in the same deterministic
+    /// Iterates mutably over all loaded chunks, in the same deterministic
     /// (shard-major, insertion) order as [`World::iter_chunks`].
-    pub fn iter_chunks_mut(&mut self) -> impl Iterator<Item = &mut Chunk> {
+    ///
+    /// Crate-private so that no `&mut Chunk` — and with it
+    /// [`Chunk::set_block`] — reaches a caller who could edit terrain behind
+    /// [`World::terrain_epoch`]; the users here (storage compaction, folding
+    /// light-dirty masks) change no block value and so do not move it.
+    pub(crate) fn iter_chunks_mut(&mut self) -> impl Iterator<Item = &mut Chunk> {
         self.stores.iter_mut().flat_map(ShardStore::iter_mut)
     }
 
@@ -538,7 +581,11 @@ impl World {
         }
         let chunk_pos = pos.chunk();
         let (lx, y, lz) = pos.local();
-        self.load_chunk(chunk_pos).0.set_block(lx, y, lz, block)
+        let old = self.load_chunk(chunk_pos).0.set_block(lx, y, lz, block);
+        if old != block {
+            self.terrain_epoch += 1;
+        }
+        old
     }
 
     /// Fills an entire region with the given block (silently, without
@@ -1009,6 +1056,121 @@ mod tests {
         w.restore_chunks(snapshot);
         assert_eq!(w.block(pos), stone);
         assert_eq!(w.block(pos), w.block_if_loaded(pos));
+    }
+
+    #[test]
+    fn every_write_path_moves_the_epoch() {
+        use crate::pool::PoolScope;
+        use crate::shard::{BlockReader, TerrainView};
+
+        let mut w = world();
+        w.ensure_area(ChunkPos::new(0, 0), 3);
+        w.reshard(ShardMap::stripes(2));
+        let stone = Block::simple(BlockKind::Stone);
+        let inside = BlockPos::new(5, 70, 5);
+        let mut far = 1_000;
+        let mut unloaded = || {
+            far += 100;
+            BlockPos::new(far, 60, far)
+        };
+
+        /// Runs `edit` and requires the epoch to have moved, or not.
+        fn check(w: &mut World, moves: bool, what: &str, edit: impl FnOnce(&mut World)) {
+            let before = w.terrain_epoch();
+            edit(w);
+            assert_eq!(w.terrain_epoch() != before, moves, "{what}");
+        }
+
+        // Every way a stored block value changes.
+        check(&mut w, true, "set_block", |w| {
+            w.set_block(inside, stone);
+        });
+        check(&mut w, true, "set_block_silent", |w| {
+            w.set_block_silent(inside.up(), stone);
+        });
+        check(&mut w, true, "fill_region", |w| {
+            w.fill_region(
+                Region::new(inside.offset(2, 0, 0), inside.offset(3, 1, 1)),
+                stone,
+            );
+        });
+        check(&mut w, true, "sim::explode", |w| {
+            assert!(crate::sim::explode(w, BlockPos::new(20, 60, 20), 3).blocks_destroyed > 0);
+        });
+        // Every way a chunk enters a store.
+        let pos = unloaded();
+        check(&mut w, true, "lazy generation through block", |w| {
+            let _ = w.block(pos);
+        });
+        let pos = unloaded();
+        check(&mut w, true, "lazy generation through column_top", |w| {
+            let _ = w.column_top(pos.x, pos.z);
+        });
+        let pos = unloaded();
+        check(&mut w, true, "lazy generation through ensure_area", |w| {
+            assert_eq!(w.ensure_area(pos.chunk(), 0), 1);
+        });
+        // What a shard worker does while the store is out of the world: a
+        // write to a loaded chunk (nothing generated) ...
+        let owned = |w: &mut World, pos: BlockPos, write: Option<Block>| {
+            let before = (w.pending_change_count(), w.chunks_generated_this_tick());
+            let shard = w.shard_map().shard_of_block(pos);
+            let scope = PoolScope::scoped(1);
+            w.run_owned_phase(&scope, false, vec![(shard, ())], (), move |view, (), ()| {
+                match write {
+                    Some(block) => view.set_block(pos, block),
+                    None => view.block(pos),
+                };
+            });
+            (
+                w.pending_change_count() - before.0,
+                w.chunks_generated_this_tick() - before.1,
+            )
+        };
+        check(&mut w, true, "an owned phase that writes", |w| {
+            assert_eq!(owned(w, inside.offset(0, 5, 0), Some(stone)), (1, 0));
+        });
+        // ... and a read that generates (nothing written).
+        let pos = unloaded();
+        check(&mut w, true, "an owned phase that only generates", |w| {
+            assert_eq!(owned(w, pos, None), (0, 1));
+        });
+
+        // What changes no block value leaves the epoch alone — above all
+        // the store hand-offs of both shard phases, which happen every
+        // tick of a sharded server.
+        check(&mut w, false, "a same-value write", |w| {
+            w.set_block(inside, stone);
+            w.set_block_silent(inside, stone);
+        });
+        check(&mut w, false, "reads of loaded chunks", |w| {
+            let _ = (
+                w.block(inside),
+                w.column_top(5, 5),
+                w.block_if_loaded(inside),
+            );
+            assert_eq!(w.ensure_area(ChunkPos::new(0, 0), 3), 0);
+        });
+        check(&mut w, false, "an owned phase that changes nothing", |w| {
+            assert_eq!(owned(w, inside, None), (0, 0));
+            assert_eq!(owned(w, inside, Some(stone)), (0, 0));
+        });
+        check(&mut w, false, "a frozen phase", |w| {
+            let scope = PoolScope::scoped(1);
+            w.run_frozen_phase(&scope, vec![()], (), |mut frozen, (), ()| {
+                let _ = frozen.block(BlockPos::new(5, 70, 5));
+                let _ = frozen.block(BlockPos::new(9_000, 70, 9_000));
+            });
+        });
+        check(&mut w, false, "reshard", |w| {
+            w.reshard(ShardMap::stripes(3))
+        });
+        check(
+            &mut w,
+            false,
+            "compact_chunk_storage",
+            World::compact_chunk_storage,
+        );
     }
 
     /// Spreads cache keys across far-apart, unloaded chunks so the
