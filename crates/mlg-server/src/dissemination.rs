@@ -127,7 +127,9 @@ pub(crate) fn assemble(
 /// Area-of-interest dissemination: positioned packets reach only the
 /// players whose view `radius` covers the event, so the stage's cost scales
 /// with the summed interest-set sizes (Σ|AoI|) instead of packets ×
-/// players. Returns the number of packets queued.
+/// players — and with packets + connections when an interest set is the
+/// whole roster, which goes out as [`PacketRecipients::All`]. Returns the
+/// number of packets queued.
 ///
 /// Per-packet recipient counts feed the accountant so the traffic metrics
 /// reflect delivered bytes, not assembled ones. When every viewer is in
@@ -142,7 +144,13 @@ pub(crate) fn multicast_by_interest(
     interest: &mut InterestSets,
 ) -> u64 {
     let viewers = players.iter().filter(|pl| !pl.disconnected);
-    interest.rebuild(viewers.map(|pl| (pl.id, pl.pos)), packets, radius);
+    let connections = queues.connection_count();
+    interest.rebuild(
+        viewers.map(|pl| (pl.id, pl.pos)),
+        connections,
+        packets,
+        radius,
+    );
     let emitted = queues.multicast_many(packets, |index| match interest.of(index) {
         None => PacketRecipients::All,
         Some(set) => PacketRecipients::Only(set),
@@ -168,6 +176,29 @@ pub(crate) fn multicast_by_interest(
 /// x-major and the viewers of a cell in slice order (ascending connection
 /// order — players are appended with monotonically increasing ids), keeping
 /// every interest set deterministic.
+///
+/// **The roster answer.** When the scan would find every viewer, the set
+/// is not built: the packet is answered `None`, like a global packet, and
+/// goes to every connection. That is exact when three things hold, checked
+/// once per packet against the viewers' XZ bounding box, which is computed
+/// once per rebuild:
+///
+/// 1. there are as many viewers as registered connections — the caller
+///    passes distinct, registered viewers, so `All` reaches exactly them;
+/// 2. the cells of both bounding-box corners lie in the anchor's 3×3
+///    neighborhood — cells are monotone in the coordinate, so every viewer's
+///    cell does and the scan would visit every viewer;
+/// 3. the farthest corner passes the scan's own test, `ddx * ddx + ddz *
+///    ddz <= radius_sq`, computed with the same operations in the same
+///    order.
+///
+/// Rounded subtraction, squaring (of a magnitude) and addition are each
+/// monotone, so no viewer inside the box computes a larger left-hand side
+/// than its farthest corner (positions are finite): (2) and (3) together
+/// mean every viewer passes, and the set is "every viewer, once". The order
+/// of recipients within one packet is not observable per connection. (3)
+/// alone is not enough: a rounded distance can pass the test across two
+/// cell boundaries, where the scan never looks. Any other packet is scanned.
 #[derive(Debug, Default)]
 pub(crate) struct InterestSets {
     viewers: Vec<(PlayerId, Vec3)>,
@@ -175,34 +206,68 @@ pub(crate) struct InterestSets {
     by_cell: Vec<((i64, i64), usize)>,
     /// The interest sets of all anchored packets, back to back.
     recipients: Vec<PlayerId>,
-    /// Per packet, its span of `recipients`; `None` for a global packet.
+    /// Per packet, its span of `recipients`; `None` for a packet that goes
+    /// to every connection.
     spans: Vec<Option<Range<usize>>>,
 }
 
 impl InterestSets {
+    /// Computes the interest sets of `packets`. `viewers` must be distinct
+    /// players with a registered connection, and `connections` the number
+    /// of registered connections.
     fn rebuild(
         &mut self,
         viewers: impl Iterator<Item = (PlayerId, Vec3)>,
+        connections: usize,
         packets: &[ClientboundPacket],
         radius: f64,
     ) {
         let radius_sq = radius * radius;
         let cell = radius.max(1.0);
-        let cell_of = |pos: Vec3| ((pos.x / cell).floor() as i64, (pos.z / cell).floor() as i64);
+        let cell_of = |x: f64, z: f64| ((x / cell).floor() as i64, (z / cell).floor() as i64);
         self.viewers.clear();
         self.viewers.extend(viewers);
         self.by_cell.clear();
         let keyed = self.viewers.iter().enumerate();
         self.by_cell
-            .extend(keyed.map(|(index, (_, pos))| (cell_of(*pos), index)));
+            .extend(keyed.map(|(index, (_, pos))| (cell_of(pos.x, pos.z), index)));
         self.by_cell.sort_unstable();
+        // The viewers' XZ bounding box and its corner cells, if `All` would
+        // reach exactly the viewers.
+        let roster = (!self.viewers.is_empty() && self.viewers.len() == connections).then(|| {
+            let (mut lo, mut hi) = (
+                (f64::INFINITY, f64::INFINITY),
+                (f64::NEG_INFINITY, f64::NEG_INFINITY),
+            );
+            for (_, pos) in &self.viewers {
+                lo = (lo.0.min(pos.x), lo.1.min(pos.z));
+                hi = (hi.0.max(pos.x), hi.1.max(pos.z));
+            }
+            (lo, hi, cell_of(lo.0, lo.1), cell_of(hi.0, hi.1))
+        });
+        let reaches_everyone = |pos: Vec3, (cx, cz): (i64, i64)| {
+            roster.is_some_and(|(lo, hi, lo_cell, hi_cell)| {
+                let far = |lo: f64, hi: f64, at: f64| {
+                    let (below, above) = (lo - at, hi - at);
+                    (below * below).max(above * above)
+                };
+                cx - 1 <= lo_cell.0
+                    && hi_cell.0 <= cx + 1
+                    && cz - 1 <= lo_cell.1
+                    && hi_cell.1 <= cz + 1
+                    && far(lo.0, hi.0, pos.x) + far(lo.1, hi.1, pos.z) <= radius_sq
+            })
+        };
         self.recipients.clear();
         self.spans.clear();
         self.spans.reserve(packets.len());
         for packet in packets {
-            let span = packet_position(packet).map(|pos| {
+            let span = packet_position(packet).and_then(|pos| {
+                let (cx, cz) = cell_of(pos.x, pos.z);
+                if reaches_everyone(pos, (cx, cz)) {
+                    return None;
+                }
                 let start = self.recipients.len();
-                let (cx, cz) = cell_of(pos);
                 for dx in -1..=1 {
                     for dz in -1..=1 {
                         let key = (cx + dx, cz + dz);
@@ -218,7 +283,7 @@ impl InterestSets {
                         }
                     }
                 }
-                start..self.recipients.len()
+                Some(start..self.recipients.len())
             });
             self.spans.push(span);
         }
@@ -290,15 +355,276 @@ mod tests {
             },
         ];
         let mut sets = InterestSets::default();
-        sets.rebuild(viewers.iter().copied(), &packets, 32.0);
+        sets.rebuild(viewers.iter().copied(), viewers.len(), &packets, 32.0);
         // Cells scan x-major, so the viewer in cell (-1, 0) precedes (1, 0).
         assert_eq!(sets.of(0), Some(&[PlayerId(4), PlayerId(1)][..]));
         assert_eq!(sets.of(1), None, "no anchor: the packet stays global");
         // Anchored at the block centre (0.5, -32.5): viewer 3 is 31.5 away.
         assert_eq!(sets.of(2), Some(&[PlayerId(3)][..]));
         // The buffers are reused: nothing of the last tick's sets survives.
-        sets.rebuild(std::iter::empty(), &packets, 32.0);
+        sets.rebuild(std::iter::empty(), 0, &packets, 32.0);
         assert_eq!(sets.of(0), Some(&[][..]));
         assert_eq!(sets.of(2), Some(&[][..]));
+    }
+
+    fn at(x: f64, z: f64) -> Vec3 {
+        Vec3::new(x, 64.0, z)
+    }
+
+    fn entity_move(pos: Vec3) -> ClientboundPacket {
+        ClientboundPacket::EntityMove {
+            id: EntityId(9),
+            pos,
+        }
+    }
+
+    /// Players `1..=n` at `positions`, all connected.
+    fn roster(positions: &[Vec3]) -> Vec<ConnectedPlayer> {
+        let player = |(i, pos): (usize, &Vec3)| ConnectedPlayer {
+            id: PlayerId(i as u32 + 1),
+            entity_id: EntityId(i as u64 + 100),
+            name: format!("p{i}"),
+            pos: *pos,
+            connected_at_tick: 0,
+            last_served_ms: 0.0,
+            disconnected: false,
+        };
+        positions.iter().enumerate().map(player).collect()
+    }
+
+    /// Which anchored packets of the last rebuild got the roster answer.
+    fn roster_answers(sets: &InterestSets, packets: &[ClientboundPacket]) -> Vec<bool> {
+        let anchored = packets
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| packet_position(p).is_some());
+        anchored
+            .map(|(index, _)| sets.of(index).is_none())
+            .collect()
+    }
+
+    #[test]
+    fn the_roster_answer_is_taken_only_when_the_scan_would_find_everyone() {
+        let viewers = [
+            (PlayerId(1), at(0.0, 0.0)),
+            (PlayerId(2), at(25.0, -5.0)),
+            (PlayerId(3), at(-5.0, 25.0)),
+        ];
+        let packets = [
+            entity_move(at(10.0, 10.0)),            // the whole box is within 32
+            ClientboundPacket::KeepAlive { id: 1 }, // global anyway
+            entity_move(at(0.0, 0.0)),              // every viewer is, the corner (25, 25) is not
+            entity_move(at(40.0, 0.0)),             // only viewer 2 in range
+        ];
+        let mut sets = InterestSets::default();
+        sets.rebuild(viewers.iter().copied(), 3, &packets, 32.0);
+        assert_eq!(roster_answers(&sets, &packets), [true, false, false]);
+        // The corner test is conservative: the scan still finds everyone.
+        assert_eq!(sets.of(2).map(<[_]>::len), Some(3));
+        assert_eq!(sets.of(3), Some(&[PlayerId(2)][..]));
+        // One viewer more than the connections, or one connection more than
+        // the viewers: `All` would not reach exactly the viewers.
+        for connections in [2, 4] {
+            sets.rebuild(viewers.iter().copied(), connections, &packets, 32.0);
+            assert_eq!(roster_answers(&sets, &packets), [false, false, false]);
+            assert_eq!(sets.of(0).map(<[_]>::len), Some(3));
+        }
+    }
+
+    #[test]
+    fn a_rounded_distance_is_not_enough_for_the_roster_answer() {
+        // The anchor sits a hair left of x = 0, in cell -1, so the scan looks
+        // at cells -2..=0. The viewer at x = 32 is in cell 1, yet 32 + 1e-15
+        // rounds to 32 and passes the distance test: the bounding box fits
+        // the radius but spills into a fourth cell, which the scan never
+        // visits. The roster answer would hand that viewer a packet the scan
+        // does not.
+        let (anchor, far) = (at(-1e-15, 0.0), at(32.0, 0.0));
+        let ddx = far.x - anchor.x;
+        assert!(ddx * ddx <= 32.0 * 32.0, "the rounded distance passes");
+        let viewers = [(PlayerId(1), at(0.0, 0.0)), (PlayerId(2), far)];
+        let packets = [entity_move(anchor)];
+        let mut sets = InterestSets::default();
+        sets.rebuild(viewers.iter().copied(), 2, &packets, 32.0);
+        assert_eq!(sets.of(0), Some(&[PlayerId(1)][..]));
+    }
+
+    /// The pre-roster interest set of `packet`: the 3×3 cell scan, every
+    /// viewer distance-tested.
+    fn scanned(
+        viewers: &[(PlayerId, Vec3)],
+        packet: &ClientboundPacket,
+        radius: f64,
+    ) -> Option<Vec<PlayerId>> {
+        let pos = packet_position(packet)?;
+        let cell = radius.max(1.0);
+        let cell_of = |p: Vec3| ((p.x / cell).floor() as i64, (p.z / cell).floor() as i64);
+        let (cx, cz) = cell_of(pos);
+        let mut set = Vec::new();
+        for dx in -1..=1 {
+            for dz in -1..=1 {
+                let in_cell = viewers
+                    .iter()
+                    .filter(|(_, v)| cell_of(*v) == (cx + dx, cz + dz));
+                for &(id, viewer) in in_cell {
+                    let ddx = viewer.x - pos.x;
+                    let ddz = viewer.z - pos.z;
+                    if ddx * ddx + ddz * ddz <= radius * radius {
+                        set.push(id);
+                    }
+                }
+            }
+        }
+        Some(set)
+    }
+
+    /// [`multicast_by_interest`] with every anchored packet scanned.
+    fn multicast_by_scan(
+        queues: &mut NetworkingQueues,
+        traffic: &mut TrafficAccountant,
+        packets: &[ClientboundPacket],
+        players: &[ConnectedPlayer],
+        radius: f64,
+    ) -> u64 {
+        let viewers: Vec<_> = players
+            .iter()
+            .filter(|pl| !pl.disconnected)
+            .map(|pl| (pl.id, pl.pos))
+            .collect();
+        let sets: Vec<_> = packets
+            .iter()
+            .map(|p| scanned(&viewers, p, radius))
+            .collect();
+        let emitted = queues.multicast_many(packets, |index| match &sets[index] {
+            None => PacketRecipients::All,
+            Some(set) => PacketRecipients::Only(set),
+        });
+        for (packet, set) in packets.iter().zip(&sets) {
+            let count = set.as_ref().map_or(viewers.len(), Vec::len);
+            if count > 0 {
+                traffic.record(packet, count as u64);
+            }
+        }
+        emitted
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_roster_answer_delivers_what_the_scan_does(seed in proptest::prelude::any::<u64>()) {
+            // Viewers and anchors exactly at the radius, on cell boundaries and
+            // a hair off them; radii below one block (cell size 1); huge
+            // coordinates and radii where subtraction and division round;
+            // boxes that fit the radius but spill into a fourth cell; one
+            // viewer more than the connections and one connection more than
+            // the viewers. Three ticks per case on one `InterestSets`: the
+            // drained streams, the copies counted and the accountant's bytes
+            // equal delivery with every anchored packet scanned.
+            let mut s = seed | 1;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            let unit = |next: &mut dyn FnMut() -> u64| (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let huge = next() % 8 == 0;
+            let radius: f64 = if huge {
+                3.0e16
+            } else {
+                [32.0, 48.0, 80.0, 0.5, 0.75, 1.0, 5.3, 2.0][(next() % 8) as usize]
+            };
+            let cell = radius.max(1.0);
+            // Clustered: everything within a quarter radius, so every anchored
+            // packet reaches every viewer. Lattice: only the points where the
+            // scan's two tests can disagree — x on the radius, on a cell
+            // boundary or a hair off the origin, z on or a hair off the axis.
+            let scene = next() % 4;
+            let (clustered, lattice) = (scene == 0, scene == 1 && !huge);
+            let center = if huge {
+                [1.0e16, -1.3e16, 0.0][(next() % 3) as usize]
+            } else if lattice {
+                0.0
+            } else {
+                [0.0, cell * 3.0, -cell * 7.0, 123.456, 1.0e9 + 0.3, 4_398_046_511_104.5, -2.5e14][(next() % 7) as usize]
+            };
+            let offset = |next: &mut dyn FnMut() -> u64, axis: usize| {
+                let sign = if next().is_multiple_of(2) { 1.0 } else { -1.0 };
+                if clustered {
+                    return sign * radius * 0.25 * unit(next);
+                }
+                if lattice {
+                    return sign * [[0.0, radius, cell, 1e-15], [0.0, 1e-15, 0.0, 1e-15]][axis][(next() % 4) as usize];
+                }
+                sign * match next() % 8 {
+                    0 => 0.0,
+                    1 => radius,
+                    2 => cell * (next() % 3) as f64,
+                    3 => [1e-15, f64::MIN_POSITIVE, 1e-9][(next() % 3) as usize],
+                    4 => radius * 3.0 * unit(next),
+                    5 => radius + [1e-15, 1e-9][(next() % 2) as usize],
+                    _ => radius * unit(next),
+                }
+            };
+            let spot = |next: &mut dyn FnMut() -> u64| at(center + offset(next, 0), center + offset(next, 1));
+            let viewers = (next() % 9 + 1) as usize;
+            let mut players = roster(&(0..viewers).map(|_| spot(&mut next)).collect::<Vec<_>>());
+            // 0: every viewer registered; 1: one viewer without a connection;
+            // 2: one disconnected player still registered; 3: a connection
+            // nobody plays.
+            let registration = (next() % 8).saturating_sub(4);
+            let (mut tested, mut scanned_queues) = (NetworkingQueues::new(), NetworkingQueues::new());
+            for q in [&mut tested, &mut scanned_queues] {
+                for (i, player) in players.iter().enumerate() {
+                    if registration != 1 || i + 1 != viewers {
+                        q.add_connection(player.id);
+                    }
+                }
+                if registration == 3 {
+                    q.add_connection(PlayerId(viewers as u32 + 5));
+                }
+            }
+            if registration == 2 {
+                players[viewers - 1].disconnected = true;
+            }
+            let (mut traffic, mut scanned_traffic) = (TrafficAccountant::new(), TrafficAccountant::new());
+            let mut sets = InterestSets::default();
+            for tick in 0..3u64 {
+                let packets: Vec<_> = (0..next() % 24)
+                    .map(|_| match next() % 6 {
+                        0 => ClientboundPacket::KeepAlive { id: tick },
+                        1 => ClientboundPacket::EntityDestroy { id: EntityId(tick) },
+                        2 if center.abs() < 1e9 && !huge => {
+                            let pos = spot(&mut next);
+                            ClientboundPacket::BlockChange {
+                                pos: mlg_world::BlockPos::new(pos.x.floor() as i32, 64, pos.z.floor() as i32),
+                                block: mlg_world::Block::AIR,
+                            }
+                        }
+                        3 => ClientboundPacket::EntitySpawn { id: EntityId(tick), kind_id: 3, pos: spot(&mut next) },
+                        _ => entity_move(spot(&mut next)),
+                    })
+                    .collect();
+                let emitted = multicast_by_interest(&mut tested, &mut traffic, &packets, &players, radius, &mut sets);
+                let answers = roster_answers(&sets, &packets);
+                let expected = multicast_by_scan(&mut scanned_queues, &mut scanned_traffic, &packets, &players, radius);
+                assert_eq!(emitted, expected, "copies, tick {}", tick);
+                assert_eq!(traffic.summary(), scanned_traffic.summary(), "tick {}", tick);
+                let block_changes = packets.iter().any(|p| matches!(p, ClientboundPacket::BlockChange { .. }));
+                if clustered && registration == 0 && !huge && !block_changes {
+                    assert!(answers.iter().all(|&roster| roster), "a cluster is answered by the roster");
+                }
+                // Drain on the last tick and on some others, so ranges of
+                // several ticks queue up too.
+                if tick == 2 || next() % 2 == 0 {
+                    for id in (0..=viewers as u32 + 6).chain([u32::MAX]) {
+                        let player = PlayerId(id);
+                        assert_eq!(tested.drain_outgoing(player), scanned_queues.drain_outgoing(player), "{}", player);
+                    }
+                }
+                for player in &mut players {
+                    player.pos = spot(&mut next);
+                }
+            }
+        }
     }
 }

@@ -16,8 +16,13 @@
 //! the last range that references it is drained — once per tick when every
 //! client reads its queue — so a connection nobody drains pins the packets
 //! of every tick since, once for all connections rather than once each.
+//!
+//! Connections live in slots indexed by [`PlayerId`], so reaching the queue
+//! of a delivered copy is an array index, not a map lookup. Ids are handed
+//! out densely from 1 (`GameServer::connect_player_at`), which keeps the
+//! slot vector as long as the roster.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use mlg_protocol::codec::clientbound_wire_size;
@@ -82,7 +87,7 @@ struct ConnectionQueues {
     /// The newest outgoing entry while it is a shared range: it follows
     /// everything in `outgoing` and is empty when there is none. It is kept
     /// here so that growing it by an adjacent range touches only this struct,
-    /// which the connection lookup just loaded — the back of a deque nobody
+    /// which reaching the connection just loaded — the back of a deque nobody
     /// wrote since the join is a cache miss per connection.
     open: Range<usize>,
 }
@@ -112,6 +117,15 @@ impl ConnectionQueues {
     }
 }
 
+/// The queues of `player` among `connections`, if it is registered.
+#[inline]
+fn slot(
+    connections: &mut [Option<ConnectionQueues>],
+    player: PlayerId,
+) -> Option<&mut ConnectionQueues> {
+    connections.get_mut(player.0 as usize)?.as_mut()
+}
+
 /// Recipient selection for one packet of a
 /// [`NetworkingQueues::multicast_many`] batch.
 #[derive(Debug, Clone, Copy)]
@@ -123,10 +137,14 @@ pub enum PacketRecipients<'a> {
     Only(&'a [PlayerId]),
 }
 
-/// All connection queues of the server, keyed by player.
+/// All connection queues of the server, in slots indexed by player id.
 #[derive(Debug, Default)]
 pub struct NetworkingQueues {
-    connections: BTreeMap<PlayerId, ConnectionQueues>,
+    /// Slot `i` holds the queues of `PlayerId(i)`, `None` while no such
+    /// connection is registered. Ascending slot order is ascending id order.
+    connections: Vec<Option<ConnectionQueues>>,
+    /// How many slots hold a connection.
+    registered: usize,
     log: PacketLog,
     /// Shared entries queued over all connections; the log is cleared when
     /// this returns to zero.
@@ -141,15 +159,43 @@ impl NetworkingQueues {
     }
 
     /// Registers a new connection. It sees what is broadcast from now on,
-    /// not what the log still holds for others.
+    /// not what the log still holds for others. Registering a connection
+    /// twice keeps what it has queued.
+    ///
+    /// The slot vector grows to the largest id registered, so memory follows
+    /// the largest id rather than the number of connections: ids are meant
+    /// to be handed out densely from 1, as `GameServer::connect_player_at`
+    /// does.
     pub fn add_connection(&mut self, player: PlayerId) {
-        self.connections.entry(player).or_default();
+        let slot = player.0 as usize;
+        if slot >= self.connections.len() {
+            self.connections.resize_with(slot + 1, || None);
+        }
+        if self.connections[slot].is_none() {
+            self.connections[slot] = Some(ConnectionQueues::default());
+            self.registered += 1;
+        }
+    }
+
+    /// The number of registered connections — the recipients of a
+    /// [`PacketRecipients::All`] packet.
+    pub(crate) fn connection_count(&self) -> usize {
+        self.registered
+    }
+
+    /// Queues the log positions `range` on every connection, in ascending id
+    /// order, and returns how many shared entries that added.
+    fn push_to_all(&mut self, range: Range<usize>) -> usize {
+        let connections = self.connections.iter_mut().flatten();
+        connections
+            .map(|conn| conn.push_shared(range.clone()))
+            .sum()
     }
 
     /// Buffers a serverbound packet from `player` into the incoming queue.
     /// Packets for unknown connections are dropped.
     pub fn push_incoming(&mut self, player: PlayerId, packet: ServerboundPacket) {
-        if let Some(conn) = self.connections.get_mut(&player) {
+        if let Some(conn) = slot(&mut self.connections, player) {
             conn.incoming.push_back(packet);
         }
     }
@@ -158,8 +204,7 @@ impl NetworkingQueues {
     /// Called once per tick by the player handler ("the Game Loop retrieves
     /// [player actions] from the Networking Queues once per tick").
     pub fn drain_incoming(&mut self, player: PlayerId) -> Vec<ServerboundPacket> {
-        self.connections
-            .get_mut(&player)
+        slot(&mut self.connections, player)
             .map(|c| c.incoming.drain(..).collect())
             .unwrap_or_default()
     }
@@ -180,7 +225,7 @@ impl NetworkingQueues {
         player: PlayerId,
         packets: impl IntoIterator<Item = ClientboundPacket>,
     ) {
-        if let Some(conn) = self.connections.get_mut(&player) {
+        if let Some(conn) = slot(&mut self.connections, player) {
             conn.close_open();
             let packets = packets.into_iter();
             let queued = conn.outgoing.len();
@@ -198,17 +243,15 @@ impl NetworkingQueues {
     /// positions, so the cost is packets + connections, not their product.
     /// Each connection receives the packets in slice order.
     pub fn broadcast_many(&mut self, packets: &[ClientboundPacket]) -> u64 {
-        if packets.is_empty() || self.connections.is_empty() {
+        if packets.is_empty() || self.registered == 0 {
             return 0;
         }
         let start = self.log.packets.len();
         self.log.reserve(packets.len());
         packets.iter().for_each(|packet| self.log.push(packet));
         let end = self.log.packets.len();
-        for conn in self.connections.values_mut() {
-            self.shared_ranges += conn.push_shared(start..end);
-        }
-        (packets.len() * self.connections.len()) as u64
+        self.shared_ranges += self.push_to_all(start..end);
+        (packets.len() * self.registered) as u64
     }
 
     /// Buffers a batch of clientbound packets, delivering packet `i` to the
@@ -221,40 +264,58 @@ impl NetworkingQueues {
     /// always answers [`PacketRecipients::All`] delivers exactly what
     /// [`NetworkingQueues::broadcast_many`] does. A packet enters the log
     /// once if anyone receives it, and consecutive packets for one
-    /// connection merge into one queued range. Cost is Σ|recipient set|
-    /// (one map lookup per listed recipient), not `packets × connections`,
-    /// which is what lets a scaled-population workload disseminate through
-    /// the same call. Listed players without a registered connection are
-    /// skipped; a player listed twice receives two copies.
+    /// connection merge into one queued range.
+    ///
+    /// Consecutive [`PacketRecipients::All`] packets form one run of log
+    /// positions, queued on every connection once — before the next
+    /// [`PacketRecipients::Only`] packet's recipients, and at the end of the
+    /// batch. Adjacent ranges merge, so every queue ends up as one
+    /// push per packet would have left it. The cost is one push per
+    /// connection per run of `All` packets plus one slot index per listed
+    /// recipient, not `packets × connections`, which is what lets a
+    /// scaled-population workload disseminate through the same call. Listed
+    /// players without a registered connection are skipped; a player listed
+    /// twice receives two copies.
     pub fn multicast_many<'a, F>(&mut self, packets: &[ClientboundPacket], recipients: F) -> u64
     where
         F: Fn(usize) -> PacketRecipients<'a>,
     {
         let (mut count, mut ranges) = (0, 0);
         self.log.reserve(packets.len());
+        // The run of `All` packets not yet queued: log positions from here to
+        // the log's end.
+        let mut run_start = self.log.packets.len();
         for (index, packet) in packets.iter().enumerate() {
             let at = self.log.packets.len();
-            let mut copies = 0;
-            match recipients(index) {
+            let players = match recipients(index) {
+                PacketRecipients::All if self.registered == 0 => continue,
                 PacketRecipients::All => {
-                    for conn in self.connections.values_mut() {
-                        ranges += conn.push_shared(at..at + 1);
-                        copies += 1;
-                    }
+                    self.log.push(packet);
+                    count += self.registered as u64;
+                    continue;
                 }
-                PacketRecipients::Only(players) => {
-                    for player in players {
-                        if let Some(conn) = self.connections.get_mut(player) {
-                            ranges += conn.push_shared(at..at + 1);
-                            copies += 1;
-                        }
-                    }
+                PacketRecipients::Only(players) => players,
+            };
+            if run_start < at {
+                ranges += self.push_to_all(run_start..at);
+                run_start = at;
+            }
+            let mut copies = 0;
+            for &player in players {
+                if let Some(conn) = slot(&mut self.connections, player) {
+                    ranges += conn.push_shared(at..at + 1);
+                    copies += 1;
                 }
             }
             if copies > 0 {
                 self.log.push(packet);
                 count += copies;
+                run_start = at + 1;
             }
+        }
+        let end = self.log.packets.len();
+        if run_start < end {
+            ranges += self.push_to_all(run_start..end);
         }
         self.shared_ranges += ranges;
         count
@@ -273,7 +334,7 @@ impl NetworkingQueues {
         player: PlayerId,
         mut visit: impl FnMut(&[ClientboundPacket]),
     ) -> (u64, usize) {
-        let Some(conn) = self.connections.get_mut(&player) else {
+        let Some(conn) = slot(&mut self.connections, player) else {
             return (0, 0);
         };
         let (mut packets, mut bytes, mut ranges) = (0, 0, 0);
@@ -311,6 +372,8 @@ impl NetworkingQueues {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn chat(msg: &str) -> ServerboundPacket {
@@ -368,7 +431,8 @@ mod tests {
         for packet in &packets {
             single.extend_outgoing(PlayerId(1), [packet.clone()]);
         }
-        let capacity = |q: &NetworkingQueues| q.connections[&PlayerId(1)].outgoing.capacity();
+        let capacity =
+            |q: &NetworkingQueues| q.connections[1].as_ref().map(|c| c.outgoing.capacity());
         assert_eq!(capacity(&run), capacity(&single));
         assert_eq!(
             run.drain_outgoing(PlayerId(1)),
@@ -579,12 +643,16 @@ mod tests {
         #[test]
         fn multicast_many_equals_filtered_per_recipient_delivery(seed in proptest::prelude::any::<u64>()) {
             // Random interleavings of join streams, broadcasts, multicasts
-            // (empty sets, unregistered players, a player listed twice, `All`
-            // mixed with `Only`), the three ways to drain, late joiners and
-            // connections nobody drains, against per-copy delivery: the same
-            // packets in the same order per connection, the same counts and
-            // the same wire bytes — "area-of-interest delivery is a filtered
-            // broadcast", whatever the queues store.
+            // (runs of `All` broken by `Only` sets that reach nobody — empty,
+            // or unregistered players only — and by sets that reach someone,
+            // a player listed twice among them), the three ways to drain, late
+            // joiners and connections nobody drains, against per-copy
+            // delivery: the same packets in the same order per connection, the
+            // same counts and the same wire bytes — "area-of-interest delivery
+            // is a filtered broadcast", whatever the queues store. A third
+            // queue set is fed one packet per call, which queues every `All`
+            // packet on its own: run flushing must leave every queue with the
+            // same entries as that.
             let mut s = seed | 1;
             let mut next = move || {
                 s ^= s << 13;
@@ -593,10 +661,12 @@ mod tests {
                 s
             };
             let mut log = NetworkingQueues::new();
+            let mut single = NetworkingQueues::new();
             let mut reference = PerCopyQueues::default();
             let mut players = (next() % 6 + 1) as u32;
             for i in 0..players {
                 log.add_connection(PlayerId(i));
+                single.add_connection(PlayerId(i));
                 reference.0.entry(PlayerId(i)).or_default();
             }
             // Players below this id are never drained before the end.
@@ -624,43 +694,67 @@ mod tests {
                     0 => {
                         let packets = batch(&mut next, 5);
                         packets.iter().for_each(|packet| { reference.deliver(player, packet); });
+                        single.extend_outgoing(player, packets.iter().cloned());
                         log.extend_outgoing(player, packets);
                     }
                     1 => {
                         let packets = batch(&mut next, 12);
                         let everyone = vec![None; packets.len()];
-                        assert_eq!(log.broadcast_many(&packets), reference.multicast(&packets, &everyone));
+                        let sent = log.broadcast_many(&packets);
+                        assert_eq!(sent, reference.multicast(&packets, &everyone));
+                        assert_eq!(sent, single.broadcast_many(&packets));
                     }
                     2 | 3 => {
                         let packets = batch(&mut next, 24);
+                        let unregistered = [PlayerId(players), PlayerId(players + 9), PlayerId(u32::MAX)];
                         let selections: Vec<Option<Vec<PlayerId>>> = packets
                             .iter()
-                            .map(|_| {
-                                (next() % 4 != 0).then(|| {
+                            .map(|_| match next() % 8 {
+                                0..=2 => None,
+                                3 => Some(Vec::new()),
+                                4 => Some(unregistered[..=(next() % 3) as usize].to_vec()),
+                                _ => Some(
                                     (0..=players)
                                         .chain(0..=players)
                                         .filter(|_| next() % 3 == 0)
                                         .map(PlayerId)
-                                        .collect()
-                                })
+                                        .collect(),
+                                ),
                             })
                             .collect();
-                        let sent = log.multicast_many(&packets, |index| match &selections[index] {
+                        let select = |index: usize| match &selections[index] {
                             None => PacketRecipients::All,
                             Some(set) => PacketRecipients::Only(set),
-                        });
+                        };
+                        let sent = log.multicast_many(&packets, select);
                         assert_eq!(sent, reference.multicast(&packets, &selections));
+                        let one_by_one: u64 = packets
+                            .iter()
+                            .enumerate()
+                            .map(|(index, packet)| single.multicast_many(std::slice::from_ref(packet), |_| select(index)))
+                            .sum();
+                        assert_eq!(sent, one_by_one);
                     }
                     4 => {
                         log.add_connection(PlayerId(players));
+                        single.add_connection(PlayerId(players));
                         reference.0.entry(PlayerId(players)).or_default();
                         players += 1;
                     }
                     _ if player.0 < undrained => {}
-                    5 => assert_eq!(log.drain_outgoing(player), reference.drain(player)),
+                    5 => {
+                        let expected = reference.drain(player);
+                        assert_eq!(single.drain_outgoing(player), expected);
+                        assert_eq!(log.drain_outgoing(player), expected);
+                    }
                     6 => {
-                        let mut seen = Vec::new();
-                        let totals = log.drain_outgoing_with(player, |run| seen.extend_from_slice(run));
+                        let (mut seen, mut runs, mut single_runs) = (Vec::new(), Vec::new(), Vec::new());
+                        let totals = log.drain_outgoing_with(player, |run| {
+                            runs.push(run.len());
+                            seen.extend_from_slice(run);
+                        });
+                        single.drain_outgoing_with(player, |run| single_runs.push(run.len()));
+                        assert_eq!(runs, single_runs, "the same queue entries as one push per packet");
                         assert_eq!(totals, (seen.len() as u64, wire_bytes(&seen)));
                         assert_eq!(seen, reference.drain(player));
                     }
@@ -668,12 +762,16 @@ mod tests {
                         let expected = reference.drain(player);
                         let totals = log.drain_outgoing_with(player, |_| ());
                         assert_eq!(totals, (expected.len() as u64, wire_bytes(&expected)));
+                        assert_eq!(single.drain_outgoing_with(player, |_| ()), totals);
                     }
                 }
                 if reference.0.values().all(VecDeque::is_empty) {
                     assert!(log.log.packets.is_empty(), "every queue is empty, the log is not");
                 }
                 assert_eq!(log.log.packets.is_empty(), log.shared_ranges == 0);
+                assert_eq!(log.shared_ranges, single.shared_ranges);
+                assert_eq!(log.log.packets.len(), single.log.packets.len());
+                assert_eq!(log.connection_count(), reference.0.len());
             }
             for i in 0..=players {
                 assert_eq!(log.drain_outgoing(PlayerId(i)), reference.drain(PlayerId(i)), "player {}", i);
@@ -719,5 +817,63 @@ mod tests {
         assert_eq!(q.broadcast_many(&[]), 0);
         assert_eq!(q.shared_ranges, 0);
         assert_eq!(q.drain_outgoing_with(PlayerId(1), |_| ()), (0, 0));
+    }
+
+    #[test]
+    fn unknown_and_out_of_range_ids_are_safe() {
+        let mut q = NetworkingQueues::new();
+        q.add_connection(PlayerId(1));
+        q.add_connection(PlayerId(2));
+        for id in [0, 3, 1_000, u32::MAX] {
+            let player = PlayerId(id);
+            q.push_incoming(player, chat("lost"));
+            assert!(q.drain_incoming(player).is_empty());
+            q.extend_outgoing(player, std::iter::repeat_with(|| unreachable!()));
+            let only = [player];
+            let sent = q.multicast_many(&keep_alives(0..2), |_| PacketRecipients::Only(&only));
+            assert_eq!(sent, 0);
+            assert_eq!(q.drain_outgoing_with(player, |_| unreachable!()), (0, 0));
+            assert!(q.drain_outgoing(player).is_empty());
+        }
+        assert_eq!(
+            q.connections.len(),
+            3,
+            "nothing but add_connection grows the slots"
+        );
+        assert_eq!(q.connection_count(), 2);
+        assert!(q.log.packets.is_empty() && q.shared_ranges == 0);
+        // A second registration keeps what the connection has queued.
+        q.push_incoming(PlayerId(2), chat("kept"));
+        q.extend_outgoing(PlayerId(2), keep_alives(0..1));
+        q.broadcast_many(&keep_alives(1..3));
+        q.add_connection(PlayerId(2));
+        assert_eq!(q.connection_count(), 2);
+        assert_eq!(q.drain_incoming(PlayerId(2)).len(), 1);
+        assert_eq!(q.drain_outgoing(PlayerId(2)), keep_alives(0..3));
+    }
+
+    #[test]
+    fn a_batch_of_global_packets_is_one_queue_entry_per_connection() {
+        let packets = keep_alives(0..6);
+        let (mut multicast, mut broadcast) = (NetworkingQueues::new(), NetworkingQueues::new());
+        for q in [&mut multicast, &mut broadcast] {
+            [1, 2, 5]
+                .into_iter()
+                .for_each(|id| q.add_connection(PlayerId(id)));
+        }
+        let sent = multicast.multicast_many(&packets, |_| PacketRecipients::All);
+        assert_eq!(sent, broadcast.broadcast_many(&packets));
+        assert_eq!(multicast.shared_ranges, 3, "one range per connection");
+        for id in [1, 2, 5] {
+            let mut visits = Vec::new();
+            let totals =
+                multicast.drain_outgoing_with(PlayerId(id), |run| visits.push(run.to_vec()));
+            assert_eq!(
+                visits,
+                std::slice::from_ref(&packets),
+                "the visitor is called once"
+            );
+            assert_eq!(totals, broadcast.drain_outgoing_with(PlayerId(id), |_| ()));
+        }
     }
 }

@@ -12,7 +12,11 @@ measured on the parent commit and one on the change, paired seed by seed:
 uncommitted tree has no commit yet, so name it by its `crates/` tree.
 
 Check — every file has every key the writer emits, no failed operation on
-either side, and only workloads and metrics that BENCHMARK.json declares:
+either side, only workloads and metrics that BENCHMARK.json declares, and in
+every row the fields derived from its `runs` (quartiles, `change_over_parent`,
+`parent_iqr_over_median`, `change_wins`, `every_change_run_beats_every_parent_run`)
+equal to what the writer computes from them — a hand-edited median or a claim
+copied from another row fails:
 
     scripts/bench_trajectory.py --check BENCH_*.json
 
@@ -35,6 +39,7 @@ directory). Standard library only.
 """
 import argparse
 import json
+import math
 import statistics
 import sys
 
@@ -48,6 +53,37 @@ QUARTILE_KEYS = ("p25", "p50", "p75", "runs")
 def quartiles(values):
     p25, p50, p75 = statistics.quantiles(values, n=4, method="inclusive")
     return {"p25": p25, "p50": p50, "p75": p75, "runs": values}
+
+
+def derive(parent_runs, change_runs, better):
+    """Every field of a row that follows from its runs, paired in order."""
+    beats = (lambda y, x: y > x) if better == "higher" else (lambda y, x: y < x)
+    qa, qb = quartiles(parent_runs), quartiles(change_runs)
+    return {
+        "parent": qa, "change": qb,
+        "change_over_parent": qb["p50"] / qa["p50"],
+        "parent_iqr_over_median": (qa["p75"] - qa["p25"]) / qa["p50"],
+        "change_wins": sum(beats(y, x) for x, y in zip(parent_runs, change_runs)), "pairs": len(parent_runs),
+        "every_change_run_beats_every_parent_run": all(beats(y, x) for x in parent_runs for y in change_runs),
+    }
+
+
+def disagreements(row, where):
+    """Where a row's recorded derived fields differ from what its runs give."""
+    found = []
+
+    def differs(recorded, recomputed):
+        if isinstance(recomputed, float):
+            return not (isinstance(recorded, (int, float)) and math.isclose(recorded, recomputed, rel_tol=1e-9))
+        return type(recorded) is not type(recomputed) or recorded != recomputed
+
+    expected = derive(row["parent"]["runs"], row["change"]["runs"], row["better"])
+    for key, value in expected.items():
+        fields = [(f"{key}.{q}", row[key][q], value[q]) for q in ("p25", "p50", "p75")] \
+            if key in ("parent", "change") else [(key, row[key], value)]
+        found.extend(f"{where}.{name}: recorded {recorded!r}, its runs give {recomputed!r}"
+                     for name, recorded, recomputed in fields if differs(recorded, recomputed))
+    return found
 
 
 def write(spec, pr, parent_dir, change_dir, seeds, change_id):
@@ -77,15 +113,8 @@ def write(spec, pr, parent_dir, change_dir, seeds, change_id):
         for m in spec["end_to_end"]:
             a, b = ([results[k, w["name"]]["metrics"][m["name"]]["value"] for k in seeds]
                     for results in sides.values())
-            better = (lambda x, y: x > y) if m["better"] == "higher" else (lambda x, y: x < y)
-            qa, qb = quartiles(a), quartiles(b)
-            rows[m["name"]] = {
-                "unit": m["unit"], "better": m["better"], "bound": m["bound"], "parent": qa, "change": qb,
-                "change_over_parent": qb["p50"] / qa["p50"],
-                "parent_iqr_over_median": (qa["p75"] - qa["p25"]) / qa["p50"],
-                "change_wins": sum(better(y, x) for x, y in zip(a, b)), "pairs": len(seeds),
-                "every_change_run_beats_every_parent_run": all(better(y, x) for x in a for y in b),
-            }
+            rows[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                               **derive(a, b, m["better"])}
     json.dump(out, sys.stdout, indent=1)
     print()
 
@@ -114,9 +143,15 @@ def problems(spec, doc):
             if metric not in metrics:
                 found.append(f"{where}: metric is not an end_to_end metric of BENCHMARK.json")
             if need(row, ROW_KEYS, where):
+                sound = True
                 for side in ("parent", "change"):
-                    if need(row[side], QUARTILE_KEYS, f"{where}.{side}") and len(row[side]["runs"]) != row["pairs"]:
+                    if not need(row[side], QUARTILE_KEYS, f"{where}.{side}"):
+                        sound = False
+                    elif len(row[side]["runs"]) != row["pairs"]:
                         found.append(f"{where}.{side}: {len(row[side]['runs'])} runs for {row['pairs']} pairs")
+                        sound = False
+                if sound:
+                    found.extend(disagreements(row, where))
     return found
 
 

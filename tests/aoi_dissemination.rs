@@ -34,23 +34,20 @@ fn reference_position(packet: &ClientboundPacket) -> Option<Vec3> {
     }
 }
 
-/// Builds a Folia server with stationary players spread so that some pairs
-/// are inside each other's view radius and some are far outside it, plus a
-/// mix of positioned traffic sources (wandering hostiles, falling items,
-/// primed TNT producing block changes and destroys).
-fn scattered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>) {
-    let config = ServerConfig::for_flavor(ServerFlavor::Folia)
-        .with_view_distance(2)
+/// Builds a server with stationary players at `spots`, plus a mix of
+/// positioned traffic sources around each (wandering hostiles, falling
+/// items, primed TNT producing block changes and destroys).
+fn scene(
+    flavor: ServerFlavor,
+    view_distance: u32,
+    spots: &[Vec3],
+    aoi: bool,
+) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>) {
+    let config = ServerConfig::for_flavor(flavor)
+        .with_view_distance(view_distance)
         .with_aoi_dissemination(Some(aoi));
     let world = World::new(Box::new(FlatGenerator::grassland()), 7);
     let mut server = GameServer::new(config, world, Vec3::new(0.5, 61.0, 0.5));
-    let spots = [
-        Vec3::new(0.5, 61.0, 0.5),
-        Vec3::new(20.0, 61.0, -12.0),
-        Vec3::new(150.0, 61.0, 150.0),
-        Vec3::new(-200.0, 61.0, 40.0),
-        Vec3::new(160.0, 61.0, 120.0),
-    ];
     let players: Vec<_> = spots
         .iter()
         .enumerate()
@@ -70,16 +67,44 @@ fn scattered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>)
     (server, players)
 }
 
-#[test]
-fn aoi_delivery_equals_distance_filtered_broadcast() {
-    let (mut filtered, players_a) = scattered_scene(true);
-    let (mut broadcast, players_b) = scattered_scene(false);
-    assert_eq!(players_a, players_b);
-    assert!(filtered.aoi_dissemination() && !broadcast.aoi_dissemination());
+/// A Folia server whose players are spread so that some pairs are inside
+/// each other's view radius and some are far outside it.
+fn scattered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>) {
+    let spots = [
+        Vec3::new(0.5, 61.0, 0.5),
+        Vec3::new(20.0, 61.0, -12.0),
+        Vec3::new(150.0, 61.0, 150.0),
+        Vec3::new(-200.0, 61.0, 40.0),
+        Vec3::new(160.0, 61.0, 120.0),
+    ];
+    scene(ServerFlavor::Folia, 2, &spots, aoi)
+}
 
+/// A Paper server whose players stand a few blocks apart with a view radius
+/// of 96 blocks: every viewer is in range of everything the tick produces,
+/// so every interest set is the whole roster (`player_crowd`'s regime).
+fn clustered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>) {
+    let spots = [
+        Vec3::new(0.5, 61.0, 0.5),
+        Vec3::new(6.0, 61.0, -4.0),
+        Vec3::new(-5.0, 61.0, 7.5),
+        Vec3::new(3.0, 61.0, 9.0),
+    ];
+    scene(ServerFlavor::Paper, 6, &spots, aoi)
+}
+
+/// Runs both servers for 30 ticks and checks, every tick, that each player's
+/// stream on `filtered` is the broadcast server's stream filtered by XZ
+/// distance. Returns how many packets that kept and how many it dropped.
+fn assert_aoi_is_a_filtered_broadcast(
+    filtered: &mut GameServer,
+    broadcast: &mut GameServer,
+    players: &[(mlg_server::PlayerId, Vec3)],
+) -> (usize, usize) {
+    assert!(filtered.aoi_dissemination() && !broadcast.aoi_dissemination());
     // Join-time chunk streaming is identical on both servers; clear it so
     // the comparison below covers exactly the tick dissemination stage.
-    for (id, _) in &players_a {
+    for (id, _) in players {
         assert!(filtered
             .stream_outgoing(*id)
             .eq(broadcast.stream_outgoing(*id)));
@@ -88,12 +113,14 @@ fn aoi_delivery_equals_distance_filtered_broadcast() {
     let radius = f64::from(filtered.config().view_distance) * 16.0;
     let mut engine_a = Environment::das5(4).instantiate(1).engine;
     let mut engine_b = Environment::das5(4).instantiate(1).engine;
+    let (mut kept, mut dropped) = (0, 0);
     for tick in 0..30 {
         filtered.run_tick(&mut engine_a);
         broadcast.run_tick(&mut engine_b);
-        for (id, player_pos) in &players_a {
-            let expected: Vec<_> = broadcast
-                .stream_outgoing(*id)
+        for (id, player_pos) in players {
+            let everything: Vec<_> = broadcast.stream_outgoing(*id).collect();
+            let expected: Vec<_> = everything
+                .iter()
                 .filter(|packet| {
                     reference_position(packet).is_none_or(|pos| {
                         let dx = pos.x - player_pos.x;
@@ -101,14 +128,46 @@ fn aoi_delivery_equals_distance_filtered_broadcast() {
                         dx * dx + dz * dz <= radius * radius
                     })
                 })
+                .cloned()
                 .collect();
             assert_eq!(
                 filtered.stream_outgoing(*id).collect::<Vec<_>>(),
                 expected,
                 "tick {tick}: player {id:?} AoI stream is not the distance-filtered broadcast"
             );
+            kept += expected.len();
+            dropped += everything.len() - expected.len();
         }
     }
+    (kept, dropped)
+}
+
+#[test]
+fn aoi_delivery_equals_distance_filtered_broadcast() {
+    let (mut filtered, players_a) = scattered_scene(true);
+    let (mut broadcast, players_b) = scattered_scene(false);
+    assert_eq!(players_a, players_b);
+    let (kept, dropped) =
+        assert_aoi_is_a_filtered_broadcast(&mut filtered, &mut broadcast, &players_a);
+    assert!(
+        kept > 0 && dropped > 0,
+        "the scene filters: kept {kept}, dropped {dropped}"
+    );
+}
+
+#[test]
+fn aoi_delivery_to_a_cluster_equals_the_plain_broadcast() {
+    // Every interest set is the whole roster, which the server answers as a
+    // broadcast range: the streams must be the distance-filtered broadcast
+    // and, since that filter drops nothing here, the broadcast itself.
+    let (mut filtered, players_a) = clustered_scene(true);
+    let (mut broadcast, players_b) = clustered_scene(false);
+    assert_eq!(players_a, players_b);
+    let (kept, dropped) =
+        assert_aoi_is_a_filtered_broadcast(&mut filtered, &mut broadcast, &players_a);
+    assert!(kept > 0, "the cluster must produce tick traffic");
+    assert_eq!(dropped, 0, "every viewer is in range of everything");
+    assert_eq!(filtered.traffic_summary(), broadcast.traffic_summary());
 }
 
 #[test]
