@@ -10,20 +10,30 @@
 //! candidate positions every tick, which costs work even when nothing spawns.
 //!
 //! The scan is modeled per *candidate* (`positions_scanned`), not per block
-//! read, so [`Spawner::is_valid_spawn_position`] stops at the first read
-//! that fails — most of a player's 40 attempts per tick die on the ground
-//! block. That is observationally identical to reading ground, feet and
-//! head first: the reads share a column, so whichever comes first
-//! generates the chunk if anything does, and [`Spawner::tick`] clamps
-//! candidates to `y ≥ 1`, where the ground read is always inside the world
-//! whenever a later one would be. The function is public, so for `y ≤ 0` —
-//! ground below the world, feet or head inside it — it still touches the
-//! column before answering.
+//! read, so [`Spawner::is_valid_spawn_position`] answers as cheaply as it
+//! can. It first looks up the candidate's column summary
+//! ([`World::column_summary`]): feet above the column's `top` stand on air,
+//! or on `top` itself under open sky (light 15); feet at or below its
+//! `base` are inside solid or fluid blocks. Either way the candidate is
+//! rejected without a block read. On the benchmark's workloads that settles
+//! 99.4–99.7 % of candidates (the ground-air rule alone settled 35–49 %);
+//! the rest go on to ground, feet, head and sky light, stopping at the
+//! first read that fails.
+//!
+//! All of that is observationally identical to reading ground, feet and
+//! head first: the summary and the reads share a column, so whichever
+//! comes first generates the chunk if anything does, and [`Spawner::tick`]
+//! clamps candidates to `y ≥ 1`, where the ground read is always inside the
+//! world whenever a later one would be. A candidate whose ground is above
+//! the world touches no chunk, as its ground read never did. The function
+//! is public, so for `y ≤ 0` — ground below the world, feet or head inside
+//! it — it skips the summary and still touches the column before
+//! answering.
 
 use rand::Rng;
 
-use mlg_world::light::sky_light_at;
-use mlg_world::{BlockPos, World};
+use mlg_world::light::{sky_light_at, MAX_LIGHT};
+use mlg_world::{BlockPos, World, WORLD_HEIGHT};
 
 use crate::entity::EntityKind;
 use crate::math::Vec3;
@@ -34,6 +44,10 @@ pub const HOSTILE_MOB_CAP: usize = 70;
 
 /// Sky-light level at or below which hostile mobs may spawn.
 pub const MAX_SPAWN_LIGHT: u8 = 0;
+
+// Open sky must be too bright: a candidate above its column's top is
+// rejected without reading the light.
+const _: () = assert!(MAX_SPAWN_LIGHT < MAX_LIGHT);
 
 /// Horizontal radius around players in which spawning is attempted.
 pub const SPAWN_RADIUS: i32 = 48;
@@ -76,12 +90,27 @@ impl Spawner {
     /// spawnable solid ground below, two passable blocks of room, and no sky
     /// light (dark).
     ///
-    /// Returns at the first read that rules the position out — ground,
-    /// feet, head, then sky light. All of them are in one column, so
-    /// stopping early touches (and lazily generates) the same chunk reading
-    /// everything would; see the module docs for the one exception handled
-    /// below.
+    /// Returns as soon as the position is ruled out: by the column's
+    /// summary, then at the first failing read — ground, feet, head, then
+    /// sky light. All of them are in one column, so stopping early touches
+    /// (and lazily generates) the same chunk reading everything would; see
+    /// the module docs for the edges of the world.
     pub fn is_valid_spawn_position(&self, world: &mut World, pos: BlockPos) -> bool {
+        if pos.y > WORLD_HEIGHT as i32 {
+            // Ground above the world reads as air and touches nothing.
+            return false;
+        }
+        if pos.y >= 1 {
+            // Ground inside the world: its column's summary loads the chunk
+            // the ground read would, and settles most candidates. Above
+            // `top` the ground is air, or it is `top` itself with open sky
+            // above the feet (light 15); at or below `base` the feet block
+            // is solid or fluid.
+            let (base, top) = world.column_summary(pos.x, pos.z);
+            if pos.y > top || pos.y <= base {
+                return false;
+            }
+        }
         if !world.block(pos.down()).kind().is_spawnable_surface() {
             if pos.y <= 0 {
                 // The ground read was below the world and touched nothing;
@@ -150,8 +179,8 @@ impl Spawner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlg_world::generation::FlatGenerator;
-    use mlg_world::{Block, BlockKind, ChunkPos};
+    use mlg_world::generation::{FlatGenerator, NoiseGenerator};
+    use mlg_world::{Block, BlockKind, ChunkPos, Region, ShardMap, TickPipeline};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -230,27 +259,66 @@ mod tests {
         outcome
     }
 
-    /// A flat world with roofs, water, ceilings at the top of the world and
-    /// bedrock-level holes scattered over the columns around the origin, or
-    /// — for every fourth seed — nothing loaded at all.
+    /// A flat world (grass at y = 60), or for seeds 3 mod 4 a noise world
+    /// of trees, beaches and sea, cluttered over the columns around the
+    /// origin with what a column summary must get right — roofs and
+    /// overhangs, water and lava, plants, dust and torches on the grass
+    /// (top above base), air pockets under the grass and at bedrock level,
+    /// blocks at the top of the world — or, for every fourth seed, nothing
+    /// loaded at all. Odd seeds then move every chunk into a quadtree of
+    /// seven `Regions` shards.
     fn cluttered_world(seed: u64) -> World {
-        let mut w = world();
         if seed.is_multiple_of(4) {
-            return w;
+            return world();
         }
+        let mut w = if seed % 4 == 3 {
+            World::new(Box::new(NoiseGenerator::new(seed)), 7)
+        } else {
+            world()
+        };
         let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..120 {
-            let x = rng.gen_range(-24..=24);
-            let z = rng.gen_range(-24..=24);
-            let (y, kind) = match rng.gen_range(0..6) {
-                0 => (64, BlockKind::Stone),
-                1 => (61, BlockKind::Water),
-                2 => (62, BlockKind::Stone),
-                3 => (127, BlockKind::Stone),
-                4 => (126, BlockKind::Grass),
-                _ => (0, BlockKind::Air),
+        let open = [
+            BlockKind::Wheat,
+            BlockKind::SugarCane,
+            BlockKind::Sapling,
+            BlockKind::RedstoneTorch,
+            BlockKind::RedstoneDust,
+        ];
+        for _ in 0..160 {
+            let (x, z) = (rng.gen_range(-24..=24), rng.gen_range(-24..=24));
+            // Heights are taken from the column's surface `s`.
+            let s = w.highest_block_y(x, z).unwrap_or(0);
+            let mut fill = |(y_lo, y_hi): (i32, i32), (dx, dz): (i32, i32), kind: BlockKind| {
+                let region = Region::new(
+                    BlockPos::new(x, y_lo, z),
+                    BlockPos::new(x + dx, y_hi, z + dz),
+                );
+                w.fill_region(region, Block::simple(kind));
             };
-            w.set_block_silent(BlockPos::new(x, y, z), Block::simple(kind));
+            match rng.gen_range(0..10) {
+                // A roof, and an overhang: a pillar carrying a plate.
+                0 => fill((s + 4, s + 4), (0, 0), BlockKind::Stone),
+                1 => {
+                    fill((s + 1, s + 4), (0, 0), BlockKind::Stone);
+                    fill((s + 4, s + 4), (3, 2), BlockKind::Planks);
+                }
+                // Fluids: standing water, lava in the ground.
+                2 => fill((s + 1, s + 3), (0, 0), BlockKind::Water),
+                3 => fill((s, s + 1), (0, 0), BlockKind::Lava),
+                4 => fill((s + 1, s + 1), (0, 0), open[rng.gen_range(0..open.len())]),
+                // Pockets roofed by the ground, holes in the bedrock.
+                5 => fill((s - 3, s - 1), (1, 1), BlockKind::Air),
+                6 => fill((0, 0), (0, 0), BlockKind::Air),
+                // The top of the world.
+                7 => fill((127, 127), (0, 0), BlockKind::Stone),
+                8 => fill((126, 126), (1, 0), BlockKind::Grass),
+                _ => fill((s + 2, s + 2), (0, 0), BlockKind::Stone),
+            }
+        }
+        if seed % 2 == 1 {
+            let bounds = Some((ChunkPos::new(-8, -8), ChunkPos::new(7, 7)));
+            w.reshard(TickPipeline::adaptive(bounds, 7, 1).shard_map().clone());
+            assert_eq!(w.shard_map().count(), 7);
         }
         w
     }
@@ -267,8 +335,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..200 {
                 let y = match rng.gen_range(0..3) {
-                    0 => [-2, -1, 0, 1, 126, 127, 128, 129][rng.gen_range(0..8)],
-                    1 => rng.gen_range(58..=66),
+                    0 => [-2, -1, 0, 1, 2, 126, 127, 128, 129, 130][rng.gen_range(0..10)],
+                    1 => rng.gen_range(56..=66),
                     _ => rng.gen_range(-4..=132),
                 };
                 let pos = BlockPos::new(rng.gen_range(-40..=40), y, rng.gen_range(-40..=40));
@@ -288,22 +356,32 @@ mod tests {
 
     #[test]
     fn two_hundred_spawning_passes_match_the_reference_draw_for_draw() {
-        for seed in [1_u64, 2, 4] {
+        for seed in [1_u64, 2, 3, 4] {
             let (mut expected_world, mut actual_world) =
                 (cluttered_world(seed), cluttered_world(seed));
             let spawner = Spawner::new();
             let (mut expected_rng, mut actual_rng) =
                 (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
             // One player over the clutter, one far out over unloaded
-            // columns, one low enough for the `y ≥ 1` clamp to bite.
+            // columns, one low enough for the `y ≥ 1` clamp to bite, one
+            // whose candidates reach 116..=132 over the top-of-world
+            // clutter, and one whose candidates (129..=145) all stand on
+            // ground above the world, over columns nothing else loads.
             let players = [
                 Vec3::new(0.5, 61.0, 0.5),
                 Vec3::new(300.5, 61.0, -180.5),
                 Vec3::new(-10.5, 4.0, 12.5),
+                Vec3::new(8.5, 124.0, -8.5),
+                Vec3::new(-420.5, 137.0, 260.5),
             ];
             let mut hostile = 0;
             let mut spawned = 0;
             for tick in 0..200 {
+                if tick == 100 {
+                    // Stores move under the chunk cursor mid-run.
+                    expected_world.reshard(ShardMap::stripes(3));
+                    actual_world.reshard(ShardMap::stripes(3));
+                }
                 let expected = reference_tick(
                     &spawner,
                     &mut expected_world,
@@ -312,7 +390,16 @@ mod tests {
                     &mut expected_rng,
                 );
                 let actual = spawner.tick(&mut actual_world, &players, hostile, &mut actual_rng);
-                assert_eq!(actual, expected, "seed {seed}, tick {tick}");
+                let ctx = format!("seed {seed}, tick {tick}");
+                assert_eq!(actual, expected, "{ctx}");
+                assert_eq!(
+                    actual_world.chunks_generated_this_tick(),
+                    expected_world.chunks_generated_this_tick(),
+                    "{ctx}"
+                );
+                assert_eq!(loaded(&actual_world), loaded(&expected_world), "{ctx}");
+                expected_world.advance_tick();
+                actual_world.advance_tick();
                 spawned += actual.spawns.len();
                 // Let the cap come and go.
                 hostile = (hostile + actual.spawns.len()) % (HOSTILE_MOB_CAP + 5);
@@ -321,9 +408,49 @@ mod tests {
                 spawned > 0 || seed == 4,
                 "seed {seed}: the clutter must admit spawns"
             );
-            assert_eq!(loaded(&actual_world), loaded(&expected_world));
+            let far_above = BlockPos::new(-420, 0, 260).chunk();
+            assert!(
+                actual_world.chunk_if_loaded(far_above).is_none(),
+                "seed {seed}: ground above the world loaded a chunk"
+            );
             assert_eq!(actual_rng.gen::<u64>(), expected_rng.gen::<u64>());
         }
+    }
+
+    /// The clutter reaches every branch: candidates settled above `top`,
+    /// candidates settled at or below `base`, and candidates the summaries
+    /// leave to the block reads — among them plant-topped columns, pockets
+    /// and roofs, where mobs do spawn.
+    #[test]
+    fn the_summaries_settle_most_candidates_and_leave_the_rest_to_the_reads() {
+        let (mut above, mut under, mut read, mut valid) = (0, 0, 0, 0);
+        for seed in [1_u64, 2, 3, 5, 6, 7] {
+            let mut w = cluttered_world(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..4_000 {
+                let pos = BlockPos::new(
+                    rng.gen_range(-24..=24),
+                    rng.gen_range(53..=69),
+                    rng.gen_range(-24..=24),
+                );
+                let verdict = Spawner::new().is_valid_spawn_position(&mut w, pos);
+                let (base, top) = w.column_summary(pos.x, pos.z);
+                if pos.y > top {
+                    above += 1;
+                } else if pos.y <= base {
+                    under += 1;
+                } else {
+                    read += 1;
+                    valid += usize::from(verdict);
+                }
+                // Strictly under `top`: feet at `top` are blocked or under
+                // open sky, so `y ≥ top` would settle exactly too.
+                assert!(!verdict || (base < pos.y && pos.y < top), "{pos}");
+            }
+        }
+        assert!(above > 0 && under > 0 && read > 0 && valid > 0);
+        let settled = f64::from(above + under) / f64::from(above + under + read);
+        assert!(settled > 0.9, "{above} above, {under} under, {read} read");
     }
 
     #[test]

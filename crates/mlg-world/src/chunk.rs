@@ -18,7 +18,14 @@
 //! `ChunkBuilder::finish` packs it once into the chunk a per-block replay
 //! of the same writes would have produced.
 //!
-//! Besides the heightmap and the dissemination dirty flag, the chunk tracks
+//! Every `(x, z)` column carries two summaries, kept exact by every write
+//! ([`Chunk::column_summary`]): `top`, the heightmap — the highest non-air
+//! block — and `base`, the top of the column's unbroken solid-or-fluid
+//! foundation. Between them they answer most spawn candidates without a
+//! block read: ground above `top` is air, feet at or below `base` are
+//! blocked.
+//!
+//! Besides the summaries and the dissemination dirty flag, the chunk tracks
 //! *light-dirty columns*: a 256-bit mask of `(x, z)` columns whose light
 //! opacity profile changed since the last relight pass consumed them. The
 //! incremental relighting cache in [`crate::world`] uses this mask (plus a
@@ -40,6 +47,9 @@ pub const CHUNK_SIZE: usize = 16;
 /// `0..WORLD_HEIGHT`.
 pub const WORLD_HEIGHT: usize = 128;
 
+// Column summaries store a `y` (or −1) in an `i8`.
+const _: () = assert!(WORLD_HEIGHT - 1 <= i8::MAX as usize);
+
 pub(crate) const BLOCKS_PER_CHUNK: usize = CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT;
 
 /// Blocks in one horizontal layer (one per column); layers are contiguous
@@ -53,17 +63,35 @@ const LIGHT_DIRTY_WORDS: usize = LAYER / 64;
 /// baseline for the palette-compression regression tests and benches.
 pub const DENSE_BODY_BYTES: usize = BLOCKS_PER_CHUNK * std::mem::size_of::<Block>();
 
+/// `true` for a block a mob's feet cannot occupy: solid or fluid.
+fn solid_or_fluid(block: Block) -> bool {
+    block.is_solid() || block.kind().is_fluid()
+}
+
+/// What each `(x, z)` column holds, as far as lighting and spawning ask:
+/// column `z * CHUNK_SIZE + x` of each array. 512 bytes, the size of the
+/// `i16` heightmap they replaced.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct ColumnSummaries {
+    /// Highest `y` such that every block in `0..=base` is solid or fluid,
+    /// or −1.
+    base: [i8; LAYER],
+    /// Highest non-air `y`, or −1 (the heightmap).
+    top: [i8; LAYER],
+}
+
 /// A single chunk column of blocks.
 ///
 /// Blocks live in a [`PaletteStore`] indexed by `(x, y, z)` local
-/// coordinates. The chunk also tracks a heightmap (highest non-air block per
-/// column) used by lighting and spawning, and a dirty flag used by the server
-/// to know which chunks need to be re-sent to clients.
+/// coordinates. The chunk also tracks a summary per column (its heightmap
+/// and its solid-or-fluid base, see [`Chunk::column_summary`]) used by
+/// lighting and spawning, and a dirty flag used by the server to know which
+/// chunks need to be re-sent to clients.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Chunk {
     pos: ChunkPos,
     store: PaletteStore,
-    heightmap: Vec<i16>,
+    columns: Box<ColumnSummaries>,
     /// Number of non-air blocks, maintained incrementally.
     non_air: u32,
     /// Set when the chunk was modified since the last time it was marked clean.
@@ -88,7 +116,10 @@ impl Chunk {
         Chunk {
             pos,
             store: PaletteStore::new_air(),
-            heightmap: vec![-1; CHUNK_SIZE * CHUNK_SIZE],
+            columns: Box::new(ColumnSummaries {
+                base: [-1; LAYER],
+                top: [-1; LAYER],
+            }),
             non_air: 0,
             dirty: false,
             light_dirty: [0; LIGHT_DIRTY_WORDS],
@@ -151,7 +182,7 @@ impl Chunk {
             (false, true) => self.non_air -= 1,
             _ => {}
         }
-        self.update_heightmap_column(x, z, y, block);
+        self.settle_column(x, z, y, y, block);
         old
     }
 
@@ -160,8 +191,8 @@ impl Chunk {
     ///
     /// Behaviourally identical to calling [`Chunk::set_block`] for every `y`
     /// in ascending order, but the palette slot is acquired once for the
-    /// whole run and the heightmap, light-dirty and non-air bookkeeping are
-    /// settled once per column instead of once per block — the bulk write
+    /// whole run and the column summary, light-dirty and non-air bookkeeping
+    /// are settled once per column instead of once per block — the bulk write
     /// path for columns of an existing chunk (whole new chunks come from a
     /// `ChunkBuilder`).
     ///
@@ -202,57 +233,70 @@ impl Chunk {
             let col = z * CHUNK_SIZE + x;
             self.light_dirty[col / 64] |= 1u64 << (col % 64);
         }
-        let hm_idx = z * CHUNK_SIZE + x;
-        let current = self.heightmap[hm_idx];
-        if !block.is_air() {
-            if y_hi as i16 > current {
-                self.heightmap[hm_idx] = y_hi as i16;
-            }
-        } else if (y_lo as i16..=y_hi as i16).contains(&current) {
-            // The run cleared the column top: scan downwards below the run
-            // for the new top, exactly as per-block removal would.
-            let mut new_top = -1;
-            for yy in (0..y_lo).rev() {
-                if let Some(i) = Self::index(x, yy, z) {
-                    if !self.store.get(i).is_air() {
-                        new_top = yy as i16;
-                        break;
-                    }
-                }
-            }
-            self.heightmap[hm_idx] = new_top;
-        }
+        self.settle_column(x, z, y_lo, y_hi, block);
     }
 
-    fn update_heightmap_column(&mut self, x: usize, z: usize, y: i32, placed: Block) {
-        let hm_idx = z * CHUNK_SIZE + x;
-        let current = self.heightmap[hm_idx];
-        if !placed.is_air() {
-            if y as i16 > current {
-                self.heightmap[hm_idx] = y as i16;
-            }
-        } else if y as i16 == current {
-            // The top block was removed: scan downwards for the new top.
-            let mut new_top = -1;
-            for yy in (0..y).rev() {
-                if let Some(i) = Self::index(x, yy, z) {
-                    if !self.store.get(i).is_air() {
-                        new_top = yy as i16;
-                        break;
-                    }
-                }
-            }
-            self.heightmap[hm_idx] = new_top;
-        }
+    /// Brings column `(x, z)`'s summary up to date after `y_lo..=y_hi`
+    /// (inside the world) was filled with `block`, reading blocks only
+    /// where the run moved an edge: a removed top scans down for the next
+    /// non-air block, a filled gap just above `base` scans up to the top
+    /// while the blocks stay solid or fluid — so a block laid on top of its
+    /// column, the way builders and players build, reads nothing. The
+    /// summary was exact before the write, so nothing outside those scans
+    /// can have changed.
+    fn settle_column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block) {
+        let (base, top) = self.column_summary(x, z);
+        let read = |y: i32| self.block(x, y, z);
+        let top = if !block.is_air() {
+            top.max(y_hi)
+        } else if (y_lo..=y_hi).contains(&top) {
+            (0..y_lo).rev().find(|&y| !read(y).is_air()).unwrap_or(-1)
+        } else {
+            top
+        };
+        let base = if !solid_or_fluid(block) {
+            base.min(y_lo - 1)
+        } else if (y_lo..=y_hi).contains(&(base + 1)) {
+            // Above `top` is air, or the world ends.
+            (y_hi + 1..=top)
+                .find(|&y| !solid_or_fluid(read(y)))
+                .unwrap_or(top + 1)
+                - 1
+        } else {
+            base
+        };
+        let column = z * CHUNK_SIZE + x;
+        self.columns.base[column] = base as i8;
+        self.columns.top[column] = top as i8;
     }
 
     /// Returns the `y` coordinate of the highest non-air block in the given
     /// column, or `None` if the column is entirely air.
     #[must_use]
     pub fn height_at(&self, x: usize, z: usize) -> Option<i32> {
+        let top = self.column_summary(x, z).1;
+        (top >= 0).then_some(top)
+    }
+
+    /// Column `(x, z)`'s `(base, top)`, each a `y` or −1, kept exact by
+    /// every write without reading a block:
+    ///
+    /// * `top` — the highest non-air block ([`Chunk::height_at`]);
+    /// * `base` — the highest `y` such that every block in `0..=base` is
+    ///   solid or fluid. Plants, redstone dust, torches, levers and air
+    ///   break it, so `base < top` under a plant or a roof over a cave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `z` are outside `0..CHUNK_SIZE`.
+    #[must_use]
+    pub fn column_summary(&self, x: usize, z: usize) -> (i32, i32) {
         assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
-        let h = self.heightmap[z * CHUNK_SIZE + x];
-        (h >= 0).then_some(i32::from(h))
+        let column = z * CHUNK_SIZE + x;
+        (
+            i32::from(self.columns.base[column]),
+            i32::from(self.columns.top[column]),
+        )
     }
 
     /// Returns the number of non-air blocks stored in the chunk.
@@ -387,7 +431,7 @@ fn clamp_layers(y_lo: i32, y_hi: i32) -> std::ops::Range<usize> {
 /// caller's stack), blocks are interned in first-write order, and
 /// [`ChunkBuilder::finish`] derives everything a [`Chunk`] tracks from the
 /// final state in one pass. Nothing is settled per write — no refcounts, no
-/// heightmap, no packed read-modify-write, no index widening — which is the
+/// column summary, no packed read-modify-write, no index widening — which is the
 /// whole point: a generator's thousand-odd overlapping writes cost a byte
 /// store each, and the palette is packed exactly once.
 pub(crate) struct ChunkBuilder {
@@ -427,29 +471,70 @@ impl ChunkBuilder {
 
     /// Packs the scratch into the chunk at `pos`: clean, every column
     /// light-dirty (a new chunk has never been lit), storage compact.
+    ///
+    /// The column summaries come from one top-down pass over the layers:
+    /// a column's `top` is the first non-air layer it meets, its `base`
+    /// lies just under the last (lowest) layer where it is neither solid
+    /// nor fluid. A uniform layer is judged once for every column; only
+    /// the mixed band is read per column.
     pub(crate) fn finish(self, pos: ChunkPos) -> Chunk {
         let interned = &self.interned[..self.interned_len];
         let store = PaletteStore::from_dense(&self.slots, interned, self.mixed.clone());
-        let mut heightmap = vec![-1i16; LAYER];
-        for (y, layer) in self.slots.chunks_exact(LAYER).enumerate().rev() {
-            let uniform = !self.mixed.contains(&y);
-            if uniform && interned[layer[0] as usize].is_air() {
+        // The air slots, and the open ones (neither solid nor fluid): in
+        // what generators write, only air's slot 0 is open, so a mixed
+        // layer costs one byte-compare sweep for the bases, which the
+        // compiler vectorizes.
+        let mut air = [false; 256];
+        let (mut open, mut opens) = ([0u8; 256], 0);
+        for (slot, &block) in interned.iter().enumerate() {
+            air[slot] = block.is_air();
+            if !solid_or_fluid(block) {
+                open[opens] = slot as u8;
+                opens += 1;
+            }
+        }
+        let open = &open[..opens];
+        // Every column starts solid to the ceiling; `floor` is the base the
+        // uniform layers leave all of them.
+        let mut columns = Box::new(ColumnSummaries {
+            base: [(WORLD_HEIGHT - 1) as i8; LAYER],
+            top: [-1; LAYER],
+        });
+        let mut floor = (WORLD_HEIGHT - 1) as i8;
+        let mut tops_found = false;
+        for (layer_y, layer) in self.slots.chunks_exact(LAYER).enumerate().rev() {
+            let y = layer_y as i8;
+            if !self.mixed.contains(&layer_y) {
+                if open.contains(&layer[0]) {
+                    floor = y - 1;
+                }
+                if !tops_found && !air[layer[0] as usize] {
+                    tops_found = true;
+                    for top in columns.top.iter_mut().filter(|top| **top < 0) {
+                        *top = y;
+                    }
+                }
                 continue;
             }
-            for (top, &slot) in heightmap.iter_mut().zip(layer) {
-                if *top < 0 && !interned[slot as usize].is_air() {
-                    *top = y as i16;
+            for (top, &slot) in columns.top.iter_mut().zip(layer) {
+                if *top < 0 && !air[slot as usize] {
+                    *top = y;
                 }
             }
-            if uniform {
-                break;
+            for &open_slot in open {
+                for (base, &slot) in columns.base.iter_mut().zip(layer) {
+                    *base = if slot == open_slot { y - 1 } else { *base };
+                }
             }
+        }
+        for base in &mut columns.base {
+            *base = (*base).min(floor);
         }
         Chunk {
             pos,
             non_air: (BLOCKS_PER_CHUNK - store.count_kind(BlockKind::Air)) as u32,
             store,
-            heightmap,
+            columns,
             dirty: false,
             light_dirty: [!0; LIGHT_DIRTY_WORDS],
             light_stamp: 0,
@@ -531,7 +616,7 @@ pub(crate) mod reference {
 
     /// Replays `writes` per block, finishes the way generators always have
     /// (compacted storage, clean flag) and asserts `built` is that chunk:
-    /// every block, heightmap cell, counter, flag and light-dirty bit, and
+    /// every block, column summary, counter, flag and light-dirty bit, and
     /// the same packed width and storage footprint.
     pub(crate) fn assert_equals_replay(built: &Chunk, writes: impl FnOnce(&mut Chunk), ctx: &str) {
         let mut replayed = Chunk::empty(built.pos());
@@ -553,17 +638,33 @@ mod tests {
         Chunk::empty(ChunkPos::new(0, 0))
     }
 
-    /// Asserts two chunks are observably identical: blocks, heightmap,
-    /// non-air count, dirty flag and per-column light-dirty bits.
+    /// Column `(x, z)`'s `(base, top)` by reading every block: the last `y`
+    /// of the solid-or-fluid run from the bottom, and the highest non-air
+    /// `y` (−1 for none).
+    fn scanned_summary(chunk: &Chunk, x: usize, z: usize) -> (i32, i32) {
+        let ys = 0..WORLD_HEIGHT as i32;
+        let base = ys.clone().find(|&y| !solid_or_fluid(chunk.block(x, y, z)));
+        let top = ys.rev().find(|&y| !chunk.block(x, y, z).is_air());
+        (base.unwrap_or(WORLD_HEIGHT as i32) - 1, top.unwrap_or(-1))
+    }
+
+    /// Asserts two chunks are observably identical: blocks, column
+    /// summaries (each also against a scan of its blocks), non-air count,
+    /// dirty flag and per-column light-dirty bits.
     pub(super) fn assert_chunks_equivalent(a: &Chunk, b: &Chunk, ctx: &str) {
         assert_eq!(a.non_air_blocks(), b.non_air_blocks(), "non_air: {ctx}");
         assert_eq!(a.is_dirty(), b.is_dirty(), "dirty: {ctx}");
         for x in 0..CHUNK_SIZE {
             for z in 0..CHUNK_SIZE {
                 assert_eq!(
-                    a.height_at(x, z),
-                    b.height_at(x, z),
-                    "height {x},{z}: {ctx}"
+                    a.column_summary(x, z),
+                    b.column_summary(x, z),
+                    "base, top {x},{z}: {ctx}"
+                );
+                assert_eq!(
+                    a.column_summary(x, z),
+                    scanned_summary(a, x, z),
+                    "base, top against a scan {x},{z}: {ctx}"
                 );
                 assert_eq!(
                     a.light_dirty_in(x, x, z, z),
@@ -776,6 +877,59 @@ mod tests {
         assert_eq!(c.height_at(2, 2), Some(10));
         c.set_block(2, 10, 2, Block::AIR);
         assert_eq!(c.height_at(2, 2), None);
+    }
+
+    #[test]
+    fn column_base_follows_every_write() {
+        /// Writes `block` over `y_lo..=y_hi` of column (2, 3) — one
+        /// `set_block` when the run is one block — and requires `summary`
+        /// from the chunk and from a scan.
+        fn expect(c: &mut Chunk, (y_lo, y_hi): (i32, i32), block: Block, summary: (i32, i32)) {
+            if y_lo == y_hi {
+                c.set_block(2, y_lo, 3, block);
+            } else {
+                c.fill_column(2, 3, y_lo, y_hi, block);
+            }
+            let ctx = format!("{block} over {y_lo}..={y_hi}");
+            assert_eq!(c.column_summary(2, 3), summary, "{ctx}");
+            assert_eq!(scanned_summary(c, 2, 3), summary, "scan after {ctx}");
+        }
+        let kind = Block::simple;
+        let mut c = chunk();
+        assert_eq!(c.column_summary(2, 3), (-1, -1));
+        // A foundation, then water and lava on it: fluids extend the base.
+        expect(&mut c, (0, 59), kind(BlockKind::Stone), (59, 59));
+        expect(&mut c, (60, 60), kind(BlockKind::Water), (60, 60));
+        expect(&mut c, (61, 61), kind(BlockKind::Lava), (61, 61));
+        // A plant on top raises the top only; so does a roof over air.
+        expect(&mut c, (62, 62), kind(BlockKind::Wheat), (61, 62));
+        expect(&mut c, (70, 70), kind(BlockKind::Stone), (61, 70));
+        // A hole in the foundation drops the base under it; filling it
+        // scans up through stone, water and lava to the plant.
+        expect(&mut c, (30, 30), Block::AIR, (29, 70));
+        expect(&mut c, (30, 30), kind(BlockKind::Dirt), (61, 70));
+        // Overwriting the plant and the pocket joins the base to the roof.
+        expect(&mut c, (62, 69), kind(BlockKind::Stone), (70, 70));
+        // The bottom block opens and closes the whole base.
+        let torch = Block::with_state(BlockKind::RedstoneTorch, 1);
+        expect(&mut c, (0, 0), torch, (-1, 70));
+        expect(&mut c, (0, 0), kind(BlockKind::Bedrock), (70, 70));
+        // The ceiling: a clamped run fills the column to 127.
+        expect(&mut c, (71, 300), kind(BlockKind::Water), (127, 127));
+        expect(&mut c, (127, 127), kind(BlockKind::SugarCane), (126, 127));
+        // Refilling a hole scans up to the top itself, the open cane.
+        expect(&mut c, (10, 10), Block::AIR, (9, 127));
+        expect(&mut c, (10, 10), kind(BlockKind::Stone), (126, 127));
+        expect(&mut c, (127, 127), Block::AIR, (126, 126));
+        // An air run through the middle cuts the base, not the top; a
+        // solid run that does not reach `base + 1` leaves it alone, one
+        // that does scans up from its top.
+        expect(&mut c, (40, 50), Block::AIR, (39, 126));
+        expect(&mut c, (42, 50), kind(BlockKind::Stone), (39, 126));
+        expect(&mut c, (0, 41), kind(BlockKind::Dirt), (126, 126));
+        // Clearing everything from the bottom up empties the column.
+        expect(&mut c, (-5, 200), Block::AIR, (-1, -1));
+        assert_eq!(c.column_summary(3, 2), (-1, -1), "a neighbour moved");
     }
 
     #[test]

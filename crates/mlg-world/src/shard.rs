@@ -1622,7 +1622,8 @@ mod tests {
     }
 
     /// A world whose every chunk carries its own marker block at local
-    /// (3, 70, 3), so a read resolved to the wrong chunk shows.
+    /// (3, 70, 3), so a read resolved to the wrong chunk shows. Its 12 × 8
+    /// chunks cover every way of `World`'s chunk cursor.
     fn marked_world() -> (World, Vec<BlockPos>) {
         let kinds = [
             BlockKind::Stone,
@@ -1634,7 +1635,7 @@ mod tests {
         let mut w = World::new(Box::new(FlatGenerator::grassland()), 5);
         let mut markers = Vec::new();
         for x in 0..12 {
-            for z in -1..=1 {
+            for z in -1..=6 {
                 let marker = BlockPos::new(x * 16 + 3, 70, z * 16 + 3);
                 let kind = kinds[(x + 2 * (z + 1)) as usize % kinds.len()];
                 w.set_block_silent(marker, Block::simple(kind));
@@ -1662,16 +1663,20 @@ mod tests {
         let probe = BlockPos::new(5 * 16 + 3, 70, 3);
         let neighbour = BlockPos::new(6 * 16 + 3, 70, 3);
 
-        // Resharding, to stripes and on to quadtree regions: the slot the
-        // cursor names now belongs to another chunk, or to none.
+        // Resharding, to stripes and on to quadtree regions: the slot each
+        // way of the cursor names now belongs to another chunk, or to none.
+        let regions = ShardMap::regions_over(Some((ChunkPos::new(0, -1), ChunkPos::new(11, 6))))
+            .split_largest_leaf()
+            .expect("a 16-chunk root splits");
         for map in [
             ShardMap::stripes(4),
-            ShardMap::regions_over(Some((ChunkPos::new(0, -1), ChunkPos::new(11, 1))))
-                .split_largest_leaf()
-                .expect("a 16-chunk root splits"),
+            regions.clone(),
             ShardMap::stripes(1),
             ShardMap::stripes(3),
         ] {
+            for &marker in &markers {
+                assert_reads_true(&mut w, marker);
+            }
             assert_reads_true(&mut w, probe);
             w.reshard(map);
             assert_reads_true(&mut w, probe);
@@ -1679,6 +1684,19 @@ mod tests {
             for &marker in &markers {
                 assert_reads_true(&mut w, marker);
             }
+        }
+
+        // Chunks 8 apart share a way, so each read evicts the other; a
+        // reshard between two reads must leave neither entry behind.
+        let alias = BlockPos::new(13 * 16 + 3, 70, 3);
+        w.set_block_silent(alias, Block::simple(BlockKind::Gravel));
+        for map in [regions, ShardMap::stripes(2), ShardMap::stripes(5)] {
+            assert_reads_true(&mut w, probe);
+            assert_reads_true(&mut w, alias);
+            w.reshard(map);
+            assert_reads_true(&mut w, probe);
+            assert_reads_true(&mut w, alias);
+            assert_reads_true(&mut w, probe);
         }
 
         // An owned phase takes the probe's store away and brings it back

@@ -20,13 +20,21 @@
 //! the fixed [`PosHasher`](crate::pos::PosHasher) instead of per-process
 //! SipHash — the tables are only ever probed, so their order never
 //! escapes, which detlint's `no-hash-iteration` rule keeps true. And
-//! [`World`] remembers where it last found a chunk — a one-entry
-//! `(position, shard, slot)` cursor in front of the shard map and the
-//! index — because reads come in runs inside one column; the entry is
-//! dropped by the five functions that move stores (`reshard`,
-//! `take_shard_store`, `put_shard_store`, `snapshot_chunks`,
-//! `restore_chunks`) and by nothing else, since chunks are otherwise only
-//! appended.
+//! [`World`] remembers where it found chunks, as `(position, shard, slot)`
+//! entries in front of the shard map and the index, in two levels: the
+//! last chunk found, checked inline by every read because reads come in
+//! runs inside one column, and behind it a 64-way direct-mapped table, one
+//! way per `(x & 7, z & 7)` of a chunk position, because a player's spawn
+//! candidates scatter over a 7 × 7-chunk window whose chunks all land in
+//! different ways. Every entry is dropped by the five functions that move
+//! stores (`reshard`, `take_shard_store`, `put_shard_store`,
+//! `snapshot_chunks`, `restore_chunks`) and by nothing else, since chunks
+//! are otherwise only appended.
+//!
+//! Most spawn candidates need no block at all: [`World::column_summary`]
+//! hands out a column's `(base, top)`, which every chunk keeps exact on
+//! each write ([`Chunk::column_summary`]), after loading the chunk exactly
+//! as a block read of that column would.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -225,6 +233,38 @@ impl Default for RelightCache {
 /// relight unbounded position sets.
 const RELIGHT_CACHE_CAP: usize = 1 << 16;
 
+/// Ways of [`ChunkCursor::ways`]: one per `(x & 7, z & 7)` of a chunk
+/// position, so any 8 × 8 square of chunks — a spawn window of 7 × 7 among
+/// them — holds one chunk per way.
+const CURSOR_WAYS: usize = 64;
+
+/// The way of the chunk cursor that remembers `pos`.
+fn cursor_way(pos: ChunkPos) -> usize {
+    ((pos.x & 7) << 3 | (pos.z & 7)) as usize
+}
+
+/// A chunk the cursor remembers: `(position, shard, slot)`.
+type CursorEntry = Option<(ChunkPos, u32, u32)>;
+
+/// Where [`World::load_chunk`] found chunks, in two levels: the last one,
+/// at a fixed place, which a run of reads inside one column hits without
+/// computing anything, and a direct-mapped table, which reads scattered
+/// over a spawn window hit.
+#[derive(Debug, Clone, Copy)]
+struct ChunkCursor {
+    last: CursorEntry,
+    /// `ways[cursor_way(position)]` is the last chunk found in that way.
+    ways: [CursorEntry; CURSOR_WAYS],
+}
+
+impl ChunkCursor {
+    /// A cursor that remembers nothing.
+    const EMPTY: ChunkCursor = ChunkCursor {
+        last: None,
+        ways: [None; CURSOR_WAYS],
+    };
+}
+
 /// The game world.
 ///
 /// Owns every loaded chunk, the terrain generator used to lazily populate new
@@ -237,12 +277,12 @@ pub struct World {
     /// `generator` below; replaced, never mutated, by [`World::reshard`].
     shard_map: Arc<ShardMap>,
     stores: Vec<ShardStore>,
-    /// Where [`World::load_chunk`] last found a chunk: `(position, shard,
-    /// slot)`. Slots are stable while a store stays in place (chunks are
-    /// only ever appended), so the entry is cleared exactly where stores
-    /// move: `reshard`, `take_shard_store`, `put_shard_store`,
-    /// `snapshot_chunks` and `restore_chunks`.
-    cursor: Option<(ChunkPos, usize, usize)>,
+    /// Where [`World::load_chunk`] found chunks. Slots are stable while a
+    /// store stays in place (chunks are only ever appended), so the whole
+    /// cursor is cleared exactly where stores move: `reshard`,
+    /// `take_shard_store`, `put_shard_store`, `snapshot_chunks` and
+    /// `restore_chunks`.
+    cursor: ChunkCursor,
     /// Version of the stored terrain: see [`World::terrain_epoch`].
     terrain_epoch: u64,
     /// `Arc` rather than `Box` so tick-phase contexts can own a handle and
@@ -281,7 +321,7 @@ impl World {
         World {
             shard_map: Arc::new(ShardMap::stripes(1)),
             stores: vec![ShardStore::default()],
-            cursor: None,
+            cursor: ChunkCursor::EMPTY,
             terrain_epoch: 0,
             generator: Arc::from(generator),
             updates: UpdateQueue::new(),
@@ -323,7 +363,7 @@ impl World {
         }
         self.shard_map = Arc::new(map);
         self.stores = stores;
-        self.cursor = None;
+        self.cursor = ChunkCursor::EMPTY;
     }
 
     /// An owning handle to the shard map, for phase contexts.
@@ -334,13 +374,13 @@ impl World {
     /// Moves one shard's chunk store out of the world, leaving an empty
     /// store in its place, until [`World::put_shard_store`] returns it.
     pub(crate) fn take_shard_store(&mut self, shard: usize) -> ShardStore {
-        self.cursor = None;
+        self.cursor = ChunkCursor::EMPTY;
         std::mem::take(&mut self.stores[shard])
     }
 
     /// Returns a shard's chunk store taken with [`World::take_shard_store`].
     pub(crate) fn put_shard_store(&mut self, shard: usize, store: ShardStore) {
-        self.cursor = None;
+        self.cursor = ChunkCursor::EMPTY;
         self.stores[shard] = store;
     }
 
@@ -440,7 +480,7 @@ impl World {
     pub(crate) fn snapshot_chunks(&mut self) -> WorldSnapshot {
         let mut empty: Vec<ShardStore> = Vec::new();
         empty.resize_with(self.stores.len(), ShardStore::default);
-        self.cursor = None;
+        self.cursor = ChunkCursor::EMPTY;
         WorldSnapshot {
             map: Arc::clone(&self.shard_map),
             stores: std::mem::replace(&mut self.stores, empty),
@@ -450,7 +490,7 @@ impl World {
 
     /// Returns the chunk stores taken by [`World::snapshot_chunks`].
     pub(crate) fn restore_chunks(&mut self, snapshot: WorldSnapshot) {
-        self.cursor = None;
+        self.cursor = ChunkCursor::EMPTY;
         self.stores = snapshot.stores;
     }
 
@@ -458,28 +498,49 @@ impl World {
     /// this call had to generate it (counted into this tick's generations).
     ///
     /// Reads come in runs inside one chunk column (an entity's collision
-    /// box, a pathfinding neighbourhood, a spawn candidate's column), so
-    /// the last resolution is kept in `cursor` and a repeat skips the shard
-    /// map and the index.
+    /// box, a pathfinding neighbourhood) or scatter over a few nearby
+    /// chunks (a player's spawn candidates), so resolutions are kept in
+    /// `cursor` and a repeat skips the shard map and the index. Only the
+    /// check of the last chunk is inlined into callers.
+    #[inline]
     fn load_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
-        if let Some((at, shard, slot)) = self.cursor {
+        if let Some((at, shard, slot)) = self.cursor.last {
             if at == pos {
-                let chunk = &mut self.stores[shard].chunks[slot];
+                let chunk = &mut self.stores[shard as usize].chunks[slot as usize];
                 debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
                 return (chunk, false);
             }
         }
-        let shard = self.shard_map.shard_of_chunk(pos);
-        let store = &mut self.stores[shard];
-        let loaded = store.index.get(&pos).copied();
-        let slot = loaded.unwrap_or_else(|| {
-            store.insert(self.generator.generate(pos));
-            self.chunks_generated_this_tick += 1;
-            self.terrain_epoch += 1;
-            store.chunks.len() - 1
-        });
-        self.cursor = Some((pos, shard, slot));
-        (&mut store.chunks[slot], loaded.is_none())
+        self.resolve_chunk(pos)
+    }
+
+    /// [`World::load_chunk`] past the last chunk: the cursor's table, then
+    /// the shard map, the index and, for a chunk not loaded yet,
+    /// generation.
+    #[inline(never)]
+    fn resolve_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
+        let way = cursor_way(pos);
+        let (entry, generated) = match self.cursor.ways[way] {
+            Some(entry) if entry.0 == pos => (entry, false),
+            _ => {
+                let shard = self.shard_map.shard_of_chunk(pos);
+                let store = &mut self.stores[shard];
+                let loaded = store.index.get(&pos).copied();
+                let slot = loaded.unwrap_or_else(|| {
+                    store.insert(self.generator.generate(pos));
+                    self.chunks_generated_this_tick += 1;
+                    self.terrain_epoch += 1;
+                    store.chunks.len() - 1
+                });
+                let entry = (pos, shard as u32, slot as u32);
+                self.cursor.ways[way] = Some(entry);
+                (entry, loaded.is_none())
+            }
+        };
+        self.cursor.last = Some(entry);
+        let chunk = &mut self.stores[entry.1 as usize].chunks[entry.2 as usize];
+        debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
+        (chunk, generated)
     }
 
     /// Ensures the chunk at `pos` is loaded, generating it if needed, and
@@ -592,7 +653,7 @@ impl World {
     /// neighbour updates). Returns the number of blocks written.
     pub fn fill_region(&mut self, region: Region, block: Block) -> u64 {
         let mut written = 0;
-        for pos in region.iter().collect::<Vec<_>>() {
+        for pos in region.iter() {
             self.set_block_silent(pos, block);
             written += 1;
         }
@@ -617,6 +678,17 @@ impl World {
     #[must_use]
     pub fn column_top(&mut self, x: i32, z: i32) -> Option<i32> {
         Some(self.highest_block_y(x, z).unwrap_or(-1))
+    }
+
+    /// Column `(x, z)`'s `(base, top)` ([`Chunk::column_summary`]): every
+    /// block in `0..=base` is solid or fluid, every block above `top` is
+    /// air. Lazily generates the chunk — the one any block read of the
+    /// column would have generated — and reads no block.
+    #[must_use]
+    pub fn column_summary(&mut self, x: i32, z: i32) -> (i32, i32) {
+        let pos = BlockPos::new(x, 0, z);
+        let (lx, _, lz) = pos.local();
+        self.load_chunk(pos.chunk()).0.column_summary(lx, lz)
     }
 
     /// Compacts every loaded chunk's palette storage (drops dead palette
@@ -1030,32 +1102,54 @@ mod tests {
     fn chunk_cursor_is_dropped_on_both_sides_of_a_store_hand_off() {
         // While a store is out the world reads as empty (and regenerates
         // lazily into the placeholder); once it is back the real chunk
-        // answers again. A cursor kept across either edge would index the
-        // wrong store.
+        // answers again. An entry kept across either edge, in any way of
+        // the cursor, would index the wrong store.
         let mut w = world();
-        w.ensure_area(ChunkPos::new(0, 0), 1);
+        // 9 × 9 chunks: every way of the cursor, and 17 ways twice.
+        w.ensure_area(ChunkPos::new(3, 3), 4);
         w.reshard(ShardMap::stripes(2));
-        let pos = BlockPos::new(5, 70, 5);
-        let stone = Block::simple(BlockKind::Stone);
-        w.set_block_silent(pos, stone);
-        let shard = w.shard_map().shard_of_block(pos);
-        assert_ne!(
-            w.shard_store(shard).positions().next(),
-            Some(pos.chunk()),
-            "the probe's chunk must not sit in slot 0, where a placeholder puts it"
-        );
+        let kinds = [BlockKind::Stone, BlockKind::Dirt, BlockKind::Sand];
+        let chunks: Vec<ChunkPos> = w.iter_chunks().map(Chunk::pos).collect();
+        let markers: Vec<(BlockPos, Block, usize)> = chunks
+            .iter()
+            .enumerate()
+            .map(|(i, chunk)| {
+                let pos = chunk.origin_block().offset(5, 70, 5);
+                let block = Block::simple(kinds[i % kinds.len()]);
+                w.set_block_silent(pos, block);
+                (pos, block, w.shard_map().shard_of_block(pos))
+            })
+            .collect();
+        let ways: std::collections::BTreeSet<usize> =
+            chunks.iter().map(|&c| cursor_way(c)).collect();
+        assert_eq!(ways.len(), CURSOR_WAYS);
 
-        assert_eq!(w.block(pos), stone);
-        let store = w.take_shard_store(shard);
-        assert_eq!(w.block(pos), Block::AIR);
-        w.put_shard_store(shard, store);
-        assert_eq!(w.block(pos), stone);
-
+        // Reads every marker — filling every way — and requires it present
+        // exactly when its shard's store is in the world. While a store is
+        // out the markers are read backwards, so the placeholder holds its
+        // chunks in other slots than the real store.
+        let read_all = |w: &mut World, present: &dyn Fn(usize) -> bool| {
+            let mut order: Vec<_> = markers.iter().collect();
+            if !(0..2).all(present) {
+                order.reverse();
+            }
+            for &(pos, block, shard) in order {
+                let expected = if present(shard) { block } else { Block::AIR };
+                assert_eq!(w.block(pos), expected, "{pos} in shard {shard}");
+                assert_eq!(w.block(pos), w.block_if_loaded(pos), "{pos}");
+            }
+        };
+        for shard in [0, 1] {
+            read_all(&mut w, &|_| true);
+            let store = w.take_shard_store(shard);
+            read_all(&mut w, &|s| s != shard);
+            w.put_shard_store(shard, store);
+            read_all(&mut w, &|_| true);
+        }
         let snapshot = w.snapshot_chunks();
-        assert_eq!(w.block(pos), Block::AIR);
+        read_all(&mut w, &|_| false);
         w.restore_chunks(snapshot);
-        assert_eq!(w.block(pos), stone);
-        assert_eq!(w.block(pos), w.block_if_loaded(pos));
+        read_all(&mut w, &|_| true);
     }
 
     #[test]
@@ -1107,6 +1201,15 @@ mod tests {
             let _ = w.column_top(pos.x, pos.z);
         });
         let pos = unloaded();
+        check(
+            &mut w,
+            true,
+            "lazy generation through column_summary",
+            |w| {
+                let _ = w.column_summary(pos.x, pos.z);
+            },
+        );
+        let pos = unloaded();
         check(&mut w, true, "lazy generation through ensure_area", |w| {
             assert_eq!(w.ensure_area(pos.chunk(), 0), 1);
         });
@@ -1147,6 +1250,7 @@ mod tests {
             let _ = (
                 w.block(inside),
                 w.column_top(5, 5),
+                w.column_summary(5, 5),
                 w.block_if_loaded(inside),
             );
             assert_eq!(w.ensure_area(ChunkPos::new(0, 0), 3), 0);

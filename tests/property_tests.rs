@@ -249,25 +249,65 @@ proptest! {
         // The palette-compressed chunk body must be observationally identical
         // to a dense Vec<Block> under arbitrary write sequences — including
         // the old-value return of set_block, mid-sequence gc compaction
-        // (which re-narrows the bit width), snapshots (clones) and the
-        // by-kind iterator. Each u32 packs one write:
-        // x(4) z(4) y(7) kind(6, mod 36) state(2) compact(1).
+        // (which re-narrows the bit width), snapshots (clones), the by-kind
+        // iterator and each column's (base, top) summary, held against a
+        // scan of the dense copy after every write. Each u32 packs one
+        // write: x(4) z(4) y(7) kind(6, mod 36) state(2) compact(1) op(2)
+        // len(6). Ops 0 and 1 set one block anywhere; op 2 fills a run
+        // of a column in the 4×4 corner from `y − 64` (foundations from
+        // the clamped bottom, runs past the ceiling); op 3 sets the corner
+        // column's block at y = 0 or 127.
         let mut chunk = Chunk::empty(ChunkPos::new(0, 0));
         let mut dense = vec![Block::AIR; 16 * 16 * 128];
         let index = |x: usize, y: i32, z: usize| (y as usize * 16 + z) * 16 + x;
+        let scan = |dense: &[Block], x: usize, z: usize| {
+            let blocking = |y: i32| {
+                let block = dense[index(x, y, z)];
+                block.is_solid() || block.kind().is_fluid()
+            };
+            let base = (0..128).find(|&y| !blocking(y)).unwrap_or(128) - 1;
+            let top = (0..128).rev().find(|&y| !dense[index(x, y, z)].is_air());
+            (base, top.unwrap_or(-1))
+        };
         for (step, word) in writes.iter().copied().enumerate() {
-            let x = (word & 15) as usize;
-            let z = ((word >> 4) & 15) as usize;
+            let mut x = (word & 15) as usize;
+            let mut z = ((word >> 4) & 15) as usize;
             let y = ((word >> 8) & 127) as i32;
             let kind_idx = ((word >> 15) & 63) as usize % 36;
             let state = ((word >> 21) & 3) as u8;
             let compact = (word >> 23) & 1 == 1;
+            let len = (word >> 26) as i32;
             let block = Block::with_state(BlockKind::all()[kind_idx], state);
-            let old = chunk.set_block(x, y, z, block);
-            prop_assert_eq!(old, dense[index(x, y, z)]);
-            dense[index(x, y, z)] = block;
+            match (word >> 24) & 3 {
+                2 => {
+                    (x, z) = (x & 3, z & 3);
+                    let (y_lo, y_hi) = (y - 64, y - 64 + 2 * len);
+                    chunk.fill_column(x, z, y_lo, y_hi, block);
+                    for y in y_lo.max(0)..=y_hi.min(127) {
+                        dense[index(x, y, z)] = block;
+                    }
+                }
+                op => {
+                    let y = if op == 3 {
+                        (x, z) = (x & 3, z & 3);
+                        if len % 2 == 0 { 0 } else { 127 }
+                    } else {
+                        y
+                    };
+                    let old = chunk.set_block(x, y, z, block);
+                    prop_assert_eq!(old, dense[index(x, y, z)]);
+                    dense[index(x, y, z)] = block;
+                }
+            }
+            prop_assert_eq!(chunk.column_summary(x, z), scan(&dense, x, z), "step {}", step);
             if compact && step % 16 == 0 {
                 chunk.compact_storage();
+            }
+        }
+        for x in 0..16 {
+            for z in 0..16 {
+                prop_assert_eq!(chunk.column_summary(x, z), scan(&dense, x, z));
+                prop_assert_eq!(chunk.height_at(x, z), Some(scan(&dense, x, z).1).filter(|&t| t >= 0));
             }
         }
         let snapshot = chunk.clone();
