@@ -135,11 +135,12 @@ impl Executor for ParallelExecutor {
         let mut first_error = None;
 
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
                 let next_job = &next_job;
                 let cancelled = &cancelled;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     // A failed job cancels the campaign: workers stop
                     // claiming new jobs instead of burning through the rest
                     // of the plan before the error surfaces.
@@ -154,7 +155,7 @@ impl Executor for ParallelExecutor {
                         }
                     }
                     let _ = tx.send(Message::WorkerExited);
-                });
+                }));
             }
             drop(tx);
             // Every worker sends exactly one WorkerExited on the way out,
@@ -175,6 +176,17 @@ impl Executor for ParallelExecutor {
                         }
                     },
                     Message::WorkerExited => workers_alive -= 1,
+                }
+            }
+            // The scope alone waits for the workers' closures, not for the
+            // threads to exit: an unjoined worker may still hold its
+            // allocator arena when the next campaign's threads start, and
+            // they then open new arenas, each of which keeps a dead world's
+            // memory resident (peak RSS of a sweep grows by a world per
+            // extra arena).
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
                 }
             }
         });

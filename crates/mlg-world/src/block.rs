@@ -282,7 +282,7 @@ impl BlockKind {
 
     /// All block kinds, in protocol-id order. Useful for property tests.
     #[must_use]
-    pub fn all() -> &'static [BlockKind] {
+    pub const fn all() -> &'static [BlockKind] {
         &[
             BlockKind::Air,
             BlockKind::Stone,

@@ -425,6 +425,18 @@ fn clamp_layers(y_lo: i32, y_hi: i32) -> std::ops::Range<usize> {
     lo..hi.max(lo)
 }
 
+/// Number of block kinds: `kind as usize` indexes a table with one entry per
+/// kind, because [`BlockKind::all`] lists them in discriminant order.
+const KINDS: usize = BlockKind::all().len();
+
+const _: () = {
+    let mut i = 0;
+    while i < KINDS {
+        assert!(BlockKind::all()[i] as usize == i);
+        i += 1;
+    }
+};
+
 /// One-shot builder for a freshly generated chunk.
 ///
 /// Writes land in a dense scratch of one-byte palette slots (32 KiB, on the
@@ -433,12 +445,16 @@ fn clamp_layers(y_lo: i32, y_hi: i32) -> std::ops::Range<usize> {
 /// final state in one pass. Nothing is settled per write — no refcounts, no
 /// column summary, no packed read-modify-write, no index widening — which is the
 /// whole point: a generator's thousand-odd overlapping writes cost a byte
-/// store each, and the palette is packed exactly once.
+/// store each (a stateless block's slot is one table read away), and the
+/// palette is packed exactly once, per word.
 pub(crate) struct ChunkBuilder {
     slots: [u8; BLOCKS_PER_CHUNK],
     /// Interned blocks; `interned[0]` is air, the scratch's initial content.
     interned: [Block; 256],
     interned_len: usize,
+    /// The slot of each stateless block interned so far, by kind; 0 (air's
+    /// slot) for a kind not interned yet.
+    stateless: [u8; KINDS],
     /// The layers column and block writes have reached. Every layer outside
     /// this band still holds one slot throughout: air, or a slab's.
     mixed: std::ops::Range<usize>,
@@ -451,22 +467,37 @@ impl ChunkBuilder {
             slots: [0; BLOCKS_PER_CHUNK],
             interned: [Block::AIR; 256],
             interned_len: 1,
+            stateless: [0; KINDS],
             mixed: 0..0,
         }
     }
 
+    /// The slot of `block`, interned on first use. A stateless block is
+    /// found by kind; a block with state by searching what is interned.
     fn intern(&mut self, block: Block) -> u8 {
-        let known = &self.interned[..self.interned_len];
-        if let Some(slot) = known.iter().position(|&b| b == block) {
+        let stateless = block.state() == 0;
+        if stateless {
+            let slot = self.stateless[block.kind() as usize];
+            if slot != 0 || block.is_air() {
+                return slot;
+            }
+        } else if let Some(slot) = self.interned[..self.interned_len]
+            .iter()
+            .position(|&b| b == block)
+        {
             return slot as u8;
         }
         assert!(
             self.interned_len < self.interned.len(),
             "a generated chunk holds at most 256 distinct blocks"
         );
+        let slot = self.interned_len as u8;
         self.interned[self.interned_len] = block;
         self.interned_len += 1;
-        (self.interned_len - 1) as u8
+        if stateless {
+            self.stateless[block.kind() as usize] = slot;
+        }
+        slot
     }
 
     /// Packs the scratch into the chunk at `pos`: clean, every column
@@ -481,9 +512,9 @@ impl ChunkBuilder {
         let interned = &self.interned[..self.interned_len];
         let store = PaletteStore::from_dense(&self.slots, interned, self.mixed.clone());
         // The air slots, and the open ones (neither solid nor fluid): in
-        // what generators write, only air's slot 0 is open, so a mixed
-        // layer costs one byte-compare sweep for the bases, which the
-        // compiler vectorizes.
+        // what generators write, air's slot 0 is the only air slot and the
+        // only open one, so a mixed layer costs one byte-compare sweep for
+        // the tops and one for the bases, which the compiler vectorizes.
         let mut air = [false; 256];
         let (mut open, mut opens) = ([0u8; 256], 0);
         for (slot, &block) in interned.iter().enumerate() {
@@ -494,6 +525,7 @@ impl ChunkBuilder {
             }
         }
         let open = &open[..opens];
+        let lone_air = !air[1..interned.len()].contains(&true);
         // Every column starts solid to the ceiling; `floor` is the base the
         // uniform layers leave all of them.
         let mut columns = Box::new(ColumnSummaries {
@@ -516,9 +548,15 @@ impl ChunkBuilder {
                 }
                 continue;
             }
-            for (top, &slot) in columns.top.iter_mut().zip(layer) {
-                if *top < 0 && !air[slot as usize] {
-                    *top = y;
+            if lone_air {
+                for (top, &slot) in columns.top.iter_mut().zip(layer) {
+                    *top = if *top < 0 && slot != 0 { y } else { *top };
+                }
+            } else {
+                for (top, &slot) in columns.top.iter_mut().zip(layer) {
+                    if *top < 0 && !air[slot as usize] {
+                        *top = y;
+                    }
                 }
             }
             for &open_slot in open {
@@ -553,6 +591,9 @@ impl BlockSink for ChunkBuilder {
         self.slots[layers.start * LAYER..layers.end * LAYER].fill(slot);
     }
 
+    // Inlined into the generator's column loop: the call, not the stores,
+    // was a sixth of a noise chunk's terrain writes.
+    #[inline]
     fn column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block) {
         assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
         let layers = clamp_layers(y_lo, y_hi);
@@ -623,9 +664,14 @@ pub(crate) mod reference {
         writes(&mut replayed);
         replayed.compact_storage();
         replayed.mark_clean();
-        let width = |chunk: &Chunk| (chunk.store.bits_per_entry(), chunk.storage_bytes());
+        let width = |chunk: &Chunk| (bits_per_entry(chunk), chunk.storage_bytes());
         assert_eq!(width(built), width(&replayed), "bits, bytes: {ctx}");
         tests::assert_chunks_equivalent(built, &replayed, ctx);
+    }
+
+    /// The chunk's packed index width.
+    pub(crate) fn bits_per_entry(chunk: &Chunk) -> u8 {
+        chunk.store.bits_per_entry()
     }
 }
 
@@ -729,12 +775,12 @@ mod tests {
         }
     }
 
-    /// A random write sequence over a small block set (so overwrites are
-    /// common): clamped and empty ranges, air, refills, and `get`-guarded
-    /// writes like a canopy's. Opens with an opaque slab because a finished
-    /// builder marks every column light-dirty, as every generated chunk is.
-    fn random_writes(out: &mut impl BlockSink, seed: u64) {
-        let blocks = [
+    /// The first `distinct` blocks of: air, four stateless blocks, two
+    /// redstone dust states, air with state 1 (a second air slot, so
+    /// `finish` cannot find tops by slot alone), then every non-air kind at
+    /// state 0, 1, 2, … — enough for palettes of every width up to 8 bits.
+    fn block_set(distinct: usize) -> Vec<Block> {
+        let head = [
             Block::AIR,
             Block::simple(BlockKind::Stone),
             Block::simple(BlockKind::Dirt),
@@ -742,7 +788,25 @@ mod tests {
             Block::simple(BlockKind::Leaves),
             Block::with_state(BlockKind::RedstoneDust, 3),
             Block::with_state(BlockKind::RedstoneDust, 9),
+            Block::with_state(BlockKind::Air, 1),
         ];
+        let grid = (0..=u8::MAX).flat_map(|state| {
+            BlockKind::all()[1..]
+                .iter()
+                .map(move |&kind| Block::with_state(kind, state))
+        });
+        head.into_iter()
+            .chain(grid.filter(|block| !head.contains(block)))
+            .take(distinct)
+            .collect()
+    }
+
+    /// A random write sequence over `blocks` (small sets make overwrites
+    /// common, large ones wide palettes): clamped and empty ranges, air,
+    /// refills, and `get`-guarded writes like a canopy's. Opens with an
+    /// opaque slab because a finished builder marks every column
+    /// light-dirty, as every generated chunk is.
+    fn random_writes(out: &mut impl BlockSink, seed: u64, blocks: &[Block]) {
         let mut s = seed | 1;
         let mut next = |bound: u64| {
             s ^= s << 13;
@@ -751,12 +815,19 @@ mod tests {
             s % bound
         };
         out.slab(0, 0, Block::simple(BlockKind::Bedrock));
-        for _ in 0..next(40) {
+        // Runs start in a band of layers whose ends vary with the seed, so
+        // the builder's mixed band starts and ends at different layers, or
+        // is clamped at the floor or the ceiling.
+        let (floor, span) = (next(70) as i32 - 6, next(100) + 20);
+        // A large set writes more, and mostly into air, so that most of its
+        // blocks survive: slabs would overwrite them.
+        let extra = blocks.len() as u64;
+        for _ in 0..next(40) + 3 * blocks.len() as u64 {
             let (x, z) = (next(16) as usize, next(16) as usize);
-            let y_lo = next(140) as i32 - 6;
+            let y_lo = floor + next(span) as i32;
             let y_hi = y_lo + next(40) as i32 - 4;
             let block = blocks[next(blocks.len() as u64) as usize];
-            match next(8) {
+            match next(8 + extra) {
                 0 => out.slab(y_lo, y_hi, block),
                 1..=4 => out.column(x, z, y_lo, y_hi, block),
                 5 | 6 => out.set(x, y_lo, z, block),
@@ -769,15 +840,50 @@ mod tests {
         }
     }
 
+    /// Builds `random_writes(seed, block_set(distinct))`, asserts it equals
+    /// the per-block replay, and returns its packed width and mixed band.
+    fn build_and_replay(seed: u64, distinct: usize) -> (u8, std::ops::Range<usize>) {
+        let blocks = block_set(distinct);
+        let mut builder = ChunkBuilder::new();
+        random_writes(&mut builder, seed, &blocks);
+        let mixed = builder.mixed.clone();
+        let built = builder.finish(ChunkPos::new(-3, 5));
+        let ctx = format!("seed {seed}, {distinct} blocks");
+        reference::assert_equals_replay(&built, |c| random_writes(c, seed, &blocks), &ctx);
+        (reference::bits_per_entry(&built), mixed)
+    }
+
     proptest! {
         #[test]
-        fn builder_equals_per_block_replay(seed in any::<u64>()) {
-            let pos = ChunkPos::new(-3, 5);
-            let mut builder = ChunkBuilder::new();
-            random_writes(&mut builder, seed);
-            let built = builder.finish(pos);
-            reference::assert_equals_replay(&built, |c| random_writes(c, seed), &format!("seed {seed}"));
+        fn builder_equals_per_block_replay(seed in any::<u64>(), distinct in 1usize..=200) {
+            build_and_replay(seed, distinct);
         }
+    }
+
+    #[test]
+    fn builder_packs_every_width_with_bands_that_cut_words() {
+        // At 3, 5, 6 and 7 bits a word holds 21, 12, 10 and 9 entries, so
+        // layer boundaries fall inside words: a band's first and last words
+        // straddle it and the uniform stretch beside it.
+        let mut cut = [false; 9];
+        let mut widths = [false; 9];
+        for distinct in [1, 2, 3, 5, 7, 8, 12, 20, 40, 64, 100, 150, 200] {
+            for seed in (1..12).step_by(2) {
+                let (bits, mixed) = build_and_replay(seed, distinct);
+                let epw = 64 / usize::from(bits.max(1));
+                widths[usize::from(bits)] = true;
+                let mid_word = |layer: usize| !(layer * LAYER).is_multiple_of(epw);
+                cut[usize::from(bits)] |= mixed.start > 0
+                    && mixed.end < WORLD_HEIGHT
+                    && mid_word(mixed.start)
+                    && mid_word(mixed.end);
+            }
+        }
+        assert_eq!(widths[1..], [true; 8], "widths 1..=8 reached");
+        assert!(
+            cut[3] && cut[5] && cut[6] && cut[7],
+            "bands cutting words: {cut:?}"
+        );
     }
 
     #[test]

@@ -97,17 +97,14 @@ const OCTAVES: [(f64, u64, f64); 3] = [(64.0, 1, 0.6), (23.0, 2, 0.3), (7.0, 3, 
 /// octave's `CHUNK_SIZE` columns span at most four cells, so five points.
 const LATTICE_SPAN: usize = (CHUNK_SIZE - 1).div_ceil(7) + 2;
 
-/// The lattice values of one octave around one chunk, hashed once.
+/// One octave of one chunk, tabulated: the lattice values around the chunk,
+/// hashed once, and each local coordinate's `(offset, weight)` into them —
+/// an x offset into a row and a z row offset, so a column's four lattice
+/// points are one sum away.
 struct LatticePatch {
-    x0: i64,
-    z0: i64,
+    xs: [(usize, f64); CHUNK_SIZE],
+    zs: [(usize, f64); CHUNK_SIZE],
     values: [f64; LATTICE_SPAN * LATTICE_SPAN],
-}
-
-impl LatticePatch {
-    fn at(&self, x: i64, z: i64) -> f64 {
-        self.values[(z - self.z0) as usize * LATTICE_SPAN + (x - self.x0) as usize]
-    }
 }
 
 /// One coordinate of a value-noise sample: the lattice cell it falls in and
@@ -119,16 +116,9 @@ fn noise_axis(coord: i32, scale: f64) -> (i64, f64) {
     (cell as i64, f * f * (3.0 - 2.0 * f))
 }
 
-/// Bilinear interpolation of the four lattice points around a sample.
-fn value_noise(
-    (x0, sx): (i64, f64),
-    (z0, sz): (i64, f64),
-    lattice: impl Fn(i64, i64) -> f64,
-) -> f64 {
-    let v00 = lattice(x0, z0);
-    let v10 = lattice(x0 + 1, z0);
-    let v01 = lattice(x0, z0 + 1);
-    let v11 = lattice(x0 + 1, z0 + 1);
+/// Bilinear interpolation of a sample's four lattice points
+/// `[v00, v10, v01, v11]` (x-major within each z row) by its weights.
+fn value_noise([v00, v10, v01, v11]: [f64; 4], sx: f64, sz: f64) -> f64 {
     let top = v00 + (v10 - v00) * sx;
     let bottom = v01 + (v11 - v01) * sx;
     top + (bottom - top) * sz
@@ -193,13 +183,13 @@ impl NoiseGenerator {
     }
 
     /// The one height expression: the weighted octave sum of a column whose
-    /// per-octave samples are `sample(octave)`. [`NoiseGenerator::height_at`]
+    /// per-octave samples are `samples`. [`NoiseGenerator::height_at`]
     /// derives axes and hashes lattice points on demand; chunk generation
-    /// feeds it per-chunk tables of both. Sharing this arithmetic (and
+    /// reads per-chunk tables of both. Sharing this arithmetic (and
     /// [`noise_axis`], [`value_noise`]) is what keeps the two bit-equal.
-    fn height_from(&self, sample: impl Fn(usize) -> f64) -> i32 {
+    fn height_from(&self, samples: [f64; 3]) -> i32 {
         let combined =
-            sample(0) * OCTAVES[0].2 + sample(1) * OCTAVES[1].2 + sample(2) * OCTAVES[2].2;
+            samples[0] * OCTAVES[0].2 + samples[1] * OCTAVES[1].2 + samples[2] * OCTAVES[2].2;
         let h = self.base_height + (combined - 0.5) * 2.0 * self.amplitude;
         (h.round() as i32).clamp(8, WORLD_HEIGHT as i32 - 12)
     }
@@ -207,28 +197,32 @@ impl NoiseGenerator {
     /// Terrain height at the given world column, in blocks.
     #[must_use]
     pub fn height_at(&self, x: i32, z: i32) -> i32 {
-        self.height_from(|i| {
-            let (scale, salt, _) = OCTAVES[i];
-            value_noise(noise_axis(x, scale), noise_axis(z, scale), |lx, lz| {
-                self.lattice(lx, lz, salt)
-            })
-        })
+        self.height_from(OCTAVES.map(|(scale, salt, _)| {
+            let ((x0, sx), (z0, sz)) = (noise_axis(x, scale), noise_axis(z, scale));
+            let lattice = |dx, dz| self.lattice(x0 + dx, z0 + dz, salt);
+            value_noise(
+                [lattice(0, 0), lattice(1, 0), lattice(0, 1), lattice(1, 1)],
+                sx,
+                sz,
+            )
+        }))
     }
 
     /// Terrain heights of all columns of the chunk at `pos` (index
     /// `z * CHUNK_SIZE + x`), equal to [`NoiseGenerator::height_at`] on each.
     /// A lone column hashes twelve lattice points and scales six
     /// coordinates, but a chunk's 256 columns share 16 + 16 coordinates and
-    /// a handful of lattice points per octave: both are tabulated up front.
+    /// a handful of lattice points per octave: both are tabulated up front,
+    /// the coordinates as offsets into the lattice table.
     fn chunk_heights(&self, pos: ChunkPos) -> [i32; CHUNK_SIZE * CHUNK_SIZE] {
         let origin = pos.origin_block();
-        let octaves = OCTAVES.map(|(scale, salt, _)| {
+        let patches = OCTAVES.map(|(scale, salt, _)| {
             let xs: [_; CHUNK_SIZE] =
                 std::array::from_fn(|l| noise_axis(origin.x + l as i32, scale));
             let zs: [_; CHUNK_SIZE] =
                 std::array::from_fn(|l| noise_axis(origin.z + l as i32, scale));
             // Cells grow with the coordinate, so the first and last column
-            // bound every lattice point `value_noise` will ask for.
+            // bound every lattice point a column will ask for.
             let (x0, z0) = (xs[0].0, zs[0].0);
             let (nx, nz) = (xs[CHUNK_SIZE - 1].0 - x0 + 2, zs[CHUNK_SIZE - 1].0 - z0 + 2);
             assert!(
@@ -242,15 +236,23 @@ impl NoiseGenerator {
                         self.lattice(x0 + dx, z0 + dz, salt);
                 }
             }
-            (xs, zs, LatticePatch { x0, z0, values })
+            LatticePatch {
+                xs: xs.map(|(cell, weight)| ((cell - x0) as usize, weight)),
+                zs: zs.map(|(cell, weight)| ((cell - z0) as usize * LATTICE_SPAN, weight)),
+                values,
+            }
         });
-        std::array::from_fn(|column| {
-            let (lx, lz) = (column % CHUNK_SIZE, column / CHUNK_SIZE);
-            self.height_from(|i| {
-                let (xs, zs, patch) = &octaves[i];
-                value_noise(xs[lx], zs[lz], |x, z| patch.at(x, z))
-            })
-        })
+        let mut heights = [0; CHUNK_SIZE * CHUNK_SIZE];
+        for (row, lz) in heights.chunks_exact_mut(CHUNK_SIZE).zip(0..) {
+            for (height, lx) in row.iter_mut().zip(0..) {
+                *height = self.height_from(patches.each_ref().map(|patch| {
+                    let ((x, sx), (z, sz)) = (patch.xs[lx], patch.zs[lz]);
+                    let v = &patch.values[z + x..];
+                    value_noise([v[0], v[1], v[LATTICE_SPAN], v[LATTICE_SPAN + 1]], sx, sz)
+                }));
+            }
+        }
+        heights
     }
 
     fn maybe_tree(
@@ -431,6 +433,91 @@ mod tests {
         }
     }
 
+    /// FNV-1a, 64-bit.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &byte in bytes {
+            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Everything observable about the noise generator's output: every
+    /// block, column summary, packed width, storage footprint and non-air
+    /// count of 9 × 9 chunks around (0, 0) and around (−40, 37), then
+    /// `height_at` on a 200 × 200 grid with stride 10.
+    fn noise_digest(gen: &NoiseGenerator) -> u64 {
+        let mut hash = 0xCBF2_9CE4_8422_2325;
+        for (cx, cz) in [(0, 0), (-40, 37)] {
+            for dx in -4..=4 {
+                for dz in -4..=4 {
+                    let chunk = gen.generate(ChunkPos::new(cx + dx, cz + dz));
+                    for y in 0..WORLD_HEIGHT as i32 {
+                        for z in 0..CHUNK_SIZE {
+                            for x in 0..CHUNK_SIZE {
+                                let block = chunk.block(x, y, z);
+                                fnv1a(&mut hash, &block.kind().protocol_id().to_le_bytes());
+                                fnv1a(&mut hash, &[block.state()]);
+                            }
+                        }
+                    }
+                    for z in 0..CHUNK_SIZE {
+                        for x in 0..CHUNK_SIZE {
+                            let (base, top) = chunk.column_summary(x, z);
+                            fnv1a(&mut hash, &base.to_le_bytes());
+                            fnv1a(&mut hash, &top.to_le_bytes());
+                        }
+                    }
+                    fnv1a(&mut hash, &[reference::bits_per_entry(&chunk)]);
+                    fnv1a(&mut hash, &(chunk.storage_bytes() as u64).to_le_bytes());
+                    fnv1a(&mut hash, &chunk.non_air_blocks().to_le_bytes());
+                }
+            }
+        }
+        for x in (-1000..1000).step_by(10) {
+            for z in (-1000..1000).step_by(10) {
+                fnv1a(&mut hash, &gen.height_at(x, z).to_le_bytes());
+            }
+        }
+        hash
+    }
+
+    /// Pins *what* the noise generator produces, which the replay tests
+    /// cannot see: they compare two paths over the same writes, and
+    /// `chunk_heights` with `height_at`. Re-record the digests only for a
+    /// deliberate change to the generated terrain.
+    #[test]
+    fn noise_output_matches_the_recorded_digest() {
+        let recorded: [(NoiseGenerator, u64); 6] = [
+            (NoiseGenerator::new(392_114_485), 0x3d35_5602_63fa_3f10),
+            (NoiseGenerator::new(7), 0x5d3b_23b9_7f8b_43cc),
+            (NoiseGenerator::new(0xDEAD_BEEF), 0x022c_0dc0_3033_2d96),
+            (
+                NoiseGenerator::new(392_114_485).with_amplitude(100.0),
+                0xe3a7_0240_2015_7b02,
+            ),
+            (
+                NoiseGenerator::new(7).with_amplitude(100.0),
+                0x53d3_d74f_069e_4917,
+            ),
+            (
+                NoiseGenerator::new(0xDEAD_BEEF).with_amplitude(100.0),
+                0x2db2_c076_c021_34e0,
+            ),
+        ];
+        let all: Vec<String> = recorded
+            .iter()
+            .map(|(gen, _)| format!("{:#018x}", noise_digest(gen)))
+            .collect();
+        for ((gen, want), got) in recorded.iter().zip(&all) {
+            assert_eq!(
+                got,
+                &format!("{want:#018x}"),
+                "seed {} amplitude {}; all digests: {all:?}",
+                gen.seed,
+                gen.amplitude
+            );
+        }
+    }
+
     #[test]
     fn flat_generator_is_uniform_across_chunks() {
         let gen = FlatGenerator::grassland();
@@ -466,13 +553,33 @@ mod tests {
 
     #[test]
     fn noise_heights_stay_in_world_bounds() {
-        let gen = NoiseGenerator::new(42).with_amplitude(100.0);
-        for x in (-200..200).step_by(13) {
-            for z in (-200..200).step_by(17) {
-                let h = gen.height_at(x, z);
-                assert!(
-                    h >= 1 && h < WORLD_HEIGHT as i32,
-                    "height {h} out of bounds"
+        // `height_from` clamps to 8..=116: bedrock and the dirt under the
+        // surface stay in the world, and a tree's canopy fits under the
+        // ceiling. Amplitude 100 hits both ends of the clamp.
+        let bounds = 8..=WORLD_HEIGHT as i32 - 12;
+        for amplitude in [14.0, 100.0] {
+            let gen = NoiseGenerator::new(42).with_amplitude(amplitude);
+            let mut reached = (i32::MAX, i32::MIN);
+            for x in (-200..200).step_by(13) {
+                for z in (-200..200).step_by(17) {
+                    let h = gen.height_at(x, z);
+                    assert!(bounds.contains(&h), "amplitude {amplitude}: {h} at {x},{z}");
+                    reached = (reached.0.min(h), reached.1.max(h));
+                }
+            }
+            for (cx, cz) in [(0, 0), (-5, 9), (11, -3)] {
+                for h in gen.chunk_heights(ChunkPos::new(cx, cz)) {
+                    assert!(
+                        bounds.contains(&h),
+                        "amplitude {amplitude}: {h} in {cx},{cz}"
+                    );
+                }
+            }
+            if amplitude == 100.0 {
+                assert_eq!(
+                    reached,
+                    (*bounds.start(), *bounds.end()),
+                    "clamp not reached"
                 );
             }
         }

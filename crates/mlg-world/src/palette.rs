@@ -98,7 +98,8 @@ impl PaletteStore {
     /// air). The caller promises that every layer (run of [`LAYER`] entries)
     /// outside the layer range `mixed` holds one slot throughout; such
     /// layers are counted arithmetically and packed as broadcast words, so
-    /// only the mixed band is read entry by entry.
+    /// only the mixed band is read entry by entry, and its words — with the
+    /// ragged ends of uniform stretches — are built per word.
     pub(crate) fn from_dense(
         slots: &[u8; BLOCKS_PER_CHUNK],
         interned: &[Block],
@@ -138,14 +139,18 @@ impl PaletteStore {
         let (epw, width) = ((64 / bits) as usize, bits as usize);
         let broadcast = (0..epw).fold(0u64, |w, e| w | 1 << (e * width));
         let mut data = vec![0u64; BLOCKS_PER_CHUNK.div_ceil(epw)];
-        let or_entries = |data: &mut [u64], entries: std::ops::Range<usize>| {
-            let (mut word, mut shift) = (entries.start / epw, entries.start % epw * width);
-            for &slot in &slots[entries] {
-                data[word] |= remap[slot as usize] << shift;
-                shift += width;
-                if shift == epw * width {
-                    (word, shift) = (word + 1, 0);
-                }
+        // Builds each word of `words` in a register from its entries and
+        // stores it once. A word is built from `slots`, which hold every
+        // entry's final value, so building a word twice (a ragged end
+        // shared by two stretches) writes the same value twice.
+        let pack = |data: &mut [u64], words: std::ops::Range<usize>| {
+            for (word, out) in words.clone().zip(&mut data[words]) {
+                let first = word * epw;
+                let entries = &slots[first..(first + epw).min(BLOCKS_PER_CHUNK)];
+                *out = entries
+                    .iter()
+                    .rev()
+                    .fold(0, |packed, &slot| packed << width | remap[slot as usize]);
             }
         };
         let mut layer = 0;
@@ -163,12 +168,13 @@ impl PaletteStore {
                 whole_words = lo.div_ceil(epw)..end * LAYER / epw;
             }
             // Words wholly inside a uniform stretch are one broadcast
-            // pattern; its ragged ends, and mixed layers, go entry by entry.
+            // pattern; its ragged ends, and mixed layers, are built per word.
+            let words = lo / epw..(end * LAYER).div_ceil(epw);
             if whole_words.is_empty() {
-                or_entries(&mut data, lo..end * LAYER);
+                pack(&mut data, words);
             } else {
-                or_entries(&mut data, lo..whole_words.start * epw);
-                or_entries(&mut data, whole_words.end * epw..end * LAYER);
+                pack(&mut data, words.start..whole_words.start);
+                pack(&mut data, whole_words.end..words.end);
                 data[whole_words].fill(remap[slots[lo] as usize] * broadcast);
             }
             layer = end;

@@ -28,11 +28,29 @@ more than the metric's `bound` fails the check. Something moved the benchmark
 between two PRs (the box, the toolchain, an unmeasured change) and the newer
 file's ratios cannot be read as a continuation of the older one's.
 
+Cells — where a workload's `setup_s` or `run_wall_s` moved, cell by cell, from
+two sets as for writing:
+
+    scripts/bench_trajectory.py --cells --parent /tmp/set-parent \\
+        --change /tmp/set-change --seeds 21,22,23 --workload sharded_horde
+
+A workload's time metric is the sum over its cells of each cell's lower
+quartile across rounds of its host-corrected time (benchmark/src/ledger.rs).
+For every cell this prints, per side, the median over seeds of that lower
+quartile for `setup_s` and `wall_s`, and the change-over-parent ratio. Cells
+pair up by position, since a seed may rename one (`campaign_sweep`'s labels
+carry the seed's start time); both sides of a seed must name them alike. It
+re-derives each quartile from the result file's per-round samples, and fails
+if a run's cells do not sum to the `setup_s` or `run_wall_s` that run recorded.
+
 Medians are compared, never single runs: `peak_rss_mb` on `campaign_sweep`
-and `sharded_horde` is bimodal on both sides of every comparison — about one
-run in ten lands near 12 MiB instead of 9.5, depending on which thread's
-allocator arena the big allocations land in (benchmark/README.md, where the
-`peak_rss_mb` bound is set; visible in BENCH_22.json's parent runs).
+and `sharded_horde` has been bimodal — about one run in ten landed near 12 MiB
+instead of 9.5, depending on which thread's allocator arena the big
+allocations land in (benchmark/README.md, where the `peak_rss_mb` bound is
+set; visible in BENCH_22.json's parent runs). On `campaign_sweep` the cause
+was `ParallelExecutor` leaving its workers unjoined, which it no longer does
+(docs/ARCHITECTURE.md, campaign layer); a parent measured before that still
+shows it.
 
 Run from the repository root (BENCHMARK.json is read from the working
 directory). Standard library only.
@@ -171,15 +189,74 @@ def discontinuities(previous, current):
     return found
 
 
+CELL_METRICS = (("setup_s", "setup_s"), ("wall_s", "run_wall_s"))
+
+
+def lower_quartile(values):
+    """The 25th percentile by linear interpolation, as `stats::percentile` computes it."""
+    v = sorted(values)
+    rank = 0.25 * (len(v) - 1)
+    lo, hi = math.floor(rank), math.ceil(rank)
+    return v[lo] + (v[hi] - v[lo]) * (rank - lo)
+
+
+def cell_values(path):
+    """Each cell's host-corrected lower quartile of `setup_s` and `wall_s`, in cell order, after
+    checking that they sum to the run's recorded metrics."""
+    with open(path) as f:
+        result = json.load(f)
+    nominal = result["host_state"]["nominal"]
+    cells = []
+    for cell in result["cells"]:
+        kernel = [(before + after) / 2 for before, after in zip(cell["kernel_before_s"], cell["kernel_after_s"])]
+        cells.append((cell["cell"], {key: lower_quartile([s * nominal / k for s, k in zip(cell[key], kernel)])
+                                     for key, _ in CELL_METRICS}))
+    for key, metric in CELL_METRICS:
+        total, recorded = sum(values[key] for _, values in cells), result["metrics"][metric]["value"]
+        if not math.isclose(total, recorded, rel_tol=1e-12):
+            sys.exit(f"{path}: the cells' {key} sum to {total!r}, the run recorded {metric} {recorded!r}")
+    return cells
+
+
+def print_cells(parent_dir, change_dir, seeds, workload):
+    sides = {side: [cell_values(f"{set_dir}/seed{k}/{workload}.json") for k in seeds]
+             for side, set_dir in (("parent", parent_dir), ("change", change_dir))}
+    # A seed may rename a cell (campaign_sweep's labels carry the seed's start
+    # time), so cells pair up by position; the two sides of a seed must agree.
+    for k, parent, change in zip(seeds, *sides.values()):
+        names = [[label for label, _ in run] for run in (parent, change)]
+        if names[0] != names[1] or len(names[0]) != len(sides["parent"][0]):
+            sys.exit(f"seed {k}: parent cells {names[0]} and change cells {names[1]} differ")
+    labels = [label for label, _ in sides["parent"][0]]
+    print(f"{workload}: per cell, the median over seeds {','.join(map(str, seeds))} of the cell's "
+          f"host-corrected lower quartile across rounds, in seconds (cells named as in seed {seeds[0]})")
+    print("".join(f"{key + ' ' + side:>16}" for key, _ in CELL_METRICS
+                  for side in ("parent", "change", "ratio")) + "  cell")
+    for c, label in enumerate(labels):
+        line = ""
+        for key, _ in CELL_METRICS:
+            a, b = (statistics.median(run[c][1][key] for run in runs) for runs in sides.values())
+            line += f"{a:>16.6f}{b:>16.6f}{b / a:>16.3f}"
+        print(f"{line}  {label}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", nargs="+", metavar="FILE", help="trajectory files to check")
+    parser.add_argument("--cells", action="store_true", help="print per-cell medians of one workload")
+    parser.add_argument("--workload", help="the workload --cells reads")
     parser.add_argument("--pr", type=int)
     parser.add_argument("--parent", metavar="SET_DIR")
     parser.add_argument("--change", metavar="SET_DIR")
     parser.add_argument("--seeds", help="comma-separated, in the order the pairs ran")
     parser.add_argument("--change-id")
     args = parser.parse_args()
+    if args.cells:
+        missing = [flag for flag in ("parent", "change", "seeds", "workload") if getattr(args, flag) is None]
+        if missing:
+            parser.error("with --cells, also give --" + ", --".join(missing))
+        print_cells(args.parent, args.change, [int(s) for s in args.seeds.split(",")], args.workload)
+        return
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
     if args.check:
