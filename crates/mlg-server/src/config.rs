@@ -48,14 +48,6 @@ pub struct ServerConfig {
     ///
     /// [`FlavorProfile::eager_lighting`]: crate::flavor::FlavorProfile::eager_lighting
     pub eager_lighting: Option<bool>,
-    /// Overrides the flavor's [`FlavorProfile::aoi_dissemination`] knob:
-    /// `None` uses the flavor default, `Some(true)` forces per-player
-    /// area-of-interest packet filtering, `Some(false)` forces the classic
-    /// full broadcast. A modeled-architecture change (delivered packet
-    /// counts and traffic legitimately differ across it).
-    ///
-    /// [`FlavorProfile::aoi_dissemination`]: crate::flavor::FlavorProfile::aoi_dissemination
-    pub aoi_dissemination: Option<bool>,
     /// Minute of the simulated week (0 = Monday 00:00) at which this run
     /// starts. Purely informational for the server today — the temporal
     /// interference model lives in the environment layer — but plumbed here
@@ -79,7 +71,6 @@ impl Default for ServerConfig {
             tick_threads: 1,
             shard_rebalance: None,
             eager_lighting: None,
-            aoi_dissemination: None,
             start_time_minute: 0,
         }
     }
@@ -129,14 +120,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_eager_lighting(mut self, eager: Option<bool>) -> Self {
         self.eager_lighting = eager;
-        self
-    }
-
-    /// Returns a copy with the area-of-interest dissemination override set
-    /// (`None` = flavor default; `Some(false)` = classic full broadcast).
-    #[must_use]
-    pub fn with_aoi_dissemination(mut self, aoi: Option<bool>) -> Self {
-        self.aoi_dissemination = aoi;
         self
     }
 

@@ -315,10 +315,10 @@ pub struct FlavorProfile {
     /// instead of `packets × players`. Vanilla/Forge broadcast everything
     /// to everyone (keeping the paper's measured behaviour untouched);
     /// the Paper/Folia-like flavors filter, modeling their rewritten
-    /// tracker-range entity broadcast paths.
-    /// [`ServerConfig::aoi_dissemination`] can override this per run.
+    /// tracker-range entity broadcast paths. A run that wants the other
+    /// mode sets its own profile ([`GameServer::set_profile`]).
     ///
-    /// [`ServerConfig::aoi_dissemination`]: crate::config::ServerConfig::aoi_dissemination
+    /// [`GameServer::set_profile`]: crate::server::GameServer::set_profile
     pub aoi_dissemination: bool,
 }
 

@@ -186,11 +186,6 @@ pub struct GameServer {
     /// `pending_relight` and are consumed by the next tick's pipelined
     /// lighting stage.
     eager_lighting: bool,
-    /// Whether the dissemination stage filters positioned packets through
-    /// per-player areas of interest (resolved from the flavor profile and
-    /// the [`ServerConfig::aoi_dissemination`] override). When `false`,
-    /// every packet is broadcast to every connection.
-    aoi_dissemination: bool,
     /// Terrain-change positions awaiting the cross-tick pipelined lighting
     /// stage (empty under eager lighting).
     pending_relight: Vec<BlockPos>,
@@ -281,7 +276,6 @@ impl GameServer {
             next_minor_gc_tick: MINOR_GC_INTERVAL_TICKS,
             next_major_gc_tick: MAJOR_GC_INTERVAL_TICKS,
             eager_lighting: true,
-            aoi_dissemination: false,
             pending_relight: Vec::new(),
             broadcast_buf: Vec::new(),
             interest: InterestSets::default(),
@@ -322,10 +316,6 @@ impl GameServer {
             self.world.reshard(self.pipeline.shard_map().clone());
         }
         self.eager_lighting = self.config.eager_lighting.unwrap_or(profile.eager_lighting);
-        self.aoi_dissemination = self
-            .config
-            .aoi_dissemination
-            .unwrap_or(profile.aoi_dissemination);
         self.terrain.eager_lighting = self.eager_lighting;
         self.entities.max_tnt_per_tick = profile.max_tnt_per_tick;
         if self.eager_lighting {
@@ -347,7 +337,7 @@ impl GameServer {
     /// per-player areas of interest (`false` = classic full broadcast).
     #[must_use]
     pub fn aoi_dissemination(&self) -> bool {
-        self.aoi_dissemination
+        self.profile.aoi_dissemination
     }
 
     /// Number of terrain changes queued for the next tick's pipelined
@@ -495,12 +485,6 @@ impl GameServer {
         visit: impl FnMut(&[ClientboundPacket]),
     ) -> (u64, usize) {
         self.queues.drain_outgoing_with(player, visit)
-    }
-
-    /// Drains the clientbound packets queued for `player`, cloned out of
-    /// the queues ([`NetworkingQueues::drain_outgoing`]).
-    pub fn stream_outgoing(&mut self, player: PlayerId) -> impl Iterator<Item = ClientboundPacket> {
-        self.queues.drain_outgoing(player).into_iter()
     }
 
     /// Schedules every TNT block currently loaded in the world to ignite
@@ -843,7 +827,7 @@ impl GameServer {
                 self.spawn_point,
                 self.tick_index,
             );
-            packets_emitted = if self.aoi_dissemination {
+            packets_emitted = if self.profile.aoi_dissemination {
                 dissemination::multicast_by_interest(
                     &mut self.queues,
                     &mut self.traffic,
@@ -962,6 +946,13 @@ mod tests {
         Environment::das5(2).instantiate(1).engine
     }
 
+    /// Drains `player`'s queued packets into a `Vec`.
+    fn drain(s: &mut GameServer, player: PlayerId) -> Vec<ClientboundPacket> {
+        let mut packets = Vec::new();
+        s.drain_outgoing_with(player, |run| packets.extend_from_slice(run));
+        packets
+    }
+
     #[test]
     fn idle_server_ticks_are_fast_and_stable() {
         let mut s = server(ServerFlavor::Vanilla);
@@ -990,7 +981,7 @@ mod tests {
         }
         let baseline = s.run_tick(&mut e).record.busy_ms;
         let id = s.connect_player("probe");
-        let join_packets: Vec<_> = s.stream_outgoing(id).collect();
+        let join_packets = drain(&mut s, id);
         assert!(
             join_packets
                 .iter()
@@ -1038,7 +1029,7 @@ mod tests {
                     payload_bytes: terrain.generate(chunk).network_size_bytes() as u32,
                 });
             }
-            let joined: Vec<_> = s.stream_outgoing(id).collect();
+            let joined = drain(s, id);
             assert_eq!(joined, expected, "{name}'s join stream");
         };
         let counters = |s: &GameServer| {
@@ -1068,7 +1059,7 @@ mod tests {
         let mut s = server(ServerFlavor::Vanilla);
         let mut e = engine();
         let id = s.connect_player("probe");
-        drop(s.stream_outgoing(id));
+        s.drain_outgoing_with(id, |_| ());
         s.enqueue_packet(
             id,
             ServerboundPacket::Chat {
@@ -1077,7 +1068,7 @@ mod tests {
             },
         );
         s.run_tick(&mut e);
-        let packets: Vec<_> = s.stream_outgoing(id).collect();
+        let packets = drain(&mut s, id);
         let echo = packets.iter().find_map(|p| match p {
             ClientboundPacket::Chat { echo_of_ms, .. } => Some(*echo_of_ms),
             _ => None,
@@ -1091,8 +1082,8 @@ mod tests {
         let mut e = engine();
         let a = s.connect_player("alice");
         let b = s.connect_player("bob");
-        drop(s.stream_outgoing(a));
-        drop(s.stream_outgoing(b));
+        s.drain_outgoing_with(a, |_| ());
+        s.drain_outgoing_with(b, |_| ());
         s.enqueue_packet(
             a,
             ServerboundPacket::BlockPlace {
@@ -1101,7 +1092,7 @@ mod tests {
             },
         );
         s.run_tick(&mut e);
-        let to_bob: Vec<_> = s.stream_outgoing(b).collect();
+        let to_bob = drain(&mut s, b);
         assert!(
             to_bob
                 .iter()

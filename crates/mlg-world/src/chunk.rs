@@ -25,14 +25,14 @@
 //! block read: ground above `top` is air, feet at or below `base` are
 //! blocked.
 //!
-//! Besides the summaries and the dissemination dirty flag, the chunk tracks
-//! *light-dirty columns*: a 256-bit mask of `(x, z)` columns whose light
-//! opacity profile changed since the last relight pass consumed them. The
-//! incremental relighting cache in [`crate::world`] uses this mask (plus a
-//! pass stamp) to skip re-flooding positions whose 17×17 neighborhood is
-//! untouched. State-only block changes (a redstone torch toggling) do not
-//! alter opacity and therefore do not dirty the mask — that is what makes
-//! clock-driven worlds cheap to relight.
+//! Besides the summaries, the chunk tracks *light-dirty columns*: a 256-bit
+//! mask of `(x, z)` columns whose light opacity profile changed since the
+//! last relight pass consumed them. The incremental relighting cache in
+//! [`crate::world`] uses this mask (plus a pass stamp) to skip re-flooding
+//! positions whose 17×17 neighborhood is untouched. State-only block
+//! changes (a redstone torch toggling) do not alter opacity and therefore
+//! do not dirty the mask — that is what makes clock-driven worlds cheap to
+//! relight.
 
 use serde::{Deserialize, Serialize};
 
@@ -85,8 +85,7 @@ struct ColumnSummaries {
 /// Blocks live in a [`PaletteStore`] indexed by `(x, y, z)` local
 /// coordinates. The chunk also tracks a summary per column (its heightmap
 /// and its solid-or-fluid base, see [`Chunk::column_summary`]) used by
-/// lighting and spawning, and a dirty flag used by the server to know which
-/// chunks need to be re-sent to clients.
+/// lighting and spawning.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Chunk {
     pos: ChunkPos,
@@ -94,8 +93,6 @@ pub struct Chunk {
     columns: Box<ColumnSummaries>,
     /// Number of non-air blocks, maintained incrementally.
     non_air: u32,
-    /// Set when the chunk was modified since the last time it was marked clean.
-    dirty: bool,
     /// Bit per `(x, z)` column (bit `z * CHUNK_SIZE + x`): set when a block
     /// change altered the column's light opacity since the last relight-pass
     /// fold. Substrate-only bookkeeping for the relight cache.
@@ -121,7 +118,6 @@ impl Chunk {
                 top: [-1; LAYER],
             }),
             non_air: 0,
-            dirty: false,
             light_dirty: [0; LIGHT_DIRTY_WORDS],
             light_stamp: 0,
         }
@@ -172,7 +168,6 @@ impl Chunk {
             return old;
         }
         self.store.set(i, block);
-        self.dirty = true;
         if old.kind().light_opacity() != block.kind().light_opacity() {
             let col = z * CHUNK_SIZE + x;
             self.light_dirty[col / 64] |= 1u64 << (col % 64);
@@ -182,83 +177,47 @@ impl Chunk {
             (false, true) => self.non_air -= 1,
             _ => {}
         }
-        self.settle_column(x, z, y, y, block);
+        self.settle_column(x, z, y, block);
         old
     }
 
     /// Fills the vertical run `y_lo..=y_hi` of column `(x, z)` with `block`,
-    /// clamping the run to the world's vertical bounds.
-    ///
-    /// Behaviourally identical to calling [`Chunk::set_block`] for every `y`
-    /// in ascending order, but the palette slot is acquired once for the
-    /// whole run and the column summary, light-dirty and non-air bookkeeping
-    /// are settled once per column instead of once per block — the bulk write
-    /// path for columns of an existing chunk (whole new chunks come from a
-    /// `ChunkBuilder`).
+    /// clamping the run to the world's vertical bounds: [`Chunk::set_block`]
+    /// for every `y` in ascending order.
     ///
     /// # Panics
     ///
-    /// Panics if `x` or `z` are outside `0..CHUNK_SIZE`.
+    /// Panics if `x` or `z` are outside `0..CHUNK_SIZE`, even when the
+    /// clamped run is empty.
     pub fn fill_column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block) {
         assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
-        let y_lo = y_lo.max(0);
-        let y_hi = y_hi.min(WORLD_HEIGHT as i32 - 1);
-        if y_lo > y_hi {
-            return;
+        for y in y_lo.max(0)..=y_hi.min(WORLD_HEIGHT as i32 - 1) {
+            self.set_block(x, y, z, block);
         }
-        let start = Self::index(x, y_lo, z).expect("run clamped to world bounds");
-        let count = (y_hi - y_lo + 1) as usize;
-        let new_opacity = block.kind().light_opacity();
-        let mut non_air_delta: i64 = 0;
-        let mut opacity_changed = false;
-        let changed =
-            self.store
-                .fill_strided(start, CHUNK_SIZE * CHUNK_SIZE, count, block, |old, n| {
-                    match (old.is_air(), block.is_air()) {
-                        (true, false) => non_air_delta += i64::from(n),
-                        (false, true) => non_air_delta -= i64::from(n),
-                        _ => {}
-                    }
-                    if old.kind().light_opacity() != new_opacity {
-                        opacity_changed = true;
-                    }
-                });
-        if changed == 0 {
-            return;
-        }
-        self.dirty = true;
-        self.non_air = u32::try_from(i64::from(self.non_air) + non_air_delta)
-            .expect("non-air counter stays within the chunk volume");
-        if opacity_changed {
-            let col = z * CHUNK_SIZE + x;
-            self.light_dirty[col / 64] |= 1u64 << (col % 64);
-        }
-        self.settle_column(x, z, y_lo, y_hi, block);
     }
 
-    /// Brings column `(x, z)`'s summary up to date after `y_lo..=y_hi`
-    /// (inside the world) was filled with `block`, reading blocks only
-    /// where the run moved an edge: a removed top scans down for the next
-    /// non-air block, a filled gap just above `base` scans up to the top
-    /// while the blocks stay solid or fluid — so a block laid on top of its
-    /// column, the way builders and players build, reads nothing. The
-    /// summary was exact before the write, so nothing outside those scans
-    /// can have changed.
-    fn settle_column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block) {
+    /// Brings column `(x, z)`'s summary up to date after block `y` (inside
+    /// the world) was set to `block`, reading blocks only where the write
+    /// moved an edge: a removed top scans down for the next non-air block,
+    /// a filled gap just above `base` scans up to the top while the blocks
+    /// stay solid or fluid — so a block laid on top of its column, the way
+    /// builders and players build, reads nothing. The summary was exact
+    /// before the write, so nothing outside those scans can have changed.
+    fn settle_column(&mut self, x: usize, z: usize, y: i32, block: Block) {
         let (base, top) = self.column_summary(x, z);
         let read = |y: i32| self.block(x, y, z);
         let top = if !block.is_air() {
-            top.max(y_hi)
-        } else if (y_lo..=y_hi).contains(&top) {
-            (0..y_lo).rev().find(|&y| !read(y).is_air()).unwrap_or(-1)
+            top.max(y)
+        } else if y == top {
+            (0..y).rev().find(|&y| !read(y).is_air()).unwrap_or(-1)
         } else {
             top
         };
         let base = if !solid_or_fluid(block) {
-            base.min(y_lo - 1)
-        } else if (y_lo..=y_hi).contains(&(base + 1)) {
+            base.min(y - 1)
+        } else if y == base + 1 {
             // Above `top` is air, or the world ends.
-            (y_hi + 1..=top)
+            (y + 1..=top)
                 .find(|&y| !solid_or_fluid(read(y)))
                 .unwrap_or(top + 1)
                 - 1
@@ -303,18 +262,6 @@ impl Chunk {
     #[must_use]
     pub fn non_air_blocks(&self) -> u32 {
         self.non_air
-    }
-
-    /// Returns `true` if the chunk has been modified since the last call to
-    /// [`Chunk::mark_clean`].
-    #[must_use]
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Clears the dirty flag.
-    pub fn mark_clean(&mut self) {
-        self.dirty = false;
     }
 
     /// Relight-pass stamp recorded at the last light-dirty fold.
@@ -500,8 +447,8 @@ impl ChunkBuilder {
         slot
     }
 
-    /// Packs the scratch into the chunk at `pos`: clean, every column
-    /// light-dirty (a new chunk has never been lit), storage compact.
+    /// Packs the scratch into the chunk at `pos`: every column light-dirty
+    /// (a new chunk has never been lit), storage compact.
     ///
     /// The column summaries come from one top-down pass over the layers:
     /// a column's `top` is the first non-air layer it meets, its `base`
@@ -573,7 +520,6 @@ impl ChunkBuilder {
             non_air: (BLOCKS_PER_CHUNK - store.count_kind(BlockKind::Air)) as u32,
             store,
             columns,
-            dirty: false,
             light_dirty: [!0; LIGHT_DIRTY_WORDS],
             light_stamp: 0,
         }
@@ -656,14 +602,13 @@ pub(crate) mod reference {
     }
 
     /// Replays `writes` per block, finishes the way generators always have
-    /// (compacted storage, clean flag) and asserts `built` is that chunk:
-    /// every block, column summary, counter, flag and light-dirty bit, and
-    /// the same packed width and storage footprint.
+    /// (compacted storage) and asserts `built` is that chunk: every block,
+    /// column summary, counter and light-dirty bit, and the same packed
+    /// width and storage footprint.
     pub(crate) fn assert_equals_replay(built: &Chunk, writes: impl FnOnce(&mut Chunk), ctx: &str) {
         let mut replayed = Chunk::empty(built.pos());
         writes(&mut replayed);
         replayed.compact_storage();
-        replayed.mark_clean();
         let width = |chunk: &Chunk| (bits_per_entry(chunk), chunk.storage_bytes());
         assert_eq!(width(built), width(&replayed), "bits, bytes: {ctx}");
         tests::assert_chunks_equivalent(built, &replayed, ctx);
@@ -695,11 +640,10 @@ mod tests {
     }
 
     /// Asserts two chunks are observably identical: blocks, column
-    /// summaries (each also against a scan of its blocks), non-air count,
-    /// dirty flag and per-column light-dirty bits.
+    /// summaries (each also against a scan of its blocks), non-air count
+    /// and per-column light-dirty bits.
     pub(super) fn assert_chunks_equivalent(a: &Chunk, b: &Chunk, ctx: &str) {
         assert_eq!(a.non_air_blocks(), b.non_air_blocks(), "non_air: {ctx}");
-        assert_eq!(a.is_dirty(), b.is_dirty(), "dirty: {ctx}");
         for x in 0..CHUNK_SIZE {
             for z in 0..CHUNK_SIZE {
                 assert_eq!(
@@ -725,53 +669,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn fill_column_equals_per_block_set(seed in any::<u64>()) {
-            // Random column fills (including out-of-bounds ranges that must
-            // clamp, air fills, and refills) applied to one chunk via
-            // `fill_column` and to a sibling via per-block `set_block`,
-            // with `compact_storage` (palette gc) interleaved mid-sequence.
-            let palette = [
-                Block::AIR,
-                Block::simple(BlockKind::Stone),
-                Block::simple(BlockKind::Dirt),
-                Block::simple(BlockKind::Grass),
-                Block::simple(BlockKind::Water),
-                Block::simple(BlockKind::Sand),
-                Block::simple(BlockKind::Log),
-                Block::with_state(BlockKind::RedstoneDust, 3),
-            ];
-            let mut a = chunk();
-            let mut b = chunk();
-            let mut s = seed;
-            let mut next = || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            for op in 0..40u32 {
-                let x = (next() % CHUNK_SIZE as u64) as usize;
-                let z = (next() % CHUNK_SIZE as u64) as usize;
-                // Biased toward in-bounds but can start below 0 / end above
-                // the world height to exercise clamping.
-                let y_lo = (next() % 140) as i32 - 6;
-                let y_hi = y_lo + (next() % 70) as i32 - 4;
-                let block = palette[(next() % palette.len() as u64) as usize];
-                a.fill_column(x, z, y_lo, y_hi, block);
-                for y in y_lo..=y_hi {
-                    b.set_block(x, y, z, block);
-                }
-                if op % 9 == 8 {
-                    a.compact_storage();
-                    b.compact_storage();
-                }
-            }
-            assert_chunks_equivalent(&a, &b, &format!("seed {seed}"));
         }
     }
 
@@ -919,7 +816,6 @@ mod tests {
         assert_eq!(built.storage_bytes(), 0);
         assert_eq!(built.non_air_blocks(), 0);
         assert_eq!(built.height_at(3, 3), None);
-        assert!(!built.is_dirty());
     }
 
     #[test]
@@ -928,7 +824,6 @@ mod tests {
         assert_eq!(c.block(0, 0, 0), Block::AIR);
         assert_eq!(c.block(15, 127, 15), Block::AIR);
         assert_eq!(c.non_air_blocks(), 0);
-        assert!(!c.is_dirty());
     }
 
     #[test]
@@ -944,7 +839,6 @@ mod tests {
         assert_eq!(c.set_block(3, 10, 4, b), Block::AIR);
         assert_eq!(c.block(3, 10, 4), b);
         assert_eq!(c.non_air_blocks(), 1);
-        assert!(c.is_dirty());
     }
 
     #[test]
@@ -1046,15 +940,6 @@ mod tests {
         assert_eq!(c.non_air_blocks(), 1);
         c.set_block(0, 0, 0, Block::AIR);
         assert_eq!(c.non_air_blocks(), 0);
-    }
-
-    #[test]
-    fn setting_same_block_does_not_dirty() {
-        let mut c = chunk();
-        c.set_block(1, 1, 1, Block::simple(BlockKind::Stone));
-        c.mark_clean();
-        c.set_block(1, 1, 1, Block::simple(BlockKind::Stone));
-        assert!(!c.is_dirty());
     }
 
     #[test]

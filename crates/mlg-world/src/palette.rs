@@ -344,112 +344,6 @@ impl PaletteStore {
         old
     }
 
-    /// Bulk-fills `count` entries starting at `start`, spaced `stride`
-    /// apart, with `block` — exactly equivalent to calling
-    /// [`PaletteStore::set`] on each entry in ascending order, but the
-    /// palette slot is resolved **once** for the whole run instead of once
-    /// per entry (the per-entry palette scan is what made generation pay an
-    /// 8× write-path premium over the dense layout).
-    ///
-    /// Invokes `on_replaced(previous_block, n)` once per distinct previous
-    /// block that was actually overwritten, with how many entries it
-    /// accounted for, in ascending palette-slot order (deterministic), and
-    /// returns the total number of entries changed. Entries already holding
-    /// `block` are left untouched and are not reported, matching `set`'s
-    /// early return; a `0` return therefore means the fill was a no-op.
-    ///
-    /// The callback shape (rather than a returned `Vec`) keeps the bulk
-    /// path allocation-free: generators issue thousands of short column
-    /// fills per chunk, and two heap allocations per call cost more than
-    /// the writes themselves.
-    pub fn fill_strided(
-        &mut self,
-        start: usize,
-        stride: usize,
-        count: usize,
-        block: Block,
-        mut on_replaced: impl FnMut(Block, u32),
-    ) -> u32 {
-        debug_assert!(stride > 0);
-        debug_assert!(count == 0 || start + (count - 1) * stride < BLOCKS_PER_CHUNK);
-        if count == 0 {
-            return 0;
-        }
-        if self.bits == 0 {
-            if block == Block::AIR {
-                return 0;
-            }
-            self.materialize();
-        }
-        // Resolve the palette slot once (this may widen the index array, so
-        // the packing geometry below must be read *after* the acquire).
-        let new_idx = self.acquire(block);
-        let epw = GEOMETRY[self.bits as usize].0 as usize;
-        let mask = self.mask();
-        // Overwritten-entry count per old palette slot. Stack storage for
-        // the narrow widths every generated chunk uses; ≥8-bit palettes
-        // (256+ slots) spill to a heap map-by-slot.
-        let mut inline = [0u32; 16];
-        let mut heap: Vec<u32> = Vec::new();
-        let counts: &mut [u32] = if self.palette.len() <= inline.len() {
-            &mut inline
-        } else {
-            heap.resize(self.palette.len(), 0);
-            &mut heap
-        };
-        if stride.is_multiple_of(epw) {
-            // Fast path for the column-fill geometry: every power-of-two
-            // entry width divides the 256-entry vertical stride, so the
-            // in-word shift is the same for the whole run and the word
-            // cursor advances by a fixed step — no per-entry division.
-            let (mut word, shift) = self.locate(start);
-            let step = stride / epw;
-            let new_bits = (new_idx as u64) << shift;
-            for _ in 0..count {
-                let old_idx = ((self.data[word] >> shift) & mask) as usize;
-                if old_idx != new_idx {
-                    self.data[word] = (self.data[word] & !(mask << shift)) | new_bits;
-                    counts[old_idx] += 1;
-                }
-                word += step;
-            }
-        } else {
-            let mut i = start;
-            for _ in 0..count {
-                let (word, shift) = self.locate(i);
-                let old_idx = ((self.data[word] >> shift) & mask) as usize;
-                if old_idx != new_idx {
-                    self.data[word] =
-                        (self.data[word] & !(mask << shift)) | ((new_idx as u64) << shift);
-                    counts[old_idx] += 1;
-                }
-                i += stride;
-            }
-        }
-        let mut changed: u32 = 0;
-        for (old_idx, &n) in counts.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            changed += n;
-            self.refs[old_idx] -= n;
-            if self.refs[old_idx] == 0 && old_idx != 0 {
-                self.dead += 1;
-            }
-            on_replaced(self.palette[old_idx], n);
-        }
-        // Settle refcounts: `changed` new references, minus the provisional
-        // one `acquire` took (which keeps the slot alive across a fill that
-        // turns out to be a no-op; if it was both fresh and unused it dies
-        // here and a later `gc` reclaims it).
-        self.refs[new_idx] += changed;
-        self.refs[new_idx] -= 1;
-        if self.refs[new_idx] == 0 && new_idx != 0 {
-            self.dead += 1;
-        }
-        changed
-    }
-
     /// Compacts the palette: drops dead slots and narrows the index array
     /// to the minimal width addressing the remaining entries. A store that
     /// became all-air reverts to the O(1) unmaterialized representation.
@@ -817,107 +711,6 @@ mod tests {
         s.gc();
         assert_eq!(s.bits_per_entry(), 5);
         assert_iter_kind_matches_scan(&s, "5 bits");
-    }
-
-    /// Reference model for `fill_strided`: per-entry `set` in ascending
-    /// order, with the replaced blocks aggregated the same way.
-    fn fill_by_set(
-        s: &mut PaletteStore,
-        start: usize,
-        stride: usize,
-        count: usize,
-        block: Block,
-    ) -> (u32, Vec<(Block, u32)>) {
-        let mut replaced: Vec<(Block, u32)> = Vec::new();
-        let mut changed = 0u32;
-        for k in 0..count {
-            let old = s.set(start + k * stride, block);
-            if old != block {
-                changed += 1;
-                match replaced.iter_mut().find(|(b, _)| *b == old) {
-                    Some((_, n)) => *n += 1,
-                    None => replaced.push((old, 1)),
-                }
-            }
-        }
-        (changed, replaced)
-    }
-
-    #[test]
-    fn fill_strided_matches_per_entry_set() {
-        let blocks = kinds();
-        // Covers both the aligned fast path (stride divisible by entries
-        // per word) and the general path (stride 7), several widths, and
-        // overlapping refills that kill palette slots.
-        let runs = [
-            (0usize, 256usize, 128usize),
-            (17, 256, 100),
-            (3, 7, 1000),
-            (100, 1, 300),
-            (0, 256, 128),
-            (5, 513, 60),
-        ];
-        let mut a = PaletteStore::new_air();
-        let mut b = PaletteStore::new_air();
-        for (pass, &(start, stride, count)) in runs.iter().enumerate() {
-            for (j, &block) in blocks.iter().take(6).enumerate() {
-                let mut got: Vec<(Block, u32)> = Vec::new();
-                let got_changed =
-                    a.fill_strided(start + j, stride, count, block, |old, n| got.push((old, n)));
-                let (want_changed, mut want) = fill_by_set(&mut b, start + j, stride, count, block);
-                assert_eq!(got_changed, want_changed, "pass {pass} block {j}");
-                // fill_strided reports in palette-slot order; compare as sets.
-                got.sort_by_key(|(bl, _)| (bl.kind() as u16, bl.state()));
-                want.sort_by_key(|(bl, _)| (bl.kind() as u16, bl.state()));
-                assert_eq!(got, want, "pass {pass} block {j}");
-            }
-            a.gc();
-            b.gc();
-            for i in 0..BLOCKS_PER_CHUNK {
-                assert_eq!(a.get(i), b.get(i), "entry {i} diverged after pass {pass}");
-            }
-        }
-    }
-
-    #[test]
-    fn fill_strided_noop_leaves_store_unchanged() {
-        let mut s = PaletteStore::new_air();
-        // All-air fill on an unmaterialized store must not materialize it.
-        let changed = s.fill_strided(0, 256, 128, Block::AIR, |_, _| panic!("no-op reported"));
-        assert_eq!(changed, 0);
-        assert_eq!(s.bits_per_entry(), 0);
-        // Refilling with the same block reports nothing and survives gc.
-        s.fill_strided(0, 256, 128, Block::simple(BlockKind::Stone), |_, _| {});
-        let changed = s.fill_strided(0, 256, 128, Block::simple(BlockKind::Stone), |_, _| {
-            panic!("no-op reported")
-        });
-        assert_eq!(changed, 0);
-        s.gc();
-        assert_eq!(s.count_kind(BlockKind::Stone), 128);
-        assert_eq!(s.get(0), Block::simple(BlockKind::Stone));
-    }
-
-    #[test]
-    fn fill_strided_refill_to_air_reverts_on_gc() {
-        let mut s = PaletteStore::new_air();
-        s.fill_strided(
-            0,
-            1,
-            BLOCKS_PER_CHUNK,
-            Block::simple(BlockKind::Sand),
-            |_, _| {},
-        );
-        let mut reported = Vec::new();
-        let changed = s.fill_strided(0, 1, BLOCKS_PER_CHUNK, Block::AIR, |old, n| {
-            reported.push((old, n));
-        });
-        assert_eq!(changed, BLOCKS_PER_CHUNK as u32);
-        assert_eq!(
-            reported,
-            vec![(Block::simple(BlockKind::Sand), BLOCKS_PER_CHUNK as u32)]
-        );
-        s.gc();
-        assert_eq!(s.bits_per_entry(), 0, "all-air store should unmaterialize");
     }
 
     #[test]

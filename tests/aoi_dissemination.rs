@@ -13,7 +13,7 @@ use mlg_bots::PlayerEmulation;
 use mlg_entity::{EntityKind, Vec3};
 use mlg_protocol::netsim::LinkConfig;
 use mlg_protocol::ClientboundPacket;
-use mlg_server::{GameServer, ServerConfig, ServerFlavor};
+use mlg_server::{FlavorProfile, GameServer, PlayerId, ServerConfig, ServerFlavor};
 use mlg_world::generation::FlatGenerator;
 use mlg_world::{BlockKind, World};
 
@@ -34,6 +34,23 @@ fn reference_position(packet: &ClientboundPacket) -> Option<Vec3> {
     }
 }
 
+/// Switches `server`'s flavor profile to AoI dissemination or to the
+/// classic full broadcast.
+fn set_aoi(server: &mut GameServer, aoi: bool) {
+    let profile = FlavorProfile {
+        aoi_dissemination: aoi,
+        ..*server.profile()
+    };
+    server.set_profile(profile);
+}
+
+/// Drains `player`'s queued packets into a `Vec`.
+fn drain(server: &mut GameServer, player: PlayerId) -> Vec<ClientboundPacket> {
+    let mut packets = Vec::new();
+    server.drain_outgoing_with(player, |run| packets.extend_from_slice(run));
+    packets
+}
+
 /// Builds a server with stationary players at `spots`, plus a mix of
 /// positioned traffic sources around each (wandering hostiles, falling
 /// items, primed TNT producing block changes and destroys).
@@ -42,12 +59,11 @@ fn scene(
     view_distance: u32,
     spots: &[Vec3],
     aoi: bool,
-) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>) {
-    let config = ServerConfig::for_flavor(flavor)
-        .with_view_distance(view_distance)
-        .with_aoi_dissemination(Some(aoi));
+) -> (GameServer, Vec<(PlayerId, Vec3)>) {
+    let config = ServerConfig::for_flavor(flavor).with_view_distance(view_distance);
     let world = World::new(Box::new(FlatGenerator::grassland()), 7);
     let mut server = GameServer::new(config, world, Vec3::new(0.5, 61.0, 0.5));
+    set_aoi(&mut server, aoi);
     let players: Vec<_> = spots
         .iter()
         .enumerate()
@@ -69,7 +85,7 @@ fn scene(
 
 /// A Folia server whose players are spread so that some pairs are inside
 /// each other's view radius and some are far outside it.
-fn scattered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>) {
+fn scattered_scene(aoi: bool) -> (GameServer, Vec<(PlayerId, Vec3)>) {
     let spots = [
         Vec3::new(0.5, 61.0, 0.5),
         Vec3::new(20.0, 61.0, -12.0),
@@ -83,7 +99,7 @@ fn scattered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>)
 /// A Paper server whose players stand a few blocks apart with a view radius
 /// of 96 blocks: every viewer is in range of everything the tick produces,
 /// so every interest set is the whole roster (`player_crowd`'s regime).
-fn clustered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>) {
+fn clustered_scene(aoi: bool) -> (GameServer, Vec<(PlayerId, Vec3)>) {
     let spots = [
         Vec3::new(0.5, 61.0, 0.5),
         Vec3::new(6.0, 61.0, -4.0),
@@ -99,15 +115,13 @@ fn clustered_scene(aoi: bool) -> (GameServer, Vec<(mlg_server::PlayerId, Vec3)>)
 fn assert_aoi_is_a_filtered_broadcast(
     filtered: &mut GameServer,
     broadcast: &mut GameServer,
-    players: &[(mlg_server::PlayerId, Vec3)],
+    players: &[(PlayerId, Vec3)],
 ) -> (usize, usize) {
     assert!(filtered.aoi_dissemination() && !broadcast.aoi_dissemination());
     // Join-time chunk streaming is identical on both servers; clear it so
     // the comparison below covers exactly the tick dissemination stage.
     for (id, _) in players {
-        assert!(filtered
-            .stream_outgoing(*id)
-            .eq(broadcast.stream_outgoing(*id)));
+        assert_eq!(drain(filtered, *id), drain(broadcast, *id));
     }
 
     let radius = f64::from(filtered.config().view_distance) * 16.0;
@@ -118,7 +132,7 @@ fn assert_aoi_is_a_filtered_broadcast(
         filtered.run_tick(&mut engine_a);
         broadcast.run_tick(&mut engine_b);
         for (id, player_pos) in players {
-            let everything: Vec<_> = broadcast.stream_outgoing(*id).collect();
+            let everything = drain(broadcast, *id);
             let expected: Vec<_> = everything
                 .iter()
                 .filter(|packet| {
@@ -131,7 +145,7 @@ fn assert_aoi_is_a_filtered_broadcast(
                 .cloned()
                 .collect();
             assert_eq!(
-                filtered.stream_outgoing(*id).collect::<Vec<_>>(),
+                drain(filtered, *id),
                 expected,
                 "tick {tick}: player {id:?} AoI stream is not the distance-filtered broadcast"
             );
@@ -179,9 +193,7 @@ fn aoi_cuts_horde_tick_dissemination_bytes_at_least_5x() {
     let run = |aoi: bool| -> u64 {
         let built = WorkloadSpec::new(WorkloadKind::Horde).build(7);
         assert!(built.players.scatter >= 1_000);
-        let config = ServerConfig::for_flavor(ServerFlavor::Folia)
-            .with_view_distance(2)
-            .with_aoi_dissemination(Some(aoi));
+        let config = ServerConfig::for_flavor(ServerFlavor::Folia).with_view_distance(2);
         let mut emulation = PlayerEmulation::new(
             500,
             built.spawn_point,
@@ -193,6 +205,7 @@ fn aoi_cuts_horde_tick_dissemination_bytes_at_least_5x() {
         .with_builders()
         .scattered(built.spawn_point, built.players.scatter, 7);
         let mut server = GameServer::new(config, built.world, built.spawn_point);
+        set_aoi(&mut server, aoi);
         emulation.connect_all(&mut server);
         // Count tick-phase dissemination only: join-time chunk streaming is
         // identical in both runs and would dilute the ratio.

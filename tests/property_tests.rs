@@ -1,12 +1,12 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: the ISR metric, coordinate conversions, the protocol codec,
-//! the controller wire format, region geometry, summary statistics and
-//! campaign planning.
+//! the controller wire format and start-time labels, region geometry,
+//! summary statistics and campaign planning.
 
 use proptest::prelude::*;
 
 use cloud_sim::environment::Environment;
-use cloud_sim::temporal::StartTime;
+use cloud_sim::temporal::{StartTime, MINUTES_PER_WEEK};
 use meterstick::campaign::{Axis, Campaign};
 use meterstick::controller::ControllerMessage;
 use meterstick_metrics::isr::{analytical_isr, instability_ratio, IsrParams};
@@ -120,6 +120,45 @@ fn serverbound_case(variant: usize, word: u64, text: String) -> ServerboundPacke
         },
         _ => ServerboundPacket::Disconnect,
     }
+}
+
+/// A number field below `limit`, or one of the ways such a field goes
+/// wrong: out of range, signed, zero-padded past two digits, too large for
+/// a `u32`, padded with a space, empty or not a number.
+fn number_field(word: u64, limit: u64) -> String {
+    let n = (word >> 4) % limit;
+    match word % 8 {
+        0 => n.to_string(),
+        1 => format!("{n:02}"),
+        2 => (limit + (word >> 4) % 100).to_string(),
+        3 => format!("+{n}"),
+        4 => format!("-{n}"),
+        5 => format!("{n:0>7}"),
+        6 => format!("{}0000000000", word >> 4),
+        _ => ["", " 1", "1 ", "x", "١"][((word >> 4) % 5) as usize].to_owned(),
+    }
+}
+
+/// A start-time label that is right or nearly right: a day name or a
+/// near-miss of one, then hour and minute [`number_field`]s, with the
+/// separators sometimes swapped or doubled.
+fn start_time_label(word: u64) -> String {
+    const DAYS: [&str; 10] = [
+        "mon", "tue", "wed", "thu", "fri", "sat", "sun", "Mon", "monday", "",
+    ];
+    const SEPARATORS: [(&str, &str); 6] = [
+        ("-", ":"),
+        ("-", ":"),
+        ("-", ":"),
+        (":", "-"),
+        ("--", ":"),
+        ("-", "::"),
+    ];
+    let day = DAYS[(word % 10) as usize];
+    let (dash, colon) = SEPARATORS[((word >> 4) % 6) as usize];
+    let hour = number_field(word >> 8, 24);
+    let minute = number_field(word.rotate_right(28), 60);
+    format!("{day}{dash}{hour}{colon}{minute}")
 }
 
 /// `encoded` is `size` bytes, decodes to `packet`, and no strict prefix of
@@ -439,6 +478,51 @@ proptest! {
     }
 
     #[test]
+    fn controller_parse_never_panics_and_reparses_what_it_accepts(
+        word in any::<u64>(),
+        ascii in ".{0,40}",
+    ) {
+        // Arbitrary text, text behind each keyword that takes a payload, and
+        // `iter:` numbers in and out of `u32` range: whatever `parse` accepts
+        // must be what its own wire spelling parses back to.
+        let keyword = ["iter:", "set_server:", "set_jmx:", "log_start"][(word % 4) as usize];
+        let iteration = number_field(word >> 2, u64::from(u32::MAX) + 1);
+        for wire in [
+            ascii.clone(),
+            packet_text(&ascii, word >> 5),
+            format!("{keyword}{ascii}"),
+            format!("iter:{iteration}"),
+        ] {
+            if let Ok(message) = ControllerMessage::parse(&wire) {
+                prop_assert_eq!(
+                    ControllerMessage::parse(&message.wire_format()),
+                    Ok(message),
+                    "accepted {:?}",
+                    wire
+                );
+            }
+        }
+    }
+
+    // ----------------------------------------------------------- start time
+    #[test]
+    fn start_time_parse_never_panics_and_reparses_what_it_accepts(
+        word in any::<u64>(),
+        ascii in ".{0,24}",
+    ) {
+        for label in [start_time_label(word), ascii.clone(), packet_text(&ascii, word)] {
+            if let Some(start) = StartTime::parse(&label) {
+                prop_assert_eq!(
+                    StartTime::parse(&start.to_string()),
+                    Some(start),
+                    "accepted {:?}",
+                    label
+                );
+            }
+        }
+    }
+
+    #[test]
     fn truncated_packets_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..64),
     ) {
@@ -506,5 +590,18 @@ proptest! {
                 .wrapping_add(u64::from(job.iteration) * 7_919);
             prop_assert_eq!(job.seed, seed);
         }
+    }
+}
+
+#[test]
+fn every_minute_of_the_week_round_trips_through_its_label() {
+    for minute in 0..MINUTES_PER_WEEK {
+        let start = StartTime::from_minutes(minute);
+        assert_eq!(start.minute_of_week(), minute);
+        assert_eq!(
+            StartTime::parse(&start.to_string()),
+            Some(start),
+            "minute {minute}"
+        );
     }
 }
