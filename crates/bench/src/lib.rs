@@ -352,6 +352,118 @@ mod tests {
         }
     }
 
+    /// What a correct parser must name when it rejects `<name> <rest…>` —
+    /// the unknown figure or flag, a value flag missing its value, the bad
+    /// value (for a start-time list, its first bad item) — or `None` when
+    /// it must accept.
+    fn offending(name: &str, mut rest: &[String]) -> Option<String> {
+        if !FIGURES.iter().any(|(known, _, _)| *known == name) {
+            return Some(name.to_owned());
+        }
+        while let Some((flag, tail)) = rest.split_first() {
+            rest = tail;
+            if matches!(flag.as_str(), "--full" | "--sequential" | "--progress") {
+                continue;
+            }
+            if !matches!(flag.as_str(), "--csv" | "--tick-threads" | "--start-time") {
+                return Some(flag.clone());
+            }
+            let Some((value, tail)) = rest.split_first().filter(|(v, _)| !v.starts_with("--"))
+            else {
+                return Some(flag.clone());
+            };
+            rest = tail;
+            let bad = match flag.as_str() {
+                "--tick-threads" => {
+                    (!value.parse::<u32>().is_ok_and(|n| n >= 1)).then_some(value.as_str())
+                }
+                "--start-time" => value
+                    .split(',')
+                    .map(str::trim)
+                    .find(|item| parse_start_times(item).is_err()),
+                _ => None,
+            };
+            if let Some(bad) = bad {
+                return Some(bad.to_owned());
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn parse_never_panics_and_names_what_it_rejects() {
+        let flags = [
+            "--full",
+            "--sequential",
+            "--progress",
+            "--csv",
+            "--tick-threads",
+            "--start-time",
+        ];
+        let others = [
+            "--tick-thread",
+            "--CSV",
+            "--full=1",
+            "-full",
+            "0",
+            "1",
+            "4",
+            "-1",
+            "4294967296",
+            "fri-20:30",
+            "mon-04:00, fri-20:30",
+            "someday-25:00",
+            "",
+            "ß",
+            "日本語",
+            "e\u{301}",
+            "\u{0}\t",
+            "--ü",
+            "🦀,mon-00:00",
+        ];
+        let names: Vec<&str> = FIGURES.iter().map(|(name, _, _)| *name).collect();
+        let pool: Vec<&str> = [&names[..], &flags, &others].concat();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..2_000 {
+            // Three cases in four name a figure, so the flags get parsed.
+            let first = if next(4) == 0 {
+                pool[next(pool.len())]
+            } else {
+                names[next(names.len())]
+            };
+            let tokens: Vec<String> = std::iter::once(first)
+                .chain((0..next(7)).map(|_| {
+                    if next(2) == 0 {
+                        flags[next(flags.len())]
+                    } else {
+                        pool[next(pool.len())]
+                    }
+                }))
+                .map(str::to_owned)
+                .collect();
+            let outcome = Cli::parse(tokens.clone());
+            match (outcome, offending(&tokens[0], &tokens[1..])) {
+                (Ok((figure, cli)), None) => {
+                    assert_eq!(figure.0, tokens[0], "{tokens:?}");
+                    assert!(cli.tick_threads >= 1, "{tokens:?}");
+                }
+                (Err(err), Some(token)) => assert!(
+                    err.contains(&token) || err.contains(&format!("{token:?}")),
+                    "{tokens:?}: {err:?} does not name {token:?}"
+                ),
+                (outcome, expected) => {
+                    panic!("{tokens:?}: parsed to {outcome:?}, expected to reject {expected:?}")
+                }
+            }
+        }
+    }
+
     #[test]
     fn csv_keeps_every_cell_of_a_multi_campaign_figure() {
         // fig01 runs two single-cell campaigns; both rows must survive.

@@ -20,9 +20,6 @@
 //!   path reports through;
 //! * [`config`] — the per-job configuration record a plan produces
 //!   (Table 4);
-//! * [`controller`] — the controller/worker message vocabulary of Table 1
-//!   and its parser (no controller runs here: an iteration is a function
-//!   call);
 //! * [`experiment`] — single-iteration execution;
 //! * [`results`] — per-iteration and aggregate results, including the
 //!   Instability Ratio;
@@ -84,7 +81,6 @@
 
 pub mod campaign;
 pub mod config;
-pub mod controller;
 pub mod error;
 pub mod executor;
 pub mod experiment;

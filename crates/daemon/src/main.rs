@@ -89,7 +89,12 @@ fn parse_args() -> Result<Options, String> {
             "--duration-secs" => opts.duration_secs = parse(&value("--duration-secs")?)?,
             "--iterations" => opts.iterations = parse(&value("--iterations")?)?,
             "--rounds" => opts.rounds = parse(&value("--rounds")?)?,
-            "--window" => opts.window = parse(&value("--window")?)?,
+            "--window" => {
+                opts.window = parse(&value("--window")?)?;
+                if opts.window == 0 {
+                    return Err("--window must hold at least one tick".into());
+                }
+            }
             "--seed" => opts.seed = parse(&value("--seed")?)?,
             "--publish-every" => opts.publish_every = parse(&value("--publish-every")?)?,
             "--pace" => opts.pace = true,

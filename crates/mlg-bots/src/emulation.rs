@@ -24,10 +24,6 @@ pub const DELIVERY_SLACK_MS: f64 = 5.0;
 struct BotConnection {
     bot: Bot,
     uplink: NetworkLink<ServerboundPacket>,
-    /// Carries one record per tick that delivered anything: the number of
-    /// packets, sized as their byte total. Bots apply no state update, so a
-    /// copy of each packet would only be queued to be dropped.
-    downlink: NetworkLink<u64>,
 }
 
 /// Drives a set of emulated players against one game server.
@@ -80,11 +76,12 @@ impl PlayerEmulation {
             if i == 0 {
                 bot = bot.with_probe_interval(DEFAULT_PROBE_INTERVAL_TICKS);
             }
-            connections.push(BotConnection {
-                bot,
-                uplink: NetworkLink::new(link_config, seeder.gen()),
-                downlink: NetworkLink::new(link_config, seeder.gen()),
-            });
+            let uplink = NetworkLink::new(link_config, seeder.gen());
+            // Bots keep no link back from the server, but the seed such a
+            // link once took is still drawn, so every later bot keeps its
+            // behaviour and uplink seed.
+            let _: u64 = seeder.gen();
+            connections.push(BotConnection { bot, uplink });
         }
         PlayerEmulation {
             connections,
@@ -190,9 +187,8 @@ impl PlayerEmulation {
     }
 
     /// Phase 3: after the server ran a tick, each bot's outgoing queue is
-    /// drained in place — counted, sized, and sent down its downlink as one
-    /// delivery available when the tick ends — and chat echoes to the prober
-    /// are turned into response-time samples.
+    /// drained in place and its byte total counted as received, and chat
+    /// echoes to the prober are turned into response-time samples.
     ///
     /// Chat echoes from an asynchronous-chat server (PaperMC) count as
     /// available shortly after the originating message arrived, since that
@@ -213,7 +209,7 @@ impl PlayerEmulation {
             // Only the prober looks at what it drains; every other bot takes
             // the queue's totals, which cost it nothing per packet.
             let is_prober = conn.bot.is_prober();
-            let (packets, bytes) = server.drain_outgoing_with(id, |run| {
+            let (_, bytes) = server.drain_outgoing_with(id, |run| {
                 if !is_prober {
                     return;
                 }
@@ -230,32 +226,25 @@ impl PlayerEmulation {
                     }
                 }
             });
-            if packets > 0 {
-                self.bytes_received_from_server += bytes as u64;
-                conn.downlink.send(tick.end_ms, packets, bytes);
-            }
+            self.bytes_received_from_server += bytes as u64;
         }
     }
 
-    /// Phase 4: bots receive whatever reached them by `now_ms`. Deliveries
-    /// are consumed (clients apply them to their local view); response-time
-    /// bookkeeping already happened in [`PlayerEmulation::collect_from_server`].
-    pub fn receive(&mut self, now_ms: f64) {
-        for conn in &mut self.connections {
-            let _ = conn.downlink.poll(now_ms);
-        }
-    }
+    /// Does nothing. Bots apply no state update, so there is nothing to
+    /// receive after [`PlayerEmulation::collect_from_server`] counted the
+    /// bytes and took the response-time samples; kept for callers that
+    /// still drive the four phases by hand.
+    pub fn receive(&mut self, _now_ms: f64) {}
 
     /// Runs one complete virtual-time step: bots act, their packets travel to
-    /// the server, the server runs one tick on `engine`, and the resulting
-    /// state updates travel back. Returns the server's tick summary.
+    /// the server, the server runs one tick on `engine`, and the bots collect
+    /// what it sent them. Returns the server's tick summary.
     pub fn step(&mut self, server: &mut GameServer, engine: &mut ComputeEngine) -> TickSummary {
         let now = server.clock_ms();
         self.generate_actions(now);
         self.deliver_to_server(now + DELIVERY_SLACK_MS, server);
         let summary = server.run_tick(engine);
         self.collect_from_server(server, &summary);
-        self.receive(summary.end_ms + DELIVERY_SLACK_MS);
         summary
     }
 
@@ -427,7 +416,7 @@ mod tests {
     fn bytes_received_equal_what_the_accountant_recorded() {
         // Both sides size every delivered copy with `clientbound_wire_size`:
         // the server when it emits, the bots when they drain. Response times
-        // come from the tick summary, not from what the downlink carries.
+        // come from the tick summary.
         for (flavor, rtt) in [
             (ServerFlavor::Vanilla, 50.5),
             (ServerFlavor::Paper, 1.5),
@@ -439,30 +428,6 @@ mod tests {
             assert_eq!(emu.bytes_received(), 31_624_975, "{flavor:?}");
             assert_eq!(s.traffic_summary().total_bytes(), 31_624_975, "{flavor:?}");
             assert_eq!(emu.response_samples(), [rtt; 6], "{flavor:?}");
-        }
-    }
-
-    #[test]
-    fn a_downlink_holds_one_record_per_tick() {
-        let mut s = server(ServerFlavor::Vanilla);
-        let mut emu = builder_swarm(&mut s);
-        let mut engine = Environment::das5(2).instantiate(1).engine;
-        for _ in 0..20 {
-            let now = s.clock_ms();
-            emu.generate_actions(now);
-            emu.deliver_to_server(now + DELIVERY_SLACK_MS, &mut s);
-            let summary = s.run_tick(&mut engine);
-            let before = emu.bytes_received();
-            emu.collect_from_server(&mut s, &summary);
-            let downlinks = || emu.connections.iter().map(|c| &c.downlink);
-            assert!(downlinks().all(|link| link.in_flight() <= 1));
-            assert_eq!(
-                downlinks().map(NetworkLink::bytes_in_flight).sum::<u64>(),
-                emu.bytes_received() - before,
-                "a record is sized as everything the tick delivered"
-            );
-            emu.receive(summary.end_ms + DELIVERY_SLACK_MS);
-            assert!(emu.connections.iter().all(|c| c.downlink.in_flight() == 0));
         }
     }
 

@@ -77,10 +77,8 @@ pub struct NetworkLink<T> {
     queue: VecDeque<InFlight<T>>,
     rng: StdRng,
     last_delivery_ms: f64,
-    /// Total [`NetworkLink::send`] calls ever made on the link. That is a
-    /// packet count only where a payload is one packet (a bot's uplink); a
-    /// bot's downlink sends one delivery record per tick, so there it counts
-    /// ticks that delivered something, not packets.
+    /// Total [`NetworkLink::send`] calls ever made on the link (a packet
+    /// count where each payload is one packet, as on a bot's uplink).
     pub packets_sent: u64,
     /// Total payload bytes ever sent through the link.
     pub bytes_sent: u64,

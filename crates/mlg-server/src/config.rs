@@ -18,10 +18,6 @@ pub struct ServerConfig {
     /// client connection times out; when all clients time out the server run
     /// is aborted — this reproduces the Lag-workload crashes on AWS (MF2).
     pub keepalive_timeout_ms: f64,
-    /// Random ticks per chunk per game tick (plant growth rate).
-    pub random_ticks_per_chunk: u32,
-    /// Whether hostile mobs spawn naturally around players.
-    pub natural_spawning: bool,
     /// World seed (also seeds entity AI and spawning).
     pub seed: u64,
     /// Worker threads the sharded tick pipeline may use. Pure execution
@@ -65,8 +61,6 @@ impl Default for ServerConfig {
             view_distance: 6,
             tick_budget_ms: 50.0,
             keepalive_timeout_ms: 30_000.0,
-            random_ticks_per_chunk: 3,
-            natural_spawning: true,
             seed: 392_114_485,
             tick_threads: 1,
             shard_rebalance: None,

@@ -5,14 +5,11 @@
 //! interest sets in `dissemination.rs`, the work→time cost model in
 //! `cost.rs`.
 
-use std::sync::Arc;
-
 use cloud_sim::engine::ComputeEngine;
 use meterstick_metrics::distribution::TickDistribution;
 use meterstick_metrics::trace::TickRecord;
 use mlg_entity::{EntityId, EntityKind, EntityManager, EntityTickReport, Vec3};
 use mlg_protocol::{ClientboundPacket, ServerboundPacket, TrafficAccountant, TrafficSummary};
-use mlg_world::pool::TickWorkerPool;
 use mlg_world::shard::TickPipeline;
 use mlg_world::sim::{self, TerrainEvent};
 use mlg_world::{BlockKind, BlockPos, TerrainSimulator, TerrainTickReport, TickScratch, World};
@@ -158,12 +155,6 @@ pub struct GameServer {
     config: ServerConfig,
     profile: FlavorProfile,
     pipeline: TickPipeline,
-    /// The server's persistent tick worker pool: `tick_threads - 1` parked
-    /// workers spawned once here and reused by every parallel phase of
-    /// every tick (the pipeline holds a shared handle). `None` when
-    /// `tick_threads <= 1` (phases run inline). Dropped — and its workers
-    /// joined — with the server.
-    pool: Option<Arc<TickWorkerPool>>,
     world: World,
     terrain: TerrainSimulator,
     entities: EntityManager,
@@ -243,22 +234,13 @@ impl GameServer {
     #[must_use]
     pub fn new(config: ServerConfig, world: World, spawn_point: Vec3) -> Self {
         let profile = config.flavor.profile();
-        // One persistent worker pool per server: spawned here, shared with
-        // the pipeline, shut down (workers joined) when the server drops.
-        let pool =
-            (config.tick_threads > 1).then(|| Arc::new(TickWorkerPool::new(config.tick_threads)));
-        let mut entities = EntityManager::new(config.seed ^ 0xE47);
-        entities.natural_spawning = config.natural_spawning;
-        let terrain = TerrainSimulator {
-            random_ticks_per_chunk: config.random_ticks_per_chunk,
-            ..TerrainSimulator::default()
-        };
+        let entities = EntityManager::new(config.seed ^ 0xE47);
+        let terrain = TerrainSimulator::default();
         let gc_seed = config.seed ^ 0x6C;
         let mut server = GameServer {
             config,
             profile,
             pipeline: TickPipeline::serial(),
-            pool,
             world,
             terrain,
             entities,
@@ -304,14 +286,11 @@ impl GameServer {
     }
 
     /// Resolves `profile` against the [`ServerConfig`] overrides and pushes
-    /// the result into every subsystem: the tick pipeline (with the
-    /// server's pool attached and the world resharded to match), the
-    /// lighting and dissemination modes, and the entity manager's TNT cap.
+    /// the result into every subsystem: the tick pipeline (with its worker
+    /// pool, and the world resharded to match), the lighting and
+    /// dissemination modes, and the entity manager's TNT cap.
     fn apply_profile(&mut self, profile: FlavorProfile) {
         self.pipeline = build_pipeline(&profile, &self.config, &self.world);
-        if let Some(pool) = &self.pool {
-            self.pipeline.attach_pool(Arc::clone(pool));
-        }
         if self.pipeline.is_sharded() {
             self.world.reshard(self.pipeline.shard_map().clone());
         }

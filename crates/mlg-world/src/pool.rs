@@ -11,7 +11,7 @@
 //! measurements without touching the modeled work, so benchmark deltas
 //! between architectures get polluted by thread spawn/join noise.
 //! [`TickWorkerPool`] instead keeps `tick_threads - 1` workers, spawned
-//! once per server and parked between phases (a blocking
+//! once per tick pipeline and parked between phases (a blocking
 //! `crossbeam::channel` receive), plus the calling thread itself, which
 //! always participates as the final executor.
 //!
@@ -28,7 +28,7 @@
 //! Jobs are claimed from one shared injector queue — there are no
 //! per-worker deques and no work stealing. Claiming order is racy, but
 //! every task is self-contained and results are re-ordered by index, so the
-//! output is **bit-identical for any executor count** — the server's pool,
+//! output is **bit-identical for any executor count** — a pipeline's pool,
 //! a short-lived [`PoolScope::scoped`] pool, or fully inline. The determinism
 //! contract of the sharded tick pipeline (canonical shard merge order; see
 //! `docs/ARCHITECTURE.md`) is therefore unaffected by who executes the tasks.
@@ -37,9 +37,9 @@
 //!
 //! Dropping the pool hangs up the injector channel; parked workers observe
 //! the disconnect, drain nothing (the queue is empty between phases by
-//! construction) and exit, and `Drop` joins them. `GameServer` owns one
-//! pool per server instance, so a server going away reliably reclaims its
-//! threads.
+//! construction) and exit, and `Drop` joins them. Each `TickPipeline` owns
+//! its pool (clones share it), so a server dropping its pipeline reliably
+//! reclaims its threads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -63,9 +63,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// A long-lived pool of parked tick workers (see the [module docs](self)).
 ///
-/// Created once per game server from `ServerConfig::tick_threads` and
-/// reused by every parallel phase of every tick; `tick_threads - 1` threads
-/// are spawned, because the thread calling [`TickWorkerPool::scope`] always
+/// Created once per tick pipeline from its thread count and reused by
+/// every parallel phase of every tick; `tick_threads - 1` threads are
+/// spawned, because the thread calling [`TickWorkerPool::scope`] always
 /// executes jobs too. The pool is execution infrastructure only: results
 /// are bit-identical whether a phase runs here or inline on one thread.
 pub struct TickWorkerPool {
@@ -230,63 +230,12 @@ impl Drop for TickWorkerPool {
     }
 }
 
-/// A cloneable, comparison-transparent handle to a server's worker pool,
-/// embedded in [`crate::shard::TickPipeline`].
+/// How one parallel phase executes: on a persistent pool (what
+/// `TickPipeline::scope()` hands out), or — for callers without a pipeline —
+/// through [`PoolScope::scoped`].
 ///
-/// The pool is pure execution infrastructure: two pipelines that differ
-/// only in their pool attachment produce bit-identical results, so the
-/// handle always compares equal and is skipped by `Debug`-level state
-/// comparisons. Cloning a pipeline shares the pool (`Arc`), matching the
-/// one-pool-per-server ownership model.
-#[derive(Clone, Default)]
-pub struct PoolHandle(Option<Arc<TickWorkerPool>>);
-
-impl PoolHandle {
-    /// A handle to the given pool.
-    #[must_use]
-    pub fn attached(pool: Arc<TickWorkerPool>) -> Self {
-        PoolHandle(Some(pool))
-    }
-
-    /// A handle with no pool (phases fall back to [`PoolScope::scoped`]).
-    #[must_use]
-    pub fn detached() -> Self {
-        PoolHandle(None)
-    }
-
-    /// The attached pool, if any.
-    #[must_use]
-    pub fn get(&self) -> Option<&Arc<TickWorkerPool>> {
-        self.0.as_ref()
-    }
-}
-
-impl std::fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(pool) => write!(f, "PoolHandle({} executors)", pool.executors()),
-            None => f.write_str("PoolHandle(detached)"),
-        }
-    }
-}
-
-impl PartialEq for PoolHandle {
-    /// Pool attachment never affects results, so handles always compare
-    /// equal — pipeline equality stays a statement about the *modeled*
-    /// architecture.
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for PoolHandle {}
-
-/// How one parallel tick phase executes: on the server's persistent pool,
-/// or — for `tick_threads <= 1` and pool-less pipelines — through
-/// [`PoolScope::scoped`].
-///
-/// Obtained from `TickPipeline::scope()`; both variants expose the same
-/// task-list API and produce bit-identical results for the same inputs.
+/// Both variants expose the same task-list API and produce bit-identical
+/// results for the same inputs.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolScope<'a> {
     kind: ScopeKind<'a>,
@@ -303,8 +252,8 @@ impl<'a> PoolScope<'a> {
     /// `threads <= 1` — no pool, no channel, no allocation, which is what
     /// serial flavors pay on every relight — and on a short-lived
     /// [`TickWorkerPool`] of `threads` executors otherwise. The second case
-    /// pays thread spawn/join per call; production servers never reach it
-    /// (they attach a persistent pool whenever `tick_threads > 1`).
+    /// pays thread spawn/join per call; the tick path never reaches it
+    /// (every pipeline owns a persistent pool).
     #[must_use]
     pub fn scoped(threads: u32) -> Self {
         PoolScope {
@@ -490,15 +439,5 @@ mod tests {
             .scope()
             .run_tasks((0..64u64).collect(), |_, t| *t = t.wrapping_mul(7));
         drop(pool);
-    }
-
-    #[test]
-    fn pool_handles_always_compare_equal() {
-        let a = PoolHandle::attached(Arc::new(TickWorkerPool::new(4)));
-        let b = PoolHandle::detached();
-        assert_eq!(a, b);
-        assert_eq!(a.clone(), a);
-        assert!(b.get().is_none());
-        assert_eq!(a.get().map(|p| p.executors()), Some(4));
     }
 }

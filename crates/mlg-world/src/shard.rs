@@ -45,7 +45,7 @@
 //!   shard-phase protocols: the only code that moves chunk stores out of
 //!   the world, hands them to workers and merges the results back. Every
 //!   parallel phase of the tick path is a call to one of them, on the
-//!   scope [`TickPipeline::scope`] hands out (the server's persistent
+//!   scope [`TickPipeline::scope`] hands out (the pipeline's persistent
 //!   [`TickWorkerPool`](crate::pool), the one fan-out implementation).
 //!
 //! # Determinism contract
@@ -68,7 +68,7 @@ use std::sync::Arc;
 use crate::block::Block;
 use crate::chunk::{Chunk, WORLD_HEIGHT};
 use crate::generation::ChunkGenerator;
-use crate::pool::{PoolHandle, PoolScope, TickWorkerPool};
+use crate::pool::{PoolScope, TickWorkerPool};
 use crate::pos::{BlockPos, ChunkPos, PosHashBuilder};
 use crate::update::BlockUpdate;
 use crate::world::{BlockChange, ShardStore, World, WorldSnapshot};
@@ -502,25 +502,18 @@ impl ShardMap {
 }
 
 /// Execution configuration of the sharded tick pipeline: the current shard
-/// partition of the world, whether it rebalances between ticks, and how
-/// many worker threads fan the per-shard work out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// partition of the world, whether it rebalances between ticks, and the
+/// worker pool that fans the per-shard work out.
+#[derive(Debug, Clone)]
 pub struct TickPipeline {
-    threads: u32,
     rebalance: bool,
     max_shards: u32,
     map: ShardMap,
-    /// The server's persistent worker pool, when one is attached.
-    /// Execution infrastructure only: [`PoolHandle`] always compares
-    /// equal, so pipeline equality stays a statement about the modeled
-    /// architecture. Clones share the pool.
-    pool: PoolHandle,
-}
-
-impl Default for TickPipeline {
-    fn default() -> Self {
-        TickPipeline::serial()
-    }
+    /// The pipeline's persistent worker pool, sized by the `threads` it was
+    /// built with (at 1 thread it spawns no workers). Execution
+    /// infrastructure only: results are bit-identical at any size. Clones
+    /// share the pool.
+    pool: Arc<TickWorkerPool>,
 }
 
 impl TickPipeline {
@@ -529,11 +522,10 @@ impl TickPipeline {
     pub fn new(shards: u32, threads: u32) -> Self {
         let shards = shards.max(1);
         TickPipeline {
-            threads: threads.max(1),
             rebalance: false,
             max_shards: shards,
             map: ShardMap::stripes(shards),
-            pool: PoolHandle::detached(),
+            pool: Arc::new(TickWorkerPool::new(threads)),
         }
     }
 
@@ -570,11 +562,10 @@ impl TickPipeline {
             }
         }
         TickPipeline {
-            threads: threads.max(1),
             rebalance: true,
             max_shards: target.saturating_mul(2),
             map,
-            pool: PoolHandle::detached(),
+            pool: Arc::new(TickWorkerPool::new(threads)),
         }
     }
 
@@ -586,38 +577,24 @@ impl TickPipeline {
         self.map.count() as u32
     }
 
-    /// Number of worker threads used to process shards.
+    /// Number of executors (worker threads plus the caller) the pool fans
+    /// shards over.
     #[must_use]
     pub fn threads(&self) -> u32 {
-        self.threads
+        self.pool.executors()
     }
 
-    /// Attaches a persistent worker pool: subsequent [`TickPipeline::scope`]
-    /// calls dispatch parallel phases onto it instead of onto a short-lived
-    /// pool per phase. The server layer attaches its per-server pool here
-    /// right after building the pipeline.
+    /// Replaces the pipeline's worker pool with `pool`; the old one is
+    /// shut down once no clone shares it.
     pub fn attach_pool(&mut self, pool: Arc<TickWorkerPool>) {
-        self.pool = PoolHandle::attached(pool);
+        self.pool = pool;
     }
 
-    /// Returns `true` when a persistent worker pool is attached (and would
-    /// actually be used — i.e. `threads > 1`).
-    #[must_use]
-    pub fn has_pool(&self) -> bool {
-        self.threads > 1 && self.pool.get().is_some()
-    }
-
-    /// The execution scope for this tick's parallel phases: the attached
-    /// persistent pool when there is one and `threads > 1`, otherwise
-    /// [`PoolScope::scoped`] (inline for `threads <= 1`, a short-lived pool
-    /// per phase for a pool-less multi-thread pipeline). Results are
-    /// bit-identical either way; only wall-clock substrate cost differs.
+    /// The execution scope for this tick's parallel phases: the pipeline's
+    /// pool, which runs inline at 1 thread.
     #[must_use]
     pub fn scope(&self) -> PoolScope<'_> {
-        match self.pool.get() {
-            Some(pool) if self.threads > 1 => pool.scope(),
-            _ => PoolScope::scoped(self.threads),
-        }
+        self.pool.scope()
     }
 
     /// Returns `true` when the sharded tick path should be used at all:
@@ -1198,7 +1175,6 @@ mod tests {
         assert_eq!(p.threads(), 1);
         assert!(!p.is_sharded());
         assert!(TickPipeline::new(4, 2).is_sharded());
-        assert_eq!(TickPipeline::default(), TickPipeline::serial());
     }
 
     fn region_map(bounds_min: (i32, i32), bounds_max: (i32, i32)) -> ShardMap {

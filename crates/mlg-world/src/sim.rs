@@ -154,11 +154,12 @@ pub fn explode(world: &mut World, center: BlockPos, power: u32) -> ExplosionOutc
     outcome
 }
 
+/// How many random ticks each loaded chunk receives per game tick.
+const RANDOM_TICKS_PER_CHUNK: u32 = 3;
+
 /// Configuration and state of the terrain simulation stage.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TerrainSimulator {
-    /// How many random ticks each loaded chunk receives per game tick.
-    pub random_ticks_per_chunk: u32,
     /// Safety limit on the number of block updates processed in one tick.
     /// Real servers have no such limit, but an unbounded cascade would hang
     /// the simulation; the limit is high enough that only pathological
@@ -172,7 +173,6 @@ pub struct TerrainSimulator {
 impl Default for TerrainSimulator {
     fn default() -> Self {
         TerrainSimulator {
-            random_ticks_per_chunk: 3,
             max_updates_per_tick: 200_000,
             eager_lighting: true,
         }
@@ -223,7 +223,7 @@ impl TerrainSimulator {
         }
 
         // 3. Random ticks (plant growth).
-        for pos in world.pick_random_tick_positions(self.random_ticks_per_chunk) {
+        for pos in world.pick_random_tick_positions(RANDOM_TICKS_PER_CHUNK) {
             apply_random_pick(world, pos, &mut report);
         }
 
@@ -518,7 +518,7 @@ impl TerrainSimulator {
     ) {
         let mut shard_picks: Vec<Vec<BlockPos>> = vec![Vec::new(); map.count()];
         let mut serial_picks: Vec<BlockPos> = Vec::new();
-        for pos in world.pick_random_tick_positions(self.random_ticks_per_chunk) {
+        for pos in world.pick_random_tick_positions(RANDOM_TICKS_PER_CHUNK) {
             match map.interior_shard(pos.chunk()) {
                 Some(s) => shard_picks[s].push(pos),
                 None => serial_picks.push(pos),

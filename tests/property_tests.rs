@@ -1,14 +1,13 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: the ISR metric, coordinate conversions, the protocol codec,
-//! the controller wire format and start-time labels, region geometry,
-//! summary statistics and campaign planning.
+//! start-time labels, region geometry, summary statistics and campaign
+//! planning.
 
 use proptest::prelude::*;
 
 use cloud_sim::environment::Environment;
 use cloud_sim::temporal::{StartTime, MINUTES_PER_WEEK};
 use meterstick::campaign::{Axis, Campaign};
-use meterstick::controller::ControllerMessage;
 use meterstick_metrics::isr::{analytical_isr, instability_ratio, IsrParams};
 use meterstick_metrics::stats::{percentile, BoxplotSummary, Percentiles};
 use meterstick_workloads::{WorkloadKind, WorkloadSpec};
@@ -449,59 +448,6 @@ proptest! {
         let data: Vec<u8> = std::iter::once(first).chain(body).collect();
         let _ = decode_clientbound(data.clone().into());
         let _ = decode_serverbound(data.into());
-    }
-
-    // ------------------------------------------------------------ controller
-    #[test]
-    fn controller_messages_roundtrip_through_wire_format(
-        payload in ".{0,40}",
-        n in 0u32..u32::MAX,
-        variant in 0usize..11,
-    ) {
-        // Covers every ControllerMessage variant, with arbitrary payloads
-        // (including colons) for the parameterized ones.
-        let message = match variant {
-            0 => ControllerMessage::SetServer(payload.clone()),
-            1 => ControllerMessage::SetJmx(payload.clone()),
-            2 => ControllerMessage::Iter(n),
-            3 => ControllerMessage::Initialize,
-            4 => ControllerMessage::LogStart,
-            5 => ControllerMessage::LogStop,
-            6 => ControllerMessage::StopServer,
-            7 => ControllerMessage::Connect,
-            8 => ControllerMessage::Convert,
-            9 => ControllerMessage::KeepAlive,
-            _ => ControllerMessage::Exit,
-        };
-        let wire = message.wire_format();
-        prop_assert_eq!(ControllerMessage::parse(&wire), Ok(message));
-    }
-
-    #[test]
-    fn controller_parse_never_panics_and_reparses_what_it_accepts(
-        word in any::<u64>(),
-        ascii in ".{0,40}",
-    ) {
-        // Arbitrary text, text behind each keyword that takes a payload, and
-        // `iter:` numbers in and out of `u32` range: whatever `parse` accepts
-        // must be what its own wire spelling parses back to.
-        let keyword = ["iter:", "set_server:", "set_jmx:", "log_start"][(word % 4) as usize];
-        let iteration = number_field(word >> 2, u64::from(u32::MAX) + 1);
-        for wire in [
-            ascii.clone(),
-            packet_text(&ascii, word >> 5),
-            format!("{keyword}{ascii}"),
-            format!("iter:{iteration}"),
-        ] {
-            if let Ok(message) = ControllerMessage::parse(&wire) {
-                prop_assert_eq!(
-                    ControllerMessage::parse(&message.wire_format()),
-                    Ok(message),
-                    "accepted {:?}",
-                    wire
-                );
-            }
-        }
     }
 
     // ----------------------------------------------------------- start time

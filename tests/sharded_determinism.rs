@@ -127,16 +127,16 @@ fn clustered_tnt_server(rebalance: bool, threads: u32) -> GameServer {
 /// is rebuilt and re-ignited mid-run, so the pool sees two full cascade
 /// bursts plus the adaptive rebalancer splitting and merging between them),
 /// must produce tick summaries bit-identical to the 1-thread run, which
-/// executes every phase inline and never engages a pool — at 4 and 8 tick
+/// executes every phase inline on a pool with no workers — at 4 and 8 tick
 /// threads alike.
 #[test]
 fn pool_reuse_is_bit_identical() {
     let run = |threads: u32| -> Vec<mlg_server::TickSummary> {
         let mut server = clustered_tnt_server(true, threads);
         assert_eq!(
-            server.pipeline().has_pool(),
-            threads > 1,
-            "the pool must engage above 1 thread and never at 1"
+            server.pipeline().threads(),
+            threads,
+            "the pipeline's pool has one executor per tick thread"
         );
         let mut engine = Environment::das5(8).instantiate(1).engine;
         let mut summaries: Vec<_> = (0..60).map(|_| server.run_tick(&mut engine)).collect();
