@@ -348,6 +348,53 @@ mod tests {
         assert!(!result.crashed());
     }
 
+    /// Asks to abort on the poll before tick `at` (0-based) and counts the
+    /// ticks it is shown.
+    struct AbortBefore {
+        at: u64,
+        polls: u64,
+        ticks_seen: u64,
+    }
+
+    impl TickObserver for AbortBefore {
+        fn on_tick(&mut self, _sample: &TickSample) {
+            self.ticks_seen += 1;
+        }
+
+        fn should_abort(&mut self) -> bool {
+            self.polls += 1;
+            self.polls > self.at
+        }
+    }
+
+    #[test]
+    fn an_aborted_iteration_replays_the_unobserved_run_up_to_the_abort() {
+        let plan = quick_campaign(WorkloadKind::Control).plan().unwrap();
+        let job = &plan.jobs()[0];
+        let run = |observer: &mut dyn TickObserver| {
+            execute_iteration_observed(&job.config, job.flavor, job.iteration, job.seed, observer)
+        };
+        let full = run(&mut NoopTickObserver);
+        let last = full.ticks_executed - 1;
+        assert!(last > 37, "the run is long enough to abort at tick 37");
+        for at in [0, 1, 37, last] {
+            let mut observer = AbortBefore {
+                at,
+                polls: 0,
+                ticks_seen: 0,
+            };
+            let aborted = run(&mut observer);
+            assert_eq!(aborted.ticks_executed, at, "abort before tick {at}");
+            assert_eq!(observer.ticks_seen, at);
+            assert!(!aborted.crashed());
+            assert_eq!(aborted.ticks_planned, full.ticks_planned);
+            assert!(
+                aborted.trace.iter().eq(full.trace.iter().take(at as usize)),
+                "the trace aborted before tick {at} is a prefix of the full one"
+            );
+        }
+    }
+
     #[test]
     fn windowed_iterations_bound_the_trace_and_cover_the_horizon() {
         let plain = quick_campaign(WorkloadKind::Control).run().unwrap();

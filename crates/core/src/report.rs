@@ -124,24 +124,6 @@ pub fn ascii_boxplot(summary: &BoxplotSummary, max_value: f64, width: usize) -> 
     format!("|{}|", chars.into_iter().collect::<String>())
 }
 
-/// Formats a millisecond value with one decimal, e.g. `"47.3 ms"`.
-#[must_use]
-pub fn fmt_ms(value: f64) -> String {
-    format!("{value:.1} ms")
-}
-
-/// Formats an ISR value with three decimals.
-#[must_use]
-pub fn fmt_isr(value: f64) -> String {
-    format!("{value:.3}")
-}
-
-/// Formats a percentage with one decimal.
-#[must_use]
-pub fn fmt_percent(value: f64) -> String {
-    format!("{value:.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,12 +188,5 @@ mod tests {
         assert!(gauge.contains(']'));
         assert!(gauge.contains('|'));
         assert_eq!(gauge.len(), 52);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_ms(47.25), "47.2 ms");
-        assert_eq!(fmt_isr(0.12345), "0.123");
-        assert_eq!(fmt_percent(97.54), "97.5%");
     }
 }

@@ -232,6 +232,76 @@ fn http_surface_serves_live_metrics_and_controls_the_loop() {
     assert_eq!(sink.ends.load(Ordering::SeqCst), 1);
 }
 
+#[test]
+fn concurrent_pause_and_resume_then_shutdown_lose_no_wakeup() {
+    let daemon = Daemon::new(DaemonConfig {
+        window: 64,
+        ..DaemonConfig::default()
+    });
+    let handle = daemon.handle();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = http::spawn(listener, handle.clone()).expect("server starts");
+
+    let sink = CountingSink::default();
+    // Releases the four clients together.
+    let start = std::sync::Barrier::new(4);
+    thread::scope(|scope| {
+        let runner = scope.spawn(|| {
+            let mut observer = &sink;
+            daemon
+                .run_campaign(&long_campaign(), &mut observer)
+                .expect("valid campaign")
+        });
+        assert!(wait_for(|| sink.ticks.load(Ordering::SeqCst) > 10));
+
+        // Four clients interleave 200 pauses and 200 resumes.
+        let clients: Vec<_> = (0..4)
+            .map(|client| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..100 {
+                        let path = if (client + i) % 2 == 0 {
+                            "/pause"
+                        } else {
+                            "/resume"
+                        };
+                        let (status, _) = http::fetch(addr, "POST", path, usize::MAX).unwrap();
+                        assert!(status.contains("200"), "{path}: {status}");
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("client thread must not panic");
+        }
+
+        // Leave the loop paused: shutdown must wake it from its pause
+        // poll, and a lost wakeup leaves the campaign thread parked.
+        let (status, _) = http::fetch(addr, "POST", "/pause", usize::MAX).unwrap();
+        assert!(status.contains("200"), "{status}");
+        let (status, _) = http::fetch(addr, "POST", "/shutdown", usize::MAX).unwrap();
+        assert!(status.contains("200"), "{status}");
+        let returned = wait_for(|| runner.is_finished());
+        if !returned {
+            // Release the parked loop so the failure reports instead of
+            // hanging the scope's join.
+            handle.resume();
+        }
+        assert!(returned, "the campaign thread must return after shutdown");
+        runner.join().expect("campaign thread must not panic");
+    });
+    handle.mark_finished();
+    server.join().expect("HTTP thread exits after shutdown");
+    assert_eq!(sink.starts.load(Ordering::SeqCst), 1);
+    assert_eq!(
+        sink.ends.load(Ordering::SeqCst),
+        1,
+        "shutdown must drain the sink stack exactly once"
+    );
+}
+
 /// Sends `request` raw and returns whatever the server answers before it
 /// closes the connection. The server may close while the request is still
 /// being written, so write and read errors both count as "closed".

@@ -144,7 +144,7 @@ pub const TICK_PATH_CRATES: [&str; 5] = [
 ];
 
 /// Entity-substrate modules that must exist and be scanned under the
-/// tick-path coverage: the columnar store, the deterministic spatial
+/// tick-path coverage: the row store, the deterministic spatial
 /// index, and the per-tick simulation passes that consume them. A module
 /// rename or split must update this table (and gets fresh coverage for
 /// free); losing one silently would shrink the lint surface.

@@ -133,9 +133,10 @@ impl std::fmt::Display for EntityKind {
 
 /// A single entity instance.
 ///
-/// All fields are plain-old-data so the struct is `Copy`: the columnar
-/// [`store::EntityStore`](crate::store::EntityStore) materializes and
-/// writes back entities by value on the tick hot path.
+/// All fields are plain-old-data so the struct is `Copy`: the manager's
+/// row store holds entities by value and the tick edits them in place,
+/// while the sharded tick and [`EntityManager::get`](crate::EntityManager::get)
+/// hand out copies.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Entity {
     /// Unique identifier.

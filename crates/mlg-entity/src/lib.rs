@@ -29,11 +29,10 @@ pub mod pathfinding;
 pub mod physics;
 pub mod spatial;
 pub mod spawning;
-pub mod store;
+mod store;
 pub mod tnt;
 
 pub use entity::{Entity, EntityId, EntityKind};
 pub use manager::{EntityManager, EntityTickReport};
 pub use math::{Aabb, Vec3};
 pub use spatial::SpatialGrid;
-pub use store::EntityStore;

@@ -7,10 +7,11 @@
 //! the work performed — the paper's MF4 finding is that this stage dominates
 //! non-idle tick time.
 //!
-//! Entity state lives in the columnar [`EntityStore`]: dense parallel
-//! columns in spawn order, tombstoned removal, stable compaction. The
-//! spatial grid is maintained incrementally from the store's position
-//! column at the start of each tick and then **frozen** for the tick's
+//! Entity state lives in the crate-private row store (`store.rs`): one
+//! dense row per entity in spawn order, tombstoned removal, stable
+//! compaction; an entity is reached through `&mut Entity` into its row.
+//! The spatial grid is maintained incrementally from the rows' positions
+//! at the start of each tick and then **frozen** for the tick's
 //! duration: mid-tick removals record a deferred grid eviction instead of
 //! touching the index, so every proximity query in a tick sees the same
 //! tick-start snapshot regardless of processing order — a load-bearing
@@ -111,7 +112,7 @@ impl EntityManager {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         EntityManager {
-            store: EntityStore::new(),
+            store: EntityStore::default(),
             next_id: 1,
             grid: SpatialGrid::new(),
             grid_evictions: Vec::new(),
@@ -157,36 +158,36 @@ impl EntityManager {
         self.store.live_count()
     }
 
-    /// Number of live hostile mobs: a dense walk over the kind column.
+    /// Number of live hostile mobs: a dense walk over the rows.
     #[must_use]
     pub fn hostile_count(&self) -> usize {
-        (0..self.store.rows())
-            .filter(|&row| self.store.is_live(row) && self.store.kind_at(row).is_hostile())
+        self.store
+            .iter_live()
+            .filter(|e| e.kind.is_hostile())
             .count()
     }
 
-    /// Returns the entity with `id`, materialized from its columns.
+    /// Returns a copy of the entity with `id`.
     #[must_use]
     pub fn get(&self, id: EntityId) -> Option<Entity> {
-        self.store.get(id)
+        self.store.get(id).copied()
     }
 
-    /// Applies `f` to the entity with `id` and writes the result back.
-    /// Returns `false` when no such live entity exists. Position changes
-    /// are picked up by the next tick's grid sync.
+    /// Applies `f` to the entity with `id` in place. Returns `false` when
+    /// no such live entity exists. Position changes are picked up by the
+    /// next tick's grid sync; `f` must not change the id.
     pub fn modify(&mut self, id: EntityId, f: impl FnOnce(&mut Entity)) -> bool {
-        let Some(row) = self.store.row_of(id) else {
+        let Some(entity) = self.store.get_mut(id) else {
             return false;
         };
-        let mut entity = self.store.entity_at(row);
-        f(&mut entity);
-        self.store.write_row(row, &entity);
+        f(entity);
+        debug_assert_eq!(entity.id, id, "modify must not change an entity's id");
         true
     }
 
-    /// Iterates over all live entities in spawn order, materialized.
+    /// Iterates over copies of all live entities in spawn order.
     pub fn iter(&self) -> impl Iterator<Item = Entity> + '_ {
-        self.store.iter_live()
+        self.store.iter_live().copied()
     }
 
     /// Brings the spatial index to this tick's frozen snapshot: applies
@@ -213,31 +214,32 @@ impl EntityManager {
 
         self.prepare_grid();
 
-        // Entities spawned during the tick occupy rows past this bound and
-        // are first processed next tick.
-        let rows_at_start = self.store.rows();
+        // Entities spawned during the tick (chain reactions, natural
+        // spawning) are appended after this pass and first processed next
+        // tick.
         let mut exploded: Vec<(EntityId, Vec3)> = Vec::new();
         let mut chain_ignitions: Vec<mlg_world::BlockPos> = Vec::new();
         let mut tnt_processed = 0usize;
 
-        for row in 0..rows_at_start {
-            if !self.store.is_live(row) {
-                continue;
-            }
-            let mut entity = self.store.entity_at(row);
+        for stored in self.store.iter_live_mut() {
+            // Work on a stack copy and store it back once: editing the row
+            // in place read ≈ 1.7 % slower on `campaign_sweep` `run_wall_s`
+            // (10 of 11 alternating pairs, 2-core host).
+            let mut copy = *stored;
+            let entity = &mut copy;
             report.entities_processed += 1;
             entity.age += 1;
             let before_pos = entity.pos;
 
             // Movement physics for everything.
-            let move_out = physics::step(world, &mut entity);
+            let move_out = physics::step(world, entity);
             report.physics_blocks_checked += u64::from(move_out.blocks_checked);
 
             // Kind-specific behaviour.
             match entity.kind {
                 EntityKind::PrimedTnt if tnt_processed < self.max_tnt_per_tick => {
                     tnt_processed += 1;
-                    let out = tnt::tick_fuse(world, &mut entity);
+                    let out = tnt::tick_fuse(world, entity);
                     if out.exploded {
                         let explosion = out.explosion.expect("explosion present when exploded");
                         report.explosions += 1;
@@ -249,7 +251,7 @@ impl EntityManager {
                 kind if kind.is_mob() => {
                     let ai_out = ai::decide(
                         world,
-                        &mut entity,
+                        entity,
                         players,
                         &mut self.rng,
                         &mut self.path_scratch,
@@ -267,8 +269,7 @@ impl EntityManager {
             if entity.pos.distance_squared(before_pos) > 1e-8 {
                 report.moved.push((entity.id, entity.pos));
             }
-
-            self.store.write_row(row, &entity);
+            *stored = copy;
         }
 
         self.resolve_explosions(exploded, chain_ignitions, &mut report);
@@ -315,37 +316,28 @@ impl EntityManager {
         // TNT entities in canonical spawn order are processed this tick.
         // Ids rise with the row, so "the first N" is everything up to the
         // N-th one's id.
-        let mut tnt_cutoff: Option<EntityId> = None;
-        let mut tnt_allowed = 0usize;
-        for row in 0..self.store.rows() {
-            if tnt_allowed >= self.max_tnt_per_tick {
-                break;
-            }
-            if self.store.is_live(row) && self.store.kind_at(row) == EntityKind::PrimedTnt {
-                tnt_allowed += 1;
-                tnt_cutoff = Some(self.store.id_at(row));
-            }
-        }
+        let tnt_cutoff = self
+            .store
+            .iter_live()
+            .filter(|e| e.kind == EntityKind::PrimedTnt)
+            .take(self.max_tnt_per_tick)
+            .last()
+            .map(|e| e.id);
 
         // One serial draw per tick seeds the per-shard RNG streams, keeping
         // wander decisions deterministic at any thread count.
         let tick_seed: u64 = self.rng.gen();
 
         // Partition entities by owning shard, preserving spawn order; each
-        // task remembers its rows for the direct column write-back.
+        // copy carries its row for the write-back.
         let mut tasks = std::mem::take(&mut self.shard_tasks);
         tasks.resize_with(shard_count, EntityShardTask::default);
         for (shard, task) in tasks.iter_mut().enumerate() {
             task.reset(shard);
         }
-        for row in 0..self.store.rows() {
-            if !self.store.is_live(row) {
-                continue;
-            }
-            let entity = self.store.entity_at(row);
+        for (row, entity) in self.store.live_rows() {
             let shard = map.shard_of_block(entity.pos.block_pos());
-            tasks[shard].rows.push(row);
-            tasks[shard].batch.push(entity);
+            tasks[shard].batch.push((row, *entity));
         }
 
         // The spatial grid rides along in the phase context (pool jobs
@@ -368,8 +360,8 @@ impl EntityManager {
         self.grid = ctx.grid;
         self.phase_players = ctx.players;
 
-        // Merge in canonical shard order, writing each batch straight back
-        // into its recorded rows.
+        // Merge in canonical shard order, writing each entity back into its
+        // row.
         let mut per_shard = vec![0u64; shard_count];
         let mut detonations: Vec<(EntityId, Vec3)> = Vec::new();
         for task in &mut tasks {
@@ -380,8 +372,8 @@ impl EntityManager {
             report.proximity_candidates += task.proximity_candidates;
             report.moved.append(&mut task.moved);
             detonations.append(&mut task.detonations);
-            for (&row, entity) in task.rows.iter().zip(task.batch.drain(..)) {
-                self.store.write_row(row, &entity);
+            for (row, entity) in task.batch.drain(..) {
+                *self.store.entity_mut(row) = entity;
             }
         }
         self.shard_tasks = tasks;
@@ -419,36 +411,32 @@ impl EntityManager {
         for (id, blast_pos) in &exploded {
             self.remove(*id);
             report.removed.push(*id);
-            for row in 0..self.store.rows() {
-                if !self.store.is_live(row) {
-                    continue;
-                }
-                let push = tnt::knockback(*blast_pos, self.store.position_at(row));
-                self.store.add_velocity(row, push);
+            for entity in self.store.iter_live_mut() {
+                let push = tnt::knockback(*blast_pos, entity.pos);
+                entity.velocity = entity.velocity.add(push);
             }
         }
 
         // Chain reaction: ignited TNT blocks become primed TNT entities with
         // short, staggered fuses so the chain progresses over several ticks.
         for (i, pos) in chain_ignitions.iter().enumerate() {
-            let fuse = 10 + (i % 10) as u16;
             let id = self.spawn(EntityKind::PrimedTnt, Vec3::from_block_center(*pos));
-            if let Some(row) = self.store.row_of(id) {
-                self.store.set_fuse(row, fuse);
-            }
+            self.modify(id, |e| e.fuse = 10 + (i % 10) as u16);
             report.spawned.push((id, EntityKind::PrimedTnt));
         }
     }
 
-    /// Item maintenance: merging and hopper collection share one
-    /// materialized pass over the item-like rows, in spawn order (the hopper
-    /// snapshot is the merge list minus the merged-away entities — no
-    /// second copy). Both are functions of item-like entities only, so a
-    /// world without any pays one walk over the kind column.
+    /// Item maintenance: merging and hopper collection share one copy of
+    /// the item-like entities, in spawn order (the hopper snapshot is the
+    /// merge list minus the merged-away entities — no second copy). Both
+    /// are functions of item-like entities only, so a world without any
+    /// pays one walk over the rows.
     fn maintain_items(&mut self, world: &mut World, report: &mut EntityTickReport) {
-        let mut item_like: Vec<Entity> = (0..self.store.rows())
-            .filter(|&row| self.store.is_live(row) && self.store.kind_at(row).is_item_like())
-            .map(|row| self.store.entity_at(row))
+        let mut item_like: Vec<Entity> = self
+            .store
+            .iter_live()
+            .filter(|e| e.kind.is_item_like())
+            .copied()
             .collect();
         if item_like.is_empty() {
             return;
@@ -457,7 +445,7 @@ impl EntityManager {
         report.proximity_candidates += u64::from(merge_out.candidates_examined);
         report.items_merged += merge_out.merged_away.len() as u64;
         for e in &item_like {
-            self.store.set_stack_size(e.id, e.stack_size);
+            self.modify(e.id, |stored| stored.stack_size = e.stack_size);
         }
         let mut merged = merge_out.merged_away.clone();
         merged.sort_unstable();
@@ -487,11 +475,7 @@ impl EntityManager {
         // Despawning: a dense walk in spawn order so the removal list is
         // deterministic.
         let mut despawn_ids: Vec<EntityId> = Vec::new();
-        for row in 0..self.store.rows() {
-            if !self.store.is_live(row) {
-                continue;
-            }
-            let entity = self.store.entity_at(row);
+        for entity in self.store.iter_live() {
             let nearest = players
                 .iter()
                 .map(|p| p.distance(entity.pos))
@@ -524,13 +508,11 @@ impl EntityManager {
 #[derive(Default)]
 struct EntityShardTask {
     shard: usize,
-    /// Store rows of the shard's entities, parallel to `batch`, for the
-    /// direct column write-back after the phase.
-    rows: Vec<usize>,
-    /// The shard's entities in spawn order (named distinctly from any
+    /// The shard's entities in spawn order, each with its store row for
+    /// the write-back after the phase (named distinctly from any
     /// hash-typed identifier: detlint's scanner tracks such names within a
     /// file).
-    batch: Vec<Entity>,
+    batch: Vec<(usize, Entity)>,
     moved: Vec<(EntityId, Vec3)>,
     detonations: Vec<(EntityId, Vec3)>,
     processed: u64,
@@ -546,7 +528,6 @@ impl EntityShardTask {
     /// Readies the task for a tick as shard `shard`'s, keeping capacity.
     fn reset(&mut self, shard: usize) {
         self.shard = shard;
-        self.rows.clear();
         self.batch.clear();
         self.moved.clear();
         self.detonations.clear();
@@ -563,7 +544,7 @@ impl EntityShardTask {
         let mut rng = StdRng::seed_from_u64(
             ctx.tick_seed ^ (self.shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        for entity in &mut self.batch {
+        for (_, entity) in &mut self.batch {
             self.processed += 1;
             entity.age += 1;
             let before_pos = entity.pos;
@@ -1028,7 +1009,11 @@ mod tests {
             // Random spawn/remove/modify sequences against a BTreeMap
             // reference model. Ids are monotonic, so the model's key order
             // is spawn order and must match the store's canonical dense
-            // iteration — through tombstoning and compaction alike.
+            // iteration — through tombstoning and compaction alike. A tick
+            // every 50 operations drains the deferred grid evictions,
+            // compacts and re-indexes moved entities mid-sequence; after
+            // each, the incrementally kept grid must answer like one
+            // rebuilt from scratch in spawn order.
             let kinds = [
                 EntityKind::Cow,
                 EntityKind::Zombie,
@@ -1037,6 +1022,7 @@ mod tests {
                 EntityKind::FallingBlock(mlg_world::BlockKind::Sand),
             ];
             let mut m = manager();
+            let mut w = world();
             let mut model: BTreeMap<EntityId, Entity> = BTreeMap::new();
             let mut s = seed | 1;
             let mut next = move || {
@@ -1045,9 +1031,12 @@ mod tests {
                 s ^= s << 17;
                 s
             };
-            for _ in 0..400 {
-                match next() % 4 {
-                    0 | 1 => {
+            for step in 1..=400 {
+                // Spawn-heavy and removal-heavy hundreds alternate, so
+                // tombstones pile up past the compaction threshold.
+                let churn = step / 100 % 2 == 1;
+                match (next() % 4, churn) {
+                    (0, false) | (1, _) => {
                         let kind = kinds[(next() as usize) % kinds.len()];
                         let pos = Vec3::new(
                             (next() % 192) as f64 - 96.0,
@@ -1057,7 +1046,7 @@ mod tests {
                         let id = m.spawn(kind, pos);
                         model.insert(id, Entity::new(id, kind, pos));
                     }
-                    2 if !model.is_empty() => {
+                    (0, true) | (2, _) if !model.is_empty() => {
                         let keys: Vec<EntityId> = model.keys().copied().collect();
                         let id = keys[(next() as usize) % keys.len()];
                         assert_eq!(m.remove(id), model.remove(&id));
@@ -1079,15 +1068,51 @@ mod tests {
                 }
                 let probe = EntityId(next() % 320 + 1);
                 assert_eq!(m.get(probe), model.get(&probe).copied());
+                if step % 50 == 0 {
+                    assert_eq!(m.count(), model.len());
+                    let live: Vec<Entity> = m.iter().collect();
+                    let expected: Vec<Entity> = model.values().copied().collect();
+                    assert_eq!(live, expected, "iteration must walk spawn (= id) order");
+                    // Every survivor is processed exactly once, the tick's
+                    // removals and spawns are all it changes about who is
+                    // live, and the model takes on the ticked state.
+                    let report = m.tick(&mut w, &[Vec3::ZERO]);
+                    assert_eq!(report.entities_processed as usize, model.len());
+                    let mut ids: Vec<EntityId> = model
+                        .keys()
+                        .copied()
+                        .filter(|id| !report.removed.contains(id))
+                        .collect();
+                    ids.extend(report.spawned.iter().map(|&(id, _)| id));
+                    assert!(m.iter().map(|e| e.id).eq(ids));
+                    model = m.iter().map(|e| (e.id, e)).collect();
+                    assert_grid_matches_a_rebuild(&mut m);
+                }
             }
-            assert_eq!(m.count(), model.len());
-            let live: Vec<Entity> = m.iter().collect();
-            let expected: Vec<Entity> = model.values().copied().collect();
-            assert_eq!(live, expected, "iteration must walk spawn (= id) order");
-            // One tick drains the deferred grid evictions and compacts the
-            // tombstoned rows; every survivor must be processed exactly once.
-            let report = m.tick(&mut world(), &[Vec3::ZERO]);
-            assert_eq!(report.entities_processed as usize, model.len());
+        }
+    }
+
+    /// Brings the grid to what the next tick would start from and checks
+    /// that every live entity's proximity query reads the same on it as
+    /// on a grid rebuilt from [`EntityManager::iter`] in spawn order.
+    fn assert_grid_matches_a_rebuild(m: &mut EntityManager) {
+        m.prepare_grid();
+        let mut rebuilt = SpatialGrid::new();
+        for e in m.iter() {
+            rebuilt.insert(e.id, e.pos);
+        }
+        assert_eq!(m.grid.len(), rebuilt.len());
+        for e in m.iter() {
+            assert_eq!(
+                m.grid.query_radius(e.pos, 8.0, None),
+                rebuilt.query_radius(e.pos, 8.0, None),
+                "grid query around {:?} differs from a rebuild",
+                e.id
+            );
+            assert_eq!(
+                m.grid.proximity_examined(e.pos, 1.0),
+                rebuilt.proximity_examined(e.pos, 1.0)
+            );
         }
     }
 }
