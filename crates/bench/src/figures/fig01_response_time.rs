@@ -5,7 +5,7 @@
 //! (< 60 ms) to unplayable (> 118 ms) once a resource-farm world is loaded.
 
 use meterstick::report::{ascii_boxplot, render_table};
-use meterstick_metrics::response::{NOTICEABLE_DELAY_MS, UNPLAYABLE_MS};
+use meterstick_metrics::response;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
@@ -38,7 +38,11 @@ pub fn run(cli: &Cli) {
             &rows
         )
     );
-    println!("response time distribution (0..300 ms, thresholds: noticeable {NOTICEABLE_DELAY_MS} ms, unplayable {UNPLAYABLE_MS} ms):");
+    println!(
+        "response time distribution (0..300 ms, thresholds: noticeable {} ms, unplayable {} ms):",
+        response::NOTICEABLE_DELAY_MS,
+        response::UNPLAYABLE_MS
+    );
     for (label, boxplot) in gauges {
         println!("{label:>8} {}", ascii_boxplot(&boxplot, 300.0, 60));
     }

@@ -6,7 +6,7 @@
 //! asynchronous chat thread answers the probe without waiting for the tick.
 
 use meterstick::report::{ascii_boxplot, render_table};
-use meterstick_metrics::response::UNPLAYABLE_MS;
+use meterstick_metrics::response;
 use meterstick_workloads::WorkloadKind;
 use mlg_server::ServerFlavor;
 
@@ -54,7 +54,10 @@ pub fn run(cli: &Cli) {
             &rows
         )
     );
-    println!("\nresponse-time gauges (0..600 ms; unplayable at {UNPLAYABLE_MS} ms):");
+    println!(
+        "\nresponse-time gauges (0..600 ms; unplayable at {} ms):",
+        response::UNPLAYABLE_MS
+    );
     for (label, boxplot) in gauges {
         println!("{label:>18} {}", ascii_boxplot(&boxplot, 600.0, 60));
     }

@@ -136,12 +136,6 @@ impl ComputeEngine {
         &self.node
     }
 
-    /// Returns `true` if burst credits are currently exhausted.
-    #[must_use]
-    pub fn throttled(&self) -> bool {
-        self.credits.exhausted()
-    }
-
     /// Executes one tick decomposed into an ordered stage graph and returns
     /// per-stage critical-path milliseconds alongside the whole-tick record.
     ///

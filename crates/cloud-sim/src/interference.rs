@@ -133,19 +133,6 @@ impl InterferenceState {
         }
     }
 
-    /// The placement (hardware-heterogeneity) factor for this iteration.
-    #[must_use]
-    pub fn placement_factor(&self) -> f64 {
-        self.placement_factor
-    }
-
-    /// Number of noisy neighbours currently resident on the host (always 0
-    /// under a flat temporal profile).
-    #[must_use]
-    pub fn resident_neighbors(&self) -> u32 {
-        self.tenancy.resident_count()
-    }
-
     /// Advances the interference process by one tick and returns the total
     /// slowdown multiplier to apply to that tick's compute (≥ 1.0).
     pub fn sample_tick(&mut self) -> f64 {
@@ -240,12 +227,6 @@ impl BurstCredits {
             1.0
         }
     }
-
-    /// Returns `true` if the instance is currently out of credits.
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
-        self.enabled && self.balance <= 0.0
-    }
 }
 
 #[cfg(test)]
@@ -285,9 +266,9 @@ mod tests {
         let mut cloud_min = f64::INFINITY;
         for seed in 0..20 {
             let das = InterferenceState::new(InterferenceProfile::dedicated(), seed);
-            das_max = das_max.max(das.placement_factor());
+            das_max = das_max.max(das.placement_factor);
             let cloud = InterferenceState::new(InterferenceProfile::aws(), 1_000 + seed);
-            cloud_min = cloud_min.min(cloud.placement_factor());
+            cloud_min = cloud_min.min(cloud.placement_factor);
         }
         // Placement alone may overlap; what must hold is that clouds have a
         // far wider spread.
@@ -316,14 +297,14 @@ mod tests {
             StartTime::parse("fri-20:30").unwrap(),
             901,
         );
-        assert_eq!(plain.placement_factor(), layered.placement_factor());
+        assert_eq!(plain.placement_factor, layered.placement_factor);
         for _ in 0..5_000 {
             assert_eq!(
                 plain.sample_tick().to_bits(),
                 layered.sample_tick().to_bits()
             );
         }
-        assert_eq!(layered.resident_neighbors(), 0);
+        assert_eq!(layered.tenancy.resident_count(), 0);
     }
 
     #[test]
@@ -354,7 +335,7 @@ mod tests {
     fn different_seeds_sample_different_placements() {
         let a = InterferenceState::new(InterferenceProfile::aws(), 1);
         let b = InterferenceState::new(InterferenceProfile::aws(), 2);
-        assert_ne!(a.placement_factor(), b.placement_factor());
+        assert_ne!(a.placement_factor, b.placement_factor);
     }
 
     #[test]
@@ -370,7 +351,7 @@ mod tests {
             }
         }
         assert!(throttled, "sustained full load must exhaust burst credits");
-        assert!(credits.exhausted());
+        assert!(credits.balance <= 0.0);
     }
 
     #[test]
@@ -381,7 +362,7 @@ mod tests {
             let m = credits.account(0.005, 0.05);
             assert_eq!(m, 1.0);
         }
-        assert!(!credits.exhausted());
+        assert!(credits.balance > 0.0);
     }
 
     #[test]
@@ -390,7 +371,7 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(credits.account(10.0, 0.05), 1.0);
         }
-        assert!(!credits.exhausted());
+        assert!(credits.balance > 0.0);
     }
 
     #[test]
@@ -400,11 +381,11 @@ mod tests {
         for _ in 0..20_000 {
             credits.account(0.1, 0.05);
         }
-        assert!(credits.exhausted());
+        assert!(credits.balance <= 0.0);
         // Idle for a while: credits accrue again.
         for _ in 0..2_000 {
             credits.account(0.0, 0.05);
         }
-        assert!(!credits.exhausted());
+        assert!(credits.balance > 0.0);
     }
 }

@@ -67,7 +67,7 @@ pub struct SystemMetricsCollector {
 
 impl SystemMetricsCollector {
     /// Default sampling interval: twice per second, matching the paper.
-    pub const DEFAULT_INTERVAL_MS: f64 = 500.0;
+    const DEFAULT_INTERVAL_MS: f64 = 500.0;
 
     /// Creates a collector. `base_threads` models the server's fixed thread
     /// pool (main loop, networking, GC, …); extra worker threads are added as
@@ -139,12 +139,6 @@ impl SystemMetricsCollector {
             self.flush_window();
         }
         self.samples
-    }
-
-    /// Number of samples collected so far (not counting a partial window).
-    #[must_use]
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
     }
 }
 
@@ -250,7 +244,7 @@ mod tests {
         let mut c = SystemMetricsCollector::new(30);
         c.observe_tick(50.0, obs(0.9));
         c.observe_tick(100.0, obs(0.9));
-        assert_eq!(c.sample_count(), 0);
+        assert!(c.samples.is_empty());
         let samples = c.finish();
         assert_eq!(samples.len(), 1);
         assert!(samples[0].cpu_utilization > 0.8);

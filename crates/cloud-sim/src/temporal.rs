@@ -33,13 +33,13 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Simulated game ticks per second (the 20 Hz Minecraft-like tick rate).
-pub const TICKS_PER_SECOND: u32 = 20;
+const TICKS_PER_SECOND: u32 = 20;
 /// Simulated game ticks per minute of simulated wall-clock.
-pub const TICKS_PER_MINUTE: u32 = 60 * TICKS_PER_SECOND;
+const TICKS_PER_MINUTE: u32 = 60 * TICKS_PER_SECOND;
 /// Simulated game ticks per hour of simulated wall-clock.
-pub const TICKS_PER_HOUR: u32 = 60 * TICKS_PER_MINUTE;
+const TICKS_PER_HOUR: u32 = 60 * TICKS_PER_MINUTE;
 /// Minutes in a simulated day.
-pub const MINUTES_PER_DAY: u32 = 24 * 60;
+const MINUTES_PER_DAY: u32 = 24 * 60;
 /// Minutes in a simulated week (the period of the intensity curve).
 pub const MINUTES_PER_WEEK: u32 = 7 * MINUTES_PER_DAY;
 
@@ -109,7 +109,7 @@ impl StartTime {
 
     /// The minute-of-week reached after `tick` simulated ticks.
     #[must_use]
-    pub fn minute_at_tick(&self, tick: u64) -> u32 {
+    fn minute_at_tick(&self, tick: u64) -> u32 {
         let advanced = u64::from(self.minute_of_week) + tick / u64::from(TICKS_PER_MINUTE);
         (advanced % u64::from(MINUTES_PER_WEEK)) as u32
     }
@@ -190,14 +190,14 @@ impl TemporalProfile {
     /// Returns `true` for profiles that can never produce a neighbour; flat
     /// profiles short-circuit the tenancy process entirely.
     #[must_use]
-    pub fn is_flat(&self) -> bool {
+    fn is_flat(&self) -> bool {
         self.arrivals_per_hour <= 0.0 || self.max_neighbors == 0
     }
 
     /// Arrival intensity (arrivals per simulated hour) at a minute of the
     /// week.
     #[must_use]
-    pub fn intensity_at(&self, minute_of_week: u32) -> f64 {
+    fn intensity_at(&self, minute_of_week: u32) -> f64 {
         let m = minute_of_week % MINUTES_PER_WEEK;
         let day = m / MINUTES_PER_DAY; // 0 = Monday
         let hour = (m % MINUTES_PER_DAY) / 60;
@@ -214,7 +214,7 @@ impl TemporalProfile {
 
     /// Mean residency span in ticks.
     #[must_use]
-    pub fn mean_residency_ticks(&self) -> f64 {
+    fn mean_residency_ticks(&self) -> f64 {
         let (lo, hi) = self.residency_ticks;
         f64::from(lo.min(hi)) / 2.0 + f64::from(lo.max(hi)) / 2.0
     }
@@ -222,7 +222,7 @@ impl TemporalProfile {
     /// Expected stationary neighbour count at a minute of the week (Little's
     /// law: arrival rate × mean residency), capped at host capacity.
     #[must_use]
-    pub fn expected_occupancy_at(&self, minute_of_week: u32) -> f64 {
+    fn expected_occupancy_at(&self, minute_of_week: u32) -> f64 {
         if self.is_flat() {
             return 0.0;
         }
@@ -248,7 +248,7 @@ pub struct TenancyEffect {
 
 impl TenancyEffect {
     /// The no-neighbour effect: both factors exactly `1.0`.
-    pub const NEUTRAL: TenancyEffect = TenancyEffect {
+    const NEUTRAL: TenancyEffect = TenancyEffect {
         residents: 0,
         steal_probability_factor: 1.0,
         pressure: 1.0,
@@ -314,8 +314,8 @@ impl TenancyProcess {
     }
 
     /// Number of currently resident neighbours.
-    #[must_use]
-    pub fn resident_count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn resident_count(&self) -> u32 {
         self.residents.len() as u32
     }
 

@@ -338,18 +338,10 @@ impl Campaign {
         }
     }
 
-    /// Replaces the workload dimension with plain workload kinds (default
-    /// scale).
+    /// Replaces the workload dimension.
     #[must_use]
     pub fn workloads(mut self, workloads: impl IntoIterator<Item = WorkloadKind>) -> Self {
         self.workloads = workloads.into_iter().map(WorkloadSpec::new).collect();
-        self
-    }
-
-    /// Replaces the workload dimension with full specs (kind + scale knob).
-    #[must_use]
-    pub fn workload_specs(mut self, specs: impl IntoIterator<Item = WorkloadSpec>) -> Self {
-        self.workloads = specs.into_iter().collect();
         self
     }
 
@@ -415,12 +407,13 @@ impl Campaign {
     /// Enables windowed (long-horizon) metric aggregation for every job:
     /// iterations fold ticks through a bounded streaming aggregator instead
     /// of retaining the full trace. Not a sweep axis — a scalar knob like
-    /// `duration_secs`.
+    /// `duration_secs`. Both sizes must be at least 1 ([`Self::plan`]
+    /// rejects a zero).
     #[must_use]
     pub fn metrics_window(mut self, window_ticks: u32, max_windows: u32) -> Self {
         self.template.metrics_window = Some(MetricsWindow {
-            window_ticks: window_ticks.max(1),
-            max_windows: max_windows.max(1),
+            window_ticks,
+            max_windows,
         });
         self
     }
@@ -490,13 +483,13 @@ impl Campaign {
 
     /// Number of grid cells: the product of the sweep axes' lengths.
     #[must_use]
-    pub fn cell_count(&self) -> usize {
+    fn cell_count(&self) -> usize {
         Axis::ALL.iter().map(|&axis| self.axis_len(axis)).product()
     }
 
     /// Number of jobs the plan will contain (cells × iterations).
     #[must_use]
-    pub fn job_count(&self) -> usize {
+    fn job_count(&self) -> usize {
         self.cell_count() * self.iterations as usize
     }
 
@@ -506,6 +499,15 @@ impl Campaign {
             ("duration_secs", "must be at least 1 virtual second")
         } else if self.tick_threads.contains(&0) {
             ("tick_threads", "must be at least 1 worker thread")
+        } else if self
+            .template
+            .metrics_window
+            .is_some_and(|w| w.window_ticks == 0 || w.max_windows == 0)
+        {
+            (
+                "metrics_window",
+                "needs at least 1 tick per window and 1 window",
+            )
         } else {
             return Ok(());
         };
@@ -633,7 +635,6 @@ mod tests {
         let results = quick_campaign().run().unwrap();
         assert_eq!(results.iterations().len(), 8);
         assert_eq!(results.for_flavor(ServerFlavor::Paper).len(), 4);
-        assert_eq!(results.for_workload(WorkloadKind::Players).len(), 4);
         assert_eq!(
             results
                 .for_cell(WorkloadKind::Control, ServerFlavor::Vanilla, "DAS-5 2-core")
@@ -687,6 +688,22 @@ mod tests {
                 ..
             }
         ));
+
+        for (window_ticks, max_windows) in [(0, 4), (4, 0)] {
+            let zero_window = quick_campaign()
+                .metrics_window(window_ticks, max_windows)
+                .run();
+            assert!(
+                matches!(
+                    zero_window.unwrap_err(),
+                    BenchmarkError::InvalidParameter {
+                        parameter: "metrics_window",
+                        ..
+                    }
+                ),
+                "metrics_window({window_ticks}, {max_windows}) must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -716,7 +733,12 @@ mod tests {
             ),
             (
                 "link",
-                |c| c.link(LinkConfig::residential()),
+                |c| {
+                    c.link(LinkConfig {
+                        base_latency_ms: 15.0,
+                        jitter_ms: 5.0,
+                    })
+                },
                 |r| format!("{:?}", r.iterations()[0].response_samples),
             ),
             (

@@ -93,7 +93,7 @@ impl ParallelExecutor {
 
     /// Uses one worker per available CPU core.
     #[must_use]
-    pub fn with_available_parallelism() -> Self {
+    fn with_available_parallelism() -> Self {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         ParallelExecutor::new(threads)
     }

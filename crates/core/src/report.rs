@@ -55,7 +55,7 @@ fn csv_escape(cell: &str) -> String {
 
 /// Renders one CSV row (no trailing newline). Cells containing commas,
 /// quotes or newlines are quoted. Streaming sinks use this to emit rows as
-/// results complete; [`to_csv`] uses it for whole tables.
+/// results complete.
 #[must_use]
 pub fn csv_row(cells: &[String]) -> String {
     cells
@@ -63,26 +63,6 @@ pub fn csv_row(cells: &[String]) -> String {
         .map(|c| csv_escape(c))
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Renders rows as CSV with a header line. Cells containing commas or quotes
-/// are quoted.
-#[must_use]
-pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| csv_escape(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(&csv_row(row));
-        out.push('\n');
-    }
-    out
 }
 
 /// Renders a horizontal ASCII bar scaled so that `max_value` fills `width`
@@ -155,12 +135,8 @@ mod tests {
 
     #[test]
     fn csv_escapes_special_cells() {
-        let csv = to_csv(
-            &["name", "note"],
-            &[vec!["x".into(), "hello, \"world\"".into()]],
-        );
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("\"hello, \"\"world\"\"\""));
+        let row = csv_row(&["x".into(), "hello, \"world\"".into(), "a\nb".into()]);
+        assert_eq!(row, "x,\"hello, \"\"world\"\"\",\"a\nb\"");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use cloud_sim::metrics_collector::SystemSample;
 use meterstick_metrics::response::ResponseTimeSummary;
-use meterstick_metrics::stats::{BoxplotSummary, Percentiles};
+use meterstick_metrics::stats::Percentiles;
 use meterstick_metrics::trace::TickTrace;
 use meterstick_metrics::windowed::WindowedReport;
 use meterstick_metrics::TickDistribution;
@@ -63,12 +63,6 @@ impl IterationResult {
         self.trace.percentiles()
     }
 
-    /// Boxplot summary of the tick busy times.
-    #[must_use]
-    pub fn tick_boxplot(&self) -> BoxplotSummary {
-        self.trace.boxplot()
-    }
-
     /// The aggregate tick-time distribution over the iteration (Figure 11).
     #[must_use]
     pub fn tick_distribution(&self) -> TickDistribution {
@@ -83,7 +77,7 @@ impl IterationResult {
 }
 
 /// Aggregate results of a campaign run, in plan order, with per-flavor,
-/// per-workload and per-cell grouping views.
+/// per-cell and per-coordinate grouping views.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignResults {
     iterations: Vec<IterationResult>,
@@ -113,17 +107,6 @@ impl CampaignResults {
         CampaignResults { iterations, coords }
     }
 
-    /// The grid coordinate of each result, parallel to [`Self::iterations`].
-    ///
-    /// This is the authoritative cell identity: unlike environment *labels*,
-    /// coordinates distinguish two environments that happen to share a label
-    /// (e.g. two "AWS 2-core" variants with different interference
-    /// profiles).
-    #[must_use]
-    pub fn coords(&self) -> &[CellCoord] {
-        &self.coords
-    }
-
     /// Results of one exact grid cell, identified by coordinate.
     #[must_use]
     pub fn for_coord(&self, coord: CellCoord) -> Vec<&IterationResult> {
@@ -147,15 +130,6 @@ impl CampaignResults {
         self.iterations
             .iter()
             .filter(|r| r.flavor == flavor)
-            .collect()
-    }
-
-    /// Results of one workload across every cell.
-    #[must_use]
-    pub fn for_workload(&self, workload: WorkloadKind) -> Vec<&IterationResult> {
-        self.iterations()
-            .iter()
-            .filter(|r| r.workload == workload)
             .collect()
     }
 
@@ -195,15 +169,6 @@ impl CampaignResults {
             .iter()
             .flat_map(|r| r.trace.busy_durations())
             .collect()
-    }
-
-    /// Number of crashed iterations of one flavor.
-    #[must_use]
-    pub fn crash_count(&self, flavor: ServerFlavor) -> usize {
-        self.for_flavor(flavor)
-            .iter()
-            .filter(|r| r.crashed())
-            .count()
     }
 
     /// One aggregate row per grid cell, in plan order.
@@ -300,7 +265,6 @@ mod tests {
         ]);
         assert_eq!(results.iterations().len(), 3);
         assert_eq!(results.for_flavor(ServerFlavor::Vanilla).len(), 2);
-        assert_eq!(results.for_workload(WorkloadKind::Tnt).len(), 2);
         assert_eq!(
             results
                 .for_cell(WorkloadKind::Tnt, ServerFlavor::Vanilla, "AWS 2-core")
@@ -325,14 +289,14 @@ mod tests {
             iteration(ServerFlavor::Vanilla, WorkloadKind::Lag, 0.9, true),
             iteration(ServerFlavor::Vanilla, WorkloadKind::Lag, 0.9, false),
         ]);
-        assert_eq!(results.crash_count(ServerFlavor::Vanilla), 1);
-        assert!(results.iterations()[0].crashed());
+        let crashed: Vec<bool> = results.iterations().iter().map(|r| r.crashed()).collect();
+        assert_eq!(crashed, [true, false]);
     }
 
     #[test]
     fn iteration_summaries_are_consistent() {
         let it = iteration(ServerFlavor::Paper, WorkloadKind::Control, 0.0, false);
         assert_eq!(it.tick_percentiles().min, 10.0);
-        assert_eq!(it.tick_boxplot().max, 19.0);
+        assert_eq!(it.tick_percentiles().max, 19.0);
     }
 }

@@ -239,7 +239,7 @@ impl DaemonHandle {
     }
 
     /// Publishes one event line to every subscriber.
-    pub fn publish(&self, event: &str) {
+    fn publish(&self, event: &str) {
         let mut subs = self
             .shared
             .subscribers

@@ -85,12 +85,6 @@ impl MetricsHistory {
         self.last_iteration_isr
     }
 
-    /// The most recently observed tick, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<&TickSample> {
-        self.ticks.back()
-    }
-
     /// Records one observed tick, evicting the oldest entry once the
     /// window is full.
     pub fn push(&mut self, sample: &TickSample) {
@@ -181,7 +175,7 @@ mod tests {
         }
         assert_eq!(history.len(), 8);
         assert_eq!(history.total_ticks(), 1_000);
-        assert_eq!(history.latest().unwrap().tick, 999);
+        assert_eq!(history.ticks.back().unwrap().tick, 999);
     }
 
     #[test]

@@ -188,7 +188,7 @@ fn serve_events(mut stream: TcpStream, handle: &DaemonHandle) -> std::io::Result
 
 /// Renders the `/status` JSON body.
 #[must_use]
-pub fn status_json(handle: &DaemonHandle) -> String {
+fn status_json(handle: &DaemonHandle) -> String {
     let state = handle.state();
     handle.with_stats(|stats| {
         format!(
@@ -212,7 +212,7 @@ pub fn status_json(handle: &DaemonHandle) -> String {
 /// Renders the `/alerts` JSON body: the bounded fired-alert log, oldest
 /// first.
 #[must_use]
-pub fn alerts_json(handle: &DaemonHandle) -> String {
+fn alerts_json(handle: &DaemonHandle) -> String {
     handle.with_stats(|stats| {
         let entries: Vec<String> = stats
             .alerts
@@ -232,7 +232,7 @@ pub fn alerts_json(handle: &DaemonHandle) -> String {
 
 /// Renders the `/metrics` body in the Prometheus text exposition format.
 #[must_use]
-pub fn prometheus_text(handle: &DaemonHandle) -> String {
+fn prometheus_text(handle: &DaemonHandle) -> String {
     let paused = handle.is_paused();
     handle.with_stats(|stats| {
         let history = &stats.history;

@@ -15,6 +15,7 @@
 //! | `no-unsafe` | no `unsafe` token anywhere; every crate root carries `forbid(unsafe_code)` |
 //! | `no-bare-spawn` | no `thread::spawn`/`thread::Builder` outside `mlg_world::pool` |
 //! | `no-debug-output` | no `println!`/`eprintln!`/`dbg!` in library crates (sinks, bench exempt) |
+//! | `pub-without-caller` | every `pub fn`/`const`/`static` under `crates/*/src` has a non-test caller outside its file (`benchmark/src` and `examples/` count) |
 //!
 //! Violations are waivable inline with
 //! `// detlint: allow(<rule>) -- <reason>`; every waiver is counted and
@@ -36,20 +37,54 @@
 pub mod report;
 pub mod rules;
 pub mod scanner;
+mod surface;
 pub mod workspace;
 
 pub use report::Report;
-pub use rules::{check_file, FileOutcome, Finding, RuleId, Waiver};
-pub use workspace::{classify, lint_workspace, workspace_root_from_build, FileContext};
+pub use rules::{Finding, RuleId, Waiver};
+pub use workspace::{lint_workspace, workspace_root_from_build};
 
-/// Lints a single source text as if it lived at `rel_path` in the
-/// workspace. This is the entry point the fixture tests use; files the
-/// workspace walk would skip (e.g. under `vendor/`) produce an empty
-/// outcome.
+use rules::check_file;
+use scanner::{scan, tokenize};
+use workspace::classify;
+
+/// Lints a set of source texts, each as if it lived at its
+/// workspace-relative path, as one workspace: `pub-without-caller` across
+/// all of them, every per-file rule on each member file. Files under
+/// `benchmark/src/` are read as callers only, never linted; files the
+/// workspace walk would skip (e.g. under `vendor/`) are ignored. The
+/// fixture tests and [`lint_workspace`] both come through here.
 #[must_use]
-pub fn lint_source(rel_path: &str, source: &str) -> FileOutcome {
-    match classify(rel_path) {
-        Some(ctx) => check_file(&ctx, source),
-        None => FileOutcome::default(),
+pub fn lint_sources(sources: &[(&str, &str)]) -> Report {
+    let files: Vec<_> = sources
+        .iter()
+        .filter_map(|&(rel_path, source)| {
+            let ctx = classify(rel_path);
+            if ctx.is_none() && !rel_path.starts_with("benchmark/src/") {
+                return None;
+            }
+            let scanned = scan(source);
+            let tokens = tokenize(&scanned);
+            Some((ctx, scanned, tokens))
+        })
+        .collect();
+    let tokens_by_file: Vec<_> = files
+        .iter()
+        .map(|(ctx, _, tokens)| (ctx.as_ref(), tokens.as_slice()))
+        .collect();
+    let mut uncalled = surface::pub_without_caller(&tokens_by_file);
+    let mut report = Report::default();
+    for (ctx, scanned, tokens) in &files {
+        let Some(ctx) = ctx else { continue };
+        let (own, rest) = uncalled.into_iter().partition(|f| f.file == ctx.rel_path);
+        uncalled = rest;
+        let outcome = check_file(ctx, scanned, tokens, own);
+        report.files_scanned += 1;
+        report.findings.extend(outcome.findings);
+        report.waivers.extend(outcome.waivers);
     }
+    report
+        .findings
+        .sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
+    report
 }

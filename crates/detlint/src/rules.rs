@@ -19,6 +19,9 @@
 //!   `TickPipeline::scope()`.
 //! * [`RuleId::NoDebugOutput`] — `println!`/`eprintln!`/`dbg!` are
 //!   forbidden in library crates (sinks and bench binaries are exempt).
+//! * [`RuleId::PubWithoutCaller`] — a `pub` function, constant or static
+//!   that nothing but tests reaches; checked across the workspace by
+//!   `crate::surface`, not per file.
 //!
 //! Violations can be waived inline:
 //!
@@ -32,7 +35,7 @@
 //! exempts a whole module from the wall-clock rule (for explicitly-marked
 //! substrate-timing code) and is counted as a waiver like any other.
 
-use crate::scanner::{scan, tokenize, ScannedFile, Token};
+use crate::scanner::{ScannedFile, Token};
 use crate::workspace::{FileContext, TargetKind};
 
 /// Identifies one rule of the determinism contract.
@@ -50,6 +53,8 @@ pub enum RuleId {
     NoBareSpawn,
     /// Debug printing in library crates.
     NoDebugOutput,
+    /// A `pub` item no non-test code outside its defining file mentions.
+    PubWithoutCaller,
     /// A detlint annotation that does not parse (unknown rule, missing
     /// reason); never waivable.
     InvalidWaiver,
@@ -57,13 +62,14 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::NoHashIteration,
         RuleId::NoWallClock,
         RuleId::NoAmbientRng,
         RuleId::NoUnsafe,
         RuleId::NoBareSpawn,
         RuleId::NoDebugOutput,
+        RuleId::PubWithoutCaller,
         RuleId::InvalidWaiver,
     ];
 
@@ -77,6 +83,7 @@ impl RuleId {
             RuleId::NoUnsafe => "no-unsafe",
             RuleId::NoBareSpawn => "no-bare-spawn",
             RuleId::NoDebugOutput => "no-debug-output",
+            RuleId::PubWithoutCaller => "pub-without-caller",
             RuleId::InvalidWaiver => "invalid-waiver",
         }
     }
@@ -122,7 +129,7 @@ pub struct Waiver {
 
 /// Result of linting one file.
 #[derive(Debug, Clone, Default)]
-pub struct FileOutcome {
+pub(crate) struct FileOutcome {
     /// Surviving (un-waived) findings.
     pub findings: Vec<Finding>,
     /// Every waiver annotation present in the file.
@@ -135,28 +142,12 @@ pub struct FileOutcome {
 /// The `daemon` crate is deliberately **not** here: it observes ticks
 /// after the fact through `TickObserver` and can never feed data back
 /// into the simulation, so its containers cannot perturb tick output.
-pub const TICK_PATH_CRATES: [&str; 5] = [
+const TICK_PATH_CRATES: [&str; 5] = [
     "mlg-world",
     "mlg-entity",
     "mlg-server",
     "mlg-bots",
     "mlg-protocol",
-];
-
-/// Entity-substrate modules that must exist and be scanned under the
-/// tick-path coverage: the row store, the deterministic spatial
-/// index, and the per-tick simulation passes that consume them. A module
-/// rename or split must update this table (and gets fresh coverage for
-/// free); losing one silently would shrink the lint surface.
-pub const TICK_PATH_ENTITY_MODULES: [&str; 8] = [
-    "crates/mlg-entity/src/ai.rs",
-    "crates/mlg-entity/src/items.rs",
-    "crates/mlg-entity/src/manager.rs",
-    "crates/mlg-entity/src/physics.rs",
-    "crates/mlg-entity/src/spatial.rs",
-    "crates/mlg-entity/src/spawning.rs",
-    "crates/mlg-entity/src/store.rs",
-    "crates/mlg-entity/src/tnt.rs",
 ];
 
 /// Cloud-model modules pulled under the hash-iteration rule individually:
@@ -167,7 +158,7 @@ pub const TICK_PATH_ENTITY_MODULES: [&str; 8] = [
 /// them — so hash-order iteration there would leak into tick output just
 /// like in a tick-path crate. Renaming or splitting one must update this
 /// table; `crates/detlint/tests/workspace_clean.rs` pins their existence.
-pub const TICK_PATH_MODEL_MODULES: [&str; 3] = [
+const TICK_PATH_MODEL_MODULES: [&str; 3] = [
     "crates/cloud-sim/src/engine.rs",
     "crates/cloud-sim/src/interference.rs",
     "crates/cloud-sim/src/temporal.rs",
@@ -179,7 +170,7 @@ pub const TICK_PATH_MODEL_MODULES: [&str; 3] = [
 /// * `daemon` — the resident daemon *presents* runs in wall-clock terms
 ///   (real-time pacing, liveness of SSE streams); it sits outside the
 ///   tick loop, whose modeled time stays host-clock-free.
-pub const WALL_CLOCK_EXEMPT_CRATES: [&str; 2] = ["bench", "daemon"];
+const WALL_CLOCK_EXEMPT_CRATES: [&str; 2] = ["bench", "daemon"];
 
 /// Files allowed to create threads:
 ///
@@ -188,18 +179,17 @@ pub const WALL_CLOCK_EXEMPT_CRATES: [&str; 2] = ["bench", "daemon"];
 /// * the daemon's HTTP surface (the accept thread and per-connection
 ///   threads are control plane, not tick fan-out, and touch simulation
 ///   state only through the `DaemonHandle` lock).
-pub const SPAWN_EXEMPT_FILES: [&str; 2] =
-    ["crates/mlg-world/src/pool.rs", "crates/daemon/src/http.rs"];
+const SPAWN_EXEMPT_FILES: [&str; 2] = ["crates/mlg-world/src/pool.rs", "crates/daemon/src/http.rs"];
 
 /// Crate directories exempt from the debug-output rule in *library* code.
 /// Split from [`WALL_CLOCK_EXEMPT_CRATES`] on purpose: the daemon crate is
 /// wall-clock-exempt but its library must still route output through
 /// sinks/streams, never print.
-pub const DEBUG_OUTPUT_EXEMPT_CRATES: [&str; 1] = ["bench"];
+const DEBUG_OUTPUT_EXEMPT_CRATES: [&str; 1] = ["bench"];
 
 /// Library files exempt from the debug-output rule: result sinks write to
 /// their configured streams by design.
-pub const DEBUG_OUTPUT_EXEMPT_FILES: [&str; 1] = ["crates/core/src/sink.rs"];
+const DEBUG_OUTPUT_EXEMPT_FILES: [&str; 1] = ["crates/core/src/sink.rs"];
 
 const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
 const HASH_ITER_METHODS: [&str; 10] = [
@@ -218,32 +208,36 @@ const HASH_CTORS: [&str; 4] = ["new", "with_capacity", "default", "from"];
 const AMBIENT_RNG_IDENTS: [&str; 4] = ["thread_rng", "from_entropy", "from_os_rng", "OsRng"];
 const DEBUG_MACROS: [&str; 3] = ["println", "eprintln", "dbg"];
 
-/// Lints one file's source text under the rules that apply to `ctx`.
-#[must_use]
-pub fn check_file(ctx: &FileContext, source: &str) -> FileOutcome {
-    let scanned = scan(source);
-    let tokens = tokenize(&scanned);
+/// Lints one scanned file under the per-file rules that apply to `ctx`,
+/// and applies its waivers to those findings and to `workspace_findings`
+/// (the file's findings from the workspace-level rules).
+pub(crate) fn check_file(
+    ctx: &FileContext,
+    scanned: &ScannedFile,
+    tokens: &[Token],
+    workspace_findings: Vec<Finding>,
+) -> FileOutcome {
     let mut outcome = FileOutcome::default();
-    collect_waivers(ctx, &scanned, &mut outcome);
+    collect_waivers(ctx, scanned, &mut outcome);
     let substrate_timing_file = outcome.waivers.iter().any(|w| w.file_level);
 
-    let mut raw: Vec<Finding> = Vec::new();
+    let mut raw = workspace_findings;
     if ctx.crate_in(&TICK_PATH_CRATES) || TICK_PATH_MODEL_MODULES.contains(&ctx.rel_path.as_str()) {
-        check_hash_iteration(ctx, &tokens, &mut raw);
+        check_hash_iteration(ctx, tokens, &mut raw);
     }
     if !ctx.crate_in(&WALL_CLOCK_EXEMPT_CRATES) && !substrate_timing_file {
-        check_wall_clock(ctx, &tokens, &mut raw);
+        check_wall_clock(ctx, tokens, &mut raw);
     }
-    check_ambient_rng(ctx, &tokens, &mut raw);
-    check_no_unsafe(ctx, &tokens, &mut raw);
+    check_ambient_rng(ctx, tokens, &mut raw);
+    check_no_unsafe(ctx, tokens, &mut raw);
     if !SPAWN_EXEMPT_FILES.contains(&ctx.rel_path.as_str()) {
-        check_bare_spawn(ctx, &tokens, &mut raw);
+        check_bare_spawn(ctx, tokens, &mut raw);
     }
     if ctx.kind == TargetKind::Lib
         && !ctx.crate_in(&DEBUG_OUTPUT_EXEMPT_CRATES)
         && !DEBUG_OUTPUT_EXEMPT_FILES.contains(&ctx.rel_path.as_str())
     {
-        check_debug_output(ctx, &tokens, &mut raw);
+        check_debug_output(ctx, tokens, &mut raw);
     }
 
     // Apply line waivers: a finding survives unless a waiver for its rule

@@ -166,7 +166,7 @@ pub fn scan(source: &str) -> ScannedFile {
                 }
             }
             Mode::Str => {
-                if c == '\\' {
+                if c == '\\' && chars.get(i + 1) != Some(&'\n') {
                     i += 2; // Skip the escaped character (even a quote).
                 } else if c == '"' {
                     line.code.push('"');
@@ -361,6 +361,13 @@ mod tests {
         let code = code_of("let s = \"line one\nthread_rng line two\";\nlet after = 4;");
         assert!(!code.contains("thread_rng"));
         assert!(code.contains("let after = 4;"));
+    }
+
+    #[test]
+    fn line_continuations_in_strings_keep_line_numbers() {
+        let toks = tokenize(&scan("let s = \"one \\\n two\";\nlet after = 4;"));
+        let after = toks.iter().find(|t| t.text == "after").unwrap();
+        assert_eq!(after.line, 3);
     }
 
     #[test]

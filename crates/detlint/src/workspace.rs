@@ -4,14 +4,14 @@
 //! a member, plus the umbrella package rooted at the workspace root
 //! (`src/`, `tests/`, `examples/`). The vendored dependency shims under
 //! `vendor/` are third-party stand-ins and are exempt, as are build
-//! artifacts (`target/`).
+//! artifacts (`target/`). `benchmark/src/` is read, not linted: it is a
+//! caller of the library crates for `pub-without-caller`.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::report::Report;
-use crate::rules::check_file;
 
 /// What kind of compilation target a file belongs to; several rules only
 /// apply to library code.
@@ -105,11 +105,12 @@ pub fn workspace_root_from_build() -> PathBuf {
 /// Returns any I/O error encountered while walking the tree or reading a
 /// source file.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let mut report = Report::default();
     let mut files: Vec<PathBuf> = Vec::new();
+    let mut crates_scanned = 0;
 
-    // Umbrella package at the root.
-    for dir in ["src", "tests", "examples"] {
+    // Umbrella package at the root, and the benchmark harness, which is
+    // read as a caller of the library crates but not linted.
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
         collect_rs_files(&root.join(dir), &mut files)?;
     }
     // Member crates: each crates/<dir> with a manifest.
@@ -122,7 +123,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             .collect();
         members.sort();
         for member in members {
-            report.crates_scanned += 1;
+            crates_scanned += 1;
             for dir in ["src", "tests", "benches", "examples"] {
                 collect_rs_files(&member.join(dir), &mut files)?;
             }
@@ -130,6 +131,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     }
 
     files.sort();
+    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -138,18 +140,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let Some(ctx) = classify(&rel) else {
-            continue;
-        };
-        let source = fs::read_to_string(&path)?;
-        let outcome = check_file(&ctx, &source);
-        report.files_scanned += 1;
-        report.findings.extend(outcome.findings);
-        report.waivers.extend(outcome.waivers);
+        sources.push((rel, fs::read_to_string(&path)?));
     }
-    report
-        .findings
-        .sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
+    let borrowed: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(rel, src)| (rel.as_str(), src.as_str()))
+        .collect();
+    let mut report = crate::lint_sources(&borrowed);
+    report.crates_scanned = crates_scanned;
     Ok(report)
 }
 

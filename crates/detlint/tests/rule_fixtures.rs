@@ -6,12 +6,12 @@
 //! these deliberately-violating snippets can live inside the linted
 //! workspace without tripping the workspace-clean meta-test.
 
-use detlint::{lint_source, RuleId};
+use detlint::{lint_sources, RuleId};
 
 /// Lints `src` as if it were the named file and returns the rules of the
 /// surviving findings.
 fn rules_at(path: &str, src: &str) -> Vec<RuleId> {
-    lint_source(path, src)
+    lint_sources(&[(path, src)])
         .findings
         .iter()
         .map(|f| f.rule)
@@ -101,7 +101,7 @@ fn hash_iteration_respects_waiver() {
                // detlint: allow(no-hash-iteration) -- clears buckets; order-free\n\
                for v in self.cells.values_mut() { *v = 0; }\n\
                } }\n";
-    let outcome = lint_source(TICK_PATH_FILE, src);
+    let outcome = lint_sources(&[(TICK_PATH_FILE, src)]);
     assert!(outcome.findings.is_empty());
     assert_eq!(outcome.waivers.len(), 1);
     assert_eq!(outcome.waivers[0].rules, vec![RuleId::NoHashIteration]);
@@ -134,7 +134,7 @@ fn wall_clock_respects_line_waiver_and_file_marker() {
     let marked = "// detlint: substrate-timing -- this module measures host overhead\n\
                   fn f() { let _t = std::time::Instant::now(); }\n\
                   fn g() { let _u = std::time::Instant::now(); }\n";
-    let outcome = lint_source(LIB_FILE, marked);
+    let outcome = lint_sources(&[(LIB_FILE, marked)]);
     assert!(outcome.findings.is_empty(), "file marker covers every site");
     assert_eq!(outcome.waivers.len(), 1);
     assert!(outcome.waivers[0].file_level);
@@ -177,7 +177,7 @@ fn seeded_rng_is_clean() {
 fn ambient_rng_respects_waiver() {
     let src = "// detlint: allow(no-ambient-rng) -- fixture exercising the waiver path\n\
                fn f() { let _r = rand::thread_rng(); }\n";
-    let outcome = lint_source(LIB_FILE, src);
+    let outcome = lint_sources(&[(LIB_FILE, src)]);
     assert!(outcome.findings.is_empty());
     assert_eq!(outcome.waivers.len(), 1);
 }
@@ -192,12 +192,12 @@ fn unsafe_token_fires_anywhere() {
 
 #[test]
 fn crate_root_must_forbid_unsafe_code() {
-    let bare = "pub fn f() {}\n";
+    let bare = "fn f() {}\n";
     assert_eq!(
         rules_at("crates/mlg-world/src/lib.rs", bare),
         vec![RuleId::NoUnsafe]
     );
-    let good = "#![forbid(unsafe_code)]\npub fn f() {}\n";
+    let good = "#![forbid(unsafe_code)]\nfn f() {}\n";
     assert!(rules_at("crates/mlg-world/src/lib.rs", good).is_empty());
     // Non-root files don't need the attribute.
     assert!(rules_at("crates/mlg-world/src/other.rs", bare).is_empty());
@@ -213,7 +213,7 @@ fn unsafe_in_comments_and_strings_does_not_fire() {
 fn unsafe_respects_waiver() {
     let src = "// detlint: allow(no-unsafe) -- fixture exercising the waiver path\n\
                fn f() { unsafe { std::hint::unreachable_unchecked() } }\n";
-    assert!(lint_source("crates/mlg-world/src/other.rs", src)
+    assert!(lint_sources(&[("crates/mlg-world/src/other.rs", src)])
         .findings
         .is_empty());
 }
@@ -257,7 +257,7 @@ fn daemon_http_surface_may_spawn_but_the_rest_of_the_crate_may_not() {
 fn bare_spawn_respects_waiver() {
     let src = "// detlint: allow(no-bare-spawn) -- fixture exercising the waiver path\n\
                fn f() { std::thread::spawn(|| {}); }\n";
-    assert!(lint_source(LIB_FILE, src).findings.is_empty());
+    assert!(lint_sources(&[(LIB_FILE, src)]).findings.is_empty());
 }
 
 // ---------------------------------------------------------------- rule 6
@@ -303,9 +303,117 @@ fn debug_output_still_fires_in_the_daemon_library() {
 #[test]
 fn debug_output_respects_waiver() {
     let src = "fn f() { println!(\"x\"); } // detlint: allow(no-debug-output) -- fixture\n";
-    let outcome = lint_source(LIB_FILE, src);
+    let outcome = lint_sources(&[(LIB_FILE, src)]);
     assert!(outcome.findings.is_empty(), "same-line waiver applies");
     assert_eq!(outcome.waivers.len(), 1);
+}
+
+// ---------------------------------------------------------------- rule 7
+
+/// Where the `pub` items under test live, and an unrelated caller file.
+const SURFACE_FILE: &str = "crates/mlg-world/src/surface.rs";
+const OTHER_LIB: &str = "crates/mlg-server/src/caller.rs";
+
+/// The names `pub-without-caller` reports when `files` are the workspace.
+fn uncalled(files: &[(&str, &str)]) -> Vec<String> {
+    lint_sources(files)
+        .findings
+        .iter()
+        .filter(|f| f.rule == RuleId::PubWithoutCaller)
+        .map(|f| f.message.split('`').nth(1).unwrap_or_default().to_string())
+        .collect()
+}
+
+const SURFACE: &str = "pub fn probe() -> u8 { 1 }\n\
+                       pub const LIMIT: u8 = 2;\n\
+                       pub static TABLE: [u8; 1] = [3];\n\
+                       pub(crate) fn helper() -> u8 { probe() }\n";
+
+#[test]
+fn pub_items_only_tests_reach_are_reported() {
+    let own_tests = format!(
+        "{SURFACE}#[cfg(test)]\nmod tests {{\n\
+         use super::*;\n\
+         #[test] fn t() {{ assert_eq!(probe() + LIMIT + TABLE[0], 6); }}\n}}\n"
+    );
+    let expected = ["pub fn probe", "pub const LIMIT", "pub static TABLE"];
+    assert_eq!(uncalled(&[(SURFACE_FILE, own_tests.as_str())]), expected);
+
+    let other_test_module = "#[cfg(test)]\nmod tests { fn t() { probe(); LIMIT; TABLE; } }\n";
+    let integration_test = "fn t() { probe(); LIMIT; TABLE; }\n";
+    let files = [
+        (SURFACE_FILE, SURFACE),
+        (OTHER_LIB, other_test_module),
+        ("tests/surface.rs", integration_test),
+        ("crates/mlg-world/tests/surface.rs", integration_test),
+        ("crates/mlg-world/benches/surface.rs", integration_test),
+    ];
+    assert_eq!(uncalled(&files), expected);
+}
+
+#[test]
+fn production_benchmark_and_example_callers_silence_the_rule() {
+    let call = "fn main() { let _ = (probe(), LIMIT, TABLE); }\n";
+    for caller in [
+        OTHER_LIB,
+        "crates/bench/src/main.rs",
+        "examples/surface.rs",
+        "crates/core/examples/surface.rs",
+        "benchmark/src/probes.rs",
+    ] {
+        assert!(
+            uncalled(&[(SURFACE_FILE, SURFACE), (caller, call)]).is_empty(),
+            "a call from {caller} counts"
+        );
+    }
+    // The benchmark harness is read, never linted.
+    let report = lint_sources(&[("benchmark/src/probes.rs", "pub fn f() { dbg!(1); }\n")]);
+    assert!(report.findings.is_empty());
+    assert_eq!(report.files_scanned, 0);
+}
+
+#[test]
+fn comments_docs_strings_and_imports_are_not_callers() {
+    let mentions = "// probe() LIMIT TABLE\n\
+                    /// [`probe`], [`LIMIT`] and [`TABLE`]\n\
+                    fn f() -> &'static str { \"probe LIMIT TABLE\" }\n\
+                    use crate::surface::{probe, LIMIT, TABLE};\n\
+                    fn probe() {}\n";
+    assert_eq!(
+        uncalled(&[(SURFACE_FILE, SURFACE), (OTHER_LIB, mentions)]),
+        ["pub fn probe", "pub const LIMIT", "pub static TABLE"]
+    );
+}
+
+#[test]
+fn only_member_crate_sources_define_the_surface() {
+    let src = "pub fn lonely() {}\n";
+    for path in [
+        "src/lib.rs",
+        "tests/x.rs",
+        "examples/x.rs",
+        "crates/core/tests/x.rs",
+    ] {
+        assert!(uncalled(&[(path, src)]).is_empty(), "{path} is not checked");
+    }
+    assert_eq!(
+        uncalled(&[("crates/daemon/src/main.rs", src)]),
+        ["pub fn lonely"]
+    );
+}
+
+#[test]
+fn pub_without_caller_respects_waiver() {
+    let src =
+        "// detlint: allow(pub-without-caller) -- the oracle tests/surface.rs compares with\n\
+               pub fn oracle() {}\n\
+               pub fn unwaived() {}\n";
+    let report = lint_sources(&[(SURFACE_FILE, src)]);
+    let rules: Vec<RuleId> = report.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, [RuleId::PubWithoutCaller]);
+    assert_eq!(report.findings[0].line, 3);
+    assert_eq!(report.waivers.len(), 1);
+    assert_eq!(report.waivers[0].rules, [RuleId::PubWithoutCaller]);
 }
 
 // ------------------------------------------------------- waiver mechanism
@@ -342,7 +450,7 @@ fn waiver_with_unknown_rule_is_a_finding() {
 fn one_waiver_can_name_several_rules() {
     let src = "// detlint: allow(no-wall-clock, no-debug-output) -- fixture\n\
                fn f() { println!(\"{:?}\", std::time::Instant::now()); }\n";
-    let outcome = lint_source(LIB_FILE, src);
+    let outcome = lint_sources(&[(LIB_FILE, src)]);
     assert!(outcome.findings.is_empty());
     assert_eq!(outcome.waivers[0].rules.len(), 2);
 }
@@ -350,7 +458,7 @@ fn one_waiver_can_name_several_rules() {
 #[test]
 fn vendored_shims_are_exempt_entirely() {
     let src = "fn f() { unsafe { std::thread::spawn(|| {}) }; }\n";
-    assert!(lint_source("vendor/rand/src/lib.rs", src)
+    assert!(lint_sources(&[("vendor/rand/src/lib.rs", src)])
         .findings
         .is_empty());
 }

@@ -34,6 +34,3 @@ pub use response::{ResponseTimeSummary, NOTICEABLE_DELAY_MS, UNPLAYABLE_MS};
 pub use stats::{BoxplotSummary, Percentiles};
 pub use trace::{TickRecord, TickTrace};
 pub use windowed::{WindowSummary, WindowedAggregator, WindowedReport};
-
-/// The intended tick period of an MLG running at 20 Hz, in milliseconds.
-pub const TICK_BUDGET_MS: f64 = 50.0;

@@ -15,15 +15,6 @@ pub const NOTICEABLE_DELAY_MS: f64 = 60.0;
 /// Latency at which the game becomes unplayable, in ms.
 pub const UNPLAYABLE_MS: f64 = 118.0;
 
-/// A single response-time measurement from the chat-echo probe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ResponseSample {
-    /// Virtual time at which the probing action was sent, ms.
-    pub sent_at_ms: f64,
-    /// Round-trip time until the echo was observed, ms.
-    pub round_trip_ms: f64,
-}
-
 /// Summary of the response-time measurements of one experiment, reporting the
 /// quantities Figure 7 and MF1 use.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,25 +64,6 @@ impl ResponseTimeSummary {
             max_over_unplayable: percentiles.max / UNPLAYABLE_MS,
         }
     }
-
-    /// Classifies the median experience: `"good"`, `"noticeable"` or
-    /// `"unplayable"`.
-    #[must_use]
-    pub fn median_classification(&self) -> &'static str {
-        classify(self.percentiles.p50)
-    }
-}
-
-/// Classifies a single response time against the playability thresholds.
-#[must_use]
-pub fn classify(response_ms: f64) -> &'static str {
-    if response_ms > UNPLAYABLE_MS {
-        "unplayable"
-    } else if response_ms > NOTICEABLE_DELAY_MS {
-        "noticeable"
-    } else {
-        "good"
-    }
 }
 
 #[cfg(test)]
@@ -100,11 +72,10 @@ mod tests {
 
     #[test]
     fn classification_thresholds() {
-        assert_eq!(classify(30.0), "good");
-        assert_eq!(classify(60.0), "good");
-        assert_eq!(classify(61.0), "noticeable");
-        assert_eq!(classify(118.0), "noticeable");
-        assert_eq!(classify(119.0), "unplayable");
+        // A sample exactly at a threshold still counts on the better side.
+        let s = ResponseTimeSummary::of(&[30.0, 60.0, 61.0, 118.0, 119.0]);
+        assert!((s.noticeable_fraction - 0.6).abs() < 1e-12);
+        assert!((s.unplayable_fraction - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -132,15 +103,7 @@ mod tests {
         let s = ResponseTimeSummary::of(&samples);
         assert!(s.max_over_mean > 15.0, "max/mean = {}", s.max_over_mean);
         assert!(s.max_over_unplayable > 5.0);
-        assert_eq!(s.median_classification(), "good");
-    }
-
-    #[test]
-    fn median_classification_tracks_the_median() {
-        let noticeable = ResponseTimeSummary::of(&[70.0, 75.0, 80.0]);
-        assert_eq!(noticeable.median_classification(), "noticeable");
-        let unplayable = ResponseTimeSummary::of(&[500.0, 600.0, 700.0]);
-        assert_eq!(unplayable.median_classification(), "unplayable");
+        assert!(s.percentiles.p50 <= NOTICEABLE_DELAY_MS);
     }
 
     #[test]

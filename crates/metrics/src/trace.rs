@@ -110,15 +110,6 @@ impl TickTrace {
             .count()
     }
 
-    /// Fraction of ticks that were overloaded (0–1).
-    #[must_use]
-    pub fn overloaded_fraction(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.overloaded_ticks() as f64 / self.records.len() as f64
-    }
-
     /// The aggregate tick-time distribution over the whole trace, i.e. the
     /// share of total busy time attributed to each workload operation
     /// (Figure 11 of the paper).
@@ -180,7 +171,7 @@ mod tests {
     fn empty_trace_properties() {
         let t = TickTrace::new(50.0);
         assert!(t.is_empty());
-        assert_eq!(t.overloaded_fraction(), 0.0);
+        assert_eq!(t.overloaded_ticks(), 0);
         assert_eq!(t.instability_ratio(None), 0.0);
         assert!(t.time_series(100).is_empty());
     }
@@ -189,7 +180,6 @@ mod tests {
     fn overload_counting() {
         let t = trace_of(&[10.0, 20.0, 60.0, 70.0, 30.0]);
         assert_eq!(t.overloaded_ticks(), 2);
-        assert!((t.overloaded_fraction() - 0.4).abs() < 1e-12);
     }
 
     #[test]

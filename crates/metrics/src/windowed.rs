@@ -200,15 +200,9 @@ impl WindowedAggregator {
         self.total_overloaded
     }
 
-    /// Number of windows closed so far (retained or evicted).
-    #[must_use]
-    pub fn windows_closed(&self) -> u64 {
-        self.windows_closed
-    }
-
     /// Horizon-wide mean busy time from the cumulative sum.
     #[must_use]
-    pub fn cumulative_mean(&self) -> f64 {
+    fn cumulative_mean(&self) -> f64 {
         if self.total_ticks == 0 {
             return 0.0;
         }
@@ -218,7 +212,7 @@ impl WindowedAggregator {
     /// Horizon-wide population coefficient of variation from the cumulative
     /// moments.
     #[must_use]
-    pub fn cumulative_cov(&self) -> f64 {
+    fn cumulative_cov(&self) -> f64 {
         let mean = self.cumulative_mean();
         if mean == 0.0 || self.total_ticks == 0 {
             return 0.0;
@@ -289,7 +283,7 @@ mod tests {
         for &v in &data {
             agg.push(v);
         }
-        assert_eq!(agg.windows_closed(), 4);
+        assert_eq!(agg.windows_closed, 4);
         for (w, chunk) in agg.windows().iter().zip(data.chunks(250)) {
             assert_eq!(w.ticks, 250);
             assert_eq!(w.mean_ms, stats::mean(chunk));
@@ -326,7 +320,7 @@ mod tests {
         for v in [50.0, 60.0, 70.0, 80.0, 40.0, 60.0, 90.0] {
             agg.push(v);
         }
-        assert_eq!(agg.windows_closed(), 2);
+        assert_eq!(agg.windows_closed, 2);
         let w0 = &agg.windows()[0];
         assert_eq!(w0.mean_ms, 60.0);
         assert_eq!(w0.p50_ms, 60.0);
@@ -352,7 +346,7 @@ mod tests {
         for i in 0..200 {
             agg.push(f64::from(i));
         }
-        assert_eq!(agg.windows_closed(), 20);
+        assert_eq!(agg.windows_closed, 20);
         assert_eq!(agg.windows().len(), 4, "ring must stay bounded");
         let indices: Vec<u64> = agg.windows().iter().map(|w| w.index).collect();
         assert_eq!(indices, vec![16, 17, 18, 19]);
@@ -385,7 +379,7 @@ mod tests {
         for &v in &data {
             whole.push(v);
         }
-        assert_eq!(whole.windows_closed(), 1);
+        assert_eq!(whole.windows_closed, 1);
         let w = &whole.windows()[0];
         assert_eq!(w.mean_ms, stats::mean(&data));
         assert_eq!(w.cov, stats::coefficient_of_variation(&data));

@@ -11,7 +11,7 @@ use mlg_world::{Block, BlockKind, BlockPos};
 use crate::behavior::Behavior;
 
 /// Interval, in ticks, between a builder bot's block actions.
-pub const BUILD_INTERVAL_TICKS: u64 = 4;
+const BUILD_INTERVAL_TICKS: u64 = 4;
 
 /// One emulated player: its behaviour, position and chat-probing schedule.
 #[derive(Debug)]

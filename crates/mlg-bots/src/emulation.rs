@@ -9,13 +9,13 @@ use mlg_entity::Vec3;
 use mlg_protocol::codec::serverbound_wire_size;
 use mlg_protocol::netsim::{LinkConfig, NetworkLink};
 use mlg_protocol::{ClientboundPacket, ServerboundPacket};
-use mlg_server::{GameServer, PlayerId, TickSummary};
+use mlg_server::{GameServer, TickSummary};
 
 use crate::behavior::Behavior;
 use crate::bot::Bot;
 
 /// Default interval between response-time probes, in ticks (1 s at 20 Hz).
-pub const DEFAULT_PROBE_INTERVAL_TICKS: u64 = 20;
+const DEFAULT_PROBE_INTERVAL_TICKS: u64 = 20;
 
 /// Slack added to packet-delivery poll times so that sub-millisecond network
 /// latencies do not push delivery past the discrete per-tick poll points.
@@ -131,18 +131,6 @@ impl PlayerEmulation {
         self
     }
 
-    /// Number of bots in the swarm.
-    #[must_use]
-    pub fn bot_count(&self) -> usize {
-        self.connections.len()
-    }
-
-    /// The link configuration used between bots and the server.
-    #[must_use]
-    pub fn link_config(&self) -> LinkConfig {
-        self.link_config
-    }
-
     /// Connects every bot to the server, each at its own home position
     /// (the spawn point unless the swarm was [`PlayerEmulation::scattered`]).
     pub fn connect_all(&mut self, server: &mut GameServer) {
@@ -150,15 +138,6 @@ impl PlayerEmulation {
             let id = server.connect_player_at(&conn.bot.name, conn.bot.pos);
             conn.bot.player_id = Some(id);
         }
-    }
-
-    /// The server-side player ids of all connected bots.
-    #[must_use]
-    pub fn player_ids(&self) -> Vec<PlayerId> {
-        self.connections
-            .iter()
-            .filter_map(|c| c.bot.player_id)
-            .collect()
     }
 
     /// Phase 1 of a virtual-time step: every bot acts at `now_ms`, its
@@ -254,12 +233,6 @@ impl PlayerEmulation {
         &self.response_samples
     }
 
-    /// Total bytes the swarm sent towards the server.
-    #[must_use]
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent_to_server
-    }
-
     /// Total bytes the swarm received from the server.
     #[must_use]
     pub fn bytes_received(&self) -> u64 {
@@ -307,8 +280,8 @@ mod tests {
             1,
         );
         emu.connect_all(&mut s);
-        assert_eq!(emu.bot_count(), 25);
-        assert_eq!(emu.player_ids().len(), 25);
+        assert_eq!(emu.connections.len(), 25);
+        assert!(emu.connections.iter().all(|c| c.bot.player_id.is_some()));
         assert_eq!(s.player_count(), 25);
     }
 
@@ -398,7 +371,7 @@ mod tests {
         emu.connect_all(&mut s);
         run_ticks(&mut emu, &mut s, 50);
         assert!(
-            emu.bytes_sent() > 10_000,
+            emu.bytes_sent_to_server > 10_000,
             "25 walking bots should send plenty of moves"
         );
         assert!(emu.bytes_received() > 0);
@@ -433,7 +406,11 @@ mod tests {
 
     #[test]
     fn single_observer_swarm_has_exactly_one_bot() {
-        let emu = PlayerEmulation::new(0, Vec3::ZERO, 0, false, LinkConfig::loopback(), 3);
-        assert_eq!(emu.bot_count(), 1, "bot_count is clamped to at least one");
+        let emu = PlayerEmulation::new(0, Vec3::ZERO, 0, false, LinkConfig::datacenter(), 3);
+        assert_eq!(
+            emu.connections.len(),
+            1,
+            "bot_count is clamped to at least one"
+        );
     }
 }

@@ -14,13 +14,13 @@ use crate::math::Vec3;
 use crate::pathfinding::{self, NextStep, PathScratch};
 
 /// How far a hostile mob can notice a player, in blocks.
-pub const AGGRO_RANGE: f64 = 16.0;
+const AGGRO_RANGE: f64 = 16.0;
 
 /// Maximum wander distance for a single wander decision.
-pub const WANDER_RANGE: i32 = 8;
+const WANDER_RANGE: i32 = 8;
 
 /// Node budget for a single pathfinding request.
-pub const PATH_NODE_BUDGET: u32 = 512;
+const PATH_NODE_BUDGET: u32 = 512;
 
 /// Result of one AI decision step for one mob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct AiOutcome {
 /// towards it when needed, and set the entity's velocity along the path.
 ///
 /// `players` are the positions of currently connected players; hostile mobs
-/// target the nearest one within [`AGGRO_RANGE`]. `scratch` is the caller's
+/// target the nearest one within `AGGRO_RANGE`. `scratch` is the caller's
 /// pathfinding working memory, reused from mob to mob and tick to tick — on
 /// one world: it remembers routes (see [`pathfinding::next_step_with`]).
 pub fn decide<W: BlockReader, R: Rng>(

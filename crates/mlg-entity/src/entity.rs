@@ -86,7 +86,7 @@ impl EntityKind {
 
     /// Ticks after which an unattended entity of this kind despawns, if any.
     #[must_use]
-    pub fn despawn_after_ticks(self) -> Option<u64> {
+    fn despawn_after_ticks(self) -> Option<u64> {
         match self {
             // Items vanish after 5 minutes (6000 ticks).
             EntityKind::Item(_) | EntityKind::ExperienceOrb => Some(6_000),
@@ -163,7 +163,7 @@ pub struct Entity {
 
 impl Entity {
     /// Default TNT fuse length in ticks (4 seconds at 20 Hz).
-    pub const TNT_FUSE_TICKS: u16 = 80;
+    const TNT_FUSE_TICKS: u16 = 80;
 
     /// Creates a new entity of `kind` at `pos` with sensible defaults.
     #[must_use]

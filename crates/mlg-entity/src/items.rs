@@ -13,10 +13,10 @@ use crate::entity::{Entity, EntityId, EntityKind};
 use crate::spatial::SpatialGrid;
 
 /// Radius within which identical item entities merge into one stack.
-pub const MERGE_RADIUS: f64 = 1.5;
+const MERGE_RADIUS: f64 = 1.5;
 
 /// Maximum stack size after merging.
-pub const MAX_STACK: u32 = 64;
+const MAX_STACK: u32 = 64;
 
 /// Result of one item-maintenance pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -160,7 +160,7 @@ impl EntityManager {
 
     /// Number of live hostile mobs: a dense walk over the rows.
     #[must_use]
-    pub fn hostile_count(&self) -> usize {
+    fn hostile_count(&self) -> usize {
         self.store
             .iter_live()
             .filter(|e| e.kind.is_hostile())
@@ -176,7 +176,7 @@ impl EntityManager {
     /// Applies `f` to the entity with `id` in place. Returns `false` when
     /// no such live entity exists. Position changes are picked up by the
     /// next tick's grid sync; `f` must not change the id.
-    pub fn modify(&mut self, id: EntityId, f: impl FnOnce(&mut Entity)) -> bool {
+    fn modify(&mut self, id: EntityId, f: impl FnOnce(&mut Entity)) -> bool {
         let Some(entity) = self.store.get_mut(id) else {
             return false;
         };

@@ -165,17 +165,6 @@ impl Aabb {
         }
     }
 
-    /// Returns `true` if the two boxes overlap.
-    #[must_use]
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x < other.max.x
-            && self.max.x > other.min.x
-            && self.min.y < other.max.y
-            && self.max.y > other.min.y
-            && self.min.z < other.max.z
-            && self.max.z > other.min.z
-    }
-
     /// Returns `true` if the point is inside the box.
     #[must_use]
     pub fn contains(&self, p: Vec3) -> bool {
@@ -185,15 +174,6 @@ impl Aabb {
             && p.y <= self.max.y
             && p.z >= self.min.z
             && p.z <= self.max.z
-    }
-
-    /// Returns the box translated by `offset`.
-    #[must_use]
-    pub fn translated(&self, offset: Vec3) -> Aabb {
-        Aabb {
-            min: self.min.add(offset),
-            max: self.max.add(offset),
-        }
     }
 
     /// The centre point of the box.
@@ -264,36 +244,11 @@ mod tests {
     }
 
     #[test]
-    fn aabb_intersection() {
-        let a = Aabb::from_feet(Vec3::new(0.0, 0.0, 0.0), 0.5, 2.0);
-        let b = Aabb::from_feet(Vec3::new(0.6, 0.0, 0.0), 0.5, 2.0);
-        let c = Aabb::from_feet(Vec3::new(5.0, 0.0, 0.0), 0.5, 2.0);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-    }
-
-    #[test]
-    fn aabb_touching_boxes_do_not_intersect() {
-        let a = Aabb::new(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
-        let b = Aabb::new(Vec3::new(1.0, 0.0, 0.0), Vec3::new(2.0, 1.0, 1.0));
-        assert!(!a.intersects(&b));
-    }
-
-    #[test]
     fn aabb_contains_and_center() {
         let b = Aabb::new(Vec3::ZERO, Vec3::new(2.0, 4.0, 2.0));
         assert!(b.contains(Vec3::new(1.0, 2.0, 1.0)));
         assert!(!b.contains(Vec3::new(3.0, 2.0, 1.0)));
         assert_eq!(b.center(), Vec3::new(1.0, 2.0, 1.0));
-    }
-
-    #[test]
-    fn aabb_translation() {
-        let b = Aabb::new(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
-        let t = b.translated(Vec3::new(0.0, 5.0, 0.0));
-        assert_eq!(t.min.y, 5.0);
-        assert_eq!(t.max.y, 6.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! nothing but the [`PathResult::path`] it returns on success —
 //! [`next_step_with`], which is what mob AI calls, not even that: it walks
 //! the route back to its first step and returns the position. Each node
-//! carries its walkability verdict, so [`is_walkable`] runs once per
+//! carries its walkability verdict, so `is_walkable` runs once per
 //! position per search instead of once per parent that reaches it.
 //!
 //! The result is **bit-identical by construction** to the textbook
@@ -96,7 +96,7 @@ pub struct PathResult {
 /// Returns `true` if a mob can stand at `pos`: solid ground below, and the
 /// position itself plus head-room above are passable.
 #[must_use]
-pub fn is_walkable<W: BlockReader>(world: &mut W, pos: BlockPos) -> bool {
+fn is_walkable<W: BlockReader>(world: &mut W, pos: BlockPos) -> bool {
     let ground = world.block(pos.down());
     let feet = world.block(pos);
     let head = world.block(pos.up());
@@ -205,7 +205,7 @@ const ROUTES: usize = 256;
 
 const _: () = assert!(ROUTES * std::mem::size_of::<Option<Route>>() <= 16 << 10);
 
-/// The reusable working memory of [`find_path_with`] and
+/// The reusable working memory of `find_path_with` and
 /// [`next_step_with`]: keep one per caller and hand it to every search. A
 /// fresh one allocates nothing until a search needs it.
 ///
@@ -357,7 +357,7 @@ impl PathScratch {
 /// budget limits per mob per tick.
 ///
 /// Allocates a [`PathScratch`] for the one search; a caller that searches
-/// repeatedly keeps one and calls [`find_path_with`].
+/// repeatedly keeps one and calls `find_path_with`.
 pub fn find_path<W: BlockReader>(
     world: &mut W,
     start: BlockPos,
@@ -377,7 +377,7 @@ pub fn find_path<W: BlockReader>(
 /// first). Heap keys hold `f` in 32 bits: `max_nodes` plus the Manhattan
 /// distance from `start` to `goal` must stay below 2³², which
 /// `manhattan_distance` itself needs.
-pub fn find_path_with<W: BlockReader>(
+fn find_path_with<W: BlockReader>(
     world: &mut W,
     start: BlockPos,
     goal: BlockPos,
@@ -482,7 +482,7 @@ fn standable_below<W: BlockReader>(world: &mut W, pos: BlockPos) -> BlockPos {
 
 /// The first step of a mob's route from the block it occupies, `from`, to
 /// the block of its target, `to`: both ends are brought down to the nearest
-/// standable block (up to three blocks lower), then [`find_path_with`]
+/// standable block (up to three blocks lower), then `find_path_with`
 /// answers — its `nodes_expanded` and `reached_goal`, and the first
 /// position of its path.
 ///

@@ -6,13 +6,13 @@ use crate::entity::Entity;
 use crate::math::Vec3;
 
 /// Downward acceleration applied per tick, in blocks/tick².
-pub const GRAVITY: f64 = 0.08;
+const GRAVITY: f64 = 0.08;
 
 /// Velocity retained each tick (air drag).
-pub const DRAG: f64 = 0.98;
+const DRAG: f64 = 0.98;
 
 /// Additional horizontal velocity retention when on the ground (friction).
-pub const GROUND_FRICTION: f64 = 0.6;
+const GROUND_FRICTION: f64 = 0.6;
 
 /// Result of integrating one entity for one tick.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

@@ -22,7 +22,7 @@ use crate::entity::EntityId;
 use crate::math::Vec3;
 
 /// Cell edge length of the spatial grid, in blocks.
-pub const CELL_SIZE: f64 = 4.0;
+const CELL_SIZE: f64 = 4.0;
 
 /// Bits per axis in the packed cell key. Coordinates wrap beyond
 /// ±2²⁰ cells (±4 million blocks), far outside any benchmark world.

@@ -10,7 +10,7 @@
 //! candidate positions every tick, which costs work even when nothing spawns.
 //!
 //! The scan is modeled per *candidate* (`positions_scanned`), not per block
-//! read, so [`Spawner::is_valid_spawn_position`] answers as cheaply as it
+//! read, so `Spawner::is_valid_spawn_position` answers as cheaply as it
 //! can. It first looks up the candidate's column summary
 //! ([`World::column_summary`]): feet above the column's `top` stand on air,
 //! or on `top` itself under open sky (light 15); feet at or below its
@@ -40,17 +40,17 @@ use crate::math::Vec3;
 
 /// Maximum number of hostile mobs per loaded "spawning area" before spawning
 /// pauses (the hostile mob cap).
-pub const HOSTILE_MOB_CAP: usize = 70;
+const HOSTILE_MOB_CAP: usize = 70;
 
 /// Sky-light level at or below which hostile mobs may spawn.
-pub const MAX_SPAWN_LIGHT: u8 = 0;
+const MAX_SPAWN_LIGHT: u8 = 0;
 
 // Open sky must be too bright: a candidate above its column's top is
 // rejected without reading the light.
 const _: () = assert!(MAX_SPAWN_LIGHT < MAX_LIGHT);
 
 /// Horizontal radius around players in which spawning is attempted.
-pub const SPAWN_RADIUS: i32 = 48;
+const SPAWN_RADIUS: i32 = 48;
 
 /// Result of one spawning pass.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -95,7 +95,7 @@ impl Spawner {
     /// sky light. All of them are in one column, so stopping early touches
     /// (and lazily generates) the same chunk reading everything would; see
     /// the module docs for the edges of the world.
-    pub fn is_valid_spawn_position(&self, world: &mut World, pos: BlockPos) -> bool {
+    fn is_valid_spawn_position(&self, world: &mut World, pos: BlockPos) -> bool {
         if pos.y > WORLD_HEIGHT as i32 {
             // Ground above the world reads as air and touches nothing.
             return false;
@@ -133,7 +133,7 @@ impl Spawner {
     /// Runs one spawning pass around the given player positions.
     ///
     /// `current_hostile_count` is the number of hostile mobs already alive;
-    /// when it is at or above [`HOSTILE_MOB_CAP`] no new mobs spawn, but the
+    /// when it is at or above `HOSTILE_MOB_CAP` no new mobs spawn, but the
     /// candidate scan (and its cost) still happens, matching real servers.
     pub fn tick<R: Rng>(
         &self,

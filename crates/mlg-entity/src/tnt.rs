@@ -15,7 +15,7 @@ use crate::math::Vec3;
 pub const TNT_POWER: u32 = 4;
 
 /// Radius within which an explosion knocks back other entities.
-pub const KNOCKBACK_RADIUS: f64 = 8.0;
+const KNOCKBACK_RADIUS: f64 = 8.0;
 
 /// What happened when a primed TNT entity was ticked.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -165,6 +165,7 @@ fn write_serverbound(buf: &mut impl BufMut, packet: &ServerboundPacket) {
 
 /// Encodes a serverbound packet into bytes.
 #[must_use]
+// detlint: allow(pub-without-caller) -- tests/property_tests.rs checks serverbound_wire_size against this encoder
 pub fn encode_serverbound(packet: &ServerboundPacket) -> Bytes {
     let size = serverbound_wire_size(packet);
     let mut buf = BytesMut::with_capacity(size);
@@ -178,6 +179,7 @@ pub fn encode_serverbound(packet: &ServerboundPacket) -> Bytes {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] when the data is truncated or malformed.
+// detlint: allow(pub-without-caller) -- tests/property_tests.rs round-trips and fuzzes the encoding with it
 pub fn decode_serverbound(mut data: Bytes) -> Result<ServerboundPacket, DecodeError> {
     if !data.has_remaining() {
         return Err(DecodeError::UnexpectedEnd);

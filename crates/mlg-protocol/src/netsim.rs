@@ -31,24 +31,6 @@ impl LinkConfig {
             jitter_ms: 0.3,
         }
     }
-
-    /// A home-network-to-cloud link as in Figure 2 of the paper.
-    #[must_use]
-    pub fn residential() -> Self {
-        LinkConfig {
-            base_latency_ms: 15.0,
-            jitter_ms: 5.0,
-        }
-    }
-
-    /// A loopback link with no delay (bots colocated with the server).
-    #[must_use]
-    pub fn loopback() -> Self {
-        LinkConfig {
-            base_latency_ms: 0.0,
-            jitter_ms: 0.0,
-        }
-    }
 }
 
 impl Default for LinkConfig {
@@ -61,7 +43,6 @@ impl Default for LinkConfig {
 struct InFlight<T> {
     deliver_at_ms: f64,
     payload: T,
-    size_bytes: usize,
 }
 
 /// A unidirectional, latency-delayed, in-order packet queue.
@@ -98,12 +79,6 @@ impl<T> NetworkLink<T> {
         }
     }
 
-    /// Returns the link configuration.
-    #[must_use]
-    pub fn config(&self) -> LinkConfig {
-        self.config
-    }
-
     /// Enqueues a payload of `size_bytes` at virtual time `now_ms`.
     pub fn send(&mut self, now_ms: f64, payload: T, size_bytes: usize) {
         let jitter = if self.config.jitter_ms > 0.0 {
@@ -117,7 +92,6 @@ impl<T> NetworkLink<T> {
         self.queue.push_back(InFlight {
             deliver_at_ms: deliver_at,
             payload,
-            size_bytes,
         });
         self.packets_sent += 1;
         self.bytes_sent += size_bytes as u64;
@@ -131,18 +105,6 @@ impl<T> NetworkLink<T> {
             delivered.extend(self.queue.pop_front().map(|p| p.payload));
         }
         delivered
-    }
-
-    /// Number of packets currently in flight.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total bytes currently in flight (queued but not yet delivered).
-    #[must_use]
-    pub fn bytes_in_flight(&self) -> u64 {
-        self.queue.iter().map(|p| p.size_bytes as u64).sum()
     }
 
     /// Drops every in-flight packet (connection reset).
@@ -167,12 +129,16 @@ mod tests {
         link.send(0.0, 42, 8);
         assert!(link.poll(5.0).is_empty());
         assert_eq!(link.poll(10.0), vec![42]);
-        assert_eq!(link.in_flight(), 0);
+        assert!(link.poll(1_000.0).is_empty(), "each packet arrives once");
     }
 
     #[test]
     fn loopback_delivers_immediately() {
-        let mut link: NetworkLink<&str> = NetworkLink::new(LinkConfig::loopback(), 1);
+        let loopback = LinkConfig {
+            base_latency_ms: 0.0,
+            jitter_ms: 0.0,
+        };
+        let mut link: NetworkLink<&str> = NetworkLink::new(loopback, 1);
         link.send(100.0, "hello", 5);
         assert_eq!(link.poll(100.0), vec!["hello"]);
     }
@@ -208,7 +174,6 @@ mod tests {
         link.send(0.0, 1, 4);
         link.send(50.0, 2, 4);
         assert_eq!(link.poll(20.0), vec![1]);
-        assert_eq!(link.in_flight(), 1);
         assert_eq!(link.poll(60.0), vec![2]);
     }
 
@@ -219,16 +184,18 @@ mod tests {
         link.send(0.0, 2, 200);
         assert_eq!(link.packets_sent, 2);
         assert_eq!(link.bytes_sent, 300);
-        assert_eq!(link.bytes_in_flight(), 300);
-        link.poll(1_000.0);
-        assert_eq!(link.bytes_in_flight(), 0);
+        assert_eq!(link.poll(1_000.0), vec![1, 2]);
         // Cumulative counters survive delivery.
         assert_eq!(link.bytes_sent, 300);
     }
 
     #[test]
     fn reset_drops_in_flight_packets() {
-        let mut link: NetworkLink<u8> = NetworkLink::new(LinkConfig::residential(), 9);
+        let residential = LinkConfig {
+            base_latency_ms: 15.0,
+            jitter_ms: 5.0,
+        };
+        let mut link: NetworkLink<u8> = NetworkLink::new(residential, 9);
         link.send(0.0, 1, 10);
         link.reset();
         assert!(link.poll(1_000.0).is_empty());

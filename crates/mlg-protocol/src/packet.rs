@@ -217,7 +217,7 @@ mod tests {
         .is_entity_related());
         assert!(ClientboundPacket::EntityDestroy { id: EntityId(1) }.is_entity_related());
         assert!(!ClientboundPacket::BlockChange {
-            pos: BlockPos::ORIGIN,
+            pos: BlockPos::new(0, 0, 0),
             block: Block::simple(BlockKind::Stone)
         }
         .is_entity_related());
@@ -232,7 +232,7 @@ mod tests {
         }
         .is_terrain_related());
         assert!(ServerboundPacket::BlockDig {
-            pos: BlockPos::ORIGIN
+            pos: BlockPos::new(0, 0, 0)
         }
         .is_terrain_related());
         assert!(!ServerboundPacket::Disconnect.is_terrain_related());
@@ -251,12 +251,12 @@ mod tests {
             }
             .packet_id(),
             ServerboundPacket::BlockPlace {
-                pos: BlockPos::ORIGIN,
+                pos: BlockPos::new(0, 0, 0),
                 block: Block::AIR,
             }
             .packet_id(),
             ServerboundPacket::BlockDig {
-                pos: BlockPos::ORIGIN,
+                pos: BlockPos::new(0, 0, 0),
             }
             .packet_id(),
             ServerboundPacket::Chat {

@@ -89,6 +89,7 @@ impl ServerConfig {
 
     /// Returns a copy with a different view distance.
     #[must_use]
+    // detlint: allow(pub-without-caller) -- tests/ shrink the view distance to keep join streaming small
     pub fn with_view_distance(mut self, chunks: u32) -> Self {
         self.view_distance = chunks;
         self

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Serial flavors still get JVM-runtime parallelism (parallel GC, JIT,
 /// netty I/O) on the simulation-heavy stages — that is
-/// [`StageParallelism::jvm`], the mechanism behind the paper's MF5 (bigger
+/// `StageParallelism::jvm`, the mechanism behind the paper's MF5 (bigger
 /// nodes reduce TNT overload even for vanilla) — while their player handler
 /// and dissemination stay on the main thread. Sharded flavors
 /// ([`StageParallelism::sharded`]) parallelize every stage over their tick
@@ -61,20 +61,11 @@ pub struct StageParallelism {
 }
 
 impl StageParallelism {
-    /// Everything on the main thread (no intra-loop parallelism at all).
-    pub const SERIAL: StageParallelism = StageParallelism {
-        player: 0.0,
-        terrain: 0.0,
-        entity: 0.0,
-        lighting: 0.0,
-        dissemination: 0.0,
-    };
-
     /// JVM-runtime parallelism for a serial game loop: `fraction` of the
     /// simulation-heavy stages (terrain chunks, entities, lighting) spreads
     /// across vCPUs, the player handler and dissemination stay serial.
     #[must_use]
-    pub fn jvm(fraction: f64) -> Self {
+    fn jvm(fraction: f64) -> Self {
         StageParallelism {
             player: 0.0,
             terrain: fraction,
@@ -95,17 +86,6 @@ impl StageParallelism {
             lighting: fraction,
             dissemination: fraction,
         }
-    }
-
-    /// The largest per-stage fraction (used by tests and diagnostics as a
-    /// scalar summary of how parallel the flavor's loop is).
-    #[must_use]
-    pub fn max_fraction(&self) -> f64 {
-        self.player
-            .max(self.terrain)
-            .max(self.entity)
-            .max(self.lighting)
-            .max(self.dissemination)
     }
 }
 
@@ -390,15 +370,10 @@ mod tests {
     #[test]
     fn stage_parallelism_constructors() {
         let jvm = StageParallelism::jvm(0.2);
-        assert_eq!(jvm.player, 0.0);
-        assert_eq!(jvm.dissemination, 0.0);
-        assert_eq!(jvm.entity, 0.2);
-        assert_eq!(jvm.max_fraction(), 0.2);
-        let sharded = StageParallelism::sharded(0.8);
-        assert_eq!(sharded.player, 0.8);
-        assert_eq!(sharded.dissemination, 0.8);
-        assert_eq!(sharded.max_fraction(), 0.8);
-        assert_eq!(StageParallelism::SERIAL.max_fraction(), 0.0);
+        let fractions =
+            |p: StageParallelism| [p.player, p.terrain, p.entity, p.lighting, p.dissemination];
+        assert_eq!(fractions(jvm), [0.0, 0.2, 0.2, 0.2, 0.0]);
+        assert_eq!(fractions(StageParallelism::sharded(0.8)), [0.8; 5]);
     }
 
     #[test]

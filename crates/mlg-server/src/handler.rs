@@ -29,7 +29,7 @@
 //! canonical merge order, serial-tail escalation). What is specific to the
 //! player stage:
 //!
-//! * **Escalation rules** ([`player_shard_assignment`]): a player runs in
+//! * **Escalation rules** (`player_shard_assignment`): a player runs in
 //!   the parallel phase only when its own chunk is *interior* to one shard
 //!   AND every terrain-touching action in its queue (move target, block
 //!   placement, dig) stays inside that same shard's interior. Anything
@@ -198,7 +198,7 @@ pub struct ShardedPlayerStage {
 /// makes the whole queue serial. Chat and keep-alives touch no terrain and
 /// never force escalation.
 #[must_use]
-pub fn player_shard_assignment(
+fn player_shard_assignment(
     map: &ShardMap,
     player: &ConnectedPlayer,
     actions: &[ServerboundPacket],
@@ -428,7 +428,7 @@ mod tests {
         assert_eq!(report.blocks_dug, 1);
         // The writes went through the update path, so terrain simulation will
         // react next tick.
-        assert!(w.updates().immediate_len() > 0);
+        assert!(w.updates_mut().pop_immediate().is_some());
     }
 
     #[test]

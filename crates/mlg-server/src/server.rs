@@ -312,20 +312,6 @@ impl GameServer {
         self.eager_lighting
     }
 
-    /// Whether the dissemination stage filters positioned packets through
-    /// per-player areas of interest (`false` = classic full broadcast).
-    #[must_use]
-    pub fn aoi_dissemination(&self) -> bool {
-        self.profile.aoi_dissemination
-    }
-
-    /// Number of terrain changes queued for the next tick's pipelined
-    /// lighting stage (always 0 under eager lighting).
-    #[must_use]
-    pub fn pending_relight_len(&self) -> usize {
-        self.pending_relight.len()
-    }
-
     /// The tick-pipeline execution configuration in effect.
     #[must_use]
     pub fn pipeline(&self) -> &TickPipeline {
@@ -339,6 +325,7 @@ impl GameServer {
     }
 
     /// Mutable access to the world (used by workload setup, e.g. fusing TNT).
+    // detlint: allow(pub-without-caller) -- tests/tnt_ignition.rs and tests/sharded_determinism.rs edit the running world
     pub fn world_mut(&mut self) -> &mut World {
         &mut self.world
     }
@@ -355,22 +342,10 @@ impl GameServer {
         self.tick_index
     }
 
-    /// Number of live entities.
-    #[must_use]
-    pub fn entity_count(&self) -> usize {
-        self.entities.count()
-    }
-
     /// The crash record, if the server aborted.
     #[must_use]
     pub fn crash(&self) -> Option<&ServerCrash> {
         self.crash.as_ref()
-    }
-
-    /// Returns `true` while the server can keep ticking.
-    #[must_use]
-    pub fn is_running(&self) -> bool {
-        self.crash.is_none()
     }
 
     /// Accumulated clientbound traffic summary (Table 8 source data).
@@ -385,6 +360,7 @@ impl GameServer {
     /// chunk-data packets), which is the work burst behind the paper's
     /// observation that response-time outliers "occur directly after a player
     /// connects".
+    // detlint: allow(pub-without-caller) -- tests/sharded_determinism.rs joins players at the spawn point
     pub fn connect_player(&mut self, name: &str) -> PlayerId {
         let spawn = self.spawn_point;
         self.connect_player_at(name, spawn)
@@ -1002,7 +978,7 @@ mod tests {
                 player_id: s.player(id).expect("just connected").entity_id,
                 spawn: pos,
             }];
-            for chunk in pos.block_pos().chunk().within_radius(2) {
+            for chunk in pos.block_pos().chunk().square(2) {
                 expected.push(ClientboundPacket::ChunkData {
                     pos: chunk,
                     payload_bytes: terrain.generate(chunk).network_size_bytes() as u32,
@@ -1166,7 +1142,7 @@ mod tests {
             crashed,
             "server should crash when a tick exceeds the keep-alive window"
         );
-        assert!(!s.is_running());
+        assert!(s.crash().is_some());
         assert_eq!(s.player_count(), 0);
         // Further ticks are no-ops that keep reporting the crash.
         let again = s.run_tick(&mut e);
@@ -1286,14 +1262,14 @@ mod tests {
         let mut e = engine();
         s.connect_player("probe");
         s.run_tick(&mut e);
-        assert_eq!(s.pending_relight_len(), 0, "idle ticks queue nothing");
+        assert!(s.pending_relight.is_empty(), "idle ticks queue nothing");
         // A fused TNT block detonating is a terrain-stage change.
         s.world_mut()
             .set_block_silent(BlockPos::new(5, 61, 5), Block::simple(BlockKind::Tnt));
         s.schedule_tnt_ignition(1);
         s.run_tick(&mut e);
         assert!(
-            s.pending_relight_len() > 0,
+            !s.pending_relight.is_empty(),
             "the ignition change must queue for the pipelined stage"
         );
         s.run_tick(&mut e);
@@ -1303,7 +1279,7 @@ mod tests {
         for _ in 0..40 {
             s.run_tick(&mut e);
         }
-        assert_eq!(s.pending_relight_len(), 0, "the queue must drain");
+        assert!(s.pending_relight.is_empty(), "the queue must drain");
 
         // The ServerConfig override forces eager lighting back on.
         let eager_config = ServerConfig::for_flavor(ServerFlavor::Folia)
@@ -1334,7 +1310,7 @@ mod tests {
             }
             (
                 s.world().total_non_air_blocks(),
-                s.entity_count(),
+                s.entities.count(),
                 s.ticks_executed(),
             )
         };

@@ -152,16 +152,6 @@ impl BlockKind {
         )
     }
 
-    /// Returns the amount of block light emitted by this block kind (0–15).
-    #[must_use]
-    pub fn light_emission(self) -> u8 {
-        match self {
-            BlockKind::Lava | BlockKind::Magma => 15,
-            BlockKind::RedstoneTorch => 7,
-            _ => 0,
-        }
-    }
-
     /// Returns how much light is attenuated when passing through this block
     /// (15 = fully opaque, 0 = fully transparent).
     #[must_use]
@@ -496,8 +486,6 @@ mod tests {
 
     #[test]
     fn light_properties() {
-        assert_eq!(BlockKind::Lava.light_emission(), 15);
-        assert_eq!(BlockKind::Stone.light_emission(), 0);
         assert_eq!(BlockKind::Stone.light_opacity(), 15);
         assert_eq!(BlockKind::Air.light_opacity(), 0);
         assert_eq!(BlockKind::Water.light_opacity(), 2);

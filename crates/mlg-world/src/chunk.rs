@@ -59,9 +59,10 @@ pub(crate) const LAYER: usize = CHUNK_SIZE * CHUNK_SIZE;
 /// Words in the per-chunk light-dirty column bitmask (256 columns).
 const LIGHT_DIRTY_WORDS: usize = LAYER / 64;
 
-/// Heap bytes a dense `Vec<Block>` chunk body would occupy. Kept as the
-/// baseline for the palette-compression regression tests and benches.
-pub const DENSE_BODY_BYTES: usize = BLOCKS_PER_CHUNK * std::mem::size_of::<Block>();
+/// Heap bytes a dense `Vec<Block>` chunk body would occupy: the baseline
+/// of the palette-compression regression tests.
+#[cfg(test)]
+const DENSE_BODY_BYTES: usize = BLOCKS_PER_CHUNK * std::mem::size_of::<Block>();
 
 /// `true` for a block a mob's feet cannot occupy: solid or fluid.
 fn solid_or_fluid(block: Block) -> bool {
@@ -305,7 +306,7 @@ impl Chunk {
 
     /// Heap bytes owned by the block store (palette + packed indices).
     ///
-    /// Compare with [`DENSE_BODY_BYTES`] to measure the palette win.
+    /// Compare with a dense `Vec<Block>` body to measure the palette win.
     #[must_use]
     pub fn storage_bytes(&self) -> usize {
         self.store.storage_bytes()

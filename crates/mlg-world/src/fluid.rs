@@ -12,13 +12,13 @@ use crate::shard::TerrainView;
 
 /// Maximum horizontal flow level: level 0 is a source, levels 1..=MAX_LEVEL
 /// are flowing fluid that gets shallower with distance.
-pub const MAX_FLOW_LEVEL: u8 = 7;
+const MAX_FLOW_LEVEL: u8 = 7;
 
 /// Tick delay between water spread steps.
-pub const WATER_SPREAD_DELAY: u64 = 5;
+const WATER_SPREAD_DELAY: u64 = 5;
 
 /// Tick delay between lava spread steps (lava flows slower than water).
-pub const LAVA_SPREAD_DELAY: u64 = 10;
+const LAVA_SPREAD_DELAY: u64 = 10;
 
 /// Result of one fluid update at a position.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,7 +39,7 @@ pub struct FluidOutcome {
 ///
 /// Panics if `kind` is not a fluid.
 #[must_use]
-pub fn spread_delay(kind: BlockKind) -> u64 {
+fn spread_delay(kind: BlockKind) -> u64 {
     match kind {
         BlockKind::Water => WATER_SPREAD_DELAY,
         BlockKind::Lava => LAVA_SPREAD_DELAY,
@@ -77,7 +77,7 @@ fn solidification_product(kind: BlockKind, other_state: u8) -> BlockKind {
 ///
 /// 1. If the fluid can flow straight down it does so (level resets to 1).
 /// 2. Otherwise it spreads to horizontally adjacent air blocks with
-///    `level + 1`, up to [`MAX_FLOW_LEVEL`].
+///    `level + 1`, up to `MAX_FLOW_LEVEL`.
 /// 3. Flowing fluid whose source has disappeared dries up.
 /// 4. Contact with the opposing fluid solidifies into
 ///    stone/cobblestone/obsidian.
@@ -255,7 +255,7 @@ mod tests {
         w.set_block_silent(pos, Block::simple(BlockKind::Water));
         let out = apply_fluid(&mut w, pos);
         assert!(out.rescheduled);
-        assert!(w.updates().scheduled_len() >= 1);
+        assert!(!w.updates_mut().pop_due(u64::MAX).is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::chunk::{BlockSink, Chunk, ChunkBuilder, CHUNK_SIZE, WORLD_HEIGHT};
 use crate::pos::ChunkPos;
 
 /// Default sea level used by the generators.
-pub const SEA_LEVEL: i32 = 62;
+const SEA_LEVEL: i32 = 62;
 
 /// A chunk generator: produces the initial content of a chunk column.
 ///
@@ -53,7 +53,7 @@ impl FlatGenerator {
     /// inside the world; [`FlatGenerator::surface_y`] reports the clamped
     /// value, which is where workload builders put their structures.
     #[must_use]
-    pub fn with_surface(surface_y: i32, surface: BlockKind) -> Self {
+    fn with_surface(surface_y: i32, surface: BlockKind) -> Self {
         FlatGenerator {
             surface_y: surface_y.clamp(1, WORLD_HEIGHT as i32 - 1),
             surface,
@@ -151,7 +151,8 @@ impl NoiseGenerator {
 
     /// Overrides the terrain amplitude (hill height range in blocks).
     #[must_use]
-    pub fn with_amplitude(mut self, amplitude: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_amplitude(mut self, amplitude: f64) -> Self {
         self.amplitude = amplitude;
         self
     }

@@ -11,10 +11,10 @@ use crate::pos::BlockPos;
 use crate::shard::TerrainView;
 
 /// Maximum growth stage for staged crops (wheat, sugar cane).
-pub const MAX_CROP_STAGE: u8 = 7;
+const MAX_CROP_STAGE: u8 = 7;
 
 /// Maximum natural height of a kelp stalk, in blocks.
-pub const MAX_KELP_HEIGHT: u8 = 16;
+const MAX_KELP_HEIGHT: u8 = 16;
 
 /// Result of applying a random tick to a plant block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

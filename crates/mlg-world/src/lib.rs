@@ -63,7 +63,7 @@ pub mod update;
 pub mod world;
 
 pub use block::{Block, BlockKind};
-pub use chunk::{Chunk, CHUNK_SIZE, DENSE_BODY_BYTES, WORLD_HEIGHT};
+pub use chunk::{Chunk, CHUNK_SIZE, WORLD_HEIGHT};
 pub use palette::PaletteStore;
 pub use pool::{PoolScope, TickWorkerPool};
 pub use pos::{BlockPos, ChunkPos};
@@ -73,13 +73,6 @@ pub use shard::{BlockReader, ShardLoadReport, ShardMap, TerrainView, TickPipelin
 pub use sim::{ShardedTerrainTick, TerrainSimulator, TerrainTickReport};
 pub use update::{BlockUpdate, UpdateKind};
 pub use world::World;
-
-/// The fixed duration of one game tick at the intended 20 Hz rate, in
-/// milliseconds.
-///
-/// Section 2.1 of the paper: "In MLGs, this frequency is typically set to
-/// 20 Hz, or 50 ms per tick."
-pub const TICK_MS: f64 = 50.0;
 
 /// Number of game ticks per simulated second at the intended rate.
 pub const TICKS_PER_SECOND: u64 = 20;

@@ -410,7 +410,8 @@ impl PaletteStore {
 
     /// Bits per packed index entry (0 for an unmaterialized all-air store).
     #[must_use]
-    pub fn bits_per_entry(&self) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn bits_per_entry(&self) -> u8 {
         self.bits
     }
 

@@ -10,7 +10,7 @@
 
 use crate::block::{Block, BlockKind};
 use crate::pos::BlockPos;
-use crate::shard::{BlockReader, TerrainView};
+use crate::shard::TerrainView;
 
 /// Result of applying the gravity rule at a single position.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,17 +21,6 @@ pub struct GravityOutcome {
     pub fall_distance: u32,
     /// Number of world reads performed while scanning for a landing spot.
     pub blocks_scanned: u32,
-}
-
-/// Returns `true` if the block at `pos` would currently fall.
-#[must_use]
-pub fn is_unsupported<W: BlockReader>(world: &mut W, pos: BlockPos) -> bool {
-    let block = world.block(pos);
-    if !block.kind().is_gravity_affected() {
-        return false;
-    }
-    let below = world.block(pos.down());
-    below.is_air() || below.kind().is_fluid()
 }
 
 /// Applies gravity at `pos`: if the block there is gravity-affected and
@@ -74,14 +63,6 @@ pub fn apply_gravity<W: TerrainView>(world: &mut W, pos: BlockPos) -> GravityOut
     outcome
 }
 
-/// Returns `true` if the (solid, non-gravity) block at `pos` has lost all
-/// support, i.e. no solid block is face-adjacent. Used by explosion handling
-/// to decide which neighbouring blocks should also break.
-#[must_use]
-pub fn has_any_support<W: BlockReader>(world: &mut W, pos: BlockPos) -> bool {
-    pos.neighbors().iter().any(|&n| world.block(n).is_solid())
-}
-
 /// Block kinds that the physics rule is interested in. Exposed so that the
 /// terrain simulator can cheaply pre-filter updates.
 #[must_use]
@@ -117,7 +98,6 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4); // directly on the grass surface
         w.set_block_silent(pos, Block::simple(BlockKind::Sand));
-        assert!(!is_unsupported(&mut w, pos));
         let outcome = apply_gravity(&mut w, pos);
         assert!(!outcome.fell);
         assert_eq!(w.block(pos).kind(), BlockKind::Sand);
@@ -128,7 +108,6 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 80, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Stone));
-        assert!(!is_unsupported(&mut w, pos));
         let outcome = apply_gravity(&mut w, pos);
         assert!(!outcome.fell);
         assert_eq!(w.block(pos).kind(), BlockKind::Stone);
@@ -142,7 +121,6 @@ mod tests {
             w.set_block_silent(BlockPos::new(4, y, 4), Block::simple(BlockKind::Water));
         }
         w.set_block_silent(pos, Block::simple(BlockKind::Sand));
-        assert!(is_unsupported(&mut w, pos));
         let outcome = apply_gravity(&mut w, pos);
         assert!(outcome.fell);
         assert_eq!(w.block(BlockPos::new(4, 61, 4)).kind(), BlockKind::Sand);
@@ -156,18 +134,24 @@ mod tests {
         apply_gravity(&mut w, start);
         // Two set_block calls: the vacated position and the landing position,
         // each enqueueing itself plus six neighbours (with dedup).
-        assert!(w.updates().immediate_len() > 6);
+        let queued = std::iter::from_fn(|| w.updates_mut().pop_immediate()).count();
+        assert!(queued > 6);
         assert_eq!(w.pending_change_count(), 2);
     }
 
     #[test]
     fn support_detection() {
+        // Only the block directly below supports a gravity block: solid
+        // neighbours at its side do not hold it up.
         let mut w = world();
         let floating = BlockPos::new(4, 90, 4);
-        w.set_block_silent(floating, Block::simple(BlockKind::Planks));
-        assert!(!has_any_support(&mut w, floating));
-        w.set_block_silent(floating.down(), Block::simple(BlockKind::Stone));
-        assert!(has_any_support(&mut w, floating));
+        w.set_block_silent(floating, Block::simple(BlockKind::Sand));
+        for side in floating.horizontal_neighbors() {
+            w.set_block_silent(side, Block::simple(BlockKind::Stone));
+        }
+        let outcome = apply_gravity(&mut w, floating);
+        assert!(outcome.fell);
+        assert_eq!(w.block(floating), Block::AIR);
     }
 
     #[test]

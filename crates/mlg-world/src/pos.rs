@@ -36,9 +36,6 @@ pub struct BlockPos {
 }
 
 impl BlockPos {
-    /// The origin block position `(0, 0, 0)`.
-    pub const ORIGIN: BlockPos = BlockPos { x: 0, y: 0, z: 0 };
-
     /// Creates a new block position.
     #[must_use]
     pub const fn new(x: i32, y: i32, z: i32) -> Self {
@@ -121,14 +118,6 @@ impl BlockPos {
         let dz = i64::from(self.z - other.z);
         (dx * dx + dy * dy + dz * dz) as u64
     }
-
-    /// Horizontal (x/z plane) squared distance to another block position.
-    #[must_use]
-    pub fn horizontal_distance_squared(self, other: BlockPos) -> u64 {
-        let dx = i64::from(self.x - other.x);
-        let dz = i64::from(self.z - other.z);
-        (dx * dx + dz * dz) as u64
-    }
 }
 
 impl std::fmt::Display for BlockPos {
@@ -165,16 +154,6 @@ impl ChunkPos {
         BlockPos::new(self.x * CHUNK_SIZE as i32, 0, self.z * CHUNK_SIZE as i32)
     }
 
-    /// Returns the Chebyshev distance (in chunks) to another chunk position.
-    ///
-    /// Used for view-distance checks: a chunk is visible to a player when the
-    /// Chebyshev distance between their chunk positions is within the view
-    /// distance.
-    #[must_use]
-    pub fn chebyshev_distance(self, other: ChunkPos) -> u32 {
-        self.x.abs_diff(other.x).max(self.z.abs_diff(other.z))
-    }
-
     /// Iterates all chunk positions within `radius` (Chebyshev) of this one,
     /// including this one, `x`-major: the order in which a view square is
     /// generated and streamed.
@@ -182,12 +161,6 @@ impl ChunkPos {
         let r = radius as i32;
         let side = 2 * r + 1;
         (0..side * side).map(move |i| ChunkPos::new(self.x - r + i / side, self.z - r + i % side))
-    }
-
-    /// Returns [`ChunkPos::square`] collected into a `Vec`.
-    #[must_use]
-    pub fn within_radius(self, radius: u32) -> Vec<ChunkPos> {
-        self.square(radius).collect()
     }
 }
 
@@ -328,17 +301,16 @@ mod tests {
         let b = BlockPos::new(3, 4, 0);
         assert_eq!(a.distance_squared(b), 25);
         assert_eq!(a.manhattan_distance(b), 7);
-        assert_eq!(a.horizontal_distance_squared(b), 9);
     }
 
     #[test]
     fn chunk_radius_includes_center() {
         let c = ChunkPos::new(2, -3);
-        let within = c.within_radius(2);
+        let within: Vec<ChunkPos> = c.square(2).collect();
         assert_eq!(within.len(), 25);
         assert!(within.contains(&c));
         for other in &within {
-            assert!(c.chebyshev_distance(*other) <= 2);
+            assert!(c.x.abs_diff(other.x).max(c.z.abs_diff(other.z)) <= 2);
         }
     }
 

@@ -16,11 +16,7 @@ use crate::sim::TerrainEvent;
 use crate::update::UpdateKind;
 
 /// Bit in the state byte marking a component as powered / extended / lit.
-pub const POWERED_BIT: u8 = 0b1_0000;
-
-/// Default period, in ticks, of a clock component (comparator clock). The
-/// every-other-tick behaviour of lag machines corresponds to period 2.
-pub const DEFAULT_CLOCK_PERIOD: u8 = 2;
+const POWERED_BIT: u8 = 0b1_0000;
 
 /// Result of processing one redstone update.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -38,7 +34,7 @@ pub struct RedstoneOutcome {
 /// Returns the strongest redstone power level feeding into `pos` from its
 /// face-adjacent neighbours.
 #[must_use]
-pub fn incoming_power<W: BlockReader>(world: &mut W, pos: BlockPos) -> u8 {
+fn incoming_power<W: BlockReader>(world: &mut W, pos: BlockPos) -> u8 {
     pos.neighbors()
         .iter()
         .map(|&n| world.block(n).power())
@@ -318,7 +314,8 @@ mod tests {
         let out = apply_redstone(&mut w, torch, UpdateKind::NeighborChanged);
         assert!(out.changed);
         assert_eq!(w.block(torch).state(), 0);
-        assert!(w.updates().scheduled_len() > 0);
+        let due = w.updates_mut().pop_due(u64::MAX);
+        assert!(due.iter().any(|u| u.pos == torch));
     }
 
     #[test]
@@ -327,14 +324,21 @@ mod tests {
         let clock = BlockPos::new(4, 61, 4);
         w.set_block_silent(
             clock,
-            Block::with_state(BlockKind::Comparator, DEFAULT_CLOCK_PERIOD),
+            // Period 2: the every-other-tick clock of a lag machine.
+            Block::with_state(BlockKind::Comparator, 2),
         );
         let before = w.block(clock).state() & POWERED_BIT;
         let out = apply_redstone(&mut w, clock, UpdateKind::Scheduled);
         assert!(out.changed);
         let after = w.block(clock).state() & POWERED_BIT;
         assert_ne!(before, after);
-        assert_eq!(w.updates().scheduled_len(), 1);
+        let due: Vec<BlockPos> = w
+            .updates_mut()
+            .pop_due(u64::MAX)
+            .iter()
+            .map(|u| u.pos)
+            .collect();
+        assert_eq!(due, [clock]);
         // Neighbour updates do not disturb the clock.
         let noop = apply_redstone(&mut w, clock, UpdateKind::NeighborChanged);
         assert!(!noop.changed);

@@ -52,7 +52,7 @@ impl Region {
 
     /// Extent along each axis, in blocks (always at least 1).
     #[must_use]
-    pub fn dimensions(&self) -> (u32, u32, u32) {
+    fn dimensions(&self) -> (u32, u32, u32) {
         (
             (self.max.x - self.min.x + 1) as u32,
             (self.max.y - self.min.y + 1) as u32,
@@ -76,17 +76,6 @@ impl Region {
             && pos.y <= self.max.y
             && pos.z >= self.min.z
             && pos.z <= self.max.z
-    }
-
-    /// Returns `true` if this region and `other` share at least one block.
-    #[must_use]
-    pub fn intersects(&self, other: &Region) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-            && self.min.z <= other.max.z
-            && self.max.z >= other.min.z
     }
 
     /// Iterates over every block position in the region in `y`-major order.
@@ -159,12 +148,15 @@ mod tests {
 
     #[test]
     fn intersection() {
+        // Bounds are inclusive: regions meeting at a corner share its block.
         let a = Region::new(BlockPos::new(0, 0, 0), BlockPos::new(4, 4, 4));
         let b = Region::new(BlockPos::new(4, 4, 4), BlockPos::new(8, 8, 8));
         let c = Region::new(BlockPos::new(5, 5, 5), BlockPos::new(8, 8, 8));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
+        let shared =
+            |x: &Region, y: &Region| x.iter().filter(|p| y.contains(*p)).collect::<Vec<_>>();
+        assert_eq!(shared(&a, &b), [BlockPos::new(4, 4, 4)]);
+        assert_eq!(shared(&b, &a), [BlockPos::new(4, 4, 4)]);
+        assert!(shared(&a, &c).is_empty());
     }
 
     #[test]

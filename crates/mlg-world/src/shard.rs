@@ -8,12 +8,12 @@
 //! * [`ShardMap`] — a pure function from chunk coordinates to shard index,
 //!   in one of two modes:
 //!   - **static stripes** ([`ShardMap::stripes`]): chunks are grouped into
-//!     contiguous stripes of [`SHARD_STRIPE_CHUNKS`] columns along the x
+//!     contiguous stripes of `SHARD_STRIPE_CHUNKS` columns along the x
 //!     axis, assigned to shards round-robin;
-//!   - **adaptive 2D regions** ([`ShardMap::regions_over`]): a region
+//!   - **adaptive 2D regions** (`ShardMap::regions_over`): a region
 //!     quadtree over the chunk plane whose leaves are the shards, in
 //!     canonical pre-order (NW, NE, SW, SE) leaf order. Leaves are square,
-//!     at least [`MIN_REGION_CHUNKS`] chunks on a side, and can be split
+//!     at least `MIN_REGION_CHUNKS` chunks on a side, and can be split
 //!     and merged between ticks by [`ShardMap::rebalanced`] — a **pure
 //!     function of the previous tick's merged [`ShardLoadReport`]** with a
 //!     hysteresis rule: the busiest splittable leaf is split when its load
@@ -78,14 +78,14 @@ use crate::world::{BlockChange, ShardStore, World, WorldSnapshot};
 /// Wider stripes mean a larger interior fraction (more parallel work) but
 /// fewer distinct stripes to spread across shards; 4 chunks (64 blocks)
 /// keeps both reasonable for the workload worlds of the paper.
-pub const SHARD_STRIPE_CHUNKS: i32 = 4;
+const SHARD_STRIPE_CHUNKS: i32 = 4;
 
 /// Minimum side length of an adaptive quadtree region, in chunks.
 ///
 /// A region narrower than this would have no interior chunks at all (the
 /// 3×3 neighbourhood test fails everywhere), turning its entire workload
 /// into serial boundary escalation; splits stop above this floor.
-pub const MIN_REGION_CHUNKS: i32 = 4;
+const MIN_REGION_CHUNKS: i32 = 4;
 
 /// Split threshold of the rebalancing hysteresis: a leaf is split when its
 /// load exceeds this multiple of the mean shard load.
@@ -302,7 +302,7 @@ impl ShardMap {
     /// chunks yet). Chunks outside the root are clamped onto its edge
     /// shards, so the map is total over the chunk plane.
     #[must_use]
-    pub fn regions_over(bounds: Option<(ChunkPos, ChunkPos)>) -> Self {
+    fn regions_over(bounds: Option<(ChunkPos, ChunkPos)>) -> Self {
         let (min, max) = bounds.unwrap_or((ChunkPos::new(-8, -8), ChunkPos::new(7, 7)));
         let extent = (max.x.saturating_sub(min.x) + 1)
             .max(max.z.saturating_sub(min.z) + 1)
@@ -315,13 +315,6 @@ impl ShardMap {
                 root: QuadNode::leaf(min.x, min.z, size),
             },
         }
-    }
-
-    /// Returns `true` for adaptive region maps (the ones
-    /// [`ShardMap::rebalanced`] can evolve).
-    #[must_use]
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self.partition, Partition::Regions { .. })
     }
 
     /// Number of shards.
@@ -382,21 +375,6 @@ impl ShardMap {
         self.interior_shard(pos.chunk())
     }
 
-    /// The leaf squares of an adaptive map as `(x0, z0, size)` in shard
-    /// order; empty for stripe maps. Intended for tests, diagnostics and
-    /// partition visualization.
-    #[must_use]
-    pub fn region_rects(&self) -> Vec<(i32, i32, i32)> {
-        match &self.partition {
-            Partition::Stripes { .. } => Vec::new(),
-            Partition::Regions { root } => {
-                let mut rects = Vec::with_capacity(root.leaves as usize);
-                root.collect_leaves(&mut rects);
-                rects
-            }
-        }
-    }
-
     /// One rebalancing step: a **pure function** of `(self, report)`.
     ///
     /// Returns the next partition when the hysteresis rule fires, `None`
@@ -407,7 +385,7 @@ impl ShardMap {
     /// 1. **Split** the busiest leaf whose load exceeds
     ///    `SPLIT_LOAD_FACTOR` (2)× the mean shard load (a lone leaf holds
     ///    the whole load by definition and splits under any load at all),
-    ///    provided its children would stay at least [`MIN_REGION_CHUNKS`]
+    ///    provided its children would stay at least `MIN_REGION_CHUNKS`
     ///    wide and the leaf count stays within `max_shards`.
     /// 2. Otherwise **merge** the coldest quad of four sibling leaves whose
     ///    combined load is below the mean divided by `MERGE_LOAD_DIVISOR`
@@ -416,6 +394,7 @@ impl ShardMap {
     /// Ties break toward the lowest shard index, so the step is fully
     /// deterministic.
     #[must_use]
+    // detlint: allow(pub-without-caller) -- tests/shard_properties.rs property-tests the step as a pure function
     pub fn rebalanced(&self, report: &ShardLoadReport, max_shards: u32) -> Option<ShardMap> {
         let Partition::Regions { root } = &self.partition else {
             return None;
@@ -536,7 +515,7 @@ impl TickPipeline {
     }
 
     /// Creates an adaptive pipeline whose quadtree root covers the given
-    /// chunk bounds (see [`ShardMap::regions_over`]), pre-split toward
+    /// chunk bounds (see `ShardMap::regions_over`), pre-split toward
     /// `target_shards` leaves and allowed to grow to `2 × target_shards`
     /// leaves under load (the extra headroom is what lets hotspot regions
     /// split without starving the rest of the map of shards).
@@ -604,23 +583,10 @@ impl TickPipeline {
         self.map.count() > 1 || self.rebalance
     }
 
-    /// Returns `true` when the partition rebalances between ticks.
-    #[must_use]
-    pub fn rebalance_enabled(&self) -> bool {
-        self.rebalance
-    }
-
     /// The shard map this pipeline currently partitions the world with.
     #[must_use]
     pub fn shard_map(&self) -> &ShardMap {
         &self.map
-    }
-
-    /// Replaces the current shard map. A test and ablation hook: it lets a
-    /// harness force a specific partition (e.g. to migrate a fused TNT
-    /// chunk between shards mid-cascade) without synthesizing load reports.
-    pub fn set_map(&mut self, map: ShardMap) {
-        self.map = map;
     }
 
     /// Applies one tick's merged load report: runs one
@@ -1177,6 +1143,21 @@ mod tests {
         assert!(TickPipeline::new(4, 2).is_sharded());
     }
 
+    /// The leaf squares of a map as `(x0, z0, size)` in shard order; empty
+    /// for stripe maps.
+    fn leaf_rects(map: &ShardMap) -> Vec<(i32, i32, i32)> {
+        let Partition::Regions { root } = &map.partition else {
+            return Vec::new();
+        };
+        let mut rects = Vec::new();
+        root.collect_leaves(&mut rects);
+        rects
+    }
+
+    fn is_adaptive(map: &ShardMap) -> bool {
+        matches!(map.partition, Partition::Regions { .. })
+    }
+
     fn region_map(bounds_min: (i32, i32), bounds_max: (i32, i32)) -> ShardMap {
         ShardMap::regions_over(Some((
             ChunkPos::new(bounds_min.0, bounds_min.1),
@@ -1187,9 +1168,9 @@ mod tests {
     #[test]
     fn region_root_covers_the_bounds_with_one_leaf() {
         let map = region_map((-4, -4), (4, 4));
-        assert!(map.is_adaptive());
+        assert!(is_adaptive(&map));
         assert_eq!(map.count(), 1);
-        let rects = map.region_rects();
+        let rects = leaf_rects(&map);
         assert_eq!(rects.len(), 1);
         let (x0, z0, size) = rects[0];
         assert_eq!((x0, z0), (-4, -4));
@@ -1253,10 +1234,7 @@ mod tests {
             .rebalanced(&ShardLoadReport::new(vec![100]), 8)
             .expect("root splits");
         assert_eq!(split.count(), 4);
-        assert!(split
-            .region_rects()
-            .iter()
-            .all(|r| r.2 == MIN_REGION_CHUNKS));
+        assert!(leaf_rects(&split).iter().all(|r| r.2 == MIN_REGION_CHUNKS));
         let again = split.rebalanced(&ShardLoadReport::new(vec![100, 0, 0, 0]), 8);
         assert_eq!(again, None, "minimum-size leaves must not split");
         // Cap: a map already at the shard budget cannot split either.
@@ -1294,12 +1272,12 @@ mod tests {
     #[test]
     fn stripe_maps_never_rebalance() {
         let map = ShardMap::stripes(4);
-        assert!(!map.is_adaptive());
+        assert!(!is_adaptive(&map));
         assert_eq!(
             map.rebalanced(&ShardLoadReport::new(vec![100, 0, 0, 0]), 16),
             None
         );
-        assert!(map.region_rects().is_empty());
+        assert!(leaf_rects(&map).is_empty());
     }
 
     #[test]
@@ -1319,9 +1297,9 @@ mod tests {
         let bounds = Some((ChunkPos::new(-16, -16), ChunkPos::new(15, 15)));
         let p = TickPipeline::adaptive(bounds, 8, 2);
         assert!(p.is_sharded());
-        assert!(p.rebalance_enabled());
+        assert!(p.rebalance);
         assert_eq!(p.shards(), 7, "1 -> 4 -> 7 leaves, then 7 + 3 > 8");
-        assert!(p.shard_map().is_adaptive());
+        assert!(is_adaptive(p.shard_map()));
         // A target of 1 is degenerate: the 2×target cap leaves no headroom
         // for a split (which adds 3 leaves), so the partition is frozen at
         // one region — serial-equivalent, though still on the sharded path.
@@ -1358,7 +1336,7 @@ mod tests {
                 }
             }
             // Leaf rects tile the root exactly once.
-            let rects = map.region_rects();
+            let rects = leaf_rects(map);
             let area: i64 = rects.iter().map(|r| i64::from(r.2) * i64::from(r.2)).sum();
             assert_eq!(area, 32 * 32, "leaves must tile the root");
         }

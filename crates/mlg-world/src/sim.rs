@@ -1137,7 +1137,7 @@ mod tests {
 
         let run = |migrate: bool| {
             let mut w = build(&fuse_positions);
-            let mut pipeline = TickPipeline::adaptive(bounds, 1, 2);
+            let mut pipeline = TickPipeline::adaptive(bounds, 2, 2);
             let mut detonations: Vec<(u64, BlockPos)> = Vec::new();
             let mut truncated = false;
             for tick in 1..=12u64 {
@@ -1145,11 +1145,10 @@ mod tests {
                     // Force a split mid-cascade: the fused chunk migrates
                     // out of the lone root leaf into a quadrant shard.
                     let before = pipeline.shard_map().shard_of_chunk(ChunkPos::new(1, 1));
-                    let next = pipeline
-                        .shard_map()
-                        .rebalanced(&ShardLoadReport::new(vec![1]), 8)
-                        .expect("root leaf splits");
-                    pipeline.set_map(next);
+                    assert!(
+                        pipeline.apply_load_report(&ShardLoadReport::new(vec![1])),
+                        "root leaf splits"
+                    );
                     let after = pipeline.shard_map().shard_of_chunk(ChunkPos::new(1, 1));
                     assert_ne!(before, after, "the fused chunk must change shards");
                 }

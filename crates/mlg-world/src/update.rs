@@ -143,18 +143,6 @@ impl UpdateQueue {
         due
     }
 
-    /// Number of immediate updates currently queued.
-    #[must_use]
-    pub fn immediate_len(&self) -> usize {
-        self.immediate.len()
-    }
-
-    /// Number of scheduled updates currently queued (including not-yet-due).
-    #[must_use]
-    pub fn scheduled_len(&self) -> usize {
-        self.scheduled.len()
-    }
-
     /// Returns `true` if no updates of any kind are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -193,11 +181,11 @@ mod tests {
         let p = BlockPos::new(1, 2, 3);
         q.push_neighbor(p);
         q.push_neighbor(p);
-        assert_eq!(q.immediate_len(), 1);
-        q.pop_immediate();
+        assert_eq!(q.pop_immediate().unwrap().pos, p);
+        assert!(q.pop_immediate().is_none());
         // After popping, the position may be queued again.
         q.push_neighbor(p);
-        assert_eq!(q.immediate_len(), 1);
+        assert_eq!(q.pop_immediate().unwrap().pos, p);
     }
 
     #[test]
@@ -236,9 +224,9 @@ mod tests {
         q.schedule_at(p, 2);
         q.schedule_at(p, 2);
         q.schedule_at(p, 3);
-        assert_eq!(q.scheduled_len(), 2);
         assert_eq!(q.pop_due(2).len(), 1);
         assert_eq!(q.pop_due(3).len(), 1);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -248,7 +236,10 @@ mod tests {
         q.schedule_at(BlockPos::new(1, 1, 1), 100);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.immediate_len(), 0);
-        assert_eq!(q.scheduled_len(), 0);
+        assert!(q.pop_immediate().is_none());
+        assert!(q.pop_due(u64::MAX).is_empty());
+        // Cleared positions are not remembered as queued.
+        q.push_neighbor(BlockPos::new(0, 0, 0));
+        assert!(q.pop_immediate().is_some());
     }
 }

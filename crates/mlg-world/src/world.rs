@@ -386,6 +386,7 @@ impl World {
 
     /// Read access to one shard's chunk store.
     #[must_use]
+    // detlint: allow(pub-without-caller) -- tests/shard_properties.rs checks every chunk sits in the shard the map assigns
     pub fn shard_store(&self, shard: usize) -> &ShardStore {
         &self.stores[shard]
     }
@@ -702,9 +703,10 @@ impl World {
     }
 
     /// Heap bytes currently owned by all loaded chunks' block stores.
-    /// Compare against `loaded_chunk_count() * DENSE_BODY_BYTES` to measure
-    /// the palette-compression win.
+    /// Compare against a dense `Vec<Block>` body per loaded chunk to
+    /// measure the palette-compression win.
     #[must_use]
+    // detlint: allow(pub-without-caller) -- tests/substrate_perf.rs and tests/tnt_ignition.rs measure chunk storage
     pub fn chunk_storage_bytes(&self) -> usize {
         self.iter_chunks().map(Chunk::storage_bytes).sum()
     }
@@ -860,6 +862,7 @@ impl World {
 
     /// Number of block changes recorded and not yet drained.
     #[must_use]
+    // detlint: allow(pub-without-caller) -- tests/shard_properties.rs checks sharded ticks drain the change log
     pub fn pending_change_count(&self) -> usize {
         self.changes.len()
     }
@@ -935,7 +938,8 @@ mod tests {
         w.set_block(pos, Block::simple(BlockKind::Stone));
         assert_eq!(w.pending_change_count(), 1);
         // The block itself plus its six neighbours are queued for updates.
-        assert_eq!(w.updates().immediate_len(), 7);
+        let queued = std::iter::from_fn(|| w.updates_mut().pop_immediate()).count();
+        assert_eq!(queued, 7);
         let changes = w.drain_changes();
         assert_eq!(changes[0].pos, pos);
         assert_eq!(changes[0].old, Block::AIR);
@@ -979,9 +983,9 @@ mod tests {
         let generated = w.ensure_area(ChunkPos::new(0, 0), 2);
         assert_eq!(generated, 25);
         assert_eq!(w.loaded_chunk_count(), 25);
-        // Chunks enter the store in `within_radius` order.
+        // Chunks enter the store in `square` order.
         let loaded: Vec<ChunkPos> = w.iter_chunks().map(Chunk::pos).collect();
-        assert_eq!(loaded, ChunkPos::new(0, 0).within_radius(2));
+        assert_eq!(loaded, ChunkPos::new(0, 0).square(2).collect::<Vec<_>>());
         // Already loaded: generating again is a no-op.
         assert_eq!(w.ensure_area(ChunkPos::new(0, 0), 2), 0);
         // The return value and the per-tick counter (both feed the modeled

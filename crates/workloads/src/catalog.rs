@@ -95,9 +95,14 @@ mod tests {
     fn table2_lists_the_four_environment_worlds() {
         let worlds = table2_worlds();
         assert_eq!(worlds.len(), 4);
+        // Every environment-based workload: all but the player-based one.
         let kinds: Vec<_> = worlds.iter().map(|w| w.kind).collect();
-        for kind in WorkloadKind::environment_based() {
-            assert!(kinds.contains(&kind));
+        for kind in WorkloadKind::all() {
+            assert_eq!(
+                kinds.contains(&kind),
+                kind != WorkloadKind::Players,
+                "{kind}"
+            );
         }
     }
 

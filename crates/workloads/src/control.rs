@@ -13,18 +13,13 @@ use mlg_world::{ChunkPos, World};
 use crate::spec::{BuiltWorkload, PlayerWorkload, WorkloadKind};
 
 /// Radius, in chunks, of the pre-generated spawn area.
-pub const PREGENERATED_RADIUS: u32 = 4;
+const PREGENERATED_RADIUS: u32 = 4;
 
 /// Builds the Control world.
-///
-/// `scale` enlarges the pre-generated area (more loaded chunks ⇒ more random
-/// ticks and lighting work), which is how Meterstick's `scale` knob increases
-/// the complexity of even the baseline workload.
 #[must_use]
-pub fn build(seed: u64, scale: u32) -> BuiltWorkload {
+pub fn build(seed: u64) -> BuiltWorkload {
     let mut world = World::new(Box::new(NoiseGenerator::new(seed)), seed);
-    let radius = PREGENERATED_RADIUS + scale.saturating_sub(1);
-    world.ensure_area(ChunkPos::new(0, 0), radius);
+    world.ensure_area(ChunkPos::new(0, 0), PREGENERATED_RADIUS);
     // Pick a dry spawn column: walk outwards from the origin until the
     // highest block is solid ground rather than the ocean surface.
     let mut spawn_point = Vec3::new(8.5, 65.0, 8.5);
@@ -67,7 +62,7 @@ pub fn build(seed: u64, scale: u32) -> BuiltWorkload {
         tnt_fuse_delay_ticks: None,
         ambient_entities,
         description: format!(
-            "freshly generated noise world, seed {seed}, {radius}-chunk pregenerated radius"
+            "freshly generated noise world, seed {seed}, {PREGENERATED_RADIUS}-chunk pregenerated radius"
         ),
     }
 }
@@ -78,14 +73,14 @@ mod tests {
 
     #[test]
     fn control_world_is_pregenerated_around_spawn() {
-        let built = build(392_114_485, 1);
+        let built = build(392_114_485);
         let expected = (2 * PREGENERATED_RADIUS + 1) * (2 * PREGENERATED_RADIUS + 1);
         assert_eq!(built.world.loaded_chunk_count(), expected as usize);
     }
 
     #[test]
     fn spawn_point_is_above_the_surface() {
-        let mut built = build(392_114_485, 1);
+        let mut built = build(392_114_485);
         let below = built.spawn_point - Vec3::new(0.0, 1.0, 0.0);
         assert!(built.world.block(below.block_pos()).is_solid());
         assert!(!built.world.block(built.spawn_point.block_pos()).is_solid());
@@ -93,19 +88,12 @@ mod tests {
 
     #[test]
     fn same_seed_builds_identical_worlds() {
-        let a = build(7, 1);
-        let b = build(7, 1);
+        let a = build(7);
+        let b = build(7);
         assert_eq!(
             a.world.total_non_air_blocks(),
             b.world.total_non_air_blocks()
         );
         assert_eq!(a.spawn_point, b.spawn_point);
-    }
-
-    #[test]
-    fn scale_enlarges_the_world() {
-        let small = build(7, 1);
-        let large = build(7, 3);
-        assert!(large.world.loaded_chunk_count() > small.world.loaded_chunk_count());
     }
 }

@@ -23,14 +23,14 @@ use mlg_world::{Block, BlockKind, BlockPos, ChunkPos, World};
 
 use crate::spec::{BuiltWorkload, PlayerWorkload, WorkloadKind};
 
-/// Number of entity farms at scale 1 (Table 3).
-pub const ENTITY_FARMS: u32 = 12;
-/// Number of stone farms at scale 1 (Table 3).
-pub const STONE_FARMS: u32 = 4;
-/// Number of kelp farms at scale 1 (Table 3).
-pub const KELP_FARMS: u32 = 4;
-/// Number of item sorters at scale 1 (Table 3).
-pub const ITEM_SORTERS: u32 = 1;
+/// Number of entity farms (Table 3).
+pub(crate) const ENTITY_FARMS: u32 = 12;
+/// Number of stone farms (Table 3).
+pub(crate) const STONE_FARMS: u32 = 4;
+/// Number of kelp farms (Table 3).
+pub(crate) const KELP_FARMS: u32 = 4;
+/// Number of item sorters (Table 3).
+pub(crate) const ITEM_SORTERS: u32 = 1;
 
 /// Clock period (in game ticks) used by the farm activation clocks.
 const FARM_CLOCK_PERIOD: u8 = 15;
@@ -134,9 +134,9 @@ fn build_item_sorter(world: &mut World, origin: BlockPos) {
     world.schedule_tick(clock, 1);
 }
 
-/// Builds the Farm world. `scale` multiplies the number of each construct.
+/// Builds the Farm world.
 #[must_use]
-pub fn build(seed: u64, scale: u32) -> BuiltWorkload {
+pub fn build(seed: u64) -> BuiltWorkload {
     let generator = FlatGenerator::grassland();
     let surface = generator.surface_y();
     let mut world = World::new(Box::new(generator), seed);
@@ -146,25 +146,25 @@ pub fn build(seed: u64, scale: u32) -> BuiltWorkload {
     let mut constructs = 0u32;
     // Entity farms in a ring around spawn, close enough for the spawner's
     // per-player radius to cover them.
-    for i in 0..ENTITY_FARMS * scale {
-        let angle = f64::from(i) / f64::from(ENTITY_FARMS * scale) * std::f64::consts::TAU;
+    for i in 0..ENTITY_FARMS {
+        let angle = f64::from(i) / f64::from(ENTITY_FARMS) * std::f64::consts::TAU;
         let cx = (angle.cos() * 26.0).round() as i32;
         let cz = (angle.sin() * 26.0).round() as i32;
         build_entity_farm(&mut world, BlockPos::new(cx, base_y, cz));
         constructs += 1;
     }
     // Stone farms west of spawn.
-    for i in 0..STONE_FARMS * scale {
+    for i in 0..STONE_FARMS {
         build_stone_farm(&mut world, BlockPos::new(-14, base_y, -10 + 6 * i as i32));
         constructs += 1;
     }
     // Kelp farms east of spawn.
-    for i in 0..KELP_FARMS * scale {
+    for i in 0..KELP_FARMS {
         build_kelp_farm(&mut world, BlockPos::new(14, base_y, -10 + 6 * i as i32));
         constructs += 1;
     }
     // Item sorter(s) north of spawn.
-    for i in 0..ITEM_SORTERS * scale {
+    for i in 0..ITEM_SORTERS {
         build_item_sorter(&mut world, BlockPos::new(-4, base_y, 16 + 4 * i as i32));
         constructs += 1;
     }
@@ -188,10 +188,7 @@ pub fn build(seed: u64, scale: u32) -> BuiltWorkload {
         ambient_entities,
         description: format!(
             "{constructs} resource-farm constructs ({} entity, {} stone, {} kelp, {} sorter)",
-            ENTITY_FARMS * scale,
-            STONE_FARMS * scale,
-            KELP_FARMS * scale,
-            ITEM_SORTERS * scale
+            ENTITY_FARMS, STONE_FARMS, KELP_FARMS, ITEM_SORTERS
         ),
     }
 }
@@ -202,7 +199,7 @@ mod tests {
 
     #[test]
     fn farm_world_contains_the_table3_constructs() {
-        let built = build(1, 1);
+        let built = build(1);
         // Hoppers appear in every construct type (a few may be overwritten
         // where construct footprints touch, which real community worlds also
         // tolerate).
@@ -218,17 +215,22 @@ mod tests {
 
     #[test]
     fn clocks_are_armed() {
-        let built = build(1, 1);
-        assert!(
-            built.world.updates().scheduled_len()
-                >= (STONE_FARMS + KELP_FARMS + ITEM_SORTERS) as usize,
+        let mut built = build(1);
+        let armed = built.world.updates_mut().pop_due(u64::MAX);
+        let armed_clocks = armed
+            .iter()
+            .filter(|u| built.world.block(u.pos).kind() == BlockKind::Comparator)
+            .count();
+        assert_eq!(
+            armed_clocks,
+            (STONE_FARMS + KELP_FARMS + ITEM_SORTERS) as usize,
             "every clock must have a pending scheduled tick"
         );
     }
 
     #[test]
     fn entity_farms_are_dark_inside() {
-        let mut built = build(1, 1);
+        let mut built = build(1);
         // Check one platform interior: roof above, floor below, darkness.
         let interior = BlockPos::new(26 + 3, 62, 3);
         let light = mlg_world::light::sky_light_at(&mut built.world, interior);
@@ -237,12 +239,5 @@ mod tests {
             light <= 2,
             "entity farm interior should be dark, light={light}"
         );
-    }
-
-    #[test]
-    fn scale_multiplies_construct_count() {
-        let one = build(1, 1).world.count_kind(BlockKind::Comparator);
-        let two = build(1, 2).world.count_kind(BlockKind::Comparator);
-        assert_eq!(two, one * 2);
     }
 }

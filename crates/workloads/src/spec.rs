@@ -66,17 +66,6 @@ impl WorkloadKind {
         ]
     }
 
-    /// The environment-based workloads (everything except Players).
-    #[must_use]
-    pub fn environment_based() -> [WorkloadKind; 4] {
-        [
-            WorkloadKind::Control,
-            WorkloadKind::Farm,
-            WorkloadKind::Tnt,
-            WorkloadKind::Lag,
-        ]
-    }
-
     /// Display name as used in the paper's figures.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -136,7 +125,7 @@ impl PlayerWorkload {
 
     /// The Players workload: 25 bots random-walking in a 32×32 area.
     #[must_use]
-    pub fn random_walkers() -> Self {
+    fn random_walkers() -> Self {
         PlayerWorkload {
             bots: 25,
             walk_area: 32,
@@ -151,7 +140,7 @@ impl PlayerWorkload {
     /// a sharded server the load lands on few shards until the adaptive
     /// partition splits them -- a player-stage hotspot by construction.
     #[must_use]
-    pub fn builder_crowd() -> Self {
+    fn builder_crowd() -> Self {
         PlayerWorkload {
             bots: 220,
             walk_area: 24,
@@ -167,7 +156,7 @@ impl PlayerWorkload {
     /// regime where area-of-interest dissemination separates from full
     /// broadcast (Σ|AoI| ≪ packets × players).
     #[must_use]
-    pub fn horde() -> Self {
+    fn horde() -> Self {
         PlayerWorkload {
             bots: 5_000,
             walk_area: 16,
@@ -178,47 +167,36 @@ impl PlayerWorkload {
     }
 }
 
-/// A workload to build: the kind plus the scale knob (R8 in the paper).
+/// A workload to build.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Which workload.
     pub kind: WorkloadKind,
-    /// Workload intensity multiplier (1 = the paper's configuration).
-    pub scale: u32,
 }
 
 impl WorkloadSpec {
-    /// Creates a spec at scale 1.
+    /// Creates the spec of one workload.
     #[must_use]
     pub fn new(kind: WorkloadKind) -> Self {
-        WorkloadSpec { kind, scale: 1 }
-    }
-
-    /// Creates a spec at a custom scale.
-    #[must_use]
-    pub fn with_scale(kind: WorkloadKind, scale: u32) -> Self {
-        WorkloadSpec {
-            kind,
-            scale: scale.max(1),
-        }
+        WorkloadSpec { kind }
     }
 
     /// Builds the workload world deterministically from `seed`.
     #[must_use]
     pub fn build(&self, seed: u64) -> BuiltWorkload {
         match self.kind {
-            WorkloadKind::Control => control::build(seed, self.scale),
-            WorkloadKind::Tnt => tnt::build(seed, self.scale),
-            WorkloadKind::Farm => farm::build(seed, self.scale),
-            WorkloadKind::Lag => lag::build(seed, self.scale),
+            WorkloadKind::Control => control::build(seed),
+            WorkloadKind::Tnt => tnt::build(seed),
+            WorkloadKind::Farm => farm::build(seed),
+            WorkloadKind::Lag => lag::build(seed),
             WorkloadKind::Players => {
-                let mut built = control::build(seed, self.scale);
+                let mut built = control::build(seed);
                 built.kind = WorkloadKind::Players;
                 built.players = PlayerWorkload::random_walkers();
                 built
             }
             WorkloadKind::Crowd => {
-                let mut built = control::build(seed, self.scale);
+                let mut built = control::build(seed);
                 built.kind = WorkloadKind::Crowd;
                 built.players = PlayerWorkload::builder_crowd();
                 built.description =
@@ -226,7 +204,7 @@ impl WorkloadSpec {
                 built
             }
             WorkloadKind::Horde => {
-                let mut built = control::build(seed, self.scale);
+                let mut built = control::build(seed);
                 built.kind = WorkloadKind::Horde;
                 built.players = PlayerWorkload::horde();
                 built.description =
@@ -310,12 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_is_clamped_to_at_least_one() {
-        let spec = WorkloadSpec::with_scale(WorkloadKind::Control, 0);
-        assert_eq!(spec.scale, 1);
-    }
-
-    #[test]
     fn only_tnt_has_a_fuse() {
         for kind in WorkloadKind::all() {
             let built = WorkloadSpec::new(kind).build(3);
@@ -330,7 +302,6 @@ mod tests {
     #[test]
     fn kind_lists_and_names() {
         assert_eq!(WorkloadKind::all().len(), 5);
-        assert_eq!(WorkloadKind::environment_based().len(), 4);
         assert_eq!(WorkloadKind::Tnt.to_string(), "TNT");
         assert!(
             !WorkloadKind::all().contains(&WorkloadKind::Crowd),

@@ -13,24 +13,23 @@ use mlg_world::{Block, BlockKind, BlockPos, ChunkPos, Region, World};
 use crate::spec::{BuiltWorkload, PlayerWorkload, WorkloadKind};
 
 /// Ticks between experiment start and TNT ignition (~20 seconds at 20 Hz).
-pub const FUSE_DELAY_TICKS: u64 = 400;
+const FUSE_DELAY_TICKS: u64 = 400;
 
-/// Base dimensions of the TNT cuboid (x, y, z) at scale 1, matching Table 2.
-pub const CUBOID_DIMENSIONS: (u32, u32, u32) = (16, 14, 16);
+/// Dimensions of the TNT cuboid (x, y, z), matching Table 2.
+const CUBOID_DIMENSIONS: (u32, u32, u32) = (16, 14, 16);
 
 /// Distance between the spawn point and the nearest cuboid face, in blocks.
 const STANDOFF: i32 = 24;
 
-/// Builds the TNT world. `scale` multiplies the cuboid's horizontal footprint.
+/// Builds the TNT world.
 #[must_use]
-pub fn build(seed: u64, scale: u32) -> BuiltWorkload {
+pub fn build(seed: u64) -> BuiltWorkload {
     let generator = FlatGenerator::grassland();
     let surface = generator.surface_y();
     let mut world = World::new(Box::new(generator), seed);
     world.ensure_area(ChunkPos::new(0, 0), 4);
 
     let (dx, dy, dz) = CUBOID_DIMENSIONS;
-    let dx = dx * scale;
     let min = BlockPos::new(STANDOFF, surface + 1, 0);
     let max = min.offset(dx as i32 - 1, dy as i32 - 1, dz as i32 - 1);
     let region = Region::new(min, max);
@@ -55,20 +54,15 @@ pub fn build(seed: u64, scale: u32) -> BuiltWorkload {
     }
 }
 
-/// Spawn point of the [`clustered_hotspot_world`] scene, well away from the
-/// TNT column so the observing player's streamed chunks don't overlap it.
-pub const CLUSTERED_HOTSPOT_SPAWN: (f64, f64, f64) = (100.5, 61.0, 100.5);
-
 /// Builds the clustered-TNT *hotspot* scene used by the shard-rebalancing
-/// benchmarks and regression tests (not one of the paper's workloads).
+/// regression tests (not one of the paper's workloads).
 ///
 /// Six TNT slabs sit inside the first 4-chunk x-stripe, spread along z —
 /// the shape a static stripe partition piles onto a single shard (one
 /// stripe owns the whole column) while an adaptive 2D region partition can
-/// split along z and spread across shards. Kept here so the bench and the
-/// integration test pinning the busiest-shard improvement measure the
-/// identical scene.
+/// split along z and spread across shards.
 #[must_use]
+// detlint: allow(pub-without-caller) -- tests/sharded_determinism.rs and tests/tnt_ignition.rs build this scene
 pub fn clustered_hotspot_world(seed: u64) -> World {
     let mut world = World::new(Box::new(FlatGenerator::grassland()), seed);
     world.ensure_area(ChunkPos::new(8, 8), 8);
@@ -105,29 +99,22 @@ mod tests {
 
     #[test]
     fn cuboid_has_the_paper_dimensions_at_scale_one() {
-        let built = build(1, 1);
+        let built = build(1);
         let tnt = built.world.count_kind(BlockKind::Tnt);
         assert_eq!(tnt, 16 * 14 * 16);
     }
 
     #[test]
     fn fuse_is_about_twenty_seconds() {
-        let built = build(1, 1);
+        let built = build(1);
         assert_eq!(built.tnt_fuse_delay_ticks, Some(400));
         // 400 ticks at 50 ms = 20 s.
         assert_eq!(400 * 50, 20_000);
     }
 
     #[test]
-    fn scale_multiplies_the_tnt_volume() {
-        let one = build(1, 1).world.count_kind(BlockKind::Tnt);
-        let two = build(1, 2).world.count_kind(BlockKind::Tnt);
-        assert_eq!(two, one * 2);
-    }
-
-    #[test]
     fn spawn_is_outside_the_blast_cuboid() {
-        let built = build(1, 1);
+        let built = build(1);
         let spawn_block = built.spawn_point.block_pos();
         assert!(
             spawn_block.x < STANDOFF - 4,

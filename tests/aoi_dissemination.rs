@@ -117,7 +117,7 @@ fn assert_aoi_is_a_filtered_broadcast(
     broadcast: &mut GameServer,
     players: &[(PlayerId, Vec3)],
 ) -> (usize, usize) {
-    assert!(filtered.aoi_dissemination() && !broadcast.aoi_dissemination());
+    assert!(filtered.profile().aoi_dissemination && !broadcast.profile().aoi_dissemination);
     // Join-time chunk streaming is identical on both servers; clear it so
     // the comparison below covers exactly the tick dissemination stage.
     for (id, _) in players {

@@ -485,13 +485,13 @@ proptest! {
         base_seed in any::<u64>(),
     ) {
         // Level `i` of every axis is a value that names `i`.
-        let workload = |i: usize| WorkloadSpec::with_scale(WorkloadKind::Control, i as u32 + 1);
+        let workload = |i: usize| WorkloadKind::extended()[i];
         let environment = |i: usize| Environment::das5(2 + i as u32);
         let flavor = |i: usize| ServerFlavor::all()[i];
         let switch = |i: usize| i == 1;
         let start = |i: usize| StartTime::from_minutes(90 * i as u32);
         let plan = Campaign::new()
-            .workload_specs((0..lens[0]).map(workload))
+            .workloads((0..lens[0]).map(workload))
             .environments((0..lens[1]).map(environment))
             .flavors((0..lens[2]).map(flavor))
             .tick_threads((0..lens[3]).map(|i| i as u32 + 1))
@@ -518,7 +518,7 @@ proptest! {
             prop_assert_eq!(job.index, position);
             prop_assert!(at.iter().zip(&lens).all(|(at, len)| at < len) && job.iteration < iterations);
             // The job holds the values its coordinate names.
-            prop_assert_eq!(job.config.workload, workload(at[0]));
+            prop_assert_eq!(job.config.workload, WorkloadSpec::new(workload(at[0])));
             prop_assert_eq!(&job.config.environment, &environment(at[1]));
             prop_assert_eq!(job.flavor, flavor(at[2]));
             prop_assert_eq!(job.config.tick_threads, at[3] as u32 + 1);

@@ -111,12 +111,14 @@ fn rebalancing_campaigns_are_bit_identical_at_1_4_and_8_threads() {
 /// regions can.
 fn clustered_tnt_server(rebalance: bool, threads: u32) -> GameServer {
     let world = meterstick_workloads::tnt::clustered_hotspot_world(7);
-    let (sx, sy, sz) = meterstick_workloads::tnt::CLUSTERED_HOTSPOT_SPAWN;
     let config = ServerConfig::for_flavor(ServerFlavor::Folia)
         .with_view_distance(2)
         .with_tick_threads(threads)
         .with_shard_rebalance(Some(rebalance));
-    let mut server = GameServer::new(config, world, mlg_entity::Vec3::new(sx, sy, sz));
+    // Spawn well away from the TNT column, so the observer's streamed
+    // chunks don't overlap it.
+    let spawn = mlg_entity::Vec3::new(100.5, 61.0, 100.5);
+    let mut server = GameServer::new(config, world, spawn);
     server.connect_player("probe");
     server.schedule_tnt_ignition(2);
     server

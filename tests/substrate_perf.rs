@@ -9,7 +9,11 @@
 //! wider palette than flat grassland.
 
 use meterstick_workloads::{WorkloadKind, WorkloadSpec};
-use mlg_world::DENSE_BODY_BYTES;
+use mlg_world::{Block, CHUNK_SIZE, WORLD_HEIGHT};
+
+/// Heap bytes a dense `Vec<Block>` chunk body would occupy.
+const DENSE_BODY_BYTES: usize =
+    CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGHT * std::mem::size_of::<Block>();
 
 #[test]
 fn paper_workload_worlds_compress_at_least_4x() {

@@ -6,7 +6,7 @@
 use meterstick_workloads::tnt;
 use mlg_entity::Vec3;
 use mlg_server::{GameServer, ServerConfig, ServerFlavor};
-use mlg_world::{Block, BlockKind, BlockPos, World, CHUNK_SIZE, WORLD_HEIGHT};
+use mlg_world::{Block, BlockKind, BlockPos, Region, World, CHUNK_SIZE, WORLD_HEIGHT};
 
 /// Every loaded TNT block by reading every block: chunks in `iter_chunks`
 /// order, and inside a chunk ascending `y`, then `z`, then `x`.
@@ -44,9 +44,16 @@ fn ignition_schedules_what_a_full_scan_finds_in_the_same_order() {
     let hotspot = tnt::clustered_hotspot_world(7);
     let hotspot_count = hotspot.count_kind(BlockKind::Tnt);
     assert!(hotspot_count > 0);
+    // The workload's cuboid plus a second one straddling the chunk seams at
+    // negative coordinates.
+    let mut two_cuboids = tnt::build(3).world;
+    two_cuboids.fill_region(
+        Region::new(BlockPos::new(-20, 61, -20), BlockPos::new(-5, 74, -5)),
+        Block::simple(BlockKind::Tnt),
+    );
     let worlds = [
-        (tnt::build(3, 1).world, 3_584),
-        (tnt::build(3, 2).world, 7_168),
+        (tnt::build(3).world, 3_584),
+        (two_cuboids, 7_168),
         (hotspot, hotspot_count),
     ];
     for (world, count) in worlds {
@@ -60,7 +67,7 @@ fn ignition_schedules_what_a_full_scan_finds_in_the_same_order() {
 
 #[test]
 fn ignition_finds_nothing_behind_a_dead_palette_slot() {
-    let mut world = tnt::build(3, 1).world;
+    let mut world = tnt::build(3).world;
     for pos in tnt_by_full_scan(&world) {
         world.set_block_silent(pos, Block::AIR);
     }
