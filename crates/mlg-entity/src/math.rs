@@ -176,12 +176,6 @@ impl Aabb {
             && p.z <= self.max.z
     }
 
-    /// The centre point of the box.
-    #[must_use]
-    pub fn center(&self) -> Vec3 {
-        self.min.add(self.max).scale(0.5)
-    }
-
     /// All block positions overlapped by the box, x-major, then y, then z
     /// (the order collision checks read them in, and stop in at the first
     /// solid block). A box with no extent along an axis still covers the
@@ -244,11 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn aabb_contains_and_center() {
+    fn aabb_contains() {
         let b = Aabb::new(Vec3::ZERO, Vec3::new(2.0, 4.0, 2.0));
         assert!(b.contains(Vec3::new(1.0, 2.0, 1.0)));
         assert!(!b.contains(Vec3::new(3.0, 2.0, 1.0)));
-        assert_eq!(b.center(), Vec3::new(1.0, 2.0, 1.0));
     }
 
     #[test]

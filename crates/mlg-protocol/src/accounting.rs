@@ -198,11 +198,6 @@ impl TrafficAccountant {
     pub fn summary(&self) -> &TrafficSummary {
         &self.summary
     }
-
-    /// Clears all counters.
-    pub fn reset(&mut self) {
-        self.summary = TrafficSummary::default();
-    }
 }
 
 #[cfg(test)]
@@ -339,13 +334,5 @@ mod tests {
             one_by_one.record(packet, 25);
         }
         assert_eq!(batched.summary(), one_by_one.summary());
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut acc = TrafficAccountant::new();
-        acc.record(&entity_move(), 1);
-        acc.reset();
-        assert_eq!(acc.summary().total_messages(), 0);
     }
 }

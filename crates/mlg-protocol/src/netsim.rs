@@ -106,11 +106,6 @@ impl<T> NetworkLink<T> {
         }
         delivered
     }
-
-    /// Drops every in-flight packet (connection reset).
-    pub fn reset(&mut self) {
-        self.queue.clear();
-    }
 }
 
 #[cfg(test)]
@@ -187,18 +182,6 @@ mod tests {
         assert_eq!(link.poll(1_000.0), vec![1, 2]);
         // Cumulative counters survive delivery.
         assert_eq!(link.bytes_sent, 300);
-    }
-
-    #[test]
-    fn reset_drops_in_flight_packets() {
-        let residential = LinkConfig {
-            base_latency_ms: 15.0,
-            jitter_ms: 5.0,
-        };
-        let mut link: NetworkLink<u8> = NetworkLink::new(residential, 9);
-        link.send(0.0, 1, 10);
-        link.reset();
-        assert!(link.poll(1_000.0).is_empty());
     }
 
     #[test]

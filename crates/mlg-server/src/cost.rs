@@ -541,7 +541,13 @@ mod tests {
             loads in prop::collection::vec(0u64..1_000, 24),
         ) {
             let (player, terrain, entity) = reports(&raw);
-            let profile = ServerFlavor::extended()[flavor].profile();
+            let flavors = [
+                ServerFlavor::Vanilla,
+                ServerFlavor::Forge,
+                ServerFlavor::Paper,
+                ServerFlavor::Folia,
+            ];
+            let profile = flavors[flavor].profile();
             let counters = TickCounters {
                 player: &player,
                 terrain: &terrain,

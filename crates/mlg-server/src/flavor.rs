@@ -24,7 +24,7 @@
 //! quadtree splits hot regions and merges cold ones between ticks, so
 //! clustered hotspot workloads (TNT cascades) spread across shards instead
 //! of pinning one. It is excluded from [`ServerFlavor::all`] (the paper's
-//! set) and included in [`ServerFlavor::extended`].
+//! set).
 
 use serde::{Deserialize, Serialize};
 
@@ -113,17 +113,6 @@ impl ServerFlavor {
             ServerFlavor::Vanilla,
             ServerFlavor::Forge,
             ServerFlavor::Paper,
-        ]
-    }
-
-    /// The paper's three flavors plus the Folia-like sharded flavor.
-    #[must_use]
-    pub fn extended() -> [ServerFlavor; 4] {
-        [
-            ServerFlavor::Vanilla,
-            ServerFlavor::Forge,
-            ServerFlavor::Paper,
-            ServerFlavor::Folia,
         ]
     }
 
@@ -340,8 +329,6 @@ mod tests {
         assert!(ServerFlavor::all()
             .iter()
             .all(|f| *f != ServerFlavor::Folia));
-        assert_eq!(ServerFlavor::extended().len(), 4);
-        assert!(ServerFlavor::extended().contains(&ServerFlavor::Folia));
         assert_eq!(ServerFlavor::Folia.to_string(), "Folia");
     }
 

@@ -190,8 +190,8 @@ pub struct GameServer {
     /// `broadcast_buf`, for flavors that filter by interest.
     interest: InterestSets,
     /// Per-tick scratch arena for the terrain/lighting stages: cascade
-    /// queues, shard batches, relight buffers and flood state, recycled
-    /// across ticks (see `mlg_world::scratch`). Together with
+    /// queues, shard batches, relight position list and miss buffers,
+    /// recycled across ticks (see `mlg_world::scratch`). Together with
     /// `broadcast_buf` this is the server's whole steady-state tick arena.
     scratch: TickScratch,
 }
@@ -640,6 +640,9 @@ impl GameServer {
                 .sum::<u64>();
             actions
         };
+        // Serial flavors keep the per-player loop for speed, not output: the
+        // one-shard path is byte-identical but took `player_crowd` from
+        // 0.096 to 0.111 s `run_wall_s` (4 alternating pairs, 2-core VM).
         let (report, shard_work) = if self.pipeline.is_sharded() {
             let players = std::mem::take(&mut self.players);
             let actions = players
@@ -702,6 +705,9 @@ impl GameServer {
     /// processed per shard.
     fn stage_terrain(&mut self) -> (TerrainTickReport, Vec<EventSpawn>, Option<Vec<u64>>) {
         let relight_from = self.world.changes().len();
+        // Serial flavors keep `tick_with` for speed, not output: the
+        // one-shard pipeline is byte-identical but took `env_worlds` from
+        // 0.363 to 0.471 s `run_wall_s` (4 alternating pairs, 2-core VM).
         let (report, events, shard_work) = if self.pipeline.is_sharded() {
             let out =
                 self.terrain
@@ -743,6 +749,9 @@ impl GameServer {
     /// sharded pipelines, the entities processed per shard.
     fn stage_entities(&mut self) -> (EntityTickReport, Option<Vec<u64>>) {
         let player_positions = handler::player_positions(&self.players);
+        // Serial flavors keep `tick` because `tick_batched` on one shard
+        // changes modeled output (9 of the 16 pinned figures, `tab08`,
+        // `fig08` and `fig11` among them).
         if self.pipeline.is_sharded() {
             let (report, per_shard) =
                 self.entities

@@ -86,16 +86,6 @@ impl Region {
             (min.z..=max.z).flat_map(move |z| (min.x..=max.x).map(move |x| BlockPos::new(x, y, z)))
         })
     }
-
-    /// Returns the centre of the region, rounded towards the minimum corner.
-    #[must_use]
-    pub fn center(&self) -> BlockPos {
-        BlockPos::new(
-            self.min.x + (self.max.x - self.min.x) / 2,
-            self.min.y + (self.max.y - self.min.y) / 2,
-            self.min.z + (self.max.z - self.min.z) / 2,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -160,11 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn cube_around_and_center() {
+    fn cube_around_spans_the_radius() {
         let c = BlockPos::new(10, 20, 30);
         let r = Region::cube_around(c, 2);
         assert_eq!(r.dimensions(), (5, 5, 5));
-        assert_eq!(r.center(), c);
         assert!(r.contains(c.offset(2, -2, 1)));
         assert!(!r.contains(c.offset(3, 0, 0)));
     }

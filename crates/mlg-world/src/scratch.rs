@@ -2,21 +2,20 @@
 //!
 //! Every tick of the terrain pipeline needs the same transient collections:
 //! the pending/next-round cascade queues, the per-shard routing batches, the
-//! relight position list, the relight miss-tracking buffers and a flood
-//! scratch. Allocating them per tick (or worse, per cascade round) puts
-//! allocator traffic on the hot path and adds wall-clock jitter that is
-//! pure harness overhead, not modeled work.
+//! relight position list and the relight miss-tracking buffers. Allocating
+//! them per tick (or worse, per cascade round) puts allocator traffic on the
+//! hot path and adds wall-clock jitter that is pure harness overhead, not
+//! modeled work.
 //!
 //! [`TickScratch`] owns all of them. The server constructs one per
 //! `GameServer` and threads it through `TerrainSimulator::tick_with` /
-//! `tick_sharded_with` and the relight passes, so a steady-state tick
-//! recycles capacity instead of allocating. The buffers carry **no state**
-//! across ticks — every consumer clears what it uses before use — so a
-//! recycled scratch is bit-identical to a fresh one.
+//! `tick_sharded_with` and the one frozen relight pass both of them run, so
+//! a steady-state tick recycles capacity instead of allocating. The buffers
+//! carry **no state** across ticks — every consumer clears what it uses
+//! before use — so a recycled scratch is bit-identical to a fresh one.
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::light::FloodScratch;
 use crate::pos::{BlockPos, PosHashBuilder};
 use crate::update::BlockUpdate;
 
@@ -35,8 +34,6 @@ pub struct TickScratch {
     pub(crate) relight_positions: Vec<BlockPos>,
     /// Miss bookkeeping for the cached relight passes.
     pub(crate) light: LightPassScratch,
-    /// Visited bitmask + BFS queue for serial-path light floods.
-    pub(crate) flood: FloodScratch,
 }
 
 impl TickScratch {

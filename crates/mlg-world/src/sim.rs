@@ -188,7 +188,9 @@ impl TerrainSimulator {
 
     /// Runs one tick of terrain simulation over the world, recycling the
     /// caller's scratch buffers (the server owns one [`TickScratch`] for
-    /// its whole life).
+    /// its whole life). It relights through the same frozen pass as
+    /// [`TerrainSimulator::tick_sharded_with`], inline, so a light scan
+    /// never generates terrain.
     ///
     /// Returns the work report and the events other subsystems must handle.
     pub fn tick_with(
@@ -234,8 +236,12 @@ impl TerrainSimulator {
             &mut report,
             &mut scratch.relight_positions,
         );
-        report.light_positions +=
-            relight_positions_serial(world, &scratch.relight_positions, &mut scratch.flood);
+        report.light_positions += relight_misses_frozen(
+            world,
+            &scratch.relight_positions,
+            &PoolScope::scoped(1),
+            &mut scratch.light,
+        );
 
         report.chunks_generated += u64::from(world.chunks_generated_this_tick());
         (report, events)
@@ -315,13 +321,6 @@ impl TerrainSimulator {
     /// 3. **Classification and lighting.** The canonical change log is
     ///    classified serially; relighting is a frozen phase (per-change
     ///    relights are independent, so any partition sums identically).
-    ///    One deliberate difference from [`TerrainSimulator::tick_with`]: the
-    ///    frozen view reads unloaded chunks as air, while the serial
-    ///    path lazily *generates* chunks its light floods wander into — so
-    ///    for changes near the edge of the loaded area the two paths can
-    ///    report different `light_positions`/`chunks_generated`. (Both
-    ///    behaviours are deterministic; the sharded one avoids generating
-    ///    terrain merely because a light scan looked at it.)
     ///
     /// The result is **bit-identical at any thread count**;
     /// `pipeline.threads() == 1` is the sequential reference path. Changing
@@ -653,10 +652,9 @@ struct LightSliceTask {
 /// tick, consumed against the current chunks while the next tick's player
 /// stage runs in the compute model).
 ///
-/// The frozen view reads unloaded chunks as air instead of generating
-/// them — see [`TerrainSimulator::tick_sharded_with`] for why that is a
-/// deliberate difference from the eager serial path. Scratch buffers come
-/// from the caller (the server's per-tick arena).
+/// The frozen view reads unloaded chunks as air: a light scan never
+/// generates terrain. Scratch buffers come from the caller (the server's
+/// per-tick arena).
 #[must_use]
 pub fn relight_positions_frozen_with(
     world: &mut World,
@@ -694,7 +692,7 @@ pub(crate) fn relight_misses_frozen(
             scratch.miss_counts[slot] += 1;
             continue;
         }
-        match world.cached_relight(pos, true) {
+        match world.cached_relight(pos) {
             Some(count) => total += u64::from(count),
             None => {
                 scratch.miss_index.insert(pos, scratch.misses.len());
@@ -735,38 +733,9 @@ pub(crate) fn relight_misses_frozen(
         for task in &slices {
             for &count in &task.results {
                 total += u64::from(count) * u64::from(scratch.miss_counts[slot]);
-                world.insert_relight(scratch.misses[slot], true, count);
+                world.insert_relight(scratch.misses[slot], count);
                 slot += 1;
             }
-        }
-    }
-    world.end_relight_pass();
-    total
-}
-
-/// Serial (lazily generating) counterpart of
-/// [`relight_positions_frozen_with`], used by the vanilla-flavor tick: cache
-/// hits are validated the same way; misses flood the live world — generating
-/// chunks exactly where an uncached flood would — and are memoized under the
-/// lazy-mode cache key, which is kept separate from the frozen-mode key
-/// because the two modes read unloaded chunks differently.
-fn relight_positions_serial(
-    world: &mut World,
-    positions: &[BlockPos],
-    flood: &mut light::FloodScratch,
-) -> u64 {
-    if positions.is_empty() {
-        return 0;
-    }
-    world.begin_relight_pass();
-    let mut total: u64 = 0;
-    for &pos in positions {
-        if let Some(count) = world.cached_relight(pos, false) {
-            total += u64::from(count);
-        } else {
-            let count = light::relight_after_change_with(world, pos, flood).total_positions();
-            world.insert_relight(pos, false, count);
-            total += u64::from(count);
         }
     }
     world.end_relight_pass();
@@ -1045,36 +1014,63 @@ mod tests {
         assert!(serial_work < parallel_work * 10);
     }
 
+    /// A 3 × 3-chunk world with a sand column dropped at x = 30: every
+    /// relight around it floods to within 8 blocks of the unloaded chunks
+    /// east of the loaded area, which it must read as air, not generate.
+    fn edge_world(seed: u64) -> World {
+        let mut w = World::new(Box::new(FlatGenerator::grassland()), seed);
+        w.ensure_area(ChunkPos::new(0, 0), 1);
+        for y in 70..74 {
+            w.set_block(BlockPos::new(30, y, 8), Block::simple(BlockKind::Sand));
+        }
+        w
+    }
+
+    /// Runs six ticks of `build(seed)` through the serial tick and the
+    /// one-shard pipeline side by side, asserting that they agree on every
+    /// tick; returns the random ticks applied.
+    fn assert_single_shard_matches_serial(
+        sim: &TerrainSimulator,
+        build: fn(u64) -> World,
+        seed: u64,
+    ) -> u64 {
+        let mut legacy = build(seed);
+        let mut sharded = build(seed);
+        let pipeline = TickPipeline::new(1, 1);
+        let (mut legacy_scratch, mut sharded_scratch) = (TickScratch::new(), TickScratch::new());
+        let mut random_ticks = 0;
+        for tick in 1..=6 {
+            legacy.advance_tick();
+            sharded.advance_tick();
+            let (legacy_report, legacy_events) = sim.tick_with(&mut legacy, &mut legacy_scratch);
+            let out = sim.tick_sharded_with(&mut sharded, &pipeline, &mut sharded_scratch);
+            assert_eq!(legacy_report, out.report, "tick {tick}");
+            assert_eq!(legacy_events, out.events, "tick {tick}");
+            assert_eq!(legacy.drain_changes(), sharded.drain_changes(), "tick {tick}");
+            random_ticks += out.report.random_ticks;
+        }
+        assert_eq!(world_digest(&legacy), world_digest(&sharded));
+        random_ticks
+    }
+
     proptest::proptest! {
         /// The whole-tick oracle: on one shard everything is interior, so
         /// the sharded tick must reproduce the serial tick exactly — report,
-        /// events, change log and terrain — whatever the lottery picks.
+        /// events, change log and terrain — whatever the lottery picks, on
+        /// a busy world and on one whose relights reach past the loaded
+        /// area's edge.
         #[test]
         fn single_shard_pipeline_matches_the_legacy_serial_tick(seed in proptest::prelude::any::<u64>()) {
-            // Relighting the first tick's sand and water dominates a case
-            // and the lottery moves only a handful of those positions, so
-            // only every eighth case pays for it.
+            // Relighting the first tick's sand and water dominates a busy
+            // case and the lottery moves only a handful of those positions,
+            // so only every eighth case pays for it.
             let sim = TerrainSimulator {
                 eager_lighting: seed.is_multiple_of(8),
                 ..TerrainSimulator::default()
             };
-            let mut legacy = busy_world(seed);
-            let mut sharded = busy_world(seed);
-            let pipeline = TickPipeline::new(1, 1);
-            let (mut legacy_scratch, mut sharded_scratch) = (TickScratch::new(), TickScratch::new());
-            let mut random_ticks = 0;
-            for _ in 0..6 {
-                legacy.advance_tick();
-                sharded.advance_tick();
-                let (legacy_report, legacy_events) = sim.tick_with(&mut legacy, &mut legacy_scratch);
-                let out = sim.tick_sharded_with(&mut sharded, &pipeline, &mut sharded_scratch);
-                assert_eq!(legacy_report, out.report);
-                assert_eq!(legacy_events, out.events);
-                assert_eq!(legacy.drain_changes(), sharded.drain_changes());
-                random_ticks += out.report.random_ticks;
-            }
+            let random_ticks = assert_single_shard_matches_serial(&sim, busy_world, seed);
             assert!(random_ticks > 0, "the lottery must reach the wheat");
-            assert_eq!(world_digest(&legacy), world_digest(&sharded));
+            assert_single_shard_matches_serial(&TerrainSimulator::default(), edge_world, seed);
         }
     }
 

@@ -185,7 +185,7 @@ struct RelightEntry {
     total: u32,
 }
 
-/// Memoized relight results keyed by `(position, frozen-mode)`.
+/// Memoized relight results keyed by position.
 ///
 /// Validity is checked structurally, not by expiry: an entry is reusable
 /// iff, for every loaded chunk overlapping the position's 17×17 flood
@@ -195,21 +195,17 @@ struct RelightEntry {
 /// mask, so redstone clocks keep their entries alive indefinitely — the
 /// common case the cache exists for.
 ///
-/// Entries are keyed by mode because frozen readers treat unloaded chunks
-/// as air while the lazy path generates them: near the loaded-area edge the
-/// two can legitimately count different flood sets.
-///
 /// The map is only ever probed (`get`/`insert`/`remove`) — never iterated —
 /// so hash order cannot leak into modeled output (the detlint contract).
 /// Bounded eviction order comes from the side `queue`, which records first
 /// insertion order: a deterministic FIFO, independent of hash layout.
 #[derive(Debug)]
 struct RelightCache {
-    entries: HashMap<(BlockPos, bool), RelightEntry, PosHashBuilder>,
+    entries: HashMap<BlockPos, RelightEntry, PosHashBuilder>,
     /// Keys in first-insertion order; exactly the map's key set (an updated
     /// entry keeps its queue position, so `queue.len() == entries.len()`
     /// always holds and evicting the front is O(1)).
-    queue: VecDeque<(BlockPos, bool)>,
+    queue: VecDeque<BlockPos>,
     /// Monotone pass counter; incremented by [`World::begin_relight_pass`].
     pass: u64,
     /// Entry cap; reaching it evicts the oldest-inserted entry rather than
@@ -718,12 +714,12 @@ impl World {
         self.relight.pass
     }
 
-    /// Looks up a memoized relight count for `pos` (in frozen or lazy
-    /// mode), returning it only if no chunk overlapping the position's
-    /// flood window was light-dirtied since the entry was computed.
+    /// Looks up a memoized relight count for `pos`, returning it only if no
+    /// chunk overlapping the position's flood window was light-dirtied since
+    /// the entry was computed.
     #[must_use]
-    pub(crate) fn cached_relight(&self, pos: BlockPos, frozen: bool) -> Option<u32> {
-        let entry = self.relight.entries.get(&(pos, frozen))?;
+    pub(crate) fn cached_relight(&self, pos: BlockPos) -> Option<u32> {
+        let entry = self.relight.entries.get(&pos)?;
         self.relight_window_clean(pos, entry.tag)
             .then_some(entry.total)
     }
@@ -763,12 +759,12 @@ impl World {
     /// by first insertion, via the cache's side queue — hash order is never
     /// consulted). Re-memoizing an existing key updates it in place and
     /// keeps its queue position, preserving the 1:1 map↔queue invariant.
-    pub(crate) fn insert_relight(&mut self, pos: BlockPos, frozen: bool, total: u32) {
+    pub(crate) fn insert_relight(&mut self, pos: BlockPos, total: u32) {
         let entry = RelightEntry {
             tag: self.relight.pass,
             total,
         };
-        if let Some(slot) = self.relight.entries.get_mut(&(pos, frozen)) {
+        if let Some(slot) = self.relight.entries.get_mut(&pos) {
             *slot = entry;
             return;
         }
@@ -780,8 +776,8 @@ impl World {
                 .expect("cache at cap implies a non-empty queue");
             self.relight.entries.remove(&oldest);
         }
-        self.relight.queue.push_back((pos, frozen));
-        self.relight.entries.insert((pos, frozen), entry);
+        self.relight.queue.push_back(pos);
+        self.relight.entries.insert(pos, entry);
     }
 
     /// Shrinks the relight-cache cap (tests only: exercises eviction
@@ -1294,18 +1290,18 @@ mod tests {
         w.set_relight_cache_cap(8);
         w.begin_relight_pass();
         for i in 0..8 {
-            w.insert_relight(far_pos(i), true, i as u32);
+            w.insert_relight(far_pos(i), i as u32);
         }
         for i in 0..8 {
-            assert_eq!(w.cached_relight(far_pos(i), true), Some(i as u32));
+            assert_eq!(w.cached_relight(far_pos(i)), Some(i as u32));
         }
         // Crossing the cap evicts exactly the oldest entry; the wholesale
         // clear this replaces would have dropped all eight.
-        w.insert_relight(far_pos(8), true, 8);
-        assert_eq!(w.cached_relight(far_pos(0), true), None, "oldest evicted");
+        w.insert_relight(far_pos(8), 8);
+        assert_eq!(w.cached_relight(far_pos(0)), None, "oldest evicted");
         for i in 1..=8 {
             assert_eq!(
-                w.cached_relight(far_pos(i), true),
+                w.cached_relight(far_pos(i)),
                 Some(i as u32),
                 "entry {i} lost under cap pressure"
             );
@@ -1318,34 +1314,23 @@ mod tests {
         let mut w = world();
         w.set_relight_cache_cap(2);
         w.begin_relight_pass();
-        w.insert_relight(far_pos(1), false, 10);
-        w.insert_relight(far_pos(2), false, 20);
+        w.insert_relight(far_pos(1), 10);
+        w.insert_relight(far_pos(2), 20);
         // Re-memoizing an existing key updates in place (no queue growth,
         // no duplicate): FIFO order stays first-insertion, so the next
         // insert at cap still evicts key 1.
-        w.insert_relight(far_pos(1), false, 11);
-        assert_eq!(w.cached_relight(far_pos(1), false), Some(11));
-        w.insert_relight(far_pos(3), false, 30);
-        assert_eq!(w.cached_relight(far_pos(1), false), None);
-        assert_eq!(w.cached_relight(far_pos(2), false), Some(20));
-        assert_eq!(w.cached_relight(far_pos(3), false), Some(30));
+        w.insert_relight(far_pos(1), 11);
+        assert_eq!(w.cached_relight(far_pos(1)), Some(11));
+        w.insert_relight(far_pos(3), 30);
+        assert_eq!(w.cached_relight(far_pos(1)), None);
+        assert_eq!(w.cached_relight(far_pos(2)), Some(20));
+        assert_eq!(w.cached_relight(far_pos(3)), Some(30));
         // The 1:1 map<->queue invariant holds through further churn: each
         // insert evicts exactly one entry, never more.
-        w.insert_relight(far_pos(4), false, 40);
-        assert_eq!(w.cached_relight(far_pos(2), false), None);
-        assert_eq!(w.cached_relight(far_pos(3), false), Some(30));
-        assert_eq!(w.cached_relight(far_pos(4), false), Some(40));
-        w.end_relight_pass();
-    }
-
-    #[test]
-    fn relight_cache_frozen_and_lazy_entries_are_distinct() {
-        let mut w = world();
-        w.begin_relight_pass();
-        w.insert_relight(far_pos(1), true, 7);
-        w.insert_relight(far_pos(1), false, 9);
-        assert_eq!(w.cached_relight(far_pos(1), true), Some(7));
-        assert_eq!(w.cached_relight(far_pos(1), false), Some(9));
+        w.insert_relight(far_pos(4), 40);
+        assert_eq!(w.cached_relight(far_pos(2)), None);
+        assert_eq!(w.cached_relight(far_pos(3)), Some(30));
+        assert_eq!(w.cached_relight(far_pos(4)), Some(40));
         w.end_relight_pass();
     }
 
@@ -1354,14 +1339,14 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(8, 60, 8);
         w.begin_relight_pass();
-        w.insert_relight(pos, true, 42);
-        assert_eq!(w.cached_relight(pos, true), Some(42));
+        w.insert_relight(pos, 42);
+        assert_eq!(w.cached_relight(pos), Some(42));
         // Generating the chunk under the cached window leaves its freshly
         // filled columns light-dirty, so the entry must structurally miss
         // rather than serve a count computed against an air window.
         w.ensure_chunk(pos.chunk());
         assert_eq!(
-            w.cached_relight(pos, true),
+            w.cached_relight(pos),
             None,
             "stale entry survived generation under its window"
         );
