@@ -719,10 +719,9 @@ pub(crate) fn relight_misses_frozen(
             slices,
             (),
             |mut frozen, task: &mut LightSliceTask, ()| {
-                let mut flood = light::FloodScratch::new();
                 task.results.reserve(task.positions.len());
                 for pos in &task.positions {
-                    let lr = light::relight_after_change_with(&mut frozen, *pos, &mut flood);
+                    let lr = light::relight_after_change(&mut frozen, *pos);
                     task.results.push(lr.total_positions());
                 }
             },
@@ -1046,7 +1045,11 @@ mod tests {
             let out = sim.tick_sharded_with(&mut sharded, &pipeline, &mut sharded_scratch);
             assert_eq!(legacy_report, out.report, "tick {tick}");
             assert_eq!(legacy_events, out.events, "tick {tick}");
-            assert_eq!(legacy.drain_changes(), sharded.drain_changes(), "tick {tick}");
+            assert_eq!(
+                legacy.drain_changes(),
+                sharded.drain_changes(),
+                "tick {tick}"
+            );
             random_ticks += out.report.random_ticks;
         }
         assert_eq!(world_digest(&legacy), world_digest(&sharded));
