@@ -56,7 +56,7 @@ pub struct Cli {
     /// [`ParallelExecutor`].
     pub sequential: bool,
     /// `--progress`: one progress line per finished iteration on stderr.
-    pub progress: bool,
+    progress: bool,
     /// `--csv PATH`: stream one CSV row per finished iteration into `PATH`.
     pub csv: Option<String>,
     /// `--tick-threads N`: tick-pipeline worker threads (default 1, the

@@ -85,8 +85,7 @@ pub struct StagedTickExecution {
     /// Milliseconds by which offloadable work stretched the tick beyond
     /// the stage critical paths (0 when it fit into idle-core slack).
     pub offload_overflow_ms: f64,
-    /// The whole-tick execution record (busy time, interference,
-    /// utilization).
+    /// The whole-tick execution record (busy time, utilization).
     pub execution: TickExecution,
 }
 
@@ -95,12 +94,6 @@ pub struct StagedTickExecution {
 pub struct TickExecution {
     /// How long the tick's computation took, in milliseconds.
     pub busy_ms: f64,
-    /// The interference multiplier that was applied.
-    pub interference_multiplier: f64,
-    /// The burst-credit throttle multiplier that was applied.
-    pub throttle_multiplier: f64,
-    /// CPU core-seconds consumed (for system metrics and credit accounting).
-    pub core_seconds: f64,
     /// CPU utilization during the tick window, as a fraction of the node's
     /// total capacity (can exceed 1.0 only due to rounding; clamped).
     pub cpu_utilization: f64,
@@ -219,9 +212,6 @@ impl ComputeEngine {
             offload_overflow_ms,
             execution: TickExecution {
                 busy_ms,
-                interference_multiplier: interference,
-                throttle_multiplier: throttle,
-                core_seconds,
                 cpu_utilization,
             },
         }
@@ -416,8 +406,9 @@ mod tests {
         let first = execute_one(&mut engine, stage, 0).busy_ms;
         let mut throttled_time = None;
         for _ in 0..40_000 {
+            let throttle = engine.pending_throttle;
             let exec = execute_one(&mut engine, stage, 0);
-            if exec.throttle_multiplier > 1.0 {
+            if throttle > 1.0 {
                 throttled_time = Some(exec.busy_ms);
                 break;
             }

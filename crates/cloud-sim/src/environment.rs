@@ -41,11 +41,6 @@ pub struct Environment {
     pub node: NodeType,
     /// Interference behaviour.
     pub profile: InterferenceProfile,
-    /// One-way network latency between player-emulation nodes and the server
-    /// node, in milliseconds (same-datacenter by default).
-    pub network_latency_ms: f64,
-    /// Maximum network jitter, in milliseconds.
-    pub network_jitter_ms: f64,
     /// Diurnal + day-of-week tenancy curve. Flat by default on every preset
     /// — stationary campaigns stay byte-identical — and opted into via
     /// [`Environment::with_temporal`] or [`Environment::aws_diurnal`].
@@ -61,8 +56,6 @@ impl Environment {
             provider: Provider::Aws,
             node,
             profile: InterferenceProfile::aws(),
-            network_latency_ms: 0.6,
-            network_jitter_ms: 0.4,
             temporal: TemporalProfile::flat(),
         }
     }
@@ -87,8 +80,6 @@ impl Environment {
             provider: Provider::Azure,
             node: NodeType::azure_d2_v3(),
             profile: InterferenceProfile::azure(),
-            network_latency_ms: 0.7,
-            network_jitter_ms: 0.5,
             temporal: TemporalProfile::flat(),
         }
     }
@@ -100,8 +91,6 @@ impl Environment {
             provider: Provider::Das5,
             node: NodeType::das5(cores),
             profile: InterferenceProfile::dedicated(),
-            network_latency_ms: 0.2,
-            network_jitter_ms: 0.05,
             temporal: TemporalProfile::flat(),
         }
     }

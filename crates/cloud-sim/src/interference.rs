@@ -179,15 +179,15 @@ impl InterferenceState {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BurstCredits {
     /// Whether the node is burstable at all (non-T3 nodes are not throttled).
-    pub enabled: bool,
+    enabled: bool,
     /// Baseline CPU fraction per vCPU (e.g. 0.3 for t3.large).
-    pub baseline_fraction: f64,
+    baseline_fraction: f64,
     /// Number of vCPUs on the node.
-    pub vcpus: u32,
+    vcpus: u32,
     /// Current credit balance in vCPU-seconds.
-    pub balance: f64,
+    balance: f64,
     /// Maximum credit balance.
-    pub max_balance: f64,
+    max_balance: f64,
 }
 
 impl BurstCredits {

@@ -3,8 +3,8 @@
 //! Meterstick's System Metrics Collector "queries the operating system twice
 //! per second" for CPU utilization, memory usage, thread count, disk I/O and
 //! network I/O (Table 5). In the reproduction there is no operating system to
-//! query, so the collector derives the same quantities from the simulation
-//! state it is fed every tick and emits samples on the same 500 ms (virtual)
+//! query, so the collector derives all but disk I/O from the simulation state
+//! it is fed every tick and emits samples on the same 500 ms (virtual)
 //! cadence.
 
 use serde::{Deserialize, Serialize};
@@ -12,16 +12,13 @@ use serde::{Deserialize, Serialize};
 /// One system-metrics sample (one row of the system-level part of Table 5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemSample {
-    /// Virtual timestamp of the sample, in milliseconds since iteration start.
-    pub timestamp_ms: f64,
     /// CPU utilization across all vCPUs, 0.0–1.0.
     pub cpu_utilization: f64,
     /// Resident memory in MiB.
+    // detlint: allow(pub-without-caller) -- tests/end_to_end.rs asserts every sample's memory
     pub memory_mib: f64,
     /// Number of operating-system threads associated with the server.
     pub threads: u32,
-    /// Disk bytes written since the previous sample.
-    pub disk_write_bytes: u64,
     /// Network bytes sent since the previous sample.
     pub network_sent_bytes: u64,
     /// Network bytes received since the previous sample.
@@ -43,8 +40,8 @@ pub struct TickObservation {
     pub network_sent_bytes: u64,
     /// Network bytes received during this tick.
     pub network_received_bytes: u64,
-    /// Terrain blocks written this tick (drives simulated disk writes via the
-    /// world-save path).
+    /// Terrain blocks written this tick. Disk I/O is not modelled, so the
+    /// collector ignores it.
     pub blocks_written: u64,
 }
 
@@ -59,7 +56,6 @@ pub struct SystemMetricsCollector {
     acc_ticks: u32,
     acc_net_sent: u64,
     acc_net_recv: u64,
-    acc_disk: u64,
     last_entities: u64,
     last_chunks: u64,
     last_players: u32,
@@ -83,7 +79,6 @@ impl SystemMetricsCollector {
             acc_ticks: 0,
             acc_net_sent: 0,
             acc_net_recv: 0,
-            acc_disk: 0,
             last_entities: 0,
             last_chunks: 0,
             last_players: 0,
@@ -96,7 +91,6 @@ impl SystemMetricsCollector {
         self.acc_ticks += 1;
         self.acc_net_sent += obs.network_sent_bytes;
         self.acc_net_recv += obs.network_received_bytes;
-        self.acc_disk += obs.blocks_written * 12;
         self.last_entities = obs.entities;
         self.last_chunks = obs.loaded_chunks;
         self.last_players = obs.players;
@@ -116,11 +110,9 @@ impl SystemMetricsCollector {
         let threads = self.base_threads + self.last_players.div_euclid(4) + 2;
         let ts = self.window_start_ms + self.sample_interval_ms;
         self.samples.push(SystemSample {
-            timestamp_ms: ts,
             cpu_utilization: cpu.clamp(0.0, 1.0),
             memory_mib,
             threads,
-            disk_write_bytes: self.acc_disk,
             network_sent_bytes: self.acc_net_sent,
             network_received_bytes: self.acc_net_recv,
         });
@@ -129,7 +121,6 @@ impl SystemMetricsCollector {
         self.acc_ticks = 0;
         self.acc_net_sent = 0;
         self.acc_net_recv = 0;
-        self.acc_disk = 0;
     }
 
     /// Finishes collection and returns all samples.

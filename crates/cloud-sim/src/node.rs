@@ -10,9 +10,9 @@ pub struct NodeType {
     /// Number of virtual CPUs available to the server process.
     pub vcpus: u32,
     /// Clock speed in GHz (sustained, not burst).
-    pub clock_ghz: f64,
+    clock_ghz: f64,
     /// Memory in GiB.
-    pub memory_gb: f64,
+    memory_gb: f64,
     /// Whether the node uses burstable CPU credits (AWS T3 family).
     pub burstable: bool,
     /// For burstable nodes: the baseline CPU fraction per vCPU that can be

@@ -134,21 +134,29 @@ impl fmt::Display for StartTime {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TemporalProfile {
     /// Off-peak neighbour arrival intensity, in arrivals per simulated hour.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub arrivals_per_hour: f64,
     /// `[start, end)` hour-of-day range during which arrivals are scaled by
     /// `peak_multiplier`. An empty range (`start >= end`) disables the peak.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub peak_hours: (u32, u32),
     /// Arrival-intensity multiplier during peak hours.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub peak_multiplier: f64,
     /// Arrival-intensity multiplier on Saturday and Sunday.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub weekend_factor: f64,
     /// Residency span of one neighbour, in ticks (inclusive range).
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub residency_ticks: (u32, u32),
     /// Multiplicative boost to the steal-episode probability per resident.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub steal_factor_per_neighbor: f64,
     /// Multiplicative per-tick compute pressure per resident.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub pressure_per_neighbor: f64,
     /// Host capacity: arrivals beyond this resident count are rejected.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs builds its own profile
     pub max_neighbors: u32,
 }
 
@@ -239,6 +247,7 @@ impl TemporalProfile {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenancyEffect {
     /// Number of co-resident neighbours during this tick.
+    // detlint: allow(pub-without-caller) -- tests/temporal_properties.rs asserts a flat profile has none
     pub residents: u32,
     /// Factor applied to the steal-episode probability.
     pub steal_probability_factor: f64,

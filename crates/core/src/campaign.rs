@@ -734,10 +734,9 @@ mod tests {
             (
                 "link",
                 |c| {
-                    c.link(LinkConfig {
-                        base_latency_ms: 15.0,
-                        jitter_ms: 5.0,
-                    })
+                    let mut link = LinkConfig::datacenter();
+                    link.base_latency_ms = 15.0;
+                    c.link(link)
                 },
                 |r| format!("{:?}", r.iterations()[0].response_samples),
             ),

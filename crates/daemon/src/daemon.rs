@@ -93,7 +93,7 @@ pub struct DaemonStats {
     /// Label of the job currently executing (empty before the first).
     pub current_job: String,
     /// Whether the campaign loop has returned and drained its sinks.
-    pub finished: bool,
+    finished: bool,
 }
 
 #[derive(Debug)]

@@ -160,6 +160,7 @@ fn main() -> ExitCode {
         None => None,
     };
 
+    let mut status = ExitCode::SUCCESS;
     let mut round: u64 = 0;
     while !handle.shutdown_requested() && (opts.rounds == 0 || round < opts.rounds) {
         // Each round derives a fresh base seed so a resident daemon keeps
@@ -185,7 +186,7 @@ fn main() -> ExitCode {
             }
             Err(err) => {
                 eprintln!("meterstick-daemon: invalid campaign: {err}");
-                handle.request_shutdown();
+                status = ExitCode::FAILURE;
                 break;
             }
         }
@@ -202,5 +203,5 @@ fn main() -> ExitCode {
     }
     let _ = server.join();
     eprintln!("meterstick-daemon: shut down after {round} round(s)");
-    ExitCode::SUCCESS
+    status
 }

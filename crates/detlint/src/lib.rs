@@ -15,7 +15,7 @@
 //! | `no-unsafe` | no `unsafe` token anywhere; every crate root carries `forbid(unsafe_code)` |
 //! | `no-bare-spawn` | no `thread::spawn`/`thread::Builder` outside `mlg_world::pool` |
 //! | `no-debug-output` | no `println!`/`eprintln!`/`dbg!` in library crates (sinks, bench exempt) |
-//! | `pub-without-caller` | every `pub fn`/`const`/`static` under `crates/*/src` has a non-test caller outside its file (`benchmark/src` and `examples/` count) |
+//! | `pub-without-caller` | every `pub fn`/`const`/`static` and every `pub` field of a `pub struct` under `crates/*/src` has a non-test caller outside its file (`benchmark/src` and `examples/` count) |
 //!
 //! Violations are waivable inline with
 //! `// detlint: allow(<rule>) -- <reason>`; every waiver is counted and

@@ -21,7 +21,7 @@ pub struct ScannedLine {
     /// The line's code with comments removed and literal bodies blanked.
     /// Quote characters are kept so the token stream still sees literal
     /// boundaries.
-    pub code: String,
+    code: String,
     /// Text of every comment (or trailing fragment of a multi-line block
     /// comment) that ends or continues on this line.
     pub comments: Vec<String>,

@@ -2,22 +2,25 @@
 //! what production calls.
 //!
 //! Unlike the per-file rules in [`crate::rules`], this one needs every file
-//! at once. It reports each bare `pub fn`, `pub const` and `pub static`
-//! under `crates/*/src` whose name has no mention in non-test code outside
-//! its defining file. What counts:
+//! at once. It reports each bare `pub fn`, `pub const` and `pub static`,
+//! and each bare `pub` named field of a bare `pub struct`, under
+//! `crates/*/src` whose name has no mention in non-test code outside its
+//! defining file. What counts:
 //!
 //! * **Callers** are library and binary sources, `examples/` and the
 //!   read-only corpus under `benchmark/src/` (read for mentions, never
 //!   linted).
 //! * **Not callers** are `tests/`, `benches/`, `#[cfg(test)]` items and
 //!   modules (tracked with braces), `use` declarations (the call a `use`
-//!   enables is the mention) and the name token of any `fn`/`const`/
-//!   `static` definition.
+//!   enables is the mention), the name token of any `fn`/`const`/`static`
+//!   definition and the name of every field a `struct` declares (a struct
+//!   literal or a field read is the mention).
 //!
 //! Mentions are code tokens from [`crate::scanner::tokenize`], so comments,
 //! doc text and string literals never count. `pub(crate)` and other
 //! restricted visibilities are out of scope (rustc's `dead_code` guards
-//! them), as are trait-impl methods (they carry no `pub`), types and fields.
+//! them), as are trait-impl methods (they carry no `pub`), the fields of a
+//! restricted struct, tuple-struct and enum-variant fields, and types.
 //! The scan is by name: a name that some unrelated code also mentions is
 //! never reported, so the rule can miss an unused item but never reports a
 //! used one.
@@ -28,8 +31,8 @@ use crate::rules::{Finding, RuleId};
 use crate::scanner::Token;
 use crate::workspace::{FileContext, TargetKind};
 
-/// Reports every `pub` function, constant or static with no non-test
-/// mention outside its defining file, given each file's place in the
+/// Reports every `pub` function, constant, static or struct field with no
+/// non-test mention outside its defining file, given each file's place in the
 /// workspace (`None` for corpus-only files) and code tokens. Waivers are
 /// applied by the caller.
 pub(crate) fn pub_without_caller(files: &[(Option<&FileContext>, &[Token])]) -> Vec<Finding> {
@@ -63,13 +66,21 @@ pub(crate) fn pub_without_caller(files: &[(Option<&FileContext>, &[Token])]) -> 
             continue;
         };
         let tests = test_mask(tokens);
-        for (i, tok) in tokens.iter().enumerate() {
-            if tok.text != "pub" || tests[i] {
-                continue;
-            }
-            let Some((kind, name)) = pub_item(tokens, i) else {
-                continue;
-            };
+        let items = (0..tokens.len())
+            .filter(|&i| tokens[i].text == "pub" && !tests[i])
+            .filter_map(|i| pub_item(tokens, i))
+            .map(|(kind, name)| (format!("{kind} {}", name.text), name));
+        let fields = (0..tokens.len())
+            .filter(|&i| tokens[i].text == "struct" && i > 0 && tokens[i - 1].text == "pub")
+            .filter(|&i| !tests[i])
+            .flat_map(|i| {
+                let owner = tokens.get(i + 1).map_or("", |t| t.text.as_str());
+                struct_fields(tokens, i)
+                    .into_iter()
+                    .filter(|&f| tokens[f - 1].text == "pub" && !tests[f])
+                    .map(move |f| (format!("field {owner}::{}", tokens[f].text), &tokens[f]))
+            });
+        for (what, name) in items.chain(fields) {
             let called_elsewhere = mentioned_in
                 .get(name.text.as_str())
                 .is_some_and(|callers| callers.iter().any(|&f| f != idx));
@@ -79,10 +90,9 @@ pub(crate) fn pub_without_caller(files: &[(Option<&FileContext>, &[Token])]) -> 
                     line: name.line,
                     rule: RuleId::PubWithoutCaller,
                     message: format!(
-                        "`pub {kind} {}` has no caller outside tests and its own file; \
+                        "`pub {what}` has no caller outside tests and its own file; \
                          delete it, make it private or `pub(crate)`, move it under \
-                         `#[cfg(test)]`, or waive it with the reason tests reach it",
-                        name.text
+                         `#[cfg(test)]`, or waive it with the reason tests reach it"
                     ),
                 });
             }
@@ -107,8 +117,8 @@ fn pub_item(tokens: &[Token], i: usize) -> Option<(&'static str, &Token)> {
 }
 
 /// Marks the tokens that are not mentions: everything [`test_mask`] marks,
-/// `use` declarations, and the name of every `fn`/`const`/`static`
-/// definition.
+/// `use` declarations, the name of every `fn`/`const`/`static` definition
+/// and the name of every field a `struct` declares.
 fn non_mention_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = test_mask(tokens);
     let mut i = 0;
@@ -132,11 +142,47 @@ fn non_mention_mask(tokens: &[Token]) -> Vec<bool> {
                     *m = true;
                 }
             }
+            "struct" => {
+                for f in struct_fields(tokens, i) {
+                    mask[f] = true;
+                }
+            }
             _ => {}
         }
         i += 1;
     }
     mask
+}
+
+/// The name tokens of the named fields declared by the `struct` at
+/// `tokens[i]`: each word directly before a lone `:` at the top level of
+/// its braced body. Tuple and unit structs have none.
+fn struct_fields(tokens: &[Token], i: usize) -> Vec<usize> {
+    let Some(open) = tokens[i..]
+        .iter()
+        .position(|t| matches!(t.text.as_str(), "{" | "(" | ";"))
+        .map(|p| i + p)
+        .filter(|&p| tokens[p].text == "{")
+    else {
+        return Vec::new();
+    };
+    let mut fields = Vec::new();
+    let mut depth = 0i32;
+    for (j, tok) in tokens.iter().enumerate().skip(open) {
+        match tok.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            ":" if depth == 1 => fields.push(j - 1),
+            _ => {}
+        }
+    }
+    fields
 }
 
 /// Marks the tokens of every `#[cfg(test)]` item, attribute included.

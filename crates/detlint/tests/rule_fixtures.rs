@@ -416,6 +416,56 @@ fn pub_without_caller_respects_waiver() {
     assert_eq!(report.waivers[0].rules, [RuleId::PubWithoutCaller]);
 }
 
+/// A `pub struct` whose two `pub` fields only its own file reads, next to
+/// fields the rule leaves alone: a waived, a `#[cfg(test)]` and a private
+/// field, the fields of a `pub(crate)` struct, a tuple struct and an enum
+/// variant.
+const FIELDS: &str = "pub struct Stats {\n\
+                      pub hits: u64,\n\
+                      pub misses: u64,\n\
+                      // detlint: allow(pub-without-caller) -- tests/stats.rs asserts it\n\
+                      pub waived: u64,\n\
+                      #[cfg(test)]\n\
+                      pub probes: u64,\n\
+                      total: u64,\n\
+                      }\n\
+                      pub(crate) struct Inner { pub depth: u8 }\n\
+                      pub struct Pair(pub u8, pub u8);\n\
+                      pub enum Shape { Square { side: u8 } }\n\
+                      fn own(s: &Stats, i: &Inner) -> u64 { s.hits + s.misses + s.waived + u64::from(i.depth) }\n";
+
+const STATS_FIELDS: [&str; 2] = ["pub field Stats::hits", "pub field Stats::misses"];
+
+#[test]
+fn pub_fields_only_their_own_file_or_tests_read_are_reported() {
+    assert_eq!(uncalled(&[(SURFACE_FILE, FIELDS)]), STATS_FIELDS);
+    assert_eq!(lint_sources(&[(SURFACE_FILE, FIELDS)]).waivers.len(), 1);
+
+    let read = "fn t(s: &Stats) -> u64 { s.hits + s.misses }\n";
+    let test_module = "#[cfg(test)]\nmod tests { fn t(s: &Stats) -> u64 { s.hits + s.misses } }\n";
+    // Declaring a field of the same name elsewhere is not a read of it.
+    let other = "pub struct Other { pub hits: u64 }\n";
+    let files = [
+        (SURFACE_FILE, FIELDS),
+        (OTHER_LIB, test_module),
+        ("crates/core/src/other.rs", other),
+        ("tests/stats.rs", read),
+        ("crates/mlg-world/tests/stats.rs", read),
+    ];
+    assert_eq!(uncalled(&files), STATS_FIELDS);
+}
+
+#[test]
+fn pub_fields_read_in_another_crate_or_the_benchmark_are_not_reported() {
+    let read = "fn f(s: &Stats) -> u64 { s.hits }\n";
+    assert_eq!(
+        uncalled(&[(SURFACE_FILE, FIELDS), (OTHER_LIB, read)]),
+        ["pub field Stats::misses"]
+    );
+    let literal = "fn f() -> Stats { Stats { hits: 1, misses: 2 } }\n";
+    assert!(uncalled(&[(SURFACE_FILE, FIELDS), ("benchmark/src/probes.rs", literal)]).is_empty());
+}
+
 // ------------------------------------------------------- waiver mechanism
 
 #[test]

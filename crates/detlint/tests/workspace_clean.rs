@@ -113,13 +113,27 @@ fn every_waiver_is_accounted_for() {
     assert_eq!(
         sites,
         [
+            "crates/cloud-sim/src/metrics_collector.rs:pub-without-caller",
+            // TemporalProfile's eight parameters and TenancyEffect::residents.
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
+            "crates/cloud-sim/src/temporal.rs:pub-without-caller",
             "crates/core/src/executor.rs:no-debug-output",
             "crates/core/src/executor.rs:no-wall-clock",
             "crates/core/src/executor.rs:no-wall-clock",
             "crates/mlg-protocol/src/accounting.rs:pub-without-caller",
+            "crates/mlg-protocol/src/accounting.rs:pub-without-caller",
             "crates/mlg-protocol/src/codec.rs:pub-without-caller",
             "crates/mlg-protocol/src/codec.rs:pub-without-caller",
             "crates/mlg-server/src/config.rs:pub-without-caller",
+            "crates/mlg-server/src/config.rs:pub-without-caller",
+            "crates/mlg-server/src/handler.rs:pub-without-caller",
             "crates/mlg-server/src/server.rs:pub-without-caller",
             "crates/mlg-server/src/server.rs:pub-without-caller",
             "crates/mlg-world/src/shard.rs:pub-without-caller",

@@ -15,7 +15,7 @@ pub struct Percentiles {
     /// 5th percentile.
     pub p5: f64,
     /// 25th percentile (first quartile).
-    pub p25: f64,
+    p25: f64,
     /// Median.
     pub p50: f64,
     /// 75th percentile (third quartile).

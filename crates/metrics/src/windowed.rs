@@ -7,10 +7,10 @@
 //! horizon:
 //!
 //! * the **open window** buffers at most `window_ticks` samples; when it
-//!   fills, it is summarized into a [`WindowSummary`] (mean, CoV,
-//!   percentiles, overload count — computed with the batch [`stats`]
-//!   functions, so a window summary equals the batch statistics of the same
-//!   slice exactly);
+//!   fills, it is summarized into a [`WindowSummary`] (mean, CoV, p95,
+//!   overload count — computed with the batch [`stats`] functions, so a
+//!   window summary equals the batch statistics of the same slice
+//!   exactly);
 //! * closed summaries live in a **bounded ring** of `max_windows` entries
 //!   (oldest evicted first);
 //! * horizon-wide aggregates (mean, CoV, ISR) fold into **O(1) cumulative
@@ -32,8 +32,6 @@ use crate::stats;
 pub struct WindowSummary {
     /// Zero-based index of this window within the iteration.
     pub index: u64,
-    /// Tick index of the window's first sample.
-    pub start_tick: u64,
     /// Number of tick samples in the window (equal to the configured window
     /// length except for a trailing partial window).
     pub ticks: usize,
@@ -41,12 +39,8 @@ pub struct WindowSummary {
     pub mean_ms: f64,
     /// Coefficient of variation of the window's busy times.
     pub cov: f64,
-    /// Median busy time, in milliseconds.
-    pub p50_ms: f64,
     /// 95th-percentile busy time, in milliseconds.
     pub p95_ms: f64,
-    /// Maximum busy time, in milliseconds.
-    pub max_ms: f64,
     /// Number of ticks that exceeded the budget.
     pub overloaded: usize,
 }
@@ -160,17 +154,10 @@ impl WindowedAggregator {
         let ticks = self.current.len();
         let summary = WindowSummary {
             index: self.windows_closed,
-            start_tick: self.total_ticks - ticks as u64,
             ticks,
             mean_ms: stats::mean(&self.current),
             cov: stats::coefficient_of_variation(&self.current),
-            p50_ms: stats::percentile(&self.current, 50.0),
             p95_ms: stats::percentile(&self.current, 95.0),
-            max_ms: self
-                .current
-                .iter()
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max),
             overloaded: self.current_overloaded,
         };
         if self.windows.len() == self.max_windows {
@@ -288,7 +275,6 @@ mod tests {
             assert_eq!(w.ticks, 250);
             assert_eq!(w.mean_ms, stats::mean(chunk));
             assert_eq!(w.cov, stats::coefficient_of_variation(chunk));
-            assert_eq!(w.p50_ms, stats::percentile(chunk, 50.0));
             assert_eq!(w.p95_ms, stats::percentile(chunk, 95.0));
             assert_eq!(w.overloaded, chunk.iter().filter(|&&v| v > B).count());
         }
@@ -323,12 +309,9 @@ mod tests {
         assert_eq!(agg.windows_closed, 2);
         let w0 = &agg.windows()[0];
         assert_eq!(w0.mean_ms, 60.0);
-        assert_eq!(w0.p50_ms, 60.0);
-        assert_eq!(w0.max_ms, 70.0);
         assert_eq!(w0.overloaded, 2); // 60 and 70 exceed the 50 ms budget
         let w1 = &agg.windows()[1];
         assert_eq!(w1.mean_ms, 60.0);
-        assert_eq!(w1.start_tick, 3);
         // CoV of [80, 40, 60]: σ = √(800/3), mean 60.
         assert!((w1.cov - (800.0f64 / 3.0).sqrt() / 60.0).abs() < 1e-12);
         // finish() closes the trailing partial window.

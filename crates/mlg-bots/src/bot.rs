@@ -25,7 +25,7 @@ pub struct Bot {
     /// Movement behaviour.
     pub behavior: Behavior,
     /// Interval between chat probes, in ticks. 0 disables probing.
-    pub probe_interval_ticks: u64,
+    probe_interval_ticks: u64,
     rng: StdRng,
     /// Separate stream for builder block-action offsets, so enabling
     /// building never perturbs the movement RNG: a builder bot walks

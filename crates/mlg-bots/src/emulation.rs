@@ -145,9 +145,8 @@ impl PlayerEmulation {
     pub fn generate_actions(&mut self, now_ms: f64) {
         for conn in &mut self.connections {
             for packet in conn.bot.act(now_ms) {
-                let size = serverbound_wire_size(&packet);
-                self.bytes_sent_to_server += size as u64;
-                conn.uplink.send(now_ms, packet, size);
+                self.bytes_sent_to_server += serverbound_wire_size(&packet) as u64;
+                conn.uplink.send(now_ms, packet);
             }
         }
     }

@@ -22,17 +22,6 @@ const WANDER_RANGE: i32 = 8;
 /// Node budget for a single pathfinding request.
 const PATH_NODE_BUDGET: u32 = 512;
 
-/// Result of one AI decision step for one mob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AiOutcome {
-    /// Whether a pathfinding search was executed.
-    pub pathfinding_performed: bool,
-    /// Nodes expanded by the pathfinding search (0 if none).
-    pub path_nodes_expanded: u32,
-    /// Whether the mob picked (or kept) a movement target.
-    pub has_target: bool,
-}
-
 /// Runs one decision step for a mob: acquire or keep a target, pathfind
 /// towards it when needed, and set the entity's velocity along the path.
 ///
@@ -40,16 +29,17 @@ pub struct AiOutcome {
 /// target the nearest one within `AGGRO_RANGE`. `scratch` is the caller's
 /// pathfinding working memory, reused from mob to mob and tick to tick — on
 /// one world: it remembers routes (see [`pathfinding::next_step_with`]).
+///
+/// Returns the nodes the pathfinding search expanded (0 if none ran).
 pub fn decide<W: BlockReader, R: Rng>(
     world: &mut W,
     entity: &mut Entity,
     players: &[Vec3],
     rng: &mut R,
     scratch: &mut PathScratch,
-) -> AiOutcome {
-    let mut outcome = AiOutcome::default();
+) -> u32 {
     if !entity.kind.is_mob() {
-        return outcome;
+        return 0;
     }
 
     // 1. Target selection.
@@ -75,16 +65,15 @@ pub fn decide<W: BlockReader, R: Rng>(
     }
 
     let Some(target) = entity.path_target else {
-        return outcome;
+        return 0;
     };
-    outcome.has_target = true;
 
     // 2. Arrived?
     if entity.pos.distance(target) < 1.0 {
         entity.path_target = None;
         entity.velocity.x = 0.0;
         entity.velocity.z = 0.0;
-        return outcome;
+        return 0;
     }
 
     // 3. Pathfind towards the target and follow the first step. The route
@@ -102,13 +91,11 @@ pub fn decide<W: BlockReader, R: Rng>(
         PATH_NODE_BUDGET,
         scratch,
     );
-    outcome.pathfinding_performed = true;
-    outcome.path_nodes_expanded = nodes_expanded;
 
     if !reached_goal {
         // Give up on unreachable targets.
         entity.path_target = None;
-        return outcome;
+        return nodes_expanded;
     }
     let next = first_step.map_or(target, Vec3::from_block_center);
     let direction = next.sub(entity.pos);
@@ -120,7 +107,7 @@ pub fn decide<W: BlockReader, R: Rng>(
     if direction.y > 0.5 && entity.on_ground {
         entity.velocity.y = 0.42;
     }
-    outcome
+    nodes_expanded
 }
 
 #[cfg(test)]
@@ -154,8 +141,8 @@ mod tests {
             &mut rng(),
             &mut PathScratch::default(),
         );
-        assert!(out.has_target);
-        assert!(out.pathfinding_performed);
+        assert!(zombie.path_target.is_some());
+        assert!(out > 0);
         assert!(
             zombie.velocity.x > 0.0,
             "zombie should move towards the player"
@@ -168,14 +155,13 @@ mod tests {
         let mut zombie = Entity::new(EntityId(1), EntityKind::Zombie, Vec3::new(0.5, 61.0, 0.5));
         let players = vec![Vec3::new(500.0, 61.0, 0.5)];
         let mut r = StdRng::seed_from_u64(1); // seed chosen so the wander roll fails
-        let out = decide(
+        decide(
             &mut w,
             &mut zombie,
             &players,
             &mut r,
             &mut PathScratch::default(),
         );
-        assert!(zombie.path_target.is_none() || out.has_target);
         // Whatever happened, the zombie must not be chasing the far player.
         if let Some(t) = zombie.path_target {
             assert!(t.distance(players[0]) > AGGRO_RANGE);
@@ -191,8 +177,8 @@ mod tests {
         let mut scratch = PathScratch::default();
         let mut wandered = false;
         for _ in 0..200 {
-            let out = decide(&mut w, &mut cow, &[], &mut r, &mut scratch);
-            if out.has_target {
+            decide(&mut w, &mut cow, &[], &mut r, &mut scratch);
+            if cow.path_target.is_some() {
                 wandered = true;
                 break;
             }
@@ -231,7 +217,7 @@ mod tests {
             &mut rng(),
             &mut PathScratch::default(),
         );
-        assert_eq!(out, AiOutcome::default());
+        assert_eq!(out, 0);
     }
 
     /// Some mobs, the RNG they share and the scratch they are decided with:
@@ -272,7 +258,7 @@ mod tests {
 
         /// One tick of every mob — physics, then a decision, as the entity
         /// manager runs them.
-        fn tick<W: BlockReader>(&mut self, world: &mut W, players: &[Vec3]) -> Vec<AiOutcome> {
+        fn tick<W: BlockReader>(&mut self, world: &mut W, players: &[Vec3]) -> Vec<u32> {
             let mut outcomes = Vec::new();
             for mob in &mut self.mobs {
                 crate::physics::step(world, mob);
@@ -287,7 +273,7 @@ mod tests {
 
         /// The tick on the world itself, or as the only task of a frozen
         /// phase of it.
-        fn tick_on(&mut self, world: &mut World, players: &[Vec3], frozen: bool) -> Vec<AiOutcome> {
+        fn tick_on(&mut self, world: &mut World, players: &[Vec3], frozen: bool) -> Vec<u32> {
             world.advance_tick();
             if !frozen {
                 return self.tick(world, players);
@@ -298,9 +284,7 @@ mod tests {
                 &pipeline.scope(),
                 vec![(herd, players.to_vec(), Vec::new())],
                 (),
-                |mut view,
-                 (herd, players, outcomes): &mut (Herd, Vec<Vec3>, Vec<AiOutcome>),
-                 ()| {
+                |mut view, (herd, players, outcomes): &mut (Herd, Vec<Vec3>, Vec<u32>), ()| {
                     *outcomes = herd.tick(&mut view, players);
                 },
             );
@@ -511,7 +495,7 @@ mod tests {
         );
         assert_eq!(zombie, twin);
         assert!(
-            walled.path_nodes_expanded > open.path_nodes_expanded,
+            walled > open,
             "the detour costs more than the straight line: {walled:?} after {open:?}"
         );
         assert!(
@@ -540,15 +524,10 @@ mod tests {
             let (zombie, players) = scene();
             let (mut tasks, ()) = w.run_frozen_phase(
                 &pipeline.scope(),
-                vec![(zombie, players, scratch, AiOutcome::default())],
+                vec![(zombie, players, scratch, 0)],
                 (),
                 |mut view,
-                 (zombie, players, scratch, out): &mut (
-                    Entity,
-                    Vec<Vec3>,
-                    PathScratch,
-                    AiOutcome,
-                ),
+                 (zombie, players, scratch, out): &mut (Entity, Vec<Vec3>, PathScratch, u32),
                  ()| {
                     *out = decide(&mut view, zombie, players, &mut rng(), scratch);
                 },
@@ -559,7 +538,7 @@ mod tests {
 
         let epoch = w.terrain_epoch();
         let (gave_up, frozen_out, scratch) = frozen_decision(&mut w, PathScratch::default());
-        assert!(gave_up.path_target.is_none() && frozen_out.pathfinding_performed);
+        assert!(gave_up.path_target.is_none() && frozen_out > 0);
         assert_eq!(w.terrain_epoch(), epoch);
 
         let mut scratch = scratch;
@@ -600,6 +579,6 @@ mod tests {
             &mut rng(),
             &mut PathScratch::default(),
         );
-        assert!(out.path_nodes_expanded > 0);
+        assert!(out > 0);
     }
 }

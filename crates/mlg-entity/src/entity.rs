@@ -155,8 +155,6 @@ pub struct Entity {
     pub fuse: u16,
     /// Stack size for item entities (merging increases it).
     pub stack_size: u32,
-    /// Health points for mobs.
-    pub health: f64,
     /// Current pathfinding target, if the AI chose one.
     pub path_target: Option<Vec3>,
 }
@@ -181,7 +179,6 @@ impl Entity {
                 0
             },
             stack_size: 1,
-            health: if kind.is_mob() { 20.0 } else { 1.0 },
             path_target: None,
         }
     }
@@ -218,7 +215,6 @@ mod tests {
     fn new_entity_defaults() {
         let e = Entity::new(EntityId(1), EntityKind::Zombie, Vec3::new(0.0, 64.0, 0.0));
         assert_eq!(e.age, 0);
-        assert_eq!(e.health, 20.0);
         assert_eq!(e.fuse, 0);
         assert!(e.kind.is_mob());
     }

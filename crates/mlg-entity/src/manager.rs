@@ -249,14 +249,14 @@ impl EntityManager {
                     }
                 }
                 kind if kind.is_mob() => {
-                    let ai_out = ai::decide(
+                    let nodes = ai::decide(
                         world,
                         entity,
                         players,
                         &mut self.rng,
                         &mut self.path_scratch,
                     );
-                    report.path_nodes_expanded += u64::from(ai_out.path_nodes_expanded);
+                    report.path_nodes_expanded += u64::from(nodes);
                 }
                 _ => {}
             }
@@ -561,14 +561,14 @@ impl EntityShardTask {
                     }
                 }
                 kind if kind.is_mob() => {
-                    let ai_out = ai::decide(
+                    let nodes = ai::decide(
                         &mut frozen,
                         entity,
                         &ctx.players,
                         &mut rng,
                         &mut self.path_scratch,
                     );
-                    self.path_nodes_expanded += u64::from(ai_out.path_nodes_expanded);
+                    self.path_nodes_expanded += u64::from(nodes);
                 }
                 _ => {}
             }
@@ -820,6 +820,16 @@ mod tests {
         // surface is too bright to spawn hostiles.
         let r2 = m.tick(&mut w, &[Vec3::new(0.5, 61.0, 0.5)]);
         assert!(r2.spawn_positions_scanned > 0);
+    }
+
+    #[test]
+    fn disabled_natural_spawning_does_nothing() {
+        let mut m = EntityManager::new(5);
+        m.natural_spawning = false;
+        let mut w = world();
+        let r = m.tick(&mut w, &[Vec3::new(0.5, 61.0, 0.5)]);
+        assert_eq!(r.spawn_positions_scanned, 0);
+        assert_eq!(m.count(), 0);
     }
 
     #[test]

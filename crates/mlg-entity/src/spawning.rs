@@ -61,20 +61,18 @@ pub struct SpawnOutcome {
     pub positions_scanned: u32,
 }
 
-/// Configuration of the spawning pass.
+/// Configuration of the spawning pass. Whether it runs at all is
+/// `EntityManager::natural_spawning`.
 #[derive(Debug, Clone, Copy)]
 pub struct Spawner {
     /// Spawn attempts per player per tick.
-    pub attempts_per_player: u32,
-    /// Whether hostile spawning is enabled at all.
-    pub hostile_spawning: bool,
+    attempts_per_player: u32,
 }
 
 impl Default for Spawner {
     fn default() -> Self {
         Spawner {
             attempts_per_player: 40,
-            hostile_spawning: true,
         }
     }
 }
@@ -143,9 +141,6 @@ impl Spawner {
         rng: &mut R,
     ) -> SpawnOutcome {
         let mut outcome = SpawnOutcome::default();
-        if !self.hostile_spawning {
-            return outcome;
-        }
         for player in players {
             for _ in 0..self.attempts_per_player {
                 let dx = rng.gen_range(-SPAWN_RADIUS..=SPAWN_RADIUS);
@@ -227,9 +222,6 @@ mod tests {
         rng: &mut StdRng,
     ) -> SpawnOutcome {
         let mut outcome = SpawnOutcome::default();
-        if !spawner.hostile_spawning {
-            return outcome;
-        }
         for player in players {
             for _ in 0..spawner.attempts_per_player {
                 let dx = rng.gen_range(-SPAWN_RADIUS..=SPAWN_RADIUS);
@@ -499,7 +491,6 @@ mod tests {
         }
         let spawner = Spawner {
             attempts_per_player: 1_000,
-            hostile_spawning: true,
         };
         let mut rng = StdRng::seed_from_u64(3);
         let players = vec![Vec3::new(0.5, 61.0, 0.5)];
@@ -524,24 +515,11 @@ mod tests {
         }
         let spawner = Spawner {
             attempts_per_player: 100,
-            hostile_spawning: true,
         };
         let mut rng = StdRng::seed_from_u64(3);
         let players = vec![Vec3::new(0.5, 61.0, 0.5)];
         let outcome = spawner.tick(&mut w, &players, HOSTILE_MOB_CAP, &mut rng);
         assert!(outcome.spawns.is_empty());
         assert_eq!(outcome.positions_scanned, 100);
-    }
-
-    #[test]
-    fn disabled_spawner_does_nothing() {
-        let mut w = world();
-        let spawner = Spawner {
-            attempts_per_player: 100,
-            hostile_spawning: false,
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        let outcome = spawner.tick(&mut w, &[Vec3::ZERO], 0, &mut rng);
-        assert_eq!(outcome, SpawnOutcome::default());
     }
 }

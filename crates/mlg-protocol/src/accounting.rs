@@ -69,6 +69,7 @@ impl std::fmt::Display for TrafficCategory {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CategoryCounters {
     /// Number of messages in this category.
+    // detlint: allow(pub-without-caller) -- mlg-server's unit tests pin per-category message counts
     pub messages: u64,
     /// Number of wire bytes in this category.
     pub bytes: u64,

@@ -19,7 +19,7 @@ pub struct LinkConfig {
     /// One-way base latency in milliseconds.
     pub base_latency_ms: f64,
     /// Maximum additional random jitter in milliseconds (uniform).
-    pub jitter_ms: f64,
+    jitter_ms: f64,
 }
 
 impl LinkConfig {
@@ -58,11 +58,6 @@ pub struct NetworkLink<T> {
     queue: VecDeque<InFlight<T>>,
     rng: StdRng,
     last_delivery_ms: f64,
-    /// Total [`NetworkLink::send`] calls ever made on the link (a packet
-    /// count where each payload is one packet, as on a bot's uplink).
-    pub packets_sent: u64,
-    /// Total payload bytes ever sent through the link.
-    pub bytes_sent: u64,
 }
 
 impl<T> NetworkLink<T> {
@@ -74,13 +69,11 @@ impl<T> NetworkLink<T> {
             queue: VecDeque::new(),
             rng: StdRng::seed_from_u64(seed),
             last_delivery_ms: 0.0,
-            packets_sent: 0,
-            bytes_sent: 0,
         }
     }
 
-    /// Enqueues a payload of `size_bytes` at virtual time `now_ms`.
-    pub fn send(&mut self, now_ms: f64, payload: T, size_bytes: usize) {
+    /// Enqueues a payload at virtual time `now_ms`.
+    pub fn send(&mut self, now_ms: f64, payload: T) {
         let jitter = if self.config.jitter_ms > 0.0 {
             self.rng.gen_range(0.0..self.config.jitter_ms)
         } else {
@@ -93,8 +86,6 @@ impl<T> NetworkLink<T> {
             deliver_at_ms: deliver_at,
             payload,
         });
-        self.packets_sent += 1;
-        self.bytes_sent += size_bytes as u64;
     }
 
     /// Returns every payload whose delivery time has passed at `now_ms`.
@@ -121,7 +112,7 @@ mod tests {
             },
             1,
         );
-        link.send(0.0, 42, 8);
+        link.send(0.0, 42);
         assert!(link.poll(5.0).is_empty());
         assert_eq!(link.poll(10.0), vec![42]);
         assert!(link.poll(1_000.0).is_empty(), "each packet arrives once");
@@ -134,7 +125,7 @@ mod tests {
             jitter_ms: 0.0,
         };
         let mut link: NetworkLink<&str> = NetworkLink::new(loopback, 1);
-        link.send(100.0, "hello", 5);
+        link.send(100.0, "hello");
         assert_eq!(link.poll(100.0), vec!["hello"]);
     }
 
@@ -148,7 +139,7 @@ mod tests {
             7,
         );
         for i in 0..50 {
-            link.send(f64::from(i), i, 4);
+            link.send(f64::from(i), i);
         }
         let delivered = link.poll(10_000.0);
         assert_eq!(delivered.len(), 50);
@@ -166,22 +157,10 @@ mod tests {
             },
             1,
         );
-        link.send(0.0, 1, 4);
-        link.send(50.0, 2, 4);
+        link.send(0.0, 1);
+        link.send(50.0, 2);
         assert_eq!(link.poll(20.0), vec![1]);
         assert_eq!(link.poll(60.0), vec![2]);
-    }
-
-    #[test]
-    fn accounting_tracks_packets_and_bytes() {
-        let mut link: NetworkLink<u8> = NetworkLink::new(LinkConfig::datacenter(), 9);
-        link.send(0.0, 1, 100);
-        link.send(0.0, 2, 200);
-        assert_eq!(link.packets_sent, 2);
-        assert_eq!(link.bytes_sent, 300);
-        assert_eq!(link.poll(1_000.0), vec![1, 2]);
-        // Cumulative counters survive delivery.
-        assert_eq!(link.bytes_sent, 300);
     }
 
     #[test]
@@ -193,8 +172,8 @@ mod tests {
         let mut a: NetworkLink<u32> = NetworkLink::new(cfg, 1234);
         let mut b: NetworkLink<u32> = NetworkLink::new(cfg, 1234);
         for i in 0..20 {
-            a.send(f64::from(i) * 3.0, i, 8);
-            b.send(f64::from(i) * 3.0, i, 8);
+            a.send(f64::from(i) * 3.0, i);
+            b.send(f64::from(i) * 3.0, i);
         }
         // Poll at staggered times; deliveries must match exactly.
         for t in [10.0, 30.0, 100.0] {

@@ -51,6 +51,7 @@ pub struct ServerConfig {
     /// population workload) can key their behaviour off the same clock. Must
     /// never feed the tick determinism contract's forbidden sources: this is
     /// simulated calendar time, not wall-clock time.
+    // detlint: allow(pub-without-caller) -- nothing reads it, but benchmark/src/trace.rs calls the frozen setter that writes it
     pub start_time_minute: u32,
 }
 

@@ -367,7 +367,6 @@ mod tests {
             growths: raw[15],
             blocks_scanned: raw[16],
             chunks_generated: raw[17] % 40,
-            update_budget_exhausted: false,
         };
         let entity = EntityTickReport {
             entities_processed: raw[18],

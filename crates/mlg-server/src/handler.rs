@@ -74,8 +74,6 @@ pub struct PlayerStageReport {
     pub blocks_dug: u64,
     /// Chat messages accepted.
     pub chat_messages: u64,
-    /// Keep-alive responses received.
-    pub keep_alives: u64,
     /// World block reads performed to validate actions.
     pub blocks_read: u64,
     /// Chat messages waiting to be broadcast at the end of the tick.
@@ -93,7 +91,6 @@ impl PlayerStageReport {
         self.blocks_placed += other.blocks_placed;
         self.blocks_dug += other.blocks_dug;
         self.chat_messages += other.chat_messages;
-        self.keep_alives += other.keep_alives;
         self.blocks_read += other.blocks_read;
         self.pending_chat.extend(other.pending_chat);
     }
@@ -160,12 +157,9 @@ pub fn process_player_actions<W: TerrainView>(
                     sent_at_ms,
                 });
             }
-            ServerboundPacket::KeepAlive { .. } => {
-                report.keep_alives += 1;
-            }
-            // Connection management (login/disconnect) is handled by the
-            // server itself, not the per-tick action loop; future packet
-            // kinds are ignored here.
+            // Keep-alives only count as actions. Connection management
+            // (login/disconnect) is handled by the server itself, not the
+            // per-tick action loop; future packet kinds are ignored here.
             _ => {}
         }
     }
@@ -183,6 +177,7 @@ pub struct ShardedPlayerStage {
     pub per_shard_work: Vec<u64>,
     /// Players escalated to the serial tail this tick (boundary chunks or
     /// cross-shard actions).
+    // detlint: allow(pub-without-caller) -- tests/shard_properties.rs asserts which players escalate
     pub escalated_players: u64,
 }
 

@@ -31,8 +31,6 @@ pub struct ServerCrash {
     pub reason: String,
     /// Tick index at which the crash happened.
     pub at_tick: u64,
-    /// Virtual time of the crash, in milliseconds.
-    pub at_ms: f64,
 }
 
 /// Per-stage busy-time breakdown of one tick under the stage-parallel tick
@@ -866,7 +864,6 @@ impl GameServer {
                 self.tick_index, busy_ms
             ),
             at_tick: self.tick_index,
-            at_ms: end_ms,
         });
         self.crash.clone()
     }

@@ -29,8 +29,6 @@ pub struct FluidOutcome {
     pub solidified: u32,
     /// Number of neighbouring positions inspected.
     pub blocks_scanned: u32,
-    /// Whether a follow-up scheduled tick was requested.
-    pub rescheduled: bool,
 }
 
 /// Returns the spread delay in ticks for a fluid kind.
@@ -129,7 +127,6 @@ pub fn apply_fluid<W: TerrainView>(world: &mut W, pos: BlockPos) -> FluidOutcome
         world.set_block(below, Block::with_state(kind, 1));
         world.schedule_tick(below, spread_delay(kind));
         outcome.spread_to += 1;
-        outcome.rescheduled = true;
         return outcome;
     }
 
@@ -142,7 +139,6 @@ pub fn apply_fluid<W: TerrainView>(world: &mut W, pos: BlockPos) -> FluidOutcome
                 world.set_block(n, Block::with_state(kind, level + 1));
                 world.schedule_tick(n, spread_delay(kind));
                 outcome.spread_to += 1;
-                outcome.rescheduled = true;
             }
         }
     }
@@ -253,8 +249,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Water));
-        let out = apply_fluid(&mut w, pos);
-        assert!(out.rescheduled);
+        apply_fluid(&mut w, pos);
         assert!(!w.updates_mut().pop_due(u64::MAX).is_empty());
     }
 

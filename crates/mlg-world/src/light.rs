@@ -65,9 +65,9 @@ const TOPS_UNREAD: i32 = i32::MIN;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LightReport {
     /// Positions visited by the sky-light column scan.
-    pub sky_positions: u32,
+    sky_positions: u32,
     /// Positions visited by the block-light flood fill.
-    pub flood_positions: u32,
+    flood_positions: u32,
 }
 
 impl LightReport {

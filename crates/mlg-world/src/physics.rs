@@ -12,30 +12,19 @@ use crate::block::{Block, BlockKind};
 use crate::pos::BlockPos;
 use crate::shard::TerrainView;
 
-/// Result of applying the gravity rule at a single position.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GravityOutcome {
-    /// Whether the block moved.
-    pub fell: bool,
-    /// How many blocks the block fell (0 when it did not move).
-    pub fall_distance: u32,
-    /// Number of world reads performed while scanning for a landing spot.
-    pub blocks_scanned: u32,
-}
-
 /// Applies gravity at `pos`: if the block there is gravity-affected and
 /// unsupported, it is moved down to rest on the first solid block below.
+/// Returns the number of world reads spent scanning for the landing spot.
 ///
 /// The move is performed through [`TerrainView::set_block`] so the change is
 /// recorded and neighbours (including the vacated position above) receive
 /// updates — this is what lets a whole sand pillar collapse over successive
 /// updates, exactly like the bridge example in the paper.
-pub fn apply_gravity<W: TerrainView>(world: &mut W, pos: BlockPos) -> GravityOutcome {
-    let mut outcome = GravityOutcome::default();
+pub fn apply_gravity<W: TerrainView>(world: &mut W, pos: BlockPos) -> u32 {
     let block = world.block(pos);
-    outcome.blocks_scanned += 1;
+    let mut blocks_scanned = 1;
     if !block.kind().is_gravity_affected() {
-        return outcome;
+        return blocks_scanned;
     }
     // Scan downwards for the landing position.
     let mut landing = pos;
@@ -45,22 +34,18 @@ pub fn apply_gravity<W: TerrainView>(world: &mut W, pos: BlockPos) -> GravityOut
             break;
         }
         let below_block = world.block(below);
-        outcome.blocks_scanned += 1;
+        blocks_scanned += 1;
         if below_block.is_air() || below_block.kind().is_fluid() {
             landing = below;
         } else {
             break;
         }
     }
-    if landing == pos {
-        return outcome;
+    if landing != pos {
+        world.set_block(pos, Block::AIR);
+        world.set_block(landing, block);
     }
-    let distance = (pos.y - landing.y) as u32;
-    world.set_block(pos, Block::AIR);
-    world.set_block(landing, block);
-    outcome.fell = true;
-    outcome.fall_distance = distance;
-    outcome
+    blocks_scanned
 }
 
 /// Block kinds that the physics rule is interested in. Exposed so that the
@@ -86,9 +71,8 @@ mod tests {
         let mut w = world();
         let start = BlockPos::new(4, 80, 4);
         w.set_block_silent(start, Block::simple(BlockKind::Sand));
-        let outcome = apply_gravity(&mut w, start);
-        assert!(outcome.fell);
-        assert_eq!(outcome.fall_distance, 19); // 80 -> 61 (on top of grass at 60)
+        apply_gravity(&mut w, start);
+        // 80 -> 61, on top of the grass at 60.
         assert_eq!(w.block(start), Block::AIR);
         assert_eq!(w.block(BlockPos::new(4, 61, 4)).kind(), BlockKind::Sand);
     }
@@ -98,8 +82,8 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4); // directly on the grass surface
         w.set_block_silent(pos, Block::simple(BlockKind::Sand));
-        let outcome = apply_gravity(&mut w, pos);
-        assert!(!outcome.fell);
+        apply_gravity(&mut w, pos);
+        assert_eq!(w.pending_change_count(), 0);
         assert_eq!(w.block(pos).kind(), BlockKind::Sand);
     }
 
@@ -108,8 +92,8 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 80, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Stone));
-        let outcome = apply_gravity(&mut w, pos);
-        assert!(!outcome.fell);
+        apply_gravity(&mut w, pos);
+        assert_eq!(w.pending_change_count(), 0);
         assert_eq!(w.block(pos).kind(), BlockKind::Stone);
     }
 
@@ -121,8 +105,8 @@ mod tests {
             w.set_block_silent(BlockPos::new(4, y, 4), Block::simple(BlockKind::Water));
         }
         w.set_block_silent(pos, Block::simple(BlockKind::Sand));
-        let outcome = apply_gravity(&mut w, pos);
-        assert!(outcome.fell);
+        apply_gravity(&mut w, pos);
+        assert_eq!(w.block(pos), Block::AIR);
         assert_eq!(w.block(BlockPos::new(4, 61, 4)).kind(), BlockKind::Sand);
     }
 
@@ -149,8 +133,7 @@ mod tests {
         for side in floating.horizontal_neighbors() {
             w.set_block_silent(side, Block::simple(BlockKind::Stone));
         }
-        let outcome = apply_gravity(&mut w, floating);
-        assert!(outcome.fell);
+        apply_gravity(&mut w, floating);
         assert_eq!(w.block(floating), Block::AIR);
     }
 

@@ -81,8 +81,6 @@ pub struct TerrainTickReport {
     pub blocks_scanned: u64,
     /// Chunks generated during this tick (lazy generation near players).
     pub chunks_generated: u64,
-    /// Whether the per-tick update budget was exhausted (cascade truncated).
-    pub update_budget_exhausted: bool,
 }
 
 impl TerrainTickReport {
@@ -106,7 +104,6 @@ impl TerrainTickReport {
         self.growths += other.growths;
         self.blocks_scanned += other.blocks_scanned;
         self.chunks_generated += other.chunks_generated;
-        self.update_budget_exhausted |= other.update_budget_exhausted;
     }
 }
 
@@ -164,7 +161,7 @@ pub struct TerrainSimulator {
     /// Real servers have no such limit, but an unbounded cascade would hang
     /// the simulation; the limit is high enough that only pathological
     /// workloads (lag machines on slow nodes) ever reach it.
-    pub max_updates_per_tick: u32,
+    max_updates_per_tick: u32,
     /// Whether lighting is recomputed eagerly for every change (vanilla
     /// behaviour) or deferred/batched (PaperMC-style optimization).
     pub eager_lighting: bool,
@@ -216,7 +213,6 @@ impl TerrainSimulator {
         //    processing — this is the cascading simulation-rule loop.
         while let Some(update) = world.updates_mut().pop_immediate() {
             if processed >= self.max_updates_per_tick {
-                report.update_budget_exhausted = true;
                 break;
             }
             report.neighbor_updates += 1;
@@ -282,8 +278,7 @@ impl TerrainSimulator {
         let kind = world.block(update.pos).kind();
         report.blocks_scanned += 1;
         if physics::reacts_to_updates(kind) {
-            let out = physics::apply_gravity(world, update.pos);
-            report.blocks_scanned += u64::from(out.blocks_scanned);
+            report.blocks_scanned += u64::from(physics::apply_gravity(world, update.pos));
         } else if fluid::reacts_to_updates(kind) {
             let out = fluid::apply_fluid(world, update.pos);
             report.blocks_scanned += u64::from(out.blocks_scanned);
@@ -340,7 +335,6 @@ impl TerrainSimulator {
             report: TerrainTickReport::default(),
             events: Vec::new(),
             per_shard_work: vec![0u64; map.count()],
-            serial_work: 0,
         };
 
         self.cascade_rounds(world, map, &scope, scratch, &mut out);
@@ -408,7 +402,6 @@ impl TerrainSimulator {
                 }
             }
             if processed_total >= budget {
-                out.report.update_budget_exhausted = true;
                 let requeued = scratch
                     .shard_batches
                     .iter_mut()
@@ -485,7 +478,6 @@ impl TerrainSimulator {
         while let Some(update) = scratch.serial_batch.pop_front() {
             // Scheduled updates stay budget-exempt here too.
             if update.kind != UpdateKind::Scheduled && processed >= remaining {
-                out.report.update_budget_exhausted = true;
                 world.push_neighbor_update(update.pos);
                 continue;
             }
@@ -502,7 +494,6 @@ impl TerrainSimulator {
                 }
             }
         }
-        out.serial_work += processed;
         processed
     }
 
@@ -551,7 +542,7 @@ impl TerrainSimulator {
             out.per_shard_work[shard] += report.random_ticks;
         }
         for pos in serial_picks {
-            out.serial_work += u64::from(apply_random_pick(world, pos, &mut out.report));
+            apply_random_pick(world, pos, &mut out.report);
         }
     }
 
@@ -583,16 +574,12 @@ impl TerrainSimulator {
     }
 }
 
-/// Applies one random-tick pick to `world` and counts it into `report`;
-/// returns whether a plant reacted (the pick counts as work only then).
-fn apply_random_pick<W: TerrainView>(
-    world: &mut W,
-    pos: BlockPos,
-    report: &mut TerrainTickReport,
-) -> bool {
+/// Applies one random-tick pick to `world` and counts it into `report`
+/// (as work only when a plant reacts).
+fn apply_random_pick<W: TerrainView>(world: &mut W, pos: BlockPos, report: &mut TerrainTickReport) {
     let kind = world.block_if_loaded(pos).kind();
     if !growth::reacts_to_random_tick(kind) {
-        return false;
+        return;
     }
     report.random_ticks += 1;
     let outcome = growth::apply_random_tick(world, pos);
@@ -600,7 +587,6 @@ fn apply_random_pick<W: TerrainView>(
     if outcome.grew {
         report.growths += 1;
     }
-    true
 }
 
 /// Result of one sharded terrain tick: the merged report and events plus
@@ -612,10 +598,10 @@ pub struct ShardedTerrainTick {
     pub report: TerrainTickReport,
     /// Events for other subsystems, in canonical shard-then-serial order.
     pub events: Vec<TerrainEvent>,
-    /// Updates + random ticks processed inside each shard's parallel phase.
+    /// Updates + random ticks processed inside each shard's parallel phase;
+    /// the rest of the report's [`TerrainTickReport::total_updates`] ran in
+    /// the serial merge phase.
     pub per_shard_work: Vec<u64>,
-    /// Updates + random ticks escalated to the serial merge phase.
-    pub serial_work: u64,
 }
 
 /// One shard's share of a cascade round: the routed batch in, counters,
@@ -860,20 +846,24 @@ mod tests {
 
     #[test]
     fn update_budget_truncates_runaway_cascades() {
-        let mut w = world();
-        let sim = TerrainSimulator {
-            max_updates_per_tick: 10,
-            ..TerrainSimulator::default()
-        };
         // Dump a large water cube in the air: the cascade exceeds the budget.
-        let region = Region::new(BlockPos::new(0, 80, 0), BlockPos::new(5, 85, 5));
-        for pos in region.iter().collect::<Vec<_>>() {
-            w.set_block(pos, Block::simple(BlockKind::Water));
-        }
-        w.advance_tick();
-        let (report, _) = sim.tick_with(&mut w, &mut TickScratch::new());
-        assert!(report.update_budget_exhausted);
-        assert!(report.neighbor_updates <= 10);
+        let neighbor_updates = |max_updates_per_tick| {
+            let mut w = world();
+            let region = Region::new(BlockPos::new(0, 80, 0), BlockPos::new(5, 85, 5));
+            for pos in region.iter().collect::<Vec<_>>() {
+                w.set_block(pos, Block::simple(BlockKind::Water));
+            }
+            w.advance_tick();
+            let sim = TerrainSimulator {
+                max_updates_per_tick,
+                ..TerrainSimulator::default()
+            };
+            sim.tick_with(&mut w, &mut TickScratch::new())
+                .0
+                .neighbor_updates
+        };
+        assert!(neighbor_updates(10) <= 10);
+        assert!(neighbor_updates(TerrainSimulator::default().max_updates_per_tick) > 10);
     }
 
     #[test]
@@ -886,14 +876,12 @@ mod tests {
         let b = TerrainTickReport {
             neighbor_updates: 3,
             light_positions: 10,
-            update_budget_exhausted: true,
             ..TerrainTickReport::default()
         };
         a.merge(&b);
         assert_eq!(a.neighbor_updates, 8);
         assert_eq!(a.blocks_added, 2);
         assert_eq!(a.light_positions, 10);
-        assert!(a.update_budget_exhausted);
     }
 
     #[test]
@@ -1001,8 +989,9 @@ mod tests {
         for _ in 0..8 {
             w.advance_tick();
             let out = sim.tick_sharded_with(&mut w, &pipeline, &mut TickScratch::new());
-            parallel_work += out.per_shard_work.iter().sum::<u64>();
-            serial_work += out.serial_work;
+            let shard_work = out.per_shard_work.iter().sum::<u64>();
+            parallel_work += shard_work;
+            serial_work += out.report.total_updates() - shard_work;
         }
         assert!(
             parallel_work > 0,
@@ -1083,7 +1072,7 @@ mod tests {
             max_updates_per_tick: 25,
             ..TerrainSimulator::default()
         };
-        let run = |threads: u32| {
+        let run = |sim: &TerrainSimulator, threads: u32| {
             let mut w = busy_world(5);
             let pipeline = TickPipeline::new(4, threads);
             let mut reports = Vec::new();
@@ -1096,13 +1085,11 @@ mod tests {
             }
             (reports, world_digest(&w))
         };
-        let a = run(1);
-        let b = run(4);
+        let a = run(&sim, 1);
+        let b = run(&sim, 4);
         assert_eq!(a, b);
-        assert!(
-            a.0.iter().any(|r| r.update_budget_exhausted),
-            "tiny budget must truncate the cascade"
-        );
+        let unbounded = run(&TerrainSimulator::default(), 1);
+        assert_ne!(a.0, unbounded.0, "tiny budget must truncate the cascade");
         // All scheduled TNT fuses eventually fired despite truncation.
         assert_eq!(a.1 .3, 0, "every TNT block should have ignited");
     }
@@ -1153,14 +1140,15 @@ mod tests {
                 }
                 w.advance_tick();
                 let out = sim.tick_sharded_with(&mut w, &pipeline, &mut TickScratch::new());
-                truncated |= out.report.update_budget_exhausted;
+                let processed = out.report.neighbor_updates + out.report.scheduled_updates;
+                truncated |= processed >= u64::from(sim.max_updates_per_tick);
                 for event in out.events {
                     if let TerrainEvent::TntIgnited { pos } = event {
                         detonations.push((tick, pos));
                     }
                 }
             }
-            assert!(truncated, "the scene must actually exhaust the budget");
+            assert!(truncated, "the scene must actually reach the budget");
             assert_eq!(w.count_kind(BlockKind::Tnt), 0, "no fuse may be lost");
             detonations.sort_unstable();
             detonations
