@@ -356,17 +356,21 @@ impl ShardMap {
     /// or write another shard's chunks (rule footprints are bounded by 8
     /// blocks; see the module docs). Returns `None` for boundary chunks,
     /// whose updates must be processed in the serial merge phase.
+    ///
+    /// Only the window's four corners are looked up. Every stripe and every
+    /// quadtree leaf is at least 2 chunks wide, so each chunk of the window
+    /// shares its stripe or leaf with one of the corners, and four corners
+    /// with one owner mean nine chunks with that owner; clamping onto the
+    /// root's edge keeps this true outside the quadtree root.
     #[must_use]
     pub fn interior_shard(&self, chunk: ChunkPos) -> Option<usize> {
-        let owner = self.shard_of_chunk(chunk);
-        for dx in -1..=1 {
-            for dz in -1..=1 {
-                if self.shard_of_chunk(ChunkPos::new(chunk.x + dx, chunk.z + dz)) != owner {
-                    return None;
-                }
-            }
-        }
-        Some(owner)
+        // A narrower stripe or region fails to compile, not to classify.
+        const _: () = assert!(MIN_REGION_CHUNKS >= 2 && SHARD_STRIPE_CHUNKS >= 2);
+        let owner = self.shard_of_chunk(ChunkPos::new(chunk.x - 1, chunk.z - 1));
+        let same = |dx: i32, dz: i32| {
+            self.shard_of_chunk(ChunkPos::new(chunk.x + dx, chunk.z + dz)) == owner
+        };
+        (same(1, -1) && same(-1, 1) && same(1, 1)).then_some(owner)
     }
 
     /// [`ShardMap::interior_shard`] for the chunk containing a block.
@@ -800,6 +804,10 @@ pub struct ShardWorld<'a> {
     /// leaves the cascade to the terrain stage).
     defer_local_pushes: bool,
     owned: OwnedShard,
+    /// The last chunk resolved and its slot in `owned.store`: it passed the
+    /// ownership check, the map cannot change during the phase, and the
+    /// store only appends, so neither goes stale.
+    last: Option<(ChunkPos, usize)>,
     queue: VecDeque<BlockUpdate>,
     queued: HashSet<BlockPos, PosHashBuilder>,
 }
@@ -834,19 +842,28 @@ impl ShardWorld<'_> {
         }
     }
 
-    fn owned_chunk_mut(&mut self, chunk_pos: ChunkPos) -> &mut Chunk {
+    fn assert_owned(&self, chunk_pos: ChunkPos) {
         assert_eq!(
             self.map.shard_of_chunk(chunk_pos),
             self.shard,
             "shard {} touched foreign chunk {chunk_pos} — interior classification is broken",
             self.shard
         );
-        let owned = &mut self.owned;
-        if !owned.store.contains(chunk_pos) {
-            owned.store.insert(self.generator.generate(chunk_pos));
-            owned.chunks_generated += 1;
-        }
-        owned.store.get_mut(chunk_pos).expect("chunk just ensured")
+    }
+
+    fn owned_chunk_mut(&mut self, chunk_pos: ChunkPos) -> &mut Chunk {
+        let slot = match self.last {
+            Some((at, slot)) if at == chunk_pos => slot,
+            _ => {
+                self.assert_owned(chunk_pos);
+                let (slot, generated) =
+                    self.owned.store.slot_or_generate(chunk_pos, self.generator);
+                self.owned.chunks_generated += u32::from(generated);
+                self.last = Some((chunk_pos, slot));
+                slot
+            }
+        };
+        self.owned.store.slot_mut(slot)
     }
 }
 
@@ -882,10 +899,15 @@ impl TerrainView for ShardWorld<'_> {
             return Block::AIR;
         }
         let (lx, y, lz) = pos.local();
-        self.owned
-            .store
-            .get(pos.chunk())
-            .map_or(Block::AIR, |c| c.block(lx, y, lz))
+        let chunk_pos = pos.chunk();
+        match self.owned.store.get(chunk_pos) {
+            // A chunk in the store is the shard's own by construction.
+            Some(chunk) => chunk.block(lx, y, lz),
+            None => {
+                self.assert_owned(chunk_pos);
+                Block::AIR
+            }
+        }
     }
 
     fn set_block(&mut self, pos: BlockPos, block: Block) -> Block {
@@ -1019,6 +1041,7 @@ impl World {
                     tick: phase.tick,
                     defer_local_pushes: phase.defer_local_pushes,
                     owned: std::mem::take(&mut job.owned),
+                    last: None,
                     queue: VecDeque::new(),
                     queued: HashSet::default(),
                 };
@@ -1530,6 +1553,56 @@ mod tests {
         let work = (0..4).map(|s| (s, ())).collect();
         let _ = w.run_owned_phase(&PoolScope::scoped(4), false, work, (), |view, (), ()| {
             assert!(view.shard != 2, "shard 2 went wrong");
+        });
+    }
+
+    /// Runs `read` as shard 0's job of an owned phase over `striped_world`
+    /// repartitioned into two stripes (chunk columns 0..=3 are shard 0's,
+    /// 4..=7 shard 1's), and returns what it collected.
+    fn read_as_shard_zero<F>(read: F) -> Vec<Block>
+    where
+        F: Fn(&mut ShardWorld<'_>, &mut Vec<Block>) + Send + Sync + 'static,
+    {
+        let mut w = striped_world();
+        w.reshard(ShardMap::stripes(2));
+        let (mut results, ()) = w.run_owned_phase(
+            &PoolScope::scoped(1),
+            false,
+            vec![(0, Vec::new())],
+            (),
+            move |view, reads: &mut Vec<Block>, ()| read(view, reads),
+        );
+        assert_eq!(w.chunks_generated_this_tick(), 0);
+        results.pop().expect("one shard listed").1
+    }
+
+    #[test]
+    #[should_panic(expected = "touched foreign chunk")]
+    fn a_primed_view_still_refuses_a_foreign_chunk() {
+        read_as_shard_zero(|view, reads| {
+            // The second read of the own chunk hits the view's cursor.
+            let own = interior_block(0, 0, 0);
+            reads.extend([view.block(own), view.block(own.up())]);
+            reads.push(view.block(interior_block(1, 0, 0)));
+        });
+    }
+
+    #[test]
+    fn block_if_loaded_reads_an_unloaded_own_chunk_as_air() {
+        let reads = read_as_shard_zero(|view, reads| {
+            // Chunk row 9 was never loaded; row 0 was.
+            reads.push(view.block_if_loaded(interior_block(0, 0, -10)));
+            reads.push(view.block_if_loaded(interior_block(0, 9, -10)));
+        });
+        assert_eq!(reads[0].kind(), BlockKind::Grass);
+        assert_eq!(reads[1], Block::AIR);
+    }
+
+    #[test]
+    #[should_panic(expected = "touched foreign chunk")]
+    fn block_if_loaded_refuses_a_foreign_chunk() {
+        read_as_shard_zero(|view, reads| {
+            reads.push(view.block_if_loaded(interior_block(1, 0, -10)));
         });
     }
 

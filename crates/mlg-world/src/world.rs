@@ -36,6 +36,7 @@
 //! each write ([`Chunk::column_summary`]), after loading the chunk exactly
 //! as a block read of that column would.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -86,20 +87,9 @@ impl ShardStore {
         self.index.get(&pos).map(|&slot| &self.chunks[slot])
     }
 
-    /// Mutable access to the chunk at `pos`, if loaded in this store.
-    pub fn get_mut(&mut self, pos: ChunkPos) -> Option<&mut Chunk> {
-        self.index.get(&pos).map(|&slot| &mut self.chunks[slot])
-    }
-
-    /// Returns `true` when the chunk at `pos` is loaded in this store.
-    #[must_use]
-    pub fn contains(&self, pos: ChunkPos) -> bool {
-        self.index.contains_key(&pos)
-    }
-
     /// Inserts a freshly generated chunk (appending it to the iteration
     /// order). A chunk already present keeps its slot and is overwritten.
-    pub fn insert(&mut self, chunk: Chunk) {
+    fn insert(&mut self, chunk: Chunk) {
         match self.index.get(&chunk.pos()) {
             Some(&slot) => self.chunks[slot] = chunk,
             None => {
@@ -107,6 +97,32 @@ impl ShardStore {
                 self.chunks.push(chunk);
             }
         }
+    }
+
+    /// The slot of the chunk at `pos` — one index probe — generating the
+    /// chunk and appending it first when it is absent (then `true`). A slot
+    /// names the same chunk for as long as the store only appends, which is
+    /// all an owned phase's [`ShardWorld`](crate::shard::ShardWorld) does.
+    pub(crate) fn slot_or_generate(
+        &mut self,
+        pos: ChunkPos,
+        generator: &dyn ChunkGenerator,
+    ) -> (usize, bool) {
+        match self.index.entry(pos) {
+            Entry::Occupied(slot) => (*slot.get(), false),
+            Entry::Vacant(vacant) => {
+                let chunk = generator.generate(pos);
+                debug_assert_eq!(chunk.pos(), pos, "generator answered another chunk");
+                vacant.insert(self.chunks.len());
+                self.chunks.push(chunk);
+                (self.chunks.len() - 1, true)
+            }
+        }
+    }
+
+    /// The chunk in `slot` (see [`ShardStore::slot_or_generate`]).
+    pub(crate) fn slot_mut(&mut self, slot: usize) -> &mut Chunk {
+        &mut self.chunks[slot]
     }
 
     /// Number of chunks in this store.

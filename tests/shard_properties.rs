@@ -3,11 +3,14 @@
 //!
 //! * every loaded chunk maps to exactly one shard, before and after any
 //!   split/merge sequence (chunk stores and the map never disagree);
-//! * boundary classification is symmetric: two adjacent chunks in different
-//!   shards are both boundary chunks, and an interior chunk's whole 3×3
-//!   neighbourhood belongs to its shard;
+//! * boundary classification is exact, and therefore symmetric: a chunk is
+//!   interior to shard `s` exactly when its whole 3×3 neighbourhood belongs
+//!   to `s`, so two adjacent chunks in different shards are both boundary
+//!   chunks;
 //! * rebalancing is a pure function of the load report — the same (map,
 //!   report) pair always produces the same partition.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 
@@ -60,6 +63,27 @@ fn rebalance_sequence(seed: u64, steps: usize) -> Vec<ShardMap> {
     maps
 }
 
+/// Checks, for every chunk of `xs × zs`, that `interior_shard` answers
+/// `Some(s)` when all nine chunks of its 3×3 window map to `s`, and `None`
+/// otherwise.
+fn interior_is_exact(map: &ShardMap, xs: Range<i32>, zs: Range<i32>) {
+    for x in xs {
+        for z in zs.clone() {
+            let chunk = ChunkPos::new(x, z);
+            let owner = map.shard_of_chunk(chunk);
+            let uniform = (-1..=1).all(|dx| {
+                (-1..=1).all(|dz| map.shard_of_chunk(ChunkPos::new(x + dx, z + dz)) == owner)
+            });
+            prop_assert_eq!(
+                map.interior_shard(chunk),
+                uniform.then_some(owner),
+                "chunk {}",
+                chunk
+            );
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn every_chunk_maps_to_exactly_one_shard_through_any_split_merge_sequence(
@@ -92,43 +116,23 @@ proptest! {
         }
     }
 
+    /// Interior classification is exact — `Some(s)` exactly when all nine
+    /// chunks of the 3×3 window map to `s` — which makes it symmetric: a
+    /// chunk with a neighbour in another shard has that neighbour's shard
+    /// in its window and vice versa, so both are boundary. Checked on the
+    /// adaptive maps up to 40 chunks past the quadtree root (clamping) and
+    /// on stripe maps of 1–8 shards.
     #[test]
     fn boundary_classification_is_symmetric(
         seed in any::<u64>(),
         steps in 1usize..24,
+        stripes in 1u32..=8,
     ) {
         let maps = rebalance_sequence(seed, steps);
         let map = maps.last().expect("sequence is never empty");
-        for x in -20..20 {
-            for z in -20..20 {
-                let a = ChunkPos::new(x, z);
-                match map.interior_shard(a) {
-                    // Interior: the whole 3×3 neighbourhood shares the shard.
-                    Some(shard) => {
-                        prop_assert_eq!(map.shard_of_chunk(a), shard);
-                        for dx in -1..=1 {
-                            for dz in -1..=1 {
-                                let n = ChunkPos::new(x + dx, z + dz);
-                                prop_assert_eq!(map.shard_of_chunk(n), shard);
-                            }
-                        }
-                    }
-                    // Boundary: some direct neighbour is in another shard,
-                    // and that neighbour must classify as boundary too.
-                    None => {
-                        let shard = map.shard_of_chunk(a);
-                        for dx in -1..=1i32 {
-                            for dz in -1..=1i32 {
-                                let n = ChunkPos::new(x + dx, z + dz);
-                                if map.shard_of_chunk(n) != shard {
-                                    prop_assert_eq!(map.interior_shard(n), None);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        // The root covers chunks -16..16 on both axes.
+        interior_is_exact(map, -56..56, -56..56);
+        interior_is_exact(&ShardMap::stripes(stripes), -70..70, -3..3);
     }
 
     #[test]
