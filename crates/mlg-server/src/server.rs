@@ -640,7 +640,8 @@ impl GameServer {
         };
         // Serial flavors keep the per-player loop for speed, not output: the
         // one-shard path is byte-identical but took `player_crowd` from
-        // 0.096 to 0.111 s `run_wall_s` (4 alternating pairs, 2-core VM).
+        // 0.0856 to 0.0884 s `run_wall_s` (× 1.033, slower in 6 of 6
+        // alternating 10 s pairs, 2-vCPU VM).
         let (report, shard_work) = if self.pipeline.is_sharded() {
             let players = std::mem::take(&mut self.players);
             let actions = players
@@ -705,7 +706,8 @@ impl GameServer {
         let relight_from = self.world.changes().len();
         // Serial flavors keep `tick_with` for speed, not output: the
         // one-shard pipeline is byte-identical but took `env_worlds` from
-        // 0.363 to 0.471 s `run_wall_s` (4 alternating pairs, 2-core VM).
+        // 0.2238 to 0.2351 s `run_wall_s` (× 1.051, slower in 6 of 6
+        // alternating 10 s pairs, 2-vCPU VM).
         let (report, events, shard_work) = if self.pipeline.is_sharded() {
             let out =
                 self.terrain

@@ -334,6 +334,14 @@ impl Chunk {
         self.store.count_kind(kind)
     }
 
+    /// Whether the chunk holds a plant ([`BlockKind::is_plant`]), from the
+    /// palette alone: the random-tick lottery's filter
+    /// ([`World::pick_random_tick_positions`](crate::World::pick_random_tick_positions)).
+    #[must_use]
+    pub(crate) fn holds_plant(&self) -> bool {
+        self.store.holds_kind(BlockKind::is_plant)
+    }
+
     /// Approximate serialized size in bytes when sent as a chunk-data packet.
     ///
     /// The protocol sends 3 bytes per non-air block (position-in-chunk is

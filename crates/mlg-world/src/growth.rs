@@ -242,6 +242,51 @@ mod tests {
         assert!(!out3.grew);
     }
 
+    /// The premise of the random-tick lottery's chunk filter
+    /// (`World::pick_random_tick_positions`): a random tick puts plants in
+    /// its own column only, so a chunk without a plant never gains one.
+    #[test]
+    fn random_ticks_grow_plants_only_in_the_ticked_column() {
+        use crate::pos::ChunkPos;
+        use BlockKind::{Air, Dirt, Farmland, Kelp, Sand, Sapling, Stone, SugarCane, Water, Wheat};
+        let top = WORLD_HEIGHT as i32 - 1;
+        // (plant, its state, block below, block above) per case.
+        let cases = [
+            (Wheat, 0, Farmland, Air),
+            (Wheat, 0, Stone, Air),
+            (Kelp, 0, Sand, Water),
+            (SugarCane, 0, Sand, Air),
+            (Sapling, 0, Dirt, Air),
+            (Sapling, 1, Dirt, Air),
+        ];
+        let mut plants_placed = 0;
+        for (kind, state, below, above) in cases {
+            let plant = Block::with_state(kind, state);
+            for (x, z) in [(0, 0), (15, 0), (0, 15), (15, 15)] {
+                for y in [61, top] {
+                    let mut w = world();
+                    w.ensure_area(ChunkPos::new(0, 0), 1);
+                    let pos = BlockPos::new(x, y, z);
+                    w.set_block_silent(pos.down(), Block::simple(below));
+                    w.set_block_silent(pos, plant);
+                    w.set_block_silent(pos.up(), Block::simple(above));
+                    apply_random_tick(&mut w, pos);
+                    for change in w.drain_changes() {
+                        if change.new.kind().is_plant() {
+                            plants_placed += 1;
+                            let column = (change.pos.x, change.pos.z);
+                            assert_eq!(column, (x, z), "{plant} at {pos} grew {change:?}");
+                        }
+                    }
+                    let home = pos.chunk();
+                    assert!(w.iter_chunks().all(|c| c.pos() == home || !c.holds_plant()));
+                }
+            }
+        }
+        // Wheat, kelp, sugar cane and young saplings grew at every corner.
+        assert!(plants_placed >= 4 * 4);
+    }
+
     #[test]
     fn non_plants_ignore_random_ticks() {
         let mut w = world();

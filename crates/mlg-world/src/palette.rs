@@ -400,6 +400,17 @@ impl PaletteStore {
             .sum()
     }
 
+    /// Whether some stored entry's kind satisfies `pred`, via refcounts
+    /// (O(palette), no entry is read): a dead slot of a matching kind does
+    /// not count.
+    #[must_use]
+    pub(crate) fn holds_kind(&self, pred: impl Fn(BlockKind) -> bool) -> bool {
+        if self.bits == 0 {
+            return pred(BlockKind::Air);
+        }
+        (self.palette.iter().zip(&self.refs)).any(|(b, &r)| r > 0 && pred(b.kind()))
+    }
+
     /// Heap bytes owned by this store (index words + palette + refcounts).
     #[must_use]
     pub fn storage_bytes(&self) -> usize {

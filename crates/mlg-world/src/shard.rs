@@ -357,20 +357,20 @@ impl ShardMap {
     /// blocks; see the module docs). Returns `None` for boundary chunks,
     /// whose updates must be processed in the serial merge phase.
     ///
-    /// Only the window's four corners are looked up. Every stripe and every
-    /// quadtree leaf is at least 2 chunks wide, so each chunk of the window
-    /// shares its stripe or leaf with one of the corners, and four corners
-    /// with one owner mean nine chunks with that owner; clamping onto the
-    /// root's edge keeps this true outside the quadtree root.
+    /// Only the window's two diagonal corners, `(−1, −1)` and `(+1, +1)`,
+    /// are looked up. A quadtree leaf is a rectangle, so a leaf holding both
+    /// corners holds the window between them; clamping onto the root's edge
+    /// is monotone on each axis, so this stays true outside the root. A
+    /// stripe shard depends on `x` alone and every stripe is at least 2
+    /// chunks wide, so the corners' stripes are equal or adjacent — and
+    /// adjacent stripes of a multi-stripe map have different owners.
     #[must_use]
     pub fn interior_shard(&self, chunk: ChunkPos) -> Option<usize> {
-        // A narrower stripe or region fails to compile, not to classify.
-        const _: () = assert!(MIN_REGION_CHUNKS >= 2 && SHARD_STRIPE_CHUNKS >= 2);
+        // A narrower stripe fails to compile, not to classify.
+        const _: () = assert!(SHARD_STRIPE_CHUNKS >= 2);
         let owner = self.shard_of_chunk(ChunkPos::new(chunk.x - 1, chunk.z - 1));
-        let same = |dx: i32, dz: i32| {
-            self.shard_of_chunk(ChunkPos::new(chunk.x + dx, chunk.z + dz)) == owner
-        };
-        (same(1, -1) && same(-1, 1) && same(1, 1)).then_some(owner)
+        let far = self.shard_of_chunk(ChunkPos::new(chunk.x + 1, chunk.z + 1));
+        (far == owner).then_some(owner)
     }
 
     /// [`ShardMap::interior_shard`] for the chunk containing a block.
@@ -481,6 +481,42 @@ impl ShardMap {
         next.split_leaf(index as u32).then_some(ShardMap {
             partition: Partition::Regions { root: next },
         })
+    }
+}
+
+/// [`ShardMap::interior_shard`] with its last answer remembered — the one
+/// router of every tick-path routing site. Those sites ask about runs of
+/// positions in one chunk: a block change's seven neighbour pushes, a
+/// cascade's updates, a chunk's three random-tick picks. The memo borrows
+/// its map, so the map cannot change while it lives, and the answer is a
+/// pure function of `(map, chunk)`: a remembered answer never goes stale.
+#[derive(Debug)]
+pub(crate) struct RouteMemo<'a> {
+    map: &'a ShardMap,
+    last: Option<(ChunkPos, Option<usize>)>,
+}
+
+impl<'a> RouteMemo<'a> {
+    pub(crate) fn new(map: &'a ShardMap) -> Self {
+        RouteMemo { map, last: None }
+    }
+
+    /// The map this memo answers for.
+    pub(crate) fn map(&self) -> &'a ShardMap {
+        self.map
+    }
+
+    /// [`ShardMap::interior_shard`] of `chunk`, looked up only when `chunk`
+    /// differs from the previous call's.
+    pub(crate) fn interior_shard(&mut self, chunk: ChunkPos) -> Option<usize> {
+        match self.last {
+            Some((at, answer)) if at == chunk => answer,
+            _ => {
+                let answer = self.map.interior_shard(chunk);
+                self.last = Some((chunk, answer));
+                answer
+            }
+        }
     }
 }
 
@@ -794,7 +830,8 @@ struct OwnedShard {
 /// panic loudly rather than silently corrupting determinism.
 pub struct ShardWorld<'a> {
     shard: usize,
-    map: &'a ShardMap,
+    /// The phase's shard map, with the last routing answer remembered.
+    route: RouteMemo<'a>,
     generator: &'a dyn ChunkGenerator,
     tick: u64,
     /// When set, even in-shard interior neighbour pushes are buffered into
@@ -835,7 +872,7 @@ impl ShardWorld<'_> {
     }
 
     fn route_push(&mut self, pos: BlockPos) {
-        if !self.defer_local_pushes && self.map.interior_shard(pos.chunk()) == Some(self.shard) {
+        if !self.defer_local_pushes && self.route.interior_shard(pos.chunk()) == Some(self.shard) {
             self.push_local(BlockUpdate::neighbor(pos));
         } else {
             self.owned.outbound.push(pos);
@@ -844,7 +881,7 @@ impl ShardWorld<'_> {
 
     fn assert_owned(&self, chunk_pos: ChunkPos) {
         assert_eq!(
-            self.map.shard_of_chunk(chunk_pos),
+            self.route.map().shard_of_chunk(chunk_pos),
             self.shard,
             "shard {} touched foreign chunk {chunk_pos} — interior classification is broken",
             self.shard
@@ -881,7 +918,7 @@ impl BlockReader for ShardWorld<'_> {
         let chunk_pos = probe.chunk();
         // Only in-shard columns have a cheap answer; a foreign-column scan
         // panics in `block`, which is where the violation belongs.
-        if self.map.shard_of_chunk(chunk_pos) != self.shard {
+        if self.route.map().shard_of_chunk(chunk_pos) != self.shard {
             return None;
         }
         let (lx, _, lz) = probe.local();
@@ -1036,7 +1073,7 @@ impl World {
             move |_, job: &mut OwnedShardJob<P>, phase: &OwnedPhaseCtx<C>| {
                 let mut view = ShardWorld {
                     shard: job.shard,
-                    map: &phase.map,
+                    route: RouteMemo::new(&phase.map),
                     generator: &*phase.generator,
                     tick: phase.tick,
                     defer_local_pushes: phase.defer_local_pushes,
@@ -1146,6 +1183,28 @@ mod tests {
         assert_eq!(map.interior_shard(ChunkPos::new(1, 0)), Some(0));
         assert_eq!(map.interior_shard(ChunkPos::new(2, 5)), Some(0));
         assert_eq!(map.interior_shard(ChunkPos::new(5, -9)), Some(1));
+    }
+
+    #[test]
+    fn route_memo_answers_like_the_map() {
+        let map = ShardMap::stripes(2);
+        let mut route = RouteMemo::new(&map);
+        // Runs in one chunk, then chunks whose answers differ: an interior
+        // chunk of each shard and a boundary chunk, revisited.
+        let walk = [
+            (1, 0),
+            (1, 0),
+            (0, 0),
+            (0, 0),
+            (5, 3),
+            (1, 0),
+            (5, 3),
+            (4, 7),
+        ];
+        for (x, z) in walk {
+            let chunk = ChunkPos::new(x, z);
+            assert_eq!(route.interior_shard(chunk), map.interior_shard(chunk));
+        }
     }
 
     #[test]

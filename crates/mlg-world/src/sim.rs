@@ -25,7 +25,7 @@ use crate::pool::PoolScope;
 use crate::pos::BlockPos;
 use crate::region::Region;
 use crate::scratch::{LightPassScratch, TickScratch};
-use crate::shard::{ShardMap, ShardWorld, TerrainView, TickPipeline};
+use crate::shard::{RouteMemo, ShardWorld, TerrainView, TickPipeline};
 use crate::update::{BlockUpdate, UpdateKind};
 use crate::world::World;
 use crate::{fluid, growth, light, physics, redstone};
@@ -337,8 +337,9 @@ impl TerrainSimulator {
             per_shard_work: vec![0u64; map.count()],
         };
 
-        self.cascade_rounds(world, map, &scope, scratch, &mut out);
-        self.random_ticks(world, map, &scope, &mut out);
+        let mut route = RouteMemo::new(map);
+        self.cascade_rounds(world, &mut route, &scope, scratch, &mut out);
+        self.random_ticks(world, &mut route, &scope, &mut out);
 
         let report = &mut out.report;
         self.classify_changes(
@@ -368,7 +369,7 @@ impl TerrainSimulator {
     fn cascade_rounds(
         &self,
         world: &mut World,
-        map: &ShardMap,
+        route: &mut RouteMemo<'_>,
         scope: &PoolScope<'_>,
         scratch: &mut TickScratch,
         out: &mut ShardedTerrainTick,
@@ -385,7 +386,7 @@ impl TerrainSimulator {
         scratch.serial_batch.clear();
         scratch
             .shard_batches
-            .resize_with(map.count(), VecDeque::new);
+            .resize_with(route.map().count(), VecDeque::new);
         for batch in &mut scratch.shard_batches {
             batch.clear();
         }
@@ -396,7 +397,7 @@ impl TerrainSimulator {
 
         while !scratch.pending.is_empty() {
             for update in scratch.pending.drain(..) {
-                match map.interior_shard(update.pos.chunk()) {
+                match route.interior_shard(update.pos.chunk()) {
                     Some(s) => scratch.shard_batches[s].push_back(update),
                     None => scratch.serial_batch.push_back(update),
                 }
@@ -455,7 +456,7 @@ impl TerrainSimulator {
 
             // The round may have overshot: scheduled updates are exempt.
             let remaining = budget.saturating_sub(processed_total);
-            processed_total += self.escalated_updates(world, map, scratch, remaining, out);
+            processed_total += self.escalated_updates(world, route, scratch, remaining, out);
             std::mem::swap(&mut scratch.pending, &mut scratch.next_pending);
         }
     }
@@ -469,7 +470,7 @@ impl TerrainSimulator {
     fn escalated_updates(
         &self,
         world: &mut World,
-        map: &ShardMap,
+        route: &mut RouteMemo<'_>,
         scratch: &mut TickScratch,
         remaining: u64,
         out: &mut ShardedTerrainTick,
@@ -488,7 +489,7 @@ impl TerrainSimulator {
             processed += 1;
             self.dispatch(world, update, &mut out.report, &mut out.events);
             while let Some(cascaded) = world.updates_mut().pop_immediate() {
-                match map.interior_shard(cascaded.pos.chunk()) {
+                match route.interior_shard(cascaded.pos.chunk()) {
                     Some(_) => scratch.next_pending.push_back(cascaded),
                     None => scratch.serial_batch.push_back(cascaded),
                 }
@@ -502,14 +503,14 @@ impl TerrainSimulator {
     fn random_ticks(
         &self,
         world: &mut World,
-        map: &ShardMap,
+        route: &mut RouteMemo<'_>,
         scope: &PoolScope<'_>,
         out: &mut ShardedTerrainTick,
     ) {
-        let mut shard_picks: Vec<Vec<BlockPos>> = vec![Vec::new(); map.count()];
+        let mut shard_picks: Vec<Vec<BlockPos>> = vec![Vec::new(); route.map().count()];
         let mut serial_picks: Vec<BlockPos> = Vec::new();
         for pos in world.pick_random_tick_positions(RANDOM_TICKS_PER_CHUNK) {
-            match map.interior_shard(pos.chunk()) {
+            match route.interior_shard(pos.chunk()) {
                 Some(s) => shard_picks[s].push(pos),
                 None => serial_picks.push(pos),
             }

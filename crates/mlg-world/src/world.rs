@@ -881,27 +881,32 @@ impl World {
 
     /// Selects positions to receive a random tick this game tick.
     ///
-    /// Mirrors Minecraft's behaviour: every loaded chunk submits
-    /// `random_ticks_per_chunk` randomly chosen block positions per tick;
-    /// plant growth and similar slow processes react to them.
+    /// Mirrors Minecraft's behaviour: every loaded chunk draws
+    /// `random_ticks_per_chunk` randomly chosen block positions per tick,
+    /// in ascending chunk order, so the draws depend on the seed and the
+    /// chunk set only — not on shard partitioning or load order. Only the
+    /// picks of chunks that hold a plant ([`BlockKind::is_plant`], read from
+    /// the palette) are returned: a pick elsewhere lands on a block that
+    /// cannot react, and no random tick creates a plant outside its own
+    /// column, so no chunk gains one before its picks are applied. A
+    /// plantless chunk still makes its draws — the RNG stream, and every
+    /// later pick, is the same as if all picks were returned.
     pub fn pick_random_tick_positions(&mut self, random_ticks_per_chunk: u32) -> Vec<BlockPos> {
-        let mut chunk_positions: Vec<ChunkPos> = self
-            .stores
-            .iter()
-            .flat_map(|store| store.positions())
+        let mut chunks: Vec<(ChunkPos, bool)> = self
+            .iter_chunks()
+            .map(|chunk| (chunk.pos(), chunk.holds_plant()))
             .collect();
-        // Sort so the RNG draws are assigned to chunks in a stable order,
-        // keeping the lottery deterministic for a given seed and chunk set —
-        // independent of shard partitioning and load order.
-        chunk_positions.sort();
-        let mut picks = Vec::with_capacity(chunk_positions.len() * random_ticks_per_chunk as usize);
-        for chunk_pos in chunk_positions {
+        chunks.sort_unstable_by_key(|&(pos, _)| pos);
+        let mut picks = Vec::new();
+        for (chunk_pos, holds_plant) in chunks {
             let origin = chunk_pos.origin_block();
             for _ in 0..random_ticks_per_chunk {
                 let x = origin.x + self.rng.gen_range(0..CHUNK_SIZE as i32);
                 let z = origin.z + self.rng.gen_range(0..CHUNK_SIZE as i32);
                 let y = self.rng.gen_range(0..WORLD_HEIGHT as i32);
-                picks.push(BlockPos::new(x, y, z));
+                if holds_plant {
+                    picks.push(BlockPos::new(x, y, z));
+                }
             }
         }
         picks
@@ -926,6 +931,8 @@ impl World {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
     use crate::generation::FlatGenerator;
 
@@ -1040,31 +1047,110 @@ mod tests {
         assert_eq!(w.highest_block_y(8, 8), Some(90));
     }
 
+    /// The lottery before it filtered by chunk: every loaded chunk's picks,
+    /// from the same draws in the same order.
+    fn unfiltered_picks(w: &mut World, random_ticks_per_chunk: u32) -> Vec<BlockPos> {
+        let mut chunk_positions: Vec<ChunkPos> = w
+            .stores
+            .iter()
+            .flat_map(|store| store.positions())
+            .collect();
+        chunk_positions.sort();
+        let mut picks = Vec::new();
+        for chunk_pos in chunk_positions {
+            let origin = chunk_pos.origin_block();
+            for _ in 0..random_ticks_per_chunk {
+                let x = origin.x + w.rng.gen_range(0..CHUNK_SIZE as i32);
+                let z = origin.z + w.rng.gen_range(0..CHUNK_SIZE as i32);
+                let y = w.rng.gen_range(0..WORLD_HEIGHT as i32);
+                picks.push(BlockPos::new(x, y, z));
+            }
+        }
+        picks
+    }
+
+    /// A grassland world of `(2r+1)²` chunks around the origin with one
+    /// plant at each of `plants`.
+    fn planted(seed: u64, radius: u32, plants: &[(BlockPos, BlockKind)]) -> World {
+        let mut w = World::new(Box::new(FlatGenerator::grassland()), seed);
+        w.ensure_area(ChunkPos::new(0, 0), radius);
+        for &(pos, kind) in plants {
+            w.set_block_silent(pos, Block::simple(kind));
+        }
+        w
+    }
+
+    /// Plants in five chunks of a 7×7-chunk world, one on a chunk corner,
+    /// spread across several stripes of `ShardMap::stripes(4)`.
+    const PLANTS: [(BlockPos, BlockKind); 6] = [
+        (BlockPos::new(0, 61, 0), BlockKind::Sapling),
+        (BlockPos::new(5, 61, 9), BlockKind::Wheat),
+        (BlockPos::new(-17, 61, 40), BlockKind::Kelp),
+        (BlockPos::new(47, 61, -48), BlockKind::SugarCane),
+        (BlockPos::new(-33, 30, -20), BlockKind::Sapling),
+        (BlockPos::new(20, 100, 3), BlockKind::Wheat),
+    ];
+
+    fn plant_chunks() -> BTreeSet<ChunkPos> {
+        PLANTS.iter().map(|(pos, _)| pos.chunk()).collect()
+    }
+
     #[test]
     fn random_tick_positions_are_deterministic_for_seed() {
-        let mut w1 = World::new(Box::new(FlatGenerator::grassland()), 99);
-        let mut w2 = World::new(Box::new(FlatGenerator::grassland()), 99);
-        w1.ensure_area(ChunkPos::new(0, 0), 1);
-        w2.ensure_area(ChunkPos::new(0, 0), 1);
+        let mut w1 = planted(99, 3, &PLANTS);
+        let mut w2 = planted(99, 3, &PLANTS);
+        let plant_chunks = plant_chunks();
+        assert_eq!(plant_chunks.len(), 5);
         let p1 = w1.pick_random_tick_positions(3);
-        let p2 = w2.pick_random_tick_positions(3);
-        assert_eq!(p1.len(), 9 * 3);
-        // Same seed and same chunk set: the picks must match exactly (the
-        // lottery iterates chunks in sorted order).
-        assert_eq!(p1, p2);
+        // Three picks per chunk that holds a plant, none anywhere else, in
+        // ascending chunk order.
+        let mut per_chunk: BTreeMap<ChunkPos, usize> = BTreeMap::new();
+        for pos in &p1 {
+            *per_chunk.entry(pos.chunk()).or_default() += 1;
+        }
+        assert!(per_chunk.keys().eq(plant_chunks.iter()));
+        assert!(per_chunk.values().all(|&n| n == 3));
+        assert!(p1.windows(2).all(|pair| pair[0].chunk() <= pair[1].chunk()));
+        // Same seed and same chunk set: the picks must match exactly.
+        assert_eq!(p1, w2.pick_random_tick_positions(3));
+    }
+
+    #[test]
+    fn random_tick_positions_keep_the_unfiltered_draws() {
+        let mut filtered = planted(7, 3, &PLANTS);
+        let mut reference = planted(7, 3, &PLANTS);
+        let plant_chunks = plant_chunks();
+        for _ in 0..3 {
+            let picks = filtered.pick_random_tick_positions(3);
+            let all = unfiltered_picks(&mut reference, 3);
+            assert_eq!(all.len(), 49 * 3);
+            let kept: Vec<BlockPos> = (all.into_iter())
+                .filter(|pos| plant_chunks.contains(&pos.chunk()))
+                .collect();
+            assert_eq!(picks, kept);
+            // A plantless chunk still made its draws: the streams agree.
+            assert_eq!(filtered.rng.gen::<u64>(), reference.rng.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn random_tick_positions_skip_a_chunk_whose_plant_is_gone() {
+        let corner = BlockPos::new(15, 61, 15);
+        let mut w = planted(3, 1, &[(corner, BlockKind::Kelp)]);
+        assert_eq!(w.pick_random_tick_positions(3).len(), 3);
+        // The palette keeps the dead kelp slot; its refcount is zero.
+        w.set_block_silent(corner, Block::AIR);
+        assert!(w.pick_random_tick_positions(3).is_empty());
     }
 
     #[test]
     fn random_tick_positions_are_shard_partition_independent() {
-        let mut flat = World::new(Box::new(FlatGenerator::grassland()), 4242);
-        let mut sharded = World::new(Box::new(FlatGenerator::grassland()), 4242);
+        let mut flat = planted(4242, 3, &PLANTS);
+        let mut sharded = planted(4242, 3, &PLANTS);
         sharded.reshard(ShardMap::stripes(4));
-        flat.ensure_area(ChunkPos::new(0, 0), 3);
-        sharded.ensure_area(ChunkPos::new(0, 0), 3);
-        assert_eq!(
-            flat.pick_random_tick_positions(3),
-            sharded.pick_random_tick_positions(3)
-        );
+        let picks = flat.pick_random_tick_positions(3);
+        assert_eq!(picks.len(), 5 * 3);
+        assert_eq!(picks, sharded.pick_random_tick_positions(3));
     }
 
     #[test]

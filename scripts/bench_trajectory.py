@@ -28,8 +28,8 @@ more than the metric's `bound` fails the check. Something moved the benchmark
 between two PRs (the box, the toolchain, an unmeasured change) and the newer
 file's ratios cannot be read as a continuation of the older one's.
 
-Cells — where a workload's `setup_s` or `run_wall_s` moved, cell by cell, from
-two sets as for writing:
+Cells — where a workload's `setup_s`, `run_wall_s` or ticking time moved, cell
+by cell, from two sets as for writing:
 
     scripts/bench_trajectory.py --cells --parent /tmp/set-parent \\
         --change /tmp/set-change --seeds 21,22,23 --workload sharded_horde
@@ -37,7 +37,10 @@ two sets as for writing:
 A workload's time metric is the sum over its cells of each cell's lower
 quartile across rounds of its host-corrected time (benchmark/src/ledger.rs).
 For every cell this prints, per side, the median over seeds of that lower
-quartile for `setup_s` and `wall_s`, and the change-over-parent ratio. Cells
+quartile for `setup_s`, `wall_s` and `ticking_s` — a round's `wall_s` minus
+its `setup_s`, the time after set-up, which no recorded metric isolates: a
+cell that spends half its wall in set-up can hide a ticking saving behind a
+set-up slip — and the change-over-parent ratio. Cells
 pair up by position, since a seed may rename one (`campaign_sweep`'s labels
 carry the seed's start time); both sides of a seed must name them alike. It
 re-derives each quartile from the result file's per-round samples, and fails
@@ -190,6 +193,7 @@ def discontinuities(previous, current):
 
 
 CELL_METRICS = (("setup_s", "setup_s"), ("wall_s", "run_wall_s"))
+CELL_COLUMNS = ("setup_s", "wall_s", "ticking_s")
 
 
 def lower_quartile(values):
@@ -201,16 +205,18 @@ def lower_quartile(values):
 
 
 def cell_values(path):
-    """Each cell's host-corrected lower quartile of `setup_s` and `wall_s`, in cell order, after
-    checking that they sum to the run's recorded metrics."""
+    """Each cell's host-corrected lower quartile of `setup_s`, `wall_s` and `ticking_s` (per round,
+    `wall_s − setup_s`), in cell order, after checking that the first two sum to the run's recorded
+    metrics."""
     with open(path) as f:
         result = json.load(f)
     nominal = result["host_state"]["nominal"]
     cells = []
     for cell in result["cells"]:
         kernel = [(before + after) / 2 for before, after in zip(cell["kernel_before_s"], cell["kernel_after_s"])]
-        cells.append((cell["cell"], {key: lower_quartile([s * nominal / k for s, k in zip(cell[key], kernel)])
-                                     for key, _ in CELL_METRICS}))
+        rounds = {key: [s * nominal / k for s, k in zip(cell[key], kernel)] for key, _ in CELL_METRICS}
+        rounds["ticking_s"] = [wall - setup for wall, setup in zip(rounds["wall_s"], rounds["setup_s"])]
+        cells.append((cell["cell"], {key: lower_quartile(rounds[key]) for key in CELL_COLUMNS}))
     for key, metric in CELL_METRICS:
         total, recorded = sum(values[key] for _, values in cells), result["metrics"][metric]["value"]
         if not math.isclose(total, recorded, rel_tol=1e-12):
@@ -230,13 +236,13 @@ def print_cells(parent_dir, change_dir, seeds, workload):
     labels = [label for label, _ in sides["parent"][0]]
     print(f"{workload}: per cell, the median over seeds {','.join(map(str, seeds))} of the cell's "
           f"host-corrected lower quartile across rounds, in seconds (cells named as in seed {seeds[0]})")
-    print("".join(f"{key + ' ' + side:>16}" for key, _ in CELL_METRICS
+    print("".join(f"{key + ' ' + side:>18}" for key in CELL_COLUMNS
                   for side in ("parent", "change", "ratio")) + "  cell")
     for c, label in enumerate(labels):
         line = ""
-        for key, _ in CELL_METRICS:
+        for key in CELL_COLUMNS:
             a, b = (statistics.median(run[c][1][key] for run in runs) for runs in sides.values())
-            line += f"{a:>16.6f}{b:>16.6f}{b / a:>16.3f}"
+            line += f"{a:>18.6f}{b:>18.6f}{b / a:>18.3f}"
         print(f"{line}  {label}")
 
 
