@@ -136,6 +136,7 @@ fn every_waiver_is_accounted_for() {
             "crates/mlg-server/src/handler.rs:pub-without-caller",
             "crates/mlg-server/src/server.rs:pub-without-caller",
             "crates/mlg-server/src/server.rs:pub-without-caller",
+            "crates/mlg-world/src/chunk.rs:pub-without-caller",
             "crates/mlg-world/src/shard.rs:pub-without-caller",
             "crates/mlg-world/src/world.rs:pub-without-caller",
             "crates/mlg-world/src/world.rs:pub-without-caller",

@@ -23,7 +23,14 @@
 //! block — and `base`, the top of the column's unbroken solid-or-fluid
 //! foundation. Between them they answer most spawn candidates without a
 //! block read: ground above `top` is air, feet at or below `base` are
-//! blocked.
+//! blocked. The summaries sit in a boxed 512-byte array; beside them, in
+//! the chunk itself, a 256-bit *open-column* mask records which columns
+//! have `base < top` ([`Chunk::column_gap`]). A *closed* column
+//! (`base == top`) has no `y` that passes both tests, so a spawn candidate
+//! there is settled from the mask alone, without the cache miss into the
+//! box. The mask is written where the summaries are — `Chunk::empty`,
+//! `ChunkBuilder::finish` and the single-block settle every `set_block`
+//! goes through — and nowhere else.
 //!
 //! Besides the summaries, the chunk tracks *light-dirty columns*: a 256-bit
 //! mask of `(x, z)` columns whose light opacity profile changed since the
@@ -56,8 +63,9 @@ pub(crate) const BLOCKS_PER_CHUNK: usize = CHUNK_SIZE * CHUNK_SIZE * WORLD_HEIGH
 /// in the y-major block index.
 pub(crate) const LAYER: usize = CHUNK_SIZE * CHUNK_SIZE;
 
-/// Words in the per-chunk light-dirty column bitmask (256 columns).
-const LIGHT_DIRTY_WORDS: usize = LAYER / 64;
+/// Words in a per-chunk bitmask of columns (256 columns): the light-dirty
+/// and the open-column masks.
+const COLUMN_MASK_WORDS: usize = LAYER / 64;
 
 /// Heap bytes a dense `Vec<Block>` chunk body would occupy: the baseline
 /// of the palette-compression regression tests.
@@ -71,7 +79,8 @@ fn solid_or_fluid(block: Block) -> bool {
 
 /// What each `(x, z)` column holds, as far as lighting and spawning ask:
 /// column `z * CHUNK_SIZE + x` of each array. 512 bytes, the size of the
-/// `i16` heightmap they replaced.
+/// `i16` heightmap they replaced, boxed: reading it is a cache miss the
+/// chunk's open-column mask spares the spawner for every closed column.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct ColumnSummaries {
     /// Highest `y` such that every block in `0..=base` is solid or fluid,
@@ -86,7 +95,8 @@ struct ColumnSummaries {
 /// Blocks live in a [`PaletteStore`] indexed by `(x, y, z)` local
 /// coordinates. The chunk also tracks a summary per column (its heightmap
 /// and its solid-or-fluid base, see [`Chunk::column_summary`]) used by
-/// lighting and spawning.
+/// lighting and spawning, and inline a bit per column saying whether that
+/// summary leaves a gap (`base < top`, see [`Chunk::column_gap`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Chunk {
     pos: ChunkPos,
@@ -97,7 +107,12 @@ pub struct Chunk {
     /// Bit per `(x, z)` column (bit `z * CHUNK_SIZE + x`): set when a block
     /// change altered the column's light opacity since the last relight-pass
     /// fold. Substrate-only bookkeeping for the relight cache.
-    light_dirty: [u64; LIGHT_DIRTY_WORDS],
+    light_dirty: [u64; COLUMN_MASK_WORDS],
+    /// Bit per `(x, z)` column (bit `z * CHUNK_SIZE + x`): set exactly when
+    /// the column's summary is open, `base < top`. Kept by the writers of
+    /// the summaries, so a closed column is answered from the chunk header
+    /// without reading `columns`.
+    open_columns: [u64; COLUMN_MASK_WORDS],
     /// Relight-pass stamp recorded when the dirty mask was last folded;
     /// cache entries tagged at or before this stamp are invalid for any
     /// window overlapping this chunk.
@@ -119,7 +134,9 @@ impl Chunk {
                 top: [-1; LAYER],
             }),
             non_air: 0,
-            light_dirty: [0; LIGHT_DIRTY_WORDS],
+            light_dirty: [0; COLUMN_MASK_WORDS],
+            // Every column is all air, `(−1, −1)`: closed.
+            open_columns: [0; COLUMN_MASK_WORDS],
             light_stamp: 0,
         }
     }
@@ -204,6 +221,7 @@ impl Chunk {
     /// stay solid or fluid — so a block laid on top of its column, the way
     /// builders and players build, reads nothing. The summary was exact
     /// before the write, so nothing outside those scans can have changed.
+    /// The column's open bit follows the new pair.
     fn settle_column(&mut self, x: usize, z: usize, y: i32, block: Block) {
         let (base, top) = self.column_summary(x, z);
         let read = |y: i32| self.block(x, y, z);
@@ -228,6 +246,13 @@ impl Chunk {
         let column = z * CHUNK_SIZE + x;
         self.columns.base[column] = base as i8;
         self.columns.top[column] = top as i8;
+        debug_assert!(base <= top, "column {x},{z}: base {base} above top {top}");
+        let (word, bit) = (column / 64, 1u64 << (column % 64));
+        if base < top {
+            self.open_columns[word] |= bit;
+        } else {
+            self.open_columns[word] &= !bit;
+        }
     }
 
     /// Returns the `y` coordinate of the highest non-air block in the given
@@ -250,6 +275,7 @@ impl Chunk {
     ///
     /// Panics if `x` or `z` are outside `0..CHUNK_SIZE`.
     #[must_use]
+    // detlint: allow(pub-without-caller) -- tests/property_tests.rs holds every column's summary against a scan
     pub fn column_summary(&self, x: usize, z: usize) -> (i32, i32) {
         assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
         let column = z * CHUNK_SIZE + x;
@@ -257,6 +283,25 @@ impl Chunk {
             i32::from(self.columns.base[column]),
             i32::from(self.columns.top[column]),
         )
+    }
+
+    /// Column `(x, z)`'s `(base, top)` ([`Chunk::column_summary`]) when the
+    /// column is open, `base < top`; `None` when it is closed.
+    ///
+    /// Every column has `base ≤ top`: the block at `base` is solid or
+    /// fluid, so not air. In a closed column every `y` is above `top` or at
+    /// or below `base`, and the answer comes from the chunk's inline mask
+    /// without reading the boxed summaries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `z` are outside `0..CHUNK_SIZE`.
+    #[must_use]
+    pub fn column_gap(&self, x: usize, z: usize) -> Option<(i32, i32)> {
+        assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
+        let column = z * CHUNK_SIZE + x;
+        let open = self.open_columns[column / 64] >> (column % 64) & 1 != 0;
+        open.then(|| self.column_summary(x, z))
     }
 
     /// Returns the number of non-air blocks stored in the chunk.
@@ -274,7 +319,7 @@ impl Chunk {
     /// `[x0..=x1] × [z0..=z1]` had its light opacity changed since the last
     /// relight-pass fold.
     pub(crate) fn light_dirty_in(&self, x0: usize, x1: usize, z0: usize, z1: usize) -> bool {
-        if self.light_dirty == [0; LIGHT_DIRTY_WORDS] {
+        if self.light_dirty == [0; COLUMN_MASK_WORDS] {
             return false;
         }
         for z in z0..=z1 {
@@ -292,9 +337,9 @@ impl Chunk {
     /// pass: if any column was dirtied, records `stamp` (which invalidates
     /// all cache entries tagged at or before it) and clears the mask.
     pub(crate) fn fold_light_dirty(&mut self, stamp: u64) {
-        if self.light_dirty != [0; LIGHT_DIRTY_WORDS] {
+        if self.light_dirty != [0; COLUMN_MASK_WORDS] {
             self.light_stamp = stamp;
-            self.light_dirty = [0; LIGHT_DIRTY_WORDS];
+            self.light_dirty = [0; COLUMN_MASK_WORDS];
         }
     }
 
@@ -463,7 +508,8 @@ impl ChunkBuilder {
     /// a column's `top` is the first non-air layer it meets, its `base`
     /// lies just under the last (lowest) layer where it is neither solid
     /// nor fluid. A uniform layer is judged once for every column; only
-    /// the mixed band is read per column.
+    /// the mixed band is read per column. The open-column mask is one
+    /// last pass over the 256 finished pairs.
     pub(crate) fn finish(self, pos: ChunkPos) -> Chunk {
         let interned = &self.interned[..self.interned_len];
         let store = PaletteStore::from_dense(&self.slots, interned, self.mixed.clone());
@@ -524,12 +570,18 @@ impl ChunkBuilder {
         for base in &mut columns.base {
             *base = (*base).min(floor);
         }
+        let mut open_columns = [0; COLUMN_MASK_WORDS];
+        for (column, (&base, &top)) in columns.base.iter().zip(&columns.top).enumerate() {
+            debug_assert!(base <= top, "column {column}: base {base} above top {top}");
+            open_columns[column / 64] |= u64::from(base < top) << (column % 64);
+        }
         Chunk {
             pos,
             non_air: (BLOCKS_PER_CHUNK - store.count_kind(BlockKind::Air)) as u32,
             store,
             columns,
-            light_dirty: [!0; LIGHT_DIRTY_WORDS],
+            light_dirty: [!0; COLUMN_MASK_WORDS],
+            open_columns,
             light_stamp: 0,
         }
     }
@@ -649,8 +701,9 @@ mod tests {
     }
 
     /// Asserts two chunks are observably identical: blocks, column
-    /// summaries (each also against a scan of its blocks), non-air count
-    /// and per-column light-dirty bits.
+    /// summaries (each also against a scan of its blocks) and gaps (each
+    /// against its summary), non-air count and per-column light-dirty
+    /// bits.
     pub(super) fn assert_chunks_equivalent(a: &Chunk, b: &Chunk, ctx: &str) {
         assert_eq!(a.non_air_blocks(), b.non_air_blocks(), "non_air: {ctx}");
         for x in 0..CHUNK_SIZE {
@@ -665,6 +718,14 @@ mod tests {
                     scanned_summary(a, x, z),
                     "base, top against a scan {x},{z}: {ctx}"
                 );
+                for chunk in [a, b] {
+                    let (base, top) = chunk.column_summary(x, z);
+                    assert_eq!(
+                        chunk.column_gap(x, z),
+                        (base < top).then_some((base, top)),
+                        "gap {x},{z}: {ctx}"
+                    );
+                }
                 assert_eq!(
                     a.light_dirty_in(x, x, z, z),
                     b.light_dirty_in(x, x, z, z),

@@ -31,10 +31,10 @@
 //! `snapshot_chunks`, `restore_chunks`) and by nothing else, since chunks
 //! are otherwise only appended.
 //!
-//! Most spawn candidates need no block at all: [`World::column_summary`]
-//! hands out a column's `(base, top)`, which every chunk keeps exact on
-//! each write ([`Chunk::column_summary`]), after loading the chunk exactly
-//! as a block read of that column would.
+//! Most spawn candidates need no block at all: [`World::column_gap`] hands
+//! out a column's `(base, top)` when they leave a gap, `None` when they do
+//! not ([`Chunk::column_gap`]; every chunk keeps both exact on each write),
+//! after loading the chunk exactly as a block read of that column would.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -693,15 +693,17 @@ impl World {
         Some(self.highest_block_y(x, z).unwrap_or(-1))
     }
 
-    /// Column `(x, z)`'s `(base, top)` ([`Chunk::column_summary`]): every
-    /// block in `0..=base` is solid or fluid, every block above `top` is
-    /// air. Lazily generates the chunk — the one any block read of the
-    /// column would have generated — and reads no block.
+    /// Column `(x, z)`'s `(base, top)` ([`Chunk::column_summary`]) when
+    /// `base < top`, `None` for a closed column ([`Chunk::column_gap`]):
+    /// every block in `0..=base` is solid or fluid, every block above `top`
+    /// is air, so in a closed column no `y` lies strictly between them.
+    /// Lazily generates the chunk — the one any block read of the column
+    /// would have generated — and reads no block.
     #[must_use]
-    pub fn column_summary(&mut self, x: i32, z: i32) -> (i32, i32) {
+    pub fn column_gap(&mut self, x: i32, z: i32) -> Option<(i32, i32)> {
         let pos = BlockPos::new(x, 0, z);
         let (lx, _, lz) = pos.local();
-        self.load_chunk(pos.chunk()).0.column_summary(lx, lz)
+        self.load_chunk(pos.chunk()).0.column_gap(lx, lz)
     }
 
     /// Compacts every loaded chunk's palette storage (drops dead palette
@@ -1303,14 +1305,9 @@ mod tests {
             let _ = w.column_top(pos.x, pos.z);
         });
         let pos = unloaded();
-        check(
-            &mut w,
-            true,
-            "lazy generation through column_summary",
-            |w| {
-                let _ = w.column_summary(pos.x, pos.z);
-            },
-        );
+        check(&mut w, true, "lazy generation through column_gap", |w| {
+            let _ = w.column_gap(pos.x, pos.z);
+        });
         let pos = unloaded();
         check(&mut w, true, "lazy generation through ensure_area", |w| {
             assert_eq!(w.ensure_area(pos.chunk(), 0), 1);
@@ -1352,7 +1349,7 @@ mod tests {
             let _ = (
                 w.block(inside),
                 w.column_top(5, 5),
-                w.column_summary(5, 5),
+                w.column_gap(5, 5),
                 w.block_if_loaded(inside),
             );
             assert_eq!(w.ensure_area(ChunkPos::new(0, 0), 3), 0);

@@ -40,11 +40,18 @@ For every cell this prints, per side, the median over seeds of that lower
 quartile for `setup_s`, `wall_s` and `ticking_s` — a round's `wall_s` minus
 its `setup_s`, the time after set-up, which no recorded metric isolates: a
 cell that spends half its wall in set-up can hide a ticking saving behind a
-set-up slip — and the change-over-parent ratio. Cells
+set-up slip — and the change-over-parent ratio. It also prints each cell's
+`ticks` (the simulated ticks of one round, from the result file; the median
+over seeds) and, per side, its ticking time per tick in milliseconds
+(`ticking_s / ticks`, median over seeds) with their ratio. Cells
 pair up by position, since a seed may rename one (`campaign_sweep`'s labels
 carry the seed's start time); both sides of a seed must name them alike. It
 re-derives each quartile from the result file's per-round samples, and fails
-if a run's cells do not sum to the `setup_s` or `run_wall_s` that run recorded.
+if a run's cells do not sum to the `setup_s` or `run_wall_s` that run recorded,
+or if a cell's tick count differs between the two sides of one seed: ticks are
+modeled output, and a cell that crashes its server (the Horde cells stop after
+a few ticks) would move `sim_ticks_per_s` without any speed-up if the crash
+moved.
 
 Medians are compared, never single runs: `peak_rss_mb` on `campaign_sweep`
 and `sharded_horde` has been bimodal — about one run in ten landed near 12 MiB
@@ -206,8 +213,8 @@ def lower_quartile(values):
 
 def cell_values(path):
     """Each cell's host-corrected lower quartile of `setup_s`, `wall_s` and `ticking_s` (per round,
-    `wall_s − setup_s`), in cell order, after checking that the first two sum to the run's recorded
-    metrics."""
+    `wall_s − setup_s`) and its `ticks`, in cell order, after checking that the first two sum to the
+    run's recorded metrics."""
     with open(path) as f:
         result = json.load(f)
     nominal = result["host_state"]["nominal"]
@@ -216,7 +223,9 @@ def cell_values(path):
         kernel = [(before + after) / 2 for before, after in zip(cell["kernel_before_s"], cell["kernel_after_s"])]
         rounds = {key: [s * nominal / k for s, k in zip(cell[key], kernel)] for key, _ in CELL_METRICS}
         rounds["ticking_s"] = [wall - setup for wall, setup in zip(rounds["wall_s"], rounds["setup_s"])]
-        cells.append((cell["cell"], {key: lower_quartile(rounds[key]) for key in CELL_COLUMNS}))
+        values = {key: lower_quartile(rounds[key]) for key in CELL_COLUMNS}
+        values["ticks"] = cell["ticks"]
+        cells.append((cell["cell"], values))
     for key, metric in CELL_METRICS:
         total, recorded = sum(values[key] for _, values in cells), result["metrics"][metric]["value"]
         if not math.isclose(total, recorded, rel_tol=1e-12):
@@ -233,16 +242,25 @@ def print_cells(parent_dir, change_dir, seeds, workload):
         names = [[label for label, _ in run] for run in (parent, change)]
         if names[0] != names[1] or len(names[0]) != len(sides["parent"][0]):
             sys.exit(f"seed {k}: parent cells {names[0]} and change cells {names[1]} differ")
+        for (label, a), (_, b) in zip(parent, change):
+            if a["ticks"] != b["ticks"]:
+                sys.exit(f"seed {k}: cell {label!r} ran {a['ticks']} ticks on the parent and {b['ticks']} on "
+                         f"the change; ticks are modeled output")
     labels = [label for label, _ in sides["parent"][0]]
     print(f"{workload}: per cell, the median over seeds {','.join(map(str, seeds))} of the cell's "
           f"host-corrected lower quartile across rounds, in seconds (cells named as in seed {seeds[0]})")
     print("".join(f"{key + ' ' + side:>18}" for key in CELL_COLUMNS
-                  for side in ("parent", "change", "ratio")) + "  cell")
+                  for side in ("parent", "change", "ratio"))
+          + f"{'ticks':>8}" + "".join(f"{'ms/tick ' + side:>16}" for side in ("parent", "change", "ratio")) + "  cell")
     for c, label in enumerate(labels):
         line = ""
         for key in CELL_COLUMNS:
             a, b = (statistics.median(run[c][1][key] for run in runs) for runs in sides.values())
             line += f"{a:>18.6f}{b:>18.6f}{b / a:>18.3f}"
+        line += f"{statistics.median(run[c][1]['ticks'] for run in sides['parent']):>8g}"
+        a, b = (statistics.median(1e3 * run[c][1]["ticking_s"] / run[c][1]["ticks"] for run in runs)
+                for runs in sides.values())
+        line += f"{a:>16.4f}{b:>16.4f}{b / a:>16.3f}"
         print(f"{line}  {label}")
 
 

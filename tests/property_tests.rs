@@ -288,13 +288,13 @@ proptest! {
         // to a dense Vec<Block> under arbitrary write sequences — including
         // the old-value return of set_block, mid-sequence gc compaction
         // (which re-narrows the bit width), snapshots (clones), the by-kind
-        // iterator and each column's (base, top) summary, held against a
-        // scan of the dense copy after every write. Each u32 packs one
-        // write: x(4) z(4) y(7) kind(6, mod 36) state(2) compact(1) op(2)
-        // len(6). Ops 0 and 1 set one block anywhere; op 2 fills a run
-        // of a column in the 4×4 corner from `y − 64` (foundations from
-        // the clamped bottom, runs past the ceiling); op 3 sets the corner
-        // column's block at y = 0 or 127.
+        // iterator and each column's (base, top) summary and gap (the pair
+        // when base < top), held against a scan of the dense copy after
+        // every write. Each u32 packs one write: x(4) z(4) y(7) kind(6,
+        // mod 36) state(2) compact(1) op(2) len(6). Ops 0 and 1 set one
+        // block anywhere; op 2 fills a run of a column in the 4×4 corner
+        // from `y − 64` (foundations from the clamped bottom, runs past the
+        // ceiling); op 3 sets the corner column's block at y = 0 or 127.
         let mut chunk = Chunk::empty(ChunkPos::new(0, 0));
         let mut dense = vec![Block::AIR; 16 * 16 * 128];
         let index = |x: usize, y: i32, z: usize| (y as usize * 16 + z) * 16 + x;
@@ -306,6 +306,11 @@ proptest! {
             let base = (0..128).find(|&y| !blocking(y)).unwrap_or(128) - 1;
             let top = (0..128).rev().find(|&y| !dense[index(x, y, z)].is_air());
             (base, top.unwrap_or(-1))
+        };
+        // A column's gap: its scanned `(base, top)` when `base < top`.
+        let gap = |dense: &[Block], x: usize, z: usize| {
+            let (base, top) = scan(dense, x, z);
+            (base < top).then_some((base, top))
         };
         for (step, word) in writes.iter().copied().enumerate() {
             let mut x = (word & 15) as usize;
@@ -338,6 +343,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(chunk.column_summary(x, z), scan(&dense, x, z), "step {}", step);
+            prop_assert_eq!(chunk.column_gap(x, z), gap(&dense, x, z), "step {}", step);
             if compact && step % 16 == 0 {
                 chunk.compact_storage();
             }
@@ -345,6 +351,7 @@ proptest! {
         for x in 0..16 {
             for z in 0..16 {
                 prop_assert_eq!(chunk.column_summary(x, z), scan(&dense, x, z));
+                prop_assert_eq!(chunk.column_gap(x, z), gap(&dense, x, z));
                 prop_assert_eq!(chunk.height_at(x, z), Some(scan(&dense, x, z).1).filter(|&t| t >= 0));
             }
         }
