@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use crate::rules::{Finding, RuleId};
-use crate::scanner::Token;
+use crate::scanner::{test_mask, Token};
 use crate::workspace::{FileContext, TargetKind};
 
 /// Reports every `pub` function, constant, static or struct field with no
@@ -183,51 +183,6 @@ fn struct_fields(tokens: &[Token], i: usize) -> Vec<usize> {
         }
     }
     fields
-}
-
-/// Marks the tokens of every `#[cfg(test)]` item, attribute included.
-fn test_mask(tokens: &[Token]) -> Vec<bool> {
-    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0;
-    while i < tokens.len() {
-        let is_attr = tokens.len() - i >= CFG_TEST.len()
-            && CFG_TEST.iter().zip(&tokens[i..]).all(|(p, t)| t.text == *p);
-        if is_attr {
-            let end = item_end(tokens, i + CFG_TEST.len());
-            mask[i..end].fill(true);
-            i = end;
-        } else {
-            i += 1;
-        }
-    }
-    mask
-}
-
-/// The index one past the item that starts at `tokens[start]`: its first
-/// top-level `;` or `,` (a statement, a `use`, a field), the `}` closing
-/// its first top-level brace (a module, a function, a block), or the
-/// unmatched `}` of the enclosing block (a last field).
-fn item_end(tokens: &[Token], start: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, tok) in tokens.iter().enumerate().skip(start) {
-        match tok.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-                if depth < 0 {
-                    return j;
-                }
-            }
-            ";" | "," if depth == 0 => return j + 1,
-            _ => {}
-        }
-    }
-    tokens.len()
 }
 
 #[cfg(test)]

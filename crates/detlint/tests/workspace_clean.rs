@@ -3,6 +3,10 @@
 //! runs. Every waiver that is supposed to exist is pinned below — adding a
 //! waiver means consciously updating this test.
 
+use std::collections::BTreeMap;
+use std::path::Path;
+
+use detlint::scanner::{scan, test_mask, tokenize};
 use detlint::{lint_sources, lint_workspace, workspace_root_from_build, RuleId};
 
 #[test]
@@ -145,5 +149,82 @@ fn every_waiver_is_accounted_for() {
         ],
         "waiver surface changed:\n{}",
         report.render()
+    );
+}
+
+/// Library panic sites — `.unwrap()`, `.expect(` and `panic!(` in code, not
+/// in comments or strings — per `.rs` file under `crates/*/src`, outside
+/// `#[cfg(test)]` items.
+fn library_panic_sites(root: &Path) -> BTreeMap<String, usize> {
+    const SITES: [&[&str]; 3] = [
+        &[".", "unwrap", "(", ")"],
+        &[".", "expect", "("],
+        &["panic", "!", "("],
+    ];
+    fn walk(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
+        let entries = std::fs::read_dir(dir).expect("source directories are readable");
+        for entry in entries {
+            let path = entry.expect("directory entries are readable").path();
+            if path.is_dir() {
+                walk(&path, files);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is readable");
+    for member in crates {
+        let src = member
+            .expect("crates/ entries are readable")
+            .path()
+            .join("src");
+        if src.is_dir() {
+            walk(&src, &mut files);
+        }
+    }
+    let mut counts = BTreeMap::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("sources are readable");
+        let tokens = tokenize(&scan(&text));
+        let in_test = test_mask(&tokens);
+        let sites = (0..tokens.len())
+            .filter(|&i| !in_test[i])
+            .filter(|&i| {
+                SITES.iter().any(|site| {
+                    let texts = tokens[i..].iter().map(|t| t.text.as_str());
+                    texts.take(site.len()).eq(site.iter().copied())
+                })
+            })
+            .count();
+        if sites > 0 {
+            let rel = file.strip_prefix(root).expect("under the root");
+            counts.insert(rel.display().to_string(), sites);
+        }
+    }
+    counts
+}
+
+#[test]
+fn library_panic_sites_only_shrink() {
+    // Every library panic site is a crash a caller cannot handle. The count
+    // is pinned so that it can only go down: a new site fails here, and a
+    // removed one asks for the pin to be lowered with it.
+    const PINNED: usize = 51;
+    let counts = library_panic_sites(&workspace_root_from_build());
+    let total: usize = counts.values().sum();
+    let listing: String = counts
+        .iter()
+        .map(|(file, sites)| format!("  {sites:3}  {file}\n"))
+        .collect();
+    assert!(
+        total <= PINNED,
+        "{total} library panic sites, {} more than the {PINNED} pinned; per file:\n{listing}",
+        total - PINNED
+    );
+    assert!(
+        total == PINNED,
+        "{total} library panic sites, {} fewer than pinned: lower PINNED to {total}; per file:\n{listing}",
+        PINNED - total
     );
 }

@@ -172,10 +172,15 @@ pub(crate) fn multicast_by_interest(
 ///
 /// Viewers are sorted into a coarse grid of radius-sized cells and only the
 /// 3×3 cell neighborhood of each anchor is distance-tested, so a scaled
-/// population never pays a full viewer scan per packet. Cells are scanned
-/// x-major and the viewers of a cell in slice order (ascending connection
-/// order — players are appended with monotonically increasing ids), keeping
-/// every interest set deterministic.
+/// population never pays a full viewer scan per packet. The sort is x-major
+/// and keeps a cell's viewers in slice order (ascending connection order —
+/// players are appended with monotonically increasing ids), so the cells
+/// `cz − 1 ..= cz + 1` of one column are one contiguous *row* of viewers,
+/// found with two binary searches. Each of the three rows is scanned as one
+/// slice of `(id, x, z)` records, and a recipient is appended branch-free —
+/// the id is written, and the set grows by the outcome of the distance test
+/// — keeping every interest set deterministic: x-major cells, slice order
+/// within a cell.
 ///
 /// **The roster answer.** When the scan would find every viewer, the set
 /// is not built: the packet is answered `None`, like a global packet, and
@@ -201,14 +206,26 @@ pub(crate) fn multicast_by_interest(
 /// cell boundaries, where the scan never looks. Any other packet is scanned.
 #[derive(Debug, Default)]
 pub(crate) struct InterestSets {
-    viewers: Vec<(PlayerId, Vec3)>,
-    /// `(cell, index into viewers)`, sorted: a cell's viewers are one run.
-    by_cell: Vec<((i64, i64), usize)>,
+    /// The viewers, sorted by `(cell, index)`: a cell's viewers are one run
+    /// in slice order, and a column's cells are adjacent runs.
+    viewers: Vec<Viewer>,
     /// The interest sets of all anchored packets, back to back.
     recipients: Vec<PlayerId>,
     /// Per packet, its span of `recipients`; `None` for a packet that goes
     /// to every connection.
     spans: Vec<Option<Range<usize>>>,
+}
+
+/// One viewer of an [`InterestSets`] rebuild, keyed for the row scan.
+#[derive(Debug, Clone, Copy)]
+struct Viewer {
+    cell: (i64, i64),
+    /// Its place in the rebuild's viewer iterator: the tie-break that keeps
+    /// a cell's viewers in slice order.
+    index: u32,
+    id: PlayerId,
+    x: f64,
+    z: f64,
 }
 
 impl InterestSets {
@@ -226,12 +243,15 @@ impl InterestSets {
         let cell = radius.max(1.0);
         let cell_of = |x: f64, z: f64| ((x / cell).floor() as i64, (z / cell).floor() as i64);
         self.viewers.clear();
-        self.viewers.extend(viewers);
-        self.by_cell.clear();
-        let keyed = self.viewers.iter().enumerate();
-        self.by_cell
-            .extend(keyed.map(|(index, (_, pos))| (cell_of(pos.x, pos.z), index)));
-        self.by_cell.sort_unstable();
+        self.viewers
+            .extend(viewers.enumerate().map(|(index, (id, pos))| Viewer {
+                cell: cell_of(pos.x, pos.z),
+                index: index as u32,
+                id,
+                x: pos.x,
+                z: pos.z,
+            }));
+        self.viewers.sort_unstable_by_key(|v| (v.cell, v.index));
         // The viewers' XZ bounding box and its corner cells, if `All` would
         // reach exactly the viewers.
         let roster = (!self.viewers.is_empty() && self.viewers.len() == connections).then(|| {
@@ -239,9 +259,9 @@ impl InterestSets {
                 (f64::INFINITY, f64::INFINITY),
                 (f64::NEG_INFINITY, f64::NEG_INFINITY),
             );
-            for (_, pos) in &self.viewers {
-                lo = (lo.0.min(pos.x), lo.1.min(pos.z));
-                hi = (hi.0.max(pos.x), hi.1.max(pos.z));
+            for v in &self.viewers {
+                lo = (lo.0.min(v.x), lo.1.min(v.z));
+                hi = (hi.0.max(v.x), hi.1.max(v.z));
             }
             (lo, hi, cell_of(lo.0, lo.1), cell_of(hi.0, hi.1))
         });
@@ -258,6 +278,13 @@ impl InterestSets {
                     && far(lo.0, hi.0, pos.x) + far(lo.1, hi.1, pos.z) <= radius_sq
             })
         };
+        let viewers = &self.viewers[..];
+        // The viewers of cells `(x, cz - 1) ..= (x, cz + 1)`.
+        let row = |x: i64, cz: i64| {
+            let first = viewers.partition_point(|v| v.cell < (x, cz - 1));
+            let len = viewers[first..].partition_point(|v| v.cell <= (x, cz + 1));
+            &viewers[first..first + len]
+        };
         self.recipients.clear();
         self.spans.clear();
         self.spans.reserve(packets.len());
@@ -267,22 +294,19 @@ impl InterestSets {
                 if reaches_everyone(pos, (cx, cz)) {
                     return None;
                 }
+                let rows = [row(cx - 1, cz), row(cx, cz), row(cx + 1, cz)];
                 let start = self.recipients.len();
-                for dx in -1..=1 {
-                    for dz in -1..=1 {
-                        let key = (cx + dx, cz + dz);
-                        let first = self.by_cell.partition_point(|(k, _)| *k < key);
-                        let in_cell = self.by_cell[first..].iter().take_while(|(k, _)| *k == key);
-                        for &(_, viewer) in in_cell {
-                            let (id, viewer_pos) = self.viewers[viewer];
-                            let ddx = viewer_pos.x - pos.x;
-                            let ddz = viewer_pos.z - pos.z;
-                            if ddx * ddx + ddz * ddz <= radius_sq {
-                                self.recipients.push(id);
-                            }
-                        }
-                    }
+                let candidates = rows.iter().map(|row| row.len()).sum::<usize>();
+                self.recipients.resize(start + candidates, PlayerId(0));
+                let set = &mut self.recipients[start..];
+                let mut len = 0;
+                for v in rows.into_iter().flatten() {
+                    let ddx = v.x - pos.x;
+                    let ddz = v.z - pos.z;
+                    set[len] = v.id;
+                    len += usize::from(ddx * ddx + ddz * ddz <= radius_sq);
                 }
+                self.recipients.truncate(start + len);
                 Some(start..self.recipients.len())
             });
             self.spans.push(span);
@@ -478,6 +502,38 @@ mod tests {
         Some(set)
     }
 
+    /// The three rows of every anchored packet the last rebuild scanned: how
+    /// many of a row's cells hold a viewer, and where the row ends in the
+    /// sorted viewers (0 for an empty row).
+    fn scanned_rows(
+        sets: &InterestSets,
+        packets: &[ClientboundPacket],
+        radius: f64,
+    ) -> Vec<(usize, usize)> {
+        let cell = radius.max(1.0);
+        let scanned = packets
+            .iter()
+            .enumerate()
+            .filter(|(index, _)| sets.of(*index).is_some());
+        let anchors = scanned.filter_map(|(_, packet)| packet_position(packet));
+        let rows = anchors.flat_map(|pos| {
+            let (cx, cz) = ((pos.x / cell).floor() as i64, (pos.z / cell).floor() as i64);
+            (cx - 1..=cx + 1).map(move |x| {
+                let in_row = |v: &&Viewer| v.cell.0 == x && (v.cell.1 - cz).abs() <= 1;
+                let mut cells: Vec<_> =
+                    sets.viewers.iter().filter(in_row).map(|v| v.cell).collect();
+                cells.dedup();
+                let end = sets
+                    .viewers
+                    .iter()
+                    .rposition(|v| in_row(&v))
+                    .map_or(0, |last| last + 1);
+                (cells.len(), end)
+            })
+        });
+        rows.collect()
+    }
+
     /// [`multicast_by_interest`] with every anchored packet scanned.
     fn multicast_by_scan(
         queues: &mut NetworkingQueues,
@@ -516,7 +572,9 @@ mod tests {
             // coordinates and radii where subtraction and division round;
             // boxes that fit the radius but spill into a fourth cell; one
             // viewer more than the connections and one connection more than
-            // the viewers. Three ticks per case on one `InterestSets`: the
+            // the viewers; a few hundred viewers scattered over ±6 cells,
+            // whose rows hold three populated cells, none, or end the sorted
+            // viewers. Three ticks per case on one `InterestSets`: the
             // drained streams, the copies counted and the accountant's bytes
             // equal delivery with every anchored packet scanned.
             let mut s = seed | 1;
@@ -538,8 +596,10 @@ mod tests {
             // packet reaches every viewer. Lattice: only the points where the
             // scan's two tests can disagree — x on the radius, on a cell
             // boundary or a hair off the origin, z on or a hair off the axis.
-            let scene = next() % 4;
-            let (clustered, lattice) = (scene == 0, scene == 1 && !huge);
+            // Scattered: 150–400 viewers over ±6.5 cells, each anchoring a
+            // position packet every tick, as a Horde tick does.
+            let scene = next() % 5;
+            let (clustered, lattice, scattered) = (scene == 0, scene == 1 && !huge, scene == 4 && !huge);
             let center = if huge {
                 [1.0e16, -1.3e16, 0.0][(next() % 3) as usize]
             } else if lattice {
@@ -555,6 +615,9 @@ mod tests {
                 if lattice {
                     return sign * [[0.0, radius, cell, 1e-15], [0.0, 1e-15, 0.0, 1e-15]][axis][(next() % 4) as usize];
                 }
+                if scattered {
+                    return sign * cell * 6.5 * unit(next);
+                }
                 sign * match next() % 8 {
                     0 => 0.0,
                     1 => radius,
@@ -566,7 +629,7 @@ mod tests {
                 }
             };
             let spot = |next: &mut dyn FnMut() -> u64| at(center + offset(next, 0), center + offset(next, 1));
-            let viewers = (next() % 9 + 1) as usize;
+            let viewers = (if scattered { next() % 251 + 150 } else { next() % 9 + 1 }) as usize;
             let mut players = roster(&(0..viewers).map(|_| spot(&mut next)).collect::<Vec<_>>());
             // 0: every viewer registered; 1: one viewer without a connection;
             // 2: one disconnected player still registered; 3: a connection
@@ -588,8 +651,12 @@ mod tests {
             }
             let (mut traffic, mut scanned_traffic) = (TrafficAccountant::new(), TrafficAccountant::new());
             let mut sets = InterestSets::default();
+            // Rows seen with three populated cells, with none, and ending
+            // the sorted viewers.
+            let mut rows_seen = [false; 3];
             for tick in 0..3u64 {
-                let packets: Vec<_> = (0..next() % 24)
+                let positions = players.iter().filter(|_| scattered).map(|pl| entity_move(pl.pos));
+                let packets: Vec<_> = positions.chain((0..next() % 24)
                     .map(|_| match next() % 6 {
                         0 => ClientboundPacket::KeepAlive { id: tick },
                         1 => ClientboundPacket::EntityDestroy { id: EntityId(tick) },
@@ -602,10 +669,15 @@ mod tests {
                         }
                         3 => ClientboundPacket::EntitySpawn { id: EntityId(tick), kind_id: 3, pos: spot(&mut next) },
                         _ => entity_move(spot(&mut next)),
-                    })
+                    }))
                     .collect();
                 let emitted = multicast_by_interest(&mut tested, &mut traffic, &packets, &players, radius, &mut sets);
                 let answers = roster_answers(&sets, &packets);
+                for (cells, end) in scanned_rows(&sets, &packets, radius) {
+                    rows_seen[0] |= cells == 3;
+                    rows_seen[1] |= cells == 0;
+                    rows_seen[2] |= cells > 0 && end == sets.viewers.len();
+                }
                 let expected = multicast_by_scan(&mut scanned_queues, &mut scanned_traffic, &packets, &players, radius);
                 assert_eq!(emitted, expected, "copies, tick {}", tick);
                 assert_eq!(traffic.summary(), scanned_traffic.summary(), "tick {}", tick);
@@ -624,6 +696,9 @@ mod tests {
                 for player in &mut players {
                     player.pos = spot(&mut next);
                 }
+            }
+            if scattered {
+                assert_eq!(rows_seen, [true; 3], "full, empty and final rows");
             }
         }
     }

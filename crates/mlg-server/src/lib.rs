@@ -39,7 +39,9 @@
 //!   order) and hands it to the networking queues in one
 //!   [`queues::NetworkingQueues::broadcast_many`] call (or
 //!   `multicast_many`, for flavors that filter by area of interest), which
-//!   stores each packet once and queues ranges of that log per connection;
+//!   stores each packet once and queues positions of that log per
+//!   connection — one entry per connection for a broadcast, and per
+//!   connection reached for a run of area-of-interest packets;
 //! * **lighting** is either recomputed eagerly inside the terrain stage
 //!   (vanilla) or — for [`FlavorProfile::eager_lighting`]` = false`
 //!   flavors (Paper/Folia) — deferred into a **cross-tick pipelined

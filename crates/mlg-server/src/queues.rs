@@ -8,14 +8,21 @@
 //! A tick's broadcast is stored once. [`NetworkingQueues::broadcast_many`]
 //! and [`NetworkingQueues::multicast_many`] append each packet to one shared
 //! log, beside a running total of wire bytes, and a connection's outgoing
-//! queue holds *ranges of log positions*; only per-connection packets (the
-//! join stream of [`NetworkingQueues::extend_outgoing`]) are owned by the
-//! queue itself. Enqueueing is then one range per connection for a full
-//! broadcast, and draining sums a range's bytes as a difference of two
-//! running totals without looking at its packets. The log is cleared when
-//! the last range that references it is drained — once per tick when every
-//! client reads its queue — so a connection nobody drains pins the packets
-//! of every tick since, once for all connections rather than once each.
+//! queue holds *log positions*: a range of them for packets everyone
+//! receives, or a span of the *picks* buffer — the positions one
+//! area-of-interest segment delivers to this connection, in slice order.
+//! Only per-connection packets (the join stream of
+//! [`NetworkingQueues::extend_outgoing`]) are owned by the queue itself.
+//! Enqueueing is then one entry per connection for a full broadcast and one
+//! per connection reached for a segment of area-of-interest packets, and
+//! draining sums a run of adjacent positions' bytes as a difference of two
+//! running totals without looking at its packets. The log and the picks are
+//! cleared when the last connection that references them is drained — once
+//! per tick when every client reads its queue. A connection nobody drains
+//! therefore pins every packet logged since, once for all connections
+//! rather than once each, and with them every connection's picks: one
+//! position per area-of-interest copy, about 0.8 MB per tick of a
+//! 2,000-player world (8 bytes for each of its ≈ 105k copies).
 //!
 //! Connections live in slots indexed by [`PlayerId`], so reaching the queue
 //! of a delivered copy is an array index, not a map lookup. Ids are handed
@@ -37,6 +44,10 @@ enum Queued {
     Owned(ClientboundPacket),
     /// The packets at these positions of the shared log.
     Shared(Range<usize>),
+    /// The packets at the log positions listed in this span of the picks
+    /// buffer: what one [`NetworkingQueues::multicast_many`] segment delivers
+    /// to this connection, in slice order.
+    Picked(Range<usize>),
 }
 
 // A join reserves 256 entries on each of a Horde's 2,000 connections, so an
@@ -73,6 +84,29 @@ impl PacketLog {
         self.bytes_through[range.end - 1] - before
     }
 
+    /// Grows the pending `run` of log positions by `next` if they are
+    /// adjacent. Otherwise the run is shown to `visit`, added to the
+    /// `(packets, bytes)` totals and replaced by `next`; an empty `next`
+    /// flushes the run.
+    fn extend_run(
+        &self,
+        run: &mut Range<usize>,
+        next: Range<usize>,
+        totals: &mut (u64, usize),
+        visit: &mut impl FnMut(&[ClientboundPacket]),
+    ) {
+        if run.end == next.start {
+            run.end = next.end;
+            return;
+        }
+        let run = std::mem::replace(run, next);
+        if !run.is_empty() {
+            totals.0 += run.len() as u64;
+            totals.1 += self.bytes(&run);
+            visit(&self.packets[run]);
+        }
+    }
+
     fn clear(&mut self) {
         self.packets.clear();
         self.bytes_through.clear();
@@ -90,21 +124,35 @@ struct ConnectionQueues {
     /// which reaching the connection just loaded — the back of a deque nobody
     /// wrote since the join is a cache miss per connection.
     open: Range<usize>,
+    /// Whether anything queued references the shared log.
+    holds_log: bool,
 }
 
 impl ConnectionQueues {
     /// Queues the log positions `range` behind everything queued so far.
-    /// Returns how many shared entries that added: none when the range
-    /// extends the open one.
+    /// Returns 1 if the connection did not reference the log before.
     #[inline]
     fn push_shared(&mut self, range: Range<usize>) -> usize {
         if !self.open.is_empty() && self.open.end == range.start {
             self.open.end = range.end;
-            return 0;
+        } else {
+            self.close_open();
+            self.open = range;
         }
+        self.hold_log()
+    }
+
+    /// Queues the picks at `span` behind everything queued so far. Returns 1
+    /// if the connection did not reference the log before.
+    #[inline]
+    fn push_picked(&mut self, span: Range<usize>) -> usize {
         self.close_open();
-        self.open = range;
-        1
+        self.outgoing.push_back(Queued::Picked(span));
+        self.hold_log()
+    }
+
+    fn hold_log(&mut self) -> usize {
+        usize::from(!std::mem::replace(&mut self.holds_log, true))
     }
 
     /// Moves the open range into the queue proper, so that what is pushed
@@ -137,6 +185,9 @@ pub enum PacketRecipients<'a> {
     Only(&'a [PlayerId]),
 }
 
+/// A [`NetworkingQueues::tally`] entry of a slot without a connection.
+const UNREGISTERED: usize = usize::MAX;
+
 /// All connection queues of the server, in slots indexed by player id.
 #[derive(Debug, Default)]
 pub struct NetworkingQueues {
@@ -146,9 +197,18 @@ pub struct NetworkingQueues {
     /// How many slots hold a connection.
     registered: usize,
     log: PacketLog,
-    /// Shared entries queued over all connections; the log is cleared when
-    /// this returns to zero.
-    shared_ranges: usize,
+    /// Log positions, one per copy an area-of-interest segment queued; a
+    /// [`Queued::Picked`] span lists one connection's. Cleared with the log.
+    picks: Vec<usize>,
+    /// Connections whose queue references the log; the log and the picks
+    /// are cleared when this returns to zero.
+    log_holders: usize,
+    /// Per slot, beside `connections`: [`UNREGISTERED`], or zero outside
+    /// [`NetworkingQueues::multicast_many`], which counts a segment's copies
+    /// per connection here and then turns the counts into write cursors.
+    tally: Vec<usize>,
+    /// The slots a segment reaches, in the order it first reaches them.
+    reached: Vec<usize>,
 }
 
 impl NetworkingQueues {
@@ -170,9 +230,11 @@ impl NetworkingQueues {
         let slot = player.0 as usize;
         if slot >= self.connections.len() {
             self.connections.resize_with(slot + 1, || None);
+            self.tally.resize(slot + 1, UNREGISTERED);
         }
         if self.connections[slot].is_none() {
             self.connections[slot] = Some(ConnectionQueues::default());
+            self.tally[slot] = 0;
             self.registered += 1;
         }
     }
@@ -184,12 +246,12 @@ impl NetworkingQueues {
     }
 
     /// Queues the log positions `range` on every connection, in ascending id
-    /// order, and returns how many shared entries that added.
-    fn push_to_all(&mut self, range: Range<usize>) -> usize {
+    /// order, and counts the connections that now reference the log.
+    fn push_to_all(&mut self, range: Range<usize>) {
         let connections = self.connections.iter_mut().flatten();
-        connections
+        self.log_holders += connections
             .map(|conn| conn.push_shared(range.clone()))
-            .sum()
+            .sum::<usize>();
     }
 
     /// Buffers a serverbound packet from `player` into the incoming queue.
@@ -250,7 +312,7 @@ impl NetworkingQueues {
         self.log.reserve(packets.len());
         packets.iter().for_each(|packet| self.log.push(packet));
         let end = self.log.packets.len();
-        self.shared_ranges += self.push_to_all(start..end);
+        self.push_to_all(start..end);
         (packets.len() * self.registered) as u64
     }
 
@@ -258,21 +320,21 @@ impl NetworkingQueues {
     /// connections selected by `recipients(i)`. Returns how many copies
     /// were enqueued in total.
     ///
-    /// The area-of-interest path of the dissemination stage: packets are
-    /// processed in slice order, so each connection still receives its
-    /// packets as an in-order subset of the slice and a selector that
-    /// always answers [`PacketRecipients::All`] delivers exactly what
-    /// [`NetworkingQueues::broadcast_many`] does. A packet enters the log
-    /// once if anyone receives it, and consecutive packets for one
-    /// connection merge into one queued range.
+    /// The area-of-interest path of the dissemination stage: each connection
+    /// receives its packets as an in-order subset of the slice, and a
+    /// selector that always answers [`PacketRecipients::All`] delivers
+    /// exactly what [`NetworkingQueues::broadcast_many`] does. A packet
+    /// enters the log once if anyone receives it.
     ///
     /// Consecutive [`PacketRecipients::All`] packets form one run of log
-    /// positions, queued on every connection once — before the next
-    /// [`PacketRecipients::Only`] packet's recipients, and at the end of the
-    /// batch. Adjacent ranges merge, so every queue ends up as one
-    /// push per packet would have left it. The cost is one push per
-    /// connection per run of `All` packets plus one slot index per listed
-    /// recipient, not `packets × connections`, which is what lets a
+    /// positions, queued on every connection once. Consecutive
+    /// [`PacketRecipients::Only`] packets form a *segment*, which is
+    /// transposed: its copies are counted per connection, then scattered in
+    /// packet order into the picks buffer, so each connection reached gets
+    /// one entry for the whole segment, listing its log positions in slice
+    /// order. A copy costs one count and one scatter, and a segment one push
+    /// per connection it reaches; a run of `All` packets costs one push per
+    /// connection — not `packets × connections`, which is what lets a
     /// scaled-population workload disseminate through the same call. Listed
     /// players without a registered connection are skipped; a player listed
     /// twice receives two copies.
@@ -280,86 +342,165 @@ impl NetworkingQueues {
     where
         F: Fn(usize) -> PacketRecipients<'a>,
     {
-        let (mut count, mut ranges) = (0, 0);
+        let mut count = 0;
         self.log.reserve(packets.len());
         // The run of `All` packets not yet queued: log positions from here to
         // the log's end.
         let mut run_start = self.log.packets.len();
-        for (index, packet) in packets.iter().enumerate() {
-            let at = self.log.packets.len();
-            let players = match recipients(index) {
-                PacketRecipients::All if self.registered == 0 => continue,
-                PacketRecipients::All => {
-                    self.log.push(packet);
+        let mut index = 0;
+        while index < packets.len() {
+            if let PacketRecipients::All = recipients(index) {
+                if self.registered > 0 {
+                    self.log.push(&packets[index]);
                     count += self.registered as u64;
-                    continue;
                 }
-                PacketRecipients::Only(players) => players,
-            };
+                index += 1;
+                continue;
+            }
+            let at = self.log.packets.len();
             if run_start < at {
-                ranges += self.push_to_all(run_start..at);
-                run_start = at;
+                self.push_to_all(run_start..at);
             }
-            let mut copies = 0;
-            for &player in players {
-                if let Some(conn) = slot(&mut self.connections, player) {
-                    ranges += conn.push_shared(at..at + 1);
-                    copies += 1;
-                }
-            }
-            if copies > 0 {
-                self.log.push(packet);
-                count += copies;
-                run_start = at + 1;
-            }
+            let (end, copies) = self.queue_segment(packets, index, &recipients);
+            count += copies;
+            run_start = self.log.packets.len();
+            index = end;
         }
         let end = self.log.packets.len();
         if run_start < end {
-            ranges += self.push_to_all(run_start..end);
+            self.push_to_all(run_start..end);
         }
-        self.shared_ranges += ranges;
         count
     }
 
+    /// Queues the segment of [`PacketRecipients::Only`] packets that starts
+    /// at `packets[first]`: returns where it ends and how many copies it
+    /// queued. A counting sort — count per slot, turn the counts into
+    /// cursors, scatter in packet order — so the cost is copies plus
+    /// connections reached, and every count is back at zero afterwards.
+    fn queue_segment<'a>(
+        &mut self,
+        packets: &[ClientboundPacket],
+        first: usize,
+        recipients: &impl Fn(usize) -> PacketRecipients<'a>,
+    ) -> (usize, u64) {
+        let only = |index: usize| match recipients(index) {
+            PacketRecipients::Only(players) => Some(players),
+            PacketRecipients::All => None,
+        };
+        let log_start = self.log.packets.len();
+        let (mut end, mut copies) = (first, 0usize);
+        while let Some(players) = packets.get(end).and_then(|_| only(end)) {
+            let before = copies;
+            for player in players {
+                let slot = player.0 as usize;
+                let Some(count) = self.tally.get_mut(slot) else {
+                    continue;
+                };
+                if *count == UNREGISTERED {
+                    continue;
+                }
+                if *count == 0 {
+                    self.reached.push(slot);
+                }
+                *count += 1;
+                copies += 1;
+            }
+            if copies > before {
+                self.log.push(&packets[end]);
+            }
+            end += 1;
+        }
+        if copies == 0 {
+            return (end, 0);
+        }
+        let base = self.picks.len();
+        let mut at = log_start;
+        let mut cursor = 0;
+        for &slot in &self.reached {
+            let count = &mut self.tally[slot];
+            (*count, cursor) = (cursor, cursor + *count);
+        }
+        self.picks.resize(base + copies, 0);
+        let picks = &mut self.picks[base..];
+        for index in first..end {
+            let mut logged = false;
+            for player in only(index).unwrap_or_default() {
+                match self.tally.get_mut(player.0 as usize) {
+                    Some(cursor) if *cursor != UNREGISTERED => {
+                        picks[*cursor] = at;
+                        *cursor += 1;
+                        logged = true;
+                    }
+                    _ => {}
+                }
+            }
+            at += usize::from(logged);
+        }
+        // Slots were handed their spans in `reached` order, back to back.
+        let mut start = base;
+        for &slot in &self.reached {
+            let end = base + std::mem::take(&mut self.tally[slot]);
+            if let Some(conn) = &mut self.connections[slot] {
+                self.log_holders += conn.push_picked(start..end);
+            }
+            start = end;
+        }
+        self.reached.clear();
+        (end, copies as u64)
+    }
+
     /// Drains all pending clientbound packets for `player` without taking
-    /// them: `visit` is shown each queue entry's packets, in queue order —
-    /// one packet for an owned entry, a run of the shared log for a range —
-    /// and the `(packets, wire bytes)` drained are returned. A caller that
-    /// only needs the totals passes a visitor that ignores its argument and
-    /// pays per queue entry, not per packet: a range's bytes are a
-    /// difference of two running totals. An unknown connection yields
-    /// `(0, 0)`.
+    /// them: `visit` is shown the packets in queue order — one packet for
+    /// an owned entry, a run of the shared log for each run of adjacent log
+    /// positions, merged across consecutive shared and picked entries — and
+    /// the `(packets, wire bytes)` drained are returned. A caller that only
+    /// needs the totals passes a visitor that ignores its argument and pays
+    /// per run and per pick, not per packet: a run's bytes are a difference
+    /// of two running totals. An unknown connection yields `(0, 0)`.
     pub fn drain_outgoing_with(
         &mut self,
         player: PlayerId,
         mut visit: impl FnMut(&[ClientboundPacket]),
     ) -> (u64, usize) {
-        let Some(conn) = slot(&mut self.connections, player) else {
+        let NetworkingQueues {
+            connections,
+            log,
+            picks,
+            log_holders,
+            ..
+        } = self;
+        let Some(conn) = slot(connections, player) else {
             return (0, 0);
         };
-        let (mut packets, mut bytes, mut ranges) = (0, 0, 0);
+        let (mut totals, mut run) = ((0, 0), 0..0);
         let open = std::mem::take(&mut conn.open);
         let open = (!open.is_empty()).then_some(Queued::Shared(open));
         for entry in conn.outgoing.drain(..).chain(open) {
             match entry {
                 Queued::Owned(packet) => {
-                    packets += 1;
-                    bytes += clientbound_wire_size(&packet);
+                    log.extend_run(&mut run, 0..0, &mut totals, &mut visit);
+                    totals.0 += 1;
+                    totals.1 += clientbound_wire_size(&packet);
                     visit(std::slice::from_ref(&packet));
                 }
-                Queued::Shared(range) => {
-                    ranges += 1;
-                    packets += range.len() as u64;
-                    bytes += self.log.bytes(&range);
-                    visit(&self.log.packets[range]);
+                Queued::Shared(range) => log.extend_run(&mut run, range, &mut totals, &mut visit),
+                Queued::Picked(span) => {
+                    for &at in &picks[span] {
+                        log.extend_run(&mut run, at..at + 1, &mut totals, &mut visit);
+                    }
                 }
             }
         }
-        self.shared_ranges -= ranges;
-        if self.shared_ranges == 0 {
-            self.log.clear();
+        log.extend_run(&mut run, 0..0, &mut totals, &mut visit);
+        if std::mem::take(&mut conn.holds_log) {
+            *log_holders -= 1;
+            if *log_holders == 0 {
+                log.clear();
+                picks.clear();
+            }
         }
-        (packets, bytes)
+        totals
     }
 
     /// [`NetworkingQueues::drain_outgoing_with`], cloning every packet out.
@@ -489,7 +630,7 @@ mod tests {
         assert_eq!(blind.drain_outgoing_with(PlayerId(1), |_| ()), totals);
         assert_eq!(cloned.drain_outgoing(PlayerId(1)), expected);
         for q in [&mut looked, &mut blind, &mut cloned] {
-            assert!(q.log.packets.is_empty() && q.shared_ranges == 0);
+            assert!(q.log.packets.is_empty() && q.log_holders == 0);
             assert_eq!(q.drain_outgoing_with(PlayerId(1), |_| ()), (0, 0));
         }
     }
@@ -768,8 +909,8 @@ mod tests {
                 if reference.0.values().all(VecDeque::is_empty) {
                     assert!(log.log.packets.is_empty(), "every queue is empty, the log is not");
                 }
-                assert_eq!(log.log.packets.is_empty(), log.shared_ranges == 0);
-                assert_eq!(log.shared_ranges, single.shared_ranges);
+                assert_eq!(log.log.packets.is_empty(), log.log_holders == 0);
+                assert_eq!(log.log_holders, single.log_holders);
                 assert_eq!(log.log.packets.len(), single.log.packets.len());
                 assert_eq!(log.connection_count(), reference.0.len());
             }
@@ -777,6 +918,87 @@ mod tests {
                 assert_eq!(log.drain_outgoing(PlayerId(i)), reference.drain(PlayerId(i)), "player {}", i);
             }
             assert!(log.log.packets.is_empty() && log.log.bytes_through.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_horde_batch_is_one_queue_entry_per_connection_per_segment() {
+        // 2,000 connections and ticks shaped like a Horde's: segments of
+        // positioned packets, each for ~50 scattered players (unregistered
+        // ids and repeats among them), broken by a global packet or two.
+        // Every connection holds at most one entry per segment and one per
+        // run of global packets, and drains what per-copy delivery does; a
+        // connection left undrained for a tick holds both ticks' entries.
+        let mut s = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let (mut q, mut reference) = (NetworkingQueues::new(), PerCopyQueues::default());
+        for id in 1..=2_000 {
+            q.add_connection(PlayerId(id));
+            reference.0.entry(PlayerId(id)).or_default();
+        }
+        // Per slot, the segments and global runs queued since its last drain.
+        let mut allowed = vec![(0, 0); 2_001];
+        let mut serial = 0;
+        for tick in 0..3 {
+            let (mut packets, mut selections) = (Vec::new(), Vec::new());
+            for segment in 0..4 {
+                let globals = if segment == 0 { 0 } else { 1 + next() % 2 };
+                for _ in 0..globals + 100 + next() % 200 {
+                    serial += 1;
+                    packets.push(ClientboundPacket::KeepAlive { id: serial });
+                }
+                selections.extend((0..globals).map(|_| None));
+                let sets = packets.len() - selections.len();
+                selections.extend((0..sets).map(|_| {
+                    let ids = (0..40 + next() % 20).map(|_| PlayerId((next() % 2_003) as u32));
+                    Some(ids.collect::<Vec<_>>())
+                }));
+            }
+            let select = |index: usize| match &selections[index] {
+                None => PacketRecipients::All,
+                Some(set) => PacketRecipients::Only(set),
+            };
+            let sent = q.multicast_many(&packets, select);
+            assert_eq!(sent, reference.multicast(&packets, &selections));
+            for (id, conn) in q.connections.iter().enumerate() {
+                let Some(conn) = conn else { continue };
+                allowed[id] = (allowed[id].0 + 4, allowed[id].1 + 3);
+                let entries = conn.outgoing.iter().map(|entry| match entry {
+                    Queued::Picked(_) => (1, 0),
+                    Queued::Shared(_) => (0, 1),
+                    Queued::Owned(_) => (0, 0),
+                });
+                let open = (0, usize::from(!conn.open.is_empty()));
+                let held = entries.fold(open, |a, b| (a.0 + b.0, a.1 + b.1));
+                assert!(
+                    held.0 <= allowed[id].0 && held.1 <= allowed[id].1,
+                    "slot {id}: {held:?}"
+                );
+            }
+            for id in 0..=2_003 {
+                if tick == 1 && id % 7 == 0 {
+                    continue;
+                }
+                let player = PlayerId(id);
+                assert_eq!(
+                    q.drain_outgoing(player),
+                    reference.drain(player),
+                    "{player}"
+                );
+                if let Some(allowed) = allowed.get_mut(id as usize) {
+                    *allowed = (0, 0);
+                }
+            }
+            // Tick 1 leaves every seventh connection undrained: it pins the
+            // log and the picks until tick 2 drains it.
+            let released = tick != 1;
+            assert_eq!(q.log_holders == 0, released, "tick {tick}");
+            assert_eq!(q.log.packets.is_empty() && q.picks.is_empty(), released);
         }
     }
 
@@ -815,7 +1037,7 @@ mod tests {
         let mut q = NetworkingQueues::new();
         q.add_connection(PlayerId(1));
         assert_eq!(q.broadcast_many(&[]), 0);
-        assert_eq!(q.shared_ranges, 0);
+        assert_eq!(q.log_holders, 0);
         assert_eq!(q.drain_outgoing_with(PlayerId(1), |_| ()), (0, 0));
     }
 
@@ -841,7 +1063,7 @@ mod tests {
             "nothing but add_connection grows the slots"
         );
         assert_eq!(q.connection_count(), 2);
-        assert!(q.log.packets.is_empty() && q.shared_ranges == 0);
+        assert!(q.log.packets.is_empty() && q.log_holders == 0);
         // A second registration keeps what the connection has queued.
         q.push_incoming(PlayerId(2), chat("kept"));
         q.extend_outgoing(PlayerId(2), keep_alives(0..1));
@@ -863,7 +1085,7 @@ mod tests {
         }
         let sent = multicast.multicast_many(&packets, |_| PacketRecipients::All);
         assert_eq!(sent, broadcast.broadcast_many(&packets));
-        assert_eq!(multicast.shared_ranges, 3, "one range per connection");
+        assert_eq!(multicast.log_holders, 3, "one range per connection");
         for id in [1, 2, 5] {
             let mut visits = Vec::new();
             let totals =
