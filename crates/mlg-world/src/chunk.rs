@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::{Block, BlockKind};
 use crate::palette::PaletteStore;
-use crate::pos::ChunkPos;
+use crate::pos::{BlockPos, ChunkPos};
 
 /// Horizontal edge length of a chunk, in blocks.
 pub const CHUNK_SIZE: usize = 16;
@@ -167,6 +167,26 @@ impl Chunk {
             Some(i) => self.store.get(i),
             None => Block::AIR,
         }
+    }
+
+    /// The local coordinates of `pos` when all six of its face neighbours
+    /// lie in the chunk of `pos`: off the chunk's x/z edges and off the
+    /// world's top and bottom layers.
+    pub(crate) fn interior_local(pos: BlockPos) -> Option<(usize, i32, usize)> {
+        let (x, y, z) = pos.local();
+        let inner = 1..CHUNK_SIZE - 1;
+        let inner_y = 1..WORLD_HEIGHT as i32 - 1;
+        (inner.contains(&x) && inner.contains(&z) && inner_y.contains(&y)).then_some((x, y, z))
+    }
+
+    /// The six face neighbours of the block at local `(x, y, z)`, in
+    /// [`BlockPos::neighbors`] order; the coordinates come from
+    /// [`Chunk::interior_local`].
+    pub(crate) fn face_neighbors(&self, x: usize, y: i32, z: usize) -> [Block; 6] {
+        const ROW: usize = CHUNK_SIZE;
+        const LAYER: usize = CHUNK_SIZE * CHUNK_SIZE;
+        let i = (y as usize * CHUNK_SIZE + z) * CHUNK_SIZE + x;
+        [i + 1, i - 1, i + LAYER, i - LAYER, i + ROW, i - ROW].map(|j| self.store.get(j))
     }
 
     /// Sets the block at local coordinates and returns the previous block.

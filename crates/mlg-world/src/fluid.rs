@@ -68,7 +68,7 @@ fn solidification_product(kind: BlockKind, other_state: u8) -> BlockKind {
     }
 }
 
-/// Applies the fluid rule at `pos`.
+/// Applies the fluid rule at `pos`, where the caller has read `block`.
 ///
 /// The rule, modelled on Minecraft's behaviour but simplified to one state
 /// byte per block:
@@ -83,18 +83,17 @@ fn solidification_product(kind: BlockKind, other_state: u8) -> BlockKind {
 /// Every spread step schedules a follow-up tick so flows advance over time
 /// rather than instantaneously, matching the cascade-of-updates behaviour the
 /// paper identifies as a variability source.
-pub fn apply_fluid<W: TerrainView>(world: &mut W, pos: BlockPos) -> FluidOutcome {
+pub fn apply_fluid<W: TerrainView>(world: &mut W, pos: BlockPos, block: Block) -> FluidOutcome {
     let mut outcome = FluidOutcome::default();
-    let block = world.block(pos);
     let kind = block.kind();
     if !kind.is_fluid() {
         return outcome;
     }
     let level = block.state();
 
-    // Rule 4: solidify on contact with the opposing fluid.
-    for n in pos.neighbors() {
-        let nb = world.block(n);
+    // Rule 4: solidify on contact with the opposing fluid. Each write only
+    // replaces the neighbour just read, so reading all six first is the same.
+    for (n, nb) in pos.neighbors().into_iter().zip(world.neighbor_blocks(pos)) {
         outcome.blocks_scanned += 1;
         if nb.kind() == other_fluid(kind) {
             let product = solidification_product(kind, nb.state());
@@ -161,12 +160,18 @@ mod tests {
         World::new(Box::new(FlatGenerator::grassland()), 7)
     }
 
+    /// Reads the block at `pos` and hands it to the rule, as dispatch does.
+    fn update(w: &mut World, pos: BlockPos) -> FluidOutcome {
+        let block = w.block(pos);
+        apply_fluid(w, pos, block)
+    }
+
     #[test]
     fn water_flows_down_first() {
         let mut w = world();
         let pos = BlockPos::new(4, 70, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Water));
-        let out = apply_fluid(&mut w, pos);
+        let out = update(&mut w, pos);
         assert_eq!(out.spread_to, 1);
         assert_eq!(w.block(pos.down()).kind(), BlockKind::Water);
         assert_eq!(w.block(pos.down()).state(), 1);
@@ -179,7 +184,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4); // resting on the grass surface
         w.set_block_silent(pos, Block::simple(BlockKind::Water));
-        let out = apply_fluid(&mut w, pos);
+        let out = update(&mut w, pos);
         assert_eq!(out.spread_to, 4);
         for n in pos.horizontal_neighbors() {
             assert_eq!(w.block(n).kind(), BlockKind::Water);
@@ -197,7 +202,7 @@ mod tests {
             pos.offset(1, 0, 0),
             Block::with_state(BlockKind::Water, MAX_FLOW_LEVEL - 1),
         );
-        let out = apply_fluid(&mut w, pos);
+        let out = update(&mut w, pos);
         assert_eq!(out.spread_to, 0);
     }
 
@@ -206,7 +211,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4);
         w.set_block_silent(pos, Block::with_state(BlockKind::Water, 3));
-        apply_fluid(&mut w, pos);
+        update(&mut w, pos);
         assert_eq!(w.block(pos), Block::AIR);
     }
 
@@ -217,7 +222,7 @@ mod tests {
         let lava = water.offset(1, 0, 0);
         w.set_block_silent(water, Block::simple(BlockKind::Water));
         w.set_block_silent(lava, Block::simple(BlockKind::Lava));
-        let out = apply_fluid(&mut w, water);
+        let out = update(&mut w, water);
         assert_eq!(out.solidified, 1);
         assert_eq!(w.block(lava).kind(), BlockKind::Obsidian);
     }
@@ -229,7 +234,7 @@ mod tests {
         let lava = water.offset(1, 0, 0);
         w.set_block_silent(water, Block::simple(BlockKind::Water));
         w.set_block_silent(lava, Block::with_state(BlockKind::Lava, 2));
-        apply_fluid(&mut w, water);
+        update(&mut w, water);
         assert_eq!(w.block(lava).kind(), BlockKind::Cobblestone);
     }
 
@@ -240,7 +245,7 @@ mod tests {
         let water = lava.offset(0, 0, 1);
         w.set_block_silent(lava, Block::simple(BlockKind::Lava));
         w.set_block_silent(water, Block::simple(BlockKind::Water));
-        apply_fluid(&mut w, lava);
+        update(&mut w, lava);
         assert_eq!(w.block(water).kind(), BlockKind::Stone);
     }
 
@@ -249,7 +254,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Water));
-        apply_fluid(&mut w, pos);
+        update(&mut w, pos);
         assert!(!w.updates_mut().pop_due(u64::MAX).is_empty());
     }
 
@@ -269,7 +274,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Stone));
-        let out = apply_fluid(&mut w, pos);
+        let out = update(&mut w, pos);
         assert_eq!(out, FluidOutcome::default());
     }
 }

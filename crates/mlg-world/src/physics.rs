@@ -12,16 +12,17 @@ use crate::block::{Block, BlockKind};
 use crate::pos::BlockPos;
 use crate::shard::TerrainView;
 
-/// Applies gravity at `pos`: if the block there is gravity-affected and
-/// unsupported, it is moved down to rest on the first solid block below.
+/// Applies gravity at `pos`, where the caller has read `block`: if it is
+/// gravity-affected and unsupported, it is moved down to rest on the first
+/// solid block below.
 /// Returns the number of world reads spent scanning for the landing spot.
 ///
 /// The move is performed through [`TerrainView::set_block`] so the change is
 /// recorded and neighbours (including the vacated position above) receive
 /// updates — this is what lets a whole sand pillar collapse over successive
 /// updates, exactly like the bridge example in the paper.
-pub fn apply_gravity<W: TerrainView>(world: &mut W, pos: BlockPos) -> u32 {
-    let block = world.block(pos);
+pub fn apply_gravity<W: TerrainView>(world: &mut W, pos: BlockPos, block: Block) -> u32 {
+    // The caller's read of `block` counts as the first.
     let mut blocks_scanned = 1;
     if !block.kind().is_gravity_affected() {
         return blocks_scanned;
@@ -66,12 +67,18 @@ mod tests {
         World::new(Box::new(FlatGenerator::grassland()), 7)
     }
 
+    /// Reads the block at `pos` and hands it to the rule, as dispatch does.
+    fn fall(w: &mut World, pos: BlockPos) -> u32 {
+        let block = w.block(pos);
+        apply_gravity(w, pos, block)
+    }
+
     #[test]
     fn sand_falls_to_the_ground() {
         let mut w = world();
         let start = BlockPos::new(4, 80, 4);
         w.set_block_silent(start, Block::simple(BlockKind::Sand));
-        apply_gravity(&mut w, start);
+        fall(&mut w, start);
         // 80 -> 61, on top of the grass at 60.
         assert_eq!(w.block(start), Block::AIR);
         assert_eq!(w.block(BlockPos::new(4, 61, 4)).kind(), BlockKind::Sand);
@@ -82,7 +89,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4); // directly on the grass surface
         w.set_block_silent(pos, Block::simple(BlockKind::Sand));
-        apply_gravity(&mut w, pos);
+        fall(&mut w, pos);
         assert_eq!(w.pending_change_count(), 0);
         assert_eq!(w.block(pos).kind(), BlockKind::Sand);
     }
@@ -92,7 +99,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 80, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Stone));
-        apply_gravity(&mut w, pos);
+        fall(&mut w, pos);
         assert_eq!(w.pending_change_count(), 0);
         assert_eq!(w.block(pos).kind(), BlockKind::Stone);
     }
@@ -105,7 +112,7 @@ mod tests {
             w.set_block_silent(BlockPos::new(4, y, 4), Block::simple(BlockKind::Water));
         }
         w.set_block_silent(pos, Block::simple(BlockKind::Sand));
-        apply_gravity(&mut w, pos);
+        fall(&mut w, pos);
         assert_eq!(w.block(pos), Block::AIR);
         assert_eq!(w.block(BlockPos::new(4, 61, 4)).kind(), BlockKind::Sand);
     }
@@ -115,7 +122,7 @@ mod tests {
         let mut w = world();
         let start = BlockPos::new(4, 70, 4);
         w.set_block_silent(start, Block::simple(BlockKind::Sand));
-        apply_gravity(&mut w, start);
+        fall(&mut w, start);
         // Two set_block calls: the vacated position and the landing position,
         // each enqueueing itself plus six neighbours (with dedup).
         let queued = std::iter::from_fn(|| w.updates_mut().pop_immediate()).count();
@@ -133,7 +140,7 @@ mod tests {
         for side in floating.horizontal_neighbors() {
             w.set_block_silent(side, Block::simple(BlockKind::Stone));
         }
-        apply_gravity(&mut w, floating);
+        fall(&mut w, floating);
         assert_eq!(w.block(floating), Block::AIR);
     }
 
@@ -146,7 +153,7 @@ mod tests {
         }
         // Apply gravity bottom-up as the update queue would.
         for y in 70..73 {
-            apply_gravity(&mut w, BlockPos::new(2, y, 2));
+            fall(&mut w, BlockPos::new(2, y, 2));
         }
         for y in 61..64 {
             assert_eq!(w.block(BlockPos::new(2, y, 2)).kind(), BlockKind::Sand);

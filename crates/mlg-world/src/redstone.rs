@@ -35,20 +35,22 @@ pub struct RedstoneOutcome {
 /// face-adjacent neighbours.
 #[must_use]
 fn incoming_power<W: BlockReader>(world: &mut W, pos: BlockPos) -> u8 {
-    pos.neighbors()
+    world
+        .neighbor_blocks(pos)
         .iter()
-        .map(|&n| world.block(n).power())
+        .map(|nb| nb.power())
         .max()
         .unwrap_or(0)
 }
 
-/// Processes a block update for a redstone component at `pos`.
+/// Processes a block update for a redstone component at `pos`, where the
+/// caller has read `block`.
 pub fn apply_redstone<W: TerrainView>(
     world: &mut W,
     pos: BlockPos,
+    block: Block,
     update_kind: UpdateKind,
 ) -> RedstoneOutcome {
-    let block = world.block(pos);
     match block.kind() {
         BlockKind::RedstoneDust => update_dust(world, pos, block),
         BlockKind::RedstoneTorch => update_torch(world, pos, block),
@@ -64,8 +66,7 @@ pub fn apply_redstone<W: TerrainView>(
 fn update_dust<W: TerrainView>(world: &mut W, pos: BlockPos, block: Block) -> RedstoneOutcome {
     let mut outcome = RedstoneOutcome::default();
     let mut strongest = 0u8;
-    for n in pos.neighbors() {
-        let nb = world.block(n);
+    for nb in world.neighbor_blocks(pos) {
         outcome.blocks_scanned += 1;
         let contribution = match nb.kind() {
             // Dust feeds adjacent dust at one level lower.
@@ -87,8 +88,7 @@ fn update_torch<W: TerrainView>(world: &mut W, pos: BlockPos, block: Block) -> R
     let mut outcome = RedstoneOutcome::default();
     // A torch is an inverter: it is lit when it receives no power.
     let mut powered_input = false;
-    for n in pos.neighbors() {
-        let nb = world.block(n);
+    for nb in world.neighbor_blocks(pos) {
         outcome.blocks_scanned += 1;
         if nb.kind() != BlockKind::RedstoneTorch && nb.power() > 0 {
             powered_input = true;
@@ -266,6 +266,12 @@ mod tests {
         World::new(Box::new(FlatGenerator::grassland()), 7)
     }
 
+    /// Reads the block at `pos` and hands it to the rule, as dispatch does.
+    fn update(w: &mut World, pos: BlockPos, kind: UpdateKind) -> RedstoneOutcome {
+        let block = w.block(pos);
+        apply_redstone(w, pos, block, kind)
+    }
+
     #[test]
     fn dust_takes_power_from_redstone_block() {
         let mut w = world();
@@ -275,7 +281,7 @@ mod tests {
             dust.offset(1, 0, 0),
             Block::simple(BlockKind::RedstoneBlock),
         );
-        let out = apply_redstone(&mut w, dust, UpdateKind::NeighborChanged);
+        let out = update(&mut w, dust, UpdateKind::NeighborChanged);
         assert!(out.changed);
         assert_eq!(w.block(dust).state(), 15);
     }
@@ -287,7 +293,7 @@ mod tests {
         let b = a.offset(1, 0, 0);
         w.set_block_silent(a, Block::with_state(BlockKind::RedstoneDust, 15));
         w.set_block_silent(b, Block::simple(BlockKind::RedstoneDust));
-        apply_redstone(&mut w, b, UpdateKind::NeighborChanged);
+        update(&mut w, b, UpdateKind::NeighborChanged);
         assert_eq!(w.block(b).state(), 14);
     }
 
@@ -296,7 +302,7 @@ mod tests {
         let mut w = world();
         let dust = BlockPos::new(4, 61, 4);
         w.set_block_silent(dust, Block::with_state(BlockKind::RedstoneDust, 9));
-        let out = apply_redstone(&mut w, dust, UpdateKind::NeighborChanged);
+        let out = update(&mut w, dust, UpdateKind::NeighborChanged);
         assert!(out.changed);
         assert_eq!(w.block(dust).state(), 0);
     }
@@ -311,7 +317,7 @@ mod tests {
             torch.offset(1, 0, 0),
             Block::simple(BlockKind::RedstoneBlock),
         );
-        let out = apply_redstone(&mut w, torch, UpdateKind::NeighborChanged);
+        let out = update(&mut w, torch, UpdateKind::NeighborChanged);
         assert!(out.changed);
         assert_eq!(w.block(torch).state(), 0);
         let due = w.updates_mut().pop_due(u64::MAX);
@@ -328,7 +334,7 @@ mod tests {
             Block::with_state(BlockKind::Comparator, 2),
         );
         let before = w.block(clock).state() & POWERED_BIT;
-        let out = apply_redstone(&mut w, clock, UpdateKind::Scheduled);
+        let out = update(&mut w, clock, UpdateKind::Scheduled);
         assert!(out.changed);
         let after = w.block(clock).state() & POWERED_BIT;
         assert_ne!(before, after);
@@ -340,7 +346,7 @@ mod tests {
             .collect();
         assert_eq!(due, [clock]);
         // Neighbour updates do not disturb the clock.
-        let noop = apply_redstone(&mut w, clock, UpdateKind::NeighborChanged);
+        let noop = update(&mut w, clock, UpdateKind::NeighborChanged);
         assert!(!noop.changed);
     }
 
@@ -349,11 +355,11 @@ mod tests {
         let mut w = world();
         let obs = BlockPos::new(4, 61, 4);
         w.set_block_silent(obs, Block::simple(BlockKind::Observer));
-        let out = apply_redstone(&mut w, obs, UpdateKind::NeighborChanged);
+        let out = update(&mut w, obs, UpdateKind::NeighborChanged);
         assert!(out.changed);
         assert_eq!(w.block(obs).power(), 15);
         // The scheduled follow-up clears the pulse.
-        let out2 = apply_redstone(&mut w, obs, UpdateKind::Scheduled);
+        let out2 = update(&mut w, obs, UpdateKind::Scheduled);
         assert!(out2.changed);
         assert_eq!(w.block(obs).power(), 0);
     }
@@ -369,7 +375,7 @@ mod tests {
             piston.offset(1, 0, 0),
             Block::simple(BlockKind::RedstoneBlock),
         );
-        let out = apply_redstone(&mut w, piston, UpdateKind::NeighborChanged);
+        let out = update(&mut w, piston, UpdateKind::NeighborChanged);
         assert!(out.changed);
         assert_eq!(w.block(kelp), Block::AIR);
         assert_eq!(out.events.len(), 1);
@@ -387,7 +393,7 @@ mod tests {
         let mut w = world();
         let piston = BlockPos::new(4, 61, 4);
         w.set_block_silent(piston, Block::with_state(BlockKind::Piston, POWERED_BIT));
-        let out = apply_redstone(&mut w, piston, UpdateKind::NeighborChanged);
+        let out = update(&mut w, piston, UpdateKind::NeighborChanged);
         assert!(out.changed);
         assert_eq!(w.block(piston).state() & POWERED_BIT, 0);
     }
@@ -401,10 +407,10 @@ mod tests {
             disp.offset(1, 0, 0),
             Block::simple(BlockKind::RedstoneBlock),
         );
-        let first = apply_redstone(&mut w, disp, UpdateKind::NeighborChanged);
+        let first = update(&mut w, disp, UpdateKind::NeighborChanged);
         assert_eq!(first.events.len(), 1);
         // Still powered: no second ejection until the power drops.
-        let second = apply_redstone(&mut w, disp, UpdateKind::NeighborChanged);
+        let second = update(&mut w, disp, UpdateKind::NeighborChanged);
         assert!(second.events.is_empty());
     }
 
@@ -415,11 +421,11 @@ mod tests {
         w.set_block_silent(rep, Block::simple(BlockKind::Repeater));
         w.set_block_silent(rep.offset(1, 0, 0), Block::simple(BlockKind::RedstoneBlock));
         // Neighbour update only schedules the transition.
-        let out = apply_redstone(&mut w, rep, UpdateKind::NeighborChanged);
+        let out = update(&mut w, rep, UpdateKind::NeighborChanged);
         assert!(!out.changed);
         assert_eq!(w.block(rep).power(), 0);
         // Scheduled update applies it.
-        let out2 = apply_redstone(&mut w, rep, UpdateKind::Scheduled);
+        let out2 = update(&mut w, rep, UpdateKind::Scheduled);
         assert!(out2.changed);
         assert_eq!(w.block(rep).power(), 15);
     }
@@ -429,7 +435,7 @@ mod tests {
         let mut w = world();
         let pos = BlockPos::new(4, 61, 4);
         w.set_block_silent(pos, Block::simple(BlockKind::Stone));
-        let out = apply_redstone(&mut w, pos, UpdateKind::NeighborChanged);
+        let out = update(&mut w, pos, UpdateKind::NeighborChanged);
         assert_eq!(out, RedstoneOutcome::default());
     }
 }

@@ -41,6 +41,11 @@
 //!   simulation rules are generic over, so the same rule code runs against
 //!   the full [`World`], a read-only [`FrozenChunks`] view, or a mutable
 //!   single-shard [`ShardWorld`] view during a parallel phase.
+//!   [`BlockReader::neighbor_blocks`] reads a block's six face neighbours
+//!   as six reads would; `World` and `ShardWorld` resolve the chunk once
+//!   when all six share it. A `ShardWorld`'s local work queue is the same
+//!   coalescing FIFO as the world's immediate queue
+//!   ([`crate::update`]).
 //! * [`World::run_owned_phase`] / [`World::run_frozen_phase`] — the two
 //!   shard-phase protocols: the only code that moves chunk stores out of
 //!   the world, hands them to workers and merges the results back. Every
@@ -59,8 +64,6 @@
 //! [`World::run_owned_phase`] is the merge order; rule 3, deciding what
 //! may enter a parallel phase at all, is each stage's routing step.
 
-use std::collections::{HashSet, VecDeque};
-
 use serde::{Deserialize, Serialize};
 
 use std::sync::Arc;
@@ -69,8 +72,8 @@ use crate::block::Block;
 use crate::chunk::{Chunk, WORLD_HEIGHT};
 use crate::generation::ChunkGenerator;
 use crate::pool::{PoolScope, TickWorkerPool};
-use crate::pos::{BlockPos, ChunkPos, PosHashBuilder};
-use crate::update::BlockUpdate;
+use crate::pos::{BlockPos, ChunkPos};
+use crate::update::{BlockUpdate, UpdateFifo};
 use crate::world::{BlockChange, ShardStore, World, WorldSnapshot};
 
 /// Width of one shard stripe, in chunks, along the x axis.
@@ -656,6 +659,17 @@ pub trait BlockReader {
     /// Returns the block at `pos`.
     fn block(&mut self, pos: BlockPos) -> Block;
 
+    /// Returns the six face neighbours of `pos`, in [`BlockPos::neighbors`]
+    /// order.
+    ///
+    /// Implementations must agree with six [`BlockReader::block`] calls in
+    /// that order: the same blocks, and the same chunk generation.
+    /// [`World`] and [`ShardWorld`] resolve the chunk once when all six lie
+    /// in the chunk of `pos`.
+    fn neighbor_blocks(&mut self, pos: BlockPos) -> [Block; 6] {
+        pos.neighbors().map(|n| self.block(n))
+    }
+
     /// Returns the `y` of the highest non-air block in column `(x, z)` from
     /// a maintained heightmap: `Some(-1)` when the column is known to be all
     /// air, or `None` when the reader has no cheap answer (callers fall back
@@ -712,6 +726,13 @@ pub trait TerrainView: BlockReader {
 impl BlockReader for World {
     fn block(&mut self, pos: BlockPos) -> Block {
         World::block(self, pos)
+    }
+
+    fn neighbor_blocks(&mut self, pos: BlockPos) -> [Block; 6] {
+        match Chunk::interior_local(pos) {
+            Some((lx, y, lz)) => self.ensure_chunk(pos.chunk()).face_neighbors(lx, y, lz),
+            None => pos.neighbors().map(|n| World::block(self, n)),
+        }
     }
 
     fn column_top(&mut self, x: i32, z: i32) -> Option<i32> {
@@ -845,35 +866,15 @@ pub struct ShardWorld<'a> {
     /// ownership check, the map cannot change during the phase, and the
     /// store only appends, so neither goes stale.
     last: Option<(ChunkPos, usize)>,
-    queue: VecDeque<BlockUpdate>,
-    queued: HashSet<BlockPos, PosHashBuilder>,
+    /// The shard's local work queue: the routed batch, then every interior
+    /// neighbour push of the phase, coalesced like the world's queue.
+    pub(crate) local: UpdateFifo,
 }
 
 impl ShardWorld<'_> {
-    /// Seeds the local work queue with an update routed to this shard
-    /// (coalescing duplicates, like the global update queue does).
-    pub(crate) fn push_local(&mut self, update: BlockUpdate) {
-        if self.queued.insert(update.pos) {
-            self.queue.push_back(update);
-        }
-    }
-
-    /// Pops the next local update, if any.
-    pub(crate) fn pop_local(&mut self) -> Option<BlockUpdate> {
-        let update = self.queue.pop_front()?;
-        self.queued.remove(&update.pos);
-        Some(update)
-    }
-
-    /// Drains whatever is left in the local queue (budget exhaustion).
-    pub(crate) fn drain_local(&mut self) -> Vec<BlockUpdate> {
-        self.queued.clear();
-        self.queue.drain(..).collect()
-    }
-
     fn route_push(&mut self, pos: BlockPos) {
         if !self.defer_local_pushes && self.route.interior_shard(pos.chunk()) == Some(self.shard) {
-            self.push_local(BlockUpdate::neighbor(pos));
+            self.local.push(BlockUpdate::neighbor(pos));
         } else {
             self.owned.outbound.push(pos);
         }
@@ -911,6 +912,13 @@ impl BlockReader for ShardWorld<'_> {
         }
         let (lx, y, lz) = pos.local();
         self.owned_chunk_mut(pos.chunk()).block(lx, y, lz)
+    }
+
+    fn neighbor_blocks(&mut self, pos: BlockPos) -> [Block; 6] {
+        match Chunk::interior_local(pos) {
+            Some((lx, y, lz)) => self.owned_chunk_mut(pos.chunk()).face_neighbors(lx, y, lz),
+            None => pos.neighbors().map(|n| self.block(n)),
+        }
     }
 
     fn column_top(&mut self, x: i32, z: i32) -> Option<i32> {
@@ -1079,8 +1087,7 @@ impl World {
                     defer_local_pushes: phase.defer_local_pushes,
                     owned: std::mem::take(&mut job.owned),
                     last: None,
-                    queue: VecDeque::new(),
-                    queued: HashSet::default(),
+                    local: UpdateFifo::default(),
                 };
                 f(&mut view, &mut job.payload, &phase.caller);
                 job.owned = view.owned;
@@ -1663,6 +1670,92 @@ mod tests {
         read_as_shard_zero(|view, reads| {
             reads.push(view.block_if_loaded(interior_block(1, 0, -10)));
         });
+    }
+
+    /// Fills `chunk` with stone whose state is `(x + 3z + 5y) mod 16`, so
+    /// the six face neighbours of any block in it have six different states.
+    fn pattern_chunk(w: &mut World, chunk: ChunkPos) {
+        let origin = chunk.origin_block();
+        for y in 0..WORLD_HEIGHT as i32 {
+            for z in 0..16 {
+                for x in 0..16 {
+                    let state = (x + 3 * z + 5 * y).rem_euclid(16) as u8;
+                    let block = Block::with_state(BlockKind::Stone, state);
+                    w.set_block_silent(origin.offset(x, y, z), block);
+                }
+            }
+        }
+    }
+
+    /// Every chunk edge and corner, the middle, and the bottom and top two
+    /// layers of the world with a layer beyond each, of `chunk`.
+    fn neighbor_probes(chunk: ChunkPos) -> Vec<BlockPos> {
+        let top = WORLD_HEIGHT as i32;
+        let origin = chunk.origin_block();
+        let mut probes = Vec::new();
+        for y in [-1, 0, 1, 64, top - 2, top - 1, top, 254, 255] {
+            for z in [0, 1, 8, 14, 15] {
+                for x in [0, 1, 8, 14, 15] {
+                    probes.push(origin.offset(x, y, z));
+                }
+            }
+        }
+        probes
+    }
+
+    #[test]
+    fn neighbor_blocks_equal_six_block_reads() {
+        // World: one patterned chunk with no loaded neighbour, so every
+        // edge probe generates a chunk on its first read.
+        let world = || {
+            let mut w = World::new(Box::new(FlatGenerator::grassland()), 5);
+            pattern_chunk(&mut w, ChunkPos::new(0, 0));
+            w
+        };
+        let (mut batched, mut single) = (world(), world());
+        for pos in neighbor_probes(ChunkPos::new(0, 0)) {
+            let six = pos.neighbors().map(|n| single.block(n));
+            assert_eq!(
+                BlockReader::neighbor_blocks(&mut batched, pos),
+                six,
+                "{pos}"
+            );
+            let footprint = |w: &World| (w.chunks_generated_this_tick(), w.terrain_epoch());
+            assert_eq!(footprint(&batched), footprint(&single), "{pos}");
+        }
+        // The patterned chunk and its four face-adjacent chunks.
+        assert_eq!(batched.chunks_generated_this_tick(), 5);
+        assert_eq!(chunk_order(&batched), chunk_order(&single));
+
+        // ShardWorld: shard 0 of two stripes reads around patterned chunk
+        // (1, 0); chunk column 0 is unloaded and generated by the view.
+        let phase = |batched: bool| {
+            let mut w = striped_world();
+            pattern_chunk(&mut w, ChunkPos::new(1, 0));
+            w.reshard(ShardMap::stripes(2));
+            let (mut results, ()) = w.run_owned_phase(
+                &PoolScope::scoped(1),
+                false,
+                vec![(0, Vec::new())],
+                (),
+                move |view, reads: &mut Vec<([Block; 6], u32)>, ()| {
+                    for pos in neighbor_probes(ChunkPos::new(1, 0)) {
+                        let six = if batched {
+                            view.neighbor_blocks(pos)
+                        } else {
+                            pos.neighbors().map(|n| view.block(n))
+                        };
+                        reads.push((six, view.owned.chunks_generated));
+                    }
+                },
+            );
+            let reads = results.pop().expect("one shard listed").1;
+            let footprint = (w.chunks_generated_this_tick(), w.terrain_epoch());
+            (reads, footprint, chunk_order(&w))
+        };
+        let (reads, footprint, order) = phase(true);
+        assert_eq!(footprint.0, 1, "chunk (0, 0) is generated in the phase");
+        assert_eq!((reads, footprint, order), phase(false));
     }
 
     #[test]

@@ -275,16 +275,18 @@ impl TerrainSimulator {
         report: &mut TerrainTickReport,
         events: &mut Vec<TerrainEvent>,
     ) {
-        let kind = world.block(update.pos).kind();
+        // The one read of the updated block; every rule is handed it.
+        let block = world.block(update.pos);
+        let kind = block.kind();
         report.blocks_scanned += 1;
         if physics::reacts_to_updates(kind) {
-            report.blocks_scanned += u64::from(physics::apply_gravity(world, update.pos));
+            report.blocks_scanned += u64::from(physics::apply_gravity(world, update.pos, block));
         } else if fluid::reacts_to_updates(kind) {
-            let out = fluid::apply_fluid(world, update.pos);
+            let out = fluid::apply_fluid(world, update.pos, block);
             report.blocks_scanned += u64::from(out.blocks_scanned);
             report.fluid_spreads += u64::from(out.spread_to + out.solidified);
         } else if redstone::reacts_to_updates(kind) {
-            let out = redstone::apply_redstone(world, update.pos, update.kind);
+            let out = redstone::apply_redstone(world, update.pos, block, update.kind);
             report.blocks_scanned += u64::from(out.blocks_scanned);
             report.redstone_propagations += u64::from(out.propagations) + u64::from(out.changed);
             events.extend(out.events);
@@ -550,9 +552,9 @@ impl TerrainSimulator {
     /// Processes one shard's routed update batch against its own chunks.
     fn process_shard_batch(&self, view: &mut ShardWorld<'_>, task: &mut TerrainShardTask) {
         for update in task.batch.drain(..) {
-            view.push_local(update);
+            view.local.push(update);
         }
-        while let Some(update) = view.pop_local() {
+        while let Some(update) = view.local.pop() {
             // Scheduled updates are budget-exempt, mirroring the serial
             // path (which processes every due update): truncating them
             // would silently defuse TNT and stall repeaters.
@@ -571,7 +573,7 @@ impl TerrainSimulator {
             task.processed += 1;
             self.dispatch(view, update, &mut task.report, &mut task.events);
         }
-        task.leftover.extend(view.drain_local());
+        task.leftover.extend(view.local.drain());
     }
 }
 

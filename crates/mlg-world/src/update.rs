@@ -7,9 +7,19 @@
 //! growing plants). This module implements the queues that carry those events
 //! between ticks; the rules that react to them live in the sibling modules and
 //! are orchestrated by [`crate::sim::TerrainSimulator`].
+//!
+//! Immediate updates travel through one coalescing FIFO type,
+//! `UpdateFifo`, which serves both the world's [`UpdateQueue`] and a shard
+//! worker's local queue ([`crate::shard::ShardWorld`]). It holds each
+//! position at most once and remembers, per position, the push number it
+//! was last queued at: a position is pending exactly when that stamp is
+//! greater than the number of pops, so a pop removes nothing from the stamp
+//! table. Most updates hit a block that does not react, so the queue's own
+//! cost is a large share of a cascade.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -75,6 +85,71 @@ impl PartialOrd for ScheduledEntry {
     }
 }
 
+/// How many stale stamps an [`UpdateFifo`] keeps once it has drained: past
+/// this many entries the stamp table is cleared. Clearing costs one pass
+/// over the table's buckets, so it is done only when that pass is paid for
+/// by at least this many pushes; below it, stale stamps are harmless.
+const STALE_STAMPS: usize = 256;
+
+/// A FIFO of block updates that holds each position at most once: a push of
+/// a position already waiting is dropped, a push after its pop queues it
+/// again.
+///
+/// Every accepted push takes the next push number as its position's stamp,
+/// so the queue holds the stamps `pops + 1 ..= pushes` in order, and a
+/// position is pending exactly when its stamp is greater than `pops`. A pop
+/// is a `pop_front` and a counter increment; the stamp table is only probed
+/// (never iterated), and a push clears it when the queue has drained and it
+/// holds more than [`STALE_STAMPS`] entries.
+#[derive(Debug, Default)]
+pub(crate) struct UpdateFifo {
+    queue: VecDeque<BlockUpdate>,
+    /// The push number each position was last queued at.
+    stamps: HashMap<BlockPos, u64, PosHashBuilder>,
+    pushes: u64,
+    pops: u64,
+}
+
+impl UpdateFifo {
+    /// Queues `update` unless its position is already waiting.
+    pub(crate) fn push(&mut self, update: BlockUpdate) {
+        if self.queue.is_empty() && self.stamps.len() > STALE_STAMPS {
+            self.stamps.clear();
+        }
+        let stamp = self.stamps.entry(update.pos).or_insert(0);
+        if *stamp <= self.pops {
+            self.pushes += 1;
+            *stamp = self.pushes;
+            self.queue.push_back(update);
+        }
+    }
+
+    /// Pops the oldest waiting update, if any.
+    pub(crate) fn pop(&mut self) -> Option<BlockUpdate> {
+        let update = self.queue.pop_front()?;
+        self.pops += 1;
+        Some(update)
+    }
+
+    /// Removes every waiting update and returns them in queue order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = BlockUpdate> + '_ {
+        self.pops = self.pushes;
+        self.queue.drain(..)
+    }
+
+    /// Whether no update is waiting.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Removes every waiting update and forgets every stamp.
+    pub(crate) fn clear(&mut self) {
+        self.queue.clear();
+        self.stamps.clear();
+        self.pops = self.pushes;
+    }
+}
+
 /// The per-world block-update queue.
 ///
 /// Holds immediate neighbour updates (processed in FIFO order within the
@@ -82,8 +157,7 @@ impl PartialOrd for ScheduledEntry {
 /// reached).
 #[derive(Debug, Default)]
 pub struct UpdateQueue {
-    immediate: VecDeque<BlockUpdate>,
-    immediate_set: HashSet<BlockPos, PosHashBuilder>,
+    immediate: UpdateFifo,
     scheduled: BinaryHeap<Reverse<ScheduledEntry>>,
     scheduled_set: HashSet<(BlockPos, u64), PosHashBuilder>,
     seq: u64,
@@ -102,9 +176,7 @@ impl UpdateQueue {
     /// coalesced, mirroring how real MLG servers deduplicate neighbour
     /// updates within a tick.
     pub fn push_neighbor(&mut self, pos: BlockPos) {
-        if self.immediate_set.insert(pos) {
-            self.immediate.push_back(BlockUpdate::neighbor(pos));
-        }
+        self.immediate.push(BlockUpdate::neighbor(pos));
     }
 
     /// Schedules an update for `pos` to fire at absolute game tick `due_tick`.
@@ -123,20 +195,18 @@ impl UpdateQueue {
 
     /// Pops the next immediate update, if any.
     pub fn pop_immediate(&mut self) -> Option<BlockUpdate> {
-        let update = self.immediate.pop_front()?;
-        self.immediate_set.remove(&update.pos);
-        Some(update)
+        self.immediate.pop()
     }
 
     /// Pops all scheduled updates that are due at or before `current_tick`,
     /// in due-tick then insertion order.
     pub fn pop_due(&mut self, current_tick: u64) -> Vec<BlockUpdate> {
         let mut due = Vec::new();
-        while let Some(Reverse(entry)) = self.scheduled.peek() {
-            if entry.due_tick > current_tick {
+        while let Some(next) = self.scheduled.peek_mut() {
+            if next.0.due_tick > current_tick {
                 break;
             }
-            let Reverse(entry) = self.scheduled.pop().expect("peeked entry exists");
+            let Reverse(entry) = PeekMut::pop(next);
             self.scheduled_set.remove(&(entry.pos, entry.due_tick));
             due.push(BlockUpdate::scheduled(entry.pos));
         }
@@ -153,7 +223,6 @@ impl UpdateQueue {
     /// benchmark iterations.
     pub fn clear(&mut self) {
         self.immediate.clear();
-        self.immediate_set.clear();
         self.scheduled.clear();
         self.scheduled_set.clear();
     }
@@ -162,6 +231,93 @@ impl UpdateQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The coalescing FIFO as it was written before the stamps: a queue
+    /// plus the set of positions in it.
+    #[derive(Default)]
+    struct ReferenceFifo {
+        queue: VecDeque<BlockUpdate>,
+        queued: HashSet<BlockPos, PosHashBuilder>,
+    }
+
+    impl ReferenceFifo {
+        fn push(&mut self, update: BlockUpdate) {
+            if self.queued.insert(update.pos) {
+                self.queue.push_back(update);
+            }
+        }
+
+        fn pop(&mut self) -> Option<BlockUpdate> {
+            let update = self.queue.pop_front()?;
+            self.queued.remove(&update.pos);
+            Some(update)
+        }
+
+        fn drain(&mut self) -> Vec<BlockUpdate> {
+            self.queued.clear();
+            self.queue.drain(..).collect()
+        }
+
+        fn clear(&mut self) {
+            self.queue.clear();
+            self.queued.clear();
+        }
+    }
+
+    proptest! {
+        /// Random push / pop / drain / clear runs through the stamped FIFO
+        /// and the reference. Pushes pick from eight positions (so repeats
+        /// and re-pushes after a pop are common) or a never-seen one (so
+        /// the stamp table outgrows `STALE_STAMPS`). `clear` is drawn only
+        /// in the second half of a run, which leaves the first half long
+        /// enough to cross the stale-stamp clear.
+        #[test]
+        fn stamped_fifo_matches_the_set_backed_reference(
+            ops in prop::collection::vec(0u16..1000, 4000..5000),
+        ) {
+            let mut fifo = UpdateFifo::default();
+            let mut reference = ReferenceFifo::default();
+            let mut fresh = 0;
+            let mut stale_clears = 0;
+            for (i, &op) in ops.iter().enumerate() {
+                let stamps_before = fifo.stamps.len();
+                match op {
+                    0..=399 => {
+                        let pos = BlockPos::new(i32::from(op % 8), 0, 0);
+                        let update = if op % 3 == 0 {
+                            BlockUpdate::scheduled(pos)
+                        } else {
+                            BlockUpdate::neighbor(pos)
+                        };
+                        fifo.push(update);
+                        reference.push(update);
+                    }
+                    400..=699 => {
+                        fresh += 1;
+                        let update = BlockUpdate::neighbor(BlockPos::new(0, 1, fresh));
+                        fifo.push(update);
+                        reference.push(update);
+                    }
+                    700..=959 => prop_assert_eq!(fifo.pop(), reference.pop()),
+                    960..=997 => {
+                        prop_assert_eq!(fifo.drain().collect::<Vec<_>>(), reference.drain());
+                    }
+                    _ if i >= ops.len() / 2 => {
+                        fifo.clear();
+                        reference.clear();
+                    }
+                    _ => prop_assert_eq!(fifo.pop(), reference.pop()),
+                }
+                if op < 700 && fifo.stamps.len() < stamps_before {
+                    stale_clears += 1;
+                }
+                prop_assert_eq!(fifo.is_empty(), reference.queue.is_empty());
+            }
+            prop_assert!(stale_clears > 0, "the run never crossed the stale-stamp clear");
+            prop_assert_eq!(fifo.drain().collect::<Vec<_>>(), reference.drain());
+        }
+    }
 
     #[test]
     fn immediate_updates_are_fifo() {
