@@ -228,3 +228,54 @@ fn library_panic_sites_only_shrink() {
         PINNED - total
     );
 }
+
+#[test]
+fn every_mutant_line_applies_to_the_tree() {
+    // `scripts/mutants.py` runs `tests/mutants.txt` only in the nightly job;
+    // a snippet an edit made stale is caught here instead, by the same
+    // parse: 4 or 5 tab-separated fields, an optional fifth starting with
+    // `equivalent: `, and a snippet (`\n` and `\t` unescaped) found exactly
+    // once in its file.
+    let root = workspace_root_from_build();
+    let list = std::fs::read_to_string(root.join("tests/mutants.txt"))
+        .expect("tests/mutants.txt is readable");
+    let unescape = |field: &str| field.replace("\\n", "\n").replace("\\t", "\t");
+    let mut mutants = 0;
+    let mut problems = Vec::new();
+    for (number, line) in (1..).zip(list.lines()) {
+        if line.trim().is_empty() || line.trim_start().starts_with('#') {
+            continue;
+        }
+        mutants += 1;
+        let fields: Vec<&str> = line.split('\t').collect();
+        if !(4..=5).contains(&fields.len()) {
+            problems.push(format!(
+                "line {number}: {} fields, not 4 or 5",
+                fields.len()
+            ));
+            continue;
+        }
+        if fields.len() == 5 && !fields[4].starts_with("equivalent: ") {
+            problems.push(format!(
+                "line {number}: the fifth field must start with 'equivalent: '"
+            ));
+        }
+        let Ok(source) = std::fs::read_to_string(root.join(fields[0])) else {
+            problems.push(format!("line {number}: {} is not readable", fields[0]));
+            continue;
+        };
+        let found = source.matches(&unescape(fields[1])).count();
+        if found != 1 {
+            problems.push(format!(
+                "line {number}: snippet found {found} times in {}",
+                fields[0]
+            ));
+        }
+    }
+    assert!(mutants > 0, "tests/mutants.txt lists no mutant");
+    assert!(
+        problems.is_empty(),
+        "tests/mutants.txt:\n{}",
+        problems.join("\n")
+    );
+}

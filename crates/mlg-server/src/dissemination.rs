@@ -35,12 +35,12 @@ pub(crate) struct TickUpdates<'a> {
 /// player positions, block changes, spawns, moves, removals, chat, then the
 /// periodic time and keep-alive packets.
 ///
-/// `shard_map` is the current partition of a sharded pipeline, `None` for
-/// a serial one.
+/// `shard_map` is the pipeline's current partition; on a serial flavor's
+/// one shard its order is player order.
 pub(crate) fn assemble(
     packets: &mut Vec<ClientboundPacket>,
     players: &[ConnectedPlayer],
-    shard_map: Option<&ShardMap>,
+    shard_map: &ShardMap,
     updates: &TickUpdates<'_>,
     spawn_point: Vec3,
     tick_index: u64,
@@ -58,20 +58,22 @@ pub(crate) fn assemble(
     );
     // Player position synchronisation: every connected player's position is
     // broadcast each tick (entity-related traffic, which is why Table 8
-    // shows entity messages dominating even the Control workload). Sharded
-    // pipelines assemble these per shard — canonical shard order, player
-    // order within a shard — mirroring how the player stage batches its
-    // work.
+    // shows entity messages dominating even the Control workload). They are
+    // assembled per shard — canonical shard order, player order within a
+    // shard — mirroring how the player stage batches its work. Players that
+    // already stand in that order (one shard's whole roster, say) need no
+    // sort.
     let position = |pl: &ConnectedPlayer| ClientboundPacket::EntityMove {
         id: pl.entity_id,
         pos: pl.pos,
     };
-    if let Some(map) = shard_map {
-        let mut keyed: Vec<(usize, usize)> = players
-            .iter()
-            .enumerate()
+    let shard_of = |pl: &ConnectedPlayer| shard_map.shard_of_chunk(pl.chunk());
+    if connected().map(shard_of).is_sorted() {
+        packets.extend(connected().map(position));
+    } else {
+        let mut keyed: Vec<(usize, usize)> = (players.iter().enumerate())
             .filter(|(_, pl)| !pl.disconnected)
-            .map(|(index, pl)| (map.shard_of_chunk(pl.chunk()), index))
+            .map(|(index, pl)| (shard_of(pl), index))
             .collect();
         keyed.sort_unstable();
         packets.extend(
@@ -79,8 +81,6 @@ pub(crate) fn assemble(
                 .into_iter()
                 .map(|(_, index)| position(&players[index])),
         );
-    } else {
-        packets.extend(connected().map(position));
     }
     for change in updates.changes {
         packets.push(ClientboundPacket::BlockChange {

@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// `StageParallelism::jvm`, the mechanism behind the paper's MF5 (bigger
 /// nodes reduce TNT overload even for vanilla) — while their player handler
 /// and dissemination stay on the main thread. Sharded flavors
-/// ([`StageParallelism::sharded`]) parallelize every stage over their tick
+/// (`StageParallelism::sharded`) parallelize every stage over their tick
 /// shards: the player handler batches players by shard, dissemination
 /// assembles per-shard packet buffers, and lighting fans out over the
 /// worker pool. Redstone/block-update cascades are *never* included: they
@@ -78,7 +78,7 @@ impl StageParallelism {
     /// A region-sharded game loop: `fraction` of every stage fans out over
     /// the tick shards, the player handler and dissemination included.
     #[must_use]
-    pub fn sharded(fraction: f64) -> Self {
+    fn sharded(fraction: f64) -> Self {
         StageParallelism {
             player: fraction,
             terrain: fraction,

@@ -22,9 +22,10 @@
 //! (`stage_entities`) → state-update dissemination (`stage_dissemination`,
 //! over the private `dissemination` module) → work accounting (the private
 //! `cost` module) → clock, keep-alive and overload handling
-//! (`end_of_tick`). For flavors with `tick_shards > 1` *every* stage
-//! declares its shard-parallel and serial-tail work against the **sharded
-//! tick pipeline** (`mlg_world::shard`):
+//! (`end_of_tick`). Every stage declares its shard-parallel and serial-tail
+//! work against the **sharded tick pipeline** (`mlg_world::shard`); a
+//! serial flavor's pipeline has one shard, and only its entity stage keeps
+//! a serial model (`EntityManager::tick`):
 //!
 //! * the **player handler** batches connected players by the shard owning
 //!   their chunk and processes interior batches concurrently against

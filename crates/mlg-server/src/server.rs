@@ -11,7 +11,7 @@ use meterstick_metrics::trace::TickRecord;
 use mlg_entity::{EntityId, EntityKind, EntityManager, EntityTickReport, Vec3};
 use mlg_protocol::{ClientboundPacket, ServerboundPacket, TrafficAccountant, TrafficSummary};
 use mlg_world::shard::TickPipeline;
-use mlg_world::sim::{self, TerrainEvent};
+use mlg_world::sim::{self, ShardedTerrainTick, TerrainEvent};
 use mlg_world::{BlockKind, BlockPos, TerrainSimulator, TerrainTickReport, TickScratch, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -197,8 +197,8 @@ pub struct GameServer {
 /// What the player-handler stage hands the rest of the tick.
 struct PlayerStage {
     report: PlayerStageReport,
-    /// Work units per shard (sharded pipelines only).
-    shard_work: Option<Vec<u64>>,
+    /// Work units per shard.
+    shard_work: Vec<u64>,
     bytes_received: u64,
     /// Positions relit eagerly for the stage's block edits.
     relit_positions: u64,
@@ -289,9 +289,7 @@ impl GameServer {
     /// dissemination modes, and the entity manager's TNT cap.
     fn apply_profile(&mut self, profile: FlavorProfile) {
         self.pipeline = build_pipeline(&profile, &self.config, &self.world);
-        if self.pipeline.is_sharded() {
-            self.world.reshard(self.pipeline.shard_map().clone());
-        }
+        self.world.reshard(self.pipeline.shard_map().clone());
         self.eager_lighting = self.config.eager_lighting.unwrap_or(profile.eager_lighting);
         self.terrain.eager_lighting = self.eager_lighting;
         self.entities.max_tnt_per_tick = profile.max_tnt_per_tick;
@@ -486,7 +484,7 @@ impl GameServer {
         self.world.advance_tick();
 
         // Stages 0-4: simulate and disseminate. Each stage returns the
-        // counters (and, when sharded, the per-shard loads) it produced.
+        // counters (and the per-shard loads) it produced.
         let pipelined_relit = self.stage_pipelined_lighting();
         let players = self.stage_players();
         let (terrain, event_spawns, terrain_shard_work) = self.stage_terrain();
@@ -515,12 +513,12 @@ impl GameServer {
             // JVM-runtime parallelism is not bound to tick shards.
             u32::MAX
         };
-        let shard_loads = match (&players.shard_work, &terrain_shard_work, &entity_shard_work) {
-            (Some(player), Some(terrain), Some(entity)) => {
-                Some([player.as_slice(), terrain.as_slice(), entity.as_slice()])
-            }
-            _ => None,
-        };
+        // The player and terrain stages run sharded on every pipeline, one
+        // shard for a serial flavor; only the entity stage models a serial
+        // flavor apart, and such a tick prices no per-shard loads.
+        let shard_loads = entity_shard_work
+            .as_deref()
+            .map(|entity| [players.shard_work.as_slice(), &terrain_shard_work, entity]);
         let cost = cost::tick_cost(
             &counters,
             &self.profile,
@@ -623,57 +621,34 @@ impl GameServer {
         visited
     }
 
-    /// Stage 1: player handler. Sharded pipelines batch players by owning
-    /// shard and process the interior batches in parallel (boundary players
+    /// Stage 1: player handler. Players are batched by owning shard and
+    /// the interior batches processed in parallel (boundary players
     /// escalate to a serial tail — see `handler::process_players_sharded`);
-    /// serial flavors keep the classic per-player loop. Either way the
-    /// queues are drained once, in player order.
+    /// a serial flavor's one shard holds every player in one batch, in
+    /// player order. The queues are drained once, in player order. On one
+    /// shard this costs more host time than the per-player loop it replaced:
+    /// `player_crowd` `run_wall_s` × 1.064 over ten alternating pairs
+    /// (CHANGES.md, PR 40), inside the benchmark's 25 % bound.
     fn stage_players(&mut self) -> PlayerStage {
         let mut bytes_received = 0u64;
-        let mut drain = |queues: &mut NetworkingQueues, id: PlayerId| {
-            let actions = queues.drain_incoming(id);
-            bytes_received += actions
-                .iter()
-                .map(|a| mlg_protocol::codec::serverbound_wire_size(a) as u64)
-                .sum::<u64>();
-            actions
-        };
-        // Serial flavors keep the per-player loop for speed, not output: the
-        // one-shard path is byte-identical but took `player_crowd` from
-        // 0.0856 to 0.0884 s `run_wall_s` (× 1.033, slower in 6 of 6
-        // alternating 10 s pairs, 2-vCPU VM).
-        let (report, shard_work) = if self.pipeline.is_sharded() {
-            let players = std::mem::take(&mut self.players);
-            let actions = players
-                .iter()
-                .map(|player| {
-                    if player.disconnected {
-                        Vec::new()
-                    } else {
-                        drain(&mut self.queues, player.id)
-                    }
-                })
-                .collect();
-            let (players, stage) =
-                handler::process_players_sharded(&mut self.world, players, actions, &self.pipeline);
-            self.players = players;
-            (stage.report, Some(stage.per_shard_work))
-        } else {
-            let mut report = PlayerStageReport::default();
-            for index in 0..self.players.len() {
-                if self.players[index].disconnected {
-                    continue;
+        let players = std::mem::take(&mut self.players);
+        let actions = players
+            .iter()
+            .map(|player| {
+                if player.disconnected {
+                    return Vec::new();
                 }
-                let actions = drain(&mut self.queues, self.players[index].id);
-                handler::process_player_actions(
-                    &mut self.world,
-                    &mut self.players[index],
-                    actions,
-                    &mut report,
-                );
-            }
-            (report, None)
-        };
+                let actions = self.queues.drain_incoming(player.id);
+                bytes_received += actions
+                    .iter()
+                    .map(|a| mlg_protocol::codec::serverbound_wire_size(a) as u64)
+                    .sum::<u64>();
+                actions
+            })
+            .collect();
+        let (players, stage) =
+            handler::process_players_sharded(&mut self.world, players, actions, &self.pipeline);
+        self.players = players;
 
         // Player-stage block edits feed the lighting stage too (the
         // paper's workloads never place blocks, but the Crowd workload
@@ -692,31 +667,28 @@ impl GameServer {
             0
         };
         PlayerStage {
-            report,
-            shard_work,
+            report: stage.report,
+            shard_work: stage.per_shard_work,
             bytes_received,
             relit_positions,
         }
     }
 
-    /// Stage 2: terrain simulation. Returns the stage report, the entities
-    /// spawned from its events and, for sharded pipelines, the updates
-    /// processed per shard.
-    fn stage_terrain(&mut self) -> (TerrainTickReport, Vec<EventSpawn>, Option<Vec<u64>>) {
+    /// Stage 2: terrain simulation, through the sharded pipeline on every
+    /// flavor (one shard for a serial one). Returns the stage report, the
+    /// entities spawned from its events and the updates processed per shard.
+    /// On one shard this costs more host time than the serial tick it
+    /// replaced: `env_worlds` `run_wall_s` × 1.035 over ten alternating pairs
+    /// (CHANGES.md, PR 40), inside the benchmark's 25 % bound.
+    fn stage_terrain(&mut self) -> (TerrainTickReport, Vec<EventSpawn>, Vec<u64>) {
         let relight_from = self.world.changes().len();
-        // Serial flavors keep `tick_with` for speed, not output: the
-        // one-shard pipeline is byte-identical but took `env_worlds` from
-        // 0.2238 to 0.2351 s `run_wall_s` (× 1.051, slower in 6 of 6
-        // alternating 10 s pairs, 2-vCPU VM).
-        let (report, events, shard_work) = if self.pipeline.is_sharded() {
-            let out =
-                self.terrain
-                    .tick_sharded_with(&mut self.world, &self.pipeline, &mut self.scratch);
-            (out.report, out.events, Some(out.per_shard_work))
-        } else {
-            let (report, events) = self.terrain.tick_with(&mut self.world, &mut self.scratch);
-            (report, events, None)
-        };
+        let ShardedTerrainTick {
+            report,
+            events,
+            per_shard_work,
+        } = self
+            .terrain
+            .tick_sharded_with(&mut self.world, &self.pipeline, &mut self.scratch);
         if !self.eager_lighting {
             // Queue this tick's terrain changes for the next tick's
             // pipelined lighting stage (the same set the eager path relights
@@ -742,7 +714,7 @@ impl GameServer {
                 (self.entities.spawn(kind, at), kind, at)
             })
             .collect();
-        (report, event_spawns, shard_work)
+        (report, event_spawns, per_shard_work)
     }
 
     /// Stage 3: entity simulation. Returns the stage report and, for
@@ -782,11 +754,10 @@ impl GameServer {
                 entities,
                 chat: &player_report.pending_chat,
             };
-            let sharded = self.pipeline.is_sharded();
             dissemination::assemble(
                 &mut packets,
                 &self.players,
-                sharded.then(|| self.pipeline.shard_map()),
+                self.pipeline.shard_map(),
                 &updates,
                 self.spawn_point,
                 self.tick_index,
@@ -1175,6 +1146,61 @@ mod tests {
                 > 0,
             "falling cow should generate entity-move packets"
         );
+    }
+
+    /// A serial flavor runs its player and terrain stages on a one-shard
+    /// pipeline, but its tick is priced as a serial one. A builder places,
+    /// digs and walks, sand falls and TNT goes off among entities, and no
+    /// tick floors a shard. A priced load report would floor the entity
+    /// stage on every tick with entity work, so `max_shard_work == 0` also
+    /// shows that no load report is priced.
+    #[test]
+    fn serial_flavors_price_no_shard_loads() {
+        for flavor in [ServerFlavor::Vanilla, ServerFlavor::Paper] {
+            let mut s = server(flavor);
+            let mut e = engine();
+            let builder = s.connect_player("builder");
+            s.spawn_entity(EntityKind::Cow, Vec3::new(5.5, 61.0, 5.5));
+            s.world_mut().fill_region(
+                Region::new(BlockPos::new(8, 70, 8), BlockPos::new(10, 72, 10)),
+                Block::simple(BlockKind::Sand),
+            );
+            s.world_mut().fill_region(
+                Region::new(BlockPos::new(-6, 61, -6), BlockPos::new(-4, 62, -4)),
+                Block::simple(BlockKind::Tnt),
+            );
+            assert!(s.schedule_tnt_ignition(3) > 0);
+            let (mut terrain_ticks, mut entity_ticks) = (0, 0);
+            for tick in 0..40 {
+                let x = tick % 6;
+                s.enqueue_packet(
+                    builder,
+                    ServerboundPacket::BlockPlace {
+                        pos: BlockPos::new(2 + x, 61, 2),
+                        block: Block::simple(BlockKind::Planks),
+                    },
+                );
+                s.enqueue_packet(
+                    builder,
+                    ServerboundPacket::BlockDig {
+                        pos: BlockPos::new(2 + x, 60, 4),
+                    },
+                );
+                s.enqueue_packet(
+                    builder,
+                    ServerboundPacket::PlayerMove {
+                        pos: Vec3::new(0.5 + f64::from(x), 61.0, 0.5),
+                        on_ground: true,
+                    },
+                );
+                let summary = s.run_tick(&mut e);
+                assert!(summary.crash.is_none());
+                assert_eq!(summary.max_shard_work, 0, "{flavor:?} tick {tick}");
+                terrain_ticks += usize::from(summary.stages.terrain_ms > 0.0);
+                entity_ticks += usize::from(summary.stages.entity_ms > 0.0);
+            }
+            assert!(terrain_ticks > 0 && entity_ticks > 0, "{flavor:?}");
+        }
     }
 
     #[test]

@@ -1,33 +1,36 @@
 //! Reusable per-tick scratch buffers (the tick "arena").
 //!
 //! Every tick of the terrain pipeline needs the same transient collections:
-//! the pending/next-round cascade queues, the per-shard routing batches, the
-//! relight position list and the relight miss-tracking buffers. Allocating
-//! them per tick (or worse, per cascade round) puts allocator traffic on the
-//! hot path and adds wall-clock jitter that is pure harness overhead, not
-//! modeled work.
+//! the pending/next-round cascade queues, the per-shard cascade tasks (routed
+//! batch, the coalescing FIFO the shard's view works through, event and
+//! leftover lists), the relight position list and the relight miss-tracking
+//! buffers. Allocating them per tick (or worse, per cascade round) puts
+//! allocator traffic on the hot path and adds wall-clock jitter that is pure
+//! harness overhead, not modeled work.
 //!
 //! [`TickScratch`] owns all of them. The server constructs one per
-//! `GameServer` and threads it through `TerrainSimulator::tick_with` /
-//! `tick_sharded_with` and the one frozen relight pass both of them run, so
-//! a steady-state tick recycles capacity instead of allocating. The buffers
-//! carry **no state** across ticks — every consumer clears what it uses
-//! before use — so a recycled scratch is bit-identical to a fresh one.
+//! `GameServer` and threads it through `TerrainSimulator::tick_sharded_with`
+//! (which `tick_with` calls on one shard) and the frozen relight pass it
+//! runs, so a steady-state tick recycles capacity instead of allocating. The
+//! buffers carry **no observable state** across ticks: every consumer clears
+//! what it uses before use, and a FIFO is handed back empty, its stale
+//! stamps all at or below its pop count, so a recycled scratch is
+//! bit-identical to a fresh one.
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::pos::{BlockPos, PosHashBuilder};
+use crate::sim::TerrainShardTask;
 use crate::update::BlockUpdate;
 
 /// Reusable buffers for one server's tick loop. See the module docs.
 #[derive(Debug, Default)]
 pub struct TickScratch {
-    /// Cascade updates awaiting routing this round.
-    pub(crate) pending: VecDeque<BlockUpdate>,
     /// Cascade updates produced for the next round.
     pub(crate) next_pending: VecDeque<BlockUpdate>,
-    /// Per-shard routed update batches (index = shard).
-    pub(crate) shard_batches: Vec<VecDeque<BlockUpdate>>,
+    /// Per-shard cascade tasks (index = shard): routed FIFO, events and
+    /// leftovers, all drained between rounds.
+    pub(crate) shard_tasks: Vec<TerrainShardTask>,
     /// Boundary updates escalated to the serial phase.
     pub(crate) serial_batch: VecDeque<BlockUpdate>,
     /// Positions queued for relighting this tick.

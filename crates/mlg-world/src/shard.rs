@@ -74,7 +74,7 @@ use crate::generation::ChunkGenerator;
 use crate::pool::{PoolScope, TickWorkerPool};
 use crate::pos::{BlockPos, ChunkPos};
 use crate::update::{BlockUpdate, UpdateFifo};
-use crate::world::{BlockChange, ShardStore, World, WorldSnapshot};
+use crate::world::{cursor_way, BlockChange, ShardStore, World, WorldSnapshot, CURSOR_WAYS};
 
 /// Width of one shard stripe, in chunks, along the x axis.
 ///
@@ -862,10 +862,13 @@ pub struct ShardWorld<'a> {
     /// leaves the cascade to the terrain stage).
     defer_local_pushes: bool,
     owned: OwnedShard,
-    /// The last chunk resolved and its slot in `owned.store`: it passed the
-    /// ownership check, the map cannot change during the phase, and the
-    /// store only appends, so neither goes stale.
+    /// The last chunk resolved and its slot in `owned.store`, then the
+    /// earlier ones in a direct-mapped table laid out like the world's
+    /// chunk cursor: every entry passed the ownership check, the map cannot
+    /// change during the phase, and the store only appends, so none goes
+    /// stale.
     last: Option<(ChunkPos, usize)>,
+    ways: [Option<(ChunkPos, usize)>; CURSOR_WAYS],
     /// The shard's local work queue: the routed batch, then every interior
     /// neighbour push of the phase, coalesced like the world's queue.
     pub(crate) local: UpdateFifo,
@@ -892,16 +895,29 @@ impl ShardWorld<'_> {
     fn owned_chunk_mut(&mut self, chunk_pos: ChunkPos) -> &mut Chunk {
         let slot = match self.last {
             Some((at, slot)) if at == chunk_pos => slot,
+            _ => self.resolve_slot(chunk_pos),
+        };
+        self.owned.store.slot_mut(slot)
+    }
+
+    /// [`ShardWorld::owned_chunk_mut`] past the last chunk: the table, then
+    /// the ownership check and the store.
+    #[inline(never)]
+    fn resolve_slot(&mut self, chunk_pos: ChunkPos) -> usize {
+        let way = cursor_way(chunk_pos);
+        let slot = match self.ways[way] {
+            Some(entry) if entry.0 == chunk_pos => entry.1,
             _ => {
                 self.assert_owned(chunk_pos);
                 let (slot, generated) =
                     self.owned.store.slot_or_generate(chunk_pos, self.generator);
                 self.owned.chunks_generated += u32::from(generated);
-                self.last = Some((chunk_pos, slot));
+                self.ways[way] = Some((chunk_pos, slot));
                 slot
             }
         };
-        self.owned.store.slot_mut(slot)
+        self.last = Some((chunk_pos, slot));
+        slot
     }
 }
 
@@ -1087,6 +1103,7 @@ impl World {
                     defer_local_pushes: phase.defer_local_pushes,
                     owned: std::mem::take(&mut job.owned),
                     last: None,
+                    ways: [None; CURSOR_WAYS],
                     local: UpdateFifo::default(),
                 };
                 f(&mut view, &mut job.payload, &phase.caller);

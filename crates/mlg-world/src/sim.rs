@@ -6,17 +6,16 @@
 //! Simulation applies its simulation rules to the new state. […] These rules
 //! trigger in a loop, where each iteration informs the adjacent terrain."
 //!
-//! [`TerrainSimulator::tick_with`] drains the world's update queues, dispatches
-//! each update to the appropriate rule module (physics, fluid, redstone,
-//! growth), performs lighting recomputation for the blocks that changed, and
-//! returns a [`TerrainTickReport`] describing how much work was done plus any
-//! [`TerrainEvent`]s that other subsystems (entities, players) must react to.
-//! [`TerrainSimulator::tick_sharded_with`] does the same through the sharded
-//! pipeline, as a driver over the two shard-phase protocols of
+//! [`TerrainSimulator::tick_sharded_with`] drains the world's update queues,
+//! dispatches each update to the appropriate rule module (physics, fluid,
+//! redstone, growth), performs lighting recomputation for the blocks that
+//! changed, and returns a [`TerrainTickReport`] describing how much work was
+//! done plus any [`TerrainEvent`]s that other subsystems (entities, players)
+//! must react to. It is a driver over the two shard-phase protocols of
 //! [`crate::shard`] (`docs/ARCHITECTURE.md`, "The two shard-phase
-//! protocols").
-
-use std::collections::VecDeque;
+//! protocols"), and the only terrain tick: a serial flavor runs it on one
+//! shard, where every update is interior and the cascade is the serial
+//! loop. [`TerrainSimulator::tick_with`] is that one-shard call.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,8 +24,8 @@ use crate::pool::PoolScope;
 use crate::pos::BlockPos;
 use crate::region::Region;
 use crate::scratch::{LightPassScratch, TickScratch};
-use crate::shard::{RouteMemo, ShardWorld, TerrainView, TickPipeline};
-use crate::update::{BlockUpdate, UpdateKind};
+use crate::shard::{RouteMemo, ShardMap, ShardWorld, TerrainView, TickPipeline};
+use crate::update::{BlockUpdate, UpdateFifo, UpdateKind};
 use crate::world::World;
 use crate::{fluid, growth, light, physics, redstone};
 
@@ -183,11 +182,10 @@ impl TerrainSimulator {
         TerrainSimulator::default()
     }
 
-    /// Runs one tick of terrain simulation over the world, recycling the
-    /// caller's scratch buffers (the server owns one [`TickScratch`] for
-    /// its whole life). It relights through the same frozen pass as
-    /// [`TerrainSimulator::tick_sharded_with`], inline, so a light scan
-    /// never generates terrain.
+    /// Runs one tick of terrain simulation over the world on one shard,
+    /// recycling the caller's scratch buffers: the body of
+    /// [`TerrainSimulator::tick_sharded_with`] on a one-shard map with an
+    /// inline scope, so it reshards `world` to that map.
     ///
     /// Returns the work report and the events other subsystems must handle.
     pub fn tick_with(
@@ -195,52 +193,8 @@ impl TerrainSimulator {
         world: &mut World,
         scratch: &mut TickScratch,
     ) -> (TerrainTickReport, Vec<TerrainEvent>) {
-        let mut report = TerrainTickReport::default();
-        let mut events = Vec::new();
-        let changes_before = world.changes().len();
-        let mut processed: u32 = 0;
-
-        // 1. Scheduled updates that became due this tick.
-        let current_tick = world.current_tick();
-        let due = world.updates_mut().pop_due(current_tick);
-        for update in due {
-            report.scheduled_updates += 1;
-            processed += 1;
-            self.dispatch(world, update, &mut report, &mut events);
-        }
-
-        // 2. Immediate neighbour updates, including any produced while
-        //    processing — this is the cascading simulation-rule loop.
-        while let Some(update) = world.updates_mut().pop_immediate() {
-            if processed >= self.max_updates_per_tick {
-                break;
-            }
-            report.neighbor_updates += 1;
-            processed += 1;
-            self.dispatch(world, update, &mut report, &mut events);
-        }
-
-        // 3. Random ticks (plant growth).
-        for pos in world.pick_random_tick_positions(RANDOM_TICKS_PER_CHUNK) {
-            apply_random_pick(world, pos, &mut report);
-        }
-
-        // 4. Classify the changes made this tick and relight around them.
-        self.classify_changes(
-            world,
-            changes_before,
-            &mut report,
-            &mut scratch.relight_positions,
-        );
-        report.light_positions += relight_misses_frozen(
-            world,
-            &scratch.relight_positions,
-            &PoolScope::scoped(1),
-            &mut scratch.light,
-        );
-
-        report.chunks_generated += u64::from(world.chunks_generated_this_tick());
-        (report, events)
+        let out = self.tick_on(world, &ShardMap::stripes(1), &PoolScope::scoped(1), scratch);
+        (out.report, out.events)
     }
 
     /// Counts the changes logged since `changes_before` as added, removed
@@ -329,9 +283,19 @@ impl TerrainSimulator {
         pipeline: &TickPipeline,
         scratch: &mut TickScratch,
     ) -> ShardedTerrainTick {
-        let map = pipeline.shard_map();
+        self.tick_on(world, pipeline.shard_map(), &pipeline.scope(), scratch)
+    }
+
+    /// The one terrain tick: [`TerrainSimulator::tick_sharded_with`] on
+    /// `map`, fanned over `scope`.
+    fn tick_on(
+        &self,
+        world: &mut World,
+        map: &ShardMap,
+        scope: &PoolScope<'_>,
+        scratch: &mut TickScratch,
+    ) -> ShardedTerrainTick {
         world.reshard(map.clone());
-        let scope = pipeline.scope();
         let changes_before = world.changes().len();
         let mut out = ShardedTerrainTick {
             report: TerrainTickReport::default(),
@@ -340,8 +304,8 @@ impl TerrainSimulator {
         };
 
         let mut route = RouteMemo::new(map);
-        self.cascade_rounds(world, &mut route, &scope, scratch, &mut out);
-        self.random_ticks(world, &mut route, &scope, &mut out);
+        self.cascade_rounds(world, &mut route, scope, scratch, &mut out);
+        self.random_ticks(world, &mut route, scope, &mut out);
 
         let report = &mut out.report;
         self.classify_changes(
@@ -350,12 +314,8 @@ impl TerrainSimulator {
             report,
             &mut scratch.relight_positions,
         );
-        report.light_positions += relight_misses_frozen(
-            world,
-            &scratch.relight_positions,
-            &scope,
-            &mut scratch.light,
-        );
+        report.light_positions +=
+            relight_misses_frozen(world, &scratch.relight_positions, scope, &mut scratch.light);
         report.chunks_generated += u64::from(world.chunks_generated_this_tick());
         out
     }
@@ -364,10 +324,12 @@ impl TerrainSimulator {
     /// updates through rounds of (owned interior phase, serial boundary
     /// escalation) until the cascade dies out or the tick budget is spent.
     ///
-    /// All round-local queues live in the scratch arena: `pending` is
-    /// drained at the top of each round and `next_pending` swapped in at
-    /// the bottom, shard batches are moved into the tasks and their
-    /// (drained, capacity-bearing) queues moved back after the merge.
+    /// Updates are routed straight into their shard's coalescing FIFO (or
+    /// the serial batch): the world's queue before the first round, the
+    /// round's outbound, leftover and escalated updates after each. Each
+    /// shard's task — FIFO, event and leftover lists — lives in the scratch
+    /// arena, moves into the owned phase and back after the merge, drained
+    /// but with its capacity.
     fn cascade_rounds(
         &self,
         world: &mut World,
@@ -383,32 +345,28 @@ impl TerrainSimulator {
         // round (pool jobs cannot borrow `self`).
         let mut sim = self.clone();
 
-        scratch.pending.clear();
         scratch.next_pending.clear();
         scratch.serial_batch.clear();
         scratch
-            .shard_batches
-            .resize_with(route.map().count(), VecDeque::new);
-        for batch in &mut scratch.shard_batches {
-            batch.clear();
+            .shard_tasks
+            .resize_with(route.map().count(), TerrainShardTask::default);
+        for update in world.updates_mut().pop_due(tick) {
+            route_update(route, scratch, update);
         }
-        scratch.pending.extend(world.updates_mut().pop_due(tick));
         while let Some(update) = world.updates_mut().pop_immediate() {
-            scratch.pending.push_back(update);
+            route_update(route, scratch, update);
         }
 
-        while !scratch.pending.is_empty() {
-            for update in scratch.pending.drain(..) {
-                match route.interior_shard(update.pos.chunk()) {
-                    Some(s) => scratch.shard_batches[s].push_back(update),
-                    None => scratch.serial_batch.push_back(update),
-                }
+        loop {
+            let active = (scratch.shard_tasks.iter())
+                .filter(|task| !task.local.is_empty())
+                .count();
+            if active == 0 && scratch.serial_batch.is_empty() {
+                break;
             }
             if processed_total >= budget {
-                let requeued = scratch
-                    .shard_batches
-                    .iter_mut()
-                    .flat_map(|b| b.drain(..))
+                let requeued = (scratch.shard_tasks.iter_mut())
+                    .flat_map(|task| std::iter::from_fn(|| task.local.pop()))
                     .chain(scratch.serial_batch.drain(..));
                 requeue_updates(world, requeued, tick);
                 break;
@@ -417,19 +375,14 @@ impl TerrainSimulator {
             // (each gets at least 1 so rounds always progress): without the
             // split, N shards could process N x max_updates_per_tick in one
             // round, silently inflating the per-tick budget under sharding.
-            let batches = &mut scratch.shard_batches;
-            let active = batches.iter().filter(|b| !b.is_empty()).count().max(1);
-            let cap = ((budget - processed_total) / active as u64).max(1);
-            let work: Vec<(usize, TerrainShardTask)> = (batches.iter_mut().enumerate())
-                .filter(|(_, batch)| !batch.is_empty())
-                .map(|(shard, batch)| {
-                    let batch = std::mem::take(batch);
-                    let task = TerrainShardTask {
-                        batch,
-                        cap,
-                        ..Default::default()
-                    };
-                    (shard, task)
+            let cap = ((budget - processed_total) / active.max(1) as u64).max(1);
+            let work: Vec<(usize, TerrainShardTask)> = (scratch.shard_tasks.iter_mut().enumerate())
+                .filter(|(_, task)| !task.local.is_empty())
+                .map(|(shard, task)| {
+                    task.cap = cap;
+                    task.report = TerrainTickReport::default();
+                    task.processed = 0;
+                    (shard, std::mem::take(task))
                 })
                 .collect();
 
@@ -443,23 +396,27 @@ impl TerrainSimulator {
                     sim.process_shard_batch(view, task);
                 },
             );
-            for (shard, task, outbound) in results {
+            for (shard, mut task, outbound) in results {
                 out.report.merge(&task.report);
-                out.events.extend(task.events);
+                out.events.append(&mut task.events);
                 let outbound = outbound.into_iter().map(BlockUpdate::neighbor);
                 scratch.next_pending.extend(outbound);
-                scratch.next_pending.extend(task.leftover);
+                scratch.next_pending.extend(task.leftover.drain(..));
                 out.per_shard_work[shard] += task.processed;
                 processed_total += task.processed;
-                // The batch was drained inside the worker; returning it to
-                // its slot keeps the queue's capacity for the next round.
-                scratch.shard_batches[shard] = task.batch;
+                // Every queue of the task is drained by now; returning it to
+                // its slot keeps their capacity for the next round and tick.
+                scratch.shard_tasks[shard] = task;
             }
 
             // The round may have overshot: scheduled updates are exempt.
             let remaining = budget.saturating_sub(processed_total);
             processed_total += self.escalated_updates(world, route, scratch, remaining, out);
-            std::mem::swap(&mut scratch.pending, &mut scratch.next_pending);
+            let mut next = std::mem::take(&mut scratch.next_pending);
+            for update in next.drain(..) {
+                route_update(route, scratch, update);
+            }
+            scratch.next_pending = next;
         }
     }
 
@@ -549,11 +506,10 @@ impl TerrainSimulator {
         }
     }
 
-    /// Processes one shard's routed update batch against its own chunks.
+    /// Processes one shard's routed updates against its own chunks: the
+    /// task's FIFO is the view's queue for the phase.
     fn process_shard_batch(&self, view: &mut ShardWorld<'_>, task: &mut TerrainShardTask) {
-        for update in task.batch.drain(..) {
-            view.local.push(update);
-        }
+        std::mem::swap(&mut view.local, &mut task.local);
         while let Some(update) = view.local.pop() {
             // Scheduled updates are budget-exempt, mirroring the serial
             // path (which processes every due update): truncating them
@@ -573,7 +529,16 @@ impl TerrainSimulator {
             task.processed += 1;
             self.dispatch(view, update, &mut task.report, &mut task.events);
         }
-        task.leftover.extend(view.local.drain());
+        std::mem::swap(&mut view.local, &mut task.local);
+    }
+}
+
+/// Routes a cascade update into the FIFO of the shard whose interior holds
+/// it, or into the serial batch.
+fn route_update(route: &mut RouteMemo<'_>, scratch: &mut TickScratch, update: BlockUpdate) {
+    match route.interior_shard(update.pos.chunk()) {
+        Some(s) => scratch.shard_tasks[s].local.push(update),
+        None => scratch.serial_batch.push_back(update),
     }
 }
 
@@ -607,11 +572,15 @@ pub struct ShardedTerrainTick {
     pub per_shard_work: Vec<u64>,
 }
 
-/// One shard's share of a cascade round: the routed batch in, counters,
-/// events and the updates carried to the next round out.
-#[derive(Default)]
-struct TerrainShardTask {
-    batch: VecDeque<BlockUpdate>,
+/// One shard's share of a cascade round: the routed updates in, counters,
+/// events and the updates carried to the next round out. A task lives in
+/// [`TickScratch`] between rounds, so its queues keep their capacity.
+#[derive(Debug, Default)]
+pub(crate) struct TerrainShardTask {
+    /// The shard's coalescing FIFO: updates are routed into it, and it is
+    /// lent to the view for the phase (a view's own would regrow from empty
+    /// every round).
+    local: UpdateFifo,
     /// This round's fair share of the remaining tick budget.
     cap: u64,
     report: TerrainTickReport,
@@ -1017,9 +986,67 @@ mod tests {
         w
     }
 
-    /// Runs six ticks of `build(seed)` through the serial tick and the
-    /// one-shard pipeline side by side, asserting that they agree on every
-    /// tick; returns the random ticks applied.
+    /// The serial terrain tick every flavour ran before the one-shard
+    /// pipeline replaced it, kept as the reference of
+    /// `single_shard_pipeline_matches_the_legacy_serial_tick`: due updates,
+    /// then the world's immediate queue until it runs dry or the budget is
+    /// spent, then the random-tick lottery, all against the whole world.
+    fn legacy_serial_tick(
+        sim: &TerrainSimulator,
+        world: &mut World,
+        scratch: &mut TickScratch,
+    ) -> (TerrainTickReport, Vec<TerrainEvent>) {
+        let mut report = TerrainTickReport::default();
+        let mut events = Vec::new();
+        let changes_before = world.changes().len();
+        let mut processed: u32 = 0;
+
+        // 1. Scheduled updates that became due this tick.
+        let current_tick = world.current_tick();
+        let due = world.updates_mut().pop_due(current_tick);
+        for update in due {
+            report.scheduled_updates += 1;
+            processed += 1;
+            sim.dispatch(world, update, &mut report, &mut events);
+        }
+
+        // 2. Immediate neighbour updates, including any produced while
+        //    processing — this is the cascading simulation-rule loop.
+        while let Some(update) = world.updates_mut().pop_immediate() {
+            if processed >= sim.max_updates_per_tick {
+                break;
+            }
+            report.neighbor_updates += 1;
+            processed += 1;
+            sim.dispatch(world, update, &mut report, &mut events);
+        }
+
+        // 3. Random ticks (plant growth).
+        for pos in world.pick_random_tick_positions(RANDOM_TICKS_PER_CHUNK) {
+            apply_random_pick(world, pos, &mut report);
+        }
+
+        // 4. Classify the changes made this tick and relight around them.
+        sim.classify_changes(
+            world,
+            changes_before,
+            &mut report,
+            &mut scratch.relight_positions,
+        );
+        report.light_positions += relight_misses_frozen(
+            world,
+            &scratch.relight_positions,
+            &PoolScope::scoped(1),
+            &mut scratch.light,
+        );
+
+        report.chunks_generated += u64::from(world.chunks_generated_this_tick());
+        (report, events)
+    }
+
+    /// Runs six ticks of `build(seed)` through the legacy serial tick and
+    /// the one-shard pipeline side by side, asserting that they agree on
+    /// every tick; returns the random ticks applied.
     fn assert_single_shard_matches_serial(
         sim: &TerrainSimulator,
         build: fn(u64) -> World,
@@ -1033,7 +1060,8 @@ mod tests {
         for tick in 1..=6 {
             legacy.advance_tick();
             sharded.advance_tick();
-            let (legacy_report, legacy_events) = sim.tick_with(&mut legacy, &mut legacy_scratch);
+            let (legacy_report, legacy_events) =
+                legacy_serial_tick(sim, &mut legacy, &mut legacy_scratch);
             let out = sim.tick_sharded_with(&mut sharded, &pipeline, &mut sharded_scratch);
             assert_eq!(legacy_report, out.report, "tick {tick}");
             assert_eq!(legacy_events, out.events, "tick {tick}");

@@ -131,12 +131,6 @@ impl UpdateFifo {
         Some(update)
     }
 
-    /// Removes every waiting update and returns them in queue order.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = BlockUpdate> + '_ {
-        self.pops = self.pushes;
-        self.queue.drain(..)
-    }
-
     /// Whether no update is waiting.
     pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
@@ -254,11 +248,6 @@ mod tests {
             Some(update)
         }
 
-        fn drain(&mut self) -> Vec<BlockUpdate> {
-            self.queued.clear();
-            self.queue.drain(..).collect()
-        }
-
         fn clear(&mut self) {
             self.queue.clear();
             self.queued.clear();
@@ -266,12 +255,12 @@ mod tests {
     }
 
     proptest! {
-        /// Random push / pop / drain / clear runs through the stamped FIFO
-        /// and the reference. Pushes pick from eight positions (so repeats
-        /// and re-pushes after a pop are common) or a never-seen one (so
-        /// the stamp table outgrows `STALE_STAMPS`). `clear` is drawn only
-        /// in the second half of a run, which leaves the first half long
-        /// enough to cross the stale-stamp clear.
+        /// Random push / pop / pop-until-empty / clear runs through the
+        /// stamped FIFO and the reference. Pushes pick from eight positions
+        /// (so repeats and re-pushes after a pop are common) or a never-seen
+        /// one (so the stamp table outgrows `STALE_STAMPS`). `clear` is
+        /// drawn only in the second half of a run, which leaves the first
+        /// half long enough to cross the stale-stamp clear.
         #[test]
         fn stamped_fifo_matches_the_set_backed_reference(
             ops in prop::collection::vec(0u16..1000, 4000..5000),
@@ -300,9 +289,13 @@ mod tests {
                         reference.push(update);
                     }
                     700..=959 => prop_assert_eq!(fifo.pop(), reference.pop()),
-                    960..=997 => {
-                        prop_assert_eq!(fifo.drain().collect::<Vec<_>>(), reference.drain());
-                    }
+                    960..=997 => loop {
+                        let popped = fifo.pop();
+                        prop_assert_eq!(popped, reference.pop());
+                        if popped.is_none() {
+                            break;
+                        }
+                    },
                     _ if i >= ops.len() / 2 => {
                         fifo.clear();
                         reference.clear();
@@ -315,7 +308,8 @@ mod tests {
                 prop_assert_eq!(fifo.is_empty(), reference.queue.is_empty());
             }
             prop_assert!(stale_clears > 0, "the run never crossed the stale-stamp clear");
-            prop_assert_eq!(fifo.drain().collect::<Vec<_>>(), reference.drain());
+            let rest: Vec<_> = std::iter::from_fn(|| fifo.pop()).collect();
+            prop_assert_eq!(rest, std::iter::from_fn(|| reference.pop()).collect::<Vec<_>>());
         }
     }
 

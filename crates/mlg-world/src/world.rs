@@ -248,10 +248,10 @@ const RELIGHT_CACHE_CAP: usize = 1 << 16;
 /// Ways of [`ChunkCursor::ways`]: one per `(x & 7, z & 7)` of a chunk
 /// position, so any 8 × 8 square of chunks — a spawn window of 7 × 7 among
 /// them — holds one chunk per way.
-const CURSOR_WAYS: usize = 64;
+pub(crate) const CURSOR_WAYS: usize = 64;
 
 /// The way of the chunk cursor that remembers `pos`.
-fn cursor_way(pos: ChunkPos) -> usize {
+pub(crate) fn cursor_way(pos: ChunkPos) -> usize {
     ((pos.x & 7) << 3 | (pos.z & 7)) as usize
 }
 
