@@ -91,7 +91,11 @@ impl Vec3 {
     /// The block position containing this point.
     #[must_use]
     pub fn block_pos(self) -> BlockPos {
-        BlockPos::new(floor_i32(self.x), floor_i32(self.y), floor_i32(self.z))
+        BlockPos::new(
+            self.x.floor() as i32,
+            self.y.floor() as i32,
+            self.z.floor() as i32,
+        )
     }
 
     /// The centre of the given block, at foot level.
@@ -194,73 +198,9 @@ impl Aabb {
     }
 }
 
-/// `x.floor() as i32` without the `floor` call a baseline x86-64 build makes
-/// (its SSE2 has no rounding instruction): truncation rounds toward zero, so
-/// a negative non-integer lands one above its floor. Equal to `x.floor() as
-/// i32` for every `f64`, saturation and NaN included
-/// (`tests::floor_i32_equals_the_std_floor`).
-fn floor_i32(x: f64) -> i32 {
-    let t = x as i32;
-    if f64::from(t) > x {
-        t.saturating_sub(1)
-    } else {
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    proptest::proptest! {
-        #[test]
-        fn floor_i32_equals_the_std_floor(bits in proptest::prelude::any::<u64>(), whole in proptest::prelude::any::<i32>()) {
-            // Every f64 (NaN and the infinities too) is some bit pattern, and
-            // a fraction off a random integer lands near the integers, up to
-            // twice the i32 range so that saturation is crossed too.
-            let frac = (bits >> 11) as f64 / (1u64 << 53) as f64;
-            let near = f64::from(whole);
-            for v in [f64::from_bits(bits), near + frac, near - frac, 2.0 * near + frac] {
-                proptest::prop_assert_eq!(floor_i32(v), v.floor() as i32, "{}", v);
-            }
-        }
-    }
-
-    #[test]
-    fn floor_i32_equals_the_std_floor_at_the_edges() {
-        let two31 = 2f64.powi(31);
-        for v in [
-            0.0,
-            -0.0,
-            0.5,
-            -0.5,
-            1.0,
-            -1.0,
-            -1.5,
-            15.999,
-            -15.999,
-            -16.0,
-            two31,
-            two31 - 0.5,
-            two31 - 1.0,
-            -two31,
-            -two31 - 0.5,
-            -two31 - 1.0,
-            -two31 + 0.5,
-            f64::MAX,
-            f64::MIN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            f64::EPSILON,
-            -f64::EPSILON,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            -1e-300,
-        ] {
-            assert_eq!(floor_i32(v), v.floor() as i32, "{v}");
-        }
-    }
 
     #[test]
     fn vector_arithmetic() {

@@ -60,28 +60,19 @@ pub(crate) fn assemble(
     // broadcast each tick (entity-related traffic, which is why Table 8
     // shows entity messages dominating even the Control workload). They are
     // assembled per shard — canonical shard order, player order within a
-    // shard — mirroring how the player stage batches its work. Players that
-    // already stand in that order (one shard's whole roster, say) need no
-    // sort.
-    let position = |pl: &ConnectedPlayer| ClientboundPacket::EntityMove {
-        id: pl.entity_id,
-        pos: pl.pos,
-    };
-    let shard_of = |pl: &ConnectedPlayer| shard_map.shard_of_chunk(pl.chunk());
-    if connected().map(shard_of).is_sorted() {
-        packets.extend(connected().map(position));
-    } else {
-        let mut keyed: Vec<(usize, usize)> = (players.iter().enumerate())
-            .filter(|(_, pl)| !pl.disconnected)
-            .map(|(index, pl)| (shard_of(pl), index))
-            .collect();
-        keyed.sort_unstable();
-        packets.extend(
-            keyed
-                .into_iter()
-                .map(|(_, index)| position(&players[index])),
-        );
-    }
+    // shard — mirroring how the player stage batches its work.
+    let mut keyed: Vec<(usize, usize)> = (players.iter().enumerate())
+        .filter(|(_, pl)| !pl.disconnected)
+        .map(|(index, pl)| (shard_map.shard_of_chunk(pl.chunk()), index))
+        .collect();
+    keyed.sort_unstable();
+    packets.extend(keyed.into_iter().map(|(_, index)| {
+        let pl = &players[index];
+        ClientboundPacket::EntityMove {
+            id: pl.entity_id,
+            pos: pl.pos,
+        }
+    }));
     for change in updates.changes {
         packets.push(ClientboundPacket::BlockChange {
             pos: change.pos,

@@ -199,12 +199,8 @@ fn player_shard_assignment(
     player: &ConnectedPlayer,
     actions: &[ServerboundPacket],
 ) -> Option<usize> {
-    let chunk = player.chunk();
-    let owner = map.interior_shard(chunk)?;
-    // The player's own chunk is interior to `owner`, so an action inside it
-    // needs no lookup.
-    let confined =
-        |pos: BlockPos| pos.chunk() == chunk || map.interior_shard_of_block(pos) == Some(owner);
+    let owner = map.interior_shard(player.chunk())?;
+    let confined = |pos: BlockPos| map.interior_shard_of_block(pos) == Some(owner);
     for action in actions {
         let stays = match action {
             ServerboundPacket::PlayerMove { pos, .. } => confined(pos.block_pos()),
@@ -259,22 +255,22 @@ pub fn process_players_sharded(
     );
     let map = pipeline.shard_map();
     world.reshard(map.clone());
+    let total = players.len();
 
-    // Classification: interior players leave their slots for their shard's
-    // batch; escalated and disconnected players stay where they are.
-    let mut slots: Vec<Option<ConnectedPlayer>> = players.into_iter().map(Some).collect();
+    // Classification: interior batches per shard, escalated tail, and
+    // parked (disconnected) players that only need their slots back.
     let mut batches: Vec<Vec<QueuedPlayer>> = vec![Vec::new(); map.count()];
-    let mut serial: Vec<usize> = Vec::new();
-    for (index, slot) in slots.iter_mut().enumerate() {
-        let Some(player) = slot.as_ref().filter(|player| !player.disconnected) else {
+    let mut serial: Vec<QueuedPlayer> = Vec::new();
+    let mut parked: Vec<(usize, ConnectedPlayer)> = Vec::new();
+    for (index, player) in players.into_iter().enumerate() {
+        if player.disconnected {
+            parked.push((index, player));
             continue;
-        };
-        match player_shard_assignment(map, player, &actions[index]) {
-            Some(shard) => {
-                let queue = std::mem::take(&mut actions[index]);
-                batches[shard].extend(slot.take().map(|player| (index, player, queue)));
-            }
-            None => serial.push(index),
+        }
+        let queue = std::mem::take(&mut actions[index]);
+        match player_shard_assignment(map, &player, &queue) {
+            Some(shard) => batches[shard].push((index, player, queue)),
+            None => serial.push((index, player, queue)),
         }
     }
     let mut stage = ShardedPlayerStage {
@@ -305,28 +301,26 @@ pub fn process_players_sharded(
             }
         },
     );
+    let mut merged: Vec<(usize, ConnectedPlayer)> = Vec::with_capacity(total);
     for (shard, task, outbound) in results {
         stage.per_shard_work[shard] = cost::player_base_work(&task.report);
         stage.report.merge(task.report);
         for pos in outbound {
             world.push_neighbor_update(pos);
         }
-        for (index, player, _) in task.players {
-            slots[index] = Some(player);
-        }
+        merged.extend(task.players.into_iter().map(|(i, p, _)| (i, p)));
     }
 
     // Serial tail: escalated players against the full world, in ascending
     // player order, after every parallel batch has merged.
-    for index in serial {
-        if let Some(player) = &mut slots[index] {
-            let queue = std::mem::take(&mut actions[index]);
-            process_player_actions(world, player, queue, &mut stage.report);
-        }
+    for (index, mut player, queue) in serial {
+        process_player_actions(world, &mut player, queue, &mut stage.report);
+        merged.push((index, player));
     }
 
-    // Every player is back in its slot: the owned phase returns each batch.
-    (slots.into_iter().flatten().collect(), stage)
+    merged.extend(parked);
+    merged.sort_unstable_by_key(|(index, _)| *index);
+    (merged.into_iter().map(|(_, p)| p).collect(), stage)
 }
 
 /// Convenience: the positions of all connected, non-disconnected players,

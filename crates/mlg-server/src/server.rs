@@ -627,7 +627,7 @@ impl GameServer {
     /// a serial flavor's one shard holds every player in one batch, in
     /// player order. The queues are drained once, in player order. On one
     /// shard this costs more host time than the per-player loop it replaced:
-    /// `player_crowd` `run_wall_s` × 1.064 over ten alternating pairs
+    /// `player_crowd` `run_wall_s` × 1.08 over ten alternating pairs
     /// (CHANGES.md, PR 40), inside the benchmark's 25 % bound.
     fn stage_players(&mut self) -> PlayerStage {
         let mut bytes_received = 0u64;
@@ -677,9 +677,6 @@ impl GameServer {
     /// Stage 2: terrain simulation, through the sharded pipeline on every
     /// flavor (one shard for a serial one). Returns the stage report, the
     /// entities spawned from its events and the updates processed per shard.
-    /// On one shard this costs more host time than the serial tick it
-    /// replaced: `env_worlds` `run_wall_s` × 1.035 over ten alternating pairs
-    /// (CHANGES.md, PR 40), inside the benchmark's 25 % bound.
     fn stage_terrain(&mut self) -> (TerrainTickReport, Vec<EventSpawn>, Vec<u64>) {
         let relight_from = self.world.changes().len();
         let ShardedTerrainTick {

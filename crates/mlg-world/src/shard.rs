@@ -74,7 +74,7 @@ use crate::generation::ChunkGenerator;
 use crate::pool::{PoolScope, TickWorkerPool};
 use crate::pos::{BlockPos, ChunkPos};
 use crate::update::{BlockUpdate, UpdateFifo};
-use crate::world::{cursor_way, BlockChange, ShardStore, World, WorldSnapshot, CURSOR_WAYS};
+use crate::world::{BlockChange, ChunkCursor, ShardStore, World, WorldSnapshot};
 
 /// Width of one shard stripe, in chunks, along the x axis.
 ///
@@ -862,13 +862,10 @@ pub struct ShardWorld<'a> {
     /// leaves the cascade to the terrain stage).
     defer_local_pushes: bool,
     owned: OwnedShard,
-    /// The last chunk resolved and its slot in `owned.store`, then the
-    /// earlier ones in a direct-mapped table laid out like the world's
-    /// chunk cursor: every entry passed the ownership check, the map cannot
-    /// change during the phase, and the store only appends, so none goes
-    /// stale.
-    last: Option<(ChunkPos, usize)>,
-    ways: [Option<(ChunkPos, usize)>; CURSOR_WAYS],
+    /// The chunks resolved so far and their slots in `owned.store`: every
+    /// entry passed the ownership check, the map cannot change during the
+    /// phase, and the store only appends, so none goes stale.
+    cursor: ChunkCursor<usize>,
     /// The shard's local work queue: the routed batch, then every interior
     /// neighbour push of the phase, coalesced like the world's queue.
     pub(crate) local: UpdateFifo,
@@ -893,30 +890,24 @@ impl ShardWorld<'_> {
     }
 
     fn owned_chunk_mut(&mut self, chunk_pos: ChunkPos) -> &mut Chunk {
-        let slot = match self.last {
-            Some((at, slot)) if at == chunk_pos => slot,
-            _ => self.resolve_slot(chunk_pos),
+        let slot = match self.cursor.last(chunk_pos) {
+            Some(slot) => slot,
+            None => self.resolve_slot(chunk_pos),
         };
         self.owned.store.slot_mut(slot)
     }
 
-    /// [`ShardWorld::owned_chunk_mut`] past the last chunk: the table, then
-    /// the ownership check and the store.
+    /// [`ShardWorld::owned_chunk_mut`] past the last chunk: the cursor's
+    /// table, then the ownership check and the store.
     #[inline(never)]
     fn resolve_slot(&mut self, chunk_pos: ChunkPos) -> usize {
-        let way = cursor_way(chunk_pos);
-        let slot = match self.ways[way] {
-            Some(entry) if entry.0 == chunk_pos => entry.1,
-            _ => {
-                self.assert_owned(chunk_pos);
-                let (slot, generated) =
-                    self.owned.store.slot_or_generate(chunk_pos, self.generator);
-                self.owned.chunks_generated += u32::from(generated);
-                self.ways[way] = Some((chunk_pos, slot));
-                slot
-            }
-        };
-        self.last = Some((chunk_pos, slot));
+        if let Some(slot) = self.cursor.find(chunk_pos) {
+            return slot;
+        }
+        self.assert_owned(chunk_pos);
+        let (slot, generated) = self.owned.store.slot_or_generate(chunk_pos, self.generator);
+        self.owned.chunks_generated += u32::from(generated);
+        self.cursor.remember(chunk_pos, slot);
         slot
     }
 }
@@ -1102,8 +1093,7 @@ impl World {
                     tick: phase.tick,
                     defer_local_pushes: phase.defer_local_pushes,
                     owned: std::mem::take(&mut job.owned),
-                    last: None,
-                    ways: [None; CURSOR_WAYS],
+                    cursor: ChunkCursor::EMPTY,
                     local: UpdateFifo::default(),
                 };
                 f(&mut view, &mut job.payload, &phase.caller);

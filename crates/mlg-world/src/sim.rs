@@ -991,6 +991,15 @@ mod tests {
     /// `single_shard_pipeline_matches_the_legacy_serial_tick`: due updates,
     /// then the world's immediate queue until it runs dry or the budget is
     /// spent, then the random-tick lottery, all against the whole world.
+    ///
+    /// Two lines differ from the tick it was, and both are where the
+    /// pipeline parts from it. An update waiting in the immediate queue at
+    /// a position due this tick is dropped, because the pipeline's shard
+    /// FIFO coalesces it into the due one
+    /// (`a_position_due_and_waiting_is_dispatched_once`). And the budget is
+    /// checked before the pop: the old loop popped the first update past
+    /// the budget and lost it, where the pipeline sends it back to the
+    /// world's queue.
     fn legacy_serial_tick(
         sim: &TerrainSimulator,
         world: &mut World,
@@ -1004,6 +1013,14 @@ mod tests {
         // 1. Scheduled updates that became due this tick.
         let current_tick = world.current_tick();
         let due = world.updates_mut().pop_due(current_tick);
+        // The pipeline's coalescing: a waiting update at a due position goes.
+        let waiting: Vec<BlockUpdate> =
+            std::iter::from_fn(|| world.updates_mut().pop_immediate()).collect();
+        for update in waiting {
+            if !due.iter().any(|d| d.pos == update.pos) {
+                world.push_neighbor_update(update.pos);
+            }
+        }
         for update in due {
             report.scheduled_updates += 1;
             processed += 1;
@@ -1012,10 +1029,10 @@ mod tests {
 
         // 2. Immediate neighbour updates, including any produced while
         //    processing — this is the cascading simulation-rule loop.
-        while let Some(update) = world.updates_mut().pop_immediate() {
-            if processed >= sim.max_updates_per_tick {
+        while processed < sim.max_updates_per_tick {
+            let Some(update) = world.updates_mut().pop_immediate() else {
                 break;
-            }
+            };
             report.neighbor_updates += 1;
             processed += 1;
             sim.dispatch(world, update, &mut report, &mut events);
@@ -1094,6 +1111,72 @@ mod tests {
             let random_ticks = assert_single_shard_matches_serial(&sim, busy_world, seed);
             assert!(random_ticks > 0, "the lottery must reach the wheat");
             assert_single_shard_matches_serial(&TerrainSimulator::default(), edge_world, seed);
+        }
+    }
+
+    /// The oracle past the tick budget: on one shard the neighbour updates
+    /// a spent budget leaves over travel through the round's leftovers and
+    /// back to the world's queue, where the serial tick left them waiting.
+    /// A budget below a tick's due updates also holds the scheduled ones
+    /// to their exemption (tick 3 fires six fuses and three clocks).
+    #[test]
+    fn single_shard_pipeline_matches_the_legacy_serial_tick_past_the_budget() {
+        for max_updates_per_tick in [4, 25] {
+            let sim = TerrainSimulator {
+                max_updates_per_tick,
+                eager_lighting: false,
+            };
+            let mut w = busy_world(0);
+            w.advance_tick();
+            let (first, _) = sim.tick_with(&mut w, &mut TickScratch::new());
+            let spent = first.neighbor_updates + first.scheduled_updates;
+            assert_eq!(
+                spent,
+                u64::from(max_updates_per_tick),
+                "the first tick spends the budget"
+            );
+            for seed in 0..8 {
+                assert_single_shard_matches_serial(&sim, busy_world, seed);
+            }
+        }
+    }
+
+    /// A position due a scheduled tick that also waits in the world's
+    /// immediate queue at tick start is dispatched once, as scheduled: the
+    /// pipeline routes both into one shard FIFO, which coalesces them by
+    /// position — on one shard (`tick_with`, a serial flavor's tick) as on
+    /// four (Folia's, where the position is interior). The serial tick the
+    /// pipeline replaced dispatched it from each queue.
+    #[test]
+    fn a_position_due_and_waiting_is_dispatched_once() {
+        let pos = BlockPos::new(20, 61, 4);
+        assert!(ShardMap::stripes(4).interior_shard_of_block(pos).is_some());
+        for kind in [BlockKind::Sand, BlockKind::RedstoneDust, BlockKind::Stone] {
+            let build = || {
+                let mut w = world();
+                w.ensure_area(ChunkPos::new(1, 0), 2);
+                w.set_block_silent(pos, Block::simple(kind));
+                w.schedule_tick(pos, 1);
+                w.push_neighbor_update(pos);
+                w.advance_tick();
+                w
+            };
+            let sim = TerrainSimulator::default();
+            let (mut one, mut four) = (build(), build());
+            let (report, events) = sim.tick_with(&mut one, &mut TickScratch::new());
+            assert_eq!(
+                (report.scheduled_updates, report.neighbor_updates),
+                (1, 0),
+                "{kind:?}"
+            );
+            let four_out =
+                sim.tick_sharded_with(&mut four, &TickPipeline::new(4, 1), &mut TickScratch::new());
+            assert_eq!(
+                (four_out.report, four_out.events),
+                (report, events),
+                "{kind:?}"
+            );
+            assert_eq!(four.drain_changes(), one.drain_changes(), "{kind:?}");
         }
     }
 

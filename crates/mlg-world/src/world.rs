@@ -248,33 +248,60 @@ const RELIGHT_CACHE_CAP: usize = 1 << 16;
 /// Ways of [`ChunkCursor::ways`]: one per `(x & 7, z & 7)` of a chunk
 /// position, so any 8 × 8 square of chunks — a spawn window of 7 × 7 among
 /// them — holds one chunk per way.
-pub(crate) const CURSOR_WAYS: usize = 64;
+const CURSOR_WAYS: usize = 64;
 
 /// The way of the chunk cursor that remembers `pos`.
-pub(crate) fn cursor_way(pos: ChunkPos) -> usize {
+fn cursor_way(pos: ChunkPos) -> usize {
     ((pos.x & 7) << 3 | (pos.z & 7)) as usize
 }
 
-/// A chunk the cursor remembers: `(position, shard, slot)`.
-type CursorEntry = Option<(ChunkPos, u32, u32)>;
-
-/// Where [`World::load_chunk`] found chunks, in two levels: the last one,
-/// at a fixed place, which a run of reads inside one column hits without
-/// computing anything, and a direct-mapped table, which reads scattered
-/// over a spawn window hit.
+/// Where chunk reads found chunks, each as an entry `E` (where the chunk
+/// is stored), in two levels: the last one, at a fixed place, which a run
+/// of reads inside one column hits without computing anything, and a
+/// direct-mapped table, which reads scattered over a spawn window hit.
+/// [`World::load_chunk`] and the owned-phase view
+/// [`ShardWorld`](crate::shard::ShardWorld) each keep one.
 #[derive(Debug, Clone, Copy)]
-struct ChunkCursor {
-    last: CursorEntry,
+pub(crate) struct ChunkCursor<E> {
+    last: Option<(ChunkPos, E)>,
     /// `ways[cursor_way(position)]` is the last chunk found in that way.
-    ways: [CursorEntry; CURSOR_WAYS],
+    ways: [Option<(ChunkPos, E)>; CURSOR_WAYS],
 }
 
-impl ChunkCursor {
+impl<E: Copy> ChunkCursor<E> {
     /// A cursor that remembers nothing.
-    const EMPTY: ChunkCursor = ChunkCursor {
+    pub(crate) const EMPTY: Self = ChunkCursor {
         last: None,
         ways: [None; CURSOR_WAYS],
     };
+
+    /// The entry of `pos` when it is the last chunk found: the only check
+    /// to inline into reads.
+    #[inline]
+    pub(crate) fn last(&self, pos: ChunkPos) -> Option<E> {
+        match self.last {
+            Some((at, entry)) if at == pos => Some(entry),
+            _ => None,
+        }
+    }
+
+    /// The entry of `pos` from the table, which makes it the last chunk
+    /// found.
+    pub(crate) fn find(&mut self, pos: ChunkPos) -> Option<E> {
+        match self.ways[cursor_way(pos)] {
+            Some((at, entry)) if at == pos => {
+                self.last = Some((pos, entry));
+                Some(entry)
+            }
+            _ => None,
+        }
+    }
+
+    /// Remembers `entry` for `pos`, as the last chunk found and in its way.
+    pub(crate) fn remember(&mut self, pos: ChunkPos, entry: E) {
+        self.last = Some((pos, entry));
+        self.ways[cursor_way(pos)] = Some((pos, entry));
+    }
 }
 
 /// The game world.
@@ -293,8 +320,8 @@ pub struct World {
     /// store stays in place (chunks are only ever appended), so the whole
     /// cursor is cleared exactly where stores move: `reshard`,
     /// `take_shard_store`, `put_shard_store`, `snapshot_chunks` and
-    /// `restore_chunks`.
-    cursor: ChunkCursor,
+    /// `restore_chunks`. An entry is the chunk's `(shard, slot)`.
+    cursor: ChunkCursor<(u32, u32)>,
     /// Version of the stored terrain: see [`World::terrain_epoch`].
     terrain_epoch: u64,
     /// `Arc` rather than `Box` so tick-phase contexts can own a handle and
@@ -517,12 +544,10 @@ impl World {
     /// check of the last chunk is inlined into callers.
     #[inline]
     fn load_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
-        if let Some((at, shard, slot)) = self.cursor.last {
-            if at == pos {
-                let chunk = &mut self.stores[shard as usize].chunks[slot as usize];
-                debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
-                return (chunk, false);
-            }
+        if let Some((shard, slot)) = self.cursor.last(pos) {
+            let chunk = &mut self.stores[shard as usize].chunks[slot as usize];
+            debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
+            return (chunk, false);
         }
         self.resolve_chunk(pos)
     }
@@ -532,10 +557,9 @@ impl World {
     /// generation.
     #[inline(never)]
     fn resolve_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
-        let way = cursor_way(pos);
-        let (entry, generated) = match self.cursor.ways[way] {
-            Some(entry) if entry.0 == pos => (entry, false),
-            _ => {
+        let ((shard, slot), generated) = match self.cursor.find(pos) {
+            Some(entry) => (entry, false),
+            None => {
                 let shard = self.shard_map.shard_of_chunk(pos);
                 let store = &mut self.stores[shard];
                 let loaded = store.index.get(&pos).copied();
@@ -545,13 +569,12 @@ impl World {
                     self.terrain_epoch += 1;
                     store.chunks.len() - 1
                 });
-                let entry = (pos, shard as u32, slot as u32);
-                self.cursor.ways[way] = Some(entry);
+                let entry = (shard as u32, slot as u32);
+                self.cursor.remember(pos, entry);
                 (entry, loaded.is_none())
             }
         };
-        self.cursor.last = Some(entry);
-        let chunk = &mut self.stores[entry.1 as usize].chunks[entry.2 as usize];
+        let chunk = &mut self.stores[shard as usize].chunks[slot as usize];
         debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
         (chunk, generated)
     }
