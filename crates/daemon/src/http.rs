@@ -17,10 +17,10 @@
 //! [`DaemonHandle`] lock.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::RecvTimeoutError;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use meterstick::sink::json_escape;
 use mlg_server::TickStageBreakdown;
@@ -36,6 +36,12 @@ const SSE_POLL: Duration = Duration::from_millis(100);
 /// the blank line; a longer head is answered `431` and closed, so no
 /// client can grow a buffer inside the resident process.
 const MAX_REQUEST_HEAD_BYTES: u64 = 8 * 1024;
+/// After a refusal, the most of the unread request the server reads and
+/// discards, and for how long: closing a socket with input still unread
+/// resets the connection, which can destroy the answer before the client
+/// reads it.
+const DRAIN_AFTER_REFUSAL_BYTES: u64 = 1024 * 1024;
+const DRAIN_AFTER_REFUSAL: Duration = Duration::from_secs(1);
 
 /// Starts the HTTP server on `listener` in a background thread; the thread
 /// exits once [`DaemonHandle::request_shutdown`] has been called.
@@ -99,12 +105,14 @@ fn handle_connection(stream: TcpStream, handle: &DaemonHandle) -> std::io::Resul
     };
     let mut stream = reader.into_inner().into_inner();
     if !head_complete {
-        return respond(
+        respond(
             &mut stream,
             431,
             "application/json",
             "{\"error\":\"request head too large\"}",
-        );
+        )?;
+        drain_after_refusal(&stream);
+        return Ok(());
     }
     match (method.as_str(), path.as_str()) {
         ("GET", "/status") => respond(&mut stream, 200, "application/json", &status_json(handle)),
@@ -134,6 +142,22 @@ fn handle_connection(stream: TcpStream, handle: &DaemonHandle) -> std::io::Resul
             "application/json",
             "{\"error\":\"unknown route\"}",
         ),
+    }
+}
+
+/// Ends a refused connection: the answer is sent, so shut the write side
+/// (the client sees the end of the answer) and read what the client still
+/// sends, up to a bound in bytes and in time, before the socket closes.
+fn drain_after_refusal(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_AFTER_REFUSAL;
+    let mut rest = stream.take(DRAIN_AFTER_REFUSAL_BYTES);
+    let mut buf = [0u8; 4096];
+    while Instant::now() < deadline {
+        match rest.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
     }
 }
 

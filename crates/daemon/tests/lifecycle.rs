@@ -365,3 +365,43 @@ fn oversized_request_heads_are_refused_and_the_server_keeps_serving() {
     handle.request_shutdown();
     server.join().expect("HTTP thread exits after shutdown");
 }
+
+#[test]
+fn a_slow_oversized_head_still_reads_its_431() {
+    use std::io::{Read, Write};
+
+    let daemon = Daemon::new(DaemonConfig::default());
+    let handle = daemon.handle();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server = http::spawn(listener, handle.clone()).expect("server starts");
+
+    // 256 KiB of headers, 32 times the server's 8 KiB cap, sent in 16 KiB
+    // chunks with pauses: most of the head is still on its way when the
+    // server refuses it, and the answer must survive the rest arriving.
+    let mut stream = std::net::TcpStream::connect(addr).expect("daemon accepts");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut head = b"GET /status HTTP/1.1\r\n".to_vec();
+    let mut i = 0;
+    while head.len() < 256 * 1024 {
+        head.extend_from_slice(format!("X-Filler-{i}: {i}\r\n").as_bytes());
+        i += 1;
+    }
+    for chunk in head.chunks(16 * 1024) {
+        stream
+            .write_all(chunk)
+            .expect("the server reads the whole head");
+        thread::sleep(Duration::from_millis(15));
+    }
+    let mut answer = Vec::new();
+    stream
+        .read_to_end(&mut answer)
+        .expect("the answer is read, not reset");
+    let answer = String::from_utf8_lossy(&answer);
+    assert!(answer.starts_with("HTTP/1.1 431 "), "{answer}");
+
+    handle.request_shutdown();
+    server.join().expect("HTTP thread exits after shutdown");
+}

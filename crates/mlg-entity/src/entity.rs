@@ -190,19 +190,17 @@ impl Entity {
     }
 
     /// Returns `true` if this entity should despawn given its age and the
-    /// distance (in blocks) to the nearest player.
+    /// positions of the players: past its age limit, a hostile mob despawns
+    /// only when no player is within 32 blocks, anything else always. Only
+    /// such a mob measures distances, and it stops at the first player in
+    /// range.
     #[must_use]
-    pub fn should_despawn(&self, nearest_player_distance: f64) -> bool {
+    pub fn should_despawn(&self, players: &[Vec3]) -> bool {
         match self.kind.despawn_after_ticks() {
-            None => false,
-            Some(limit) => {
-                if self.kind.is_hostile() {
-                    // Hostile mobs only despawn when no player is nearby.
-                    self.age > limit && nearest_player_distance > 32.0
-                } else {
-                    self.age > limit
-                }
+            Some(limit) if self.age > limit => {
+                !self.kind.is_hostile() || !players.iter().any(|p| p.distance(self.pos) <= 32.0)
             }
+            _ => false,
         }
     }
 }
@@ -241,24 +239,79 @@ mod tests {
             EntityKind::Item(BlockKind::Cobblestone),
             Vec3::ZERO,
         );
-        assert!(!e.should_despawn(1.0));
+        let near = [Vec3::new(1.0, 0.0, 0.0)];
+        assert!(!e.should_despawn(&near));
         e.age = 6_001;
-        assert!(e.should_despawn(1.0));
+        assert!(e.should_despawn(&near));
     }
 
     #[test]
     fn hostile_mobs_only_despawn_far_from_players() {
         let mut e = Entity::new(EntityId(5), EntityKind::Zombie, Vec3::ZERO);
         e.age = 10_000;
-        assert!(!e.should_despawn(5.0));
-        assert!(e.should_despawn(100.0));
+        let far = Vec3::new(100.0, 0.0, 0.0);
+        assert!(!e.should_despawn(&[far, Vec3::new(0.0, 5.0, 0.0)]));
+        assert!(e.should_despawn(&[far]));
+        assert!(e.should_despawn(&[]));
     }
 
     #[test]
     fn villagers_never_despawn() {
         let mut e = Entity::new(EntityId(6), EntityKind::Villager, Vec3::ZERO);
         e.age = 1_000_000;
-        assert!(!e.should_despawn(1_000.0));
+        assert!(!e.should_despawn(&[Vec3::new(1_000.0, 0.0, 0.0)]));
+    }
+
+    /// The decision as it was: every player's distance folded to the
+    /// nearest, then tested.
+    fn despawns_by_the_nearest_player(entity: &Entity, players: &[Vec3]) -> bool {
+        let nearest = players
+            .iter()
+            .map(|p| p.distance(entity.pos))
+            .fold(f64::INFINITY, f64::min);
+        match entity.kind.despawn_after_ticks() {
+            None => false,
+            Some(limit) if entity.kind.is_hostile() => entity.age > limit && nearest > 32.0,
+            Some(limit) => entity.age > limit,
+        }
+    }
+
+    proptest::proptest! {
+        /// The early-stopping scan decides like the fold over every player,
+        /// on random kinds, ages and positions, with up to five players (none
+        /// included), some of them right at the 32-block edge.
+        #[test]
+        fn despawn_scan_matches_the_nearest_player_fold(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let kinds = [
+                EntityKind::Zombie,
+                EntityKind::Skeleton,
+                EntityKind::Cow,
+                EntityKind::Villager,
+                EntityKind::ExperienceOrb,
+                EntityKind::Item(BlockKind::Sand),
+                EntityKind::PrimedTnt,
+            ];
+            for _ in 0..64 {
+                let kind = kinds[rng.gen_range(0..kinds.len())];
+                let pos = Vec3::new(rng.gen_range(-40.0..40.0), 64.0, rng.gen_range(-40.0..40.0));
+                let mut e = Entity::new(EntityId(1), kind, pos);
+                e.age = rng.gen_range(0..7_000);
+                let players: Vec<Vec3> = (0..rng.gen_range(0..6))
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => pos.add(Vec3::new(32.0, 0.0, 0.0)),
+                        _ => Vec3::new(rng.gen_range(-80.0..80.0), 64.0, rng.gen_range(-80.0..80.0)),
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(
+                    e.should_despawn(&players),
+                    despawns_by_the_nearest_player(&e, &players),
+                    "{:?} aged {} at {:?} with players {:?}", kind, e.age, pos, players
+                );
+            }
+        }
     }
 
     #[test]

@@ -476,11 +476,7 @@ impl EntityManager {
         // deterministic.
         let mut despawn_ids: Vec<EntityId> = Vec::new();
         for entity in self.store.iter_live() {
-            let nearest = players
-                .iter()
-                .map(|p| p.distance(entity.pos))
-                .fold(f64::INFINITY, f64::min);
-            if entity.should_despawn(nearest) {
+            if entity.should_despawn(players) {
                 despawn_ids.push(entity.id);
             }
         }

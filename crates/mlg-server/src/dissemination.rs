@@ -14,7 +14,7 @@ use mlg_protocol::{ClientboundPacket, TrafficAccountant};
 use mlg_world::shard::ShardMap;
 use mlg_world::world::BlockChange;
 
-use crate::handler::PendingChat;
+use crate::handler::{PendingChat, ShardOrder};
 use crate::player::{ConnectedPlayer, PlayerId};
 use crate::queues::{NetworkingQueues, PacketRecipients};
 
@@ -41,6 +41,7 @@ pub(crate) fn assemble(
     packets: &mut Vec<ClientboundPacket>,
     players: &[ConnectedPlayer],
     shard_map: &ShardMap,
+    position_order: &mut ShardOrder,
     updates: &TickUpdates<'_>,
     spawn_point: Vec3,
     tick_index: u64,
@@ -61,13 +62,12 @@ pub(crate) fn assemble(
     // shows entity messages dominating even the Control workload). They are
     // assembled per shard — canonical shard order, player order within a
     // shard — mirroring how the player stage batches its work.
-    let mut keyed: Vec<(usize, usize)> = (players.iter().enumerate())
-        .filter(|(_, pl)| !pl.disconnected)
-        .map(|(index, pl)| (shard_map.shard_of_chunk(pl.chunk()), index))
-        .collect();
-    keyed.sort_unstable();
-    packets.extend(keyed.into_iter().map(|(_, index)| {
-        let pl = &players[index];
+    let owners = players
+        .iter()
+        .map(|pl| (!pl.disconnected).then(|| shard_map.shard_of_chunk(pl.chunk())));
+    position_order.sort(shard_map.count(), owners);
+    packets.extend(position_order.all().iter().map(|&index| {
+        let pl = &players[index as usize];
         ClientboundPacket::EntityMove {
             id: pl.entity_id,
             pos: pl.pos,

@@ -889,21 +889,19 @@ impl ShardWorld<'_> {
         );
     }
 
+    #[inline]
     fn owned_chunk_mut(&mut self, chunk_pos: ChunkPos) -> &mut Chunk {
-        let slot = match self.cursor.last(chunk_pos) {
+        let slot = match self.cursor.find(chunk_pos) {
             Some(slot) => slot,
             None => self.resolve_slot(chunk_pos),
         };
         self.owned.store.slot_mut(slot)
     }
 
-    /// [`ShardWorld::owned_chunk_mut`] past the last chunk: the cursor's
-    /// table, then the ownership check and the store.
+    /// [`ShardWorld::owned_chunk_mut`] past the cursor: the ownership
+    /// check and the store.
     #[inline(never)]
     fn resolve_slot(&mut self, chunk_pos: ChunkPos) -> usize {
-        if let Some(slot) = self.cursor.find(chunk_pos) {
-            return slot;
-        }
         self.assert_owned(chunk_pos);
         let (slot, generated) = self.owned.store.slot_or_generate(chunk_pos, self.generator);
         self.owned.chunks_generated += u32::from(generated);
@@ -1954,5 +1952,146 @@ mod tests {
             assert_eq!(actual, &expected);
         }
         assert_eq!(w.loaded_chunk_count(), loaded_before);
+    }
+
+    /// A seeded xorshift for the cursor proptest: `below(n)` is in `0..n`.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    /// What an owned-phase view read: `(position, answer, uncached answer,
+    /// whether the read generated the chunk)`.
+    type ViewRead = (BlockPos, Block, Block, bool);
+
+    proptest::proptest! {
+        /// Both chunk cursors answer like the uncached lookup. Reads and
+        /// writes land on 14 × 10 chunks — more than the cursor's 64 ways,
+        /// so ways collide — of which the outer rim is generated by the
+        /// first read, interleaved with reshards, owned phases (whose view
+        /// keeps its own cursor) and frozen phases. `World` must answer like
+        /// `chunk_if_loaded`, a view like its store's index, and the
+        /// generation count must be the number of chunks first touched.
+        #[test]
+        fn chunk_cursors_answer_like_the_uncached_lookup(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = Xorshift(seed | 1);
+            let (mut w, _) = marked_world();
+            w.advance_tick();
+            let kinds = [BlockKind::Stone, BlockKind::Sand, BlockKind::Glass, BlockKind::Planks];
+            let mut generated = 0u32;
+            let pick = |rng: &mut Xorshift| {
+                let chunk = ChunkPos::new(rng.below(14) as i32 - 1, rng.below(10) as i32 - 2);
+                chunk
+                    .origin_block()
+                    .offset(rng.below(16) as i32, 58 + rng.below(16) as i32, rng.below(16) as i32)
+            };
+            for _ in 0..200 {
+                match rng.below(16) {
+                    0..=6 => {
+                        let pos = pick(&mut rng);
+                        let (lx, y, lz) = pos.local();
+                        let before = w.chunk_if_loaded(pos.chunk()).map(|c| c.block(lx, y, lz));
+                        let got = w.block(pos);
+                        generated += u32::from(before.is_none());
+                        proptest::prop_assert_eq!(got, w.block_if_loaded(pos), "read of {}", pos);
+                    }
+                    7..=8 => {
+                        let pos = pick(&mut rng);
+                        let (lx, _, lz) = pos.local();
+                        let loaded = w.chunk_if_loaded(pos.chunk()).is_some();
+                        let got = w.column_gap(pos.x, pos.z);
+                        generated += u32::from(!loaded);
+                        let chunk = w.chunk_if_loaded(pos.chunk()).expect("a read loads its chunk");
+                        proptest::prop_assert_eq!(got, chunk.column_gap(lx, lz), "gap at {}", pos);
+                    }
+                    9..=10 => {
+                        let pos = pick(&mut rng);
+                        let block = Block::simple(kinds[rng.below(4) as usize]);
+                        generated += u32::from(w.chunk_if_loaded(pos.chunk()).is_none());
+                        w.set_block_silent(pos, block);
+                        proptest::prop_assert_eq!(w.block_if_loaded(pos), block, "write to {}", pos);
+                    }
+                    11 => {
+                        let map = match rng.below(3) {
+                            0 => ShardMap::stripes(1 + rng.below(5) as u32),
+                            1 => ShardMap::regions_over(w.chunk_bounds()),
+                            _ => ShardMap::regions_over(w.chunk_bounds())
+                                .split_largest_leaf()
+                                .expect("the world is wider than one region"),
+                        };
+                        w.reshard(map);
+                    }
+                    12..=13 => {
+                        // One shard's view: reads of its own chunks only,
+                        // with writes among them.
+                        let shard = rng.below(w.shard_map().count() as u64) as usize;
+                        let mut ops = Vec::new();
+                        for _ in 0..64 {
+                            let pos = pick(&mut rng);
+                            if w.shard_map().shard_of_block(pos) == shard {
+                                let write = (rng.below(4) == 0)
+                                    .then(|| Block::simple(kinds[rng.below(4) as usize]));
+                                ops.push((pos, write));
+                            }
+                        }
+                        let scope = PoolScope::scoped(1 + rng.below(2) as u32);
+                        let work = vec![(shard, (ops, Vec::<ViewRead>::new()))];
+                        let (mut done, ()) = w.run_owned_phase(
+                            &scope,
+                            true,
+                            work,
+                            (),
+                            |view, (ops, reads), ()| {
+                                for &(pos, write) in ops.iter() {
+                                    let (lx, y, lz) = pos.local();
+                                    let uncached = |view: &ShardWorld<'_>| {
+                                        let chunk = view.owned.store.get(pos.chunk());
+                                        chunk.map(|c| c.block(lx, y, lz))
+                                    };
+                                    let before = uncached(view);
+                                    let got = match write {
+                                        Some(block) => {
+                                            view.set_block(pos, block);
+                                            block
+                                        }
+                                        None => view.block(pos),
+                                    };
+                                    let after = uncached(view).expect("a read loads its chunk");
+                                    reads.push((pos, got, after, before.is_none()));
+                                }
+                            },
+                        );
+                        let (_, (_, reads), _) = done.pop().expect("one shard ran");
+                        for (pos, got, uncached, fresh) in reads {
+                            generated += u32::from(fresh);
+                            proptest::prop_assert_eq!(got, uncached, "view read of {}", pos);
+                            proptest::prop_assert_eq!(w.block_if_loaded(pos), w.block(pos));
+                        }
+                    }
+                    _ => {
+                        let reads: Vec<BlockPos> = (0..8).map(|_| pick(&mut rng)).collect();
+                        let expected: Vec<Block> =
+                            reads.iter().map(|&pos| w.block_if_loaded(pos)).collect();
+                        let (tasks, ()) = w.run_frozen_phase(
+                            &PoolScope::scoped(1),
+                            vec![(reads, Vec::new())],
+                            (),
+                            |mut frozen, (reads, out): &mut (Vec<BlockPos>, Vec<Block>), ()| {
+                                out.extend(reads.iter().map(|&pos| frozen.block(pos)));
+                            },
+                        );
+                        proptest::prop_assert_eq!(&tasks[0].1, &expected);
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(w.chunks_generated_this_tick(), generated);
+            proptest::prop_assert_eq!(w.loaded_chunk_count(), 96 + generated as usize);
+        }
     }
 }

@@ -295,7 +295,9 @@ impl TerrainSimulator {
         scope: &PoolScope<'_>,
         scratch: &mut TickScratch,
     ) -> ShardedTerrainTick {
-        world.reshard(map.clone());
+        if world.shard_map() != map {
+            world.reshard(map.clone());
+        }
         let changes_before = world.changes().len();
         let mut out = ShardedTerrainTick {
             report: TerrainTickReport::default(),

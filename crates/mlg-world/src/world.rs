@@ -21,12 +21,12 @@
 //! SipHash — the tables are only ever probed, so their order never
 //! escapes, which detlint's `no-hash-iteration` rule keeps true. And
 //! [`World`] remembers where it found chunks, as `(position, shard, slot)`
-//! entries in front of the shard map and the index, in two levels: the
-//! last chunk found, checked inline by every read because reads come in
-//! runs inside one column, and behind it a 64-way direct-mapped table, one
-//! way per `(x & 7, z & 7)` of a chunk position, because a player's spawn
-//! candidates scatter over a 7 × 7-chunk window whose chunks all land in
-//! different ways. Every entry is dropped by the five functions that move
+//! entries in front of the shard map and the index, in one 64-way
+//! direct-mapped table, one way per `(x & 7, z & 7)` of a chunk position:
+//! a run of reads inside one column hits one way, and a player's spawn
+//! candidates, which scatter over a 7 × 7-chunk window, land in different
+//! ways. Every read probes the table inline and writes nothing on a hit.
+//! Every entry is dropped by the five functions that move
 //! stores (`reshard`, `take_shard_store`, `put_shard_store`,
 //! `snapshot_chunks`, `restore_chunks`) and by nothing else, since chunks
 //! are otherwise only appended.
@@ -256,14 +256,12 @@ fn cursor_way(pos: ChunkPos) -> usize {
 }
 
 /// Where chunk reads found chunks, each as an entry `E` (where the chunk
-/// is stored), in two levels: the last one, at a fixed place, which a run
-/// of reads inside one column hits without computing anything, and a
-/// direct-mapped table, which reads scattered over a spawn window hit.
-/// [`World::load_chunk`] and the owned-phase view
-/// [`ShardWorld`](crate::shard::ShardWorld) each keep one.
+/// is stored): a direct-mapped table, which runs of reads inside one
+/// column and reads scattered over a spawn window both hit. A hit is one
+/// probe and writes nothing. [`World::load_chunk`] and the owned-phase
+/// view [`ShardWorld`](crate::shard::ShardWorld) each keep one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChunkCursor<E> {
-    last: Option<(ChunkPos, E)>,
     /// `ways[cursor_way(position)]` is the last chunk found in that way.
     ways: [Option<(ChunkPos, E)>; CURSOR_WAYS],
 }
@@ -271,35 +269,20 @@ pub(crate) struct ChunkCursor<E> {
 impl<E: Copy> ChunkCursor<E> {
     /// A cursor that remembers nothing.
     pub(crate) const EMPTY: Self = ChunkCursor {
-        last: None,
         ways: [None; CURSOR_WAYS],
     };
 
-    /// The entry of `pos` when it is the last chunk found: the only check
-    /// to inline into reads.
+    /// The entry of `pos`, when its way remembers it.
     #[inline]
-    pub(crate) fn last(&self, pos: ChunkPos) -> Option<E> {
-        match self.last {
+    pub(crate) fn find(&self, pos: ChunkPos) -> Option<E> {
+        match self.ways[cursor_way(pos)] {
             Some((at, entry)) if at == pos => Some(entry),
             _ => None,
         }
     }
 
-    /// The entry of `pos` from the table, which makes it the last chunk
-    /// found.
-    pub(crate) fn find(&mut self, pos: ChunkPos) -> Option<E> {
-        match self.ways[cursor_way(pos)] {
-            Some((at, entry)) if at == pos => {
-                self.last = Some((pos, entry));
-                Some(entry)
-            }
-            _ => None,
-        }
-    }
-
-    /// Remembers `entry` for `pos`, as the last chunk found and in its way.
+    /// Remembers `entry` for `pos` in its way.
     pub(crate) fn remember(&mut self, pos: ChunkPos, entry: E) {
-        self.last = Some((pos, entry));
         self.ways[cursor_way(pos)] = Some((pos, entry));
     }
 }
@@ -540,11 +523,11 @@ impl World {
     /// Reads come in runs inside one chunk column (an entity's collision
     /// box, a pathfinding neighbourhood) or scatter over a few nearby
     /// chunks (a player's spawn candidates), so resolutions are kept in
-    /// `cursor` and a repeat skips the shard map and the index. Only the
-    /// check of the last chunk is inlined into callers.
+    /// `cursor` and a repeat skips the shard map and the index. The
+    /// cursor's one probe is inlined into callers.
     #[inline]
     fn load_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
-        if let Some((shard, slot)) = self.cursor.last(pos) {
+        if let Some((shard, slot)) = self.cursor.find(pos) {
             let chunk = &mut self.stores[shard as usize].chunks[slot as usize];
             debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
             return (chunk, false);
@@ -552,31 +535,21 @@ impl World {
         self.resolve_chunk(pos)
     }
 
-    /// [`World::load_chunk`] past the last chunk: the cursor's table, then
-    /// the shard map, the index and, for a chunk not loaded yet,
-    /// generation.
+    /// [`World::load_chunk`] past the cursor: the shard map, the index
+    /// and, for a chunk not loaded yet, generation.
     #[inline(never)]
     fn resolve_chunk(&mut self, pos: ChunkPos) -> (&mut Chunk, bool) {
-        let ((shard, slot), generated) = match self.cursor.find(pos) {
-            Some(entry) => (entry, false),
-            None => {
-                let shard = self.shard_map.shard_of_chunk(pos);
-                let store = &mut self.stores[shard];
-                let loaded = store.index.get(&pos).copied();
-                let slot = loaded.unwrap_or_else(|| {
-                    store.insert(self.generator.generate(pos));
-                    self.chunks_generated_this_tick += 1;
-                    self.terrain_epoch += 1;
-                    store.chunks.len() - 1
-                });
-                let entry = (shard as u32, slot as u32);
-                self.cursor.remember(pos, entry);
-                (entry, loaded.is_none())
-            }
-        };
-        let chunk = &mut self.stores[shard as usize].chunks[slot as usize];
-        debug_assert_eq!(chunk.pos(), pos, "chunk cursor outlived a store move");
-        (chunk, generated)
+        let shard = self.shard_map.shard_of_chunk(pos);
+        let store = &mut self.stores[shard];
+        let loaded = store.index.get(&pos).copied();
+        let slot = loaded.unwrap_or_else(|| {
+            store.insert(self.generator.generate(pos));
+            self.chunks_generated_this_tick += 1;
+            self.terrain_epoch += 1;
+            store.chunks.len() - 1
+        });
+        self.cursor.remember(pos, (shard as u32, slot as u32));
+        (&mut store.chunks[slot], loaded.is_none())
     }
 
     /// Ensures the chunk at `pos` is loaded, generating it if needed, and
