@@ -376,9 +376,14 @@ fn a_slow_oversized_head_still_reads_its_431() {
     let addr = listener.local_addr().unwrap();
     let server = http::spawn(listener, handle.clone()).expect("server starts");
 
-    // 256 KiB of headers, 32 times the server's 8 KiB cap, sent in 16 KiB
-    // chunks with pauses: most of the head is still on its way when the
-    // server refuses it, and the answer must survive the rest arriving.
+    // Up to 256 KiB of headers, 32 times the server's 8 KiB cap, sent in
+    // 16 KiB chunks with pauses: the head is still on its way when the
+    // server refuses it, and the answer must survive what is unread. The
+    // client stops sending at the first failed write (the server drains
+    // only up to a bound) or once the answer has begun to arrive. It must
+    // not write on: a write that meets a reset takes the socket's error, and
+    // `read_to_end` would then read the answer and a clean end even from a
+    // server that reset the connection.
     let mut stream = std::net::TcpStream::connect(addr).expect("daemon accepts");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -389,11 +394,20 @@ fn a_slow_oversized_head_still_reads_its_431() {
         head.extend_from_slice(format!("X-Filler-{i}: {i}\r\n").as_bytes());
         i += 1;
     }
+    let answered = |stream: &std::net::TcpStream| {
+        stream.set_nonblocking(true).unwrap();
+        let pending = stream.peek(&mut [0u8]);
+        stream.set_nonblocking(false).unwrap();
+        !matches!(pending, Err(err) if err.kind() == std::io::ErrorKind::WouldBlock)
+    };
     for chunk in head.chunks(16 * 1024) {
-        stream
-            .write_all(chunk)
-            .expect("the server reads the whole head");
+        if stream.write_all(chunk).is_err() {
+            break;
+        }
         thread::sleep(Duration::from_millis(15));
+        if answered(&stream) {
+            break;
+        }
     }
     let mut answer = Vec::new();
     stream

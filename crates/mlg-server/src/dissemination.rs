@@ -41,7 +41,6 @@ pub(crate) fn assemble(
     packets: &mut Vec<ClientboundPacket>,
     players: &[ConnectedPlayer],
     shard_map: &ShardMap,
-    position_order: &mut ShardOrder,
     updates: &TickUpdates<'_>,
     spawn_point: Vec3,
     tick_index: u64,
@@ -65,8 +64,8 @@ pub(crate) fn assemble(
     let owners = players
         .iter()
         .map(|pl| (!pl.disconnected).then(|| shard_map.shard_of_chunk(pl.chunk())));
-    position_order.sort(shard_map.count(), owners);
-    packets.extend(position_order.all().iter().map(|&index| {
+    let order = ShardOrder::new(shard_map.count(), owners);
+    packets.extend(order.all().iter().map(|&index| {
         let pl = &players[index as usize];
         ClientboundPacket::EntityMove {
             id: pl.entity_id,

@@ -216,49 +216,39 @@ fn player_shard_assignment(
     Some(owner)
 }
 
-/// Indices grouped by a small key, in (key, index) order, with the buffers
-/// kept between uses: one counting pass instead of a comparison sort.
-#[derive(Debug, Default)]
+/// Indices grouped by a small key, in (key, index) order: one counting pass
+/// instead of a comparison sort.
+#[derive(Debug)]
 pub(crate) struct ShardOrder {
-    /// After [`ShardOrder::sort`], `bounds[key]..bounds[key + 1]` is the
-    /// range of `order` that holds `key`'s indices.
+    /// `bounds[key]..bounds[key + 1]` is the range of `order` that holds
+    /// `key`'s indices.
     bounds: Vec<usize>,
     /// Every keyed index, grouped by key, ascending inside a group.
     order: Vec<u32>,
-    /// The key of each index (`u32::MAX`: none), in index order.
-    keys: Vec<u32>,
 }
 
 impl ShardOrder {
     /// Orders the indices of `keys` whose key is `Some` by key, then by
     /// index; every key is below `key_count`.
-    pub(crate) fn sort(&mut self, key_count: usize, keys: impl Iterator<Item = Option<usize>>) {
-        self.bounds.clear();
-        self.bounds.resize(key_count + 1, 0);
-        self.keys.clear();
-        let mut total = 0;
-        for key in keys {
-            if let Some(key) = key {
-                self.bounds[key] += 1;
-                total += 1;
-            }
-            self.keys.push(key.map_or(u32::MAX, |key| key as u32));
+    pub(crate) fn new(key_count: usize, keys: impl Iterator<Item = Option<usize>>) -> Self {
+        let keys: Vec<Option<usize>> = keys.collect();
+        let mut bounds = vec![0; key_count + 1];
+        for &key in keys.iter().flatten() {
+            bounds[key] += 1;
         }
         // Running sums: `bounds[key]` is where `key`'s range ends, and the
         // backward pass below moves it to where the range starts.
-        for key in 1..key_count {
-            self.bounds[key] += self.bounds[key - 1];
+        for key in 1..=key_count {
+            bounds[key] += bounds[key - 1];
         }
-        self.bounds[key_count] = total;
-        self.order.clear();
-        self.order.resize(total, 0);
-        for (index, &key) in self.keys.iter().enumerate().rev() {
-            if key != u32::MAX {
-                let end = &mut self.bounds[key as usize];
-                *end -= 1;
-                self.order[*end] = index as u32;
+        let mut order = vec![0; bounds[key_count]];
+        for (index, key) in keys.iter().enumerate().rev() {
+            if let Some(key) = *key {
+                bounds[key] -= 1;
+                order[bounds[key]] = index as u32;
             }
         }
+        ShardOrder { bounds, order }
     }
 
     /// The indices with key `key`, ascending.
@@ -272,7 +262,7 @@ impl ShardOrder {
     }
 }
 
-/// One player's place in a batch: `(players-slice index, player, drained
+/// One player's place in a batch: `(players-vec index, player, drained
 /// action queue)`.
 type QueuedPlayer = (usize, ConnectedPlayer, Vec<ServerboundPacket>);
 
@@ -283,26 +273,17 @@ struct PlayerShardTask {
     report: PlayerStageReport,
 }
 
-/// The player stage's buffers, kept between ticks by the server so that a
-/// tick allocates none of them.
-#[derive(Default)]
-pub(crate) struct PlayerBatches {
-    /// Connected players by batch: shard `s` is batch `s`, and the serial
-    /// tail is batch `map.count()`.
-    order: ShardOrder,
-    /// Emptied batch buffers, kept for their capacity.
-    spare: Vec<Vec<QueuedPlayer>>,
-}
-
 /// Runs the sharded player stage: batches `players` by owning shard,
 /// processes interior batches concurrently against per-shard world views,
 /// runs the escalated tail serially, merges every side effect in canonical
 /// shard order, and returns the players in their original order.
 ///
 /// `actions` is parallel to `players` (one drained queue per player;
-/// disconnected players must have empty queues). The caller passes the
-/// players by value so each shard worker can own its batch outright — the
-/// returned vector restores the original indexing exactly.
+/// disconnected players must have empty queues). Each connected player is
+/// classified once, into its shard's batch or the serial tail
+/// ([`ShardOrder`]); a batch's players leave their slots for the owned
+/// phase and return to them by index, and the tail and every disconnected
+/// player never leave theirs.
 ///
 /// Determinism: batch assignment is a pure function of (map, players,
 /// actions); shard batches merge in ascending shard order with players in
@@ -315,47 +296,22 @@ pub fn process_players_sharded(
     mut actions: Vec<Vec<ServerboundPacket>>,
     pipeline: &TickPipeline,
 ) -> (Vec<ConnectedPlayer>, ShardedPlayerStage) {
-    let stage = run_player_stage(
-        world,
-        &mut players,
-        &mut actions,
-        pipeline,
-        &mut PlayerBatches::default(),
-    );
-    (players, stage)
-}
-
-/// [`process_players_sharded`] in place, on buffers kept between ticks.
-///
-/// Each connected player is classified once, into its shard's batch or the
-/// serial tail ([`ShardOrder`]); a batch's players leave their slots for
-/// the owned phase and return to them by index, and the tail and every
-/// disconnected player never leave theirs.
-pub(crate) fn run_player_stage(
-    world: &mut World,
-    players: &mut [ConnectedPlayer],
-    actions: &mut [Vec<ServerboundPacket>],
-    pipeline: &TickPipeline,
-    batches: &mut PlayerBatches,
-) -> ShardedPlayerStage {
     assert_eq!(
         players.len(),
         actions.len(),
         "one action queue per player slot"
     );
     let map = pipeline.shard_map();
-    if world.shard_map() != map {
-        world.reshard(map.clone());
-    }
+    world.reshard_to(map);
     let shards = map.count();
     let tail = shards;
     let keys = players.iter().zip(actions.iter()).map(|(player, queue)| {
         (!player.disconnected).then(|| player_shard_assignment(map, player, queue).unwrap_or(tail))
     });
-    batches.order.sort(shards + 1, keys);
+    let order = ShardOrder::new(shards + 1, keys);
     let mut stage = ShardedPlayerStage {
         per_shard_work: vec![0u64; shards],
-        escalated_players: batches.order.range(tail).len() as u64,
+        escalated_players: order.range(tail).len() as u64,
         ..ShardedPlayerStage::default()
     };
 
@@ -363,24 +319,18 @@ pub(crate) fn run_player_stage(
     // Every neighbour push is deferred, so each cascade seed reaches the
     // world's global queue through the merge below — the terrain stage, not
     // the player stage, runs the cascade.
-    let PlayerBatches { order, spare } = batches;
     let work: Vec<(usize, PlayerShardTask)> = (0..shards)
         .filter(|&shard| !order.range(shard).is_empty())
         .map(|shard| {
-            let mut batch = spare.pop().unwrap_or_default();
-            batch.extend(order.range(shard).iter().map(|&index| {
-                let index = index as usize;
-                let player = std::mem::take(&mut players[index]);
-                (index, player, std::mem::take(&mut actions[index]))
-            }));
+            let players = (order.range(shard).iter())
+                .map(|&index| {
+                    let index = index as usize;
+                    let player = std::mem::take(&mut players[index]);
+                    (index, player, std::mem::take(&mut actions[index]))
+                })
+                .collect();
             let report = PlayerStageReport::default();
-            (
-                shard,
-                PlayerShardTask {
-                    players: batch,
-                    report,
-                },
-            )
+            (shard, PlayerShardTask { players, report })
         })
         .collect();
     let (results, ()) = world.run_owned_phase(
@@ -394,16 +344,15 @@ pub(crate) fn run_player_stage(
             }
         },
     );
-    for (shard, mut task, outbound) in results {
+    for (shard, task, outbound) in results {
         stage.per_shard_work[shard] = cost::player_base_work(&task.report);
         stage.report.merge(task.report);
         for pos in outbound {
             world.push_neighbor_update(pos);
         }
-        for (index, player, _) in task.players.drain(..) {
+        for (index, player, _) in task.players {
             players[index] = player;
         }
-        spare.push(task.players);
     }
 
     // Serial tail: escalated players against the full world, in ascending
@@ -413,7 +362,7 @@ pub(crate) fn run_player_stage(
         let queue = std::mem::take(&mut actions[index]);
         process_player_actions(world, &mut players[index], queue, &mut stage.report);
     }
-    stage
+    (players, stage)
 }
 
 /// Convenience: the positions of all connected, non-disconnected players,
@@ -813,13 +762,12 @@ mod tests {
             use rand::{Rng, SeedableRng};
 
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut order = ShardOrder::default();
             for _ in 0..4 {
                 let key_count = rng.gen_range(1..6);
                 let keys: Vec<Option<usize>> = (0..rng.gen_range(0..40))
                     .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0..key_count)))
                     .collect();
-                order.sort(key_count, keys.iter().copied());
+                let order = ShardOrder::new(key_count, keys.iter().copied());
                 let mut expected: Vec<(usize, u32)> = (keys.iter().enumerate())
                     .filter_map(|(index, key)| key.map(|key| (key, index as u32)))
                     .collect();

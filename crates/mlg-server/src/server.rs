@@ -20,7 +20,7 @@ use crate::config::ServerConfig;
 use crate::cost::{self, TickCounters};
 use crate::dissemination::{self, InterestSets, TickUpdates};
 use crate::flavor::FlavorProfile;
-use crate::handler::{self, PlayerBatches, PlayerStageReport, ShardOrder};
+use crate::handler::{self, PlayerStageReport};
 use crate::player::{ConnectedPlayer, PlayerId};
 use crate::queues::NetworkingQueues;
 
@@ -184,8 +184,6 @@ pub struct GameServer {
     /// once for all its recipients, so the hot path allocates no per-packet
     /// vectors.
     broadcast_buf: Vec<ClientboundPacket>,
-    /// Reused order of the player positions that open `broadcast_buf`.
-    position_order: ShardOrder,
     /// Reused area-of-interest buffers: the recipients of every packet in
     /// `broadcast_buf`, for flavors that filter by interest.
     interest: InterestSets,
@@ -194,10 +192,6 @@ pub struct GameServer {
     /// recycled across ticks (see `mlg_world::scratch`). Together with
     /// `broadcast_buf` this is the server's whole steady-state tick arena.
     scratch: TickScratch,
-    /// The player stage's batches and the action queues it drains, reused
-    /// across ticks.
-    player_batches: PlayerBatches,
-    player_actions: Vec<Vec<ServerboundPacket>>,
 }
 
 /// What the player-handler stage hands the rest of the tick.
@@ -264,11 +258,8 @@ impl GameServer {
             eager_lighting: true,
             pending_relight: Vec::new(),
             broadcast_buf: Vec::new(),
-            position_order: ShardOrder::default(),
             interest: InterestSets::default(),
             scratch: TickScratch::new(),
-            player_batches: PlayerBatches::default(),
-            player_actions: Vec::new(),
         };
         server.apply_profile(profile);
         server
@@ -634,14 +625,13 @@ impl GameServer {
     /// the interior batches processed in parallel (boundary players
     /// escalate to a serial tail — see `handler::process_players_sharded`);
     /// a serial flavor's one shard holds every player in one batch, in
-    /// player order. The queues are drained once, in player order, into
-    /// `player_actions`, and the stage classifies, batches and restores the
-    /// players in place on `player_batches`.
+    /// player order. The queues are drained once, in player order.
     fn stage_players(&mut self) -> PlayerStage {
         let mut bytes_received = 0u64;
-        self.player_actions.clear();
-        self.player_actions
-            .extend(self.players.iter().map(|player| {
+        let players = std::mem::take(&mut self.players);
+        let actions = players
+            .iter()
+            .map(|player| {
                 if player.disconnected {
                     return Vec::new();
                 }
@@ -651,14 +641,11 @@ impl GameServer {
                     .map(|a| mlg_protocol::codec::serverbound_wire_size(a) as u64)
                     .sum::<u64>();
                 actions
-            }));
-        let stage = handler::run_player_stage(
-            &mut self.world,
-            &mut self.players,
-            &mut self.player_actions,
-            &self.pipeline,
-            &mut self.player_batches,
-        );
+            })
+            .collect();
+        let (players, stage) =
+            handler::process_players_sharded(&mut self.world, players, actions, &self.pipeline);
+        self.players = players;
 
         // Player-stage block edits feed the lighting stage too (the
         // paper's workloads never place blocks, but the Crowd workload
@@ -765,7 +752,6 @@ impl GameServer {
                 &mut packets,
                 &self.players,
                 self.pipeline.shard_map(),
-                &mut self.position_order,
                 &updates,
                 self.spawn_point,
                 self.tick_index,

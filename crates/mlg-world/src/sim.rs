@@ -295,9 +295,7 @@ impl TerrainSimulator {
         scope: &PoolScope<'_>,
         scratch: &mut TickScratch,
     ) -> ShardedTerrainTick {
-        if world.shard_map() != map {
-            world.reshard(map.clone());
-        }
+        world.reshard_to(map);
         let changes_before = world.changes().len();
         let mut out = ShardedTerrainTick {
             report: TerrainTickReport::default(),

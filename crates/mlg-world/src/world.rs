@@ -373,9 +373,21 @@ impl World {
     /// sharded tick pipeline adopts a world; a no-op when the map is
     /// unchanged.
     pub fn reshard(&mut self, map: ShardMap) {
-        if map == *self.shard_map {
-            return;
+        if map != *self.shard_map {
+            self.repartition(map);
         }
+    }
+
+    /// [`World::reshard`] for a map the caller keeps: clones `map` only
+    /// when it differs from the world's, as the tick stages do every tick.
+    pub fn reshard_to(&mut self, map: &ShardMap) {
+        if *map != *self.shard_map {
+            self.repartition(map.clone());
+        }
+    }
+
+    /// Moves every chunk into the store `map` assigns it.
+    fn repartition(&mut self, map: ShardMap) {
         let mut stores: Vec<ShardStore> = Vec::new();
         stores.resize_with(map.count(), ShardStore::default);
         for store in self.stores.drain(..) {

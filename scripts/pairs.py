@@ -14,11 +14,10 @@ run: pair k runs seed FIRST_SEED + k on both sides, the parent first on even
 k and the change first on odd k, each run in a fresh process at full length
 unless --seconds is given.
 
-For every workload and every metric the script prints each side's median
-and quartiles, the ratio of the medians, how many pairs the change won (by
-the metric's direction in BENCHMARK.json; per-layer metrics not named there
-count lower as better), and whether the gap between the medians exceeds the
-parent's quartile spread. Runs that report `correct: false` or failed
+For every workload and every end-to-end metric of BENCHMARK.json the script
+prints each side's median and quartiles, the ratio of the medians, how many
+pairs the change won (by the metric's direction there), and whether the gap
+between the medians exceeds the parent's quartile spread. Runs that report `correct: false` or failed
 operations are counted and printed.
 
 --control builds the parent twice instead of parent and change, and exits 1
@@ -115,15 +114,11 @@ def run_once(binary, workload, seed, seconds, out):
     return metrics, {k: result.get(k) for k in ("correct", "attempted", "failed")}
 
 
-def directions():
+def end_to_end_metrics():
+    """(name, lower is better) of each end-to-end metric in BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         declared = json.load(f)
-    better = {}
-    for group in ("end_to_end", "per_layer"):
-        for metric in declared.get(group, []):
-            better[metric["name"]] = metric["better"]
-    end_to_end = [m["name"] for m in declared.get("end_to_end", [])]
-    return better, end_to_end
+    return [(m["name"], m["better"] == "lower") for m in declared["end_to_end"]]
 
 
 def quartiles(values):
@@ -133,15 +128,12 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def report(workload, runs, better, end_to_end, all_metrics):
+def report(workload, runs, metrics):
     parent, change = runs["parent"], runs["change"]
-    names = sorted({name for metrics, _ in parent + change for name in metrics})
-    if not all_metrics:
-        names = [n for n in end_to_end if n in names]
     print(f"\n== {workload}: {len(parent)} pairs")
     print("metric: parent median [q1-q3] -> change median [q1-q3], ratio, wins,"
           " gap beyond the parent's quartile spread")
-    for name in names:
+    for name, lower in metrics:
         pairs = [(p[0].get(name), c[0].get(name)) for p, c in zip(parent, change)]
         pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
         if not pairs:
@@ -149,7 +141,6 @@ def report(workload, runs, better, end_to_end, all_metrics):
         ps, cs = [p for p, _ in pairs], [c for _, c in pairs]
         pq1, pmed, pq3 = quartiles(ps)
         cq1, cmed, cq3 = quartiles(cs)
-        lower = better.get(name, "lower") == "lower"
         wins = sum(1 for p, c in pairs if (c < p if lower else c > p))
         ratio = f"{cmed / pmed:.4f}" if pmed else "n/a"
         beyond = "beyond" if abs(cmed - pmed) > pq3 - pq1 else "inside"
@@ -172,8 +163,6 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length (default: perf_ledger's full length)")
-    parser.add_argument("--all-metrics", action="store_true",
-                        help="report per-layer metrics too, not only end-to-end ones")
     parser.add_argument("--control", action="store_true",
                         help="build the parent twice and compare the binaries")
     args = parser.parse_args()
@@ -197,7 +186,7 @@ def main():
     if subprocess.run(["cmp", "-s", sides["parent"], sides["change"]]).returncode == 0:
         print("pairs: the parent and the change built to identical binaries", file=sys.stderr)
         return 1
-    better, end_to_end = directions()
+    metrics = end_to_end_metrics()
     for workload in args.workload or WORKLOADS:
         runs = {"parent": [], "change": []}
         for k in range(args.pairs):
@@ -209,7 +198,7 @@ def main():
             p = runs["parent"][-1][0].get("run_wall_s")
             c = runs["change"][-1][0].get("run_wall_s")
             print(f"{workload} seed {seed}: run_wall_s parent {p} change {c}", flush=True)
-        report(workload, runs, better, end_to_end, args.all_metrics)
+        report(workload, runs, metrics)
     return 0
 
 
