@@ -14,7 +14,7 @@ use mlg_protocol::{ClientboundPacket, TrafficAccountant};
 use mlg_world::shard::ShardMap;
 use mlg_world::world::BlockChange;
 
-use crate::handler::{PendingChat, ShardOrder};
+use crate::handler::PendingChat;
 use crate::player::{ConnectedPlayer, PlayerId};
 use crate::queues::{NetworkingQueues, PacketRecipients};
 
@@ -61,12 +61,13 @@ pub(crate) fn assemble(
     // shows entity messages dominating even the Control workload). They are
     // assembled per shard — canonical shard order, player order within a
     // shard — mirroring how the player stage batches its work.
-    let owners = players
-        .iter()
-        .map(|pl| (!pl.disconnected).then(|| shard_map.shard_of_chunk(pl.chunk())));
-    let order = ShardOrder::new(shard_map.count(), owners);
-    packets.extend(order.all().iter().map(|&index| {
-        let pl = &players[index as usize];
+    let mut keyed: Vec<(usize, usize)> = (players.iter().enumerate())
+        .filter(|(_, pl)| !pl.disconnected)
+        .map(|(index, pl)| (shard_map.shard_of_chunk(pl.chunk()), index))
+        .collect();
+    keyed.sort_unstable();
+    packets.extend(keyed.into_iter().map(|(_, index)| {
+        let pl = &players[index];
         ClientboundPacket::EntityMove {
             id: pl.entity_id,
             pos: pl.pos,

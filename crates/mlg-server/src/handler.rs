@@ -216,53 +216,7 @@ fn player_shard_assignment(
     Some(owner)
 }
 
-/// Indices grouped by a small key, in (key, index) order: one counting pass
-/// instead of a comparison sort.
-#[derive(Debug)]
-pub(crate) struct ShardOrder {
-    /// `bounds[key]..bounds[key + 1]` is the range of `order` that holds
-    /// `key`'s indices.
-    bounds: Vec<usize>,
-    /// Every keyed index, grouped by key, ascending inside a group.
-    order: Vec<u32>,
-}
-
-impl ShardOrder {
-    /// Orders the indices of `keys` whose key is `Some` by key, then by
-    /// index; every key is below `key_count`.
-    pub(crate) fn new(key_count: usize, keys: impl Iterator<Item = Option<usize>>) -> Self {
-        let keys: Vec<Option<usize>> = keys.collect();
-        let mut bounds = vec![0; key_count + 1];
-        for &key in keys.iter().flatten() {
-            bounds[key] += 1;
-        }
-        // Running sums: `bounds[key]` is where `key`'s range ends, and the
-        // backward pass below moves it to where the range starts.
-        for key in 1..=key_count {
-            bounds[key] += bounds[key - 1];
-        }
-        let mut order = vec![0; bounds[key_count]];
-        for (index, key) in keys.iter().enumerate().rev() {
-            if let Some(key) = *key {
-                bounds[key] -= 1;
-                order[bounds[key]] = index as u32;
-            }
-        }
-        ShardOrder { bounds, order }
-    }
-
-    /// The indices with key `key`, ascending.
-    pub(crate) fn range(&self, key: usize) -> &[u32] {
-        &self.order[self.bounds[key]..self.bounds[key + 1]]
-    }
-
-    /// Every keyed index, in (key, index) order.
-    pub(crate) fn all(&self) -> &[u32] {
-        &self.order
-    }
-}
-
-/// One player's place in a batch: `(players-vec index, player, drained
+/// One player's slot in the stage: `(players-vec index, player, drained
 /// action queue)`.
 type QueuedPlayer = (usize, ConnectedPlayer, Vec<ServerboundPacket>);
 
@@ -279,11 +233,9 @@ struct PlayerShardTask {
 /// shard order, and returns the players in their original order.
 ///
 /// `actions` is parallel to `players` (one drained queue per player;
-/// disconnected players must have empty queues). Each connected player is
-/// classified once, into its shard's batch or the serial tail
-/// ([`ShardOrder`]); a batch's players leave their slots for the owned
-/// phase and return to them by index, and the tail and every disconnected
-/// player never leave theirs.
+/// disconnected players must have empty queues). The caller passes the
+/// players by value so each shard worker can own its batch outright — the
+/// returned vector restores the original indexing exactly.
 ///
 /// Determinism: batch assignment is a pure function of (map, players,
 /// actions); shard batches merge in ascending shard order with players in
@@ -292,7 +244,7 @@ struct PlayerShardTask {
 #[must_use]
 pub fn process_players_sharded(
     world: &mut World,
-    mut players: Vec<ConnectedPlayer>,
+    players: Vec<ConnectedPlayer>,
     mut actions: Vec<Vec<ServerboundPacket>>,
     pipeline: &TickPipeline,
 ) -> (Vec<ConnectedPlayer>, ShardedPlayerStage) {
@@ -303,15 +255,27 @@ pub fn process_players_sharded(
     );
     let map = pipeline.shard_map();
     world.reshard_to(map);
-    let shards = map.count();
-    let tail = shards;
-    let keys = players.iter().zip(actions.iter()).map(|(player, queue)| {
-        (!player.disconnected).then(|| player_shard_assignment(map, player, queue).unwrap_or(tail))
-    });
-    let order = ShardOrder::new(shards + 1, keys);
+    let total = players.len();
+
+    // Classification: interior batches per shard, escalated tail, and
+    // parked (disconnected) players that only need their slots back.
+    let mut batches: Vec<Vec<QueuedPlayer>> = vec![Vec::new(); map.count()];
+    let mut serial: Vec<QueuedPlayer> = Vec::new();
+    let mut parked: Vec<(usize, ConnectedPlayer)> = Vec::new();
+    for (index, player) in players.into_iter().enumerate() {
+        if player.disconnected {
+            parked.push((index, player));
+            continue;
+        }
+        let queue = std::mem::take(&mut actions[index]);
+        match player_shard_assignment(map, &player, &queue) {
+            Some(shard) => batches[shard].push((index, player, queue)),
+            None => serial.push((index, player, queue)),
+        }
+    }
     let mut stage = ShardedPlayerStage {
-        per_shard_work: vec![0u64; shards],
-        escalated_players: order.range(tail).len() as u64,
+        per_shard_work: vec![0u64; map.count()],
+        escalated_players: serial.len() as u64,
         ..ShardedPlayerStage::default()
     };
 
@@ -319,16 +283,9 @@ pub fn process_players_sharded(
     // Every neighbour push is deferred, so each cascade seed reaches the
     // world's global queue through the merge below — the terrain stage, not
     // the player stage, runs the cascade.
-    let work: Vec<(usize, PlayerShardTask)> = (0..shards)
-        .filter(|&shard| !order.range(shard).is_empty())
-        .map(|shard| {
-            let players = (order.range(shard).iter())
-                .map(|&index| {
-                    let index = index as usize;
-                    let player = std::mem::take(&mut players[index]);
-                    (index, player, std::mem::take(&mut actions[index]))
-                })
-                .collect();
+    let work: Vec<(usize, PlayerShardTask)> = (batches.into_iter().enumerate())
+        .filter(|(_, batch)| !batch.is_empty())
+        .map(|(shard, players)| {
             let report = PlayerStageReport::default();
             (shard, PlayerShardTask { players, report })
         })
@@ -344,25 +301,26 @@ pub fn process_players_sharded(
             }
         },
     );
+    let mut merged: Vec<(usize, ConnectedPlayer)> = Vec::with_capacity(total);
     for (shard, task, outbound) in results {
         stage.per_shard_work[shard] = cost::player_base_work(&task.report);
         stage.report.merge(task.report);
         for pos in outbound {
             world.push_neighbor_update(pos);
         }
-        for (index, player, _) in task.players {
-            players[index] = player;
-        }
+        merged.extend(task.players.into_iter().map(|(i, p, _)| (i, p)));
     }
 
     // Serial tail: escalated players against the full world, in ascending
     // player order, after every parallel batch has merged.
-    for &index in order.range(tail) {
-        let index = index as usize;
-        let queue = std::mem::take(&mut actions[index]);
-        process_player_actions(world, &mut players[index], queue, &mut stage.report);
+    for (index, mut player, queue) in serial {
+        process_player_actions(world, &mut player, queue, &mut stage.report);
+        merged.push((index, player));
     }
-    (players, stage)
+
+    merged.extend(parked);
+    merged.sort_unstable_by_key(|(index, _)| *index);
+    (merged.into_iter().map(|(_, p)| p).collect(), stage)
 }
 
 /// Convenience: the positions of all connected, non-disconnected players,
@@ -750,38 +708,6 @@ mod tests {
             let pipeline = TickPipeline::new(1, 1 + next(4) as u32);
             let stage = assert_stage_matches_the_serial_loop(&pipeline, players, actions);
             assert_eq!(stage.escalated_players, 0);
-        }
-    }
-
-    proptest::proptest! {
-        /// The counting pass orders like a stable sort by key, and each
-        /// key's range holds exactly its indices; unkeyed indices appear
-        /// nowhere.
-        #[test]
-        fn shard_order_is_a_stable_sort_by_key(seed in proptest::prelude::any::<u64>()) {
-            use rand::{Rng, SeedableRng};
-
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            for _ in 0..4 {
-                let key_count = rng.gen_range(1..6);
-                let keys: Vec<Option<usize>> = (0..rng.gen_range(0..40))
-                    .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0..key_count)))
-                    .collect();
-                let order = ShardOrder::new(key_count, keys.iter().copied());
-                let mut expected: Vec<(usize, u32)> = (keys.iter().enumerate())
-                    .filter_map(|(index, key)| key.map(|key| (key, index as u32)))
-                    .collect();
-                expected.sort_by_key(|&(key, _)| key);
-                let indices: Vec<u32> = expected.iter().map(|&(_, index)| index).collect();
-                proptest::prop_assert_eq!(order.all(), indices.as_slice());
-                for key in 0..key_count {
-                    let range: Vec<u32> = (expected.iter())
-                        .filter(|&&(k, _)| k == key)
-                        .map(|&(_, index)| index)
-                        .collect();
-                    proptest::prop_assert_eq!(order.range(key), range.as_slice());
-                }
-            }
         }
     }
 

@@ -19,7 +19,7 @@ impl std::fmt::Display for PlayerId {
 }
 
 /// Server-side state of one connected player.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConnectedPlayer {
     /// Connection identifier.
     pub id: PlayerId,
