@@ -495,7 +495,8 @@ impl ChunkBuilder {
 
     /// The slot of `block`, interned on first use. A stateless block is
     /// found by kind; a block with state by searching what is interned.
-    fn intern(&mut self, block: Block) -> u8 {
+    /// Air's slot is 0.
+    pub(crate) fn intern(&mut self, block: Block) -> u8 {
         let stateless = block.state() == 0;
         if stateless {
             let slot = self.stateless[block.kind() as usize];
@@ -519,6 +520,36 @@ impl ChunkBuilder {
             self.stateless[block.kind() as usize] = slot;
         }
         slot
+    }
+
+    /// Widens the band of mixed layers to cover `layers`.
+    fn mark_mixed(&mut self, layers: std::ops::Range<usize>) {
+        self.mixed = if self.mixed.is_empty() {
+            layers
+        } else {
+            self.mixed.start.min(layers.start)..self.mixed.end.max(layers.end)
+        };
+    }
+
+    /// Hands each layer of `y_lo..=y_hi` (clamped to the world) to `fill`,
+    /// in ascending `y`, to overwrite every one of its slots, column
+    /// `z * CHUNK_SIZE + x` at index `z * CHUNK_SIZE + x`. The slots must
+    /// come from [`ChunkBuilder::intern`]. The whole band counts as mixed.
+    pub(crate) fn fill_layers(
+        &mut self,
+        y_lo: i32,
+        y_hi: i32,
+        mut fill: impl FnMut(i32, &mut [u8; LAYER]),
+    ) {
+        let layers = clamp_layers(y_lo, y_hi);
+        if layers.is_empty() {
+            return;
+        }
+        self.mark_mixed(layers.clone());
+        let (band, _) = self.slots[layers.start * LAYER..layers.end * LAYER].as_chunks_mut();
+        for (layer, y) in band.iter_mut().zip(layers.start as i32..) {
+            fill(y, layer);
+        }
     }
 
     /// Packs the scratch into the chunk at `pos`: every column light-dirty
@@ -628,11 +659,7 @@ impl BlockSink for ChunkBuilder {
             return;
         }
         let slot = self.intern(block);
-        self.mixed = if self.mixed.is_empty() {
-            layers.clone()
-        } else {
-            self.mixed.start.min(layers.start)..self.mixed.end.max(layers.end)
-        };
+        self.mark_mixed(layers.clone());
         let column = z * CHUNK_SIZE + x;
         for layer in self.slots[layers.start * LAYER..layers.end * LAYER].chunks_exact_mut(LAYER) {
             layer[column] = slot;
@@ -693,6 +720,12 @@ pub(crate) mod reference {
         let width = |chunk: &Chunk| (bits_per_entry(chunk), chunk.storage_bytes());
         assert_eq!(width(built), width(&replayed), "bits, bytes: {ctx}");
         tests::assert_chunks_equivalent(built, &replayed, ctx);
+    }
+
+    /// Asserts `a` and `b` hold the same store: the same palette in the same
+    /// order, packed into the same index words.
+    pub(crate) fn assert_same_store(a: &Chunk, b: &Chunk, ctx: &str) {
+        assert_eq!(a.store.layout(), b.store.layout(), "palette, words: {ctx}");
     }
 
     /// The chunk's packed index width.

@@ -81,6 +81,44 @@ pub struct PaletteStore {
     data: Vec<u64>,
 }
 
+/// The index word of the (at most `64 / width`) entries from `first` on,
+/// each slot remapped: entry `first` in the lowest bits.
+fn pack_word(
+    slots: &[u8; BLOCKS_PER_CHUNK],
+    remap: &[u64; 256],
+    width: usize,
+    first: usize,
+) -> u64 {
+    let entries = &slots[first..(first + 64 / width).min(BLOCKS_PER_CHUNK)];
+    entries
+        .iter()
+        .rev()
+        .fold(0, |packed, &slot| packed << width | remap[slot as usize])
+}
+
+/// [`pack_word`] for each of `words` at the width `BITS`, known to the
+/// compiler: a whole word's entries are a fixed-length run, so its loop
+/// unrolls into constant shifts. Only a chunk's last word can be short.
+fn pack_words<const BITS: usize>(
+    slots: &[u8; BLOCKS_PER_CHUNK],
+    remap: &[u64; 256],
+    data: &mut [u64],
+    words: std::ops::Range<usize>,
+) {
+    let epw = 64 / BITS;
+    let whole = words.start..words.end.min(BLOCKS_PER_CHUNK / epw);
+    for (word, out) in whole.clone().zip(&mut data[whole.clone()]) {
+        let entries = &slots[word * epw..][..epw];
+        *out = entries
+            .iter()
+            .rev()
+            .fold(0, |packed, &slot| packed << BITS | remap[slot as usize]);
+    }
+    for (word, out) in (whole.end..words.end).zip(&mut data[whole.end..words.end]) {
+        *out = pack_word(slots, remap, BITS, word * epw);
+    }
+}
+
 impl PaletteStore {
     /// Creates an all-air store without allocating index storage.
     #[must_use]
@@ -143,14 +181,19 @@ impl PaletteStore {
         // stores it once. A word is built from `slots`, which hold every
         // entry's final value, so building a word twice (a ragged end
         // shared by two stretches) writes the same value twice.
-        let pack = |data: &mut [u64], words: std::ops::Range<usize>| {
-            for (word, out) in words.clone().zip(&mut data[words]) {
-                let first = word * epw;
-                let entries = &slots[first..(first + epw).min(BLOCKS_PER_CHUNK)];
-                *out = entries
-                    .iter()
-                    .rev()
-                    .fold(0, |packed, &slot| packed << width | remap[slot as usize]);
+        let pack = |data: &mut [u64], words: std::ops::Range<usize>| match bits {
+            1 => pack_words::<1>(slots, &remap, data, words),
+            2 => pack_words::<2>(slots, &remap, data, words),
+            3 => pack_words::<3>(slots, &remap, data, words),
+            4 => pack_words::<4>(slots, &remap, data, words),
+            5 => pack_words::<5>(slots, &remap, data, words),
+            6 => pack_words::<6>(slots, &remap, data, words),
+            7 => pack_words::<7>(slots, &remap, data, words),
+            8 => pack_words::<8>(slots, &remap, data, words),
+            _ => {
+                for (word, out) in words.clone().zip(&mut data[words]) {
+                    *out = pack_word(slots, &remap, width, word * epw);
+                }
             }
         };
         let mut layer = 0;
@@ -417,6 +460,12 @@ impl PaletteStore {
         self.data.len() * std::mem::size_of::<u64>()
             + self.palette.len() * std::mem::size_of::<Block>()
             + self.refs.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The palette, in slot order, and the packed index words.
+    #[cfg(test)]
+    pub(crate) fn layout(&self) -> (&[Block], &[u64]) {
+        (&self.palette, &self.data)
     }
 
     /// Bits per packed index entry (0 for an unmaterialized all-air store).

@@ -18,7 +18,9 @@ For every workload and every end-to-end metric of BENCHMARK.json the script
 prints each side's median and quartiles, the ratio of the medians, how many
 pairs the change won (by the metric's direction there), and whether the gap
 between the medians exceeds the parent's quartile spread. Runs that report `correct: false` or failed
-operations are counted and printed.
+operations are counted and printed. The script exits 1 after the report
+when any run on either side is not correct, failed an operation or lacks
+one of those metrics: such a pair measures something else.
 
 --control builds the parent twice instead of parent and change, and exits 1
 unless `cmp` finds the two binaries identical: a check that building at one
@@ -129,6 +131,8 @@ def quartiles(values):
 
 
 def report(workload, runs, metrics):
+    """Prints the comparison; returns whether every run is correct, failed
+    nothing and reports every metric."""
     parent, change = runs["parent"], runs["change"]
     print(f"\n== {workload}: {len(parent)} pairs")
     print("metric: parent median [q1-q3] -> change median [q1-q3], ratio, wins,"
@@ -146,12 +150,18 @@ def report(workload, runs, metrics):
         beyond = "beyond" if abs(cmed - pmed) > pq3 - pq1 else "inside"
         print(f"{name}: {pmed:.6g} [{pq1:.6g}-{pq3:.6g}] -> {cmed:.6g} [{cq1:.6g}-{cq3:.6g}],"
               f" x {ratio}, {wins}/{len(pairs)} won, {beyond}")
+    names = [name for name, _ in metrics]
+    ok = True
     for side in ("parent", "change"):
         bad = [t for _, t in runs[side] if not t["correct"] or t["failed"]]
         failed = sum(t["failed"] or 0 for _, t in runs[side])
         attempted = sum(t["attempted"] or 0 for _, t in runs[side])
+        missing = sorted({n for m, _ in runs[side] for n in names if n not in m})
         print(f"{side}: {len(runs[side]) - len(bad)}/{len(runs[side])} runs correct,"
-              f" {failed} of {attempted} operations failed")
+              f" {failed} of {attempted} operations failed"
+              + (f", metrics missing: {', '.join(missing)}" if missing else ""))
+        ok = ok and not bad and not missing
+    return ok
 
 
 def main():
@@ -187,6 +197,7 @@ def main():
         print("pairs: the parent and the change built to identical binaries", file=sys.stderr)
         return 1
     metrics = end_to_end_metrics()
+    ok = True
     for workload in args.workload or WORKLOADS:
         runs = {"parent": [], "change": []}
         for k in range(args.pairs):
@@ -198,7 +209,11 @@ def main():
             p = runs["parent"][-1][0].get("run_wall_s")
             c = runs["change"][-1][0].get("run_wall_s")
             print(f"{workload} seed {seed}: run_wall_s parent {p} change {c}", flush=True)
-        report(workload, runs, metrics)
+        ok = report(workload, runs, metrics) and ok
+    if not ok:
+        print("pairs: a run was not correct, failed operations or lacked a metric",
+              file=sys.stderr)
+        return 1
     return 0
 
 
