@@ -12,7 +12,8 @@
 //! receives, or a span of the *picks* buffer — the positions one
 //! area-of-interest segment delivers to this connection, in slice order.
 //! Only per-connection packets (the join stream of
-//! [`NetworkingQueues::extend_outgoing`]) are owned by the queue itself.
+//! [`NetworkingQueues::extend_outgoing`]) are owned by the queue itself, a
+//! run of them as one entry.
 //! Enqueueing is then one entry per connection for a full broadcast and one
 //! per connection reached for a segment of area-of-interest packets, and
 //! draining sums a run of adjacent positions' bytes as a difference of two
@@ -40,8 +41,13 @@ use crate::player::PlayerId;
 /// One entry of a connection's outgoing queue.
 #[derive(Debug)]
 enum Queued {
-    /// A packet for this connection only.
-    Owned(ClientboundPacket),
+    /// Packets for this connection only, with their summed wire size: a
+    /// join's stream, sized when it is queued so that draining it is one
+    /// visit and two additions.
+    Owned {
+        packets: Box<[ClientboundPacket]>,
+        bytes: usize,
+    },
     /// The packets at these positions of the shared log.
     Shared(Range<usize>),
     /// The packets at the log positions listed in this span of the picks
@@ -50,8 +56,8 @@ enum Queued {
     Picked(Range<usize>),
 }
 
-// A join reserves 256 entries on each of a Horde's 2,000 connections, so an
-// entry wider than the packet it replaced is megabytes of peak memory.
+// Every queue of a Horde's 2,000 connections holds a few entries per tick,
+// so an entry wider than the packet it replaced is megabytes of peak memory.
 const _: () = assert!(size_of::<Queued>() <= size_of::<ClientboundPacket>());
 
 /// The broadcast packets some queue still references, each stored once.
@@ -272,28 +278,23 @@ impl NetworkingQueues {
     }
 
     /// Buffers a run of clientbound packets for `player` alone, in iteration
-    /// order: one connection lookup and one capacity reservation for the
-    /// whole run (a join streams a full view square). A run for an unknown
-    /// connection is dropped — without being iterated.
-    ///
-    /// The reservation is rounded up to a power of two, the capacity
-    /// one-by-one pushes would have doubled their way to. The queue outlives
-    /// the run and keeps doubling under per-tick bursts; an exact reservation
-    /// (170 packets for a 13×13 view) moves every later step to 340, 680, …
-    /// instead of 256, 512, …, which on a 2,000-bot world is +17 MiB of
-    /// peak memory for the same traffic.
+    /// order, as one queue entry: a join streams a full view square, and its
+    /// wire bytes are summed here, at set-up, not when the first tick drains
+    /// it. A run for an unknown connection is dropped — without being
+    /// iterated — and an empty run queues nothing.
     pub fn extend_outgoing(
         &mut self,
         player: PlayerId,
         packets: impl IntoIterator<Item = ClientboundPacket>,
     ) {
         if let Some(conn) = slot(&mut self.connections, player) {
+            let packets: Box<[ClientboundPacket]> = packets.into_iter().collect();
+            if packets.is_empty() {
+                return;
+            }
+            let bytes = packets.iter().map(clientbound_wire_size).sum();
             conn.close_open();
-            let packets = packets.into_iter();
-            let queued = conn.outgoing.len();
-            let capacity = (queued + packets.size_hint().0).next_power_of_two();
-            conn.outgoing.reserve(capacity - queued);
-            conn.outgoing.extend(packets.map(Queued::Owned));
+            conn.outgoing.push_back(Queued::Owned { packets, bytes });
         }
     }
 
@@ -451,8 +452,8 @@ impl NetworkingQueues {
     }
 
     /// Drains all pending clientbound packets for `player` without taking
-    /// them: `visit` is shown the packets in queue order — one packet for
-    /// an owned entry, a run of the shared log for each run of adjacent log
+    /// them: `visit` is shown the packets in queue order — an owned entry's
+    /// run whole, a run of the shared log for each run of adjacent log
     /// positions, merged across consecutive shared and picked entries — and
     /// the `(packets, wire bytes)` drained are returned. A caller that only
     /// needs the totals passes a visitor that ignores its argument and pays
@@ -478,11 +479,11 @@ impl NetworkingQueues {
         let open = (!open.is_empty()).then_some(Queued::Shared(open));
         for entry in conn.outgoing.drain(..).chain(open) {
             match entry {
-                Queued::Owned(packet) => {
+                Queued::Owned { packets, bytes } => {
                     log.extend_run(&mut run, 0..0, &mut totals, &mut visit);
-                    totals.0 += 1;
-                    totals.1 += clientbound_wire_size(&packet);
-                    visit(std::slice::from_ref(&packet));
+                    totals.0 += packets.len() as u64;
+                    totals.1 += bytes;
+                    visit(&packets);
                 }
                 Queued::Shared(range) => log.extend_run(&mut run, range, &mut totals, &mut visit),
                 Queued::Picked(span) => {
@@ -572,16 +573,26 @@ mod tests {
         for packet in &packets {
             single.extend_outgoing(PlayerId(1), [packet.clone()]);
         }
-        let capacity =
-            |q: &NetworkingQueues| q.connections[1].as_ref().map(|c| c.outgoing.capacity());
-        assert_eq!(capacity(&run), capacity(&single));
-        assert_eq!(
-            run.drain_outgoing(PlayerId(1)),
-            single.drain_outgoing(PlayerId(1))
-        );
-        // An unknown connection drops the run without pulling from it.
+        // The run is one entry, sized when it was queued.
+        let entries = |q: &NetworkingQueues| q.connections[1].as_ref().map(|c| c.outgoing.len());
+        assert_eq!((entries(&run), entries(&single)), (Some(2), Some(171)));
+        let mut runs = Vec::new();
+        let totals = run.drain_outgoing_with(PlayerId(1), |packets| runs.push(packets.len()));
+        assert_eq!(runs, [1, 170]);
+        let mut drained = Vec::new();
+        let single_totals =
+            single.drain_outgoing_with(PlayerId(1), |packets| drained.extend_from_slice(packets));
+        assert_eq!(totals, single_totals);
+        let mut expected = vec![ClientboundPacket::KeepAlive { id: 999 }];
+        expected.extend(packets);
+        assert_eq!(drained, expected);
+        assert_eq!(totals, (171, wire_bytes(&expected)));
+        // An unknown connection drops the run without pulling from it, and
+        // an empty run queues nothing.
         run.extend_outgoing(PlayerId(2), std::iter::repeat_with(|| unreachable!()));
         assert!(run.drain_outgoing(PlayerId(2)).is_empty());
+        run.extend_outgoing(PlayerId(1), []);
+        assert_eq!(entries(&run), Some(0));
     }
 
     #[test]
@@ -616,7 +627,7 @@ mod tests {
             runs.push(run.len());
             seen.extend_from_slice(run);
         });
-        assert_eq!(runs, [1, 1, 1, 1, 3], "one visit per queue entry");
+        assert_eq!(runs, [2, 1, 1, 3], "one visit per queue entry");
         let mut expected = keep_alives(0..6);
         expected.insert(
             2,
@@ -971,7 +982,7 @@ mod tests {
                 let entries = conn.outgoing.iter().map(|entry| match entry {
                     Queued::Picked(_) => (1, 0),
                     Queued::Shared(_) => (0, 1),
-                    Queued::Owned(_) => (0, 0),
+                    Queued::Owned { .. } => (0, 0),
                 });
                 let open = (0, usize::from(!conn.open.is_empty()));
                 let held = entries.fold(open, |a, b| (a.0 + b.0, a.1 + b.1));
