@@ -210,7 +210,7 @@ fn library_panic_sites_only_shrink() {
     // Every library panic site is a crash a caller cannot handle. The count
     // is pinned so that it can only go down: a new site fails here, and a
     // removed one asks for the pin to be lowered with it.
-    const PINNED: usize = 50;
+    const PINNED: usize = 49;
     let counts = library_panic_sites(&workspace_root_from_build());
     let total: usize = counts.values().sum();
     let listing: String = counts

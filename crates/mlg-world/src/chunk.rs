@@ -725,7 +725,15 @@ pub(crate) mod reference {
     /// Asserts `a` and `b` hold the same store: the same palette in the same
     /// order, packed into the same index words.
     pub(crate) fn assert_same_store(a: &Chunk, b: &Chunk, ctx: &str) {
-        assert_eq!(a.store.layout(), b.store.layout(), "palette, words: {ctx}");
+        let ((palette_a, words_a), (palette_b, words_b)) = (a.store.layout(), b.store.layout());
+        assert_eq!(palette_a, palette_b, "palette order: {ctx}");
+        let first_difference = words_a.iter().zip(words_b).position(|(a, b)| a != b);
+        assert!(
+            words_a.len() == words_b.len() && first_difference.is_none(),
+            "index words: {} and {}, first difference at {first_difference:?}: {ctx}",
+            words_a.len(),
+            words_b.len(),
+        );
     }
 
     /// The chunk's packed index width.
