@@ -262,55 +262,28 @@ fn cursor_way(pos: ChunkPos) -> usize {
 /// view [`ShardWorld`](crate::shard::ShardWorld) each keep one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChunkCursor<E> {
-    /// `ways[cursor_way(position)]` is the last chunk found in that way. A
-    /// way that remembers nothing holds a position of another way, which
-    /// no lookup can match, and [`CursorEntry::VACANT`]: 16 bytes a way,
-    /// with no tag.
-    ways: [(ChunkPos, E); CURSOR_WAYS],
+    /// `ways[cursor_way(position)]` is the last chunk found in that way.
+    ways: [Option<(ChunkPos, E)>; CURSOR_WAYS],
 }
 
-/// What a [`ChunkCursor`] remembers per chunk, with the filler of its
-/// empty ways.
-pub(crate) trait CursorEntry: Copy {
-    /// The entry of a way that remembers nothing; never read.
-    const VACANT: Self;
-}
-
-impl CursorEntry for (u32, u32) {
-    const VACANT: Self = (0, 0);
-}
-
-impl CursorEntry for usize {
-    const VACANT: Self = 0;
-}
-
-// Entries stay two words: the table is probed on every chunk read.
-const _: () = assert!(size_of::<ChunkCursor<usize>>() == 16 * CURSOR_WAYS);
-const _: () = assert!(size_of::<ChunkCursor<(u32, u32)>>() == 16 * CURSOR_WAYS);
-
-impl<E: CursorEntry> ChunkCursor<E> {
-    /// A cursor that remembers nothing: way `w` holds the position one
-    /// step east of the positions that map to it.
-    pub(crate) const EMPTY: Self = {
-        let mut ways = [(ChunkPos::new(0, 0), E::VACANT); CURSOR_WAYS];
-        let mut way = 0;
-        while way < CURSOR_WAYS {
-            ways[way].0 = ChunkPos::new((way >> 3) as i32 + 1, (way & 7) as i32);
-            way += 1;
-        }
-        ChunkCursor { ways }
+impl<E: Copy> ChunkCursor<E> {
+    /// A cursor that remembers nothing.
+    pub(crate) const EMPTY: Self = ChunkCursor {
+        ways: [None; CURSOR_WAYS],
     };
 
     /// The entry of `pos`, when its way remembers it.
     #[inline]
     pub(crate) fn find(&self, pos: ChunkPos) -> Option<E> {
-        let (at, entry) = self.ways[cursor_way(pos)];
-        (at == pos).then_some(entry)
+        match self.ways[cursor_way(pos)] {
+            Some((at, entry)) if at == pos => Some(entry),
+            _ => None,
+        }
     }
 
     /// Remembers `entry` for `pos` in its way.
     pub(crate) fn remember(&mut self, pos: ChunkPos, entry: E) {
-        self.ways[cursor_way(pos)] = (pos, entry);
+        self.ways[cursor_way(pos)] = Some((pos, entry));
     }
 }
 
@@ -1235,18 +1208,6 @@ mod tests {
         assert!(w.loaded_chunk_count() < before || store.is_empty());
         w.put_shard_store(1, store);
         assert_eq!(w.loaded_chunk_count(), before);
-    }
-
-    #[test]
-    fn an_empty_cursor_way_matches_no_position() {
-        // The vacant positions themselves included: each sits in a way
-        // that holds another.
-        let cursor = ChunkCursor::<usize>::EMPTY;
-        for x in -9..=9 {
-            for z in -9..=9 {
-                assert_eq!(cursor.find(ChunkPos::new(x, z)), None, "{x},{z}");
-            }
-        }
     }
 
     #[test]
