@@ -649,8 +649,8 @@ impl BlockSink for ChunkBuilder {
         self.slots[layers.start * LAYER..layers.end * LAYER].fill(slot);
     }
 
-    // Inlined into the generator's column loop: the call, not the stores,
-    // was a sixth of a noise chunk's terrain writes.
+    // Inlined into `set`, which tree placement calls per block: out of
+    // line, the call cost more than the stores.
     #[inline]
     fn column(&mut self, x: usize, z: usize, y_lo: i32, y_hi: i32, block: Block) {
         assert!(x < CHUNK_SIZE && z < CHUNK_SIZE, "local xz out of range");
